@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +64,7 @@ PARAM_PRESETS = {
 
 _PENDULUM_X0 = (-0.1, 0.5)
 _TRUCK_X0 = (27.4, 16.0, 16.0)
+_DEFAULT_HORIZON = {"pendulum": 40.0, "truck": 60.0}  # [s], when a config gives none
 
 SCENARIO_PRESETS = {
     "pendulum-undisturbed": {
@@ -237,6 +239,25 @@ def _reject_unknown(doc: dict, allowed, path: str) -> None:
         raise ConfigError(f"unknown key {path}.{unknown[0]}")
 
 
+def _section(doc: dict, key: str, path: str, default=None) -> dict:
+    """A nested object of the config; any other JSON value is a ConfigError."""
+    value = doc.get(key, {} if default is None else default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}.{key} must be an object, got {value!r}")
+    return value
+
+
+def _check_timing(plant: str, dt: float, horizon: Optional[float],
+                  dt_path: str, horizon_path: str) -> None:
+    """dt > 0 and dt <= horizon, both finite; horizon None means the plant default."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"{dt_path} must be a positive finite number, got {dt!r}")
+    if horizon is None:
+        horizon = _DEFAULT_HORIZON[plant]
+    if not (math.isfinite(horizon) and horizon >= dt):
+        raise ConfigError(f"{horizon_path} must be finite and >= dt = {dt!r}, got {horizon!r}")
+
+
 def _number(doc: dict, key: str, path: str, default=None):
     if key not in doc:
         if default is not None:
@@ -273,7 +294,7 @@ def parse_config(doc: dict, path: str = "$") -> Config:
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{path}.name must be a non-empty string")
 
-    params_doc = doc.get("params", {})
+    params_doc = _section(doc, "params", path)
     _reject_unknown(params_doc, ("preset", "overrides"), f"{path}.params")
     preset = params_doc.get("preset")
     if preset is not None:
@@ -300,7 +321,7 @@ def parse_config(doc: dict, path: str = "$") -> Config:
 
     issf = None
     if "issf" in doc:
-        issf_doc = doc["issf"]
+        issf_doc = _section(doc, "issf", path)
         _reject_unknown(issf_doc, ("eps0", "lam", "delta"), f"{path}.issf")
         issf = IssfSpec(
             eps0=_number(issf_doc, "eps0", f"{path}.issf"),
@@ -310,7 +331,7 @@ def parse_config(doc: dict, path: str = "$") -> Config:
     if "issf" in controller and issf is None:
         raise ConfigError(f"{path}.issf is required when the issf controller is selected")
 
-    dist_doc = doc.get("disturbance", {"kind": "zero"})
+    dist_doc = _section(doc, "disturbance", path, default={"kind": "zero"})
     kind = dist_doc.get("kind")
     if kind == "zero":
         _reject_unknown(dist_doc, ("kind",), f"{path}.disturbance")
@@ -342,7 +363,7 @@ def parse_config(doc: dict, path: str = "$") -> Config:
     if "leader" in doc:
         if plant != "truck":
             raise ConfigError(f"{path}.leader only applies to the truck plant")
-        lead_doc = doc["leader"]
+        lead_doc = _section(doc, "leader", path)
         lkind = lead_doc.get("kind")
         if lkind == "constant":
             _reject_unknown(lead_doc, ("kind", "v0"), f"{path}.leader")
@@ -378,12 +399,13 @@ def parse_config(doc: dict, path: str = "$") -> Config:
     if "horizon" in doc:
         horizon = _number(doc, "horizon", path)
     dt = _number(doc, "dt", path, default=0.01)
+    _check_timing(plant, dt, horizon, f"{path}.dt", f"{path}.horizon")
 
     out_dir = doc.get("out_dir", "out")
     if not isinstance(out_dir, str):
         raise ConfigError(f"{path}.out_dir must be a string")
 
-    certify_doc = doc.get("certify", {})
+    certify_doc = _section(doc, "certify", path)
     _reject_unknown(certify_doc, (
         "theta_range", "samples", "cross_term", "d_range", "vl_range", "grid", "a_l_bounds",
     ), f"{path}.certify")
@@ -410,7 +432,7 @@ def parse_config(doc: dict, path: str = "$") -> Config:
 
     sweep = None
     if "sweep" in doc:
-        sweep_doc = doc["sweep"]
+        sweep_doc = _section(doc, "sweep", path)
         _reject_unknown(sweep_doc, ("eps0_grid", "lambda_grid"), f"{path}.sweep")
         for key in ("eps0_grid", "lambda_grid"):
             if key not in sweep_doc or not isinstance(sweep_doc[key], (list, tuple)) \
@@ -519,13 +541,12 @@ def _build_leader(cfg: Config, p) -> LeaderProfile:
 def build_scenarios(cfg: Config):
     """Concrete per-controller scenarios for a simulate config."""
     p = build_params(cfg)
+    horizon = cfg.horizon if cfg.horizon is not None else _DEFAULT_HORIZON[cfg.plant]
     if cfg.plant == "pendulum":
         x0 = cfg.initial_state or _PENDULUM_X0
-        horizon = cfg.horizon if cfg.horizon is not None else 40.0
         leader = None
     else:
         x0 = cfg.initial_state or _TRUCK_X0
-        horizon = cfg.horizon if cfg.horizon is not None else 60.0
         leader = _build_leader(cfg, p)
 
     try:
@@ -726,6 +747,10 @@ def _load_config(args) -> Config:
         cfg = dataclasses.replace(cfg, dt=float(args.dt))
     if args.horizon is not None:
         cfg = dataclasses.replace(cfg, horizon=float(args.horizon))
+    if args.dt is not None or args.horizon is not None:
+        _check_timing(cfg.plant, cfg.dt, cfg.horizon,
+                      "--dt" if args.dt is not None else "$.dt",
+                      "--horizon" if args.horizon is not None else "$.horizon")
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     return cfg

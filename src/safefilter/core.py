@@ -100,9 +100,11 @@ class BarrierEvaluation:
     lg_h: np.ndarray  # row vector, shape (m,)
 
     def __post_init__(self):
-        lg = np.atleast_1d(np.asarray(self.lg_h, dtype=float))
+        lg = np.array(self.lg_h, dtype=float, ndmin=1)
         object.__setattr__(self, "lg_h", lg)
-        if not (math.isfinite(self.h) and math.isfinite(self.lf_h) and np.all(np.isfinite(lg))):
+        # scalar checks: numpy reductions cost more than the m <= 2 entries here
+        if not (math.isfinite(self.h) and math.isfinite(self.lf_h)
+                and all(map(math.isfinite, lg.ravel().tolist()))):
             raise ValueError("barrier evaluation entries must be finite")
 
     def hdot(self, u) -> float:

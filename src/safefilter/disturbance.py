@@ -7,6 +7,7 @@ enters additively on the input: the integrator applies u + d(t).
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -82,12 +83,14 @@ def sampled_disturbance(t, d) -> DisturbanceSignal:
     """
     t, d = _check_samples(t, d)
     t0, t1 = float(t[0]), float(t[-1])
+    # plain lists: bisect on floats is the same search as np.searchsorted
+    # without the array-call overhead on every evaluation
+    times, values = t.tolist(), d.tolist()
 
     def evaluate(tau):
         if tau < t0 or tau > t1:
             raise SignalDomainError(f"t={tau:g} outside sampled domain [{t0:g}, {t1:g}]")
-        idx = int(np.searchsorted(t, tau, side="right")) - 1
-        return float(d[idx])
+        return values[bisect.bisect_right(times, tau) - 1]
 
     return DisturbanceSignal("sampled", float(np.max(np.abs(d))), t1, evaluate)
 

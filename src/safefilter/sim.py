@@ -4,11 +4,15 @@ A scenario pins a plant, a controller flavor (nominal / cbf / issf), an input
 disturbance, and for the truck a leader acceleration profile.  Integration is
 classical RK4 with the controller evaluated inside every sub-stage
 (continuous-time idealization) and time signals sampled at sub-stage times.
+The logged row at (x, t) is RK4 stage 1: ``run_scenario`` passes its logged
+controller output to ``rk4_step`` as ``u0``, so each step evaluates the
+controller once per stage and the disturbance once per distinct stage time.
 Runs are deterministic: identical scenarios produce bit-identical logs.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -195,12 +199,12 @@ def leader_profile_from_csv(
     if np.any(v_knots < -1e-9) or np.any(v_knots > v_bar_l + 1e-9):
         warnings.warn("induced leader speed leaves [0, v_bar_l]; the simulator will clamp")
     t0, t1 = float(t[0]), float(t[-1])
+    times, accels = t.tolist(), a.tolist()
 
     def accel(tau):
         if tau < t0 or tau > t1:
             raise SignalDomainError(f"t={tau:g} outside leader profile domain [{t0:g}, {t1:g}]")
-        idx = int(np.searchsorted(t, tau, side="right")) - 1
-        return float(a[idx])
+        return accels[bisect.bisect_right(times, tau) - 1]
 
     def speed(tau):
         if tau < t0 or tau > t1:
@@ -222,8 +226,12 @@ def rk4_step(
     x: np.ndarray,
     t: float,
     dt: float,
+    u0: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One classical RK4 step of  xdot = f(x,t) + g(x,t) (k(x,t) + d(t)).
+
+    ``u0``, if given, is the controller output k(x, t) already computed by the
+    caller; stage 1 then uses it instead of evaluating the controller again.
 
     The end stage samples time signals just inside the step: piecewise
     signals with breakpoints on the step grid must resolve to the piece
@@ -232,11 +240,9 @@ def rk4_step(
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
 
-    def deriv(xs, ts):
-        u = controller(xs, ts)
-        du = u + disturbance(ts)
-        dx = dynamics.drift(xs, ts) + dynamics.actuation(xs, ts) @ du
-        if not np.isfinite(dx).all():
+    def deriv(xs, ts, u, d):
+        dx = dynamics.drift(xs, ts) + dynamics.actuation(xs, ts) @ (u + d)
+        if not all(map(math.isfinite, dx.tolist())):
             raise SimulationError(
                 f"non-finite derivative at t={ts:g}, state={xs!r}", t=ts, state=xs
             )
@@ -244,10 +250,19 @@ def rk4_step(
 
     t_mid = t + 0.5 * dt
     t_end = t + dt - 1e-9 * dt
-    k1 = deriv(x, t)
-    k2 = deriv(x + (0.5 * dt) * k1, t_mid)
-    k3 = deriv(x + (0.5 * dt) * k2, t_mid)
-    k4 = deriv(x + dt * k3, t_end)
+    if u0 is None:
+        u0 = controller(x, t)
+    k1 = deriv(x, t, u0, disturbance(t))
+    x2 = x + (0.5 * dt) * k1
+    u2 = controller(x2, t_mid)
+    # stages 2 and 3 share this sample; it is taken after stage 2's controller
+    # call, so an error from the controller at t_mid still surfaces first
+    d_mid = disturbance(t_mid)
+    k2 = deriv(x2, t_mid, u2, d_mid)
+    x3 = x + (0.5 * dt) * k2
+    k3 = deriv(x3, t_mid, controller(x3, t_mid), d_mid)
+    x4 = x + dt * k3
+    k4 = deriv(x4, t_end, controller(x4, t_end), disturbance(t_end))
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -416,12 +431,14 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         t = time[k]
         states[k] = x
         u_nom[k] = float(u_nominal(x, t)[0])
-        u_filt[k] = float(u_control(x, t)[0])
+        u = u_control(x, t)
+        u_filt[k] = float(u[0])
         d_log[k] = disturbance(t)
         h_log[k] = h_of(x, t)
         if k < n_steps:
             try:
-                x = rk4_step(dyn, u_control, disturbance, x, t, dt)
+                # rk4_step by its module-level name, so wrappers of it see every step
+                x = rk4_step(dyn, u_control, disturbance, x, t, dt, u0=u)
             except SimulationError as err:
                 wrapped = SimulationError(
                     f"scenario {scn.name!r} failed at t={t:g}: {err}",

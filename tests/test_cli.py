@@ -71,6 +71,27 @@ def test_overrides_are_validated_against_plant_invariants():
         build_scenarios(cfg)
 
 
+@pytest.mark.parametrize("timing,where", [
+    ({"dt": -1}, r"\$\.dt"),
+    ({"dt": 0}, r"\$\.dt"),
+    ({"dt": float("nan")}, r"\$\.dt"),
+    ({"horizon": 0.005, "dt": 0.01}, r"\$\.horizon"),
+    ({"horizon": float("inf")}, r"\$\.horizon"),
+    ({"dt": 50.0}, r"\$\.horizon"),  # beyond the pendulum's default 40 s horizon
+])
+def test_bad_step_or_horizon_rejected_with_path(timing, where):
+    with pytest.raises(ConfigError, match=where):
+        parse_config({"plant": "pendulum", **timing})
+
+
+@pytest.mark.parametrize("section", ["params", "issf", "disturbance", "leader", "certify",
+                                     "sweep"])
+@pytest.mark.parametrize("value", [[1], "zero", 3])
+def test_non_object_section_rejected_with_path(section, value):
+    with pytest.raises(ConfigError, match=rf"\$\.{section} must be an object"):
+        parse_config({"plant": "truck", section: value})
+
+
 def test_resolve_unknown_preset():
     with pytest.raises(ConfigError):
         resolve_preset("nope")
@@ -207,6 +228,29 @@ def test_simulate_beyond_leader_domain_is_runtime_failure(tmp_path):
     config_path = tmp_path / "short.json"
     config_path.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("doc", [
+    {"plant": "pendulum", "dt": -1},
+    {"plant": "pendulum", "disturbance": [1]},
+    {"plant": "truck", "leader": [1]},
+])
+def test_malformed_config_exits_2_without_traceback(doc, tmp_path, capsys):
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+    assert "config error: $." in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,where", [
+    (["--dt", "-1"], "--dt"),
+    (["--horizon", "0.001"], "--horizon"),
+    (["--dt", "100"], "$.horizon"),  # the preset's 40 s horizon is shorter than dt
+])
+def test_bad_step_or_horizon_override_exits_2(flags, where, tmp_path, capsys):
+    argv = ["simulate", "--preset", "pendulum-undisturbed", "--out", str(tmp_path)]
+    assert main(argv + flags) == 2
+    assert f"config error: {where} must be" in capsys.readouterr().err
 
 
 def test_invalid_json_is_config_error(tmp_path):

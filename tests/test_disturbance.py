@@ -86,6 +86,23 @@ def test_sampled_hold_is_right_continuous():
         d(-0.1)
 
 
+def test_sampled_hold_resolves_breakpoints_to_the_starting_piece():
+    # breakpoints on a step grid, as the simulator queries them
+    rng = np.random.default_rng(0)
+    t = np.arange(201) * 0.01
+    values = rng.uniform(-1.0, 1.0, t.size)
+    d = sampled_disturbance(t, values)
+    for k in range(t.size):
+        assert d(t[k]) == values[k]
+        if k > 0:
+            assert d(np.nextafter(t[k], -np.inf)) == values[k - 1]
+            assert d(t[k - 1] + 0.005) == values[k - 1]
+    with pytest.raises(SignalDomainError):
+        d(np.nextafter(t[-1], np.inf))
+    with pytest.raises(SignalDomainError):
+        d(np.nextafter(0.0, -np.inf))
+
+
 def test_sampled_validation():
     with pytest.raises(ValueError):
         sampled_disturbance([0.0, 0.0], [1.0, 2.0])

@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from safefilter import (
     ControlAffineDynamics,
+    DisturbanceSignal,
     EpsilonFunction,
     PendulumParams,
     Scenario,
@@ -27,6 +28,7 @@ from safefilter import (
     truck_lag_disturbance,
     zero_disturbance,
 )
+from safefilter.core import SignalDomainError
 from safefilter.sim import SteadyStateWindowError, leader_profile_from_csv
 
 P = PendulumParams()
@@ -87,6 +89,46 @@ def test_rk4_raises_structured_error_on_blowup():
     with pytest.raises(SimulationError) as excinfo:
         rk4_step(dyn, _zero_controller(1), ZERO, np.array([0.0]), 3.0, 0.1)
     assert excinfo.value.t == 3.0
+
+
+@pytest.mark.parametrize("entry", [0, 1, 2])
+def test_rk4_checks_every_derivative_entry(entry):
+    rate = np.zeros(3)
+    rate[entry] = math.nan
+    dyn = ControlAffineDynamics(
+        drift=lambda x, t: rate,
+        actuation=lambda x, t: np.zeros((3, 1)),
+        state_dim=3, input_dim=1,
+    )
+    with pytest.raises(SimulationError):
+        rk4_step(dyn, _zero_controller(1), ZERO, np.zeros(3), 0.0, 0.1)
+
+
+def test_rk4_with_u0_raises_on_non_finite_stage_one():
+    # stage 1 takes the given input without calling the controller, and its
+    # non-finite derivative is reported before the disturbance is queried
+    # past the end of its domain at t + dt/2
+    dyn = pendulum_dynamics(P)
+
+    def controller(x, t):
+        raise AssertionError("stage 1 must use u0")
+
+    short = sampled_disturbance([0.0, 3.0], [0.0, 0.0])
+    with pytest.raises(SimulationError) as excinfo:
+        rk4_step(dyn, controller, short, np.zeros(2), 3.0, 0.1, u0=np.array([math.nan]))
+    assert excinfo.value.t == 3.0
+
+
+def test_rk4_u0_matches_evaluating_the_controller():
+    dyn = pendulum_dynamics(P)
+    nominal = pendulum_nominal(P)
+    controller = lambda x, t: nominal(x)
+    pulse = heaviside_pulse(0.75)
+    x = np.array([-0.1, 0.5])
+    for t in (0.0, 4.995, 5.0):
+        plain = rk4_step(dyn, controller, pulse, x, t, 0.01)
+        shared = rk4_step(dyn, controller, pulse, x, t, 0.01, u0=controller(x, t))
+        assert np.array_equal(plain, shared)
 
 
 def test_rk4_rejects_bad_step():
@@ -166,6 +208,23 @@ def test_leader_csv_roundtrip(tmp_path):
         lead.accel(25.0)
 
 
+def test_leader_csv_hold_resolves_breakpoints_to_the_starting_piece(tmp_path):
+    times = np.arange(41) * 0.25
+    accels = np.resize([-2.0, 1.5, 0.0, -0.5], times.size)
+    path = tmp_path / "lead.csv"
+    rows = "".join(f"{t!r},{a!r}\n" for t, a in zip(times.tolist(), accels.tolist()))
+    path.write_text("t,a_L\n" + rows)
+    lead = leader_profile_from_csv(path, v0=10.0)
+    for k, t in enumerate(times):
+        assert lead.accel(t) == accels[k]
+        if k > 0:
+            assert lead.accel(np.nextafter(t, -np.inf)) == accels[k - 1]
+    with pytest.raises(SignalDomainError):
+        lead.accel(np.nextafter(times[-1], np.inf))
+    with pytest.raises(SignalDomainError):
+        lead.accel(-1e-12)
+
+
 def test_leader_csv_rejects_out_of_bound_accel(tmp_path):
     path = tmp_path / "lead.csv"
     path.write_text("t,a_L\n0,0\n10,-12\n20,0\n")
@@ -210,6 +269,23 @@ def test_runs_are_bit_identical():
     assert np.array_equal(first.states, second.states)
     assert np.array_equal(first.u_filt, second.u_filt)
     assert np.array_equal(first.h, second.h)
+
+
+def test_failed_run_attaches_partial_log():
+    # the disturbance turns infinite at t = 0.5: the row at 0.5 is still
+    # logged, the step from it fails on its stage-1 derivative
+    blowup = DisturbanceSignal("blowup", 0.0, math.inf,
+                               lambda t: math.inf if t >= 0.5 else 0.0)
+    with pytest.raises(SimulationError) as excinfo, np.errstate(invalid="ignore"):
+        run_scenario(_pendulum_scenario("cbf", blowup, horizon=2.0))
+    err = excinfo.value
+    assert err.t == 0.5
+    partial = err.partial
+    assert partial.time.size == 51
+    assert partial.time[-1] == 0.5
+    assert partial.d[-1] == math.inf
+    assert np.array_equal(partial.states[-1], err.state)
+    assert np.isfinite(partial.h).all()
 
 
 def test_initial_state_outside_safe_set_warns():
