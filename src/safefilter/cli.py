@@ -40,6 +40,7 @@ from .sim import (
     run_scenario,
     steady_state_shift,
     truck_lag_disturbance,
+    write_csv_table,
 )
 from .verification import certify_pendulum, certify_truck_grid, truck_margin_table
 
@@ -258,24 +259,43 @@ def _check_timing(plant: str, dt: float, horizon: Optional[float],
         raise ConfigError(f"{horizon_path} must be finite and >= dt = {dt!r}, got {horizon!r}")
 
 
+def _float(value, path: str) -> float:
+    """The one checked conversion of a config number: a finite JSON number."""
+    # a range test, not math.isfinite: it also rejects NaN and JSON integers
+    # too large for a float without raising OverflowError
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
 def _number(doc: dict, key: str, path: str, default=None):
     if key not in doc:
         if default is not None:
             return default
         raise ConfigError(f"missing key {path}.{key}")
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
-    return float(value)
+    return _float(doc[key], f"{path}.{key}")
+
+
+def _numbers(value, path: str, length: Optional[int] = None) -> tuple:
+    """A JSON list of finite numbers, of ``length`` entries if given, else non-empty."""
+    if not isinstance(value, (list, tuple)) or not value \
+            or (length is not None and len(value) != length):
+        size = f"{length}-element" if length is not None else "non-empty"
+        raise ConfigError(f"{path} must be a {size} list of numbers")
+    return tuple(_float(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def _pair(doc: dict, key: str, path: str, default):
     if key not in doc:
         return tuple(default)
-    value = doc[key]
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path}.{key} must be a 2-element list")
-    return (float(value[0]), float(value[1]))
+    return _numbers(doc[key], f"{path}.{key}", length=2)
 
 
 def parse_config(doc: dict, path: str = "$") -> Config:
@@ -307,7 +327,8 @@ def parse_config(doc: dict, path: str = "$") -> Config:
     overrides_doc = params_doc.get("overrides", {})
     if not isinstance(overrides_doc, dict):
         raise ConfigError(f"{path}.params.overrides must be an object")
-    overrides = tuple(sorted((k, float(v)) for k, v in overrides_doc.items()))
+    overrides = tuple(sorted((k, _float(v, f"{path}.params.overrides.{k}"))
+                             for k, v in overrides_doc.items()))
     params = ParamsSpec(preset=preset, overrides=overrides)
 
     controller = doc.get("controller", ["cbf"])
@@ -389,11 +410,8 @@ def parse_config(doc: dict, path: str = "$") -> Config:
 
     initial_state = None
     if "initial_state" in doc:
-        x0 = doc["initial_state"]
-        dim = 2 if plant == "pendulum" else 3
-        if not isinstance(x0, (list, tuple)) or len(x0) != dim:
-            raise ConfigError(f"{path}.initial_state must be a list of {dim} numbers")
-        initial_state = tuple(float(v) for v in x0)
+        initial_state = _numbers(doc["initial_state"], f"{path}.initial_state",
+                                 length=2 if plant == "pendulum" else 3)
 
     horizon = None
     if "horizon" in doc:
@@ -409,15 +427,14 @@ def parse_config(doc: dict, path: str = "$") -> Config:
     _reject_unknown(certify_doc, (
         "theta_range", "samples", "cross_term", "d_range", "vl_range", "grid", "a_l_bounds",
     ), f"{path}.certify")
-    samples = certify_doc.get("samples", 2001)
-    if isinstance(samples, bool) or not isinstance(samples, int):
-        raise ConfigError(f"{path}.certify.samples must be an integer")
+    samples = _int(certify_doc.get("samples", 2001), f"{path}.certify.samples")
     cross_term = certify_doc.get("cross_term", True)
     if not isinstance(cross_term, bool):
         raise ConfigError(f"{path}.certify.cross_term must be a boolean")
     grid = certify_doc.get("grid", [200, 200])
     if not isinstance(grid, (list, tuple)) or len(grid) != 2:
         raise ConfigError(f"{path}.certify.grid must be a 2-element list")
+    grid = tuple(_int(n, f"{path}.certify.grid[{i}]") for i, n in enumerate(grid))
     certify = CertifySpec(
         theta_range=_pair(certify_doc, "theta_range", f"{path}.certify",
                           CertifySpec.theta_range),
@@ -425,7 +442,7 @@ def parse_config(doc: dict, path: str = "$") -> Config:
         cross_term=cross_term,
         d_range=_pair(certify_doc, "d_range", f"{path}.certify", CertifySpec.d_range),
         vl_range=_pair(certify_doc, "vl_range", f"{path}.certify", CertifySpec.vl_range),
-        grid=(int(grid[0]), int(grid[1])),
+        grid=grid,
         a_l_bounds=(_pair(certify_doc, "a_l_bounds", f"{path}.certify", (0, 0))
                     if "a_l_bounds" in certify_doc else None),
     )
@@ -434,13 +451,9 @@ def parse_config(doc: dict, path: str = "$") -> Config:
     if "sweep" in doc:
         sweep_doc = _section(doc, "sweep", path)
         _reject_unknown(sweep_doc, ("eps0_grid", "lambda_grid"), f"{path}.sweep")
-        for key in ("eps0_grid", "lambda_grid"):
-            if key not in sweep_doc or not isinstance(sweep_doc[key], (list, tuple)) \
-                    or not sweep_doc[key]:
-                raise ConfigError(f"{path}.sweep.{key} must be a non-empty list")
         sweep = SweepSpec(
-            eps0_grid=tuple(float(v) for v in sweep_doc["eps0_grid"]),
-            lambda_grid=tuple(float(v) for v in sweep_doc["lambda_grid"]),
+            eps0_grid=_numbers(sweep_doc.get("eps0_grid"), f"{path}.sweep.eps0_grid"),
+            lambda_grid=_numbers(sweep_doc.get("lambda_grid"), f"{path}.sweep.lambda_grid"),
         )
 
     return Config(
@@ -547,7 +560,10 @@ def build_scenarios(cfg: Config):
         leader = None
     else:
         x0 = cfg.initial_state or _TRUCK_X0
-        leader = _build_leader(cfg, p)
+        try:
+            leader = _build_leader(cfg, p)
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"$.leader: {err}") from err
 
     try:
         if cfg.disturbance.kind == "zero":
@@ -559,7 +575,7 @@ def build_scenarios(cfg: Config):
         else:  # lag_residual: one shared trace for every controller in the config
             dist = truck_lag_disturbance(p, leader, x0, horizon, tau=cfg.disturbance.tau)
     except (OSError, ValueError) as err:
-        raise ConfigError(f"disturbance: {err}") from err
+        raise ConfigError(f"$.disturbance: {err}") from err
 
     epsilon = None
     delta = 0.0
@@ -567,7 +583,7 @@ def build_scenarios(cfg: Config):
         try:
             epsilon = EpsilonFunction(cfg.issf.eps0, cfg.issf.lam)
         except ValueError as err:
-            raise ConfigError(f"issf: {err}") from err
+            raise ConfigError(f"$.issf: {err}") from err
         delta = cfg.issf.delta
 
     scenarios = []
@@ -605,18 +621,19 @@ def cmd_certify(cfg: Config, out_dir: Path, cross_term: Optional[bool] = None) -
     spec = cfg.certify
     if cross_term is None:
         cross_term = spec.cross_term
-    if cfg.plant == "pendulum":
-        report = certify_pendulum(p.a, p.b, p.alpha_c, theta_range=spec.theta_range,
-                                  samples=spec.samples, cross_term=cross_term)
-    else:
-        report = certify_truck_grid(p, d_range=spec.d_range, vl_range=spec.vl_range,
-                                    grid=spec.grid, a_l_bounds=spec.a_l_bounds)
-        table = truck_margin_table(p, d_range=spec.d_range, vl_range=spec.vl_range,
-                                   grid=spec.grid, a_l_bounds=spec.a_l_bounds)
-        with open(out_dir / f"{cfg.name}_margins.csv", "w", newline="") as handle:
-            handle.write("D,v_L,v,margin\n")
-            for row in table:
-                handle.write(",".join(f"{v:.9g}" for v in row) + "\n")
+    try:
+        if cfg.plant == "pendulum":
+            report = certify_pendulum(p.a, p.b, p.alpha_c, theta_range=spec.theta_range,
+                                      samples=spec.samples, cross_term=cross_term)
+        else:
+            report = certify_truck_grid(p, d_range=spec.d_range, vl_range=spec.vl_range,
+                                        grid=spec.grid, a_l_bounds=spec.a_l_bounds)
+            table = truck_margin_table(p, d_range=spec.d_range, vl_range=spec.vl_range,
+                                       grid=spec.grid, a_l_bounds=spec.a_l_bounds)
+    except ValueError as err:
+        raise ConfigError(f"$.certify: {err}") from err
+    if cfg.plant == "truck":
+        write_csv_table(out_dir / f"{cfg.name}_margins.csv", "D,v_L,v,margin", table)
     with open(out_dir / f"{cfg.name}_certify.json", "w") as handle:
         json.dump(report.to_dict(), handle, indent=2)
         handle.write("\n")
@@ -630,8 +647,11 @@ def cmd_hstar(cfg: Config, out_dir: Path) -> int:
     if cfg.issf is None:
         raise ConfigError("hstar needs an 'issf' section (eps0, lam, delta)")
     p = build_params(cfg)
-    epsilon = EpsilonFunction(cfg.issf.eps0, cfg.issf.lam)
-    h_star = solve_h_star(linear_class_kappa(p.alpha_c), epsilon, cfg.issf.delta)
+    try:
+        epsilon = EpsilonFunction(cfg.issf.eps0, cfg.issf.lam)
+        h_star = solve_h_star(linear_class_kappa(p.alpha_c), epsilon, cfg.issf.delta)
+    except ValueError as err:
+        raise ConfigError(f"$.issf: {err}") from err
     print(f"h_star = {h_star:.9g}  (eps0={cfg.issf.eps0:g}, lam={cfg.issf.lam:g}, "
           f"delta={cfg.issf.delta:g}, alpha_c={p.alpha_c:g})")
     with open(out_dir / f"{cfg.name}_hstar.csv", "w", newline="") as handle:

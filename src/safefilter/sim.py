@@ -54,6 +54,7 @@ __all__ = [
     "run_scenario",
     "steady_state_shift",
     "truck_lag_disturbance",
+    "write_csv_table",
 ]
 
 CONTROLLERS = ("nominal", "cbf", "issf")
@@ -62,6 +63,10 @@ CONTROLLERS = ("nominal", "cbf", "issf")
 # scenarios); only undershoots beyond this are counted as clamp events so the
 # integrator's terminal-braking rounding does not show up in the log.
 _CLAMP_LOG_TOL = 1e-9
+
+# Rows per %-format call in write_csv_table: enough to amortise the call, few
+# enough that one block's text stays small next to the table itself.
+_CSV_BLOCK_ROWS = 1024
 
 
 class SimulationError(RuntimeError):
@@ -263,7 +268,13 @@ def rk4_step(
     k3 = deriv(x3, t_mid, controller(x3, t_mid), d_mid)
     x4 = x + dt * k3
     k4 = deriv(x4, t_end, controller(x4, t_end), disturbance(t_end))
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # finite stages can still overflow in the weighted sum
+    if not all(map(math.isfinite, x_next.tolist())):
+        raise SimulationError(
+            f"non-finite state at t={t + dt:g}, state={x_next!r}", t=t + dt, state=x_next
+        )
+    return x_next
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +304,10 @@ class Scenario:
             raise ValueError(f"unknown plant {self.plant!r}")
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.horizon < self.dt:
-            raise ValueError(f"horizon must be >= dt, got {self.horizon}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.horizon) and self.horizon >= self.dt):
+            raise ValueError(f"horizon must be finite and >= dt, got {self.horizon}")
         if self.plant == "pendulum" and self.pendulum is None:
             raise ValueError("pendulum scenario needs pendulum params")
         if self.plant == "truck" and (self.truck is None or self.leader is None):
@@ -331,12 +342,24 @@ class ScenarioResult:
     def to_csv(self, path) -> None:
         """Plot-ready log: t,<state columns>,u_nom,u_filt,d,h at 9 significant digits."""
         header = "t," + ",".join(self.state_labels) + ",u_nom,u_filt,d,h"
-        with open(path, "w", newline="") as handle:
-            handle.write(header + "\n")
-            for k in range(self.time.size):
-                cells = [self.time[k], *self.states[k], self.u_nom[k],
-                         self.u_filt[k], self.d[k], self.h[k]]
-                handle.write(",".join(f"{c:.9g}" for c in cells) + "\n")
+        table = np.column_stack([self.time, self.states, self.u_nom,
+                                 self.u_filt, self.d, self.h])
+        write_csv_table(path, header, table)
+
+
+def write_csv_table(path, header: str, table: np.ndarray) -> None:
+    """Write ``header`` and the rows of a 2-d float table as CSV, 9 significant digits.
+
+    Each block of ``_CSV_BLOCK_ROWS`` rows is one ``%``-format over its cells;
+    ``"%.9g" % x`` and ``f"{x:.9g}"`` share CPython's float formatter, so the
+    bytes match a per-cell loop, ``nan``, ``inf`` and ``-0`` included.
+    """
+    row_fmt = ",".join(["%.9g"] * table.shape[1]) + "\n"
+    with open(path, "w", newline="") as handle:
+        handle.write(header + "\n")
+        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            handle.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _pendulum_maps(scn: Scenario):

@@ -5,7 +5,9 @@ oracle is derived from the geometry of a point-to-half-space projection, the
 grid oracle from brute-force enumeration, so both stay independent of the
 code paths they check.  The reference integrator is different in kind: it
 replays the closed loop with every quantity evaluated on its own, so the
-simulator's shared evaluations can be checked against it bit for bit.
+simulator's shared evaluations can be checked against it bit for bit.  The
+reference CSV writers format each cell on its own, the way the block writer's
+output must read byte for byte.
 """
 
 import math
@@ -165,3 +167,24 @@ def reference_run(scn):
             if clamp is not None:
                 x = clamp(x, clamp_counts)
     return {key: np.array(values) for key, values in rows.items()}
+
+
+# ---------------------------------------------------------------------------
+# Reference CSV writers
+# ---------------------------------------------------------------------------
+
+
+def reference_write_csv(path, header, rows):
+    """The per-cell writer: every cell of every row formatted as f"{x:.9g}"."""
+    with open(path, "w", newline="") as handle:
+        handle.write(header + "\n")
+        for row in rows:
+            handle.write(",".join(f"{c:.9g}" for c in row) + "\n")
+
+
+def reference_result_csv(result, path):
+    """A ScenarioResult's log written row by row from its numpy columns."""
+    header = "t," + ",".join(result.state_labels) + ",u_nom,u_filt,d,h"
+    rows = ([result.time[k], *result.states[k], result.u_nom[k], result.u_filt[k],
+             result.d[k], result.h[k]] for k in range(result.time.size))
+    reference_write_csv(path, header, rows)

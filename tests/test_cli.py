@@ -230,16 +230,60 @@ def test_simulate_beyond_leader_domain_is_runtime_failure(tmp_path):
     assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 3
 
 
-@pytest.mark.parametrize("doc", [
-    {"plant": "pendulum", "dt": -1},
-    {"plant": "pendulum", "disturbance": [1]},
-    {"plant": "truck", "leader": [1]},
+_ISSF = {"eps0": 0.5, "lam": 0.0, "delta": 1.0}
+_BRAKE = {"kind": "hard_brake", "t_brake": 1.0, "a_peak": -8.0, "duration": 2.0}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("simulate", {"plant": "pendulum", "dt": -1}),
+    ("simulate", {"plant": "pendulum", "disturbance": [1]}),
+    ("simulate", {"plant": "truck", "leader": [1]}),
+    ("simulate", {"plant": "truck", "params": {"overrides": {"c1": "abc"}}}),
+    ("simulate", {"plant": "pendulum", "initial_state": [-0.1, "abc"]}),
+    ("simulate", {"plant": "pendulum", "initial_state": [10**400, 0.0]}),
+    ("simulate", {"plant": "truck", "leader": {**_BRAKE, "v0": 30.0}}),
+    ("certify", {"plant": "pendulum", "certify": {"theta_range": ["abc", 1.0]}}),
+    ("certify", {"plant": "truck", "certify": {"d_range": [0.0, None]}}),
+    ("certify", {"plant": "truck", "certify": {"vl_range": [[0.0], 20.0]}}),
+    ("certify", {"plant": "truck", "certify": {"a_l_bounds": [-10.0, "abc"]}}),
+    ("certify", {"plant": "truck", "certify": {"grid": ["abc", 10]}}),
+    ("certify", {"plant": "truck", "certify": {"grid": [1, 1]}}),
+    ("certify", {"plant": "pendulum", "certify": {"samples": 1}}),
+    ("certify", {"plant": "pendulum", "certify": {"theta_range": [1.0, 0.0]}}),
+    ("sweep", {"plant": "pendulum", "issf": _ISSF,
+               "sweep": {"eps0_grid": ["abc"], "lambda_grid": [0.0]}}),
+    ("sweep", {"plant": "pendulum", "issf": _ISSF,
+               "sweep": {"eps0_grid": [0.5], "lambda_grid": [0.0, None]}}),
+    ("hstar", {"plant": "pendulum", "issf": {**_ISSF, "lam": -1.0}}),
 ])
-def test_malformed_config_exits_2_without_traceback(doc, tmp_path, capsys):
+def test_malformed_config_exits_2_without_traceback(command, doc, tmp_path, capsys):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(doc))
-    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+    assert main([command, "--config", str(config_path), "--out", str(tmp_path)]) == 2
     assert "config error: $." in capsys.readouterr().err
+
+
+def test_overflowing_run_exits_3_with_partial_log(tmp_path):
+    # every stage derivative stays finite under a 1e308 disturbance, but the
+    # RK4 step's weighted sum overflows on the first step
+    dist_path = tmp_path / "huge.csv"
+    dist_path.write_text("t,d\n0,1e308\n50,1e308\n")
+    doc = {
+        "name": "huge",
+        "plant": "pendulum",
+        "controller": "nominal",
+        "disturbance": {"kind": "csv", "path": str(dist_path)},
+        "horizon": 5.0,
+    }
+    config_path = tmp_path / "huge.json"
+    config_path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore"):
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 3
+    assert (tmp_path / "huge-nominal.csv").read_text().splitlines() == [
+        "t,theta,theta_dot,u_nom,u_filt,d,h",
+        "0,-0.1,0.5,1.51666833,1.51666833,1e+308,0.24",
+        "0,nan,nan,nan,nan,nan,nan",
+    ]
 
 
 @pytest.mark.parametrize("flags,where", [

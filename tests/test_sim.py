@@ -104,6 +104,20 @@ def test_rk4_checks_every_derivative_entry(entry):
         rk4_step(dyn, _zero_controller(1), ZERO, np.zeros(3), 0.0, 0.1)
 
 
+def test_rk4_raises_when_the_stage_combination_overflows():
+    # every stage derivative is finite, but x + dt/6 (k1 + 2 k2 + 2 k3 + k4)
+    # is not: the new state is checked as well
+    dyn = ControlAffineDynamics(
+        drift=lambda x, t: np.array([1e308]),
+        actuation=lambda x, t: np.zeros((1, 1)),
+        state_dim=1, input_dim=1,
+    )
+    with pytest.raises(SimulationError) as excinfo, np.errstate(over="ignore"):
+        rk4_step(dyn, _zero_controller(1), ZERO, np.array([0.0]), 3.0, 6.0)
+    assert excinfo.value.t == 9.0
+    assert excinfo.value.state[0] == math.inf
+
+
 def test_rk4_with_u0_raises_on_non_finite_stage_one():
     # stage 1 takes the given input without calling the controller, and its
     # non-finite derivative is reported before the disturbance is queried
@@ -261,6 +275,29 @@ def test_run_logs_have_expected_length_and_recomputable_h():
     barrier = pendulum_barrier(P)
     recomputed = np.array([barrier(x).h for x in result.states])
     assert np.array_equal(recomputed, result.h)
+
+
+@pytest.mark.parametrize("dt,horizon", [
+    (0.01, math.inf),
+    (0.01, math.nan),
+    (math.nan, 1.0),
+    (math.inf, 1.0),
+])
+def test_scenario_rejects_non_finite_step_or_horizon(dt, horizon):
+    with pytest.raises(ValueError, match="finite"):
+        _pendulum_scenario("cbf", ZERO, dt=dt, horizon=horizon)
+
+
+def test_overflowing_step_fails_with_partial_log():
+    # a 1e308 disturbance keeps each stage derivative finite; the step's
+    # weighted sum overflows, so the run stops at t = 0 with one logged row
+    huge = sampled_disturbance([0.0, 50.0], [1e308, 1e308])
+    with pytest.raises(SimulationError) as excinfo, np.errstate(over="ignore"):
+        run_scenario(_pendulum_scenario("nominal", huge, horizon=5.0))
+    err = excinfo.value
+    assert err.t == 0.0
+    assert err.partial.time.size == 1
+    assert np.array_equal(err.partial.states[0], [-0.1, 0.5])
 
 
 def test_runs_are_bit_identical():
