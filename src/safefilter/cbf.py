@@ -8,14 +8,15 @@ plants an equivalent min/max switching form is provided.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .core import BarrierEvaluation, ClassKappaE, DimensionError
 
-__all__ = ["ADMISSIBLE_SLACK", "LG_ZERO_TOL", "CbfFilter"]
+__all__ = ["ADMISSIBLE_SLACK", "LG_ZERO_TOL", "CbfFilter", "filter_gain"]
 
 # ||lg_h|| at or below this is treated as exactly zero.  The filter is
 # continuous across the singularity, so the threshold only guards the
@@ -28,12 +29,45 @@ LG_ZERO_TOL = 1e-12
 ADMISSIBLE_SLACK = 1e-9
 
 
-def _gain(be: BarrierEvaluation, u_nom: np.ndarray, alpha: ClassKappaE) -> float:
-    s = float(be.lg_h @ be.lg_h)
-    if s <= LG_ZERO_TOL * LG_ZERO_TOL:
+_LG_ZERO_TOL_SQ = LG_ZERO_TOL * LG_ZERO_TOL
+
+
+def filter_gain(
+    s: float,
+    residual: float,
+    h: float,
+    epsilon: Optional[Callable[[float], float]] = None,
+) -> float:
+    """Gain of the correction along lg_h: the one formula every filter applies.
+
+    ``s`` is ||lg_h||^2 and ``residual`` is lf_h + lg_h . u_nom + alpha(h), the
+    barrier constraint at the nominal input.  The plain gain is -residual / s;
+    a robustness gain ``epsilon`` adds 1/eps(h).  The gain is zero on the
+    lg_h = 0 set, and a filter corrects u_nom only where it is positive.
+
+    1/eps(h) takes its limits where eps(h) leaves the float range: 0 where it
+    overflows, far inside the safe set, and inf where it underflows to 0, far
+    outside it.  An infinite gain gives an infinite input, which the
+    simulator rejects as a non-finite derivative.
+    """
+    if s <= _LG_ZERO_TOL_SQ:
         return 0.0
+    gain = -residual / s
+    if epsilon is None:
+        return gain
+    try:
+        eps = epsilon(h)
+    except OverflowError:
+        return gain
+    return gain + (1.0 / eps if eps > 0.0 else math.inf)
+
+
+def _filter_terms(barrier, nominal, alpha, x, epsilon=None):
+    """Barrier evaluation, nominal input and correction gain at state x."""
+    be = barrier(x)
+    u_nom = np.atleast_1d(np.asarray(nominal(x), dtype=float))
     residual = be.lf_h + float(be.lg_h @ u_nom) + alpha(be.h)
-    return -residual / s
+    return be, u_nom, filter_gain(float(be.lg_h @ be.lg_h), residual, be.h, epsilon)
 
 
 @dataclass(frozen=True)
@@ -62,15 +96,11 @@ class CbfFilter:
         Positive exactly when the nominal input violates the constraint;
         zero on the lg_h = 0 set.
         """
-        be = self.barrier(x)
-        u_nom = np.atleast_1d(np.asarray(self.nominal(x), dtype=float))
-        return _gain(be, u_nom, self.alpha)
+        return _filter_terms(self.barrier, self.nominal, self.alpha, x)[2]
 
     def filter(self, x) -> np.ndarray:
         """Admissible input closest to the nominal one (2-norm)."""
-        be = self.barrier(x)
-        u_nom = np.atleast_1d(np.asarray(self.nominal(x), dtype=float))
-        gain = _gain(be, u_nom, self.alpha)
+        be, u_nom, gain = _filter_terms(self.barrier, self.nominal, self.alpha, x)
         if gain <= 0.0:
             return u_nom
         return u_nom + gain * be.lg_h

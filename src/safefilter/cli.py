@@ -30,8 +30,10 @@ from .disturbance import (
 from .issf import EpsilonFunction, RootBracketError, solve_h_star
 from .plants import PendulumParams, TruckParams
 from .sim import (
+    MAX_STEPS,
     LeaderProfile,
     Scenario,
+    SignalTooShortError,
     SimulationError,
     SteadyStateWindowError,
     constant_speed_profile,
@@ -39,6 +41,7 @@ from .sim import (
     leader_profile_from_csv,
     run_scenario,
     steady_state_shift,
+    step_count,
     truck_lag_disturbance,
     write_csv_table,
 )
@@ -250,13 +253,17 @@ def _section(doc: dict, key: str, path: str, default=None) -> dict:
 
 def _check_timing(plant: str, dt: float, horizon: Optional[float],
                   dt_path: str, horizon_path: str) -> None:
-    """dt > 0 and dt <= horizon, both finite; horizon None means the plant default."""
+    """dt > 0 and dt <= horizon, both finite, and at most MAX_STEPS steps;
+    horizon None means the plant default."""
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigError(f"{dt_path} must be a positive finite number, got {dt!r}")
     if horizon is None:
         horizon = _DEFAULT_HORIZON[plant]
     if not (math.isfinite(horizon) and horizon >= dt):
         raise ConfigError(f"{horizon_path} must be finite and >= dt = {dt!r}, got {horizon!r}")
+    if step_count(horizon, dt) > MAX_STEPS:
+        raise ConfigError(f"{horizon_path} must be at most MAX_STEPS = {MAX_STEPS} steps "
+                          f"of dt = {dt!r}, got {horizon!r}")
 
 
 def _float(value, path: str) -> float:
@@ -588,20 +595,24 @@ def build_scenarios(cfg: Config):
 
     scenarios = []
     for controller in cfg.controllers:
-        scenarios.append(Scenario(
-            name=f"{cfg.name}-{controller}",
-            plant=cfg.plant,
-            controller=controller,
-            x0=tuple(x0),
-            horizon=horizon,
-            dt=cfg.dt,
-            disturbance=dist,
-            pendulum=p if cfg.plant == "pendulum" else None,
-            truck=p if cfg.plant == "truck" else None,
-            leader=leader,
-            epsilon=epsilon,
-            delta=delta,
-        ))
+        try:
+            scenario = Scenario(
+                name=f"{cfg.name}-{controller}",
+                plant=cfg.plant,
+                controller=controller,
+                x0=tuple(x0),
+                horizon=horizon,
+                dt=cfg.dt,
+                disturbance=dist,
+                pendulum=p if cfg.plant == "pendulum" else None,
+                truck=p if cfg.plant == "truck" else None,
+                leader=leader,
+                epsilon=epsilon,
+                delta=delta,
+            )
+        except SignalTooShortError as err:
+            raise ConfigError(f"$.{err.signal}: {err}") from err
+        scenarios.append(scenario)
     return scenarios
 
 

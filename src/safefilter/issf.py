@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cbf import ADMISSIBLE_SLACK, LG_ZERO_TOL
+from .cbf import ADMISSIBLE_SLACK, LG_ZERO_TOL, _filter_terms
 from .core import BarrierEvaluation, ClassKappaE, DimensionError
 
 __all__ = [
@@ -123,19 +123,6 @@ def solve_h_star(
     return root
 
 
-def _robust_gain(
-    be: BarrierEvaluation,
-    u_nom: np.ndarray,
-    alpha: ClassKappaE,
-    epsilon: EpsilonFunction,
-) -> float:
-    s = float(be.lg_h @ be.lg_h)
-    if s <= LG_ZERO_TOL * LG_ZERO_TOL:
-        return 0.0
-    residual = be.lf_h + float(be.lg_h @ u_nom) + alpha(be.h)
-    return -residual / s + 1.0 / epsilon(be.h)
-
-
 @dataclass(frozen=True)
 class IssfFilter:
     """Closed-form robust safety filter.
@@ -160,15 +147,12 @@ class IssfFilter:
 
     def correction_gain(self, x) -> float:
         """Unclipped robust correction gain; zero on the lg_h = 0 set."""
-        be = self.barrier(x)
-        u_nom = np.atleast_1d(np.asarray(self.nominal(x), dtype=float))
-        return _robust_gain(be, u_nom, self.alpha, self.epsilon)
+        return _filter_terms(self.barrier, self.nominal, self.alpha, x, self.epsilon)[2]
 
     def filter(self, x) -> np.ndarray:
         """Input closest to the nominal one among the robustly admissible set."""
-        be = self.barrier(x)
-        u_nom = np.atleast_1d(np.asarray(self.nominal(x), dtype=float))
-        gain = _robust_gain(be, u_nom, self.alpha, self.epsilon)
+        be, u_nom, gain = _filter_terms(self.barrier, self.nominal, self.alpha, x,
+                                        self.epsilon)
         if gain <= 0.0:
             return u_nom
         return u_nom + gain * be.lg_h

@@ -28,10 +28,12 @@ __all__ = [
     "PendulumParams",
     "TruckParams",
     "pendulum_barrier",
+    "pendulum_barrier_core",
     "pendulum_cbf_filter",
     "pendulum_dynamics",
     "pendulum_issf_filter",
     "pendulum_nominal",
+    "pendulum_nominal_core",
     "range_policy",
     "range_policy_inverse",
     "speed_policy",
@@ -84,37 +86,64 @@ def pendulum_dynamics(p: PendulumParams) -> ControlAffineDynamics:
     return ControlAffineDynamics(drift, actuation, state_dim=2, input_dim=1)
 
 
+def pendulum_barrier_core(p: PendulumParams) -> Callable[[float, float], tuple]:
+    """(h, L_f h, L_g h) of the elliptical barrier at (theta, theta_dot), as floats.
+
+    The one implementation of the pendulum barrier: ``pendulum_barrier`` wraps
+    it in a :class:`BarrierEvaluation`, and the simulator calls it directly.
+    A non-finite triple raises the ValueError that BarrierEvaluation raises.
+    """
+    aa, bb, ab = p.a * p.a, p.b * p.b, p.a * p.b
+    g_over_l = p.gravity / p.length
+    ml2 = p.mass * p.length * p.length
+    sin, isfinite = math.sin, math.isfinite
+
+    def core(th, om):
+        h = 1.0 - th * th / aa - om * om / bb - th * om / ab
+        dh_dth = -2.0 * th / aa - om / ab
+        dh_dom = -2.0 * om / bb - th / ab
+        lf_h = dh_dth * om + dh_dom * g_over_l * sin(th)
+        lg_h = dh_dom / ml2
+        if not (isfinite(h) and isfinite(lf_h) and isfinite(lg_h)):
+            raise ValueError("barrier evaluation entries must be finite")
+        return h, lf_h, lg_h
+
+    return core
+
+
 def pendulum_barrier(p: PendulumParams) -> Callable[[np.ndarray], BarrierEvaluation]:
     """Elliptical barrier 1 - theta^2/a^2 - thdot^2/b^2 - theta*thdot/(a*b).
 
     The cross term matters: it keeps the barrier compatible with the drift on
     the lg_h = 0 line (thdot = -(b/2a) theta); without it certification fails.
     """
-    a, b = p.a, p.b
-    g_over_l = p.gravity / p.length
-    ml2 = p.mass * p.length * p.length
+    core = pendulum_barrier_core(p)
 
     def barrier(x):
-        th = float(x[0])
-        om = float(x[1])
-        h = 1.0 - th * th / (a * a) - om * om / (b * b) - th * om / (a * b)
-        dh_dth = -2.0 * th / (a * a) - om / (a * b)
-        dh_dom = -2.0 * om / (b * b) - th / (a * b)
-        lf_h = dh_dth * om + dh_dom * g_over_l * math.sin(th)
-        lg_h = dh_dom / ml2
-        return BarrierEvaluation(h, lf_h, lg_h)
+        return BarrierEvaluation(*core(float(x[0]), float(x[1])))
 
     return barrier
 
 
-def pendulum_nominal(p: PendulumParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Feedback-linearizing stabilizer to upright; closed loop is linear."""
+def pendulum_nominal_core(p: PendulumParams) -> Callable[[float, float], float]:
+    """Nominal torque at (theta, theta_dot) as a float; see ``pendulum_nominal``."""
     ml2 = p.mass * p.length * p.length
     g_over_l = p.gravity / p.length
+    kp, kd = p.kp, p.kd
+    sin = math.sin
+
+    def core(th, om):
+        return ml2 * (-g_over_l * sin(th) - kp * th - kd * om)
+
+    return core
+
+
+def pendulum_nominal(p: PendulumParams) -> Callable[[np.ndarray], np.ndarray]:
+    """Feedback-linearizing stabilizer to upright; closed loop is linear."""
+    core = pendulum_nominal_core(p)
 
     def nominal(x):
-        u = ml2 * (-g_over_l * math.sin(x[0]) - p.kp * x[0] - p.kd * x[1])
-        return np.array([u])
+        return np.array([core(x[0], x[1])])
 
     return nominal
 
@@ -276,5 +305,14 @@ def truck_robust_filter(
     u_nom = truck_nominal(p, d, v, v_l)
     if abs(lg_h) <= LG_ZERO_TOL:
         return u_nom
-    u_safe = -(lf_h + p.alpha_c * h) / lg_h + lg_h / (eps0 * math.exp(lam * h))
+    try:
+        tightening = lg_h / (eps0 * math.exp(lam * h))
+    except OverflowError:
+        # far behind the leader eps(h) overflows: the term's limit is 0
+        tightening = 0.0
+    except ZeroDivisionError:
+        # deep inside the unsafe set eps(h) underflows to 0: the term diverges,
+        # and the simulator rejects the infinite input
+        tightening = math.copysign(math.inf, lg_h)
+    u_safe = -(lf_h + p.alpha_c * h) / lg_h + tightening
     return min(u_nom, u_safe) if lg_h < 0.0 else max(u_nom, u_safe)

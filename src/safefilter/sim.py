@@ -8,6 +8,20 @@ The logged row at (x, t) is RK4 stage 1: ``run_scenario`` passes its logged
 controller output to ``rk4_step`` as ``u0``, so each step evaluates the
 controller once per stage and the disturbance once per distinct stage time.
 Runs are deterministic: identical scenarios produce bit-identical logs.
+
+The engine runs on Python floats, since the plants have two or three states
+and one input, and numpy's per-call overhead on arrays that small costs more
+than the arithmetic.  A state is a tuple of floats.  Each plant contributes
+float closures (see ``_pendulum_maps`` / ``_truck_maps``): the closed-loop
+field f(x,t) + g(x,t) w for the input channel w = u + d, the nominal and
+applied inputs, the barrier value and, for the truck, the speed clamp.  The
+pendulum's barrier and nominal input are the float cores of ``plants``, and
+its filter is the shared ``cbf.filter_gain``.  The truck uses its scalar
+filters.  Each float goes through the same IEEE operations in the same order
+as the numpy filters and dynamics, so the logs match a numpy reference
+integrator bit for bit; leaving out the matrix product's terms 0 * w can
+change only the sign of a zero.  Only the log columns are numpy arrays,
+preallocated and filled row by row.
 """
 
 from __future__ import annotations
@@ -20,7 +34,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ControlAffineDynamics, SignalDomainError, linear_class_kappa, state_vector
+from .cbf import filter_gain
+from .core import SignalDomainError, linear_class_kappa, state_vector
 from .disturbance import DisturbanceSignal, lag_residual, zero_disturbance
 from .issf import EpsilonFunction, solve_h_star
 from .plants import (
@@ -28,13 +43,9 @@ from .plants import (
     TRUCK_STATE_LABELS,
     PendulumParams,
     TruckParams,
-    pendulum_barrier,
-    pendulum_cbf_filter,
-    pendulum_dynamics,
-    pendulum_issf_filter,
-    pendulum_nominal,
+    pendulum_barrier_core,
+    pendulum_nominal_core,
     range_policy_inverse,
-    truck_dynamics,
     truck_headway,
     truck_nominal,
     truck_robust_filter,
@@ -43,8 +54,10 @@ from .plants import (
 
 __all__ = [
     "LeaderProfile",
+    "MAX_STEPS",
     "Scenario",
     "ScenarioResult",
+    "SignalTooShortError",
     "SimulationError",
     "SteadyStateWindowError",
     "constant_speed_profile",
@@ -53,6 +66,7 @@ __all__ = [
     "rk4_step",
     "run_scenario",
     "steady_state_shift",
+    "step_count",
     "truck_lag_disturbance",
     "write_csv_table",
 ]
@@ -63,6 +77,11 @@ CONTROLLERS = ("nominal", "cbf", "issf")
 # scenarios); only undershoots beyond this are counted as clamp events so the
 # integrator's terminal-braking rounding does not show up in the log.
 _CLAMP_LOG_TOL = 1e-9
+
+# Most RK4 steps one run may take.  A truck run logs n_steps + 1 rows of 8
+# floats, so the cap bounds a log at about 0.64 GB; the presets take at most
+# 12,000 steps, and dt = 1e-5 over 100 s still fits.
+MAX_STEPS = 10_000_000
 
 # Rows per %-format call in write_csv_table: enough to amortise the call, few
 # enough that one block's text stays small next to the table itself.
@@ -80,6 +99,15 @@ class SimulationError(RuntimeError):
 
 class SteadyStateWindowError(ValueError):
     """No qualifying constant-leader-speed window in the trajectory."""
+
+
+class SignalTooShortError(ValueError):
+    """A scenario's disturbance or leader ends before its last logged time."""
+
+    def __init__(self, signal: str, duration: float, t_last: float):
+        super().__init__(f"{signal} ends at t={duration:g}, before the last logged "
+                         f"time t={t_last:g}")
+        self.signal = signal
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +252,26 @@ def leader_profile_from_csv(
 # ---------------------------------------------------------------------------
 
 
+def _non_finite(what: str, t: float, x: tuple) -> SimulationError:
+    return SimulationError(f"non-finite {what} at t={t:g}, state={x!r}", t=t, state=x)
+
+
 def rk4_step(
-    dynamics: ControlAffineDynamics,
-    controller: Callable[[np.ndarray, float], np.ndarray],
+    field: Callable[[tuple, float, float], tuple],
+    controller: Callable[[tuple, float], float],
     disturbance: Callable[[float], float],
-    x: np.ndarray,
+    x: tuple,
     t: float,
     dt: float,
-    u0: Optional[np.ndarray] = None,
-) -> np.ndarray:
+    u0: Optional[float] = None,
+) -> tuple:
     """One classical RK4 step of  xdot = f(x,t) + g(x,t) (k(x,t) + d(t)).
 
-    ``u0``, if given, is the controller output k(x, t) already computed by the
-    caller; stage 1 then uses it instead of evaluating the controller again.
+    ``field(x, t, w)`` is the closed-loop derivative f(x,t) + g(x,t) w for the
+    scalar input channel w = u + d, returned as a tuple of floats like the
+    state.  ``u0``, if given, is the controller output k(x, t) already
+    computed by the caller; stage 1 then uses it instead of evaluating the
+    controller again.
 
     The end stage samples time signals just inside the step: piecewise
     signals with breakpoints on the step grid must resolve to the piece
@@ -244,36 +279,37 @@ def rk4_step(
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-
-    def deriv(xs, ts, u, d):
-        dx = dynamics.drift(xs, ts) + dynamics.actuation(xs, ts) @ (u + d)
-        if not all(map(math.isfinite, dx.tolist())):
-            raise SimulationError(
-                f"non-finite derivative at t={ts:g}, state={xs!r}", t=ts, state=xs
-            )
-        return dx
-
-    t_mid = t + 0.5 * dt
+    isfinite = math.isfinite
+    half = 0.5 * dt
+    t_mid = t + half
     t_end = t + dt - 1e-9 * dt
     if u0 is None:
         u0 = controller(x, t)
-    k1 = deriv(x, t, u0, disturbance(t))
-    x2 = x + (0.5 * dt) * k1
+    k1 = field(x, t, u0 + disturbance(t))
+    if not all(map(isfinite, k1)):
+        raise _non_finite("derivative", t, x)
+    x2 = tuple([xi + half * ki for xi, ki in zip(x, k1)])
     u2 = controller(x2, t_mid)
     # stages 2 and 3 share this sample; it is taken after stage 2's controller
     # call, so an error from the controller at t_mid still surfaces first
     d_mid = disturbance(t_mid)
-    k2 = deriv(x2, t_mid, u2, d_mid)
-    x3 = x + (0.5 * dt) * k2
-    k3 = deriv(x3, t_mid, controller(x3, t_mid), d_mid)
-    x4 = x + dt * k3
-    k4 = deriv(x4, t_end, controller(x4, t_end), disturbance(t_end))
-    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = field(x2, t_mid, u2 + d_mid)
+    if not all(map(isfinite, k2)):
+        raise _non_finite("derivative", t_mid, x2)
+    x3 = tuple([xi + half * ki for xi, ki in zip(x, k2)])
+    k3 = field(x3, t_mid, controller(x3, t_mid) + d_mid)
+    if not all(map(isfinite, k3)):
+        raise _non_finite("derivative", t_mid, x3)
+    x4 = tuple([xi + dt * ki for xi, ki in zip(x, k3)])
+    k4 = field(x4, t_end, controller(x4, t_end) + disturbance(t_end))
+    if not all(map(isfinite, k4)):
+        raise _non_finite("derivative", t_end, x4)
+    sixth = dt / 6.0
+    x_next = tuple([xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+                    for xi, a, b, c, d in zip(x, k1, k2, k3, k4)])
     # finite stages can still overflow in the weighted sum
-    if not all(map(math.isfinite, x_next.tolist())):
-        raise SimulationError(
-            f"non-finite state at t={t + dt:g}, state={x_next!r}", t=t + dt, state=x_next
-        )
+    if not all(map(isfinite, x_next)):
+        raise _non_finite("state", t + dt, x_next)
     return x_next
 
 
@@ -314,6 +350,20 @@ class Scenario:
             raise ValueError("truck scenario needs truck params and a leader profile")
         if self.controller == "issf" and self.epsilon is None:
             raise ValueError("issf controller needs an epsilon function")
+        # checked before run_scenario allocates its n_steps + 1 log rows
+        if self.n_steps > MAX_STEPS:
+            raise ValueError(f"horizon/dt gives {self.n_steps} steps, more than "
+                             f"MAX_STEPS = {MAX_STEPS}")
+        t_last = self.n_steps * self.dt
+        if self.disturbance.duration < t_last:
+            raise SignalTooShortError("disturbance", self.disturbance.duration, t_last)
+        if self.leader is not None and self.leader.duration < t_last:
+            raise SignalTooShortError("leader", self.leader.duration, t_last)
+
+    @property
+    def n_steps(self) -> int:
+        """RK4 steps in the run; the last logged time is n_steps * dt."""
+        return step_count(self.horizon, self.dt)
 
 
 @dataclass
@@ -362,50 +412,79 @@ def write_csv_table(path, header: str, table: np.ndarray) -> None:
             handle.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
+def step_count(horizon: float, dt: float) -> int:
+    """RK4 steps in a run of ``horizon`` seconds at step ``dt``.
+
+    The 1e-9 keeps a horizon that is a whole number of steps from losing its
+    last step to rounding in horizon / dt.
+    """
+    return int(math.floor(horizon / dt + 1e-9))
+
+
+# The maps below give the closed loop on tuples of floats: the field
+# f(x, t) + g(x, t) w, the nominal and applied inputs k(x, t), the barrier
+# value h(x, t), and the state clamp (or None).
+
+
 def _pendulum_maps(scn: Scenario):
     p = scn.pendulum
-    dyn = pendulum_dynamics(p)
-    barrier = pendulum_barrier(p)
-    nominal = pendulum_nominal(p)
+    g_over_l = p.gravity / p.length
+    g_entry = 1.0 / (p.mass * p.length * p.length)  # pendulum_dynamics' actuation
+    sin = math.sin
+    barrier = pendulum_barrier_core(p)
+    nominal = pendulum_nominal_core(p)
+
+    def field(x, t, w):
+        th, om = x
+        return (om, g_over_l * sin(th) + g_entry * w)
 
     def u_nominal(x, t):
-        return nominal(x)
+        return nominal(*x)
 
     if scn.controller == "nominal":
         u_control = u_nominal
-    elif scn.controller == "cbf":
-        filt = pendulum_cbf_filter(p)
-        u_control = lambda x, t: filt.filter(x)
     else:
-        filt = pendulum_issf_filter(p, scn.epsilon)
-        u_control = lambda x, t: filt.filter(x)
+        alpha_c = p.alpha_c
+        epsilon = scn.epsilon if scn.controller == "issf" else None
+
+        def u_control(x, t):
+            th, om = x
+            h, lf_h, lg_h = barrier(th, om)
+            u = nominal(th, om)
+            # filter_gain by its module-level name, so wrappers of it see every call
+            gain = filter_gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h, epsilon)
+            if gain <= 0.0:
+                return u
+            return u + gain * lg_h
 
     def h_of(x, t):
-        return barrier(x).h
+        return barrier(*x)[0]
 
-    return dyn, u_nominal, u_control, h_of, p.alpha_c, None
+    return field, u_nominal, u_control, h_of, None
 
 
 def _truck_maps(scn: Scenario):
+    # the truck functions are called by their module-level names, so
+    # wrappers of them see every call
     p = scn.truck
     accel = scn.leader.accel
-    dyn = truck_dynamics(p, accel)
+
+    def field(x, t, w):
+        return (x[2] - x[1], w, accel(t))
 
     def u_nominal(x, t):
-        return np.array([truck_nominal(p, x[0], x[1], x[2])])
+        return truck_nominal(p, *x)
 
     if scn.controller == "nominal":
         u_control = u_nominal
     elif scn.controller == "cbf":
         def u_control(x, t):
-            return np.array([truck_safe_filter(p, x[0], x[1], x[2], accel(t))])
+            return truck_safe_filter(p, *x, accel(t))
     else:
-        eps = scn.epsilon
+        eps0, lam = scn.epsilon.eps0, scn.epsilon.lam
 
         def u_control(x, t):
-            return np.array(
-                [truck_robust_filter(p, x[0], x[1], x[2], accel(t), eps.eps0, eps.lam)]
-            )
+            return truck_robust_filter(p, *x, accel(t), eps0, lam)
 
     def h_of(x, t):
         return x[0] - truck_headway(p, x[1], x[2])
@@ -413,36 +492,37 @@ def _truck_maps(scn: Scenario):
     def clamp(x, counts):
         # vehicles do not reverse; see _CLAMP_LOG_TOL for why tiny
         # integrator undershoots are clamped silently
-        if x[1] < 0.0:
-            if x[1] < -_CLAMP_LOG_TOL:
+        d_gap, v, v_l = x
+        if v < 0.0:
+            if v < -_CLAMP_LOG_TOL:
                 counts["v"] += 1
-            x[1] = 0.0
-        if x[2] < 0.0:
-            if x[2] < -_CLAMP_LOG_TOL:
+            v = 0.0
+        if v_l < 0.0:
+            if v_l < -_CLAMP_LOG_TOL:
                 counts["v_L"] += 1
-            x[2] = 0.0
-        return x
+            v_l = 0.0
+        return (d_gap, v, v_l)
 
-    return dyn, u_nominal, u_control, h_of, p.alpha_c, clamp
+    return field, u_nominal, u_control, h_of, clamp
 
 
 def run_scenario(scn: Scenario) -> ScenarioResult:
     """Integrate a scenario and log (t, state, u_nom, u_filt, d, h) per step."""
     if scn.plant == "pendulum":
-        dyn, u_nominal, u_control, h_of, alpha_c, clamp = _pendulum_maps(scn)
-        labels = PENDULUM_STATE_LABELS
+        field, u_nominal, u_control, h_of, clamp = _pendulum_maps(scn)
+        labels, alpha_c = PENDULUM_STATE_LABELS, scn.pendulum.alpha_c
     else:
-        dyn, u_nominal, u_control, h_of, alpha_c, clamp = _truck_maps(scn)
-        labels = TRUCK_STATE_LABELS
+        field, u_nominal, u_control, h_of, clamp = _truck_maps(scn)
+        labels, alpha_c = TRUCK_STATE_LABELS, scn.truck.alpha_c
 
-    x = state_vector(scn.x0, dim=dyn.state_dim).copy()
+    x = tuple(state_vector(scn.x0, dim=len(labels)).tolist())
     if h_of(x, 0.0) < 0.0:
         warnings.warn(f"scenario {scn.name!r}: initial state is outside the safe set")
 
     dt = scn.dt
-    n_steps = int(math.floor(scn.horizon / dt + 1e-9))
+    n_steps = scn.n_steps
     time = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, dyn.state_dim))
+    states = np.empty((n_steps + 1, len(labels)))
     u_nom = np.empty(n_steps + 1)
     u_filt = np.empty(n_steps + 1)
     d_log = np.empty(n_steps + 1)
@@ -451,17 +531,17 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 
     disturbance = scn.disturbance
     for k in range(n_steps + 1):
-        t = time[k]
+        t = k * dt  # the float time[k] holds
         states[k] = x
-        u_nom[k] = float(u_nominal(x, t)[0])
+        u_nom[k] = u_nominal(x, t)
         u = u_control(x, t)
-        u_filt[k] = float(u[0])
+        u_filt[k] = u
         d_log[k] = disturbance(t)
         h_log[k] = h_of(x, t)
         if k < n_steps:
             try:
                 # rk4_step by its module-level name, so wrappers of it see every step
-                x = rk4_step(dyn, u_control, disturbance, x, t, dt, u0=u)
+                x = rk4_step(field, u_control, disturbance, x, t, dt, u0=u)
             except SimulationError as err:
                 wrapped = SimulationError(
                     f"scenario {scn.name!r} failed at t={t:g}: {err}",

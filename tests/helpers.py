@@ -4,8 +4,10 @@ The oracles may not call the closed-form filter formulas: the projection
 oracle is derived from the geometry of a point-to-half-space projection, the
 grid oracle from brute-force enumeration, so both stay independent of the
 code paths they check.  The reference integrator is different in kind: it
-replays the closed loop with every quantity evaluated on its own, so the
-simulator's shared evaluations can be checked against it bit for bit.  The
+replays the closed loop on numpy arrays, built from the public ``plants``,
+``cbf`` and ``issf`` API rather than from the simulator's own maps, with every
+quantity evaluated on its own, so the simulator's float engine and its shared
+evaluations can be checked against it bit for bit.  The
 reference CSV writers format each cell on its own, the way the block writer's
 output must read byte for byte.
 """
@@ -14,8 +16,21 @@ import math
 
 import numpy as np
 
-from safefilter import PendulumParams, SimulationError, TruckParams
-from safefilter import sim
+from safefilter import (
+    PendulumParams,
+    SimulationError,
+    TruckParams,
+    pendulum_barrier,
+    pendulum_cbf_filter,
+    pendulum_dynamics,
+    pendulum_issf_filter,
+    pendulum_nominal,
+    truck_dynamics,
+    truck_headway,
+    truck_nominal,
+    truck_robust_filter,
+    truck_safe_filter,
+)
 
 GRID_LO = -100.0
 GRID_HI = 100.0
@@ -143,18 +158,60 @@ def reference_rk4_step(dynamics, controller, disturbance, x, t, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _reference_maps(scn):
+    """The closed loop of a scenario built from the public numpy API of
+    ``plants``, ``cbf`` and ``issf``: dynamics, nominal input, applied input
+    and barrier value, each returning what the simulator logs."""
+    if scn.plant == "pendulum":
+        p = scn.pendulum
+        nominal = pendulum_nominal(p)
+        barrier = pendulum_barrier(p)
+        if scn.controller == "nominal":
+            control = nominal
+        elif scn.controller == "cbf":
+            control = pendulum_cbf_filter(p).filter
+        else:
+            control = pendulum_issf_filter(p, scn.epsilon).filter
+        return (pendulum_dynamics(p), lambda x, t: nominal(x),
+                lambda x, t: control(x), lambda x, t: barrier(x).h)
+
+    p, accel = scn.truck, scn.leader.accel
+
+    def u_nominal(x, t):
+        return np.array([truck_nominal(p, x[0], x[1], x[2])])
+
+    if scn.controller == "nominal":
+        u_control = u_nominal
+    elif scn.controller == "cbf":
+        def u_control(x, t):
+            return np.array([truck_safe_filter(p, x[0], x[1], x[2], accel(t))])
+    else:
+        def u_control(x, t):
+            return np.array([truck_robust_filter(p, x[0], x[1], x[2], accel(t),
+                                                 scn.epsilon.eps0, scn.epsilon.lam)])
+    return (truck_dynamics(p, accel), u_nominal, u_control,
+            lambda x, t: x[0] - truck_headway(p, x[1], x[2]))
+
+
+def _reference_clamp(x):
+    """Truck speeds pinned at zero: the vehicles do not reverse."""
+    x = x.copy()
+    for i in (1, 2):
+        if x[i] < 0.0:
+            x[i] = 0.0
+    return x
+
+
 def reference_run(scn):
     """The scenario loop with separate u_nominal, u_control, disturbance and
     barrier calls per logged row, stepped by ``reference_rk4_step``.
 
     Returns the log columns that ``run_scenario`` produces, by the same names.
     """
-    maps = sim._pendulum_maps if scn.plant == "pendulum" else sim._truck_maps
-    dyn, u_nominal, u_control, h_of, _, clamp = maps(scn)
+    dyn, u_nominal, u_control, h_of = _reference_maps(scn)
     x = np.array(scn.x0, dtype=float)
     n_steps = int(math.floor(scn.horizon / scn.dt + 1e-9))
     time = np.arange(n_steps + 1) * scn.dt
-    clamp_counts = {"v": 0, "v_L": 0}
     rows = {"states": [], "u_nom": [], "u_filt": [], "d": [], "h": []}
     for k, t in enumerate(time):
         rows["states"].append(x.copy())
@@ -164,8 +221,8 @@ def reference_run(scn):
         rows["h"].append(h_of(x, t))
         if k < n_steps:
             x = reference_rk4_step(dyn, u_control, scn.disturbance, x, t, scn.dt)
-            if clamp is not None:
-                x = clamp(x, clamp_counts)
+            if scn.plant == "truck":
+                x = _reference_clamp(x)
     return {key: np.array(values) for key, values in rows.items()}
 
 

@@ -214,7 +214,7 @@ def test_simulate_with_csv_inputs(tmp_path):
     assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 0
 
 
-def test_simulate_beyond_leader_domain_is_runtime_failure(tmp_path):
+def test_simulate_beyond_leader_domain_is_rejected_before_the_run(tmp_path, capsys):
     lead_path = tmp_path / "lead.csv"
     lead_path.write_text("t,a_L\n0,0\n2,0\n")
     doc = {
@@ -227,7 +227,53 @@ def test_simulate_beyond_leader_domain_is_runtime_failure(tmp_path):
     }
     config_path = tmp_path / "short.json"
     config_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+    assert "config error: $.leader: leader ends at t=2" in capsys.readouterr().err
+
+
+def test_simulate_beyond_disturbance_domain_is_rejected_before_the_run(tmp_path, capsys):
+    # the run used to fail at t = 5.005 with exit 3 and no partial log
+    dist_path = tmp_path / "dist.csv"
+    dist_path.write_text("t,d\n0,0.1\n5,0.1\n")
+    doc = {
+        "name": "short",
+        "plant": "pendulum",
+        "disturbance": {"kind": "csv", "path": str(dist_path)},
+        "horizon": 10.0,
+    }
+    config_path = tmp_path / "short.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+    assert "config error: $.disturbance: disturbance ends at t=5" in capsys.readouterr().err
+    assert not (tmp_path / "short-cbf.csv").exists()
+
+
+def test_robust_truck_filter_far_behind_the_leader(tmp_path):
+    # eps(h) = eps0 exp(lam h) overflows at h = 5000 m; the tightening takes
+    # its limit 0, so the filter stays inactive instead of raising
+    doc = {**resolve_preset("truck-braking"), "controller": ["issf"],
+           "issf": {"eps0": 0.5, "lam": 0.4, "delta": 4.5},
+           "initial_state": [5000.0, 16.0, 16.0]}
+    config_path = tmp_path / "far.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+    log = np.loadtxt(tmp_path / "truck-braking-issf.csv", delimiter=",", skiprows=1)
+    assert log.shape == (6001, 8) and np.isfinite(log).all()
+    assert np.array_equal(log[:, 4], log[:, 5])  # u_filt == u_nom
+
+
+def test_robust_pendulum_filter_with_vanishing_epsilon_exits_3(tmp_path, capsys):
+    # a pulse far beyond the declared bound drives h so low that eps(h)
+    # underflows to 0; 1/eps is then inf and the run stops with a partial log
+    doc = resolve_preset("pendulum-pulse-issf-exp")
+    doc["disturbance"] = {"kind": "heaviside_pulse", "amplitude": 200.0}
+    config_path = tmp_path / "big.json"
+    config_path.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 3
+    assert "FAILED" in capsys.readouterr().err
+    log = (tmp_path / "pendulum-pulse-issf-exp-issf.csv").read_text().splitlines()
+    assert log[0] == "t,theta,theta_dot,u_nom,u_filt,d,h"
+    assert log[-1].endswith(",nan,nan,nan,nan,nan,nan") and len(log) >= 3
 
 
 _ISSF = {"eps0": 0.5, "lam": 0.0, "delta": 1.0}
@@ -255,6 +301,7 @@ _BRAKE = {"kind": "hard_brake", "t_brake": 1.0, "a_peak": -8.0, "duration": 2.0}
     ("sweep", {"plant": "pendulum", "issf": _ISSF,
                "sweep": {"eps0_grid": [0.5], "lambda_grid": [0.0, None]}}),
     ("hstar", {"plant": "pendulum", "issf": {**_ISSF, "lam": -1.0}}),
+    ("simulate", {"plant": "pendulum", "horizon": 1e12, "dt": 1e-6}),  # > MAX_STEPS
 ])
 def test_malformed_config_exits_2_without_traceback(command, doc, tmp_path, capsys):
     config_path = tmp_path / "bad.json"

@@ -19,6 +19,7 @@ from safefilter import (
     set_inflation,
     solve_h_star,
 )
+from safefilter.cbf import filter_gain
 
 P = PendulumParams()
 ALPHA_P = linear_class_kappa(P.alpha_c)
@@ -247,3 +248,24 @@ def test_robust_switching_equals_closed_form(x):
     assert filt.filter_switching(x) == pytest.approx(
         float(filt.filter(x)[0]), abs=1e-10, rel=1e-12
     )
+
+
+def test_robust_gain_takes_the_limits_of_1_over_eps():
+    # eps(h) = eps0 exp(lam h) overflows far inside the safe set and underflows
+    # to 0 far outside it; 1/eps(h) then takes its limits 0 and inf
+    eps = EpsilonFunction(0.5, 12.0)
+    with pytest.raises(OverflowError):
+        eps(100.0)
+    assert eps(-100.0) == 0.0
+    assert filter_gain(4.0, -2.0, 100.0, eps) == filter_gain(4.0, -2.0, 100.0) == 0.5
+    assert filter_gain(4.0, -2.0, -100.0, eps) == math.inf
+    # zero on the lg_h = 0 set, whatever eps(h) does
+    assert filter_gain(0.0, -2.0, -100.0, eps) == 0.0
+
+
+def test_robust_pendulum_filter_gives_an_infinite_input_where_eps_vanishes():
+    filt = pendulum_issf_filter(P, EpsilonFunction(0.5, 12.0))
+    x = np.array([0.1, 20.0])   # h about -1600: eps(h) underflows to 0
+    assert filt.epsilon(pendulum_barrier(P)(x).h) == 0.0
+    assert filt.correction_gain(x) == math.inf
+    assert np.isinf(filt.filter(x)).all()

@@ -221,3 +221,12 @@ def test_robust_filter_uses_params_defaults():
     assert truck_robust_filter(T, d, v, v_l, a_l) == truck_robust_filter(
         T, d, v, v_l, a_l, eps0=T.eps0, lam=T.lam
     )
+
+
+def test_robust_filter_takes_the_limits_of_its_tightening():
+    # far behind the leader eps(h) overflows and the tightening lg_h/eps(h)
+    # vanishes; deep inside the unsafe set eps(h) underflows to 0 and the
+    # command diverges to full braking
+    assert truck_robust_filter(T, 5000.0, 16.0, 16.0, 0.0) == \
+        truck_safe_filter(T, 5000.0, 16.0, 16.0, 0.0)
+    assert truck_robust_filter(T, -5000.0, 16.0, 16.0, 0.0) == -math.inf

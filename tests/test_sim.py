@@ -1,11 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from safefilter import (
-    ControlAffineDynamics,
     DisturbanceSignal,
     EpsilonFunction,
     PendulumParams,
@@ -29,16 +29,39 @@ from safefilter import (
     zero_disturbance,
 )
 from safefilter.core import SignalDomainError
-from safefilter.sim import SteadyStateWindowError, leader_profile_from_csv
+from safefilter.sim import (
+    MAX_STEPS,
+    LeaderProfile,
+    SignalTooShortError,
+    SteadyStateWindowError,
+    leader_profile_from_csv,
+)
 
 P = PendulumParams()
 T = TruckParams()
 ZERO = zero_disturbance()
 
 
-def _zero_controller(m):
-    u = np.zeros(m)
-    return lambda x, t: u
+def _zero_controller(x, t):
+    return 0.0
+
+
+def _field(dyn):
+    """The scalar-input field f(x,t) + g(x,t) w of a numpy dynamics model."""
+    def field(x, t, w):
+        return tuple((dyn.drift(x, t) + dyn.actuation(x, t) @ np.array([w])).tolist())
+
+    return field
+
+
+def _rate_field(rate):
+    """A field whose derivative is the constant tuple ``rate``."""
+    return lambda x, t, w: rate
+
+
+def _nominal_controller(p):
+    nominal = pendulum_nominal(p)
+    return lambda x, t: float(nominal(x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -46,74 +69,48 @@ def _zero_controller(m):
 # ---------------------------------------------------------------------------
 
 def test_rk4_fixed_point_of_zero_dynamics():
-    dyn = ControlAffineDynamics(
-        drift=lambda x, t: np.zeros(2),
-        actuation=lambda x, t: np.zeros((2, 1)),
-        state_dim=2, input_dim=1,
-    )
-    x = np.array([1.0, -2.0])
-    out = rk4_step(dyn, _zero_controller(1), ZERO, x, 0.0, 0.1)
+    x = (1.0, -2.0)
+    out = rk4_step(_rate_field((0.0, 0.0)), _zero_controller, ZERO, x, 0.0, 0.1)
     assert np.array_equal(out, x)
 
 
 def test_rk4_exact_for_constant_rate():
-    dyn = ControlAffineDynamics(
-        drift=lambda x, t: np.ones(1),
-        actuation=lambda x, t: np.zeros((1, 1)),
-        state_dim=1, input_dim=1,
-    )
-    out = rk4_step(dyn, _zero_controller(1), ZERO, np.array([0.5]), 0.0, 0.1)
+    out = rk4_step(_rate_field((1.0,)), _zero_controller, ZERO, (0.5,), 0.0, 0.1)
     assert out[0] == pytest.approx(0.6, abs=1e-15)
 
 
 def test_rk4_matches_matrix_exponential_on_linear_loop():
     # the feedback-linearized pendulum closed loop is exactly linear, so one
     # step must agree with the matrix exponential to fifth order
-    dyn = pendulum_dynamics(P)
-    nominal = pendulum_nominal(P)
-    controller = lambda x, t: nominal(x)
+    field = _field(pendulum_dynamics(P))
+    controller = _nominal_controller(P)
     a_mat = np.array([[0.0, 1.0], [-P.kp, -P.kd]])
     x0 = np.array([-0.1, 0.5])
     dt = 0.01
-    stepped = rk4_step(dyn, controller, ZERO, x0, 0.0, dt)
+    stepped = rk4_step(field, controller, ZERO, tuple(x0), 0.0, dt)
     exact = expm(a_mat * dt) @ x0
-    assert np.max(np.abs(stepped - exact)) <= 1e-10
+    assert np.max(np.abs(np.array(stepped) - exact)) <= 1e-10
 
 
 def test_rk4_raises_structured_error_on_blowup():
-    dyn = ControlAffineDynamics(
-        drift=lambda x, t: np.array([math.inf]),
-        actuation=lambda x, t: np.zeros((1, 1)),
-        state_dim=1, input_dim=1,
-    )
     with pytest.raises(SimulationError) as excinfo:
-        rk4_step(dyn, _zero_controller(1), ZERO, np.array([0.0]), 3.0, 0.1)
+        rk4_step(_rate_field((math.inf,)), _zero_controller, ZERO, (0.0,), 3.0, 0.1)
     assert excinfo.value.t == 3.0
 
 
 @pytest.mark.parametrize("entry", [0, 1, 2])
 def test_rk4_checks_every_derivative_entry(entry):
-    rate = np.zeros(3)
+    rate = [0.0, 0.0, 0.0]
     rate[entry] = math.nan
-    dyn = ControlAffineDynamics(
-        drift=lambda x, t: rate,
-        actuation=lambda x, t: np.zeros((3, 1)),
-        state_dim=3, input_dim=1,
-    )
     with pytest.raises(SimulationError):
-        rk4_step(dyn, _zero_controller(1), ZERO, np.zeros(3), 0.0, 0.1)
+        rk4_step(_rate_field(tuple(rate)), _zero_controller, ZERO, (0.0, 0.0, 0.0), 0.0, 0.1)
 
 
 def test_rk4_raises_when_the_stage_combination_overflows():
     # every stage derivative is finite, but x + dt/6 (k1 + 2 k2 + 2 k3 + k4)
     # is not: the new state is checked as well
-    dyn = ControlAffineDynamics(
-        drift=lambda x, t: np.array([1e308]),
-        actuation=lambda x, t: np.zeros((1, 1)),
-        state_dim=1, input_dim=1,
-    )
-    with pytest.raises(SimulationError) as excinfo, np.errstate(over="ignore"):
-        rk4_step(dyn, _zero_controller(1), ZERO, np.array([0.0]), 3.0, 6.0)
+    with pytest.raises(SimulationError) as excinfo:
+        rk4_step(_rate_field((1e308,)), _zero_controller, ZERO, (0.0,), 3.0, 6.0)
     assert excinfo.value.t == 9.0
     assert excinfo.value.state[0] == math.inf
 
@@ -122,42 +119,41 @@ def test_rk4_with_u0_raises_on_non_finite_stage_one():
     # stage 1 takes the given input without calling the controller, and its
     # non-finite derivative is reported before the disturbance is queried
     # past the end of its domain at t + dt/2
-    dyn = pendulum_dynamics(P)
+    field = _field(pendulum_dynamics(P))
 
     def controller(x, t):
         raise AssertionError("stage 1 must use u0")
 
     short = sampled_disturbance([0.0, 3.0], [0.0, 0.0])
     with pytest.raises(SimulationError) as excinfo:
-        rk4_step(dyn, controller, short, np.zeros(2), 3.0, 0.1, u0=np.array([math.nan]))
+        rk4_step(field, controller, short, (0.0, 0.0), 3.0, 0.1, u0=math.nan)
     assert excinfo.value.t == 3.0
 
 
 def test_rk4_u0_matches_evaluating_the_controller():
-    dyn = pendulum_dynamics(P)
-    nominal = pendulum_nominal(P)
-    controller = lambda x, t: nominal(x)
+    field = _field(pendulum_dynamics(P))
+    controller = _nominal_controller(P)
     pulse = heaviside_pulse(0.75)
-    x = np.array([-0.1, 0.5])
+    x = (-0.1, 0.5)
     for t in (0.0, 4.995, 5.0):
-        plain = rk4_step(dyn, controller, pulse, x, t, 0.01)
-        shared = rk4_step(dyn, controller, pulse, x, t, 0.01, u0=controller(x, t))
+        plain = rk4_step(field, controller, pulse, x, t, 0.01)
+        shared = rk4_step(field, controller, pulse, x, t, 0.01, u0=controller(x, t))
         assert np.array_equal(plain, shared)
 
 
 def test_rk4_rejects_bad_step():
-    dyn = pendulum_dynamics(P)
+    field = _field(pendulum_dynamics(P))
     with pytest.raises(ValueError):
-        rk4_step(dyn, _zero_controller(1), ZERO, np.zeros(2), 0.0, 0.0)
+        rk4_step(field, _zero_controller, ZERO, (0.0, 0.0), 0.0, 0.0)
 
 
 def test_truck_coasting_keeps_speeds_and_d_affine():
     # u = 0 and a_L = 0: speeds frozen, headway closes linearly
-    dyn = truck_dynamics(T, lambda t: 0.0)
-    x = np.array([40.0, 12.0, 10.0])
+    field = _field(truck_dynamics(T, lambda t: 0.0))
+    x = (40.0, 12.0, 10.0)
     dt = 0.01
     for k in range(500):
-        x = rk4_step(dyn, _zero_controller(1), ZERO, x, k * dt, dt)
+        x = rk4_step(field, _zero_controller, ZERO, x, k * dt, dt)
     assert x[1] == pytest.approx(12.0, abs=1e-12)
     assert x[2] == pytest.approx(10.0, abs=1e-12)
     assert x[0] == pytest.approx(40.0 - 2.0 * 5.0, abs=1e-9)
@@ -267,6 +263,34 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(name="x", plant="truck", controller="cbf", x0=(1, 1, 1),
                  horizon=1.0, dt=0.01, disturbance=ZERO, truck=T)  # leader missing
+
+
+def test_scenario_rejects_more_than_max_steps_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            _pendulum_scenario("cbf", ZERO, dt=1e-6, horizon=1e12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert _pendulum_scenario("cbf", ZERO, dt=1e-6, horizon=MAX_STEPS * 1e-6).n_steps \
+        == MAX_STEPS
+
+
+def test_scenario_rejects_signals_that_end_before_the_last_logged_time():
+    # the last logged time is n_steps * dt = 1.0; a signal must reach it
+    ends_at = sampled_disturbance([0.0, 1.0], [0.1, 0.1])
+    assert run_scenario(_pendulum_scenario("cbf", ends_at, horizon=1.0)).time[-1] == 1.0
+    too_short = sampled_disturbance([0.0, 0.995], [0.1, 0.1])
+    with pytest.raises(SignalTooShortError, match="disturbance ends at t=0.995") as excinfo:
+        _pendulum_scenario("cbf", too_short, horizon=1.0)
+    assert excinfo.value.signal == "disturbance"
+    leader = LeaderProfile("sampled", 16.0, 0.995, lambda t: 0.0, lambda t: 16.0)
+    with pytest.raises(SignalTooShortError) as excinfo:
+        Scenario(name="x", plant="truck", controller="cbf", x0=(27.4, 16.0, 16.0),
+                 horizon=1.0, dt=0.01, disturbance=ZERO, truck=T, leader=leader)
+    assert excinfo.value.signal == "leader"
 
 
 def test_run_logs_have_expected_length_and_recomputable_h():

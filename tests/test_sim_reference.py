@@ -1,9 +1,10 @@
 """The simulator against the reference integrator: same logs, fewer calls.
 
-``run_scenario`` shares evaluations that the reference loop in ``helpers``
-makes separately: the logged controller output is RK4 stage 1, and stages 2
-and 3 share one disturbance sample.  Both must leave every logged value
-bit-identical.
+``run_scenario`` integrates on tuples of floats; the reference loop in
+``helpers`` steps numpy arrays through the public plant and filter API.  The
+simulator also shares evaluations that the reference makes separately: the
+logged controller output is RK4 stage 1, and stages 2 and 3 share one
+disturbance sample.  Every logged value must stay bit-identical.
 """
 
 import dataclasses
@@ -13,10 +14,8 @@ import numpy as np
 import pytest
 
 from safefilter import (
-    CbfFilter,
     DisturbanceSignal,
     EpsilonFunction,
-    IssfFilter,
     PendulumParams,
     Scenario,
     TruckParams,
@@ -111,19 +110,18 @@ def _counted(calls, key, fn):
 @pytest.mark.parametrize("controller", ["nominal", "cbf", "issf"])
 def test_four_controller_and_disturbance_calls_per_step(plant, controller, monkeypatch):
     calls = Counter()
-    # filters, wherever the simulator reaches them
-    for cls in (CbfFilter, IssfFilter):
-        monkeypatch.setattr(cls, "filter", _counted(calls, "filter", cls.filter))
+    # the filters, wherever the simulator reaches them: the shared gain for
+    # the pendulum, the truck's own scalar filters
+    monkeypatch.setattr(sim, "filter_gain", _counted(calls, "filter", sim.filter_gain))
     for name in ("truck_safe_filter", "truck_robust_filter"):
         monkeypatch.setattr(sim, name, _counted(calls, "filter", getattr(sim, name)))
-    # the nominal controller, in sim and inside the filters built in plants
+    # the nominal controller, in sim and inside the truck filters in plants
     monkeypatch.setattr(plants, "truck_nominal",
                         _counted(calls, "nominal", plants.truck_nominal))
     monkeypatch.setattr(sim, "truck_nominal", plants.truck_nominal)
-    factory = plants.pendulum_nominal
-    monkeypatch.setattr(plants, "pendulum_nominal",
+    factory = plants.pendulum_nominal_core
+    monkeypatch.setattr(sim, "pendulum_nominal_core",
                         lambda p: _counted(calls, "nominal", factory(p)))
-    monkeypatch.setattr(sim, "pendulum_nominal", plants.pendulum_nominal)
 
     scn = _rollout(plant, controller, seed=5)
     signal = scn.disturbance
