@@ -28,7 +28,7 @@ from .disturbance import (
     zero_disturbance,
 )
 from .issf import EpsilonFunction, RootBracketError, solve_h_star
-from .plants import PendulumParams, TruckParams
+from .plants import PendulumParams, TruckParams, pendulum_barrier_core
 from .sim import (
     MAX_STEPS,
     LeaderProfile,
@@ -45,7 +45,12 @@ from .sim import (
     truck_lag_disturbance,
     write_csv_table,
 )
-from .verification import certify_pendulum, certify_truck_grid, truck_margin_table
+from .verification import (
+    MAX_GRID_CELLS,
+    certify_pendulum,
+    certify_truck_grid,
+    truck_margin_table,
+)
 
 __all__ = ["Config", "ConfigError", "main", "parse_config", "config_to_dict",
            "PARAM_PRESETS", "SCENARIO_PRESETS", "build_scenarios"]
@@ -435,6 +440,9 @@ def parse_config(doc: dict, path: str = "$") -> Config:
         "theta_range", "samples", "cross_term", "d_range", "vl_range", "grid", "a_l_bounds",
     ), f"{path}.certify")
     samples = _int(certify_doc.get("samples", 2001), f"{path}.certify.samples")
+    if samples > MAX_GRID_CELLS:
+        raise ConfigError(f"{path}.certify.samples must be at most MAX_GRID_CELLS = "
+                          f"{MAX_GRID_CELLS}, got {samples}")
     cross_term = certify_doc.get("cross_term", True)
     if not isinstance(cross_term, bool):
         raise ConfigError(f"{path}.certify.cross_term must be a boolean")
@@ -442,6 +450,10 @@ def parse_config(doc: dict, path: str = "$") -> Config:
     if not isinstance(grid, (list, tuple)) or len(grid) != 2:
         raise ConfigError(f"{path}.certify.grid must be a 2-element list")
     grid = tuple(_int(n, f"{path}.certify.grid[{i}]") for i, n in enumerate(grid))
+    # checked before certification allocates its arrays of grid[0] * grid[1] cells
+    if min(grid) > 0 and grid[0] * grid[1] > MAX_GRID_CELLS:
+        raise ConfigError(f"{path}.certify.grid has {grid[0] * grid[1]} cells, more than "
+                          f"MAX_GRID_CELLS = {MAX_GRID_CELLS}")
     certify = CertifySpec(
         theta_range=_pair(certify_doc, "theta_range", f"{path}.certify",
                           CertifySpec.theta_range),
@@ -565,6 +577,12 @@ def build_scenarios(cfg: Config):
     if cfg.plant == "pendulum":
         x0 = cfg.initial_state or _PENDULUM_X0
         leader = None
+        # the run checks h(x0) >= 0 first; a barrier that overflows there
+        # rejects the state, not the run
+        try:
+            pendulum_barrier_core(p)(x0[0], x0[1], math.sin(x0[0]))
+        except ValueError as err:
+            raise ConfigError(f"$.initial_state: {err}") from err
     else:
         x0 = cfg.initial_state or _TRUCK_X0
         try:

@@ -11,7 +11,7 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,19 +30,44 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DisturbanceSignal:
-    """Scalar disturbance d(t) on [0, duration] with declared bound sup|d| <= bound."""
+    """Scalar disturbance d(t) on [0, duration] with declared bound sup|d| <= bound.
+
+    ``_sample``, if given, evaluates the signal on an array of times; it must
+    return the scalar evaluator's values bit for bit.
+    """
 
     kind: str
     bound: float
     duration: float
     _evaluate: Callable[[float], float]
+    _sample: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, t: float) -> float:
         return self._evaluate(t)
 
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        """d at each entry of the 1-d float array ``times``, as a float array.
+
+        The values equal scalar calls bit for bit.  Out of domain this raises
+        the scalar evaluator's SignalDomainError for the first offending time.
+        """
+        if self._sample is not None:
+            return self._sample(times)
+        evaluate = self._evaluate
+        return np.array([evaluate(t) for t in times.tolist()], dtype=float)
+
+
+def _domain_check(times: np.ndarray, t0: float, t1: float) -> None:
+    """The scalar evaluators' domain error, for the first time outside [t0, t1]."""
+    outside = (times < t0) | (times > t1)
+    if outside.any():
+        tau = float(times[int(np.argmax(outside))])
+        raise SignalDomainError(f"t={tau:g} outside sampled domain [{t0:g}, {t1:g}]")
+
 
 def zero_disturbance(duration: float = math.inf) -> DisturbanceSignal:
-    return DisturbanceSignal("zero", 0.0, duration, lambda t: 0.0)
+    return DisturbanceSignal("zero", 0.0, duration, lambda t: 0.0,
+                             lambda times: np.zeros(times.shape))
 
 
 def heaviside_pulse(m_amp: float) -> DisturbanceSignal:
@@ -92,7 +117,12 @@ def sampled_disturbance(t, d) -> DisturbanceSignal:
             raise SignalDomainError(f"t={tau:g} outside sampled domain [{t0:g}, {t1:g}]")
         return values[bisect.bisect_right(times, tau) - 1]
 
-    return DisturbanceSignal("sampled", float(np.max(np.abs(d))), t1, evaluate)
+    def sample(taus):
+        _domain_check(taus, t0, t1)
+        # side="right" is bisect_right: a breakpoint starts its own piece
+        return d[np.searchsorted(t, taus, side="right") - 1]
+
+    return DisturbanceSignal("sampled", float(np.max(np.abs(d))), t1, evaluate, sample)
 
 
 def disturbance_from_csv(path) -> DisturbanceSignal:
@@ -135,7 +165,12 @@ def lag_residual(t, u, time_constant: float) -> DisturbanceSignal:
             raise SignalDomainError(f"t={tau:g} outside sampled domain [{t0:g}, {t1:g}]")
         return float(np.interp(tau, t, d))
 
-    return DisturbanceSignal("lag_residual", float(np.max(np.abs(d))), t1, evaluate)
+    def sample(taus):
+        _domain_check(taus, t0, t1)
+        # np.interp runs the same loop for one time as for many
+        return np.interp(taus, t, d)
+
+    return DisturbanceSignal("lag_residual", float(np.max(np.abs(d))), t1, evaluate, sample)
 
 
 def estimate_sup_norm(t_cmd, u_cmd, t_meas, a_meas) -> float:

@@ -142,7 +142,15 @@ class IssfFilter:
         be = self.barrier(x)
         s = float(be.lg_h @ be.lg_h)
         rate = be.hdot(u)
-        floor = -self.alpha(be.h) + s / self.epsilon(be.h)
+        # the limits filter_gain takes: s/eps(h) -> 0 where eps(h) overflows,
+        # and -> inf where it underflows to 0 (unless s = 0)
+        try:
+            eps = self.epsilon(be.h)
+        except OverflowError:
+            tightening = 0.0
+        else:
+            tightening = s / eps if eps > 0.0 else (math.inf if s > 0.0 else 0.0)
+        floor = -self.alpha(be.h) + tightening
         return rate >= floor - tol * max(1.0, abs(rate), abs(floor))
 
     def correction_gain(self, x) -> float:

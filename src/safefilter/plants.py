@@ -39,8 +39,10 @@ __all__ = [
     "speed_policy",
     "truck_barrier",
     "truck_dynamics",
+    "truck_filter_core",
     "truck_headway",
     "truck_nominal",
+    "truck_nominal_core",
     "truck_robust_filter",
     "truck_safe_filter",
 ]
@@ -86,23 +88,25 @@ def pendulum_dynamics(p: PendulumParams) -> ControlAffineDynamics:
     return ControlAffineDynamics(drift, actuation, state_dim=2, input_dim=1)
 
 
-def pendulum_barrier_core(p: PendulumParams) -> Callable[[float, float], tuple]:
+def pendulum_barrier_core(p: PendulumParams) -> Callable[[float, float, float], tuple]:
     """(h, L_f h, L_g h) of the elliptical barrier at (theta, theta_dot), as floats.
 
     The one implementation of the pendulum barrier: ``pendulum_barrier`` wraps
     it in a :class:`BarrierEvaluation`, and the simulator calls it directly.
-    A non-finite triple raises the ValueError that BarrierEvaluation raises.
+    The third argument is sin(theta), so a caller that also needs it for the
+    nominal input and the dynamics computes it once.  A non-finite triple
+    raises the ValueError that BarrierEvaluation raises.
     """
     aa, bb, ab = p.a * p.a, p.b * p.b, p.a * p.b
     g_over_l = p.gravity / p.length
     ml2 = p.mass * p.length * p.length
-    sin, isfinite = math.sin, math.isfinite
+    isfinite = math.isfinite
 
-    def core(th, om):
+    def core(th, om, sin_th):
         h = 1.0 - th * th / aa - om * om / bb - th * om / ab
         dh_dth = -2.0 * th / aa - om / ab
         dh_dom = -2.0 * om / bb - th / ab
-        lf_h = dh_dth * om + dh_dom * g_over_l * sin(th)
+        lf_h = dh_dth * om + dh_dom * g_over_l * sin_th
         lg_h = dh_dom / ml2
         if not (isfinite(h) and isfinite(lf_h) and isfinite(lg_h)):
             raise ValueError("barrier evaluation entries must be finite")
@@ -120,20 +124,21 @@ def pendulum_barrier(p: PendulumParams) -> Callable[[np.ndarray], BarrierEvaluat
     core = pendulum_barrier_core(p)
 
     def barrier(x):
-        return BarrierEvaluation(*core(float(x[0]), float(x[1])))
+        th = float(x[0])
+        return BarrierEvaluation(*core(th, float(x[1]), math.sin(th)))
 
     return barrier
 
 
-def pendulum_nominal_core(p: PendulumParams) -> Callable[[float, float], float]:
-    """Nominal torque at (theta, theta_dot) as a float; see ``pendulum_nominal``."""
+def pendulum_nominal_core(p: PendulumParams) -> Callable[[float, float, float], float]:
+    """Nominal torque at (theta, theta_dot) as a float, given sin(theta); see
+    ``pendulum_nominal``."""
     ml2 = p.mass * p.length * p.length
     g_over_l = p.gravity / p.length
     kp, kd = p.kp, p.kd
-    sin = math.sin
 
-    def core(th, om):
-        return ml2 * (-g_over_l * sin(th) - kp * th - kd * om)
+    def core(th, om, sin_th):
+        return ml2 * (-g_over_l * sin_th - kp * th - kd * om)
 
     return core
 
@@ -143,7 +148,8 @@ def pendulum_nominal(p: PendulumParams) -> Callable[[np.ndarray], np.ndarray]:
     core = pendulum_nominal_core(p)
 
     def nominal(x):
-        return np.array([core(x[0], x[1])])
+        th = x[0]
+        return np.array([core(th, x[1], math.sin(th))])
 
     return nominal
 
@@ -265,25 +271,86 @@ def speed_policy(p: TruckParams, v_l: float) -> float:
     return v_l if v_l <= p.v_bar_l else p.v_bar_l
 
 
+def truck_nominal_core(p: TruckParams) -> Callable[[float, float, float], float]:
+    """Nominal acceleration at (D, v, v_L) as a float; see ``truck_nominal``.
+
+    ``range_policy`` and ``speed_policy`` are written out inline, with the
+    parameters bound once, because the simulator evaluates this at every RK4
+    stage.
+    """
+    gain_range, gain_speed, kappa = p.gain_range, p.gain_speed, p.kappa
+    d_st, d_go, v_bar_l = p.d_st, p.d_go, p.v_bar_l
+
+    def core(d, v, v_l):
+        if d < d_st:
+            v_range = 0.0
+        elif d <= d_go:
+            v_range = kappa * (d - d_st)
+        else:
+            v_range = v_bar_l
+        v_speed = v_l if v_l <= v_bar_l else v_bar_l
+        return gain_range * (v_range - v) + gain_speed * (v_speed - v)
+
+    return core
+
+
 def truck_nominal(p: TruckParams, d: float, v: float, v_l: float) -> float:
     """Connected cruise controller: range-policy and relative-speed error terms."""
-    return p.gain_range * (range_policy(p, d) - v) + p.gain_speed * (speed_policy(p, v_l) - v)
+    return truck_nominal_core(p)(d, v, v_l)
+
+
+def truck_filter_core(
+    p: TruckParams,
+    eps0: float | None = None,
+    lam: float | None = None,
+) -> Callable[[float, float, float, float], tuple]:
+    """(u_nom, u, h) of the truck's closed-form filter at (D, v, v_L, a_L), as floats.
+
+    The one implementation of the truck filter: ``truck_safe_filter`` and
+    ``truck_robust_filter`` wrap it, and the simulator calls it directly.
+    The filtered input is min{k_n, k_s} in the driving domain where lg_h < 0.
+    If lg_h >= 0 is ever reached (far outside the domain of interest), the
+    sign-switched max form is still the exact closed-form filter.
+
+    With ``eps0`` the safe command is robustified for bounded input
+    disturbance: k_s gains lg_h/eps(h) with eps(h) = eps0 e^{lam h} (``lam``
+    defaults to 0, the constant gain), i.e. earlier and harder braking.
+    """
+    c0, c1, c2, c3, c4, c5 = p.c0, p.c1, p.c2, p.c3, p.c4, p.c5
+    alpha_c = p.alpha_c
+    nominal = truck_nominal_core(p)
+    robust = eps0 is not None
+    lam = 0.0 if lam is None else lam
+    exp, copysign, inf = math.exp, math.copysign, math.inf
+
+    def core(d, v, v_l, a_l):
+        # the terms of truck_headway and truck_barrier, in their order
+        h = d - (c0 + c1 * v + c2 * v_l + c3 * v * v + c4 * v * v_l + c5 * v_l * v_l)
+        lf_h = v_l - v - a_l * (c2 + c4 * v + 2.0 * c5 * v_l)
+        lg_h = -(c1 + 2.0 * c3 * v + c4 * v_l)
+        u_nom = nominal(d, v, v_l)
+        if abs(lg_h) <= LG_ZERO_TOL:
+            return u_nom, u_nom, h
+        u_safe = -(lf_h + alpha_c * h) / lg_h
+        if robust:
+            try:
+                tightening = lg_h / (eps0 * exp(lam * h))
+            except OverflowError:
+                # far behind the leader eps(h) overflows: the term's limit is 0
+                tightening = 0.0
+            except ZeroDivisionError:
+                # deep inside the unsafe set eps(h) underflows to 0: the term
+                # diverges, and the simulator rejects the infinite input
+                tightening = copysign(inf, lg_h)
+            u_safe = u_safe + tightening
+        return u_nom, (min(u_nom, u_safe) if lg_h < 0.0 else max(u_nom, u_safe)), h
+
+    return core
 
 
 def truck_safe_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: float) -> float:
-    """min{k_n, k_s} in the driving domain where lg_h < 0.
-
-    If lg_h >= 0 is ever reached (far outside the domain of interest), the
-    sign-switched form below is still the exact closed-form filter, so no
-    special handling is needed beyond the switch.
-    """
-    h = d - truck_headway(p, v, v_l)
-    lf_h, lg_h = _truck_lie_derivatives(p, v, v_l, a_l)
-    u_nom = truck_nominal(p, d, v, v_l)
-    if abs(lg_h) <= LG_ZERO_TOL:
-        return u_nom
-    u_safe = -(lf_h + p.alpha_c * h) / lg_h
-    return min(u_nom, u_safe) if lg_h < 0.0 else max(u_nom, u_safe)
+    """min{k_n, k_s} in the driving domain where lg_h < 0; see ``truck_filter_core``."""
+    return truck_filter_core(p)(d, v, v_l, a_l)[1]
 
 
 def truck_robust_filter(
@@ -296,23 +363,8 @@ def truck_robust_filter(
     lam: float | None = None,
 ) -> float:
     """min{k_n, k_s + lg_h/eps(h)}: the safe command robustified for bounded
-    input disturbance.  The added term is negative in the driving domain, i.e.
-    earlier and harder braking."""
+    input disturbance, with eps0 and lam defaulting to the parameter set's;
+    see ``truck_filter_core``."""
     eps0 = p.eps0 if eps0 is None else eps0
     lam = p.lam if lam is None else lam
-    h = d - truck_headway(p, v, v_l)
-    lf_h, lg_h = _truck_lie_derivatives(p, v, v_l, a_l)
-    u_nom = truck_nominal(p, d, v, v_l)
-    if abs(lg_h) <= LG_ZERO_TOL:
-        return u_nom
-    try:
-        tightening = lg_h / (eps0 * math.exp(lam * h))
-    except OverflowError:
-        # far behind the leader eps(h) overflows: the term's limit is 0
-        tightening = 0.0
-    except ZeroDivisionError:
-        # deep inside the unsafe set eps(h) underflows to 0: the term diverges,
-        # and the simulator rejects the infinite input
-        tightening = math.copysign(math.inf, lg_h)
-    u_safe = -(lf_h + p.alpha_c * h) / lg_h + tightening
-    return min(u_nom, u_safe) if lg_h < 0.0 else max(u_nom, u_safe)
+    return truck_filter_core(p, eps0, lam)(d, v, v_l, a_l)[1]

@@ -4,24 +4,29 @@ A scenario pins a plant, a controller flavor (nominal / cbf / issf), an input
 disturbance, and for the truck a leader acceleration profile.  Integration is
 classical RK4 with the controller evaluated inside every sub-stage
 (continuous-time idealization) and time signals sampled at sub-stage times.
-The logged row at (x, t) is RK4 stage 1: ``run_scenario`` passes its logged
-controller output to ``rk4_step`` as ``u0``, so each step evaluates the
-controller once per stage and the disturbance once per distinct stage time.
 Runs are deterministic: identical scenarios produce bit-identical logs.
 
 The engine runs on Python floats, since the plants have two or three states
 and one input, and numpy's per-call overhead on arrays that small costs more
 than the arithmetic.  A state is a tuple of floats.  Each plant contributes
-float closures (see ``_pendulum_maps`` / ``_truck_maps``): the closed-loop
-field f(x,t) + g(x,t) w for the input channel w = u + d, the nominal and
-applied inputs, the barrier value and, for the truck, the speed clamp.  The
-pendulum's barrier and nominal input are the float cores of ``plants``, and
-its filter is the shared ``cbf.filter_gain``.  The truck uses its scalar
-filters.  Each float goes through the same IEEE operations in the same order
-as the numpy filters and dynamics, so the logs match a numpy reference
-integrator bit for bit; leaving out the matrix product's terms 0 * w can
-change only the sign of a zero.  Only the log columns are numpy arrays,
-preallocated and filled row by row.
+two float closures (see ``_pendulum_loop`` / ``_truck_loop``) and, for the
+truck, the speed clamp.  ``row`` gives a logged state's nominal input,
+applied input and barrier value together with the RK4 stage-1 derivative,
+from one barrier and one nominal evaluation; ``stage`` fuses the controller
+and the dynamics for stages 2 to 4.  The time signals (the disturbance and
+the truck leader's acceleration) are sampled once per run, block by block, at
+the stage times, so a step evaluates the controller once per stage and the
+disturbance once per distinct stage time.  ``rk4_stages`` is the one RK4
+formula; ``rk4_step`` adapts it to a field and a controller of (x, t).
+
+The pendulum's barrier and nominal input are the float cores of ``plants``,
+sharing one sin(theta) per evaluation, and its filter is the shared
+``cbf.filter_gain``; the truck's filter is ``plants.truck_filter_core``.
+Each float goes through the same IEEE operations in the same order as the
+numpy filters and dynamics, so the logs match a numpy reference integrator
+bit for bit; leaving out the matrix product's terms 0 * w can change only
+the sign of a zero.  Only the log columns are numpy arrays, preallocated and
+filled row by row.
 """
 
 from __future__ import annotations
@@ -46,10 +51,8 @@ from .plants import (
     pendulum_barrier_core,
     pendulum_nominal_core,
     range_policy_inverse,
-    truck_headway,
-    truck_nominal,
-    truck_robust_filter,
-    truck_safe_filter,
+    truck_filter_core,
+    truck_nominal_core,
 )
 
 __all__ = [
@@ -82,6 +85,11 @@ _CLAMP_LOG_TOL = 1e-9
 # floats, so the cap bounds a log at about 0.64 GB; the presets take at most
 # 12,000 steps, and dt = 1e-5 over 100 s still fits.
 MAX_STEPS = 10_000_000
+
+# Steps per block of stage-time samples: run_scenario samples the disturbance
+# and the leader for this many steps at a time, so the samples take memory
+# bounded by the block rather than by n_steps.
+_SAMPLE_BLOCK_STEPS = 1024
 
 # Rows per %-format call in write_csv_table: enough to amortise the call, few
 # enough that one block's text stays small next to the table itself.
@@ -256,6 +264,50 @@ def _non_finite(what: str, t: float, x: tuple) -> SimulationError:
     return SimulationError(f"non-finite {what} at t={t:g}, state={x!r}", t=t, state=x)
 
 
+def rk4_stages(
+    stage: Callable[[tuple, object, object], tuple],
+    x: tuple,
+    t: float,
+    dt: float,
+    k1: tuple,
+    a_mid: object,
+    d_mid: object,
+    a_end: object,
+    d_end: object,
+) -> tuple:
+    """The classical RK4 step from (x, t) given its stage-1 derivative ``k1``.
+
+    ``stage(x, a, d)`` is the closed-loop derivative at a stage state, where
+    ``a`` and ``d`` are the step's time-signal values at that stage's time,
+    passed through unchanged: ``a_mid``/``d_mid`` at t + dt/2 for stages 2
+    and 3, ``a_end``/``d_end`` just inside the step's end for stage 4.
+    Every stage derivative and the new state are checked to be finite.
+    """
+    isfinite = math.isfinite
+    if not all(map(isfinite, k1)):
+        raise _non_finite("derivative", t, x)
+    half = 0.5 * dt
+    x2 = tuple([xi + half * ki for xi, ki in zip(x, k1)])
+    k2 = stage(x2, a_mid, d_mid)
+    if not all(map(isfinite, k2)):
+        raise _non_finite("derivative", t + half, x2)
+    x3 = tuple([xi + half * ki for xi, ki in zip(x, k2)])
+    k3 = stage(x3, a_mid, d_mid)
+    if not all(map(isfinite, k3)):
+        raise _non_finite("derivative", t + half, x3)
+    x4 = tuple([xi + dt * ki for xi, ki in zip(x, k3)])
+    k4 = stage(x4, a_end, d_end)
+    if not all(map(isfinite, k4)):
+        raise _non_finite("derivative", t + dt - 1e-9 * dt, x4)
+    sixth = dt / 6.0
+    x_next = tuple([xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+                    for xi, a, b, c, d in zip(x, k1, k2, k3, k4)])
+    # finite stages can still overflow in the weighted sum
+    if not all(map(isfinite, x_next)):
+        raise _non_finite("state", t + dt, x_next)
+    return x_next
+
+
 def rk4_step(
     field: Callable[[tuple, float, float], tuple],
     controller: Callable[[tuple, float], float],
@@ -271,7 +323,8 @@ def rk4_step(
     scalar input channel w = u + d, returned as a tuple of floats like the
     state.  ``u0``, if given, is the controller output k(x, t) already
     computed by the caller; stage 1 then uses it instead of evaluating the
-    controller again.
+    controller again.  The stages are ``rk4_stages``, whose stage times this
+    adapter passes on in place of time-signal values.
 
     The end stage samples time signals just inside the step: piecewise
     signals with breakpoints on the step grid must resolve to the piece
@@ -279,38 +332,20 @@ def rk4_step(
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    isfinite = math.isfinite
-    half = 0.5 * dt
-    t_mid = t + half
-    t_end = t + dt - 1e-9 * dt
     if u0 is None:
         u0 = controller(x, t)
     k1 = field(x, t, u0 + disturbance(t))
-    if not all(map(isfinite, k1)):
-        raise _non_finite("derivative", t, x)
-    x2 = tuple([xi + half * ki for xi, ki in zip(x, k1)])
-    u2 = controller(x2, t_mid)
-    # stages 2 and 3 share this sample; it is taken after stage 2's controller
-    # call, so an error from the controller at t_mid still surfaces first
-    d_mid = disturbance(t_mid)
-    k2 = field(x2, t_mid, u2 + d_mid)
-    if not all(map(isfinite, k2)):
-        raise _non_finite("derivative", t_mid, x2)
-    x3 = tuple([xi + half * ki for xi, ki in zip(x, k2)])
-    k3 = field(x3, t_mid, controller(x3, t_mid) + d_mid)
-    if not all(map(isfinite, k3)):
-        raise _non_finite("derivative", t_mid, x3)
-    x4 = tuple([xi + dt * ki for xi, ki in zip(x, k3)])
-    k4 = field(x4, t_end, controller(x4, t_end) + disturbance(t_end))
-    if not all(map(isfinite, k4)):
-        raise _non_finite("derivative", t_end, x4)
-    sixth = dt / 6.0
-    x_next = tuple([xi + sixth * (a + 2.0 * b + 2.0 * c + d)
-                    for xi, a, b, c, d in zip(x, k1, k2, k3, k4)])
-    # finite stages can still overflow in the weighted sum
-    if not all(map(isfinite, x_next)):
-        raise _non_finite("state", t + dt, x_next)
-    return x_next
+    samples = {}
+
+    def stage(xs, ts, _):
+        u = controller(xs, ts)
+        # stages 2 and 3 share one sample, taken after stage 2's controller
+        # call, so an error from the controller at t + dt/2 surfaces first
+        if ts not in samples:
+            samples[ts] = disturbance(ts)
+        return field(xs, ts, u + samples[ts])
+
+    return rk4_stages(stage, x, t, dt, k1, t + 0.5 * dt, None, t + dt - 1e-9 * dt, None)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +405,9 @@ class Scenario:
 class ScenarioResult:
     """Time-indexed closed-loop log plus summary metrics.
 
-    The h column is the barrier re-evaluated at the logged states, so it can
-    always be recomputed from the state log alone.
+    The h column is the barrier value the filter computed at each logged
+    state; it equals h(x), so it can always be recomputed from the state log
+    alone.
     """
 
     name: str
@@ -421,12 +457,17 @@ def step_count(horizon: float, dt: float) -> int:
     return int(math.floor(horizon / dt + 1e-9))
 
 
-# The maps below give the closed loop on tuples of floats: the field
-# f(x, t) + g(x, t) w, the nominal and applied inputs k(x, t), the barrier
-# value h(x, t), and the state clamp (or None).
+# Each plant gives its closed loop as two float closures over a state tuple x,
+# the leader acceleration a (None for the pendulum) and the disturbance d:
+#   row(x, a, d) -> (u_nom, u, h, k), for a logged state: the nominal and
+#       applied inputs, the barrier value and the RK4 stage-1 derivative, from
+#       one barrier and one nominal evaluation;
+#   stage(x, a, d) -> k, the derivative f(x) + g(x) (k(x) + d) at an RK4
+#       stage; a nominal stage does not evaluate the barrier;
+# plus the state clamp (or None).
 
 
-def _pendulum_maps(scn: Scenario):
+def _pendulum_loop(scn: Scenario):
     p = scn.pendulum
     g_over_l = p.gravity / p.length
     g_entry = 1.0 / (p.mass * p.length * p.length)  # pendulum_dynamics' actuation
@@ -434,60 +475,73 @@ def _pendulum_maps(scn: Scenario):
     barrier = pendulum_barrier_core(p)
     nominal = pendulum_nominal_core(p)
 
-    def field(x, t, w):
-        th, om = x
-        return (om, g_over_l * sin(th) + g_entry * w)
-
-    def u_nominal(x, t):
-        return nominal(*x)
-
+    # sin(theta) is shared by the barrier, the nominal input and the dynamics
     if scn.controller == "nominal":
-        u_control = u_nominal
+        def inputs(th, om, s):
+            u = nominal(th, om, s)
+            return u, u, barrier(th, om, s)[0]
+
+        def stage(x, a, d):
+            th, om = x
+            s = sin(th)
+            return (om, g_over_l * s + g_entry * (nominal(th, om, s) + d))
     else:
         alpha_c = p.alpha_c
         epsilon = scn.epsilon if scn.controller == "issf" else None
 
-        def u_control(x, t):
-            th, om = x
-            h, lf_h, lg_h = barrier(th, om)
-            u = nominal(th, om)
+        def inputs(th, om, s):
+            h, lf_h, lg_h = barrier(th, om, s)
+            u = nominal(th, om, s)
             # filter_gain by its module-level name, so wrappers of it see every call
             gain = filter_gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h, epsilon)
-            if gain <= 0.0:
-                return u
-            return u + gain * lg_h
+            return u, (u if gain <= 0.0 else u + gain * lg_h), h
 
-    def h_of(x, t):
-        return barrier(*x)[0]
+        def stage(x, a, d):
+            th, om = x
+            s = sin(th)
+            return (om, g_over_l * s + g_entry * (inputs(th, om, s)[1] + d))
 
-    return field, u_nominal, u_control, h_of, None
+    def row(x, a, d):
+        th, om = x
+        s = sin(th)
+        u_nom, u, h = inputs(th, om, s)
+        return u_nom, u, h, (om, g_over_l * s + g_entry * (u + d))
+
+    return row, stage, None
 
 
-def _truck_maps(scn: Scenario):
-    # the truck functions are called by their module-level names, so
-    # wrappers of them see every call
+def _truck_loop(scn: Scenario):
+    # the plant cores by their module-level names, so wrappers of them see
+    # every closure built here
     p = scn.truck
-    accel = scn.leader.accel
-
-    def field(x, t, w):
-        return (x[2] - x[1], w, accel(t))
-
-    def u_nominal(x, t):
-        return truck_nominal(p, *x)
-
     if scn.controller == "nominal":
-        u_control = u_nominal
-    elif scn.controller == "cbf":
-        def u_control(x, t):
-            return truck_safe_filter(p, *x, accel(t))
+        # the plain filter core gives the row's u_nom and h; its filtered
+        # input is not used
+        inputs = truck_filter_core(p)
+        nominal = truck_nominal_core(p)
+
+        def row(x, a, d):
+            d_gap, v, v_l = x
+            u, _, h = inputs(d_gap, v, v_l, a)
+            return u, u, h, (v_l - v, u + d, a)
+
+        def stage(x, a, d):
+            d_gap, v, v_l = x
+            return (v_l - v, nominal(d_gap, v, v_l) + d, a)
     else:
-        eps0, lam = scn.epsilon.eps0, scn.epsilon.lam
+        if scn.controller == "cbf":
+            inputs = truck_filter_core(p)
+        else:
+            inputs = truck_filter_core(p, scn.epsilon.eps0, scn.epsilon.lam)
 
-        def u_control(x, t):
-            return truck_robust_filter(p, *x, accel(t), eps0, lam)
+        def row(x, a, d):
+            d_gap, v, v_l = x
+            u_nom, u, h = inputs(d_gap, v, v_l, a)
+            return u_nom, u, h, (v_l - v, u + d, a)
 
-    def h_of(x, t):
-        return x[0] - truck_headway(p, x[1], x[2])
+        def stage(x, a, d):
+            d_gap, v, v_l = x
+            return (v_l - v, inputs(d_gap, v, v_l, a)[1] + d, a)
 
     def clamp(x, counts):
         # vehicles do not reverse; see _CLAMP_LOG_TOL for why tiny
@@ -503,22 +557,45 @@ def _truck_maps(scn: Scenario):
             v_l = 0.0
         return (d_gap, v, v_l)
 
-    return field, u_nominal, u_control, h_of, clamp
+    return row, stage, clamp
+
+
+def _stage_samples(scn: Scenario, t_rows: np.ndarray, last: bool) -> tuple:
+    """The leader acceleration and the disturbance at the stage times of a
+    block of logged times, as lists: (a, d) at each t_k, at t_k + dt/2 and
+    just inside the step's end.  ``last`` marks a block that ends with the
+    final row, which starts no step; its mid and end entries are None.
+
+    The times are the floats ``rk4_step`` uses, and they are sampled in the
+    order a step-by-step run would query them, so an out-of-domain signal
+    reports the same first time.
+    """
+    dt = scn.dt
+    times = np.column_stack([t_rows, t_rows + 0.5 * dt, t_rows + dt - 1e-9 * dt]).ravel()
+    if last:
+        times = times[:-2]
+    if scn.plant == "truck":
+        accel = scn.leader.accel
+        a = [accel(t) for t in times.tolist()]
+    else:
+        a = [None] * times.size
+    d = scn.disturbance.sample(times).tolist()
+    if last:
+        a += [None, None]
+        d += [None, None]
+    return a[0::3], d[0::3], a[1::3], d[1::3], a[2::3], d[2::3]
 
 
 def run_scenario(scn: Scenario) -> ScenarioResult:
     """Integrate a scenario and log (t, state, u_nom, u_filt, d, h) per step."""
     if scn.plant == "pendulum":
-        field, u_nominal, u_control, h_of, clamp = _pendulum_maps(scn)
+        row, stage, clamp = _pendulum_loop(scn)
         labels, alpha_c = PENDULUM_STATE_LABELS, scn.pendulum.alpha_c
     else:
-        field, u_nominal, u_control, h_of, clamp = _truck_maps(scn)
+        row, stage, clamp = _truck_loop(scn)
         labels, alpha_c = TRUCK_STATE_LABELS, scn.truck.alpha_c
 
     x = tuple(state_vector(scn.x0, dim=len(labels)).tolist())
-    if h_of(x, 0.0) < 0.0:
-        warnings.warn(f"scenario {scn.name!r}: initial state is outside the safe set")
-
     dt = scn.dt
     n_steps = scn.n_steps
     time = np.arange(n_steps + 1) * dt
@@ -529,19 +606,25 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     h_log = np.empty(n_steps + 1)
     clamp_counts = {label: 0 for label in labels[1:]} if clamp else {}
 
-    disturbance = scn.disturbance
-    for k in range(n_steps + 1):
-        t = k * dt  # the float time[k] holds
-        states[k] = x
-        u_nom[k] = u_nominal(x, t)
-        u = u_control(x, t)
-        u_filt[k] = u
-        d_log[k] = disturbance(t)
-        h_log[k] = h_of(x, t)
-        if k < n_steps:
+    for start in range(0, n_steps + 1, _SAMPLE_BLOCK_STEPS):
+        stop = min(start + _SAMPLE_BLOCK_STEPS, n_steps + 1)
+        t_rows = time[start:stop]
+        samples = _stage_samples(scn, t_rows, stop == n_steps + 1)
+        for k, t, a, d, a_mid, d_mid, a_end, d_end in zip(
+                range(start, stop), t_rows.tolist(), *samples):
+            u_nom_k, u, h, k1 = row(x, a, d)
+            states[k] = x
+            u_nom[k] = u_nom_k
+            u_filt[k] = u
+            d_log[k] = d
+            h_log[k] = h
+            if k == 0 and h < 0.0:
+                warnings.warn(f"scenario {scn.name!r}: initial state is outside the safe set")
+            if k == n_steps:
+                break
             try:
-                # rk4_step by its module-level name, so wrappers of it see every step
-                x = rk4_step(field, u_control, disturbance, x, t, dt, u0=u)
+                # rk4_stages by its module-level name, so wrappers of it see every step
+                x = rk4_stages(stage, x, t, dt, k1, a_mid, d_mid, a_end, d_end)
             except SimulationError as err:
                 wrapped = SimulationError(
                     f"scenario {scn.name!r} failed at t={t:g}: {err}",

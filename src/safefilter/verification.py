@@ -22,12 +22,25 @@ from .core import BarrierEvaluation, ControlAffineDynamics
 from .plants import TruckParams, truck_headway
 
 __all__ = [
+    "MAX_GRID_CELLS",
     "CertificationReport",
     "certify_pendulum",
     "certify_truck_grid",
     "gradient_consistency",
     "truck_margin_table",
 ]
+
+# Most cells one scan may evaluate: grid[0] * grid[1] truck grid points, or
+# pendulum samples.  A truck certify run (the scan, then its margin table and
+# CSV) peaks at about 100 bytes a cell, so the cap bounds one at about 0.4 GB;
+# the 500 x 500 grid of the benchmark's design workload is 1/16 of it.
+MAX_GRID_CELLS = 4_000_000
+
+
+def _check_cells(cells: int, what: str) -> None:
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"{what} gives {cells} cells, more than "
+                         f"MAX_GRID_CELLS = {MAX_GRID_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,7 @@ def certify_pendulum(
         raise ValueError(f"theta_range must be a finite interval, got {theta_range}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    _check_cells(samples, f"samples = {samples}")
 
     theta = np.linspace(lo, hi, samples)
     if cross_term:
@@ -107,6 +121,7 @@ def _truck_margin_grid(p, alpha_c, d_range, vl_range, grid, a_l_bounds):
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 2 or ny < 2:
         raise ValueError(f"grid must have at least 2 points per axis, got {grid}")
+    _check_cells(nx * ny, f"grid {grid}")
     a_lo, a_hi = float(a_l_bounds[0]), float(a_l_bounds[1])
     if a_lo > a_hi:
         raise ValueError(f"a_l_bounds must be ordered, got {a_l_bounds}")

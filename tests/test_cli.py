@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from safefilter.cli import (
     parse_config,
     resolve_preset,
 )
+from safefilter.verification import MAX_GRID_CELLS
 
 SIMULATABLE_PRESETS = [name for name, doc in SCENARIO_PRESETS.items() if "sweep" not in doc]
 
@@ -302,12 +304,37 @@ _BRAKE = {"kind": "hard_brake", "t_brake": 1.0, "a_peak": -8.0, "duration": 2.0}
                "sweep": {"eps0_grid": [0.5], "lambda_grid": [0.0, None]}}),
     ("hstar", {"plant": "pendulum", "issf": {**_ISSF, "lam": -1.0}}),
     ("simulate", {"plant": "pendulum", "horizon": 1e12, "dt": 1e-6}),  # > MAX_STEPS
+    ("simulate", {"plant": "pendulum", "initial_state": [0.0, 1e155]}),  # h(x0) overflows
+    ("certify", {"plant": "truck", "certify": {"grid": [100000, 100000]}}),  # > MAX_GRID_CELLS
+    ("certify", {"plant": "pendulum", "certify": {"samples": 10**9}}),  # > MAX_GRID_CELLS
 ])
 def test_malformed_config_exits_2_without_traceback(command, doc, tmp_path, capsys):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(doc))
     assert main([command, "--config", str(config_path), "--out", str(tmp_path)]) == 2
     assert "config error: $." in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plant,certify,where", [
+    ("truck", {"grid": [100000, 100000]}, "grid"),
+    ("pendulum", {"samples": MAX_GRID_CELLS + 1}, "samples"),
+])
+def test_certify_beyond_max_grid_cells_exits_2_without_allocating(
+        plant, certify, where, tmp_path, capsys):
+    config_path = tmp_path / "big.json"
+    config_path.write_text(json.dumps({"plant": plant, "certify": certify}))
+    tracemalloc.start()
+    try:
+        code = main(["certify", "--config", str(config_path), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"config error: $.certify.{where}" in capsys.readouterr().err
+    assert peak < 1 << 20
+    # the design workload's 500 x 500 truck grid fits well inside the cap
+    assert 16 * 500 * 500 <= MAX_GRID_CELLS
+    parse_config({"plant": plant, "certify": {"grid": [2000, 2000], "samples": MAX_GRID_CELLS}})
 
 
 def test_overflowing_run_exits_3_with_partial_log(tmp_path):

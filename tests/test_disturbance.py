@@ -175,3 +175,56 @@ def test_zero_disturbance():
     d = zero_disturbance()
     assert d(123.4) == 0.0
     assert d.bound == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Sampling on arrays of times
+# ---------------------------------------------------------------------------
+
+
+def _with_neighbours(points):
+    """Each point and the floats just below and above it."""
+    return np.array([v for p in points
+                     for v in (np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf))])
+
+
+def _signals(tmp_path):
+    knots = [0.0, 0.5, 1.25, 3.0, 4.0]
+    values = [0.3, -1.2, 0.0, 2.5, -0.7]
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("t,d\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(knots, values)))
+    # a lag residual with nonzero slopes between its knots
+    lag_t = np.linspace(0.0, 4.0, 41)
+    lag = lag_residual(lag_t, np.sin(3.0 * lag_t) + (lag_t > 1.0), 0.6)
+    edges = _with_neighbours(knots)
+    return {
+        "zero": (zero_disturbance(), np.concatenate([edges, [7.3, 1e9]])),
+        "pulse": (heaviside_pulse(0.75),
+                  np.concatenate([_with_neighbours([0.0, 5.0, 10.0, 15.0]), [2.0, 20.0]])),
+        "sampled": (sampled_disturbance(knots, values), edges[1:-1]),
+        "csv": (disturbance_from_csv(csv_path), edges[1:-1]),
+        "lag_residual": (lag, np.concatenate([_with_neighbours(lag_t)[1:-1],
+                                              np.linspace(0.0, 4.0, 97)])),
+    }
+
+
+@pytest.mark.parametrize("kind", ["zero", "pulse", "sampled", "csv", "lag_residual"])
+def test_sample_equals_scalar_calls_bit_for_bit(kind, tmp_path):
+    signal, times = _signals(tmp_path)[kind]
+    scalar = np.array([signal(t) for t in times.tolist()])
+    sampled = signal.sample(times)
+    assert sampled.dtype == np.float64 and sampled.shape == times.shape
+    assert sampled.tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["sampled", "csv", "lag_residual"])
+def test_sample_out_of_domain_raises_the_scalar_error_for_the_first_time(kind, tmp_path):
+    signal, _ = _signals(tmp_path)[kind]
+    below = np.nextafter(0.0, -np.inf)
+    above = np.nextafter(4.0, np.inf)
+    for times, first in (([1.0, above, below], above), ([below, 2.0, above], below)):
+        with pytest.raises(SignalDomainError) as scalar:
+            signal(first)
+        with pytest.raises(SignalDomainError) as sampled:
+            signal.sample(np.array(times))
+        assert str(sampled.value) == str(scalar.value)

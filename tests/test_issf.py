@@ -269,3 +269,23 @@ def test_robust_pendulum_filter_gives_an_infinite_input_where_eps_vanishes():
     assert filt.epsilon(pendulum_barrier(P)(x).h) == 0.0
     assert filt.correction_gain(x) == math.inf
     assert np.isinf(filt.filter(x)).all()
+
+
+def test_robust_admissibility_takes_the_limits_of_1_over_eps():
+    # where eps(h) underflows to 0 the tightening s/eps(h) is infinite, so no
+    # finite input is admissible
+    filt = pendulum_issf_filter(P, EpsilonFunction(0.5, 12.0))
+    x = np.array([0.1, 20.0])
+    assert filt.epsilon(pendulum_barrier(P)(x).h) == 0.0
+    for u in (-1e6, 0.0, 1e6):
+        assert not filt.in_admissible_set(x, np.array([u]))
+    # where eps(h) overflows the tightening vanishes: the plain constraint
+    robust = pendulum_issf_filter(P, EpsilonFunction(0.5, 1000.0))
+    plain = pendulum_cbf_filter(P)
+    x = np.array([0.05, 0.0])   # h = 0.96, lg_h = -0.2
+    with pytest.raises(OverflowError):
+        robust.epsilon(pendulum_barrier(P)(x).h)
+    boundary = float(plain.filter(np.array([0.05, 0.0]))[0])
+    for u in (boundary - 1.0, boundary, boundary + 1.0, 1e6):
+        u = np.array([u])
+        assert robust.in_admissible_set(x, u) == plain.in_admissible_set(x, u)

@@ -25,6 +25,8 @@ from safefilter import (
     truck_robust_filter,
     truck_safe_filter,
 )
+from safefilter.cbf import LG_ZERO_TOL
+from safefilter.plants import truck_filter_core
 
 P = PendulumParams()
 T = TruckParams()
@@ -157,6 +159,44 @@ def test_nominal_controller_values():
     assert truck_nominal(T, 27.4, 16.0, 16.0) == pytest.approx(0.768, abs=1e-9)
     # leader stopped inside the stopping distance: both terms brake
     assert truck_nominal(T, 3.0, 5.0, 0.0) < 0.0
+
+
+def _policy_nominal(d, v, v_l):
+    return (T.gain_range * (range_policy(T, d) - v)
+            + T.gain_speed * (speed_policy(T, v_l) - v))
+
+
+def test_nominal_is_the_policy_composition_bit_for_bit():
+    # truck_nominal's float core writes the two policies out inline
+    def around(p):
+        return (math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf))
+
+    for d in (-1.0, 0.0, *around(T.d_st), 17.3, *around(T.d_go), 80.0):
+        for v in (0.0, 12.5):
+            for v_l in (0.0, 9.1, *around(T.v_bar_l), 30.0):
+                assert truck_nominal(T, d, v, v_l).hex() == _policy_nominal(d, v, v_l).hex()
+
+
+@given(state=truck_box)
+@settings(max_examples=200)
+def test_filter_core_matches_the_barrier_evaluation_bit_for_bit(state):
+    # the core's inline barrier terms and min/max form against truck_barrier
+    # and the policy composition, with and without the robust tightening
+    d, v, v_l, a_l = state
+    be = truck_barrier(T, a_l)(np.array([d, v, v_l]))
+    lg_h = float(be.lg_h[0])
+    u_nom = _policy_nominal(d, v, v_l)
+    for eps in (None, EpsilonFunction(T.eps0, T.lam)):
+        u_safe = -(be.lf_h + T.alpha_c * be.h) / lg_h
+        core = truck_filter_core(T)
+        if eps is not None:
+            u_safe = u_safe + lg_h / eps(be.h)
+            core = truck_filter_core(T, eps.eps0, eps.lam)
+        if abs(lg_h) <= LG_ZERO_TOL:
+            u = u_nom
+        else:
+            u = min(u_nom, u_safe) if lg_h < 0.0 else max(u_nom, u_safe)
+        assert [r.hex() for r in core(d, v, v_l, a_l)] == [u_nom.hex(), u.hex(), be.h.hex()]
 
 
 def test_truck_params_consistency_enforced():

@@ -2,9 +2,10 @@
 
 ``run_scenario`` integrates on tuples of floats; the reference loop in
 ``helpers`` steps numpy arrays through the public plant and filter API.  The
-simulator also shares evaluations that the reference makes separately: the
-logged controller output is RK4 stage 1, and stages 2 and 3 share one
-disturbance sample.  Every logged value must stay bit-identical.
+simulator also shares evaluations that the reference makes separately: one
+barrier and one nominal evaluation give the logged row and RK4 stage 1, and
+the disturbance is sampled once per distinct stage time.  Every logged value
+must stay bit-identical.
 """
 
 import dataclasses
@@ -98,6 +99,14 @@ def test_zoh_rollouts_match_reference_bit_for_bit(plant, controller, seed):
     _assert_same_log(run_scenario(scn), reference_run(scn))
 
 
+@pytest.mark.parametrize("plant", ["pendulum", "truck"])
+def test_stage_times_match_reference_at_a_finer_step(plant):
+    # at dt = 0.001, unlike at 0.01, regrouping t + dt - 1e-9 dt changes the
+    # float at some steps: the sampled stage times must be rk4_step's floats
+    scn = dataclasses.replace(_rollout(plant, "cbf", seed=3), dt=0.001)
+    _assert_same_log(run_scenario(scn), reference_run(scn))
+
+
 def _counted(calls, key, fn):
     def wrapper(*args, **kwargs):
         calls[key] += 1
@@ -106,22 +115,28 @@ def _counted(calls, key, fn):
     return wrapper
 
 
+def _count_closures(monkeypatch, module, name, calls, key):
+    """Count every call of the closures that the factory ``module.name`` builds."""
+    factory = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: _counted(calls, key, factory(*args)))
+
+
 @pytest.mark.parametrize("plant", ["pendulum", "truck"])
 @pytest.mark.parametrize("controller", ["nominal", "cbf", "issf"])
-def test_four_controller_and_disturbance_calls_per_step(plant, controller, monkeypatch):
+def test_four_controller_four_nominal_and_three_disturbance_calls_per_step(
+        plant, controller, monkeypatch):
     calls = Counter()
-    # the filters, wherever the simulator reaches them: the shared gain for
-    # the pendulum, the truck's own scalar filters
-    monkeypatch.setattr(sim, "filter_gain", _counted(calls, "filter", sim.filter_gain))
-    for name in ("truck_safe_filter", "truck_robust_filter"):
-        monkeypatch.setattr(sim, name, _counted(calls, "filter", getattr(sim, name)))
-    # the nominal controller, in sim and inside the truck filters in plants
-    monkeypatch.setattr(plants, "truck_nominal",
-                        _counted(calls, "nominal", plants.truck_nominal))
-    monkeypatch.setattr(sim, "truck_nominal", plants.truck_nominal)
-    factory = plants.pendulum_nominal_core
-    monkeypatch.setattr(sim, "pendulum_nominal_core",
-                        lambda p: _counted(calls, "nominal", factory(p)))
+    # the barrier: the pendulum's float core, and the truck's filter core,
+    # which evaluates the barrier inside
+    _count_closures(monkeypatch, sim, "pendulum_barrier_core", calls, "barrier")
+    _count_closures(monkeypatch, sim, "truck_filter_core", calls, "barrier")
+    # the nominal input, in sim and inside the truck filter core in plants
+    _count_closures(monkeypatch, sim, "pendulum_nominal_core", calls, "nominal")
+    for module in (sim, plants):
+        _count_closures(monkeypatch, module, "truck_nominal_core", calls, "nominal")
+    monkeypatch.setattr(sim, "filter_gain", _counted(calls, "gain", sim.filter_gain))
+    monkeypatch.setattr(sim, "rk4_stages", _counted(calls, "step", sim.rk4_stages))
 
     scn = _rollout(plant, controller, seed=5)
     signal = scn.disturbance
@@ -130,10 +145,29 @@ def test_four_controller_and_disturbance_calls_per_step(plant, controller, monke
     result = run_scenario(scn)
 
     n_steps = result.time.size - 1
-    # per step: the logged row (= RK4 stage 1) and stages 2, 3 and 4
-    controller_calls = calls["filter"] if controller != "nominal" else (
-        calls["nominal"] - result.time.size)  # minus the u_nom column
-    assert controller_calls == 4 * n_steps + 1
-    assert calls["d"] == 4 * n_steps + 1
-    # the u_nom column plus one inside every controller call
-    assert calls["nominal"] == 5 * n_steps + 2
+    assert calls["step"] == n_steps
+    # per step: the logged row, which is RK4 stage 1, and stages 2, 3 and 4;
+    # each controller evaluation evaluates the nominal input once
+    assert calls["nominal"] == 4 * n_steps + 1
+    # per step: t, t + dt/2 (shared by stages 2 and 3) and the step's end
+    assert calls["d"] == 3 * n_steps + 1
+    if controller == "nominal":
+        # only the logged row evaluates the barrier
+        assert calls["barrier"] == n_steps + 1
+    else:
+        assert calls["barrier"] == 4 * n_steps + 1
+    # the pendulum filter's shared gain, once per filter evaluation
+    filtered_pendulum = plant == "pendulum" and controller != "nominal"
+    assert calls["gain"] == (4 * n_steps + 1 if filtered_pendulum else 0)
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "truck"])
+@pytest.mark.parametrize("block", [1, 2, 7, 300, 301])
+def test_sample_blocks_do_not_change_the_log(plant, block, monkeypatch):
+    # 301 rows: blocks that divide them and blocks that do not, 300 leaves
+    # the final row alone in the last block, 301 holds the whole run
+    scn = _rollout(plant, "issf", seed=3)
+    assert scn.n_steps == 300
+    expected = run_scenario(scn)
+    monkeypatch.setattr(sim, "_SAMPLE_BLOCK_STEPS", block)
+    _assert_same_log(run_scenario(scn), {c: getattr(expected, c) for c in LOG_COLUMNS})

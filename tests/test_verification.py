@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from safefilter import (
     truck_dynamics,
     truck_headway,
 )
+from safefilter.verification import MAX_GRID_CELLS
 
 P = PendulumParams()
 T = TruckParams()
@@ -131,6 +134,19 @@ def test_grid_validation():
         certify_truck_grid(T, grid=(1, 200))
     with pytest.raises(ValueError):
         certify_truck_grid(T, a_l_bounds=(5.0, -10.0))
+
+
+def test_scans_beyond_max_grid_cells_are_rejected_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_GRID_CELLS"):
+            certify_truck_grid(T, grid=(100000, 100000))
+        with pytest.raises(ValueError, match="MAX_GRID_CELLS"):
+            certify_pendulum(P.a, P.b, P.alpha_c, samples=MAX_GRID_CELLS + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
