@@ -4,7 +4,16 @@ Commands: ``certify`` (barrier certification reports), ``hstar`` (degraded
 safety level for one parameter set), ``simulate`` (scenario trajectories +
 metrics), ``sweep`` (h* over an (eps0, lambda) grid).  Scenarios are JSON
 documents, one per file; named presets are embedded and dumpable via
-``--dump-preset``.  Unknown config keys are rejected.
+``--dump-preset``.
+
+The spec dataclasses (``Config`` and its sections) are the config schema: a
+field's name is its JSON key, its annotation the value's type and its default
+what a document may leave out.  A disturbance or leader spec names its kind
+in the ClassVar ``kind``, and a Union of them is chosen by the "kind" key.
+``parse_config`` decodes a document with one walk over the fields, which
+rejects unknown keys and checks each value against its annotation, and then
+runs the checks that span several fields.  ``config_to_dict`` walks the
+fields the other way, so ``parse_config(config_to_dict(cfg)) == cfg``.
 
 Exit codes: 0 success/pass, 1 usage error or failed certification,
 2 validation error, 3 runtime (integration/root-solve) failure.
@@ -14,12 +23,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
-from typing import Optional
+from types import UnionType
+from typing import ClassVar, Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 from .core import SignalDomainError, linear_class_kappa
 from .disturbance import (
@@ -64,11 +75,10 @@ class ConfigError(ValueError):
 # Presets
 # ---------------------------------------------------------------------------
 
-# Parameter-set presets, loadable in a config as {"params": {"preset": <name>}}.
+# Parameter-set presets by plant, loadable in a config as {"params": {"preset": <name>}}.
 PARAM_PRESETS = {
-    # published controller-design table for the truck case study
-    "paper-table-2": {"plant": "truck", "values": {}},
-    "pendulum-default": {"plant": "pendulum", "values": {}},
+    "paper-table-2": "truck",  # published controller-design table for the truck case study
+    "pendulum-default": "pendulum",
 }
 
 _PENDULUM_X0 = (-0.1, 0.5)
@@ -179,8 +189,9 @@ SCENARIO_PRESETS = {
 
 @dataclass(frozen=True)
 class ParamsSpec:
-    preset: Optional[str] = None
-    overrides: tuple = ()  # sorted (key, value) pairs
+    # a null preset has always meant none
+    preset: Optional[str] = field(default=None, metadata={"nullable": True})
+    overrides: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -191,69 +202,89 @@ class IssfSpec:
 
 
 @dataclass(frozen=True)
-class DisturbanceSpec:
-    kind: str
-    amplitude: Optional[float] = None
-    tau: Optional[float] = None
-    path: Optional[str] = None
+class ZeroDisturbanceSpec:
+    kind: ClassVar[str] = "zero"
 
 
 @dataclass(frozen=True)
-class LeaderSpec:
-    kind: str
+class PulseDisturbanceSpec:
+    kind: ClassVar[str] = "heaviside_pulse"
+    amplitude: float
+
+
+@dataclass(frozen=True)
+class LagResidualSpec:
+    kind: ClassVar[str] = "lag_residual"
+    tau: float = 0.6
+
+
+@dataclass(frozen=True)
+class CsvDisturbanceSpec:
+    kind: ClassVar[str] = "csv"
+    path: str
+
+
+DisturbanceSpec = Union[ZeroDisturbanceSpec, PulseDisturbanceSpec, LagResidualSpec,
+                        CsvDisturbanceSpec]
+
+
+@dataclass(frozen=True)
+class ConstantLeaderSpec:
+    kind: ClassVar[str] = "constant"
     v0: float
-    t_brake: Optional[float] = None
-    a_peak: Optional[float] = None
-    duration: Optional[float] = None
-    path: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class HardBrakeLeaderSpec:
+    kind: ClassVar[str] = "hard_brake"
+    v0: float
+    t_brake: float
+    a_peak: float
+    duration: float
+
+
+@dataclass(frozen=True)
+class CsvLeaderSpec:
+    kind: ClassVar[str] = "csv"
+    path: str
+    v0: float
+
+
+LeaderSpec = Union[ConstantLeaderSpec, HardBrakeLeaderSpec, CsvLeaderSpec]
 
 
 @dataclass(frozen=True)
 class CertifySpec:
-    theta_range: tuple = (-3.141592653589793, 3.141592653589793)
+    theta_range: tuple[float, float] = (-3.141592653589793, 3.141592653589793)
     samples: int = 2001
     cross_term: bool = True
-    d_range: tuple = (0.0, 100.0)
-    vl_range: tuple = (0.0, 20.0)
-    grid: tuple = (200, 200)
-    a_l_bounds: Optional[tuple] = None
+    d_range: tuple[float, float] = (0.0, 100.0)
+    vl_range: tuple[float, float] = (0.0, 20.0)
+    grid: tuple[int, int] = (200, 200)
+    a_l_bounds: Optional[tuple[float, float]] = None
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    eps0_grid: tuple
-    lambda_grid: tuple
+    eps0_grid: tuple[float, ...]
+    lambda_grid: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class Config:
-    plant: str
+    plant: Literal["pendulum", "truck"]
     name: str = "scenario"
-    params: ParamsSpec = ParamsSpec()
-    controllers: tuple = ("cbf",)
+    params: ParamsSpec = field(default_factory=ParamsSpec)
+    controller: tuple[Literal["nominal", "cbf", "issf"], ...] = ("cbf",)
     issf: Optional[IssfSpec] = None
-    disturbance: DisturbanceSpec = DisturbanceSpec(kind="zero")
+    disturbance: DisturbanceSpec = ZeroDisturbanceSpec()
     leader: Optional[LeaderSpec] = None
-    initial_state: Optional[tuple] = None
+    initial_state: Optional[tuple[float, ...]] = None  # 2 or 3 entries, by plant
     horizon: Optional[float] = None
     dt: float = 0.01
     out_dir: str = "out"
     certify: CertifySpec = CertifySpec()
     sweep: Optional[SweepSpec] = None
-
-
-def _reject_unknown(doc: dict, allowed, path: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key {path}.{unknown[0]}")
-
-
-def _section(doc: dict, key: str, path: str, default=None) -> dict:
-    """A nested object of the config; any other JSON value is a ConfigError."""
-    value = doc.get(key, {} if default is None else default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}.{key} must be an object, got {value!r}")
-    return value
 
 
 def _check_timing(plant: str, dt: float, horizon: Optional[float],
@@ -266,278 +297,162 @@ def _check_timing(plant: str, dt: float, horizon: Optional[float],
         horizon = _DEFAULT_HORIZON[plant]
     if not (math.isfinite(horizon) and horizon >= dt):
         raise ConfigError(f"{horizon_path} must be finite and >= dt = {dt!r}, got {horizon!r}")
-    if step_count(horizon, dt) > MAX_STEPS:
+    # horizon / dt can overflow to inf, which step_count cannot floor
+    if horizon / dt > MAX_STEPS + 1 or step_count(horizon, dt) > MAX_STEPS:
         raise ConfigError(f"{horizon_path} must be at most MAX_STEPS = {MAX_STEPS} steps "
                           f"of dt = {dt!r}, got {horizon!r}")
 
 
-def _float(value, path: str) -> float:
-    """The one checked conversion of a config number: a finite JSON number."""
-    # a range test, not math.isfinite: it also rejects NaN and JSON integers
-    # too large for a float without raising OverflowError
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ConfigError(f"{path} must be a finite number, got {value!r}")
-    return float(value)
+@functools.cache
+def _schema(spec: type) -> tuple:
+    """A spec class's annotations by JSON key (a tagged spec's ``kind`` among them)
+    and its fields, resolved once: get_type_hints is slow next to a parse."""
+    return get_type_hints(spec), dataclasses.fields(spec)
 
 
-def _int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
+def _decode(spec: type, doc, path: str):
+    """A spec instance from a JSON object: unknown keys and missing required
+    fields are rejected, each given value is converted to its annotation."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must be an object, got {doc!r}")
+    hints, fields = _schema(spec)
+    unknown = [key for key in doc if key not in hints]
+    if unknown:
+        raise ConfigError(f"unknown key {path}.{min(unknown, key=str)}")
+    values = {}
+    for f in fields:
+        if f.name in doc:
+            if doc[f.name] is not None or not f.metadata.get("nullable"):
+                values[f.name] = _convert(hints[f.name], doc[f.name], f"{path}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key {path}.{f.name}")
+    return spec(**values)
+
+
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
+def _convert(annotation, value, path: str):
+    """A JSON value checked and converted to a schema annotation."""
+    if annotation is float:
+        # a range test, not math.isfinite: it also rejects NaN and JSON
+        # integers too large for a float without raising OverflowError
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(f"{path} must be a finite number, got {value!r}")
+        return float(value)
+    if annotation in (int, bool, str):
+        # bool is an int in Python but not in the schema
+        if not isinstance(value, annotation) or (annotation is int and isinstance(value, bool)):
+            raise ConfigError(f"{path} must be {_TYPE_NAMES[annotation]}, got {value!r}")
+        return value
+    if dataclasses.is_dataclass(annotation):
+        return _decode(annotation, value, path)
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is Literal:
+        if value not in args:  # compared, not hashed, so a list is no TypeError
+            raise ConfigError(f"{path} must be one of {', '.join(map(repr, args))}, got {value!r}")
+        return value
+    if origin is tuple:
+        # tuple[X, ...] is a non-empty list, tuple[X, Y] one of two entries
+        variadic = args[-1] is Ellipsis
+        if not isinstance(value, (list, tuple)) or not value \
+                or not (variadic or len(value) == len(args)):
+            size = "non-empty" if variadic else f"{len(args)}-element"
+            raise ConfigError(f"{path} must be a {size} list, got {value!r}")
+        item_types = args[:1] * len(value) if variadic else args
+        return tuple(_convert(item_type, item, f"{path}[{i}]")
+                     for i, (item_type, item) in enumerate(zip(item_types, value)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be an object, got {value!r}")
+        key_type, value_type = args
+        return {_convert(key_type, key, f"{path}.{key}"):
+                _convert(value_type, item, f"{path}.{key}") for key, item in value.items()}
+    if origin in (Union, UnionType):
+        # Optional[X] is X when given; a Union of specs is chosen by "kind"
+        specs = tuple(arg for arg in args if arg is not type(None))
+        if len(specs) == 1:
+            return _convert(specs[0], value, path)
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be an object, got {value!r}")
+        kind = value.get("kind")
+        for spec in specs:
+            if spec.kind == kind:
+                return _decode(spec, value, path)
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+    raise TypeError(f"no config conversion for {annotation!r}")
+
+
+def _encode(value):
+    """The JSON form of a spec value: fields that are not None, tuples as
+    lists and ``kind`` for a tagged spec."""
+    if dataclasses.is_dataclass(value):
+        doc = {"kind": value.kind} if hasattr(value, "kind") else {}
+        for f in dataclasses.fields(value):
+            item = getattr(value, f.name)
+            if item is not None:
+                doc[f.name] = _encode(item)
+        return doc
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
     return value
-
-
-def _number(doc: dict, key: str, path: str, default=None):
-    if key not in doc:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing key {path}.{key}")
-    return _float(doc[key], f"{path}.{key}")
-
-
-def _numbers(value, path: str, length: Optional[int] = None) -> tuple:
-    """A JSON list of finite numbers, of ``length`` entries if given, else non-empty."""
-    if not isinstance(value, (list, tuple)) or not value \
-            or (length is not None and len(value) != length):
-        size = f"{length}-element" if length is not None else "non-empty"
-        raise ConfigError(f"{path} must be a {size} list of numbers")
-    return tuple(_float(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
-def _pair(doc: dict, key: str, path: str, default):
-    if key not in doc:
-        return tuple(default)
-    return _numbers(doc[key], f"{path}.{key}", length=2)
 
 
 def parse_config(doc: dict, path: str = "$") -> Config:
     """Strictly parse a scenario document; unknown keys are rejected."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be an object")
-    _reject_unknown(doc, (
-        "name", "plant", "params", "controller", "issf", "disturbance",
-        "leader", "initial_state", "horizon", "dt", "out_dir", "certify", "sweep",
-    ), path)
+    if isinstance(doc, dict) and isinstance(doc.get("controller"), str):
+        doc = {**doc, "controller": [doc["controller"]]}  # "cbf" means ["cbf"]
+    cfg = _decode(Config, doc, path)
+    plant = cfg.plant
 
-    plant = doc.get("plant")
-    if plant not in ("pendulum", "truck"):
-        raise ConfigError(f"{path}.plant must be 'pendulum' or 'truck', got {plant!r}")
-    name = doc.get("name", "scenario")
-    if not isinstance(name, str) or not name:
+    # checks that span several fields
+    if not cfg.name:
         raise ConfigError(f"{path}.name must be a non-empty string")
-
-    params_doc = _section(doc, "params", path)
-    _reject_unknown(params_doc, ("preset", "overrides"), f"{path}.params")
-    preset = params_doc.get("preset")
+    preset = cfg.params.preset
     if preset is not None:
         if preset not in PARAM_PRESETS:
             raise ConfigError(f"{path}.params.preset: unknown preset {preset!r}")
-        if PARAM_PRESETS[preset]["plant"] != plant:
-            raise ConfigError(
-                f"{path}.params.preset: {preset!r} is a {PARAM_PRESETS[preset]['plant']} preset"
-            )
-    overrides_doc = params_doc.get("overrides", {})
-    if not isinstance(overrides_doc, dict):
-        raise ConfigError(f"{path}.params.overrides must be an object")
-    overrides = tuple(sorted((k, _float(v, f"{path}.params.overrides.{k}"))
-                             for k, v in overrides_doc.items()))
-    params = ParamsSpec(preset=preset, overrides=overrides)
-
-    controller = doc.get("controller", ["cbf"])
-    if isinstance(controller, str):
-        controller = [controller]
-    if not isinstance(controller, list) or not controller:
-        raise ConfigError(f"{path}.controller must be a string or non-empty list")
-    for c in controller:
-        if c not in ("nominal", "cbf", "issf"):
-            raise ConfigError(f"{path}.controller: unknown controller {c!r}")
-
-    issf = None
-    if "issf" in doc:
-        issf_doc = _section(doc, "issf", path)
-        _reject_unknown(issf_doc, ("eps0", "lam", "delta"), f"{path}.issf")
-        issf = IssfSpec(
-            eps0=_number(issf_doc, "eps0", f"{path}.issf"),
-            lam=_number(issf_doc, "lam", f"{path}.issf"),
-            delta=_number(issf_doc, "delta", f"{path}.issf"),
-        )
-    if "issf" in controller and issf is None:
+        if PARAM_PRESETS[preset] != plant:
+            raise ConfigError(f"{path}.params.preset: {preset!r} is a "
+                              f"{PARAM_PRESETS[preset]} preset")
+    if "issf" in cfg.controller and cfg.issf is None:
         raise ConfigError(f"{path}.issf is required when the issf controller is selected")
-
-    dist_doc = _section(doc, "disturbance", path, default={"kind": "zero"})
-    kind = dist_doc.get("kind")
-    if kind == "zero":
-        _reject_unknown(dist_doc, ("kind",), f"{path}.disturbance")
-        disturbance = DisturbanceSpec(kind="zero")
-    elif kind == "heaviside_pulse":
-        _reject_unknown(dist_doc, ("kind", "amplitude"), f"{path}.disturbance")
-        disturbance = DisturbanceSpec(
-            kind=kind, amplitude=_number(dist_doc, "amplitude", f"{path}.disturbance")
-        )
-    elif kind == "lag_residual":
-        _reject_unknown(dist_doc, ("kind", "tau"), f"{path}.disturbance")
-        disturbance = DisturbanceSpec(
-            kind=kind, tau=_number(dist_doc, "tau", f"{path}.disturbance", default=0.6)
-        )
-        if plant != "truck":
+    if plant != "truck":
+        if cfg.disturbance.kind == "lag_residual":
             raise ConfigError(
                 f"{path}.disturbance: lag_residual is synthesized from the truck "
                 f"braking command and needs plant = 'truck'"
             )
-    elif kind == "csv":
-        _reject_unknown(dist_doc, ("kind", "path"), f"{path}.disturbance")
-        if not isinstance(dist_doc.get("path"), str):
-            raise ConfigError(f"{path}.disturbance.path must be a string")
-        disturbance = DisturbanceSpec(kind=kind, path=dist_doc["path"])
-    else:
-        raise ConfigError(f"{path}.disturbance.kind: unknown kind {kind!r}")
-
-    leader = None
-    if "leader" in doc:
-        if plant != "truck":
+        if cfg.leader is not None:
             raise ConfigError(f"{path}.leader only applies to the truck plant")
-        lead_doc = _section(doc, "leader", path)
-        lkind = lead_doc.get("kind")
-        if lkind == "constant":
-            _reject_unknown(lead_doc, ("kind", "v0"), f"{path}.leader")
-            leader = LeaderSpec(kind=lkind, v0=_number(lead_doc, "v0", f"{path}.leader"))
-        elif lkind == "hard_brake":
-            _reject_unknown(lead_doc, ("kind", "v0", "t_brake", "a_peak", "duration"),
-                            f"{path}.leader")
-            leader = LeaderSpec(
-                kind=lkind,
-                v0=_number(lead_doc, "v0", f"{path}.leader"),
-                t_brake=_number(lead_doc, "t_brake", f"{path}.leader"),
-                a_peak=_number(lead_doc, "a_peak", f"{path}.leader"),
-                duration=_number(lead_doc, "duration", f"{path}.leader"),
-            )
-        elif lkind == "csv":
-            _reject_unknown(lead_doc, ("kind", "v0", "path"), f"{path}.leader")
-            if not isinstance(lead_doc.get("path"), str):
-                raise ConfigError(f"{path}.leader.path must be a string")
-            leader = LeaderSpec(kind=lkind, v0=_number(lead_doc, "v0", f"{path}.leader"),
-                                path=lead_doc["path"])
-        else:
-            raise ConfigError(f"{path}.leader.kind: unknown kind {lkind!r}")
-
-    initial_state = None
-    if "initial_state" in doc:
-        initial_state = _numbers(doc["initial_state"], f"{path}.initial_state",
-                                 length=2 if plant == "pendulum" else 3)
-
-    horizon = None
-    if "horizon" in doc:
-        horizon = _number(doc, "horizon", path)
-    dt = _number(doc, "dt", path, default=0.01)
-    _check_timing(plant, dt, horizon, f"{path}.dt", f"{path}.horizon")
-
-    out_dir = doc.get("out_dir", "out")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"{path}.out_dir must be a string")
-
-    certify_doc = _section(doc, "certify", path)
-    _reject_unknown(certify_doc, (
-        "theta_range", "samples", "cross_term", "d_range", "vl_range", "grid", "a_l_bounds",
-    ), f"{path}.certify")
-    samples = _int(certify_doc.get("samples", 2001), f"{path}.certify.samples")
+    n_states = 2 if plant == "pendulum" else 3
+    if cfg.initial_state is not None and len(cfg.initial_state) != n_states:
+        raise ConfigError(f"{path}.initial_state must be a {n_states}-element list")
+    _check_timing(plant, cfg.dt, cfg.horizon, f"{path}.dt", f"{path}.horizon")
+    samples, grid = cfg.certify.samples, cfg.certify.grid
     if samples > MAX_GRID_CELLS:
         raise ConfigError(f"{path}.certify.samples must be at most MAX_GRID_CELLS = "
                           f"{MAX_GRID_CELLS}, got {samples}")
-    cross_term = certify_doc.get("cross_term", True)
-    if not isinstance(cross_term, bool):
-        raise ConfigError(f"{path}.certify.cross_term must be a boolean")
-    grid = certify_doc.get("grid", [200, 200])
-    if not isinstance(grid, (list, tuple)) or len(grid) != 2:
-        raise ConfigError(f"{path}.certify.grid must be a 2-element list")
-    grid = tuple(_int(n, f"{path}.certify.grid[{i}]") for i, n in enumerate(grid))
     # checked before certification allocates its arrays of grid[0] * grid[1] cells
     if min(grid) > 0 and grid[0] * grid[1] > MAX_GRID_CELLS:
         raise ConfigError(f"{path}.certify.grid has {grid[0] * grid[1]} cells, more than "
                           f"MAX_GRID_CELLS = {MAX_GRID_CELLS}")
-    certify = CertifySpec(
-        theta_range=_pair(certify_doc, "theta_range", f"{path}.certify",
-                          CertifySpec.theta_range),
-        samples=samples,
-        cross_term=cross_term,
-        d_range=_pair(certify_doc, "d_range", f"{path}.certify", CertifySpec.d_range),
-        vl_range=_pair(certify_doc, "vl_range", f"{path}.certify", CertifySpec.vl_range),
-        grid=grid,
-        a_l_bounds=(_pair(certify_doc, "a_l_bounds", f"{path}.certify", (0, 0))
-                    if "a_l_bounds" in certify_doc else None),
-    )
-
-    sweep = None
-    if "sweep" in doc:
-        sweep_doc = _section(doc, "sweep", path)
-        _reject_unknown(sweep_doc, ("eps0_grid", "lambda_grid"), f"{path}.sweep")
-        sweep = SweepSpec(
-            eps0_grid=_numbers(sweep_doc.get("eps0_grid"), f"{path}.sweep.eps0_grid"),
-            lambda_grid=_numbers(sweep_doc.get("lambda_grid"), f"{path}.sweep.lambda_grid"),
-        )
-
-    return Config(
-        plant=plant, name=name, params=params, controllers=tuple(controller),
-        issf=issf, disturbance=disturbance, leader=leader,
-        initial_state=initial_state, horizon=horizon, dt=dt, out_dir=out_dir,
-        certify=certify, sweep=sweep,
-    )
+    return cfg
 
 
 def config_to_dict(cfg: Config) -> dict:
     """Serialize a config so parse_config(config_to_dict(cfg)) == cfg."""
-    doc = {
-        "name": cfg.name,
-        "plant": cfg.plant,
-        "params": {"overrides": dict(cfg.params.overrides)},
-        "controller": list(cfg.controllers),
-        "disturbance": {"kind": cfg.disturbance.kind},
-        "dt": cfg.dt,
-        "out_dir": cfg.out_dir,
-        "certify": {
-            "theta_range": list(cfg.certify.theta_range),
-            "samples": cfg.certify.samples,
-            "cross_term": cfg.certify.cross_term,
-            "d_range": list(cfg.certify.d_range),
-            "vl_range": list(cfg.certify.vl_range),
-            "grid": list(cfg.certify.grid),
-        },
-    }
-    if cfg.params.preset is not None:
-        doc["params"]["preset"] = cfg.params.preset
-    if cfg.disturbance.kind == "heaviside_pulse":
-        doc["disturbance"]["amplitude"] = cfg.disturbance.amplitude
-    elif cfg.disturbance.kind == "lag_residual":
-        doc["disturbance"]["tau"] = cfg.disturbance.tau
-    elif cfg.disturbance.kind == "csv":
-        doc["disturbance"]["path"] = cfg.disturbance.path
-    if cfg.issf is not None:
-        doc["issf"] = {"eps0": cfg.issf.eps0, "lam": cfg.issf.lam, "delta": cfg.issf.delta}
-    if cfg.leader is not None:
-        lead = {"kind": cfg.leader.kind, "v0": cfg.leader.v0}
-        if cfg.leader.kind == "hard_brake":
-            lead.update(t_brake=cfg.leader.t_brake, a_peak=cfg.leader.a_peak,
-                        duration=cfg.leader.duration)
-        elif cfg.leader.kind == "csv":
-            lead["path"] = cfg.leader.path
-        doc["leader"] = lead
-    if cfg.initial_state is not None:
-        doc["initial_state"] = list(cfg.initial_state)
-    if cfg.horizon is not None:
-        doc["horizon"] = cfg.horizon
-    if cfg.certify.a_l_bounds is not None:
-        doc["certify"]["a_l_bounds"] = list(cfg.certify.a_l_bounds)
-    if cfg.sweep is not None:
-        doc["sweep"] = {"eps0_grid": list(cfg.sweep.eps0_grid),
-                        "lambda_grid": list(cfg.sweep.lambda_grid)}
-    return doc
+    return _encode(cfg)
 
 
 def resolve_preset(name: str) -> dict:
     if name in SCENARIO_PRESETS:
         return json.loads(json.dumps(SCENARIO_PRESETS[name]))
     if name in PARAM_PRESETS:
-        return {"name": name, "plant": PARAM_PRESETS[name]["plant"],
-                "params": {"preset": name}}
+        return {"name": name, "plant": PARAM_PRESETS[name], "params": {"preset": name}}
     known = sorted(list(SCENARIO_PRESETS) + list(PARAM_PRESETS))
     raise ConfigError(f"unknown preset {name!r}; known presets: {', '.join(known)}")
 
@@ -548,11 +463,10 @@ def resolve_preset(name: str) -> dict:
 
 
 def build_params(cfg: Config):
-    values = dict(cfg.params.overrides)
     try:
         if cfg.plant == "pendulum":
-            return PendulumParams(**values)
-        return TruckParams(**values)
+            return PendulumParams(**cfg.params.overrides)
+        return TruckParams(**cfg.params.overrides)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid {cfg.plant} parameters: {err}") from err
 
@@ -612,7 +526,7 @@ def build_scenarios(cfg: Config):
         delta = cfg.issf.delta
 
     scenarios = []
-    for controller in cfg.controllers:
+    for controller in cfg.controller:
         try:
             scenario = Scenario(
                 name=f"{cfg.name}-{controller}",
@@ -777,32 +691,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args) -> Config:
-    if getattr(args, "config", None) and getattr(args, "preset", None):
+    if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as handle:
                 doc = json.load(handle)
         except OSError as err:
             raise ConfigError(f"cannot read config: {err}") from err
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # JSONDecodeError, a bad encoding, a too-long integer
             raise ConfigError(f"config is not valid JSON: {err}") from err
-    elif getattr(args, "preset", None):
+    elif args.preset:
         doc = resolve_preset(args.preset)
     else:
         raise ConfigError("one of --config or --preset is required")
     cfg = parse_config(doc)
-    if args.dt is not None:
-        cfg = dataclasses.replace(cfg, dt=float(args.dt))
-    if args.horizon is not None:
-        cfg = dataclasses.replace(cfg, horizon=float(args.horizon))
     if args.dt is not None or args.horizon is not None:
-        _check_timing(cfg.plant, cfg.dt, cfg.horizon,
-                      "--dt" if args.dt is not None else "$.dt",
-                      "--horizon" if args.horizon is not None else "$.horizon")
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, out_dir=args.out)
-    return cfg
+        cfg = dataclasses.replace(
+            cfg, dt=cfg.dt if args.dt is None else args.dt,
+            horizon=cfg.horizon if args.horizon is None else args.horizon)
+        _check_timing(cfg.plant, cfg.dt, cfg.horizon, "$.dt" if args.dt is None else "--dt",
+                      "$.horizon" if args.horizon is None else "--horizon")
+    return cfg if args.out is None else dataclasses.replace(cfg, out_dir=args.out)
 
 
 def main(argv=None) -> int:

@@ -47,16 +47,13 @@ def state_vector(values, dim: Optional[int] = None) -> np.ndarray:
 class ControlAffineDynamics:
     """Plant model  xdot = drift(x, t) + actuation(x, t) @ u.
 
-    ``drift`` and ``actuation`` must be pure; time enters only through the
-    optional exogenous signal (e.g. the lead vehicle's acceleration), which is
-    also kept on the record for controllers that measure it.
+    ``drift`` and ``actuation`` must be pure functions of the state and time.
     """
 
     drift: Callable[[np.ndarray, float], np.ndarray]
     actuation: Callable[[np.ndarray, float], np.ndarray]
     state_dim: int
     input_dim: int
-    exogenous: Optional[Callable[[float], float]] = None
 
 
 @dataclass(frozen=True)

@@ -245,7 +245,7 @@ def truck_dynamics(p: TruckParams, leader_accel: Callable[[float], float]) -> Co
     def actuation(x, t=0.0):
         return g_col
 
-    return ControlAffineDynamics(drift, actuation, state_dim=3, input_dim=1, exogenous=leader_accel)
+    return ControlAffineDynamics(drift, actuation, state_dim=3, input_dim=1)
 
 
 def range_policy(p: TruckParams, d: float) -> float:

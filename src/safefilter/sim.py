@@ -385,10 +385,11 @@ class Scenario:
             raise ValueError("truck scenario needs truck params and a leader profile")
         if self.controller == "issf" and self.epsilon is None:
             raise ValueError("issf controller needs an epsilon function")
-        # checked before run_scenario allocates its n_steps + 1 log rows
-        if self.n_steps > MAX_STEPS:
-            raise ValueError(f"horizon/dt gives {self.n_steps} steps, more than "
-                             f"MAX_STEPS = {MAX_STEPS}")
+        # checked before run_scenario allocates its n_steps + 1 log rows;
+        # horizon/dt can overflow to inf, which n_steps cannot floor
+        if self.horizon / self.dt > MAX_STEPS + 1 or self.n_steps > MAX_STEPS:
+            raise ValueError(f"horizon/dt = {self.horizon / self.dt:.9g} gives more than "
+                             f"MAX_STEPS = {MAX_STEPS} steps")
         t_last = self.n_steps * self.dt
         if self.disturbance.duration < t_last:
             raise SignalTooShortError("disturbance", self.disturbance.duration, t_last)
@@ -606,13 +607,37 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     h_log = np.empty(n_steps + 1)
     clamp_counts = {label: 0 for label in labels[1:]} if clamp else {}
 
+    def failed(err, k):
+        # the step from row k failed: attach the log up to that row, so
+        # callers can flush it
+        t = float(time[k])
+        wrapped = SimulationError(f"scenario {scn.name!r} failed at t={t:g}: {err}",
+                                  t=t, state=states[k])
+        wrapped.partial = ScenarioResult(
+            name=scn.name, plant=scn.plant, controller=scn.controller,
+            dt=dt, state_labels=labels,
+            time=time[: k + 1], states=states[: k + 1],
+            u_nom=u_nom[: k + 1], u_filt=u_filt[: k + 1],
+            d=d_log[: k + 1], h=h_log[: k + 1],
+            h_min=float(np.min(h_log[: k + 1])), h_star=None,
+            clamp_counts=clamp_counts,
+        )
+        return wrapped
+
+    # a ValueError from a step is the pendulum barrier overflowing at a state
+    # the step reached: the run fails there like on a non-finite derivative
     for start in range(0, n_steps + 1, _SAMPLE_BLOCK_STEPS):
         stop = min(start + _SAMPLE_BLOCK_STEPS, n_steps + 1)
         t_rows = time[start:stop]
         samples = _stage_samples(scn, t_rows, stop == n_steps + 1)
         for k, t, a, d, a_mid, d_mid, a_end, d_end in zip(
                 range(start, stop), t_rows.tolist(), *samples):
-            u_nom_k, u, h, k1 = row(x, a, d)
+            try:
+                u_nom_k, u, h, k1 = row(x, a, d)
+            except ValueError as err:
+                if k == 0:
+                    raise
+                raise failed(err, k - 1) from err
             states[k] = x
             u_nom[k] = u_nom_k
             u_filt[k] = u
@@ -625,22 +650,8 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
             try:
                 # rk4_stages by its module-level name, so wrappers of it see every step
                 x = rk4_stages(stage, x, t, dt, k1, a_mid, d_mid, a_end, d_end)
-            except SimulationError as err:
-                wrapped = SimulationError(
-                    f"scenario {scn.name!r} failed at t={t:g}: {err}",
-                    t=t, state=states[k],
-                )
-                # partial log up to the failing step, so callers can flush it
-                wrapped.partial = ScenarioResult(
-                    name=scn.name, plant=scn.plant, controller=scn.controller,
-                    dt=dt, state_labels=labels,
-                    time=time[: k + 1], states=states[: k + 1],
-                    u_nom=u_nom[: k + 1], u_filt=u_filt[: k + 1],
-                    d=d_log[: k + 1], h=h_log[: k + 1],
-                    h_min=float(np.min(h_log[: k + 1])), h_star=None,
-                    clamp_counts=clamp_counts,
-                )
-                raise wrapped from err
+            except (SimulationError, ValueError) as err:
+                raise failed(err, k) from err
             if clamp is not None:
                 x = clamp(x, clamp_counts)
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safefilter.cli import (
     PARAM_PRESETS,
@@ -26,10 +28,111 @@ SIMULATABLE_PRESETS = [name for name, doc in SCENARIO_PRESETS.items() if "sweep"
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIO_PRESETS))
+# documents that set what no preset does: every optional field and the other
+# disturbance and leader kinds
+_ROUNDTRIP_DOCS = {
+    "every-optional-field": {
+        "name": "full", "plant": "truck",
+        "params": {"preset": "paper-table-2", "overrides": {"c1": 0.5, "alpha_c": 2}},
+        "controller": "issf", "issf": {"eps0": 0.5, "lam": 0.4, "delta": 4.5},
+        "disturbance": {"kind": "lag_residual"},
+        "leader": {"kind": "constant", "v0": 16},
+        "initial_state": [27.4, 16, 16.0], "horizon": 30, "dt": 0.02, "out_dir": "",
+        "certify": {"theta_range": [-1, 1], "samples": 11, "cross_term": False,
+                    "d_range": [1.0, 50.0], "vl_range": [0, 10], "grid": [3, 4],
+                    "a_l_bounds": [-8.0, 2.0]},
+        "sweep": {"eps0_grid": [0.5, 1], "lambda_grid": [0]},
+    },
+    "csv-disturbance-and-leader": {
+        "plant": "truck", "controller": ["nominal", "cbf"],
+        "disturbance": {"kind": "csv", "path": "d.csv"},
+        "leader": {"kind": "csv", "path": "lead.csv", "v0": 16.0},
+    },
+    "lag-residual-tau": {
+        "plant": "truck", "disturbance": {"kind": "lag_residual", "tau": 1.5},
+        "leader": {"kind": "hard_brake", "v0": 16.0, "t_brake": 1.0, "a_peak": -8.0,
+                   "duration": 2.0},
+    },
+    "pendulum-overrides": {
+        "plant": "pendulum", "params": {"overrides": {"kp": 3.0}},
+        "disturbance": {"kind": "heaviside_pulse", "amplitude": -0.5},
+        "initial_state": [0.0, -0.25],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_PRESETS) + sorted(_ROUNDTRIP_DOCS))
 def test_preset_configs_roundtrip(name):
-    cfg = parse_config(resolve_preset(name))
+    cfg = parse_config(_ROUNDTRIP_DOCS.get(name) or resolve_preset(name))
     assert parse_config(config_to_dict(cfg)) == cfg
+
+
+# any JSON value: null, booleans, integers too large for a float, NaN and the
+# infinities, strings, lists and objects
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([10**400, -10**400])
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+_CONTROLLER = st.sampled_from(["nominal", "cbf", "issf"])
+
+
+def _schema_shaped_docs(junk):
+    """Config documents built from the real keys and kinds, with a value drawn
+    from ``junk`` possible in every slot."""
+    number = st.floats(0.01, 50.0) | st.integers(1, 50) | junk
+    pair = st.lists(st.floats(-10.0, 100.0), min_size=2, max_size=2) | junk
+    grid = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3) | junk
+
+    def section(**keys):
+        return st.fixed_dictionaries({}, optional=keys) | junk
+
+    def tagged(kinds, **keys):
+        return st.builds(lambda kind, rest: {"kind": kind, **rest},
+                         st.sampled_from(kinds) | junk,
+                         st.fixed_dictionaries({}, optional=keys)) | junk
+
+    return st.fixed_dictionaries(
+        {"plant": st.sampled_from(["pendulum", "truck"]) | junk},
+        optional={
+            "name": st.text(max_size=3) | junk,
+            "params": section(
+                preset=st.sampled_from(sorted(PARAM_PRESETS)) | junk,
+                overrides=st.dictionaries(st.sampled_from(["alpha_c", "kp", "c1"]), number,
+                                          max_size=2) | junk,
+            ),
+            "controller": _CONTROLLER | st.lists(_CONTROLLER, max_size=3) | junk,
+            "issf": section(eps0=number, lam=number, delta=number),
+            "disturbance": tagged(["zero", "heaviside_pulse", "lag_residual", "csv"],
+                                  amplitude=number, tau=number, path=st.just("d.csv") | junk),
+            "leader": tagged(["constant", "hard_brake", "csv"], v0=number, t_brake=number,
+                             a_peak=number, duration=number, path=st.just("l.csv") | junk),
+            "initial_state": st.lists(st.floats(-1.0, 30.0), min_size=2, max_size=3) | junk,
+            "horizon": number,
+            "dt": number,
+            "out_dir": st.text(max_size=3) | junk,
+            "certify": section(
+                theta_range=pair, samples=st.integers(-2, 3000) | junk,
+                cross_term=st.booleans() | junk, d_range=pair, vl_range=pair,
+                grid=st.lists(st.integers(-1, 300), min_size=2, max_size=2) | junk,
+                a_l_bounds=pair,
+            ),
+            "sweep": section(eps0_grid=grid, lambda_grid=grid),
+        },
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_schema_shaped_docs(st.nothing()) | _schema_shaped_docs(_JSON))
+def test_schema_shaped_documents_parse_or_raise_config_error(doc):
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    # the serialized config is plain JSON and parses back to the same config
+    assert parse_config(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 def test_unknown_top_level_key_rejected():
@@ -307,12 +410,38 @@ _BRAKE = {"kind": "hard_brake", "t_brake": 1.0, "a_peak": -8.0, "duration": 2.0}
     ("simulate", {"plant": "pendulum", "initial_state": [0.0, 1e155]}),  # h(x0) overflows
     ("certify", {"plant": "truck", "certify": {"grid": [100000, 100000]}}),  # > MAX_GRID_CELLS
     ("certify", {"plant": "pendulum", "certify": {"samples": 10**9}}),  # > MAX_GRID_CELLS
+    ("certify", {"plant": "truck", "params": {"preset": ["paper-table-2"]}}),
+    ("certify", {"plant": "truck", "params": {"preset": {}}}),
+    ("simulate", {"plant": "pendulum", "disturbance": {"kind": [1]}}),
+    ("simulate", {"plant": "truck", "leader": {"kind": {}}}),
+    ("simulate", {"plant": "pendulum", "horizon": 1e308, "dt": 0.001}),  # horizon/dt = inf
 ])
 def test_malformed_config_exits_2_without_traceback(command, doc, tmp_path, capsys):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(doc))
     assert main([command, "--config", str(config_path), "--out", str(tmp_path)]) == 2
     assert "config error: $." in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,where", [
+    # a list or an object where a name belongs is checked before any lookup
+    ({"plant": "truck", "params": {"preset": ["paper-table-2"]}}, r"\$\.params\.preset"),
+    ({"plant": "truck", "params": {"preset": {}}}, r"\$\.params\.preset"),
+    ({"plant": "pendulum", "disturbance": {"kind": [1]}}, r"\$\.disturbance\.kind"),
+    ({"plant": "truck", "leader": {"kind": {}}}, r"\$\.leader\.kind"),
+    ({"plant": "truck", "controller": [["cbf"]]}, r"\$\.controller\[0\]"),
+    ({"plant": ["truck"]}, r"\$\.plant"),
+    # lists of the wrong length
+    ({"plant": "truck", "certify": {"grid": [10]}}, r"\$\.certify\.grid must be a 2-element"),
+    ({"plant": "truck", "certify": {"d_range": [0.0, 1.0, 2.0]}}, r"\$\.certify\.d_range"),
+    ({"plant": "pendulum", "sweep": {"eps0_grid": [], "lambda_grid": [0.0]}},
+     r"\$\.sweep\.eps0_grid must be a non-empty"),
+    ({"plant": "pendulum", "controller": []}, r"\$\.controller must be a non-empty"),
+    ({"plant": "truck", "initial_state": [27.4, 16.0]}, r"\$\.initial_state must be a 3-element"),
+])
+def test_malformed_value_rejected_with_path(doc, where):
+    with pytest.raises(ConfigError, match=where):
+        parse_config(doc)
 
 
 @pytest.mark.parametrize("plant,certify,where", [
@@ -360,6 +489,30 @@ def test_overflowing_run_exits_3_with_partial_log(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("controller", ["cbf", "nominal"])
+def test_overflowing_barrier_exits_3_with_partial_log(controller, tmp_path):
+    # a 1e200 disturbance drives theta_dot to about 1e198 within the first
+    # step, where the barrier's theta_dot^2 overflows: at RK4 stage 2 under
+    # the filter, at the next logged row of the nominal run
+    dist_path = tmp_path / "huge.csv"
+    dist_path.write_text("t,d\n0,1e200\n50,1e200\n")
+    doc = {
+        "name": "huge",
+        "plant": "pendulum",
+        "controller": controller,
+        "disturbance": {"kind": "csv", "path": str(dist_path)},
+        "horizon": 5.0,
+    }
+    config_path = tmp_path / "huge.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 3
+    assert (tmp_path / f"huge-{controller}.csv").read_text().splitlines() == [
+        "t,theta,theta_dot,u_nom,u_filt,d,h",
+        "0,-0.1,0.5,1.51666833,1.51666833,1e+200,0.24",
+        "0,nan,nan,nan,nan,nan,nan",
+    ]
+
+
 @pytest.mark.parametrize("flags,where", [
     (["--dt", "-1"], "--dt"),
     (["--horizon", "0.001"], "--horizon"),
@@ -375,6 +528,17 @@ def test_invalid_json_is_config_error(tmp_path):
     config_path = tmp_path / "broken.json"
     config_path.write_text("{not json")
     assert main(["simulate", "--config", str(config_path)]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    b'{"plant": "pendulum", "dt": ' + b"1" * 5000 + b"}",  # beyond int's digit limit
+    b'{"plant": "\xff"}',  # not UTF-8
+])
+def test_unreadable_json_is_config_error(content, tmp_path, capsys):
+    config_path = tmp_path / "bad.json"
+    config_path.write_bytes(content)
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_config_and_preset_are_mutually_exclusive(tmp_path):

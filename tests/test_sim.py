@@ -278,6 +278,12 @@ def test_scenario_rejects_more_than_max_steps_without_allocating():
         == MAX_STEPS
 
 
+def test_scenario_rejects_a_step_count_that_overflows():
+    # horizon / dt is inf, which no step count can floor
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        _pendulum_scenario("cbf", ZERO, dt=1e-3, horizon=1e308)
+
+
 def test_scenario_rejects_signals_that_end_before_the_last_logged_time():
     # the last logged time is n_steps * dt = 1.0; a signal must reach it
     ends_at = sampled_disturbance([0.0, 1.0], [0.1, 0.1])
