@@ -30,7 +30,6 @@ from .issf import (
     EpsilonFunction,
     IssfFilter,
     RootBracketError,
-    in_inflated_set,
     set_inflation,
     solve_h_star,
 )

@@ -39,7 +39,7 @@ from .disturbance import (
     zero_disturbance,
 )
 from .issf import EpsilonFunction, RootBracketError, solve_h_star
-from .plants import PendulumParams, TruckParams, pendulum_barrier_core
+from .plants import PendulumParams, TruckParams, pendulum_barrier
 from .sim import (
     MAX_STEPS,
     LeaderProfile,
@@ -287,6 +287,23 @@ class Config:
     sweep: Optional[SweepSpec] = None
 
 
+def _shown(value) -> str:
+    """A config value as an error message shows it: its repr, except that an
+    integer too long for repr (Python limits int-to-str conversion to about
+    4300 digits) is shown by its number of digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            n = abs(value)
+            # a lower bound on floor(log10 n) from the bit length, then exact
+            digits = max(int((n.bit_length() - 1) * 0.30102999566398120) - 1, 0)
+            while 10 ** (digits + 1) <= n:
+                digits += 1
+            return f"an integer of {digits + 1} digits"
+        return f"a {type(value).__name__} holding an integer too long to show"
+
+
 def _check_timing(plant: str, dt: float, horizon: Optional[float],
                   dt_path: str, horizon_path: str) -> None:
     """dt > 0 and dt <= horizon, both finite, and at most MAX_STEPS steps;
@@ -314,7 +331,7 @@ def _decode(spec: type, doc, path: str):
     """A spec instance from a JSON object: unknown keys and missing required
     fields are rejected, each given value is converted to its annotation."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object, got {doc!r}")
+        raise ConfigError(f"{path} must be an object, got {_shown(doc)}")
     hints, fields = _schema(spec)
     unknown = [key for key in doc if key not in hints]
     if unknown:
@@ -339,19 +356,20 @@ def _convert(annotation, value, path: str):
         # integers too large for a float without raising OverflowError
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
                 or not -sys.float_info.max <= value <= sys.float_info.max:
-            raise ConfigError(f"{path} must be a finite number, got {value!r}")
+            raise ConfigError(f"{path} must be a finite number, got {_shown(value)}")
         return float(value)
     if annotation in (int, bool, str):
         # bool is an int in Python but not in the schema
         if not isinstance(value, annotation) or (annotation is int and isinstance(value, bool)):
-            raise ConfigError(f"{path} must be {_TYPE_NAMES[annotation]}, got {value!r}")
+            raise ConfigError(f"{path} must be {_TYPE_NAMES[annotation]}, got {_shown(value)}")
         return value
     if dataclasses.is_dataclass(annotation):
         return _decode(annotation, value, path)
     origin, args = get_origin(annotation), get_args(annotation)
     if origin is Literal:
         if value not in args:  # compared, not hashed, so a list is no TypeError
-            raise ConfigError(f"{path} must be one of {', '.join(map(repr, args))}, got {value!r}")
+            raise ConfigError(f"{path} must be one of {', '.join(map(repr, args))}, "
+                              f"got {_shown(value)}")
         return value
     if origin is tuple:
         # tuple[X, ...] is a non-empty list, tuple[X, Y] one of two entries
@@ -359,13 +377,13 @@ def _convert(annotation, value, path: str):
         if not isinstance(value, (list, tuple)) or not value \
                 or not (variadic or len(value) == len(args)):
             size = "non-empty" if variadic else f"{len(args)}-element"
-            raise ConfigError(f"{path} must be a {size} list, got {value!r}")
+            raise ConfigError(f"{path} must be a {size} list, got {_shown(value)}")
         item_types = args[:1] * len(value) if variadic else args
         return tuple(_convert(item_type, item, f"{path}[{i}]")
                      for i, (item_type, item) in enumerate(zip(item_types, value)))
     if origin is dict:
         if not isinstance(value, dict):
-            raise ConfigError(f"{path} must be an object, got {value!r}")
+            raise ConfigError(f"{path} must be an object, got {_shown(value)}")
         key_type, value_type = args
         return {_convert(key_type, key, f"{path}.{key}"):
                 _convert(value_type, item, f"{path}.{key}") for key, item in value.items()}
@@ -375,12 +393,12 @@ def _convert(annotation, value, path: str):
         if len(specs) == 1:
             return _convert(specs[0], value, path)
         if not isinstance(value, dict):
-            raise ConfigError(f"{path} must be an object, got {value!r}")
+            raise ConfigError(f"{path} must be an object, got {_shown(value)}")
         kind = value.get("kind")
         for spec in specs:
             if spec.kind == kind:
                 return _decode(spec, value, path)
-        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+        raise ConfigError(f"{path}.kind: unknown kind {_shown(kind)}")
     raise TypeError(f"no config conversion for {annotation!r}")
 
 
@@ -435,11 +453,11 @@ def parse_config(doc: dict, path: str = "$") -> Config:
     samples, grid = cfg.certify.samples, cfg.certify.grid
     if samples > MAX_GRID_CELLS:
         raise ConfigError(f"{path}.certify.samples must be at most MAX_GRID_CELLS = "
-                          f"{MAX_GRID_CELLS}, got {samples}")
+                          f"{MAX_GRID_CELLS}, got {_shown(samples)}")
     # checked before certification allocates its arrays of grid[0] * grid[1] cells
     if min(grid) > 0 and grid[0] * grid[1] > MAX_GRID_CELLS:
-        raise ConfigError(f"{path}.certify.grid has {grid[0] * grid[1]} cells, more than "
-                          f"MAX_GRID_CELLS = {MAX_GRID_CELLS}")
+        raise ConfigError(f"{path}.certify.grid must have at most MAX_GRID_CELLS = "
+                          f"{MAX_GRID_CELLS} cells, got {_shown(grid[0] * grid[1])}")
     return cfg
 
 
@@ -494,7 +512,7 @@ def build_scenarios(cfg: Config):
         # the run checks h(x0) >= 0 first; a barrier that overflows there
         # rejects the state, not the run
         try:
-            pendulum_barrier_core(p)(x0[0], x0[1], math.sin(x0[0]))
+            pendulum_barrier(p)(x0)
         except ValueError as err:
             raise ConfigError(f"$.initial_state: {err}") from err
     else:

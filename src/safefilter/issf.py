@@ -3,27 +3,24 @@
 Strengthening the barrier constraint by ``||lg_h||^2 / eps(h)`` buys
 input-to-state safety: for any disturbance with sup-norm bound delta, an
 inflated set remains forward invariant.  This module provides the robustness
-gain ``eps``, the inflation ``set_inflation``, the degraded safety level
-``h_star`` solving the fixed-point equation on the inflated boundary, and the
-closed-form robust filter with its single-input switching form.
+gain ``eps``, the inflation ``set_inflation`` and the degraded safety level
+``h_star`` solving the fixed-point equation on the inflated boundary.  The
+robust filter is :class:`safefilter.cbf.CbfFilter` with ``epsilon`` set;
+``IssfFilter`` is another name for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-import numpy as np
-
-from .cbf import ADMISSIBLE_SLACK, LG_ZERO_TOL, _filter_terms
-from .core import BarrierEvaluation, ClassKappaE, DimensionError
+from .cbf import CbfFilter
+from .core import ClassKappaE
 
 __all__ = [
     "EpsilonFunction",
     "IssfFilter",
     "RootBracketError",
-    "in_inflated_set",
     "set_inflation",
     "solve_h_star",
 ]
@@ -74,11 +71,6 @@ def set_inflation(alpha: ClassKappaE, epsilon: EpsilonFunction, h_val: float, de
     return -alpha.inverse(-epsilon(h_val) * delta * delta / 4.0)
 
 
-def in_inflated_set(alpha: ClassKappaE, epsilon: EpsilonFunction, h_val: float, delta: float) -> bool:
-    """Membership in the inflated safe set: h + set_inflation(h, delta) >= 0."""
-    return h_val + set_inflation(alpha, epsilon, h_val, delta) >= 0.0
-
-
 def solve_h_star(
     alpha: ClassKappaE,
     epsilon: EpsilonFunction,
@@ -123,58 +115,4 @@ def solve_h_star(
     return root
 
 
-@dataclass(frozen=True)
-class IssfFilter:
-    """Closed-form robust safety filter.
-
-    Same structure as :class:`safefilter.cbf.CbfFilter` with the constraint
-    tightened by ``||lg_h||^2 / eps(h)``; the correction gain gains a
-    ``1/eps(h)`` term.  As eps -> inf the plain filter is recovered.
-    """
-
-    barrier: Callable[[np.ndarray], BarrierEvaluation]
-    alpha: ClassKappaE
-    nominal: Callable[[np.ndarray], np.ndarray]
-    epsilon: EpsilonFunction
-
-    def in_admissible_set(self, x, u, tol: float = ADMISSIBLE_SLACK) -> bool:
-        """Whether input u satisfies the tightened barrier constraint at x."""
-        be = self.barrier(x)
-        s = float(be.lg_h @ be.lg_h)
-        rate = be.hdot(u)
-        # the limits filter_gain takes: s/eps(h) -> 0 where eps(h) overflows,
-        # and -> inf where it underflows to 0 (unless s = 0)
-        try:
-            eps = self.epsilon(be.h)
-        except OverflowError:
-            tightening = 0.0
-        else:
-            tightening = s / eps if eps > 0.0 else (math.inf if s > 0.0 else 0.0)
-        floor = -self.alpha(be.h) + tightening
-        return rate >= floor - tol * max(1.0, abs(rate), abs(floor))
-
-    def correction_gain(self, x) -> float:
-        """Unclipped robust correction gain; zero on the lg_h = 0 set."""
-        return _filter_terms(self.barrier, self.nominal, self.alpha, x, self.epsilon)[2]
-
-    def filter(self, x) -> np.ndarray:
-        """Input closest to the nominal one among the robustly admissible set."""
-        be, u_nom, gain = _filter_terms(self.barrier, self.nominal, self.alpha, x,
-                                        self.epsilon)
-        if gain <= 0.0:
-            return u_nom
-        return u_nom + gain * be.lg_h
-
-    def filter_switching(self, x) -> float:
-        """Single-input min/max form; agrees with filter() to well under 1e-10."""
-        be = self.barrier(x)
-        if be.lg_h.shape[0] != 1:
-            raise DimensionError(
-                f"switching form needs a single-input plant, got m={be.lg_h.shape[0]}"
-            )
-        u_nom = float(np.atleast_1d(np.asarray(self.nominal(x), dtype=float))[0])
-        lg = float(be.lg_h[0])
-        if abs(lg) <= LG_ZERO_TOL:
-            return u_nom
-        u_safe = -(be.lf_h + self.alpha(be.h)) / lg + lg / self.epsilon(be.h)
-        return max(u_nom, u_safe) if lg > 0.0 else min(u_nom, u_safe)
+IssfFilter = CbfFilter

@@ -5,8 +5,15 @@ feedback-linearizing nominal controller.
 
 Connected truck: car-following state (headway D, own speed v, leader speed
 v_L) with acceleration input, quadratic headway barrier h = D - rho(v, v_L),
-range/speed-policy cruise controller, and scalar safe / robust filter
-compositions that exploit lg_h < 0 in the driving domain.
+range/speed-policy cruise controller, and scalar safe / robust filters.
+
+Each plant is one :class:`PlantRecord` of float closures over a state tuple:
+its nominal input, its barrier terms, its closed-loop field and its state
+clamp.  ``terms`` is the one barrier formula of its plant.  The numpy-facing
+barriers, nominal controllers and truck filters are thin wrappers over the
+record, and every filter applies the one gain formula ``cbf.filter_gain``.
+The numpy dynamics (``pendulum_dynamics`` / ``truck_dynamics``) stay separate:
+they are the reference the float field is checked against.
 
 Barrier gradients are hand-differentiated (two plants, closed forms, zero
 dependency weight); a finite-difference cross-check lives in `verification`.
@@ -16,39 +23,62 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .cbf import LG_ZERO_TOL, CbfFilter
+from .cbf import CbfFilter, filter_gain
 from .core import BarrierEvaluation, ControlAffineDynamics, linear_class_kappa
-from .issf import EpsilonFunction, IssfFilter
+from .issf import EpsilonFunction
 
 __all__ = [
     "PendulumParams",
+    "PlantRecord",
     "TruckParams",
     "pendulum_barrier",
-    "pendulum_barrier_core",
     "pendulum_cbf_filter",
     "pendulum_dynamics",
     "pendulum_issf_filter",
     "pendulum_nominal",
-    "pendulum_nominal_core",
+    "pendulum_record",
     "range_policy",
     "range_policy_inverse",
     "speed_policy",
     "truck_barrier",
     "truck_dynamics",
-    "truck_filter_core",
     "truck_headway",
     "truck_nominal",
-    "truck_nominal_core",
+    "truck_record",
     "truck_robust_filter",
     "truck_safe_filter",
 ]
 
-PENDULUM_STATE_LABELS = ("theta", "theta_dot")
-TRUCK_STATE_LABELS = ("D", "v", "v_L")
+# Speeds are clamped at zero (vehicles do not reverse in the braking
+# scenarios); only undershoots beyond this are counted as clamp events so the
+# integrator's terminal-braking rounding does not show up in the log.
+_CLAMP_LOG_TOL = 1e-9
+
+
+class PlantRecord(NamedTuple):
+    """A plant's closed loop as float closures over a state tuple ``x``.
+
+    ``a`` is the leader acceleration sampled at the evaluation time, or None
+    for a plant without a leader; ``w`` is the input channel u + d.
+
+    * ``nominal(x) -> u``: the hand-designed input;
+    * ``terms(x, a) -> (h, lf_h, lg_h, u_nom)``: the barrier value, its Lie
+      derivatives and the nominal input, everything a filter needs;
+    * ``field(x, a, w) -> xdot``: the dynamics f(x) + g(x) w;
+    * ``clamp(x, counts) -> x`` pins a stepped state to the plant's domain,
+      counting clamp events in ``counts`` by state label, or is None.
+    """
+
+    labels: tuple
+    alpha_c: float
+    nominal: Callable[[tuple], float]
+    terms: Callable[[tuple, Optional[float]], tuple]
+    field: Callable[[tuple, Optional[float], float], tuple]
+    clamp: Optional[Callable[[tuple, dict], tuple]]
 
 
 # ---------------------------------------------------------------------------
@@ -88,31 +118,39 @@ def pendulum_dynamics(p: PendulumParams) -> ControlAffineDynamics:
     return ControlAffineDynamics(drift, actuation, state_dim=2, input_dim=1)
 
 
-def pendulum_barrier_core(p: PendulumParams) -> Callable[[float, float, float], tuple]:
-    """(h, L_f h, L_g h) of the elliptical barrier at (theta, theta_dot), as floats.
+def pendulum_record(p: PendulumParams) -> PlantRecord:
+    """The pendulum's closed loop on floats; see :class:`PlantRecord`.
 
-    The one implementation of the pendulum barrier: ``pendulum_barrier`` wraps
-    it in a :class:`BarrierEvaluation`, and the simulator calls it directly.
-    The third argument is sin(theta), so a caller that also needs it for the
-    nominal input and the dynamics computes it once.  A non-finite triple
-    raises the ValueError that BarrierEvaluation raises.
+    ``terms`` raises the ValueError that BarrierEvaluation raises where the
+    barrier triple is not finite.
     """
     aa, bb, ab = p.a * p.a, p.b * p.b, p.a * p.b
     g_over_l = p.gravity / p.length
     ml2 = p.mass * p.length * p.length
-    isfinite = math.isfinite
+    g_entry = 1.0 / ml2  # pendulum_dynamics' actuation
+    kp, kd = p.kp, p.kd
+    sin, isfinite = math.sin, math.isfinite
 
-    def core(th, om, sin_th):
+    def nominal(x):
+        th, om = x
+        return ml2 * (-g_over_l * sin(th) - kp * th - kd * om)
+
+    def terms(x, a):
+        th, om = x
         h = 1.0 - th * th / aa - om * om / bb - th * om / ab
         dh_dth = -2.0 * th / aa - om / ab
         dh_dom = -2.0 * om / bb - th / ab
-        lf_h = dh_dth * om + dh_dom * g_over_l * sin_th
+        lf_h = dh_dth * om + dh_dom * g_over_l * sin(th)
         lg_h = dh_dom / ml2
         if not (isfinite(h) and isfinite(lf_h) and isfinite(lg_h)):
             raise ValueError("barrier evaluation entries must be finite")
-        return h, lf_h, lg_h
+        return h, lf_h, lg_h, nominal(x)
 
-    return core
+    def field(x, a, w):
+        th, om = x
+        return (om, g_over_l * sin(th) + g_entry * w)
+
+    return PlantRecord(("theta", "theta_dot"), p.alpha_c, nominal, terms, field, None)
 
 
 def pendulum_barrier(p: PendulumParams) -> Callable[[np.ndarray], BarrierEvaluation]:
@@ -121,47 +159,31 @@ def pendulum_barrier(p: PendulumParams) -> Callable[[np.ndarray], BarrierEvaluat
     The cross term matters: it keeps the barrier compatible with the drift on
     the lg_h = 0 line (thdot = -(b/2a) theta); without it certification fails.
     """
-    core = pendulum_barrier_core(p)
+    terms = pendulum_record(p).terms
 
     def barrier(x):
-        th = float(x[0])
-        return BarrierEvaluation(*core(th, float(x[1]), math.sin(th)))
+        return BarrierEvaluation(*terms((float(x[0]), float(x[1])), None)[:3])
 
     return barrier
 
 
-def pendulum_nominal_core(p: PendulumParams) -> Callable[[float, float, float], float]:
-    """Nominal torque at (theta, theta_dot) as a float, given sin(theta); see
-    ``pendulum_nominal``."""
-    ml2 = p.mass * p.length * p.length
-    g_over_l = p.gravity / p.length
-    kp, kd = p.kp, p.kd
-
-    def core(th, om, sin_th):
-        return ml2 * (-g_over_l * sin_th - kp * th - kd * om)
-
-    return core
-
-
 def pendulum_nominal(p: PendulumParams) -> Callable[[np.ndarray], np.ndarray]:
     """Feedback-linearizing stabilizer to upright; closed loop is linear."""
-    core = pendulum_nominal_core(p)
+    nominal = pendulum_record(p).nominal
 
-    def nominal(x):
-        th = x[0]
-        return np.array([core(th, x[1], math.sin(th))])
+    def controller(x):
+        return np.array([nominal((x[0], x[1]))])
 
-    return nominal
+    return controller
 
 
 def pendulum_cbf_filter(p: PendulumParams) -> CbfFilter:
     return CbfFilter(pendulum_barrier(p), linear_class_kappa(p.alpha_c), pendulum_nominal(p))
 
 
-def pendulum_issf_filter(p: PendulumParams, epsilon: EpsilonFunction) -> IssfFilter:
-    return IssfFilter(
-        pendulum_barrier(p), linear_class_kappa(p.alpha_c), pendulum_nominal(p), epsilon
-    )
+def pendulum_issf_filter(p: PendulumParams, epsilon: EpsilonFunction) -> CbfFilter:
+    return CbfFilter(pendulum_barrier(p), linear_class_kappa(p.alpha_c), pendulum_nominal(p),
+                     epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +235,16 @@ def truck_headway(p: TruckParams, v: float, v_l: float) -> float:
     return p.c0 + p.c1 * v + p.c2 * v_l + p.c3 * v * v + p.c4 * v * v_l + p.c5 * v_l * v_l
 
 
-def _truck_lie_derivatives(p: TruckParams, v: float, v_l: float, a_l: float):
-    lf_h = v_l - v - a_l * (p.c2 + p.c4 * v + 2.0 * p.c5 * v_l)
-    lg_h = -(p.c1 + 2.0 * p.c3 * v + p.c4 * v_l)
-    return lf_h, lg_h
-
-
 def truck_barrier(p: TruckParams, a_l: float) -> Callable[[np.ndarray], BarrierEvaluation]:
     """Headway barrier h = D - rho(v, v_L) for the current measured leader accel.
 
     a_l is the leader acceleration exogenous at the evaluation instant
     (received over V2V in deployment, read off the scenario profile here).
     """
+    terms = truck_record(p).terms
 
     def barrier(x):
-        d_gap, v, v_l = float(x[0]), float(x[1]), float(x[2])
-        h = d_gap - truck_headway(p, v, v_l)
-        lf_h, lg_h = _truck_lie_derivatives(p, v, v_l, a_l)
-        return BarrierEvaluation(h, lf_h, lg_h)
+        return BarrierEvaluation(*terms((float(x[0]), float(x[1]), float(x[2])), a_l)[:3])
 
     return barrier
 
@@ -271,17 +285,20 @@ def speed_policy(p: TruckParams, v_l: float) -> float:
     return v_l if v_l <= p.v_bar_l else p.v_bar_l
 
 
-def truck_nominal_core(p: TruckParams) -> Callable[[float, float, float], float]:
-    """Nominal acceleration at (D, v, v_L) as a float; see ``truck_nominal``.
+def truck_record(p: TruckParams) -> PlantRecord:
+    """The truck's closed loop on floats; see :class:`PlantRecord`.
 
-    ``range_policy`` and ``speed_policy`` are written out inline, with the
-    parameters bound once, because the simulator evaluates this at every RK4
-    stage.
+    ``range_policy``, ``speed_policy`` and ``truck_headway`` are written out
+    inline, in their order of operations, with the parameters bound once,
+    because the simulator evaluates the record at every RK4 stage.  The clamp
+    pins both speeds at zero: the vehicles do not reverse.
     """
+    c0, c1, c2, c3, c4, c5 = p.c0, p.c1, p.c2, p.c3, p.c4, p.c5
     gain_range, gain_speed, kappa = p.gain_range, p.gain_speed, p.kappa
     d_st, d_go, v_bar_l = p.d_st, p.d_go, p.v_bar_l
 
-    def core(d, v, v_l):
+    def nominal(x):
+        d, v, v_l = x
         if d < d_st:
             v_range = 0.0
         elif d <= d_go:
@@ -291,66 +308,52 @@ def truck_nominal_core(p: TruckParams) -> Callable[[float, float, float], float]
         v_speed = v_l if v_l <= v_bar_l else v_bar_l
         return gain_range * (v_range - v) + gain_speed * (v_speed - v)
 
-    return core
+    def terms(x, a):
+        d, v, v_l = x
+        h = d - (c0 + c1 * v + c2 * v_l + c3 * v * v + c4 * v * v_l + c5 * v_l * v_l)
+        lf_h = v_l - v - a * (c2 + c4 * v + 2.0 * c5 * v_l)
+        lg_h = -(c1 + 2.0 * c3 * v + c4 * v_l)
+        return h, lf_h, lg_h, nominal(x)
+
+    def field(x, a, w):
+        return (x[2] - x[1], w, a)
+
+    def clamp(x, counts):
+        # see _CLAMP_LOG_TOL for why tiny integrator undershoots are clamped
+        # silently
+        d, v, v_l = x
+        if v < 0.0:
+            if v < -_CLAMP_LOG_TOL:
+                counts["v"] += 1
+            v = 0.0
+        if v_l < 0.0:
+            if v_l < -_CLAMP_LOG_TOL:
+                counts["v_L"] += 1
+            v_l = 0.0
+        return (d, v, v_l)
+
+    return PlantRecord(("D", "v", "v_L"), p.alpha_c, nominal, terms, field, clamp)
 
 
 def truck_nominal(p: TruckParams, d: float, v: float, v_l: float) -> float:
     """Connected cruise controller: range-policy and relative-speed error terms."""
-    return truck_nominal_core(p)(d, v, v_l)
+    return truck_record(p).nominal((d, v, v_l))
 
 
-def truck_filter_core(
-    p: TruckParams,
-    eps0: float | None = None,
-    lam: float | None = None,
-) -> Callable[[float, float, float, float], tuple]:
-    """(u_nom, u, h) of the truck's closed-form filter at (D, v, v_L, a_L), as floats.
-
-    The one implementation of the truck filter: ``truck_safe_filter`` and
-    ``truck_robust_filter`` wrap it, and the simulator calls it directly.
-    The filtered input is min{k_n, k_s} in the driving domain where lg_h < 0.
-    If lg_h >= 0 is ever reached (far outside the domain of interest), the
-    sign-switched max form is still the exact closed-form filter.
-
-    With ``eps0`` the safe command is robustified for bounded input
-    disturbance: k_s gains lg_h/eps(h) with eps(h) = eps0 e^{lam h} (``lam``
-    defaults to 0, the constant gain), i.e. earlier and harder braking.
-    """
-    c0, c1, c2, c3, c4, c5 = p.c0, p.c1, p.c2, p.c3, p.c4, p.c5
-    alpha_c = p.alpha_c
-    nominal = truck_nominal_core(p)
-    robust = eps0 is not None
-    lam = 0.0 if lam is None else lam
-    exp, copysign, inf = math.exp, math.copysign, math.inf
-
-    def core(d, v, v_l, a_l):
-        # the terms of truck_headway and truck_barrier, in their order
-        h = d - (c0 + c1 * v + c2 * v_l + c3 * v * v + c4 * v * v_l + c5 * v_l * v_l)
-        lf_h = v_l - v - a_l * (c2 + c4 * v + 2.0 * c5 * v_l)
-        lg_h = -(c1 + 2.0 * c3 * v + c4 * v_l)
-        u_nom = nominal(d, v, v_l)
-        if abs(lg_h) <= LG_ZERO_TOL:
-            return u_nom, u_nom, h
-        u_safe = -(lf_h + alpha_c * h) / lg_h
-        if robust:
-            try:
-                tightening = lg_h / (eps0 * exp(lam * h))
-            except OverflowError:
-                # far behind the leader eps(h) overflows: the term's limit is 0
-                tightening = 0.0
-            except ZeroDivisionError:
-                # deep inside the unsafe set eps(h) underflows to 0: the term
-                # diverges, and the simulator rejects the infinite input
-                tightening = copysign(inf, lg_h)
-            u_safe = u_safe + tightening
-        return u_nom, (min(u_nom, u_safe) if lg_h < 0.0 else max(u_nom, u_safe)), h
-
-    return core
+def _truck_filter(p: TruckParams, x: tuple, a_l: float,
+                  epsilon: Optional[EpsilonFunction]) -> float:
+    h, lf_h, lg_h, u = truck_record(p).terms(x, a_l)
+    gain = filter_gain(lg_h * lg_h, lf_h + lg_h * u + p.alpha_c * h, h, epsilon)
+    return u if gain <= 0.0 else u + gain * lg_h
 
 
 def truck_safe_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: float) -> float:
-    """min{k_n, k_s} in the driving domain where lg_h < 0; see ``truck_filter_core``."""
-    return truck_filter_core(p)(d, v, v_l, a_l)[1]
+    """The closed-form filter of the nominal acceleration at (D, v, v_L, a_L).
+
+    In the driving domain lg_h < 0, so the filter caps the nominal command:
+    min{k_n, k_s} with k_s the acceleration that makes the constraint active.
+    """
+    return _truck_filter(p, (d, v, v_l), a_l, None)
 
 
 def truck_robust_filter(
@@ -362,9 +365,10 @@ def truck_robust_filter(
     eps0: float | None = None,
     lam: float | None = None,
 ) -> float:
-    """min{k_n, k_s + lg_h/eps(h)}: the safe command robustified for bounded
-    input disturbance, with eps0 and lam defaulting to the parameter set's;
-    see ``truck_filter_core``."""
+    """The safe command robustified for bounded input disturbance,
+    min{k_n, k_s + lg_h/eps(h)} in the driving domain, with eps(h) =
+    eps0 e^{lam h}: earlier and harder braking.  eps0 and lam default to the
+    parameter set's."""
     eps0 = p.eps0 if eps0 is None else eps0
     lam = p.lam if lam is None else lam
-    return truck_filter_core(p, eps0, lam)(d, v, v_l, a_l)[1]
+    return _truck_filter(p, (d, v, v_l), a_l, EpsilonFunction(eps0, lam))

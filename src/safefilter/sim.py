@@ -8,20 +8,19 @@ Runs are deterministic: identical scenarios produce bit-identical logs.
 
 The engine runs on Python floats, since the plants have two or three states
 and one input, and numpy's per-call overhead on arrays that small costs more
-than the arithmetic.  A state is a tuple of floats.  Each plant contributes
-two float closures (see ``_pendulum_loop`` / ``_truck_loop``) and, for the
-truck, the speed clamp.  ``row`` gives a logged state's nominal input,
-applied input and barrier value together with the RK4 stage-1 derivative,
-from one barrier and one nominal evaluation; ``stage`` fuses the controller
-and the dynamics for stages 2 to 4.  The time signals (the disturbance and
-the truck leader's acceleration) are sampled once per run, block by block, at
-the stage times, so a step evaluates the controller once per stage and the
-disturbance once per distinct stage time.  ``rk4_stages`` is the one RK4
-formula; ``rk4_step`` adapts it to a field and a controller of (x, t).
+than the arithmetic.  A state is a tuple of floats.  ``run_scenario`` takes
+the plant's :class:`safefilter.plants.PlantRecord` and steps every plant and
+controller through one closed loop over it.  ``row`` gives a logged state's
+nominal input, applied input and barrier value together with the RK4 stage-1
+derivative, from one evaluation of the barrier terms; ``stage`` fuses the
+controller and the dynamics for stages 2 to 4, and a nominal stage does not
+evaluate the barrier.  A filtered input is ``cbf.filter_gain`` applied to the
+record's terms.  The time signals (the disturbance and the leader's
+acceleration) are sampled once per run, block by block, at the stage times,
+so a step evaluates the controller once per stage and the disturbance once
+per distinct stage time.  ``rk4_stages`` is the one RK4 formula;
+``rk4_step`` adapts it to a field and a controller of (x, t).
 
-The pendulum's barrier and nominal input are the float cores of ``plants``,
-sharing one sin(theta) per evaluation, and its filter is the shared
-``cbf.filter_gain``; the truck's filter is ``plants.truck_filter_core``.
 Each float goes through the same IEEE operations in the same order as the
 numpy filters and dynamics, so the logs match a numpy reference integrator
 bit for bit; leaving out the matrix product's terms 0 * w can change only
@@ -44,15 +43,11 @@ from .core import SignalDomainError, linear_class_kappa, state_vector
 from .disturbance import DisturbanceSignal, lag_residual, zero_disturbance
 from .issf import EpsilonFunction, solve_h_star
 from .plants import (
-    PENDULUM_STATE_LABELS,
-    TRUCK_STATE_LABELS,
     PendulumParams,
     TruckParams,
-    pendulum_barrier_core,
-    pendulum_nominal_core,
+    pendulum_record,
     range_policy_inverse,
-    truck_filter_core,
-    truck_nominal_core,
+    truck_record,
 )
 
 __all__ = [
@@ -75,11 +70,6 @@ __all__ = [
 ]
 
 CONTROLLERS = ("nominal", "cbf", "issf")
-
-# Speeds are clamped at zero (vehicles do not reverse in the braking
-# scenarios); only undershoots beyond this are counted as clamp events so the
-# integrator's terminal-braking rounding does not show up in the log.
-_CLAMP_LOG_TOL = 1e-9
 
 # Most RK4 steps one run may take.  A truck run logs n_steps + 1 rows of 8
 # floats, so the cap bounds a log at about 0.64 GB; the presets take at most
@@ -125,19 +115,18 @@ class SignalTooShortError(ValueError):
 
 @dataclass(frozen=True)
 class LeaderProfile:
-    """Lead-vehicle acceleration signal with its induced speed."""
+    """Lead-vehicle acceleration signal, starting from speed v0."""
 
     kind: str
     v0: float
     duration: float
     accel: Callable[[float], float]
-    speed: Callable[[float], float]
 
 
 def constant_speed_profile(v0: float, v_bar_l: float = 20.0) -> LeaderProfile:
     if not 0.0 <= v0 <= v_bar_l:
         raise ValueError(f"v0 must lie in [0, {v_bar_l}], got {v0}")
-    return LeaderProfile("constant", v0, math.inf, lambda t: 0.0, lambda t: v0)
+    return LeaderProfile("constant", v0, math.inf, lambda t: 0.0)
 
 
 def hard_brake_profile(
@@ -183,23 +172,7 @@ def hard_brake_profile(
             return a_peak
         return a_peak * (t_end - t) / ramp if ramp > 0 else 0.0
 
-    v_at_t1 = v0 + 0.5 * a_peak * ramp
-    v_at_t2 = v_at_t1 + a_peak * hold
-
-    def speed(t):
-        if t <= t_brake:
-            return v0
-        if t >= t_end:
-            return 0.0
-        if t < t1:
-            tau = t - t_brake
-            return v0 + 0.5 * a_peak * tau * tau / ramp if ramp > 0 else v0 + a_peak * tau
-        if t < t2:
-            return v_at_t1 + a_peak * (t - t1)
-        tau = t - t2
-        return v_at_t2 + a_peak * (tau - 0.5 * tau * tau / ramp) if ramp > 0 else v_at_t2
-
-    return LeaderProfile("hard_brake", v0, math.inf, accel, speed)
+    return LeaderProfile("hard_brake", v0, math.inf, accel)
 
 
 def leader_profile_from_csv(
@@ -247,12 +220,7 @@ def leader_profile_from_csv(
             raise SignalDomainError(f"t={tau:g} outside leader profile domain [{t0:g}, {t1:g}]")
         return accels[bisect.bisect_right(times, tau) - 1]
 
-    def speed(tau):
-        if tau < t0 or tau > t1:
-            raise SignalDomainError(f"t={tau:g} outside leader profile domain [{t0:g}, {t1:g}]")
-        return float(np.interp(tau, t, v_knots))
-
-    return LeaderProfile("sampled", v0, t1, accel, speed)
+    return LeaderProfile("sampled", v0, t1, accel)
 
 
 # ---------------------------------------------------------------------------
@@ -458,107 +426,43 @@ def step_count(horizon: float, dt: float) -> int:
     return int(math.floor(horizon / dt + 1e-9))
 
 
-# Each plant gives its closed loop as two float closures over a state tuple x,
-# the leader acceleration a (None for the pendulum) and the disturbance d:
-#   row(x, a, d) -> (u_nom, u, h, k), for a logged state: the nominal and
-#       applied inputs, the barrier value and the RK4 stage-1 derivative, from
-#       one barrier and one nominal evaluation;
-#   stage(x, a, d) -> k, the derivative f(x) + g(x) (k(x) + d) at an RK4
-#       stage; a nominal stage does not evaluate the barrier;
-# plus the state clamp (or None).
-
-
-def _pendulum_loop(scn: Scenario):
-    p = scn.pendulum
-    g_over_l = p.gravity / p.length
-    g_entry = 1.0 / (p.mass * p.length * p.length)  # pendulum_dynamics' actuation
-    sin = math.sin
-    barrier = pendulum_barrier_core(p)
-    nominal = pendulum_nominal_core(p)
-
-    # sin(theta) is shared by the barrier, the nominal input and the dynamics
+def _closed_loop(scn: Scenario, plant):
+    """The closed loop of a scenario as two float closures over a state tuple
+    x, the leader acceleration a (None without a leader) and the disturbance d:
+      row(x, a, d) -> (u_nom, u, h, k), for a logged state: the nominal and
+          applied inputs, the barrier value and the RK4 stage-1 derivative;
+      stage(x, a, d) -> k, the derivative f(x) + g(x) (k(x) + d) at an RK4
+          stage.
+    """
+    nominal, terms, field = plant.nominal, plant.terms, plant.field
     if scn.controller == "nominal":
-        def inputs(th, om, s):
-            u = nominal(th, om, s)
-            return u, u, barrier(th, om, s)[0]
+        def row(x, a, d):
+            h, _, _, u = terms(x, a)
+            return u, u, h, field(x, a, u + d)
 
         def stage(x, a, d):
-            th, om = x
-            s = sin(th)
-            return (om, g_over_l * s + g_entry * (nominal(th, om, s) + d))
-    else:
-        alpha_c = p.alpha_c
-        epsilon = scn.epsilon if scn.controller == "issf" else None
+            return field(x, a, nominal(x) + d)
 
-        def inputs(th, om, s):
-            h, lf_h, lg_h = barrier(th, om, s)
-            u = nominal(th, om, s)
-            # filter_gain by its module-level name, so wrappers of it see every call
-            gain = filter_gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h, epsilon)
-            return u, (u if gain <= 0.0 else u + gain * lg_h), h
+        return row, stage
 
-        def stage(x, a, d):
-            th, om = x
-            s = sin(th)
-            return (om, g_over_l * s + g_entry * (inputs(th, om, s)[1] + d))
+    alpha_c = plant.alpha_c
+    epsilon = scn.epsilon if scn.controller == "issf" else None
 
+    # filter_gain by its module-level name, so wrappers of it see every call
     def row(x, a, d):
-        th, om = x
-        s = sin(th)
-        u_nom, u, h = inputs(th, om, s)
-        return u_nom, u, h, (om, g_over_l * s + g_entry * (u + d))
+        h, lf_h, lg_h, u_nom = terms(x, a)
+        gain = filter_gain(lg_h * lg_h, lf_h + lg_h * u_nom + alpha_c * h, h, epsilon)
+        u = u_nom if gain <= 0.0 else u_nom + gain * lg_h
+        return u_nom, u, h, field(x, a, u + d)
 
-    return row, stage, None
+    def stage(x, a, d):
+        h, lf_h, lg_h, u = terms(x, a)
+        gain = filter_gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h, epsilon)
+        if gain > 0.0:
+            u = u + gain * lg_h
+        return field(x, a, u + d)
 
-
-def _truck_loop(scn: Scenario):
-    # the plant cores by their module-level names, so wrappers of them see
-    # every closure built here
-    p = scn.truck
-    if scn.controller == "nominal":
-        # the plain filter core gives the row's u_nom and h; its filtered
-        # input is not used
-        inputs = truck_filter_core(p)
-        nominal = truck_nominal_core(p)
-
-        def row(x, a, d):
-            d_gap, v, v_l = x
-            u, _, h = inputs(d_gap, v, v_l, a)
-            return u, u, h, (v_l - v, u + d, a)
-
-        def stage(x, a, d):
-            d_gap, v, v_l = x
-            return (v_l - v, nominal(d_gap, v, v_l) + d, a)
-    else:
-        if scn.controller == "cbf":
-            inputs = truck_filter_core(p)
-        else:
-            inputs = truck_filter_core(p, scn.epsilon.eps0, scn.epsilon.lam)
-
-        def row(x, a, d):
-            d_gap, v, v_l = x
-            u_nom, u, h = inputs(d_gap, v, v_l, a)
-            return u_nom, u, h, (v_l - v, u + d, a)
-
-        def stage(x, a, d):
-            d_gap, v, v_l = x
-            return (v_l - v, inputs(d_gap, v, v_l, a)[1] + d, a)
-
-    def clamp(x, counts):
-        # vehicles do not reverse; see _CLAMP_LOG_TOL for why tiny
-        # integrator undershoots are clamped silently
-        d_gap, v, v_l = x
-        if v < 0.0:
-            if v < -_CLAMP_LOG_TOL:
-                counts["v"] += 1
-            v = 0.0
-        if v_l < 0.0:
-            if v_l < -_CLAMP_LOG_TOL:
-                counts["v_L"] += 1
-            v_l = 0.0
-        return (d_gap, v, v_l)
-
-    return row, stage, clamp
+    return row, stage
 
 
 def _stage_samples(scn: Scenario, t_rows: np.ndarray, last: bool) -> tuple:
@@ -575,7 +479,7 @@ def _stage_samples(scn: Scenario, t_rows: np.ndarray, last: bool) -> tuple:
     times = np.column_stack([t_rows, t_rows + 0.5 * dt, t_rows + dt - 1e-9 * dt]).ravel()
     if last:
         times = times[:-2]
-    if scn.plant == "truck":
+    if scn.leader is not None:
         accel = scn.leader.accel
         a = [accel(t) for t in times.tolist()]
     else:
@@ -589,12 +493,9 @@ def _stage_samples(scn: Scenario, t_rows: np.ndarray, last: bool) -> tuple:
 
 def run_scenario(scn: Scenario) -> ScenarioResult:
     """Integrate a scenario and log (t, state, u_nom, u_filt, d, h) per step."""
-    if scn.plant == "pendulum":
-        row, stage, clamp = _pendulum_loop(scn)
-        labels, alpha_c = PENDULUM_STATE_LABELS, scn.pendulum.alpha_c
-    else:
-        row, stage, clamp = _truck_loop(scn)
-        labels, alpha_c = TRUCK_STATE_LABELS, scn.truck.alpha_c
+    plant = pendulum_record(scn.pendulum) if scn.plant == "pendulum" else truck_record(scn.truck)
+    row, stage = _closed_loop(scn, plant)
+    labels, clamp = plant.labels, plant.clamp
 
     x = tuple(state_vector(scn.x0, dim=len(labels)).tolist())
     dt = scn.dt
@@ -624,8 +525,9 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         )
         return wrapped
 
-    # a ValueError from a step is the pendulum barrier overflowing at a state
-    # the step reached: the run fails there like on a non-finite derivative
+    # a ValueError from a step is the plant's barrier terms overflowing at a
+    # state the step reached: the run fails there like on a non-finite
+    # derivative
     for start in range(0, n_steps + 1, _SAMPLE_BLOCK_STEPS):
         stop = min(start + _SAMPLE_BLOCK_STEPS, n_steps + 1)
         t_rows = time[start:stop]
@@ -657,7 +559,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 
     h_star = None
     if scn.controller == "issf":
-        h_star = solve_h_star(linear_class_kappa(alpha_c), scn.epsilon, scn.delta)
+        h_star = solve_h_star(linear_class_kappa(plant.alpha_c), scn.epsilon, scn.delta)
 
     return ScenarioResult(
         name=scn.name,

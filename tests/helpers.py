@@ -2,8 +2,10 @@
 
 The oracles may not call the closed-form filter formulas: the projection
 oracle is derived from the geometry of a point-to-half-space projection, the
-grid oracle from brute-force enumeration, so both stay independent of the
-code paths they check.  The reference integrator is different in kind: it
+grid oracle from brute-force enumeration, the switching oracle from the
+single-input min/max form and the admissibility oracle from the constraint
+itself, so all of them stay independent of the code paths they check.  The
+reference integrator is different in kind: it
 replays the closed loop on numpy arrays, built from the public ``plants``,
 ``cbf`` and ``issf`` API rather than from the simulator's own maps, with every
 quantity evaluated on its own, so the simulator's float engine and its shared
@@ -17,6 +19,7 @@ import math
 import numpy as np
 
 from safefilter import (
+    DimensionError,
     PendulumParams,
     SimulationError,
     TruckParams,
@@ -31,10 +34,17 @@ from safefilter import (
     truck_robust_filter,
     truck_safe_filter,
 )
+from safefilter.cbf import LG_ZERO_TOL, filter_gain
+from safefilter.issf import set_inflation
 
 GRID_LO = -100.0
 GRID_HI = 100.0
 GRID_STEP = 1e-3
+
+# Filtered inputs land on the constraint boundary up to rounding, so
+# admissibility checks carry a small slack, scaled with the magnitude of the
+# quantities compared.
+ADMISSIBLE_SLACK = 1e-9
 
 
 def project_halfspace(u_nom, normal, rhs):
@@ -107,6 +117,69 @@ def grid_search_scalar(u_nom, lg, rhs, enumerate_all=False):
             raise ValueError("no feasible grid point")
     nearest = int(round((u_nom - GRID_LO) / GRID_STEP))
     return point(min(max(nearest, i_lo), i_hi))
+
+
+def _robust_limit(epsilon, h, lg):
+    """lg / eps(h) with the limits the filters take where eps(h) leaves the
+    float range: 0 where it overflows, +-inf (unless lg = 0) where it
+    underflows to 0."""
+    try:
+        eps = epsilon(h)
+    except OverflowError:
+        return 0.0
+    if eps > 0.0:
+        return lg / eps
+    return math.copysign(math.inf, lg) if lg != 0.0 else 0.0
+
+
+def in_admissible_set(filt, x, u, tol=ADMISSIBLE_SLACK):
+    """Whether input u satisfies the filter's barrier constraint at state x:
+    hdot(x, u) >= -alpha(h), tightened by ||lg_h||^2 / eps(h) for a filter
+    with a robustness gain."""
+    be = filt.barrier(x)
+    rate = be.hdot(u)
+    floor = -filt.alpha(be.h)
+    if filt.epsilon is not None:
+        s = float(be.lg_h @ be.lg_h)
+        floor = floor + _robust_limit(filt.epsilon, be.h, s)
+    return rate >= floor - tol * max(1.0, abs(rate), abs(floor))
+
+
+def switching_filter(filt, x):
+    """The single-input min/max form of a filter at state x.
+
+    For lg_h > 0 the safe input is a lower bound (max), for lg_h < 0 an upper
+    bound (min); on lg_h = 0 the nominal input passes through.  A robustness
+    gain moves the bound by lg_h / eps(h).  This is the form the truck filter
+    used to be written in; it agrees with the projection to rounding.
+    """
+    be = filt.barrier(x)
+    if be.lg_h.shape[0] != 1:
+        raise DimensionError(f"switching form needs a single-input plant, "
+                             f"got m={be.lg_h.shape[0]}")
+    u_nom = float(np.atleast_1d(np.asarray(filt.nominal(x), dtype=float))[0])
+    lg = float(be.lg_h[0])
+    if abs(lg) <= LG_ZERO_TOL:
+        return u_nom
+    u_safe = -(be.lf_h + filt.alpha(be.h)) / lg
+    if filt.epsilon is not None:
+        u_safe = u_safe + _robust_limit(filt.epsilon, be.h, lg)
+    return max(u_nom, u_safe) if lg > 0.0 else min(u_nom, u_safe)
+
+
+def in_inflated_set(alpha, epsilon, h_val, delta):
+    """Membership in the inflated safe set: h + set_inflation(h, delta) >= 0."""
+    return h_val + set_inflation(alpha, epsilon, h_val, delta) >= 0.0
+
+
+def correction_gain(filt, x):
+    """The unclipped gain a filter's correction along lg_h has at state x:
+    positive exactly where the nominal input violates the constraint, zero on
+    the lg_h = 0 set.  A probe of ``cbf.filter_gain``, not an oracle."""
+    be = filt.barrier(x)
+    u_nom = np.atleast_1d(np.asarray(filt.nominal(x), dtype=float))
+    residual = be.lf_h + float(be.lg_h @ u_nom) + filt.alpha(be.h)
+    return filter_gain(float(be.lg_h @ be.lg_h), residual, be.h, filt.epsilon)
 
 
 def sample_pendulum_states(rng, count):

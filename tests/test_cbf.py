@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from safefilter import (
     BarrierEvaluation,
     CbfFilter,
-    DimensionError,
     PendulumParams,
     linear_class_kappa,
     pendulum_barrier,
@@ -14,7 +13,13 @@ from safefilter import (
     pendulum_nominal,
 )
 
-from helpers import grid_search_scalar, project_halfspace
+from helpers import (
+    correction_gain,
+    grid_search_scalar,
+    in_admissible_set,
+    project_halfspace,
+    switching_filter,
+)
 
 P = PendulumParams()
 FILT = pendulum_cbf_filter(P)
@@ -26,34 +31,34 @@ pendulum_states = st.tuples(st.floats(-0.4, 0.4), st.floats(-0.8, 0.8)).map(np.a
 
 def test_admissible_at_equilibrium():
     # upright center of the ellipse: h = 1, hdot = 0 >= -alpha(1)
-    assert FILT.in_admissible_set(np.array([0.0, 0.0]), [0.0])
+    assert in_admissible_set(FILT, np.array([0.0, 0.0]), [0.0])
 
 
 def test_admissible_on_the_boundary_is_non_strict():
     be = BarrierEvaluation(h=2.0, lf_h=0.0, lg_h=[1.0])
     filt = CbfFilter(lambda x: be, linear_class_kappa(0.5), lambda x: np.array([0.0]))
     # hdot = -1.0 equals -alpha(2.0) exactly
-    assert filt.in_admissible_set(None, [-1.0], tol=0.0)
+    assert in_admissible_set(filt, None, [-1.0], tol=0.0)
 
 
 def test_violating_input_rejected():
     # at (0.25, 0.5) lg_h = -3, so a large positive torque drives hdot far
     # below the -alpha(h) floor
     x = np.array([0.25, 0.5])
-    assert not FILT.in_admissible_set(x, [100.0])
+    assert not in_admissible_set(FILT, x, [100.0])
 
 
 def test_gain_zero_on_lg_zero_line():
     # lg_h vanishes on theta_dot = -(b/2a) theta, which is theta_dot = -theta here
     x = np.array([0.1, -0.1])
     assert BARRIER(x).lg_h[0] == 0.0
-    assert FILT.correction_gain(x) == 0.0
+    assert correction_gain(FILT, x) == 0.0
     assert FILT.filter(x) == pytest.approx(NOMINAL(x))
 
 
 def test_gain_negative_when_nominal_has_slack():
     x = np.array([-0.1, 0.5])
-    gain = FILT.correction_gain(x)
+    gain = correction_gain(FILT, x)
     assert gain == pytest.approx(-0.1625, abs=1e-10)
     assert gain < 0.0
     assert FILT.filter(x) == pytest.approx(NOMINAL(x))
@@ -67,7 +72,7 @@ def test_active_gain_matches_projection_multiplier():
     u_nom = NOMINAL(x)
     rhs = -be.lf_h - P.alpha_c * be.h
     mu = (rhs - float(be.lg_h @ u_nom)) / float(be.lg_h @ be.lg_h)
-    gain = FILT.correction_gain(x)
+    gain = correction_gain(FILT, x)
     assert gain > 0.0
     assert gain == pytest.approx(mu, abs=1e-12)
     assert gain == pytest.approx(0.2865, abs=1e-10)
@@ -76,7 +81,7 @@ def test_active_gain_matches_projection_multiplier():
 @given(x=pendulum_states)
 @settings(max_examples=200)
 def test_filter_output_is_admissible(x):
-    assert FILT.in_admissible_set(x, FILT.filter(x))
+    assert in_admissible_set(FILT, x, FILT.filter(x))
 
 
 @given(x=pendulum_states)
@@ -113,19 +118,12 @@ def test_correction_is_along_lg(x):
 @given(x=pendulum_states)
 @settings(max_examples=200)
 def test_switching_form_equals_closed_form(x):
-    assert FILT.filter_switching(x) == pytest.approx(float(FILT.filter(x)[0]), abs=1e-10)
+    assert switching_filter(FILT, x) == pytest.approx(float(FILT.filter(x)[0]), abs=1e-10)
 
 
 def test_switching_on_lg_zero_returns_nominal():
     x = np.array([0.1, -0.1])
-    assert FILT.filter_switching(x) == pytest.approx(float(NOMINAL(x)[0]))
-
-
-def test_switching_needs_single_input():
-    be = BarrierEvaluation(h=1.0, lf_h=0.0, lg_h=[1.0, 0.0])
-    filt = CbfFilter(lambda x: be, linear_class_kappa(1.0), lambda x: np.zeros(2))
-    with pytest.raises(DimensionError):
-        filt.filter_switching(None)
+    assert switching_filter(FILT, x) == float(FILT.filter(x)[0]) == float(NOMINAL(x)[0])
 
 
 def test_no_jump_across_activation_boundary():
@@ -133,7 +131,7 @@ def test_no_jump_across_activation_boundary():
     # locus; successive outputs must scale with the step (fitted bound)
     a = np.array([-0.1, 0.5])
     b = np.array([0.05, 0.45])
-    assert FILT.correction_gain(a) < 0.0 < FILT.correction_gain(b)
+    assert correction_gain(FILT, a) < 0.0 < correction_gain(FILT, b)
     s = np.linspace(0.0, 1.0, 1001)
     outputs = np.array([float(FILT.filter(a + si * (b - a))[0]) for si in s])
     step = s[1] - s[0]

@@ -444,6 +444,20 @@ def test_malformed_value_rejected_with_path(doc, where):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("doc,where", [
+    ({"plant": "truck", "dt": 10**5000}, r"\$\.dt "),
+    ({"plant": "pendulum", "certify": {"samples": 10**5000}}, r"\$\.certify\.samples "),
+    ({"plant": "truck", "certify": {"grid": [10**5000, 2]}}, r"\$\.certify\.grid "),
+    ({"plant": "truck", "name": 10**5000}, r"\$\.name "),
+    ({"plant": "pendulum", "certify": {"cross_term": 10**5000}}, r"\$\.certify\.cross_term "),
+    ({"plant": "truck", "controller": 10**5000}, r"\$\.controller "),
+])
+def test_integers_too_long_to_print_are_rejected_with_path(doc, where):
+    # repr refuses integers of more than 4300 digits; the message gives the length
+    with pytest.raises(ConfigError, match=where + r".*an integer of 5001 digits"):
+        parse_config(doc)
+
+
 @pytest.mark.parametrize("plant,certify,where", [
     ("truck", {"grid": [100000, 100000]}, "grid"),
     ("pendulum", {"samples": MAX_GRID_CELLS + 1}, "samples"),

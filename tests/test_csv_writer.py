@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from safefilter.cli import main
-from safefilter.plants import TRUCK_STATE_LABELS, TruckParams
+from safefilter.plants import TruckParams, truck_record
 from safefilter.sim import _CSV_BLOCK_ROWS, ScenarioResult, write_csv_table
 from safefilter.verification import truck_margin_table
 
@@ -49,7 +49,7 @@ def test_scenario_log_matches_per_cell_writer(tmp_path):
     cols[:len(SPECIAL), 3] = SPECIAL
     result = ScenarioResult(
         name="mixed", plant="truck", controller="cbf", dt=0.01,
-        state_labels=TRUCK_STATE_LABELS, time=np.arange(rows) * 0.01,
+        state_labels=truck_record(TruckParams()).labels, time=np.arange(rows) * 0.01,
         states=cols[:, :3], u_nom=cols[:, 3], u_filt=cols[:, 4], d=cols[:, 5],
         h=cols[:, 6], h_min=0.0, h_star=None, clamp_counts={},
     )

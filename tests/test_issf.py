@@ -10,7 +10,6 @@ from safefilter import (
     PendulumParams,
     RootBracketError,
     TruckParams,
-    in_inflated_set,
     linear_class_kappa,
     pendulum_barrier,
     pendulum_cbf_filter,
@@ -19,7 +18,10 @@ from safefilter import (
     set_inflation,
     solve_h_star,
 )
-from safefilter.cbf import filter_gain
+from safefilter.cbf import CbfFilter, filter_gain
+from safefilter.issf import IssfFilter
+
+from helpers import correction_gain, in_admissible_set, in_inflated_set, switching_filter
 
 P = PendulumParams()
 ALPHA_P = linear_class_kappa(P.alpha_c)
@@ -190,10 +192,17 @@ def test_inflated_set_equals_h_star_sublevel(h, eps0, lam, delta):
 # ---------------------------------------------------------------------------
 
 
+def test_robust_filter_is_the_cbf_filter_with_a_robustness_gain():
+    eps = EpsilonFunction(0.15)
+    assert IssfFilter is CbfFilter
+    assert pendulum_issf_filter(P, eps).epsilon is eps
+    assert pendulum_cbf_filter(P).epsilon is None
+
+
 def test_robust_gain_zero_on_lg_zero_line():
     filt = pendulum_issf_filter(P, EpsilonFunction(0.15))
     x = np.array([0.1, -0.1])
-    assert filt.correction_gain(x) == 0.0
+    assert correction_gain(filt, x) == 0.0
     assert filt.filter(x) == pytest.approx(pendulum_nominal(P)(x))
 
 
@@ -202,7 +211,7 @@ def test_robust_gain_zero_on_lg_zero_line():
 def test_huge_epsilon_recovers_plain_filter_gain(x):
     plain = pendulum_cbf_filter(P)
     robust = pendulum_issf_filter(P, EpsilonFunction(1e9, 0.0))
-    assert abs(robust.correction_gain(x) - plain.correction_gain(x)) <= 1e-6
+    assert abs(correction_gain(robust, x) - correction_gain(plain, x)) <= 1e-6
 
 
 @given(x=pendulum_states)
@@ -212,14 +221,14 @@ def test_robust_gain_dominates_plain_gain(x):
     robust = pendulum_issf_filter(P, EpsilonFunction(0.15, 0.0))
     barrier = pendulum_barrier(P)
     if abs(barrier(x).lg_h[0]) > 1e-12:
-        assert robust.correction_gain(x) >= plain.correction_gain(x)
+        assert correction_gain(robust, x) >= correction_gain(plain, x)
 
 
 @given(x=pendulum_states)
 @settings(max_examples=200)
 def test_robust_filter_output_in_tightened_set(x):
     filt = pendulum_issf_filter(P, EpsilonFunction(0.5, 12.0))
-    assert filt.in_admissible_set(x, filt.filter(x))
+    assert in_admissible_set(filt, x, filt.filter(x))
 
 
 @given(x=pendulum_states)
@@ -227,7 +236,7 @@ def test_robust_filter_output_in_tightened_set(x):
 def test_robust_filter_passes_through_admissible_nominal(x):
     filt = pendulum_issf_filter(P, EpsilonFunction(0.15, 0.0))
     u_nom = pendulum_nominal(P)(x)
-    if filt.in_admissible_set(x, u_nom, tol=0.0):
+    if in_admissible_set(filt, x, u_nom, tol=0.0):
         assert np.array_equal(filt.filter(x), u_nom)
 
 
@@ -245,7 +254,7 @@ def test_infinite_epsilon_reduces_to_plain_filter(x):
 def test_robust_switching_equals_closed_form(x):
     # rel term covers states with tiny eps(h) where both forms blow up together
     filt = pendulum_issf_filter(P, EpsilonFunction(0.5, 12.0))
-    assert filt.filter_switching(x) == pytest.approx(
+    assert switching_filter(filt, x) == pytest.approx(
         float(filt.filter(x)[0]), abs=1e-10, rel=1e-12
     )
 
@@ -267,7 +276,7 @@ def test_robust_pendulum_filter_gives_an_infinite_input_where_eps_vanishes():
     filt = pendulum_issf_filter(P, EpsilonFunction(0.5, 12.0))
     x = np.array([0.1, 20.0])   # h about -1600: eps(h) underflows to 0
     assert filt.epsilon(pendulum_barrier(P)(x).h) == 0.0
-    assert filt.correction_gain(x) == math.inf
+    assert correction_gain(filt, x) == math.inf
     assert np.isinf(filt.filter(x)).all()
 
 
@@ -278,7 +287,7 @@ def test_robust_admissibility_takes_the_limits_of_1_over_eps():
     x = np.array([0.1, 20.0])
     assert filt.epsilon(pendulum_barrier(P)(x).h) == 0.0
     for u in (-1e6, 0.0, 1e6):
-        assert not filt.in_admissible_set(x, np.array([u]))
+        assert not in_admissible_set(filt, x, np.array([u]))
     # where eps(h) overflows the tightening vanishes: the plain constraint
     robust = pendulum_issf_filter(P, EpsilonFunction(0.5, 1000.0))
     plain = pendulum_cbf_filter(P)
@@ -288,4 +297,4 @@ def test_robust_admissibility_takes_the_limits_of_1_over_eps():
     boundary = float(plain.filter(np.array([0.05, 0.0]))[0])
     for u in (boundary - 1.0, boundary, boundary + 1.0, 1e6):
         u = np.array([u])
-        assert robust.in_admissible_set(x, u) == plain.in_admissible_set(x, u)
+        assert in_admissible_set(robust, x, u) == in_admissible_set(plain, x, u)

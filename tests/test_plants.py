@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from safefilter import (
     CbfFilter,
     EpsilonFunction,
-    IssfFilter,
     PendulumParams,
     TruckParams,
     linear_class_kappa,
@@ -25,8 +24,9 @@ from safefilter import (
     truck_robust_filter,
     truck_safe_filter,
 )
-from safefilter.cbf import LG_ZERO_TOL
-from safefilter.plants import truck_filter_core
+from safefilter.plants import truck_record
+
+from helpers import in_admissible_set, switching_filter
 
 P = PendulumParams()
 T = TruckParams()
@@ -179,24 +179,22 @@ def test_nominal_is_the_policy_composition_bit_for_bit():
 
 @given(state=truck_box)
 @settings(max_examples=200)
-def test_filter_core_matches_the_barrier_evaluation_bit_for_bit(state):
-    # the core's inline barrier terms and min/max form against truck_barrier
-    # and the policy composition, with and without the robust tightening
+def test_record_terms_match_the_barrier_evaluation_bit_for_bit(state):
+    # the record's inline barrier and policies against truck_barrier, which
+    # wraps BarrierEvaluation around them, and the policy composition
     d, v, v_l, a_l = state
-    be = truck_barrier(T, a_l)(np.array([d, v, v_l]))
-    lg_h = float(be.lg_h[0])
-    u_nom = _policy_nominal(d, v, v_l)
-    for eps in (None, EpsilonFunction(T.eps0, T.lam)):
-        u_safe = -(be.lf_h + T.alpha_c * be.h) / lg_h
-        core = truck_filter_core(T)
-        if eps is not None:
-            u_safe = u_safe + lg_h / eps(be.h)
-            core = truck_filter_core(T, eps.eps0, eps.lam)
-        if abs(lg_h) <= LG_ZERO_TOL:
-            u = u_nom
-        else:
-            u = min(u_nom, u_safe) if lg_h < 0.0 else max(u_nom, u_safe)
-        assert [r.hex() for r in core(d, v, v_l, a_l)] == [u_nom.hex(), u.hex(), be.h.hex()]
+    x = np.array([d, v, v_l])
+    be = truck_barrier(T, a_l)(x)
+    h, lf_h, lg_h, u_nom = truck_record(T).terms((d, v, v_l), a_l)
+    assert [h.hex(), lf_h.hex(), lg_h.hex()] == [be.h.hex(), be.lf_h.hex(), be.lg_h[0].hex()]
+    assert h.hex() == (d - truck_headway(T, v, v_l)).hex()
+    assert u_nom.hex() == _policy_nominal(d, v, v_l).hex()
+    # the Lie derivatives along the numpy dynamics, from the gradient of h
+    grad = np.array([1.0, -(T.c1 + 2.0 * T.c3 * v + T.c4 * v_l),
+                     -(T.c2 + T.c4 * v + 2.0 * T.c5 * v_l)])
+    dyn = truck_dynamics(T, lambda t: a_l)
+    assert lf_h == pytest.approx(float(grad @ dyn.drift(x, 0.0)), rel=1e-12, abs=1e-12)
+    assert lg_h == pytest.approx(float((grad @ dyn.actuation(x, 0.0))[0]), rel=1e-12, abs=1e-12)
 
 
 def test_truck_params_consistency_enforced():
@@ -213,17 +211,20 @@ def test_truck_params_consistency_enforced():
 # ---------------------------------------------------------------------------
 
 
+def _truck_filter(a_l, epsilon=None):
+    """The truck's filter as a generic CbfFilter, for the oracles."""
+    return CbfFilter(truck_barrier(T, a_l), linear_class_kappa(T.alpha_c),
+                     lambda x: np.array([truck_nominal(T, x[0], x[1], x[2])]), epsilon)
+
+
 @given(state=truck_box)
 @settings(max_examples=200)
 def test_safe_filter_matches_generic_switching(state):
+    # the projection u_nom + gain lg_h against the min/max form it replaced
     d, v, v_l, a_l = state
-    filt = CbfFilter(
-        truck_barrier(T, a_l), linear_class_kappa(T.alpha_c),
-        lambda x: np.array([truck_nominal(T, x[0], x[1], x[2])]),
-    )
     x = np.array([d, v, v_l])
     assert truck_safe_filter(T, d, v, v_l, a_l) == pytest.approx(
-        filt.filter_switching(x), abs=1e-12, rel=1e-12
+        switching_filter(_truck_filter(a_l), x), abs=1e-12, rel=1e-12
     )
 
 
@@ -231,15 +232,40 @@ def test_safe_filter_matches_generic_switching(state):
 @settings(max_examples=200)
 def test_robust_filter_matches_generic_switching(state):
     d, v, v_l, a_l = state
-    filt = IssfFilter(
-        truck_barrier(T, a_l), linear_class_kappa(T.alpha_c),
-        lambda x: np.array([truck_nominal(T, x[0], x[1], x[2])]),
-        EpsilonFunction(T.eps0, T.lam),
-    )
     x = np.array([d, v, v_l])
+    filt = _truck_filter(a_l, EpsilonFunction(T.eps0, T.lam))
     assert truck_robust_filter(T, d, v, v_l, a_l) == pytest.approx(
-        filt.filter_switching(x), abs=1e-12, rel=1e-12
+        switching_filter(filt, x), abs=1e-12, rel=1e-12
     )
+
+
+@given(state=truck_box)
+@settings(max_examples=200)
+def test_truck_filters_satisfy_their_constraints(state):
+    d, v, v_l, a_l = state
+    x = np.array([d, v, v_l])
+    assert in_admissible_set(_truck_filter(a_l), x, [truck_safe_filter(T, d, v, v_l, a_l)])
+    robust = _truck_filter(a_l, EpsilonFunction(T.eps0, T.lam))
+    assert in_admissible_set(robust, x, [truck_robust_filter(T, d, v, v_l, a_l)])
+
+
+def test_robust_truck_filter_meets_its_constraint_where_eps_leaves_the_float_range():
+    # with lam = 50, eps(h) overflows for h above about 14 and underflows to
+    # 0 below about -15
+    eps = EpsilonFunction(T.eps0, 50.0)
+    robust, plain = _truck_filter(-8.0, eps), _truck_filter(-8.0)
+    far = np.array([60.0, 2.0, 16.0])        # h about 55: the plain constraint
+    with pytest.raises(OverflowError):
+        eps(robust.barrier(far).h)
+    u = truck_robust_filter(T, *far, -8.0, eps.eps0, eps.lam)
+    assert u == truck_safe_filter(T, *far, -8.0) == switching_filter(robust, far)
+    assert in_admissible_set(robust, far, [u]) and in_admissible_set(plain, far, [u])
+    close = np.array([0.0, 20.0, 2.0])       # h about -35: no finite input is admissible
+    assert eps(robust.barrier(close).h) == 0.0
+    u = truck_robust_filter(T, *close, -8.0, eps.eps0, eps.lam)
+    assert u == switching_filter(robust, close) == -math.inf
+    for u in (-1e6, 0.0, 1e6):
+        assert not in_admissible_set(robust, close, [u])
 
 
 @given(state=truck_box)

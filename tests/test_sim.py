@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from safefilter import (
@@ -163,6 +164,14 @@ def test_truck_coasting_keeps_speeds_and_d_affine():
 # Leader profiles
 # ---------------------------------------------------------------------------
 
+def _leader_speed(lead, t, breakpoints=()):
+    """v0 plus the integral of the leader's acceleration up to t, with the
+    profile's breakpoints before t passed to quad."""
+    points = [p for p in breakpoints if 0.0 < p < t]
+    integral, _ = quad(lead.accel, 0.0, t, points=points or None)
+    return lead.v0 + integral
+
+
 def test_hard_brake_profile_shape():
     lead = hard_brake_profile(16.0, 15.0, -8.0, 3.0)
     assert lead.accel(0.0) == 0.0
@@ -170,12 +179,13 @@ def test_hard_brake_profile_shape():
     assert lead.accel(15.5) == pytest.approx(-4.0)   # mid-ramp
     assert lead.accel(16.5) == -8.0                  # hold
     assert lead.accel(18.0) == 0.0
-    assert lead.speed(0.0) == 16.0
-    assert lead.speed(15.0) == 16.0
-    assert lead.speed(18.0) == 0.0
-    assert lead.speed(30.0) == 0.0
-    ts = np.linspace(15.0, 18.0, 100)
-    speeds = [lead.speed(t) for t in ts]
+    breaks = (15.0, 16.0, 17.0, 18.0)
+    assert _leader_speed(lead, 15.0, breaks) == 16.0
+    assert _leader_speed(lead, 18.0, breaks) == pytest.approx(0.0, abs=1e-12)
+    assert _leader_speed(lead, 30.0, breaks) == pytest.approx(0.0, abs=1e-12)
+    ts = np.linspace(0.0, 30.0, 301)
+    assert all(lead.accel(t) <= 0.0 for t in ts)
+    speeds = [_leader_speed(lead, t, breaks) for t in np.linspace(15.0, 18.0, 100)]
     assert all(a >= b - 1e-12 for a, b in zip(speeds, speeds[1:]))
 
 
@@ -184,7 +194,7 @@ def test_hard_brake_rectangle_profile():
     assert lead.accel(15.0) == -8.0
     assert lead.accel(16.999) == -8.0
     assert lead.accel(17.0) == 0.0
-    assert lead.speed(17.0) == pytest.approx(0.0, abs=1e-12)
+    assert _leader_speed(lead, 17.0, (15.0, 17.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hard_brake_validation():
@@ -204,7 +214,7 @@ def test_brake_after_horizon_behaves_like_constant_speed():
     lead = hard_brake_profile(16.0, 100.0, -8.0, 2.0)
     for t in np.linspace(0.0, 60.0, 50):
         assert lead.accel(t) == 0.0
-        assert lead.speed(t) == 16.0
+        assert _leader_speed(lead, t) == 16.0
 
 
 def test_leader_csv_roundtrip(tmp_path):
@@ -213,7 +223,7 @@ def test_leader_csv_roundtrip(tmp_path):
     lead = leader_profile_from_csv(path, v0=16.0)
     assert lead.accel(5.0) == 0.0
     assert lead.accel(11.0) == -5.0
-    assert lead.speed(12.0) == pytest.approx(6.0)
+    assert _leader_speed(lead, 12.0, (10.0, 12.0)) == pytest.approx(6.0)
     with pytest.raises(Exception):
         lead.accel(25.0)
 
@@ -292,7 +302,7 @@ def test_scenario_rejects_signals_that_end_before_the_last_logged_time():
     with pytest.raises(SignalTooShortError, match="disturbance ends at t=0.995") as excinfo:
         _pendulum_scenario("cbf", too_short, horizon=1.0)
     assert excinfo.value.signal == "disturbance"
-    leader = LeaderProfile("sampled", 16.0, 0.995, lambda t: 0.0, lambda t: 16.0)
+    leader = LeaderProfile("sampled", 16.0, 0.995, lambda t: 0.0)
     with pytest.raises(SignalTooShortError) as excinfo:
         Scenario(name="x", plant="truck", controller="cbf", x0=(27.4, 16.0, 16.0),
                  horizon=1.0, dt=0.01, disturbance=ZERO, truck=T, leader=leader)

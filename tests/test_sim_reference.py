@@ -26,7 +26,7 @@ from safefilter import (
     sampled_disturbance,
     truck_headway,
 )
-from safefilter import plants, sim
+from safefilter import sim
 from safefilter.cli import SCENARIO_PRESETS, build_scenarios, parse_config
 
 from helpers import reference_run
@@ -115,25 +115,38 @@ def _counted(calls, key, fn):
     return wrapper
 
 
-def _count_closures(monkeypatch, module, name, calls, key):
-    """Count every call of the closures that the factory ``module.name`` builds."""
-    factory = getattr(module, name)
-    monkeypatch.setattr(module, name,
-                        lambda *args: _counted(calls, key, factory(*args)))
+def _count_record(monkeypatch, name, calls):
+    """Count every call of the closures in the plant records ``sim.name`` builds.
+
+    ``terms`` evaluates the barrier and, inside it, the nominal input once
+    (``test_plants`` checks its u_nom against the nominal controller), so
+    each of its calls counts as one of each.
+    """
+    factory = getattr(sim, name)
+
+    def terms_counted(terms):
+        def wrapper(x, a):
+            calls["barrier"] += 1
+            calls["nominal"] += 1
+            return terms(x, a)
+
+        return wrapper
+
+    def hooked(p):
+        record = factory(p)
+        return record._replace(nominal=_counted(calls, "nominal", record.nominal),
+                               terms=terms_counted(record.terms),
+                               field=_counted(calls, "field", record.field))
+
+    monkeypatch.setattr(sim, name, hooked)
 
 
 @pytest.mark.parametrize("plant", ["pendulum", "truck"])
 @pytest.mark.parametrize("controller", ["nominal", "cbf", "issf"])
 def test_four_controller_and_disturbance_calls_per_step(plant, controller, monkeypatch):
     calls = Counter()
-    # the barrier: the pendulum's float core, and the truck's filter core,
-    # which evaluates the barrier inside
-    _count_closures(monkeypatch, sim, "pendulum_barrier_core", calls, "barrier")
-    _count_closures(monkeypatch, sim, "truck_filter_core", calls, "barrier")
-    # the nominal input, in sim and inside the truck filter core in plants
-    _count_closures(monkeypatch, sim, "pendulum_nominal_core", calls, "nominal")
-    for module in (sim, plants):
-        _count_closures(monkeypatch, module, "truck_nominal_core", calls, "nominal")
+    for name in ("pendulum_record", "truck_record"):
+        _count_record(monkeypatch, name, calls)
     monkeypatch.setattr(sim, "filter_gain", _counted(calls, "gain", sim.filter_gain))
     monkeypatch.setattr(sim, "rk4_stages", _counted(calls, "step", sim.rk4_stages))
 
@@ -146,18 +159,20 @@ def test_four_controller_and_disturbance_calls_per_step(plant, controller, monke
     n_steps = result.time.size - 1
     assert calls["step"] == n_steps
     # per step: the logged row, which is RK4 stage 1, and stages 2, 3 and 4;
-    # each controller evaluation evaluates the nominal input once
+    # each controller evaluation evaluates the nominal input once, and each
+    # stage the dynamics once
     assert calls["nominal"] == 4 * n_steps + 1
+    assert calls["field"] == 4 * n_steps + 1
     # per step: t, t + dt/2 (shared by stages 2 and 3) and the step's end
     assert calls["d"] == 3 * n_steps + 1
     if controller == "nominal":
         # only the logged row evaluates the barrier
         assert calls["barrier"] == n_steps + 1
+        assert calls["gain"] == 0
     else:
+        # the one gain formula, once per filter evaluation, for both plants
         assert calls["barrier"] == 4 * n_steps + 1
-    # the pendulum filter's shared gain, once per filter evaluation
-    filtered_pendulum = plant == "pendulum" and controller != "nominal"
-    assert calls["gain"] == (4 * n_steps + 1 if filtered_pendulum else 0)
+        assert calls["gain"] == 4 * n_steps + 1
 
 
 @pytest.mark.parametrize("plant", ["pendulum", "truck"])
