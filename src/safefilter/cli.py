@@ -39,7 +39,7 @@ from .disturbance import (
     zero_disturbance,
 )
 from .issf import EpsilonFunction, RootBracketError, solve_h_star
-from .plants import PendulumParams, TruckParams, pendulum_barrier
+from .plants import PendulumParams, TruckParams, pendulum_barrier, truck_barrier
 from .sim import (
     MAX_STEPS,
     LeaderProfile,
@@ -450,6 +450,12 @@ def parse_config(doc: dict, path: str = "$") -> Config:
     if cfg.initial_state is not None and len(cfg.initial_state) != n_states:
         raise ConfigError(f"{path}.initial_state must be a {n_states}-element list")
     _check_timing(plant, cfg.dt, cfg.horizon, f"{path}.dt", f"{path}.horizon")
+    for name in ("theta_range", "d_range", "vl_range"):
+        lo, hi = getattr(cfg.certify, name)
+        # the certifiers scan with np.linspace, which overflows on hi - lo
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"{path}.certify.{name} must have a finite width hi - lo, "
+                              f"got {_shown([lo, hi])}")
     samples, grid = cfg.certify.samples, cfg.certify.grid
     if samples > MAX_GRID_CELLS:
         raise ConfigError(f"{path}.certify.samples must be at most MAX_GRID_CELLS = "
@@ -521,6 +527,12 @@ def build_scenarios(cfg: Config):
             leader = _build_leader(cfg, p)
         except (OSError, ValueError) as err:
             raise ConfigError(f"$.leader: {err}") from err
+        # as for the pendulum; the barrier is finite wherever h is, whatever
+        # the bounded leader acceleration, so a_L = 0 decides it
+        try:
+            truck_barrier(p, 0.0)(x0)
+        except ValueError as err:
+            raise ConfigError(f"$.initial_state: {err}") from err
 
     try:
         if cfg.disturbance.kind == "zero":

@@ -1,4 +1,5 @@
-"""Shared control-affine abstractions: dynamics, class-K functions, barrier evaluations.
+"""Shared control-affine abstractions: dynamics, class-K functions, barrier
+evaluations, and the error a closed-loop integration raises.
 
 Everything here is immutable after construction and side-effect free, so filters
 and simulators can evaluate these objects from any number of callers.
@@ -18,6 +19,7 @@ __all__ = [
     "ControlAffineDynamics",
     "DimensionError",
     "SignalDomainError",
+    "SimulationError",
     "linear_class_kappa",
     "state_vector",
 ]
@@ -29,6 +31,21 @@ class DimensionError(ValueError):
 
 class SignalDomainError(ValueError):
     """A time signal was queried outside its domain of definition."""
+
+
+class SimulationError(RuntimeError):
+    """Integration produced a non-finite state."""
+
+    def __init__(self, message, t=None, state=None):
+        super().__init__(message)
+        self.t = t
+        self.state = state
+
+    @classmethod
+    def non_finite(cls, what: str, t: float, x: tuple) -> "SimulationError":
+        """The error for a non-finite ``what`` (derivative or state) at time
+        ``t``, where ``x`` is the RK4 stage state it was evaluated at."""
+        return cls(f"non-finite {what} at t={t:g}, state={x!r}", t=t, state=x)
 
 
 def state_vector(values, dim: Optional[int] = None) -> np.ndarray:

@@ -8,12 +8,16 @@ v_L) with acceleration input, quadratic headway barrier h = D - rho(v, v_L),
 range/speed-policy cruise controller, and scalar safe / robust filters.
 
 Each plant is one :class:`PlantRecord` of float closures over a state tuple:
-its nominal input, its barrier terms, its closed-loop field and its state
-clamp.  ``terms`` is the one barrier formula of its plant.  The numpy-facing
-barriers, nominal controllers and truck filters are thin wrappers over the
-record, and every filter applies the one gain formula ``cbf.filter_gain``.
-The numpy dynamics (``pendulum_dynamics`` / ``truck_dynamics``) stay separate:
-they are the reference the float field is checked against.
+its nominal input, its barrier terms, one fused RK4 step and its state
+clamp.  ``terms`` is the one barrier formula of its plant and computes the
+nominal input with it.  ``step`` writes the four RK4 stages out on the
+plant's own floats, with the field, the controller of each stage (the
+nominal input, or ``terms`` and a gain closure from ``cbf.gain_function``)
+and every finiteness check, so a stage costs two Python calls.  The
+numpy-facing barriers, nominal controllers and truck filters are thin
+wrappers over the record, and every filter applies the one gain formula of
+``cbf``.  The numpy dynamics (``pendulum_dynamics`` / ``truck_dynamics``)
+stay separate: they are the reference the fused field is checked against.
 
 Barrier gradients are hand-differentiated (two plants, closed forms, zero
 dependency weight); a finite-difference cross-check lives in `verification`.
@@ -28,7 +32,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .cbf import CbfFilter, filter_gain
-from .core import BarrierEvaluation, ControlAffineDynamics, linear_class_kappa
+from .core import BarrierEvaluation, ControlAffineDynamics, SimulationError, linear_class_kappa
 from .issf import EpsilonFunction
 
 __all__ = [
@@ -63,12 +67,19 @@ class PlantRecord(NamedTuple):
     """A plant's closed loop as float closures over a state tuple ``x``.
 
     ``a`` is the leader acceleration sampled at the evaluation time, or None
-    for a plant without a leader; ``w`` is the input channel u + d.
+    for a plant without a leader.
 
     * ``nominal(x) -> u``: the hand-designed input;
     * ``terms(x, a) -> (h, lf_h, lg_h, u_nom)``: the barrier value, its Lie
       derivatives and the nominal input, everything a filter needs;
-    * ``field(x, a, w) -> xdot``: the dynamics f(x) + g(x) w;
+    * ``step(x, t, dt, a, w, a_mid, d_mid, a_end, d_end) -> x_next``: one
+      classical RK4 step from (x, t) under the record's controller, the
+      nominal input or the filtered one.  ``w`` is the input channel u + d
+      at x, as logged, and ``a`` the leader acceleration there; ``a_mid`` /
+      ``d_mid`` are the time signals at t + dt/2, shared by stages 2 and 3,
+      and ``a_end`` / ``d_end`` just inside the step's end, for stage 4.  It
+      raises :class:`SimulationError` on a non-finite stage derivative or
+      new state;
     * ``clamp(x, counts) -> x`` pins a stepped state to the plant's domain,
       counting clamp events in ``counts`` by state label, or is None.
     """
@@ -77,7 +88,7 @@ class PlantRecord(NamedTuple):
     alpha_c: float
     nominal: Callable[[tuple], float]
     terms: Callable[[tuple, Optional[float]], tuple]
-    field: Callable[[tuple, Optional[float], float], tuple]
+    step: Callable[..., tuple]
     clamp: Optional[Callable[[tuple, dict], tuple]]
 
 
@@ -118,18 +129,23 @@ def pendulum_dynamics(p: PendulumParams) -> ControlAffineDynamics:
     return ControlAffineDynamics(drift, actuation, state_dim=2, input_dim=1)
 
 
-def pendulum_record(p: PendulumParams) -> PlantRecord:
+def pendulum_record(p: PendulumParams,
+                    gain: Optional[Callable[[float, float, float], float]] = None
+                    ) -> PlantRecord:
     """The pendulum's closed loop on floats; see :class:`PlantRecord`.
 
-    ``terms`` raises the ValueError that BarrierEvaluation raises where the
-    barrier triple is not finite.
+    ``gain`` is a closure from ``cbf.gain_function``: ``step`` then applies
+    the filter at every stage, and without it the nominal input.  ``terms``
+    raises the ValueError that BarrierEvaluation raises where the barrier
+    triple is not finite.  A stage evaluates sin(theta) twice: once in
+    ``terms`` or ``nominal`` and once in the field.
     """
     aa, bb, ab = p.a * p.a, p.b * p.b, p.a * p.b
     g_over_l = p.gravity / p.length
     ml2 = p.mass * p.length * p.length
     g_entry = 1.0 / ml2  # pendulum_dynamics' actuation
-    kp, kd = p.kp, p.kd
-    sin, isfinite = math.sin, math.isfinite
+    kp, kd, alpha_c = p.kp, p.kd, p.alpha_c
+    sin, isfinite, non_finite = math.sin, math.isfinite, SimulationError.non_finite
 
     def nominal(x):
         th, om = x
@@ -137,20 +153,70 @@ def pendulum_record(p: PendulumParams) -> PlantRecord:
 
     def terms(x, a):
         th, om = x
+        sin_th = sin(th)
         h = 1.0 - th * th / aa - om * om / bb - th * om / ab
         dh_dth = -2.0 * th / aa - om / ab
         dh_dom = -2.0 * om / bb - th / ab
-        lf_h = dh_dth * om + dh_dom * g_over_l * sin(th)
+        lf_h = dh_dth * om + dh_dom * g_over_l * sin_th
         lg_h = dh_dom / ml2
         if not (isfinite(h) and isfinite(lf_h) and isfinite(lg_h)):
             raise ValueError("barrier evaluation entries must be finite")
-        return h, lf_h, lg_h, nominal(x)
+        return h, lf_h, lg_h, ml2 * (-g_over_l * sin_th - kp * th - kd * om)
 
-    def field(x, a, w):
+    # the four stages written out: stage k's derivative is
+    # (omega, g/l sin(theta) + w / (m l^2)) at its stage state
+    def step(x, t, dt, a, w, a_mid, d_mid, a_end, d_end):
         th, om = x
-        return (om, g_over_l * sin(th) + g_entry * w)
+        k1t, k1o = om, g_over_l * sin(th) + g_entry * w
+        if not (isfinite(k1t) and isfinite(k1o)):
+            raise non_finite("derivative", t, x)
+        half = 0.5 * dt
 
-    return PlantRecord(("theta", "theta_dot"), p.alpha_c, nominal, terms, field, None)
+        th2, om2 = th + half * k1t, om + half * k1o
+        if gain is None:
+            u = nominal((th2, om2))
+        else:
+            h, lf_h, lg_h, u = terms((th2, om2), a_mid)
+            g = gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h)
+            if g > 0.0:
+                u = u + g * lg_h
+        k2t, k2o = om2, g_over_l * sin(th2) + g_entry * (u + d_mid)
+        if not (isfinite(k2t) and isfinite(k2o)):
+            raise non_finite("derivative", t + half, (th2, om2))
+
+        th3, om3 = th + half * k2t, om + half * k2o
+        if gain is None:
+            u = nominal((th3, om3))
+        else:
+            h, lf_h, lg_h, u = terms((th3, om3), a_mid)
+            g = gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h)
+            if g > 0.0:
+                u = u + g * lg_h
+        k3t, k3o = om3, g_over_l * sin(th3) + g_entry * (u + d_mid)
+        if not (isfinite(k3t) and isfinite(k3o)):
+            raise non_finite("derivative", t + half, (th3, om3))
+
+        th4, om4 = th + dt * k3t, om + dt * k3o
+        if gain is None:
+            u = nominal((th4, om4))
+        else:
+            h, lf_h, lg_h, u = terms((th4, om4), a_end)
+            g = gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h)
+            if g > 0.0:
+                u = u + g * lg_h
+        k4t, k4o = om4, g_over_l * sin(th4) + g_entry * (u + d_end)
+        if not (isfinite(k4t) and isfinite(k4o)):
+            raise non_finite("derivative", t + dt - 1e-9 * dt, (th4, om4))
+
+        sixth = dt / 6.0
+        x_next = (th + sixth * (k1t + 2.0 * k2t + 2.0 * k3t + k4t),
+                  om + sixth * (k1o + 2.0 * k2o + 2.0 * k3o + k4o))
+        # finite stages can still overflow in the weighted sum
+        if not (isfinite(x_next[0]) and isfinite(x_next[1])):
+            raise non_finite("state", t + dt, x_next)
+        return x_next
+
+    return PlantRecord(("theta", "theta_dot"), p.alpha_c, nominal, terms, step, None)
 
 
 def pendulum_barrier(p: PendulumParams) -> Callable[[np.ndarray], BarrierEvaluation]:
@@ -285,17 +351,22 @@ def speed_policy(p: TruckParams, v_l: float) -> float:
     return v_l if v_l <= p.v_bar_l else p.v_bar_l
 
 
-def truck_record(p: TruckParams) -> PlantRecord:
+def truck_record(p: TruckParams,
+                 gain: Optional[Callable[[float, float, float], float]] = None
+                 ) -> PlantRecord:
     """The truck's closed loop on floats; see :class:`PlantRecord`.
 
-    ``range_policy``, ``speed_policy`` and ``truck_headway`` are written out
-    inline, in their order of operations, with the parameters bound once,
-    because the simulator evaluates the record at every RK4 stage.  The clamp
-    pins both speeds at zero: the vehicles do not reverse.
+    ``gain`` and the ValueError of ``terms`` are as in
+    :func:`pendulum_record`.  ``range_policy``, ``speed_policy`` and
+    ``truck_headway`` are written out inline, in their order of operations,
+    with the parameters bound once, because the simulator evaluates the
+    record at every RK4 stage.  The clamp pins both speeds at zero: the
+    vehicles do not reverse.
     """
     c0, c1, c2, c3, c4, c5 = p.c0, p.c1, p.c2, p.c3, p.c4, p.c5
     gain_range, gain_speed, kappa = p.gain_range, p.gain_speed, p.kappa
-    d_st, d_go, v_bar_l = p.d_st, p.d_go, p.v_bar_l
+    d_st, d_go, v_bar_l, alpha_c = p.d_st, p.d_go, p.v_bar_l, p.alpha_c
+    isfinite, non_finite = math.isfinite, SimulationError.non_finite
 
     def nominal(x):
         d, v, v_l = x
@@ -313,10 +384,71 @@ def truck_record(p: TruckParams) -> PlantRecord:
         h = d - (c0 + c1 * v + c2 * v_l + c3 * v * v + c4 * v * v_l + c5 * v_l * v_l)
         lf_h = v_l - v - a * (c2 + c4 * v + 2.0 * c5 * v_l)
         lg_h = -(c1 + 2.0 * c3 * v + c4 * v_l)
-        return h, lf_h, lg_h, nominal(x)
+        if not (isfinite(h) and isfinite(lf_h) and isfinite(lg_h)):
+            raise ValueError("barrier evaluation entries must be finite")
+        # nominal(x), written out: terms runs at every filtered RK4 stage
+        if d < d_st:
+            v_range = 0.0
+        elif d <= d_go:
+            v_range = kappa * (d - d_st)
+        else:
+            v_range = v_bar_l
+        v_speed = v_l if v_l <= v_bar_l else v_bar_l
+        return h, lf_h, lg_h, gain_range * (v_range - v) + gain_speed * (v_speed - v)
 
-    def field(x, a, w):
-        return (x[2] - x[1], w, a)
+    # the four stages written out: stage k's derivative is (v_L - v, w, a_L)
+    # at its stage state
+    def step(x, t, dt, a, w, a_mid, d_mid, a_end, d_end):
+        d, v, v_l = x
+        k1d, k1v, k1l = v_l - v, w, a
+        if not (isfinite(k1d) and isfinite(k1v) and isfinite(k1l)):
+            raise non_finite("derivative", t, x)
+        half = 0.5 * dt
+
+        x2 = (d + half * k1d, v + half * k1v, v_l + half * k1l)
+        if gain is None:
+            u = nominal(x2)
+        else:
+            h, lf_h, lg_h, u = terms(x2, a_mid)
+            g = gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h)
+            if g > 0.0:
+                u = u + g * lg_h
+        k2d, k2v, k2l = x2[2] - x2[1], u + d_mid, a_mid
+        if not (isfinite(k2d) and isfinite(k2v) and isfinite(k2l)):
+            raise non_finite("derivative", t + half, x2)
+
+        x3 = (d + half * k2d, v + half * k2v, v_l + half * k2l)
+        if gain is None:
+            u = nominal(x3)
+        else:
+            h, lf_h, lg_h, u = terms(x3, a_mid)
+            g = gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h)
+            if g > 0.0:
+                u = u + g * lg_h
+        k3d, k3v, k3l = x3[2] - x3[1], u + d_mid, a_mid
+        if not (isfinite(k3d) and isfinite(k3v) and isfinite(k3l)):
+            raise non_finite("derivative", t + half, x3)
+
+        x4 = (d + dt * k3d, v + dt * k3v, v_l + dt * k3l)
+        if gain is None:
+            u = nominal(x4)
+        else:
+            h, lf_h, lg_h, u = terms(x4, a_end)
+            g = gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h)
+            if g > 0.0:
+                u = u + g * lg_h
+        k4d, k4v, k4l = x4[2] - x4[1], u + d_end, a_end
+        if not (isfinite(k4d) and isfinite(k4v) and isfinite(k4l)):
+            raise non_finite("derivative", t + dt - 1e-9 * dt, x4)
+
+        sixth = dt / 6.0
+        x_next = (d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d),
+                  v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+                  v_l + sixth * (k1l + 2.0 * k2l + 2.0 * k3l + k4l))
+        # finite stages can still overflow in the weighted sum
+        if not (isfinite(x_next[0]) and isfinite(x_next[1]) and isfinite(x_next[2])):
+            raise non_finite("state", t + dt, x_next)
+        return x_next
 
     def clamp(x, counts):
         # see _CLAMP_LOG_TOL for why tiny integrator undershoots are clamped
@@ -332,7 +464,7 @@ def truck_record(p: TruckParams) -> PlantRecord:
             v_l = 0.0
         return (d, v, v_l)
 
-    return PlantRecord(("D", "v", "v_L"), p.alpha_c, nominal, terms, field, clamp)
+    return PlantRecord(("D", "v", "v_L"), alpha_c, nominal, terms, step, clamp)
 
 
 def truck_nominal(p: TruckParams, d: float, v: float, v_l: float) -> float:

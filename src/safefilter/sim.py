@@ -8,18 +8,19 @@ Runs are deterministic: identical scenarios produce bit-identical logs.
 
 The engine runs on Python floats, since the plants have two or three states
 and one input, and numpy's per-call overhead on arrays that small costs more
-than the arithmetic.  A state is a tuple of floats.  ``run_scenario`` takes
-the plant's :class:`safefilter.plants.PlantRecord` and steps every plant and
-controller through one closed loop over it.  ``row`` gives a logged state's
-nominal input, applied input and barrier value together with the RK4 stage-1
-derivative, from one evaluation of the barrier terms; ``stage`` fuses the
-controller and the dynamics for stages 2 to 4, and a nominal stage does not
-evaluate the barrier.  A filtered input is ``cbf.filter_gain`` applied to the
-record's terms.  The time signals (the disturbance and the leader's
+than the arithmetic.  A state is a tuple of floats.  ``run_scenario`` builds
+the controller's gain closure once per run (``cbf.gain_function``; none for
+the nominal controller), takes the plant's
+:class:`safefilter.plants.PlantRecord` built with it, and steps every plant
+and controller through one loop over it.  The logged row gives a state's
+nominal input, applied input and barrier value from one evaluation of the
+barrier terms, and its input channel u + d is RK4 stage 1; the record's
+fused ``step`` writes out the four stages, and a nominal stage does not
+evaluate the barrier.  The time signals (the disturbance and the leader's
 acceleration) are sampled once per run, block by block, at the stage times,
 so a step evaluates the controller once per stage and the disturbance once
-per distinct stage time.  ``rk4_stages`` is the one RK4 formula;
-``rk4_step`` adapts it to a field and a controller of (x, t).
+per distinct stage time.  ``rk4_step`` is the same RK4 step, generic over a
+field and a controller of (x, t) on tuples.
 
 Each float goes through the same IEEE operations in the same order as the
 numpy filters and dynamics, so the logs match a numpy reference integrator
@@ -38,8 +39,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cbf import filter_gain
-from .core import SignalDomainError, linear_class_kappa, state_vector
+from .cbf import gain_function
+from .core import SignalDomainError, SimulationError, linear_class_kappa, state_vector
 from .disturbance import DisturbanceSignal, lag_residual, zero_disturbance
 from .issf import EpsilonFunction, solve_h_star
 from .plants import (
@@ -84,15 +85,6 @@ _SAMPLE_BLOCK_STEPS = 1024
 # Rows per %-format call in write_csv_table: enough to amortise the call, few
 # enough that one block's text stays small next to the table itself.
 _CSV_BLOCK_ROWS = 1024
-
-
-class SimulationError(RuntimeError):
-    """Integration produced a non-finite state."""
-
-    def __init__(self, message, t=None, state=None):
-        super().__init__(message)
-        self.t = t
-        self.state = state
 
 
 class SteadyStateWindowError(ValueError):
@@ -228,54 +220,6 @@ def leader_profile_from_csv(
 # ---------------------------------------------------------------------------
 
 
-def _non_finite(what: str, t: float, x: tuple) -> SimulationError:
-    return SimulationError(f"non-finite {what} at t={t:g}, state={x!r}", t=t, state=x)
-
-
-def rk4_stages(
-    stage: Callable[[tuple, object, object], tuple],
-    x: tuple,
-    t: float,
-    dt: float,
-    k1: tuple,
-    a_mid: object,
-    d_mid: object,
-    a_end: object,
-    d_end: object,
-) -> tuple:
-    """The classical RK4 step from (x, t) given its stage-1 derivative ``k1``.
-
-    ``stage(x, a, d)`` is the closed-loop derivative at a stage state, where
-    ``a`` and ``d`` are the step's time-signal values at that stage's time,
-    passed through unchanged: ``a_mid``/``d_mid`` at t + dt/2 for stages 2
-    and 3, ``a_end``/``d_end`` just inside the step's end for stage 4.
-    Every stage derivative and the new state are checked to be finite.
-    """
-    isfinite = math.isfinite
-    if not all(map(isfinite, k1)):
-        raise _non_finite("derivative", t, x)
-    half = 0.5 * dt
-    x2 = tuple([xi + half * ki for xi, ki in zip(x, k1)])
-    k2 = stage(x2, a_mid, d_mid)
-    if not all(map(isfinite, k2)):
-        raise _non_finite("derivative", t + half, x2)
-    x3 = tuple([xi + half * ki for xi, ki in zip(x, k2)])
-    k3 = stage(x3, a_mid, d_mid)
-    if not all(map(isfinite, k3)):
-        raise _non_finite("derivative", t + half, x3)
-    x4 = tuple([xi + dt * ki for xi, ki in zip(x, k3)])
-    k4 = stage(x4, a_end, d_end)
-    if not all(map(isfinite, k4)):
-        raise _non_finite("derivative", t + dt - 1e-9 * dt, x4)
-    sixth = dt / 6.0
-    x_next = tuple([xi + sixth * (a + 2.0 * b + 2.0 * c + d)
-                    for xi, a, b, c, d in zip(x, k1, k2, k3, k4)])
-    # finite stages can still overflow in the weighted sum
-    if not all(map(isfinite, x_next)):
-        raise _non_finite("state", t + dt, x_next)
-    return x_next
-
-
 def rk4_step(
     field: Callable[[tuple, float, float], tuple],
     controller: Callable[[tuple, float], float],
@@ -291,8 +235,10 @@ def rk4_step(
     scalar input channel w = u + d, returned as a tuple of floats like the
     state.  ``u0``, if given, is the controller output k(x, t) already
     computed by the caller; stage 1 then uses it instead of evaluating the
-    controller again.  The stages are ``rk4_stages``, whose stage times this
-    adapter passes on in place of time-signal values.
+    controller again.  Every stage derivative and the new state are checked
+    to be finite.  This is the generic tuple RK4 that each plant record's
+    fused ``step`` writes out on its own floats, with the same stage times,
+    checks and errors.
 
     The end stage samples time signals just inside the step: piecewise
     signals with breakpoints on the step grid must resolve to the piece
@@ -300,20 +246,36 @@ def rk4_step(
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    isfinite = math.isfinite
+
+    def derivative(xs, ts, w):
+        k = field(xs, ts, w)
+        if not all(map(isfinite, k)):
+            raise SimulationError.non_finite("derivative", ts, xs)
+        return k
+
     if u0 is None:
         u0 = controller(x, t)
-    k1 = field(x, t, u0 + disturbance(t))
-    samples = {}
-
-    def stage(xs, ts, _):
-        u = controller(xs, ts)
-        # stages 2 and 3 share one sample, taken after stage 2's controller
-        # call, so an error from the controller at t + dt/2 surfaces first
-        if ts not in samples:
-            samples[ts] = disturbance(ts)
-        return field(xs, ts, u + samples[ts])
-
-    return rk4_stages(stage, x, t, dt, k1, t + 0.5 * dt, None, t + dt - 1e-9 * dt, None)
+    half = 0.5 * dt
+    t_mid, t_end = t + half, t + dt - 1e-9 * dt
+    k1 = derivative(x, t, u0 + disturbance(t))
+    x2 = tuple([xi + half * ki for xi, ki in zip(x, k1)])
+    u = controller(x2, t_mid)
+    # stages 2 and 3 share one sample, taken after stage 2's controller call,
+    # so an error from the controller at t + dt/2 surfaces first
+    d_mid = disturbance(t_mid)
+    k2 = derivative(x2, t_mid, u + d_mid)
+    x3 = tuple([xi + half * ki for xi, ki in zip(x, k2)])
+    k3 = derivative(x3, t_mid, controller(x3, t_mid) + d_mid)
+    x4 = tuple([xi + dt * ki for xi, ki in zip(x, k3)])
+    k4 = derivative(x4, t_end, controller(x4, t_end) + disturbance(t_end))
+    sixth = dt / 6.0
+    x_next = tuple([xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+                    for xi, a, b, c, d in zip(x, k1, k2, k3, k4)])
+    # finite stages can still overflow in the weighted sum
+    if not all(map(isfinite, x_next)):
+        raise SimulationError.non_finite("state", t + dt, x_next)
+    return x_next
 
 
 # ---------------------------------------------------------------------------
@@ -426,43 +388,26 @@ def step_count(horizon: float, dt: float) -> int:
     return int(math.floor(horizon / dt + 1e-9))
 
 
-def _closed_loop(scn: Scenario, plant):
-    """The closed loop of a scenario as two float closures over a state tuple
-    x, the leader acceleration a (None without a leader) and the disturbance d:
-      row(x, a, d) -> (u_nom, u, h, k), for a logged state: the nominal and
-          applied inputs, the barrier value and the RK4 stage-1 derivative;
-      stage(x, a, d) -> k, the derivative f(x) + g(x) (k(x) + d) at an RK4
-          stage.
-    """
-    nominal, terms, field = plant.nominal, plant.terms, plant.field
-    if scn.controller == "nominal":
-        def row(x, a, d):
+def _logged_row(plant, gain):
+    """``row(x, a) -> (u_nom, u, h)`` at a logged state x, with the leader
+    acceleration a (None without a leader): the nominal and applied inputs
+    and the barrier value, from one evaluation of the barrier terms."""
+    terms = plant.terms
+    if gain is None:
+        def row(x, a):
             h, _, _, u = terms(x, a)
-            return u, u, h, field(x, a, u + d)
+            return u, u, h
 
-        def stage(x, a, d):
-            return field(x, a, nominal(x) + d)
-
-        return row, stage
+        return row
 
     alpha_c = plant.alpha_c
-    epsilon = scn.epsilon if scn.controller == "issf" else None
 
-    # filter_gain by its module-level name, so wrappers of it see every call
-    def row(x, a, d):
+    def row(x, a):
         h, lf_h, lg_h, u_nom = terms(x, a)
-        gain = filter_gain(lg_h * lg_h, lf_h + lg_h * u_nom + alpha_c * h, h, epsilon)
-        u = u_nom if gain <= 0.0 else u_nom + gain * lg_h
-        return u_nom, u, h, field(x, a, u + d)
+        g = gain(lg_h * lg_h, lf_h + lg_h * u_nom + alpha_c * h, h)
+        return u_nom, (u_nom if g <= 0.0 else u_nom + g * lg_h), h
 
-    def stage(x, a, d):
-        h, lf_h, lg_h, u = terms(x, a)
-        gain = filter_gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h, epsilon)
-        if gain > 0.0:
-            u = u + gain * lg_h
-        return field(x, a, u + d)
-
-    return row, stage
+    return row
 
 
 def _stage_samples(scn: Scenario, t_rows: np.ndarray, last: bool) -> tuple:
@@ -493,9 +438,16 @@ def _stage_samples(scn: Scenario, t_rows: np.ndarray, last: bool) -> tuple:
 
 def run_scenario(scn: Scenario) -> ScenarioResult:
     """Integrate a scenario and log (t, state, u_nom, u_filt, d, h) per step."""
-    plant = pendulum_record(scn.pendulum) if scn.plant == "pendulum" else truck_record(scn.truck)
-    row, stage = _closed_loop(scn, plant)
-    labels, clamp = plant.labels, plant.clamp
+    gain = None
+    if scn.controller != "nominal":
+        # gain_function by its module-level name, so wrappers of it see every run
+        gain = gain_function(scn.epsilon if scn.controller == "issf" else None)
+    if scn.plant == "pendulum":
+        plant = pendulum_record(scn.pendulum, gain)
+    else:
+        plant = truck_record(scn.truck, gain)
+    row = _logged_row(plant, gain)
+    labels, step, clamp = plant.labels, plant.step, plant.clamp
 
     x = tuple(state_vector(scn.x0, dim=len(labels)).tolist())
     dt = scn.dt
@@ -535,7 +487,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         for k, t, a, d, a_mid, d_mid, a_end, d_end in zip(
                 range(start, stop), t_rows.tolist(), *samples):
             try:
-                u_nom_k, u, h, k1 = row(x, a, d)
+                u_nom_k, u, h = row(x, a)
             except ValueError as err:
                 if k == 0:
                     raise
@@ -548,10 +500,13 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
             if k == 0 and h < 0.0:
                 warnings.warn(f"scenario {scn.name!r}: initial state is outside the safe set")
             if k == n_steps:
+                # the last row starts no step, so no stage 1 checks its input
+                if not math.isfinite(u + d):
+                    err = SimulationError.non_finite("input", t, x)
+                    raise failed(err, k) from err
                 break
             try:
-                # rk4_stages by its module-level name, so wrappers of it see every step
-                x = rk4_stages(stage, x, t, dt, k1, a_mid, d_mid, a_end, d_end)
+                x = step(x, t, dt, a, u + d, a_mid, d_mid, a_end, d_end)
             except (SimulationError, ValueError) as err:
                 raise failed(err, k) from err
             if clamp is not None:

@@ -13,6 +13,7 @@ gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +36,17 @@ __all__ = [
 # CSV) peaks at about 100 bytes a cell, so the cap bounds one at about 0.4 GB;
 # the 500 x 500 grid of the benchmark's design workload is 1/16 of it.
 MAX_GRID_CELLS = 4_000_000
+
+
+def _finite_width(name: str, bounds) -> tuple[float, float]:
+    """The float ends of a scan range whose width hi - lo is a finite float:
+    np.linspace steps by (hi - lo) / (n - 1), so an overflowing width would
+    fill the scan with inf and nan."""
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not math.isfinite(hi - lo):  # also false for an infinite or NaN end
+        raise ValueError(f"{name} must have finite ends and a finite width hi - lo, "
+                         f"got {bounds}")
+    return lo, hi
 
 
 def _check_cells(cells: int, what: str) -> None:
@@ -79,8 +91,8 @@ def certify_pendulum(
     """
     if not (a > 0 and b > 0 and alpha_c > 0):
         raise ValueError("a, b and alpha_c must be positive")
-    lo, hi = float(theta_range[0]), float(theta_range[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+    lo, hi = _finite_width("theta_range", theta_range)
+    if not lo < hi:
         raise ValueError(f"theta_range must be a finite interval, got {theta_range}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -126,8 +138,8 @@ def _truck_margin_grid(p, alpha_c, d_range, vl_range, grid, a_l_bounds):
     if a_lo > a_hi:
         raise ValueError(f"a_l_bounds must be ordered, got {a_l_bounds}")
 
-    d_axis = np.linspace(float(d_range[0]), float(d_range[1]), nx)
-    vl_axis = np.linspace(float(vl_range[0]), float(vl_range[1]), ny)
+    d_axis = np.linspace(*_finite_width("d_range", d_range), nx)
+    vl_axis = np.linspace(*_finite_width("vl_range", vl_range), ny)
     d_grid, vl_grid = np.meshgrid(d_axis, vl_axis, indexing="ij")
 
     v0 = -(p.c1 + p.c4 * vl_grid) / (2.0 * p.c3)  # may be unphysical; scan anyway

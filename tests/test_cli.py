@@ -220,6 +220,15 @@ def test_dump_preset(capsys):
     assert main(["--dump-preset", "nope"]) == 2
 
 
+@pytest.mark.parametrize("plant,name", [
+    ("pendulum", "theta_range"), ("truck", "d_range"), ("truck", "vl_range"),
+])
+def test_certify_range_with_overflowing_width_rejected_with_path(plant, name):
+    # np.linspace would step by hi - lo = inf and report a nan margin
+    with pytest.raises(ConfigError, match=rf"\$\.certify\.{name} must have a finite width"):
+        parse_config({"plant": plant, "certify": {name: [-1e308, 1e308]}})
+
+
 def test_missing_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
@@ -415,6 +424,12 @@ _BRAKE = {"kind": "hard_brake", "t_brake": 1.0, "a_peak": -8.0, "duration": 2.0}
     ("simulate", {"plant": "pendulum", "disturbance": {"kind": [1]}}),
     ("simulate", {"plant": "truck", "leader": {"kind": {}}}),
     ("simulate", {"plant": "pendulum", "horizon": 1e308, "dt": 0.001}),  # horizon/dt = inf
+    # certify ranges whose width hi - lo overflows
+    ("certify", {"plant": "pendulum", "certify": {"theta_range": [-1e308, 1e308]}}),
+    ("certify", {"plant": "truck", "params": {"preset": "paper-table-2"},
+                 "certify": {"d_range": [-1e308, 1e308]}}),
+    ("certify", {"plant": "truck", "certify": {"vl_range": [-1e308, 1e308]}}),
+    ("simulate", {"plant": "truck", "initial_state": [0.0, 1e200, 16.0]}),  # h(x0) overflows
 ])
 def test_malformed_config_exits_2_without_traceback(command, doc, tmp_path, capsys):
     config_path = tmp_path / "bad.json"

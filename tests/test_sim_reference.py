@@ -9,6 +9,7 @@ must stay bit-identical.
 """
 
 import dataclasses
+import sys
 from collections import Counter
 
 import numpy as np
@@ -26,7 +27,8 @@ from safefilter import (
     sampled_disturbance,
     truck_headway,
 )
-from safefilter import sim
+from safefilter import plants, sim
+from safefilter.cbf import gain_function
 from safefilter.cli import SCENARIO_PRESETS, build_scenarios, parse_config
 
 from helpers import reference_run
@@ -115,63 +117,68 @@ def _counted(calls, key, fn):
     return wrapper
 
 
-def _count_record(monkeypatch, name, calls):
-    """Count every call of the closures in the plant records ``sim.name`` builds.
+def _record_codes():
+    """The code objects of the plant records' closures, by closure name.
 
-    ``terms`` evaluates the barrier and, inside it, the nominal input once
-    (``test_plants`` checks its u_nom against the nominal controller), so
-    each of its calls counts as one of each.
+    Every record a factory builds shares them, whatever its gain, so a
+    profile hook that matches them counts every call of ``nominal``,
+    ``terms`` and ``step``, also the calls that ``step`` makes through its
+    own closure cells, which no wrapper on the record could see.
     """
-    factory = getattr(sim, name)
+    codes = {}
+    for record in (plants.pendulum_record(P), plants.truck_record(T)):
+        for name in ("nominal", "terms", "step"):
+            codes[getattr(record, name).__code__] = name
+    return codes
 
-    def terms_counted(terms):
-        def wrapper(x, a):
-            calls["barrier"] += 1
-            calls["nominal"] += 1
-            return terms(x, a)
 
-        return wrapper
+def _run_counting_calls(scn, calls):
+    codes = _record_codes()
 
-    def hooked(p):
-        record = factory(p)
-        return record._replace(nominal=_counted(calls, "nominal", record.nominal),
-                               terms=terms_counted(record.terms),
-                               field=_counted(calls, "field", record.field))
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
 
-    monkeypatch.setattr(sim, name, hooked)
+    sys.setprofile(profile)
+    try:
+        return run_scenario(scn)
+    finally:
+        sys.setprofile(None)
 
 
 @pytest.mark.parametrize("plant", ["pendulum", "truck"])
 @pytest.mark.parametrize("controller", ["nominal", "cbf", "issf"])
 def test_four_controller_and_disturbance_calls_per_step(plant, controller, monkeypatch):
     calls = Counter()
-    for name in ("pendulum_record", "truck_record"):
-        _count_record(monkeypatch, name, calls)
-    monkeypatch.setattr(sim, "filter_gain", _counted(calls, "gain", sim.filter_gain))
-    monkeypatch.setattr(sim, "rk4_stages", _counted(calls, "step", sim.rk4_stages))
 
+    def gain_factory(epsilon=None):
+        calls["gain closures"] += 1
+        return _counted(calls, "gain", gain_function(epsilon))
+
+    monkeypatch.setattr(sim, "gain_function", gain_factory)
     scn = _rollout(plant, controller, seed=5)
     signal = scn.disturbance
     scn = dataclasses.replace(scn, disturbance=DisturbanceSignal(
         signal.kind, signal.bound, signal.duration, _counted(calls, "d", signal)))
-    result = run_scenario(scn)
+    result = _run_counting_calls(scn, calls)
 
     n_steps = result.time.size - 1
     assert calls["step"] == n_steps
     # per step: the logged row, which is RK4 stage 1, and stages 2, 3 and 4;
-    # each controller evaluation evaluates the nominal input once, and each
-    # stage the dynamics once
-    assert calls["nominal"] == 4 * n_steps + 1
-    assert calls["field"] == 4 * n_steps + 1
+    # terms computes the nominal input inside it, so each controller
+    # evaluation evaluates the nominal input once
+    assert calls["terms"] + calls["nominal"] == 4 * n_steps + 1
     # per step: t, t + dt/2 (shared by stages 2 and 3) and the step's end
     assert calls["d"] == 3 * n_steps + 1
     if controller == "nominal":
         # only the logged row evaluates the barrier
-        assert calls["barrier"] == n_steps + 1
-        assert calls["gain"] == 0
+        assert calls["terms"] == n_steps + 1
+        assert calls["gain closures"] == calls["gain"] == 0
     else:
-        # the one gain formula, once per filter evaluation, for both plants
-        assert calls["barrier"] == 4 * n_steps + 1
+        # the one gain formula, built once per run and applied once per
+        # filter evaluation, for both plants
+        assert calls["terms"] == 4 * n_steps + 1
+        assert calls["gain closures"] == 1
         assert calls["gain"] == 4 * n_steps + 1
 
 

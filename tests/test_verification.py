@@ -72,6 +72,19 @@ def test_pendulum_certify_validates_arguments():
         certify_pendulum(-0.25, 0.5, 0.2)
 
 
+def test_certify_rejects_a_range_whose_width_overflows():
+    # hi - lo = inf would make np.linspace fill the scan with inf and nan
+    with pytest.raises(ValueError, match="theta_range must have finite ends and a finite width"):
+        certify_pendulum(0.25, 0.5, 0.2, theta_range=(-1e308, 1e308))
+    for name in ("d_range", "vl_range"):
+        with pytest.raises(ValueError, match=f"{name} must have finite ends and a finite width"):
+            certify_truck_grid(TruckParams(), grid=(3, 3), **{name: (-1e308, 1e308)})
+    # a wide range with a finite width still scans, and contains the minimiser
+    with np.errstate(over="ignore"):
+        report = certify_pendulum(0.25, 0.5, 0.2, theta_range=(-1e300, 1e300))
+    assert report.passed and report.min_margin == 0.2
+
+
 # ---------------------------------------------------------------------------
 # Truck grid check
 # ---------------------------------------------------------------------------
