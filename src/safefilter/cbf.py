@@ -5,10 +5,10 @@ Minimally modifies a nominal controller so the barrier constraint
 projection onto that half-space has a closed form, so no QP solver is
 involved.  Without a robustness gain ``eps`` the tightening term is absent
 (the eps -> inf limit): that is the plain filter for undisturbed plants.
-``gain_function`` builds the one formula as a float closure: the simulator
-builds it once per run and the plant records apply it at every RK4 stage;
-``filter_gain`` evaluates it at one point for ``CbfFilter``, which applies it
-to numpy barrier evaluations, and for the truck's float filters.
+``filter_function`` builds the formula for one input and a linear alpha as
+a float closure, which the simulator applies at every RK4 stage;
+``CbfFilter`` applies it to numpy barrier evaluations, for any class-K alpha
+and any number of inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .core import BarrierEvaluation, ClassKappaE
 if TYPE_CHECKING:
     from .issf import EpsilonFunction
 
-__all__ = ["LG_ZERO_TOL", "CbfFilter", "filter_gain", "gain_function"]
+__all__ = ["LG_ZERO_TOL", "CbfFilter", "filter_function"]
 
 # ||lg_h|| at or below this is treated as exactly zero.  The filter is
 # continuous across the singularity, so the threshold only guards the
@@ -34,47 +34,45 @@ LG_ZERO_TOL = 1e-12
 _LG_ZERO_TOL_SQ = LG_ZERO_TOL * LG_ZERO_TOL
 
 
-def gain_function(epsilon: Optional[EpsilonFunction] = None) -> Callable[[float, float, float], float]:
-    """The gain of the correction along lg_h as a float closure
-    ``gain(s, residual, h)``: the one formula every filter applies.
+def filter_function(alpha_c: float, epsilon: Optional[EpsilonFunction] = None
+                    ) -> Callable[[float, float, float, float], float]:
+    """The filter for one input and alpha(h) = alpha_c h as a float closure
+    ``apply(h, lf_h, lg_h, u_nom) -> u``: the one formula every float filter
+    applies, to the barrier terms a plant record's ``terms`` returns.
 
-    ``s`` is ||lg_h||^2 and ``residual`` is lf_h + lg_h . u_nom + alpha(h), the
-    barrier constraint at the nominal input.  The plain gain is -residual / s;
-    a robustness gain ``epsilon``, eps(h) = eps0 exp(lam h) as in
-    :class:`safefilter.issf.EpsilonFunction`, adds 1/eps(h).  The gain is zero
-    on the lg_h = 0 set, and a filter corrects u_nom only where it is positive.
+    The residual lf_h + lg_h u_nom + alpha_c h is the barrier constraint at
+    the nominal input, and the gain of the correction along lg_h is
+    -residual / lg_h^2; a robustness gain ``epsilon``, eps(h) = eps0
+    exp(lam h) as in :class:`safefilter.issf.EpsilonFunction`, adds 1/eps(h).
+    ``apply`` returns u_nom + gain lg_h where the gain is positive and u_nom
+    elsewhere, also on the lg_h = 0 set.
 
     1/eps(h) takes its limits where eps(h) leaves the float range: 0 where it
     overflows, far inside the safe set, and inf where it underflows to 0, far
     outside it.  An infinite gain gives an infinite input, which the
     simulator rejects as a non-finite derivative.
 
-    The closure is built once per run, with eps0, lam and ``math.exp`` bound,
-    because the simulator applies it at every RK4 stage.
+    The closure is built once per run, with alpha_c, eps0, lam and
+    ``math.exp`` bound, because the simulator applies it at every RK4 stage.
     """
     robust = epsilon is not None
     eps0, lam = (epsilon.eps0, epsilon.lam) if robust else (None, None)
     exp, inf, lg_zero_sq = math.exp, math.inf, _LG_ZERO_TOL_SQ
 
-    def gain(s, residual, h):
+    def apply(h, lf_h, lg_h, u_nom):
+        s = lg_h * lg_h
         if s <= lg_zero_sq:
-            return 0.0
-        g = -residual / s
-        if not robust:
-            return g
-        try:
-            eps = eps0 * exp(lam * h)
-        except OverflowError:
-            return g
-        return g + (1.0 / eps if eps > 0.0 else inf)
+            return u_nom
+        g = -(lf_h + lg_h * u_nom + alpha_c * h) / s
+        if robust:
+            try:
+                eps = eps0 * exp(lam * h)
+            except OverflowError:
+                eps = inf  # 1/eps(h) -> 0, which leaves a nonzero g as it is
+            g = g + (1.0 / eps if eps > 0.0 else inf)
+        return u_nom + g * lg_h if g > 0.0 else u_nom
 
-    return gain
-
-
-def filter_gain(s: float, residual: float, h: float,
-                epsilon: Optional[EpsilonFunction] = None) -> float:
-    """``gain_function(epsilon)(s, residual, h)``: the gain at one point."""
-    return gain_function(epsilon)(s, residual, h)
+    return apply
 
 
 @dataclass(frozen=True)
@@ -95,11 +93,18 @@ class CbfFilter:
     epsilon: Optional[EpsilonFunction] = None
 
     def filter(self, x) -> np.ndarray:
-        """Admissible input closest to the nominal one (2-norm)."""
+        """Admissible input closest to the nominal one (2-norm); for one input
+        and a linear alpha, bit for bit the input of :func:`filter_function`."""
         be = self.barrier(x)
         u_nom = np.atleast_1d(np.asarray(self.nominal(x), dtype=float))
-        residual = be.lf_h + float(be.lg_h @ u_nom) + self.alpha(be.h)
-        gain = filter_gain(float(be.lg_h @ be.lg_h), residual, be.h, self.epsilon)
-        if gain <= 0.0:
+        s = float(be.lg_h @ be.lg_h)
+        if s <= _LG_ZERO_TOL_SQ:
             return u_nom
-        return u_nom + gain * be.lg_h
+        gain = -(be.lf_h + float(be.lg_h @ u_nom) + self.alpha(be.h)) / s
+        if self.epsilon is not None:
+            try:
+                eps = self.epsilon(be.h)
+            except OverflowError:
+                eps = math.inf
+            gain = gain + (1.0 / eps if eps > 0.0 else math.inf)
+        return u_nom + gain * be.lg_h if gain > 0.0 else u_nom

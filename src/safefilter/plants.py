@@ -12,12 +12,13 @@ its nominal input, its barrier terms, one fused RK4 step and its state
 clamp.  ``terms`` is the one barrier formula of its plant and computes the
 nominal input with it.  ``step`` writes the four RK4 stages out on the
 plant's own floats, with the field, the controller of each stage (the
-nominal input, or ``terms`` and a gain closure from ``cbf.gain_function``)
-and every finiteness check, so a stage costs two Python calls.  The
-numpy-facing barriers, nominal controllers and truck filters are thin
-wrappers over the record, and every filter applies the one gain formula of
-``cbf``.  The numpy dynamics (``pendulum_dynamics`` / ``truck_dynamics``)
-stay separate: they are the reference the fused field is checked against.
+nominal input, or the filter closure ``apply`` from ``cbf.filter_function``
+on ``terms``) and every finiteness check, so a filtered stage costs two
+Python calls.  The numpy-facing barriers, nominal controllers and truck
+filters are thin wrappers over the record, and the truck filters apply the
+same ``cbf.filter_function``.  The numpy dynamics (``pendulum_dynamics`` /
+``truck_dynamics``) stay separate: they are the reference the fused field is
+checked against.
 
 Barrier gradients are hand-differentiated (two plants, closed forms, zero
 dependency weight); a finite-difference cross-check lives in `verification`.
@@ -31,7 +32,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .cbf import CbfFilter, filter_gain
+from .cbf import CbfFilter, filter_function
 from .core import BarrierEvaluation, ControlAffineDynamics, SimulationError, linear_class_kappa
 from .issf import EpsilonFunction
 
@@ -74,7 +75,8 @@ class PlantRecord(NamedTuple):
       derivatives and the nominal input, everything a filter needs;
     * ``step(x, t, dt, a, w, a_mid, d_mid, a_end, d_end) -> x_next``: one
       classical RK4 step from (x, t) under the record's controller, the
-      nominal input or the filtered one.  ``w`` is the input channel u + d
+      nominal input or ``apply(*terms(x, a))`` for the filter closure
+      ``apply`` the record was built with.  ``w`` is the input channel u + d
       at x, as logged, and ``a`` the leader acceleration there; ``a_mid`` /
       ``d_mid`` are the time signals at t + dt/2, shared by stages 2 and 3,
       and ``a_end`` / ``d_end`` just inside the step's end, for stage 4.  It
@@ -85,7 +87,6 @@ class PlantRecord(NamedTuple):
     """
 
     labels: tuple
-    alpha_c: float
     nominal: Callable[[tuple], float]
     terms: Callable[[tuple, Optional[float]], tuple]
     step: Callable[..., tuple]
@@ -130,21 +131,21 @@ def pendulum_dynamics(p: PendulumParams) -> ControlAffineDynamics:
 
 
 def pendulum_record(p: PendulumParams,
-                    gain: Optional[Callable[[float, float, float], float]] = None
+                    apply: Optional[Callable[[float, float, float, float], float]] = None
                     ) -> PlantRecord:
     """The pendulum's closed loop on floats; see :class:`PlantRecord`.
 
-    ``gain`` is a closure from ``cbf.gain_function``: ``step`` then applies
-    the filter at every stage, and without it the nominal input.  ``terms``
-    raises the ValueError that BarrierEvaluation raises where the barrier
-    triple is not finite.  A stage evaluates sin(theta) twice: once in
-    ``terms`` or ``nominal`` and once in the field.
+    ``apply`` is a filter closure from ``cbf.filter_function``: ``step``
+    then applies it to ``terms`` at every stage, and without it the nominal
+    input.  ``terms`` raises the ValueError that BarrierEvaluation raises
+    where the barrier triple is not finite.  A stage evaluates sin(theta)
+    twice: once in ``terms`` or ``nominal`` and once in the field.
     """
     aa, bb, ab = p.a * p.a, p.b * p.b, p.a * p.b
     g_over_l = p.gravity / p.length
     ml2 = p.mass * p.length * p.length
     g_entry = 1.0 / ml2  # pendulum_dynamics' actuation
-    kp, kd, alpha_c = p.kp, p.kd, p.alpha_c
+    kp, kd = p.kp, p.kd
     sin, isfinite, non_finite = math.sin, math.isfinite, SimulationError.non_finite
 
     def nominal(x):
@@ -173,37 +174,19 @@ def pendulum_record(p: PendulumParams,
         half = 0.5 * dt
 
         th2, om2 = th + half * k1t, om + half * k1o
-        if gain is None:
-            u = nominal((th2, om2))
-        else:
-            h, lf_h, lg_h, u = terms((th2, om2), a_mid)
-            g = gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h)
-            if g > 0.0:
-                u = u + g * lg_h
+        u = nominal((th2, om2)) if apply is None else apply(*terms((th2, om2), a_mid))
         k2t, k2o = om2, g_over_l * sin(th2) + g_entry * (u + d_mid)
         if not (isfinite(k2t) and isfinite(k2o)):
             raise non_finite("derivative", t + half, (th2, om2))
 
         th3, om3 = th + half * k2t, om + half * k2o
-        if gain is None:
-            u = nominal((th3, om3))
-        else:
-            h, lf_h, lg_h, u = terms((th3, om3), a_mid)
-            g = gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h)
-            if g > 0.0:
-                u = u + g * lg_h
+        u = nominal((th3, om3)) if apply is None else apply(*terms((th3, om3), a_mid))
         k3t, k3o = om3, g_over_l * sin(th3) + g_entry * (u + d_mid)
         if not (isfinite(k3t) and isfinite(k3o)):
             raise non_finite("derivative", t + half, (th3, om3))
 
         th4, om4 = th + dt * k3t, om + dt * k3o
-        if gain is None:
-            u = nominal((th4, om4))
-        else:
-            h, lf_h, lg_h, u = terms((th4, om4), a_end)
-            g = gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h)
-            if g > 0.0:
-                u = u + g * lg_h
+        u = nominal((th4, om4)) if apply is None else apply(*terms((th4, om4), a_end))
         k4t, k4o = om4, g_over_l * sin(th4) + g_entry * (u + d_end)
         if not (isfinite(k4t) and isfinite(k4o)):
             raise non_finite("derivative", t + dt - 1e-9 * dt, (th4, om4))
@@ -216,7 +199,7 @@ def pendulum_record(p: PendulumParams,
             raise non_finite("state", t + dt, x_next)
         return x_next
 
-    return PlantRecord(("theta", "theta_dot"), p.alpha_c, nominal, terms, step, None)
+    return PlantRecord(("theta", "theta_dot"), nominal, terms, step, None)
 
 
 def pendulum_barrier(p: PendulumParams) -> Callable[[np.ndarray], BarrierEvaluation]:
@@ -352,11 +335,11 @@ def speed_policy(p: TruckParams, v_l: float) -> float:
 
 
 def truck_record(p: TruckParams,
-                 gain: Optional[Callable[[float, float, float], float]] = None
+                 apply: Optional[Callable[[float, float, float, float], float]] = None
                  ) -> PlantRecord:
     """The truck's closed loop on floats; see :class:`PlantRecord`.
 
-    ``gain`` and the ValueError of ``terms`` are as in
+    ``apply`` and the ValueError of ``terms`` are as in
     :func:`pendulum_record`.  ``range_policy``, ``speed_policy`` and
     ``truck_headway`` are written out inline, in their order of operations,
     with the parameters bound once, because the simulator evaluates the
@@ -365,7 +348,7 @@ def truck_record(p: TruckParams,
     """
     c0, c1, c2, c3, c4, c5 = p.c0, p.c1, p.c2, p.c3, p.c4, p.c5
     gain_range, gain_speed, kappa = p.gain_range, p.gain_speed, p.kappa
-    d_st, d_go, v_bar_l, alpha_c = p.d_st, p.d_go, p.v_bar_l, p.alpha_c
+    d_st, d_go, v_bar_l = p.d_st, p.d_go, p.v_bar_l
     isfinite, non_finite = math.isfinite, SimulationError.non_finite
 
     def nominal(x):
@@ -406,37 +389,19 @@ def truck_record(p: TruckParams,
         half = 0.5 * dt
 
         x2 = (d + half * k1d, v + half * k1v, v_l + half * k1l)
-        if gain is None:
-            u = nominal(x2)
-        else:
-            h, lf_h, lg_h, u = terms(x2, a_mid)
-            g = gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h)
-            if g > 0.0:
-                u = u + g * lg_h
+        u = nominal(x2) if apply is None else apply(*terms(x2, a_mid))
         k2d, k2v, k2l = x2[2] - x2[1], u + d_mid, a_mid
         if not (isfinite(k2d) and isfinite(k2v) and isfinite(k2l)):
             raise non_finite("derivative", t + half, x2)
 
         x3 = (d + half * k2d, v + half * k2v, v_l + half * k2l)
-        if gain is None:
-            u = nominal(x3)
-        else:
-            h, lf_h, lg_h, u = terms(x3, a_mid)
-            g = gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h)
-            if g > 0.0:
-                u = u + g * lg_h
+        u = nominal(x3) if apply is None else apply(*terms(x3, a_mid))
         k3d, k3v, k3l = x3[2] - x3[1], u + d_mid, a_mid
         if not (isfinite(k3d) and isfinite(k3v) and isfinite(k3l)):
             raise non_finite("derivative", t + half, x3)
 
         x4 = (d + dt * k3d, v + dt * k3v, v_l + dt * k3l)
-        if gain is None:
-            u = nominal(x4)
-        else:
-            h, lf_h, lg_h, u = terms(x4, a_end)
-            g = gain(lg_h * lg_h, lf_h + lg_h * u + alpha_c * h, h)
-            if g > 0.0:
-                u = u + g * lg_h
+        u = nominal(x4) if apply is None else apply(*terms(x4, a_end))
         k4d, k4v, k4l = x4[2] - x4[1], u + d_end, a_end
         if not (isfinite(k4d) and isfinite(k4v) and isfinite(k4l)):
             raise non_finite("derivative", t + dt - 1e-9 * dt, x4)
@@ -464,7 +429,7 @@ def truck_record(p: TruckParams,
             v_l = 0.0
         return (d, v, v_l)
 
-    return PlantRecord(("D", "v", "v_L"), alpha_c, nominal, terms, step, clamp)
+    return PlantRecord(("D", "v", "v_L"), nominal, terms, step, clamp)
 
 
 def truck_nominal(p: TruckParams, d: float, v: float, v_l: float) -> float:
@@ -474,9 +439,7 @@ def truck_nominal(p: TruckParams, d: float, v: float, v_l: float) -> float:
 
 def _truck_filter(p: TruckParams, x: tuple, a_l: float,
                   epsilon: Optional[EpsilonFunction]) -> float:
-    h, lf_h, lg_h, u = truck_record(p).terms(x, a_l)
-    gain = filter_gain(lg_h * lg_h, lf_h + lg_h * u + p.alpha_c * h, h, epsilon)
-    return u if gain <= 0.0 else u + gain * lg_h
+    return filter_function(p.alpha_c, epsilon)(*truck_record(p).terms(x, a_l))
 
 
 def truck_safe_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: float) -> float:

@@ -9,17 +9,17 @@ Runs are deterministic: identical scenarios produce bit-identical logs.
 The engine runs on Python floats, since the plants have two or three states
 and one input, and numpy's per-call overhead on arrays that small costs more
 than the arithmetic.  A state is a tuple of floats.  ``run_scenario`` builds
-the controller's gain closure once per run (``cbf.gain_function``; none for
-the nominal controller), takes the plant's
-:class:`safefilter.plants.PlantRecord` built with it, and steps every plant
-and controller through one loop over it.  The logged row gives a state's
-nominal input, applied input and barrier value from one evaluation of the
-barrier terms, and its input channel u + d is RK4 stage 1; the record's
-fused ``step`` writes out the four stages, and a nominal stage does not
-evaluate the barrier.  The time signals (the disturbance and the leader's
-acceleration) are sampled once per run, block by block, at the stage times,
-so a step evaluates the controller once per stage and the disturbance once
-per distinct stage time.  ``rk4_step`` is the same RK4 step, generic over a
+the controller's filter closure ``apply`` once per run
+(``cbf.filter_function``; none for the nominal controller), takes the
+plant's :class:`safefilter.plants.PlantRecord` built with it, and steps
+every plant and controller through one loop over it.  The logged row gives
+a state's nominal input, applied input and barrier value from one
+evaluation of the barrier terms, and its input channel u + d is RK4 stage
+1; the record's fused ``step`` writes out the four stages, and a nominal
+stage does not evaluate the barrier.  The time signals (the disturbance and
+the leader's acceleration) are sampled once per run, block by block, at the
+stage times, so a step evaluates the controller once per stage and the
+disturbance once per distinct stage time.  ``rk4_step`` is the same RK4 step, generic over a
 field and a controller of (x, t) on tuples.
 
 Each float goes through the same IEEE operations in the same order as the
@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cbf import gain_function
+from .cbf import filter_function
 from .core import SignalDomainError, SimulationError, linear_class_kappa, state_vector
 from .disturbance import DisturbanceSignal, lag_residual, zero_disturbance
 from .issf import EpsilonFunction, solve_h_star
@@ -175,8 +175,9 @@ def leader_profile_from_csv(
 ) -> LeaderProfile:
     """Zero-order-hold leader acceleration from a CSV with header ``t,a_L``.
 
-    Acceleration samples outside ``a_bounds`` are rejected at load; an induced
-    speed outside [0, v_bar_l] only warns (the simulator clamps the state).
+    Non-finite samples and acceleration samples outside ``a_bounds`` are
+    rejected at load; an induced speed outside [0, v_bar_l] only warns (the
+    simulator clamps the state).
     """
     import csv as _csv
 
@@ -193,10 +194,11 @@ def leader_profile_from_csv(
             a.append(float(row[1]))
     t = np.asarray(t, dtype=float)
     a = np.asarray(a, dtype=float)
-    if t.size < 2 or not np.all(np.diff(t) > 0):
-        raise ValueError(f"{path}: need >= 2 strictly increasing sample times")
-    if np.any(a < a_bounds[0]) or np.any(a > a_bounds[1]):
-        raise ValueError(f"{path}: acceleration samples violate bounds {a_bounds}")
+    if t.size < 2 or not (np.all(np.diff(t) > 0) and np.all(np.isfinite(t))):
+        raise ValueError(f"{path}: need >= 2 finite, strictly increasing sample times")
+    # written so that a nan sample fails it
+    if not np.all((a >= a_bounds[0]) & (a <= a_bounds[1])):
+        raise ValueError(f"{path}: acceleration samples must be finite and within {a_bounds}")
     if not 0.0 <= v0 <= v_bar_l:
         raise ValueError(f"v0 must lie in [0, {v_bar_l}], got {v0}")
 
@@ -388,24 +390,14 @@ def step_count(horizon: float, dt: float) -> int:
     return int(math.floor(horizon / dt + 1e-9))
 
 
-def _logged_row(plant, gain):
+def _logged_row(terms, apply):
     """``row(x, a) -> (u_nom, u, h)`` at a logged state x, with the leader
     acceleration a (None without a leader): the nominal and applied inputs
     and the barrier value, from one evaluation of the barrier terms."""
-    terms = plant.terms
-    if gain is None:
-        def row(x, a):
-            h, _, _, u = terms(x, a)
-            return u, u, h
-
-        return row
-
-    alpha_c = plant.alpha_c
 
     def row(x, a):
         h, lf_h, lg_h, u_nom = terms(x, a)
-        g = gain(lg_h * lg_h, lf_h + lg_h * u_nom + alpha_c * h, h)
-        return u_nom, (u_nom if g <= 0.0 else u_nom + g * lg_h), h
+        return u_nom, (u_nom if apply is None else apply(h, lf_h, lg_h, u_nom)), h
 
     return row
 
@@ -438,15 +430,15 @@ def _stage_samples(scn: Scenario, t_rows: np.ndarray, last: bool) -> tuple:
 
 def run_scenario(scn: Scenario) -> ScenarioResult:
     """Integrate a scenario and log (t, state, u_nom, u_filt, d, h) per step."""
-    gain = None
+    params = scn.pendulum if scn.plant == "pendulum" else scn.truck
+    apply = None
     if scn.controller != "nominal":
-        # gain_function by its module-level name, so wrappers of it see every run
-        gain = gain_function(scn.epsilon if scn.controller == "issf" else None)
-    if scn.plant == "pendulum":
-        plant = pendulum_record(scn.pendulum, gain)
-    else:
-        plant = truck_record(scn.truck, gain)
-    row = _logged_row(plant, gain)
+        # filter_function by its module-level name, so wrappers of it see every run
+        epsilon = scn.epsilon if scn.controller == "issf" else None
+        apply = filter_function(params.alpha_c, epsilon)
+    record = pendulum_record if scn.plant == "pendulum" else truck_record
+    plant = record(params, apply)
+    row = _logged_row(plant.terms, apply)
     labels, step, clamp = plant.labels, plant.step, plant.clamp
 
     x = tuple(state_vector(scn.x0, dim=len(labels)).tolist())
@@ -460,21 +452,25 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     h_log = np.empty(n_steps + 1)
     clamp_counts = {label: 0 for label in labels[1:]} if clamp else {}
 
+    def logged(k, h_star=None):
+        # the result of the log up to row k
+        return ScenarioResult(
+            name=scn.name, plant=scn.plant, controller=scn.controller,
+            dt=dt, state_labels=labels,
+            time=time[: k + 1], states=states[: k + 1],
+            u_nom=u_nom[: k + 1], u_filt=u_filt[: k + 1],
+            d=d_log[: k + 1], h=h_log[: k + 1],
+            h_min=float(np.min(h_log[: k + 1])), h_star=h_star,
+            clamp_counts=clamp_counts,
+        )
+
     def failed(err, k):
         # the step from row k failed: attach the log up to that row, so
         # callers can flush it
         t = float(time[k])
         wrapped = SimulationError(f"scenario {scn.name!r} failed at t={t:g}: {err}",
                                   t=t, state=states[k])
-        wrapped.partial = ScenarioResult(
-            name=scn.name, plant=scn.plant, controller=scn.controller,
-            dt=dt, state_labels=labels,
-            time=time[: k + 1], states=states[: k + 1],
-            u_nom=u_nom[: k + 1], u_filt=u_filt[: k + 1],
-            d=d_log[: k + 1], h=h_log[: k + 1],
-            h_min=float(np.min(h_log[: k + 1])), h_star=None,
-            clamp_counts=clamp_counts,
-        )
+        wrapped.partial = logged(k)
         return wrapped
 
     # a ValueError from a step is the plant's barrier terms overflowing at a
@@ -514,24 +510,8 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 
     h_star = None
     if scn.controller == "issf":
-        h_star = solve_h_star(linear_class_kappa(plant.alpha_c), scn.epsilon, scn.delta)
-
-    return ScenarioResult(
-        name=scn.name,
-        plant=scn.plant,
-        controller=scn.controller,
-        dt=dt,
-        state_labels=labels,
-        time=time,
-        states=states,
-        u_nom=u_nom,
-        u_filt=u_filt,
-        d=d_log,
-        h=h_log,
-        h_min=float(np.min(h_log)),
-        h_star=h_star,
-        clamp_counts=clamp_counts,
-    )
+        h_star = solve_h_star(linear_class_kappa(params.alpha_c), scn.epsilon, scn.delta)
+    return logged(n_steps, h_star)
 
 
 # ---------------------------------------------------------------------------

@@ -142,10 +142,15 @@ def _truck_margin_grid(p, alpha_c, d_range, vl_range, grid, a_l_bounds):
     vl_axis = np.linspace(*_finite_width("vl_range", vl_range), ny)
     d_grid, vl_grid = np.meshgrid(d_axis, vl_axis, indexing="ij")
 
-    v0 = -(p.c1 + p.c4 * vl_grid) / (2.0 * p.c3)  # may be unphysical; scan anyway
-    base = vl_grid - v0 + alpha_c * (d_grid - truck_headway(p, v0, vl_grid))
-    slope = -(p.c2 + p.c4 * v0 + 2.0 * p.c5 * vl_grid)  # d margin / d a_L
-    margin = np.minimum(base + slope * a_lo, base + slope * a_hi)
+    # a finite range can overflow the quadratic headway: rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        v0 = -(p.c1 + p.c4 * vl_grid) / (2.0 * p.c3)  # may be unphysical; scan anyway
+        base = vl_grid - v0 + alpha_c * (d_grid - truck_headway(p, v0, vl_grid))
+        slope = -(p.c2 + p.c4 * v0 + 2.0 * p.c5 * vl_grid)  # d margin / d a_L
+        margin = np.minimum(base + slope * a_lo, base + slope * a_hi)
+    if not np.all(np.isfinite(margin)):
+        raise ValueError(f"the margin overflows on the grid of d_range {d_range}, "
+                         f"vl_range {vl_range} and a_l_bounds {a_l_bounds}")
     return d_grid, vl_grid, v0, slope, margin, (a_lo, a_hi)
 
 

@@ -34,7 +34,7 @@ from safefilter import (
     truck_robust_filter,
     truck_safe_filter,
 )
-from safefilter.cbf import LG_ZERO_TOL, filter_gain
+from safefilter.cbf import LG_ZERO_TOL
 from safefilter.issf import set_inflation
 
 GRID_LO = -100.0
@@ -175,11 +175,18 @@ def in_inflated_set(alpha, epsilon, h_val, delta):
 def correction_gain(filt, x):
     """The unclipped gain a filter's correction along lg_h has at state x:
     positive exactly where the nominal input violates the constraint, zero on
-    the lg_h = 0 set.  A probe of ``cbf.filter_gain``, not an oracle."""
+    the lg_h = 0 set.  The slack of the tightened constraint at the nominal
+    input over ||lg_h||^2, with 1/eps(h) taking its limits as in
+    ``_robust_limit``."""
     be = filt.barrier(x)
+    s = float(be.lg_h @ be.lg_h)
+    if math.sqrt(s) <= LG_ZERO_TOL:
+        return 0.0
     u_nom = np.atleast_1d(np.asarray(filt.nominal(x), dtype=float))
-    residual = be.lf_h + float(be.lg_h @ u_nom) + filt.alpha(be.h)
-    return filter_gain(float(be.lg_h @ be.lg_h), residual, be.h, filt.epsilon)
+    floor = -filt.alpha(be.h)
+    if filt.epsilon is not None:
+        floor = floor + s * _robust_limit(filt.epsilon, be.h, 1.0)
+    return (floor - be.hdot(u_nom)) / s
 
 
 def sample_pendulum_states(rng, count):

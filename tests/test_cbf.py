@@ -1,17 +1,25 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safefilter import (
     BarrierEvaluation,
     CbfFilter,
+    EpsilonFunction,
     PendulumParams,
+    TruckParams,
     linear_class_kappa,
     pendulum_barrier,
     pendulum_cbf_filter,
     pendulum_nominal,
+    truck_barrier,
+    truck_nominal,
 )
+from safefilter.cbf import filter_function
+from safefilter.plants import pendulum_record, truck_record
 
 from helpers import (
     correction_gain,
@@ -22,6 +30,7 @@ from helpers import (
 )
 
 P = PendulumParams()
+T = TruckParams()
 FILT = pendulum_cbf_filter(P)
 BARRIER = pendulum_barrier(P)
 NOMINAL = pendulum_nominal(P)
@@ -136,3 +145,63 @@ def test_no_jump_across_activation_boundary():
     outputs = np.array([float(FILT.filter(a + si * (b - a))[0]) for si in s])
     step = s[1] - s[0]
     assert np.max(np.abs(np.diff(outputs))) <= 15.0 * step
+
+
+# ---------------------------------------------------------------------------
+# The float filter closure against the numpy filter
+# ---------------------------------------------------------------------------
+
+# None is the plain filter; eps0 = inf drops the tightening; lam = 1000 makes
+# eps(h) overflow inside the pendulum's safe set and lam = 12 underflow to 0
+# far outside it; the truck's (eps0, lam) overflows at h > 1775 and underflows
+# at h < -1870
+EPSILONS = (None, EpsilonFunction(0.15, 0.0), EpsilonFunction(math.inf, 0.0),
+            EpsilonFunction(0.5, 12.0), EpsilonFunction(0.5, 1000.0),
+            EpsilonFunction(T.eps0, T.lam))
+
+
+@st.composite
+def filter_cases(draw):
+    """(plant, state, leader acceleration, epsilon): states near the safe set
+    (in and out of it), far from it, where eps(h) leaves the float range, and
+    on the lg_h = 0 set, which the rollouts never reach."""
+    plant = draw(st.sampled_from(("pendulum", "truck")))
+    where = draw(st.sampled_from(("near", "far", "lg_zero")))
+    epsilon = draw(st.sampled_from(EPSILONS))
+    if plant == "pendulum":
+        reach = 0.4 if where == "near" else 40.0
+        theta = draw(st.floats(-reach, reach))
+        if where == "lg_zero":
+            # lg_h = 0 on theta_dot = -(b/2a) theta, exactly for powers of 2
+            return plant, (theta, -(P.b / (2.0 * P.a)) * theta), None, epsilon
+        return plant, (theta, draw(st.floats(-2.0 * reach, 2.0 * reach))), None, epsilon
+    a_l = draw(st.floats(-T.a_under_l, T.a_bar_l))
+    v_l = draw(st.floats(0.0, 40.0))
+    if where == "lg_zero":
+        # lg_h = -(c1 + 2 c3 v + c4 v_L) vanishes to rounding
+        d = draw(st.floats(-100.0, 100.0))
+        return plant, (d, -(T.c1 + T.c4 * v_l) / (2.0 * T.c3), v_l), a_l, epsilon
+    d_lo, d_hi, v_hi = (0.0, 60.0, 20.0) if where == "near" else (-3000.0, 1e4, 400.0)
+    return plant, (draw(st.floats(d_lo, d_hi)), draw(st.floats(0.0, v_hi)), v_l), a_l, epsilon
+
+
+def _numpy_filter(plant, a_l, epsilon):
+    if plant == "pendulum":
+        return CbfFilter(BARRIER, linear_class_kappa(P.alpha_c), NOMINAL, epsilon)
+    return CbfFilter(truck_barrier(T, a_l), linear_class_kappa(T.alpha_c),
+                     lambda x: np.array([truck_nominal(T, x[0], x[1], x[2])]), epsilon)
+
+
+@given(case=filter_cases())
+@settings(max_examples=400)
+@example(case=("pendulum", (0.1, 0.2), None, EpsilonFunction(0.5, 1000.0)))   # eps overflows
+@example(case=("pendulum", (0.1, 20.0), None, EpsilonFunction(0.5, 12.0)))    # eps underflows
+@example(case=("pendulum", (0.1, -0.1), None, EpsilonFunction(0.5, 12.0)))    # lg_h = 0
+@example(case=("truck", (1e4, 10.0, 10.0), -2.0, EpsilonFunction(T.eps0, T.lam)))
+@example(case=("truck", (0.0, 400.0, 10.0), 3.0, EpsilonFunction(T.eps0, T.lam)))
+def test_filter_function_matches_cbf_filter_bit_for_bit(case):
+    plant, x, a_l, epsilon = case
+    p, record = (P, pendulum_record(P)) if plant == "pendulum" else (T, truck_record(T))
+    u = filter_function(p.alpha_c, epsilon)(*record.terms(x, a_l))
+    # float.hex tells -0.0 from 0.0 and compares inf and nan
+    assert u.hex() == float(_numpy_filter(plant, a_l, epsilon).filter(np.array(x))[0]).hex()

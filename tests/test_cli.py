@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,20 @@ def test_certify_range_with_overflowing_width_rejected_with_path(plant, name):
         parse_config({"plant": plant, "certify": {name: [-1e308, 1e308]}})
 
 
+def test_certify_range_whose_margin_overflows_exits_2_without_warnings(tmp_path, capsys):
+    # the width 2e200 is finite, but the headway squares v_L: the margin grid
+    # overflows, which is a validation error rather than a nan verdict
+    config_path = tmp_path / "wide.json"
+    config_path.write_text(json.dumps({"plant": "truck",
+                                       "certify": {"vl_range": [-1e200, 1e200]}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["certify", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "config error: $.certify: the margin overflows" in capsys.readouterr().err
+    assert not (tmp_path / "scenario_certify.json").exists()
+
+
 def test_missing_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
@@ -430,8 +445,15 @@ _BRAKE = {"kind": "hard_brake", "t_brake": 1.0, "a_peak": -8.0, "duration": 2.0}
                  "certify": {"d_range": [-1e308, 1e308]}}),
     ("certify", {"plant": "truck", "certify": {"vl_range": [-1e308, 1e308]}}),
     ("simulate", {"plant": "truck", "initial_state": [0.0, 1e200, 16.0]}),  # h(x0) overflows
+    # a leader CSV with a nan acceleration sample, written by the test
+    ("simulate", {"plant": "truck", "leader": {"kind": "csv", "path": "nan_leader.csv",
+                                               "v0": 16.0}}),
 ])
-def test_malformed_config_exits_2_without_traceback(command, doc, tmp_path, capsys):
+def test_malformed_config_exits_2_without_traceback(command, doc, tmp_path, capsys,
+                                                    monkeypatch):
+    # a relative path in a document resolves in tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan_leader.csv").write_text("t,a_L\n0,0\n1,nan\n100,0\n")
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(doc))
     assert main([command, "--config", str(config_path), "--out", str(tmp_path)]) == 2

@@ -18,7 +18,7 @@ from safefilter import (
     set_inflation,
     solve_h_star,
 )
-from safefilter.cbf import CbfFilter, filter_gain
+from safefilter.cbf import CbfFilter, filter_function
 from safefilter.issf import IssfFilter
 
 from helpers import correction_gain, in_admissible_set, in_inflated_set, switching_filter
@@ -266,10 +266,13 @@ def test_robust_gain_takes_the_limits_of_1_over_eps():
     with pytest.raises(OverflowError):
         eps(100.0)
     assert eps(-100.0) == 0.0
-    assert filter_gain(4.0, -2.0, 100.0, eps) == filter_gain(4.0, -2.0, 100.0) == 0.5
-    assert filter_gain(4.0, -2.0, -100.0, eps) == math.inf
-    # zero on the lg_h = 0 set, whatever eps(h) does
-    assert filter_gain(0.0, -2.0, -100.0, eps) == 0.0
+    robust, plain = filter_function(1.0, eps), filter_function(1.0)
+    # apply(h, lf_h, lg_h, u_nom) with lg_h = 2 and the residual
+    # lf_h + lg_h u_nom + 1.0 h = -2: the plain gain is 2/4, so u = 0 + 0.5 * 2
+    assert robust(100.0, -102.0, 2.0, 0.0) == plain(100.0, -102.0, 2.0, 0.0) == 1.0
+    assert robust(-100.0, 98.0, 2.0, 0.0) == math.inf
+    # zero on the lg_h = 0 set, whatever eps(h) does: u_nom passes through
+    assert robust(-100.0, 98.0, 0.0, 3.0) == 3.0
 
 
 def test_robust_pendulum_filter_gives_an_infinite_input_where_eps_vanishes():

@@ -28,7 +28,7 @@ from safefilter import (
     truck_headway,
 )
 from safefilter import plants, sim
-from safefilter.cbf import gain_function
+from safefilter.cbf import filter_function
 from safefilter.cli import SCENARIO_PRESETS, build_scenarios, parse_config
 
 from helpers import reference_run
@@ -120,7 +120,7 @@ def _counted(calls, key, fn):
 def _record_codes():
     """The code objects of the plant records' closures, by closure name.
 
-    Every record a factory builds shares them, whatever its gain, so a
+    Every record a factory builds shares them, whatever its filter, so a
     profile hook that matches them counts every call of ``nominal``,
     ``terms`` and ``step``, also the calls that ``step`` makes through its
     own closure cells, which no wrapper on the record could see.
@@ -151,11 +151,11 @@ def _run_counting_calls(scn, calls):
 def test_four_controller_and_disturbance_calls_per_step(plant, controller, monkeypatch):
     calls = Counter()
 
-    def gain_factory(epsilon=None):
-        calls["gain closures"] += 1
-        return _counted(calls, "gain", gain_function(epsilon))
+    def filter_factory(alpha_c, epsilon=None):
+        calls["filter closures"] += 1
+        return _counted(calls, "apply", filter_function(alpha_c, epsilon))
 
-    monkeypatch.setattr(sim, "gain_function", gain_factory)
+    monkeypatch.setattr(sim, "filter_function", filter_factory)
     scn = _rollout(plant, controller, seed=5)
     signal = scn.disturbance
     scn = dataclasses.replace(scn, disturbance=DisturbanceSignal(
@@ -173,13 +173,13 @@ def test_four_controller_and_disturbance_calls_per_step(plant, controller, monke
     if controller == "nominal":
         # only the logged row evaluates the barrier
         assert calls["terms"] == n_steps + 1
-        assert calls["gain closures"] == calls["gain"] == 0
+        assert calls["filter closures"] == calls["apply"] == 0
     else:
-        # the one gain formula, built once per run and applied once per
+        # the one filter formula, built once per run and applied once per
         # filter evaluation, for both plants
         assert calls["terms"] == 4 * n_steps + 1
-        assert calls["gain closures"] == 1
-        assert calls["gain"] == 4 * n_steps + 1
+        assert calls["filter closures"] == 1
+        assert calls["apply"] == 4 * n_steps + 1
 
 
 @pytest.mark.parametrize("plant", ["pendulum", "truck"])

@@ -32,7 +32,7 @@ from safefilter import (
     truck_barrier,
 )
 from safefilter import plants
-from safefilter.cbf import filter_gain
+from safefilter.cbf import filter_function
 
 from helpers import reference_run
 
@@ -75,7 +75,7 @@ def _scenario(plant, controller, disturbance):
 def _generic_loop(scn):
     """The scenario's closed loop as the float closures of ``sim.rk4_step``:
     the field f(x) + g(x) w and the controller k(x, t), written from the
-    record's ``terms`` and ``nominal`` and ``cbf.filter_gain``, and the
+    record's ``terms`` and ``nominal`` and ``cbf.filter_function``, and the
     barrier terms at a logged state (x, t)."""
     if scn.plant == "pendulum":
         p = scn.pendulum
@@ -94,14 +94,14 @@ def _generic_loop(scn):
         def field(x, t, w):
             return (x[2] - x[1], w, accel(t))
 
-    epsilon = scn.epsilon if scn.controller == "issf" else None
+    params = scn.pendulum if scn.plant == "pendulum" else scn.truck
+    apply = filter_function(params.alpha_c,
+                            scn.epsilon if scn.controller == "issf" else None)
 
     def controller(x, t):
         if scn.controller == "nominal":
             return record.nominal(x)
-        h, lf_h, lg_h, u = record.terms(x, accel(t))
-        gain = filter_gain(lg_h * lg_h, lf_h + lg_h * u + record.alpha_c * h, h, epsilon)
-        return u + gain * lg_h if gain > 0.0 else u
+        return apply(*record.terms(x, accel(t)))
 
     return field, controller, lambda x, t: record.terms(x, accel(t))
 
