@@ -52,7 +52,6 @@ from .plants import (
     truck_safe_filter,
 )
 from .sim import (
-    LeaderProfile,
     Scenario,
     ScenarioResult,
     SimulationError,

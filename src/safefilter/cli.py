@@ -34,6 +34,7 @@ from typing import ClassVar, Literal, Optional, Union, get_args, get_origin, get
 
 from .core import SignalDomainError, linear_class_kappa
 from .disturbance import (
+    DisturbanceSignal,
     disturbance_from_csv,
     heaviside_pulse,
     zero_disturbance,
@@ -42,7 +43,6 @@ from .issf import EpsilonFunction, RootBracketError, solve_h_star
 from .plants import PendulumParams, TruckParams, pendulum_barrier, truck_barrier
 from .sim import (
     MAX_STEPS,
-    LeaderProfile,
     Scenario,
     SignalTooShortError,
     SimulationError,
@@ -495,7 +495,7 @@ def build_params(cfg: Config):
         raise ConfigError(f"invalid {cfg.plant} parameters: {err}") from err
 
 
-def _build_leader(cfg: Config, p) -> LeaderProfile:
+def _build_leader(cfg: Config, p) -> DisturbanceSignal:
     if cfg.leader is None:
         raise ConfigError("truck scenarios need a leader profile")
     spec = cfg.leader

@@ -1,17 +1,17 @@
-"""Input-channel disturbance signals and empirical bound estimation.
+"""Time signals (input disturbances, leader acceleration) and empirical bound estimation.
 
 Signals are immutable, piecewise continuous on their domain, and carry the
-declared sup-norm bound they were constructed with.  The disturbance always
-enters additively on the input: the integrator applies u + d(t).
+declared sup-norm bound they were constructed with.  Each kind writes its
+formula once, on arrays of times.  The disturbance always enters additively
+on the input: the integrator applies u + d(t).
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "estimate_sup_norm",
     "heaviside_pulse",
     "lag_residual",
+    "read_csv_samples",
     "sampled_disturbance",
     "zero_disturbance",
 ]
@@ -30,44 +31,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DisturbanceSignal:
-    """Scalar disturbance d(t) on [0, duration] with declared bound sup|d| <= bound.
+    """Scalar signal of time on [0, duration] with declared bound sup|s| <= bound.
 
-    ``_sample``, if given, evaluates the signal on an array of times; it must
-    return the scalar evaluator's values bit for bit.
+    It is the type of both exogenous signals of the simulator: the input
+    disturbance d(t) and the truck leader's acceleration a_L(t).  ``_sample``, the one
+    evaluator, maps a 1-d float array of times to a float array; out of domain
+    it raises SignalDomainError for the first offending time.  A scalar call
+    evaluates a one-element array.
     """
 
     kind: str
     bound: float
     duration: float
-    _evaluate: Callable[[float], float]
-    _sample: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    _sample: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, t: float) -> float:
-        return self._evaluate(t)
+        return float(self._sample(np.array([t], dtype=float))[0])
 
     def sample(self, times: np.ndarray) -> np.ndarray:
-        """d at each entry of the 1-d float array ``times``, as a float array.
-
-        The values equal scalar calls bit for bit.  Out of domain this raises
-        the scalar evaluator's SignalDomainError for the first offending time.
-        """
-        if self._sample is not None:
-            return self._sample(times)
-        evaluate = self._evaluate
-        return np.array([evaluate(t) for t in times.tolist()], dtype=float)
+        """The signal at each entry of the 1-d float array ``times``, as a float array."""
+        return self._sample(times)
 
 
 def _domain_check(times: np.ndarray, t0: float, t1: float) -> None:
-    """The scalar evaluators' domain error, for the first time outside [t0, t1]."""
+    """The domain error of a recorded signal, for the first time outside [t0, t1]."""
     outside = (times < t0) | (times > t1)
     if outside.any():
         tau = float(times[int(np.argmax(outside))])
         raise SignalDomainError(f"t={tau:g} outside sampled domain [{t0:g}, {t1:g}]")
 
 
-def zero_disturbance(duration: float = math.inf) -> DisturbanceSignal:
-    return DisturbanceSignal("zero", 0.0, duration, lambda t: 0.0,
-                             lambda times: np.zeros(times.shape))
+def zero_disturbance() -> DisturbanceSignal:
+    return DisturbanceSignal("zero", 0.0, math.inf, lambda times: np.zeros(times.shape))
 
 
 def heaviside_pulse(m_amp: float) -> DisturbanceSignal:
@@ -81,12 +76,12 @@ def heaviside_pulse(m_amp: float) -> DisturbanceSignal:
         raise ValueError(f"amplitude must be nonnegative, got {m_amp}")
 
     def step(tau):
-        return 1.0 if tau >= 0.0 else 0.0
+        return np.where(tau >= 0.0, 1.0, 0.0)
 
-    def evaluate(t):
+    def sample(t):
         return m_amp * (1.0 - step(t - 5.0) - step(t - 10.0) + step(t - 15.0))
 
-    return DisturbanceSignal("heaviside_pulse", m_amp, math.inf, evaluate)
+    return DisturbanceSignal("heaviside_pulse", m_amp, math.inf, sample)
 
 
 def _check_samples(t, d):
@@ -108,37 +103,34 @@ def sampled_disturbance(t, d) -> DisturbanceSignal:
     """
     t, d = _check_samples(t, d)
     t0, t1 = float(t[0]), float(t[-1])
-    # plain lists: bisect on floats is the same search as np.searchsorted
-    # without the array-call overhead on every evaluation
-    times, values = t.tolist(), d.tolist()
-
-    def evaluate(tau):
-        if tau < t0 or tau > t1:
-            raise SignalDomainError(f"t={tau:g} outside sampled domain [{t0:g}, {t1:g}]")
-        return values[bisect.bisect_right(times, tau) - 1]
 
     def sample(taus):
         _domain_check(taus, t0, t1)
-        # side="right" is bisect_right: a breakpoint starts its own piece
+        # side="right": a breakpoint starts its own piece
         return d[np.searchsorted(t, taus, side="right") - 1]
 
-    return DisturbanceSignal("sampled", float(np.max(np.abs(d))), t1, evaluate, sample)
+    return DisturbanceSignal("sampled", float(np.max(np.abs(d))), t1, sample)
+
+
+def read_csv_samples(path, column: str) -> tuple[np.ndarray, np.ndarray]:
+    """The time and value columns of a two-column CSV with header ``t,<column>``."""
+    t, values = [], []
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] != ["t", column]:
+            raise ValueError(f"{path}: expected header 't,{column}', got {header}")
+        for row in filter(None, reader):  # blank lines hold no sample
+            if len(row) != 2:
+                raise ValueError(f"{path}: expected 2 fields per row, got {row}")
+            t.append(float(row[0]))
+            values.append(float(row[1]))
+    return np.array(t), np.array(values)
 
 
 def disturbance_from_csv(path) -> DisturbanceSignal:
     """Load a sampled disturbance from a two-column CSV with header ``t,d``."""
-    t, d = [], []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["t", "d"]:
-            raise ValueError(f"{path}: expected header 't,d', got {header}")
-        for row in reader:
-            if not row:
-                continue
-            t.append(float(row[0]))
-            d.append(float(row[1]))
-    return sampled_disturbance(t, d)
+    return sampled_disturbance(*read_csv_samples(path, "d"))
 
 
 def lag_residual(t, u, time_constant: float) -> DisturbanceSignal:
@@ -160,17 +152,11 @@ def lag_residual(t, u, time_constant: float) -> DisturbanceSignal:
     d = lagged - u
     t0, t1 = float(t[0]), float(t[-1])
 
-    def evaluate(tau):
-        if tau < t0 or tau > t1:
-            raise SignalDomainError(f"t={tau:g} outside sampled domain [{t0:g}, {t1:g}]")
-        return float(np.interp(tau, t, d))
-
     def sample(taus):
         _domain_check(taus, t0, t1)
-        # np.interp runs the same loop for one time as for many
         return np.interp(taus, t, d)
 
-    return DisturbanceSignal("lag_residual", float(np.max(np.abs(d))), t1, evaluate, sample)
+    return DisturbanceSignal("lag_residual", float(np.max(np.abs(d))), t1, sample)
 
 
 def estimate_sup_norm(t_cmd, u_cmd, t_meas, a_meas) -> float:

@@ -1,7 +1,8 @@
 """Fixed-step closed-loop simulation of the two case studies.
 
 A scenario pins a plant, a controller flavor (nominal / cbf / issf), an input
-disturbance, and for the truck a leader acceleration profile.  Integration is
+disturbance d(t), and for the truck the leader's acceleration a_L(t), which
+the leader profiles below build; both are ``DisturbanceSignal``s.  Integration is
 classical RK4 with the controller evaluated inside every sub-stage
 (continuous-time idealization) and time signals sampled at sub-stage times.
 Runs are deterministic: identical scenarios produce bit-identical logs.
@@ -16,10 +17,10 @@ every plant and controller through one loop over it.  The logged row gives
 a state's nominal input, applied input and barrier value from one
 evaluation of the barrier terms, and its input channel u + d is RK4 stage
 1; the record's fused ``step`` writes out the four stages, and a nominal
-stage does not evaluate the barrier.  The time signals (the disturbance and
-the leader's acceleration) are sampled once per run, block by block, at the
-stage times, so a step evaluates the controller once per stage and the
-disturbance once per distinct stage time.  ``rk4_step`` is the same RK4 step, generic over a
+stage does not evaluate the barrier.  Both time signals are sampled through
+their one array evaluator, ``sample``, block by block at the stage times, so
+a step evaluates the controller once per stage and each signal once per
+distinct stage time.  ``rk4_step`` is the same RK4 step, generic over a
 field and a controller of (x, t) on tuples.
 
 Each float goes through the same IEEE operations in the same order as the
@@ -31,7 +32,6 @@ filled row by row.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,8 +40,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cbf import filter_function
-from .core import SignalDomainError, SimulationError, linear_class_kappa, state_vector
-from .disturbance import DisturbanceSignal, lag_residual, zero_disturbance
+from .core import SimulationError, linear_class_kappa, state_vector
+from .disturbance import (
+    DisturbanceSignal,
+    lag_residual,
+    read_csv_samples,
+    sampled_disturbance,
+    zero_disturbance,
+)
 from .issf import EpsilonFunction, solve_h_star
 from .plants import (
     PendulumParams,
@@ -52,7 +58,6 @@ from .plants import (
 )
 
 __all__ = [
-    "LeaderProfile",
     "MAX_STEPS",
     "Scenario",
     "ScenarioResult",
@@ -86,6 +91,10 @@ _SAMPLE_BLOCK_STEPS = 1024
 # enough that one block's text stays small next to the table itself.
 _CSV_BLOCK_ROWS = 1024
 
+# Step of the reference run behind truck_lag_disturbance: fixed, so the
+# synthesized signal does not change with the consuming scenario's dt.
+_LAG_REFERENCE_DT = 0.01
+
 
 class SteadyStateWindowError(ValueError):
     """No qualifying constant-leader-speed window in the trajectory."""
@@ -101,24 +110,14 @@ class SignalTooShortError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Leader profiles
+# Leader profiles: the leader acceleration a_L(t) as a time signal
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeaderProfile:
-    """Lead-vehicle acceleration signal, starting from speed v0."""
-
-    kind: str
-    v0: float
-    duration: float
-    accel: Callable[[float], float]
-
-
-def constant_speed_profile(v0: float, v_bar_l: float = 20.0) -> LeaderProfile:
+def constant_speed_profile(v0: float, v_bar_l: float = 20.0) -> DisturbanceSignal:
     if not 0.0 <= v0 <= v_bar_l:
         raise ValueError(f"v0 must lie in [0, {v_bar_l}], got {v0}")
-    return LeaderProfile("constant", v0, math.inf, lambda t: 0.0)
+    return DisturbanceSignal("constant", 0.0, math.inf, lambda times: np.zeros(times.shape))
 
 
 def hard_brake_profile(
@@ -128,7 +127,7 @@ def hard_brake_profile(
     duration: float,
     v_bar_l: float = 20.0,
     a_under_l: float = 10.0,
-) -> LeaderProfile:
+) -> DisturbanceSignal:
     """Constant speed v0 until t_brake, trapezoidal deceleration to standstill.
 
     ``duration`` is the total braking time; the ramp time follows from the
@@ -154,17 +153,18 @@ def hard_brake_profile(
     t1 = t_brake + ramp            # full deceleration reached
     t2 = t1 + hold                 # ramp-down begins
     t_end = t_brake + duration
+    # a rectangle (ramp <= 0) has constant pieces in place of the ramps
+    ramp_up = (lambda t: a_peak * (t - t_brake) / ramp) if ramp > 0 else a_peak
+    ramp_down = (lambda t: a_peak * (t_end - t) / ramp) if ramp > 0 else 0.0
 
-    def accel(t):
-        if t < t_brake or t >= t_end:
-            return 0.0
-        if t < t1:
-            return a_peak * (t - t_brake) / ramp if ramp > 0 else a_peak
-        if t < t2:
-            return a_peak
-        return a_peak * (t_end - t) / ramp if ramp > 0 else 0.0
+    def sample(t):
+        # disjoint pieces in if-chain order; each is evaluated on its own times only
+        off = (t < t_brake) | (t >= t_end)
+        up = ~off & (t < t1)
+        held = ~off & ~(t < t1) & (t < t2)
+        return np.piecewise(t, [off, up, held], [0.0, ramp_up, a_peak, ramp_down])
 
-    return LeaderProfile("hard_brake", v0, math.inf, accel)
+    return DisturbanceSignal("hard_brake", abs(a_peak), math.inf, sample)
 
 
 def leader_profile_from_csv(
@@ -172,33 +172,17 @@ def leader_profile_from_csv(
     v0: float,
     v_bar_l: float = 20.0,
     a_bounds: tuple[float, float] = (-10.0, 5.0),
-) -> LeaderProfile:
+) -> DisturbanceSignal:
     """Zero-order-hold leader acceleration from a CSV with header ``t,a_L``.
 
     Non-finite samples and acceleration samples outside ``a_bounds`` are
     rejected at load; an induced speed outside [0, v_bar_l] only warns (the
     simulator clamps the state).
     """
-    import csv as _csv
-
-    t, a = [], []
-    with open(path, newline="") as handle:
-        reader = _csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["t", "a_L"]:
-            raise ValueError(f"{path}: expected header 't,a_L', got {header}")
-        for row in reader:
-            if not row:
-                continue
-            t.append(float(row[0]))
-            a.append(float(row[1]))
-    t = np.asarray(t, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if t.size < 2 or not (np.all(np.diff(t) > 0) and np.all(np.isfinite(t))):
-        raise ValueError(f"{path}: need >= 2 finite, strictly increasing sample times")
-    # written so that a nan sample fails it
+    t, a = read_csv_samples(path, "a_L")
+    signal = sampled_disturbance(t, a)
     if not np.all((a >= a_bounds[0]) & (a <= a_bounds[1])):
-        raise ValueError(f"{path}: acceleration samples must be finite and within {a_bounds}")
+        raise ValueError(f"{path}: acceleration samples must lie within {a_bounds}")
     if not 0.0 <= v0 <= v_bar_l:
         raise ValueError(f"v0 must lie in [0, {v_bar_l}], got {v0}")
 
@@ -206,15 +190,7 @@ def leader_profile_from_csv(
     v_knots = v0 + np.concatenate(([0.0], np.cumsum(a[:-1] * np.diff(t))))
     if np.any(v_knots < -1e-9) or np.any(v_knots > v_bar_l + 1e-9):
         warnings.warn("induced leader speed leaves [0, v_bar_l]; the simulator will clamp")
-    t0, t1 = float(t[0]), float(t[-1])
-    times, accels = t.tolist(), a.tolist()
-
-    def accel(tau):
-        if tau < t0 or tau > t1:
-            raise SignalDomainError(f"t={tau:g} outside leader profile domain [{t0:g}, {t1:g}]")
-        return accels[bisect.bisect_right(times, tau) - 1]
-
-    return LeaderProfile("sampled", v0, t1, accel)
+    return signal
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +274,7 @@ class Scenario:
     disturbance: DisturbanceSignal
     pendulum: Optional[PendulumParams] = None
     truck: Optional[TruckParams] = None
-    leader: Optional[LeaderProfile] = None
+    leader: Optional[DisturbanceSignal] = None
     epsilon: Optional[EpsilonFunction] = None
     delta: float = 0.0              # declared disturbance bound for the h* report
 
@@ -323,10 +299,9 @@ class Scenario:
             raise ValueError(f"horizon/dt = {self.horizon / self.dt:.9g} gives more than "
                              f"MAX_STEPS = {MAX_STEPS} steps")
         t_last = self.n_steps * self.dt
-        if self.disturbance.duration < t_last:
-            raise SignalTooShortError("disturbance", self.disturbance.duration, t_last)
-        if self.leader is not None and self.leader.duration < t_last:
-            raise SignalTooShortError("leader", self.leader.duration, t_last)
+        for name, signal in (("disturbance", self.disturbance), ("leader", self.leader)):
+            if signal is not None and signal.duration < t_last:
+                raise SignalTooShortError(name, signal.duration, t_last)
 
     @property
     def n_steps(self) -> int:
@@ -416,11 +391,7 @@ def _stage_samples(scn: Scenario, t_rows: np.ndarray, last: bool) -> tuple:
     times = np.column_stack([t_rows, t_rows + 0.5 * dt, t_rows + dt - 1e-9 * dt]).ravel()
     if last:
         times = times[:-2]
-    if scn.leader is not None:
-        accel = scn.leader.accel
-        a = [accel(t) for t in times.tolist()]
-    else:
-        a = [None] * times.size
+    a = [None] * times.size if scn.leader is None else scn.leader.sample(times).tolist()
     d = scn.disturbance.sample(times).tolist()
     if last:
         a += [None, None]
@@ -548,18 +519,16 @@ def steady_state_shift(result: ScenarioResult, p: TruckParams, v_star: float) ->
 
 def truck_lag_disturbance(
     p: TruckParams,
-    leader: LeaderProfile,
+    leader: DisturbanceSignal,
     x0: tuple,
     horizon: float,
     tau: float = 0.6,
-    dt_ref: float = 0.01,
 ) -> DisturbanceSignal:
     """Synthetic stand-in for the actuation lag seen on the real truck.
 
     Runs the safety-filtered braking scenario without disturbance, records the
     commanded acceleration, and returns the first-order-lag residual of that
-    command.  The reference run always uses ``dt_ref`` so the synthesized
-    signal does not change when the consuming scenario's step size does.
+    command, from a reference run at ``_LAG_REFERENCE_DT``.
     """
     reference = run_scenario(
         Scenario(
@@ -568,7 +537,7 @@ def truck_lag_disturbance(
             controller="cbf",
             x0=tuple(x0),
             horizon=horizon,
-            dt=dt_ref,
+            dt=_LAG_REFERENCE_DT,
             disturbance=zero_disturbance(),
             truck=p,
             leader=leader,

@@ -99,14 +99,18 @@ def certify_pendulum(
     _check_cells(samples, f"samples = {samples}")
 
     theta = np.linspace(lo, hi, samples)
-    if cross_term:
-        margin = alpha_c + (3.0 / (4.0 * a * a)) * (b / a - alpha_c) * theta**2
-        rate_condition = alpha_c <= b / a
-        line = "theta_dot = -(b/2a) theta"
-    else:
-        margin = alpha_c * (1.0 - theta**2 / (a * a))
-        rate_condition = False  # margin <= 0 at |theta| = a for any alpha
-        line = "theta_dot = 0"
+    # a finite range can overflow theta^2: rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cross_term:
+            margin = alpha_c + (3.0 / (4.0 * a * a)) * (b / a - alpha_c) * theta**2
+            rate_condition = alpha_c <= b / a
+            line = "theta_dot = -(b/2a) theta"
+        else:
+            margin = alpha_c * (1.0 - theta**2 / (a * a))
+            rate_condition = False  # margin <= 0 at |theta| = a for any alpha
+            line = "theta_dot = 0"
+    if not np.all(np.isfinite(margin)):
+        raise ValueError(f"the margin overflows on theta_range {theta_range}")
 
     idx = int(np.argmin(margin))
     min_margin = float(margin[idx])

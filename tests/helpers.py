@@ -9,7 +9,8 @@ reference integrator is different in kind: it
 replays the closed loop on numpy arrays, built from the public ``plants``,
 ``cbf`` and ``issf`` API rather than from the simulator's own maps, with every
 quantity evaluated on its own, so the simulator's float engine and its shared
-evaluations can be checked against it bit for bit.  The
+evaluations can be checked against it bit for bit.  Its time signals are
+sampled once per run, through their array evaluator, at its stage times.  The
 reference CSV writers format each cell on its own, the way the block writer's
 output must read byte for byte.
 """
@@ -189,6 +190,41 @@ def correction_gain(filt, x):
     return (floor - be.hdot(u_nom)) / s
 
 
+def pulse_oracle(m_amp):
+    """The two-lobe pulse as a scalar function of time: sums of
+    right-continuous unit steps, in the order ``heaviside_pulse`` applies them."""
+
+    def step(tau):
+        return 1.0 if tau >= 0.0 else 0.0
+
+    def pulse(t):
+        return m_amp * (1.0 - step(t - 5.0) - step(t - 10.0) + step(t - 15.0))
+
+    return pulse
+
+
+def hard_brake_oracle(v0, t_brake, a_peak, duration):
+    """The hard-brake leader acceleration as a scalar if-chain over its
+    pieces, and the breakpoints between them: braking starts, full
+    deceleration is reached, the ramp-down begins, braking ends."""
+    ramp = duration - v0 / abs(a_peak)
+    hold = duration - 2.0 * ramp
+    t1 = t_brake + ramp
+    t2 = t1 + hold
+    t_end = t_brake + duration
+
+    def accel(t):
+        if t < t_brake or t >= t_end:
+            return 0.0
+        if t < t1:
+            return a_peak * (t - t_brake) / ramp if ramp > 0 else a_peak
+        if t < t2:
+            return a_peak
+        return a_peak * (t_end - t) / ramp if ramp > 0 else 0.0
+
+    return accel, (t_brake, t1, t2, t_end)
+
+
 def sample_pendulum_states(rng, count):
     """States across and beyond the safe ellipse; filter outputs stay in the grid."""
     theta = rng.uniform(-0.4, 0.4, count)
@@ -238,10 +274,11 @@ def reference_rk4_step(dynamics, controller, disturbance, x, t, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _reference_maps(scn):
+def _reference_maps(scn, accel):
     """The closed loop of a scenario built from the public numpy API of
     ``plants``, ``cbf`` and ``issf``: dynamics, nominal input, applied input
-    and barrier value, each returning what the simulator logs."""
+    and barrier value, each returning what the simulator logs.  ``accel`` is
+    the truck leader's acceleration as a function of time."""
     if scn.plant == "pendulum":
         p = scn.pendulum
         nominal = pendulum_nominal(p)
@@ -255,7 +292,7 @@ def _reference_maps(scn):
         return (pendulum_dynamics(p), lambda x, t: nominal(x),
                 lambda x, t: control(x), lambda x, t: barrier(x).h)
 
-    p, accel = scn.truck, scn.leader.accel
+    p = scn.truck
 
     def u_nominal(x, t):
         return np.array([truck_nominal(p, x[0], x[1], x[2])])
@@ -282,25 +319,35 @@ def _reference_clamp(x):
     return x
 
 
+def _at_stage_times(signal, time, dt):
+    """A time signal as a function of the times ``reference_rk4_step`` and the
+    logged rows evaluate it at, sampled with one ``sample`` call per run."""
+    steps = time[:-1]
+    times = np.concatenate([time, steps + 0.5 * dt, steps + dt - 1e-9 * dt])
+    return dict(zip(times.tolist(), signal.sample(times).tolist())).__getitem__
+
+
 def reference_run(scn):
     """The scenario loop with separate u_nominal, u_control, disturbance and
     barrier calls per logged row, stepped by ``reference_rk4_step``.
 
     Returns the log columns that ``run_scenario`` produces, by the same names.
     """
-    dyn, u_nominal, u_control, h_of = _reference_maps(scn)
-    x = np.array(scn.x0, dtype=float)
     n_steps = int(math.floor(scn.horizon / scn.dt + 1e-9))
     time = np.arange(n_steps + 1) * scn.dt
+    disturbance = _at_stage_times(scn.disturbance, time, scn.dt)
+    accel = None if scn.leader is None else _at_stage_times(scn.leader, time, scn.dt)
+    dyn, u_nominal, u_control, h_of = _reference_maps(scn, accel)
+    x = np.array(scn.x0, dtype=float)
     rows = {"states": [], "u_nom": [], "u_filt": [], "d": [], "h": []}
     for k, t in enumerate(time):
         rows["states"].append(x.copy())
         rows["u_nom"].append(float(u_nominal(x, t)[0]))
         rows["u_filt"].append(float(u_control(x, t)[0]))
-        rows["d"].append(scn.disturbance(t))
+        rows["d"].append(disturbance(t))
         rows["h"].append(h_of(x, t))
         if k < n_steps:
-            x = reference_rk4_step(dyn, u_control, scn.disturbance, x, t, scn.dt)
+            x = reference_rk4_step(dyn, u_control, disturbance, x, t, scn.dt)
             if scn.plant == "truck":
                 x = _reference_clamp(x)
     return {key: np.array(values) for key, values in rows.items()}

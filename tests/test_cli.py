@@ -448,16 +448,30 @@ _BRAKE = {"kind": "hard_brake", "t_brake": 1.0, "a_peak": -8.0, "duration": 2.0}
     # a leader CSV with a nan acceleration sample, written by the test
     ("simulate", {"plant": "truck", "leader": {"kind": "csv", "path": "nan_leader.csv",
                                                "v0": 16.0}}),
+    # disturbance and leader CSVs with a row of one field, written by the test
+    ("simulate", {"plant": "pendulum", "disturbance": {"kind": "csv", "path": "short.csv"}}),
+    ("simulate", {"plant": "truck", "leader": {"kind": "csv", "path": "short_leader.csv",
+                                               "v0": 16.0}}),
+    # finite pendulum ranges whose margin overflows in theta^2
+    ("certify", {"plant": "pendulum", "certify": {"theta_range": [-1e200, 1e200]}}),
+    ("certify", {"plant": "pendulum", "certify": {"theta_range": [-1e200, 1e200],
+                                                  "cross_term": False}}),
 ])
 def test_malformed_config_exits_2_without_traceback(command, doc, tmp_path, capsys,
                                                     monkeypatch):
     # a relative path in a document resolves in tmp_path
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nan_leader.csv").write_text("t,a_L\n0,0\n1,nan\n100,0\n")
+    (tmp_path / "short.csv").write_text("t,d\n0,0.1\n5\n100,0\n")
+    (tmp_path / "short_leader.csv").write_text("t,a_L\n0,0\n5\n100,0\n")
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(doc))
-    assert main([command, "--config", str(config_path), "--out", str(tmp_path)]) == 2
-    assert "config error: $." in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(config_path), "--out", str(tmp_path)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "config error: $." in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("doc,where", [

@@ -14,6 +14,9 @@ from safefilter import (
     zero_disturbance,
 )
 from safefilter.disturbance import disturbance_from_csv
+from safefilter.sim import constant_speed_profile, hard_brake_profile, leader_profile_from_csv
+
+from helpers import hard_brake_oracle, pulse_oracle
 
 
 def test_pulse_piecewise_values():
@@ -69,7 +72,7 @@ def test_declared_bound_holds_on_dense_sample(amplitude, values):
     for signal in signals:
         end = min(signal.duration, 20.0)
         sample = np.linspace(0.0, end, 10_000)
-        worst = max(abs(signal(t)) for t in sample)
+        worst = float(np.max(np.abs(signal.sample(sample))))
         assert worst <= signal.bound + 1e-12
 
 
@@ -188,38 +191,64 @@ def _with_neighbours(points):
                      for v in (np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf))])
 
 
+def _hard_brake(v0, t_brake, a_peak, duration):
+    """A hard-brake leader, its scalar oracle, and its breakpoints with their
+    neighbours plus a grid over and around the braking."""
+    oracle, breaks = hard_brake_oracle(v0, t_brake, a_peak, duration)
+    times = np.concatenate([_with_neighbours(breaks),
+                            np.linspace(0.0, t_brake + duration + 2.0, 61)])
+    return hard_brake_profile(v0, t_brake, a_peak, duration), times, oracle
+
+
 def _signals(tmp_path):
+    """Each kind of time signal: (signal, times, scalar oracle or None)."""
     knots = [0.0, 0.5, 1.25, 3.0, 4.0]
     values = [0.3, -1.2, 0.0, 2.5, -0.7]
     csv_path = tmp_path / "d.csv"
     csv_path.write_text("t,d\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(knots, values)))
+    leader_path = tmp_path / "lead.csv"
+    leader_path.write_text("t,a_L\n" + "".join(f"{t!r},{v!r}\n"
+                                                for t, v in zip(knots, values)))
     # a lag residual with nonzero slopes between its knots
     lag_t = np.linspace(0.0, 4.0, 41)
     lag = lag_residual(lag_t, np.sin(3.0 * lag_t) + (lag_t > 1.0), 0.6)
     edges = _with_neighbours(knots)
     return {
-        "zero": (zero_disturbance(), np.concatenate([edges, [7.3, 1e9]])),
+        "zero": (zero_disturbance(), np.concatenate([edges, [7.3, 1e9]]), None),
         "pulse": (heaviside_pulse(0.75),
-                  np.concatenate([_with_neighbours([0.0, 5.0, 10.0, 15.0]), [2.0, 20.0]])),
-        "sampled": (sampled_disturbance(knots, values), edges[1:-1]),
-        "csv": (disturbance_from_csv(csv_path), edges[1:-1]),
+                  np.concatenate([_with_neighbours([0.0, 5.0, 10.0, 15.0]), [2.0, 20.0]]),
+                  pulse_oracle(0.75)),
+        "sampled": (sampled_disturbance(knots, values), edges[1:-1], None),
+        "csv": (disturbance_from_csv(csv_path), edges[1:-1], None),
         "lag_residual": (lag, np.concatenate([_with_neighbours(lag_t)[1:-1],
-                                              np.linspace(0.0, 4.0, 97)])),
+                                              np.linspace(0.0, 4.0, 97)]), None),
+        # the leader acceleration a_L(t): breakpoints off the float grid of
+        # round numbers, and the rectangle profile whose ramps are empty
+        "hard_brake": _hard_brake(13.7, 0.37, -7.3, 2.6),
+        "hard_brake_rectangle": _hard_brake(16.0, 15.0, -8.0, 2.0),
+        "constant": (constant_speed_profile(16.0), np.concatenate([edges, [7.3, 1e9]]),
+                     None),
+        "csv_leader": (leader_profile_from_csv(leader_path, v0=10.0), edges[1:-1], None),
     }
 
 
-@pytest.mark.parametrize("kind", ["zero", "pulse", "sampled", "csv", "lag_residual"])
+@pytest.mark.parametrize("kind", ["zero", "pulse", "sampled", "csv", "lag_residual",
+                                  "hard_brake", "hard_brake_rectangle", "constant",
+                                  "csv_leader"])
 def test_sample_equals_scalar_calls_bit_for_bit(kind, tmp_path):
-    signal, times = _signals(tmp_path)[kind]
+    signal, times, oracle = _signals(tmp_path)[kind]
     scalar = np.array([signal(t) for t in times.tolist()])
     sampled = signal.sample(times)
     assert sampled.dtype == np.float64 and sampled.shape == times.shape
     assert sampled.tobytes() == scalar.tobytes()
+    if oracle is not None:
+        expected = np.array([oracle(t) for t in times.tolist()])
+        assert sampled.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["sampled", "csv", "lag_residual"])
+@pytest.mark.parametrize("kind", ["sampled", "csv", "lag_residual", "csv_leader"])
 def test_sample_out_of_domain_raises_the_scalar_error_for_the_first_time(kind, tmp_path):
-    signal, _ = _signals(tmp_path)[kind]
+    signal, _, _ = _signals(tmp_path)[kind]
     below = np.nextafter(0.0, -np.inf)
     above = np.nextafter(4.0, np.inf)
     for times, first in (([1.0, above, below], above), ([below, 2.0, above], below)):
@@ -228,3 +257,4 @@ def test_sample_out_of_domain_raises_the_scalar_error_for_the_first_time(kind, t
         with pytest.raises(SignalDomainError) as sampled:
             signal.sample(np.array(times))
         assert str(sampled.value) == str(scalar.value)
+        assert str(sampled.value).startswith(f"t={first:g} outside")

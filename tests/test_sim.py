@@ -32,7 +32,6 @@ from safefilter import (
 from safefilter.core import SignalDomainError
 from safefilter.sim import (
     MAX_STEPS,
-    LeaderProfile,
     SignalTooShortError,
     SteadyStateWindowError,
     leader_profile_from_csv,
@@ -164,37 +163,37 @@ def test_truck_coasting_keeps_speeds_and_d_affine():
 # Leader profiles
 # ---------------------------------------------------------------------------
 
-def _leader_speed(lead, t, breakpoints=()):
+def _leader_speed(lead, v0, t, breakpoints=()):
     """v0 plus the integral of the leader's acceleration up to t, with the
     profile's breakpoints before t passed to quad."""
     points = [p for p in breakpoints if 0.0 < p < t]
-    integral, _ = quad(lead.accel, 0.0, t, points=points or None)
-    return lead.v0 + integral
+    integral, _ = quad(lead, 0.0, t, points=points or None)
+    return v0 + integral
 
 
 def test_hard_brake_profile_shape():
     lead = hard_brake_profile(16.0, 15.0, -8.0, 3.0)
-    assert lead.accel(0.0) == 0.0
-    assert lead.accel(14.999) == 0.0
-    assert lead.accel(15.5) == pytest.approx(-4.0)   # mid-ramp
-    assert lead.accel(16.5) == -8.0                  # hold
-    assert lead.accel(18.0) == 0.0
+    assert lead(0.0) == 0.0
+    assert lead(14.999) == 0.0
+    assert lead(15.5) == pytest.approx(-4.0)   # mid-ramp
+    assert lead(16.5) == -8.0                  # hold
+    assert lead(18.0) == 0.0
     breaks = (15.0, 16.0, 17.0, 18.0)
-    assert _leader_speed(lead, 15.0, breaks) == 16.0
-    assert _leader_speed(lead, 18.0, breaks) == pytest.approx(0.0, abs=1e-12)
-    assert _leader_speed(lead, 30.0, breaks) == pytest.approx(0.0, abs=1e-12)
+    assert _leader_speed(lead, 16.0, 15.0, breaks) == 16.0
+    assert _leader_speed(lead, 16.0, 18.0, breaks) == pytest.approx(0.0, abs=1e-12)
+    assert _leader_speed(lead, 16.0, 30.0, breaks) == pytest.approx(0.0, abs=1e-12)
     ts = np.linspace(0.0, 30.0, 301)
-    assert all(lead.accel(t) <= 0.0 for t in ts)
-    speeds = [_leader_speed(lead, t, breaks) for t in np.linspace(15.0, 18.0, 100)]
+    assert all(lead(t) <= 0.0 for t in ts)
+    speeds = [_leader_speed(lead, 16.0, t, breaks) for t in np.linspace(15.0, 18.0, 100)]
     assert all(a >= b - 1e-12 for a, b in zip(speeds, speeds[1:]))
 
 
 def test_hard_brake_rectangle_profile():
     lead = hard_brake_profile(16.0, 15.0, -8.0, 2.0)
-    assert lead.accel(15.0) == -8.0
-    assert lead.accel(16.999) == -8.0
-    assert lead.accel(17.0) == 0.0
-    assert _leader_speed(lead, 17.0, (15.0, 17.0)) == pytest.approx(0.0, abs=1e-12)
+    assert lead(15.0) == -8.0
+    assert lead(16.999) == -8.0
+    assert lead(17.0) == 0.0
+    assert _leader_speed(lead, 16.0, 17.0, (15.0, 17.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hard_brake_validation():
@@ -213,19 +212,19 @@ def test_hard_brake_validation():
 def test_brake_after_horizon_behaves_like_constant_speed():
     lead = hard_brake_profile(16.0, 100.0, -8.0, 2.0)
     for t in np.linspace(0.0, 60.0, 50):
-        assert lead.accel(t) == 0.0
-        assert _leader_speed(lead, t) == 16.0
+        assert lead(t) == 0.0
+        assert _leader_speed(lead, 16.0, t) == 16.0
 
 
 def test_leader_csv_roundtrip(tmp_path):
     path = tmp_path / "lead.csv"
     path.write_text("t,a_L\n0,0\n10,-5\n12,0\n20,0\n")
     lead = leader_profile_from_csv(path, v0=16.0)
-    assert lead.accel(5.0) == 0.0
-    assert lead.accel(11.0) == -5.0
-    assert _leader_speed(lead, 12.0, (10.0, 12.0)) == pytest.approx(6.0)
+    assert lead(5.0) == 0.0
+    assert lead(11.0) == -5.0
+    assert _leader_speed(lead, 16.0, 12.0, (10.0, 12.0)) == pytest.approx(6.0)
     with pytest.raises(Exception):
-        lead.accel(25.0)
+        lead(25.0)
 
 
 def test_leader_csv_hold_resolves_breakpoints_to_the_starting_piece(tmp_path):
@@ -236,13 +235,13 @@ def test_leader_csv_hold_resolves_breakpoints_to_the_starting_piece(tmp_path):
     path.write_text("t,a_L\n" + rows)
     lead = leader_profile_from_csv(path, v0=10.0)
     for k, t in enumerate(times):
-        assert lead.accel(t) == accels[k]
+        assert lead(t) == accels[k]
         if k > 0:
-            assert lead.accel(np.nextafter(t, -np.inf)) == accels[k - 1]
+            assert lead(np.nextafter(t, -np.inf)) == accels[k - 1]
     with pytest.raises(SignalDomainError):
-        lead.accel(np.nextafter(times[-1], np.inf))
+        lead(np.nextafter(times[-1], np.inf))
     with pytest.raises(SignalDomainError):
-        lead.accel(-1e-12)
+        lead(-1e-12)
 
 
 def test_leader_csv_rejects_out_of_bound_accel(tmp_path):
@@ -302,7 +301,7 @@ def test_scenario_rejects_signals_that_end_before_the_last_logged_time():
     with pytest.raises(SignalTooShortError, match="disturbance ends at t=0.995") as excinfo:
         _pendulum_scenario("cbf", too_short, horizon=1.0)
     assert excinfo.value.signal == "disturbance"
-    leader = LeaderProfile("sampled", 16.0, 0.995, lambda t: 0.0)
+    leader = DisturbanceSignal("sampled", 0.0, 0.995, lambda times: np.zeros(times.shape))
     with pytest.raises(SignalTooShortError) as excinfo:
         Scenario(name="x", plant="truck", controller="cbf", x0=(27.4, 16.0, 16.0),
                  horizon=1.0, dt=0.01, disturbance=ZERO, truck=T, leader=leader)
@@ -352,7 +351,7 @@ def test_failed_run_attaches_partial_log():
     # the disturbance turns infinite at t = 0.5: the row at 0.5 is still
     # logged, the step from it fails on its stage-1 derivative
     blowup = DisturbanceSignal("blowup", 0.0, math.inf,
-                               lambda t: math.inf if t >= 0.5 else 0.0)
+                               lambda times: np.where(times >= 0.5, math.inf, 0.0))
     with pytest.raises(SimulationError) as excinfo, np.errstate(invalid="ignore"):
         run_scenario(_pendulum_scenario("cbf", blowup, horizon=2.0))
     err = excinfo.value

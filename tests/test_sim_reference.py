@@ -158,8 +158,14 @@ def test_four_controller_and_disturbance_calls_per_step(plant, controller, monke
     monkeypatch.setattr(sim, "filter_function", filter_factory)
     scn = _rollout(plant, controller, seed=5)
     signal = scn.disturbance
+
+    def counted_sample(times):
+        # the times the signal's one array evaluator is asked for
+        calls["d"] += times.size
+        return signal.sample(times)
+
     scn = dataclasses.replace(scn, disturbance=DisturbanceSignal(
-        signal.kind, signal.bound, signal.duration, _counted(calls, "d", signal)))
+        signal.kind, signal.bound, signal.duration, counted_sample))
     result = _run_counting_calls(scn, calls)
 
     n_steps = result.time.size - 1

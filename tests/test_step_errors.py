@@ -89,7 +89,7 @@ def _generic_loop(scn):
             return (x[1], g_over_l * math.sin(x[0]) + g_entry * w)
     else:
         record = plants.truck_record(scn.truck)
-        accel = scn.leader.accel
+        accel = scn.leader
 
         def field(x, t, w):
             return (x[2] - x[1], w, accel(t))

@@ -79,10 +79,16 @@ def test_certify_rejects_a_range_whose_width_overflows():
     for name in ("d_range", "vl_range"):
         with pytest.raises(ValueError, match=f"{name} must have finite ends and a finite width"):
             certify_truck_grid(TruckParams(), grid=(3, 3), **{name: (-1e308, 1e308)})
-    # a wide range with a finite width still scans, and contains the minimiser
-    with np.errstate(over="ignore"):
-        report = certify_pendulum(0.25, 0.5, 0.2, theta_range=(-1e300, 1e300))
+    # a wide range with a finite width and a finite margin still scans, and
+    # contains the minimiser
+    report = certify_pendulum(0.25, 0.5, 0.2, theta_range=(-1e150, 1e150))
     assert report.passed and report.min_margin == 0.2
+    # a finite width whose margin overflows in theta^2 is rejected, with or
+    # without the cross term
+    for cross_term in (True, False):
+        with pytest.raises(ValueError, match="the margin overflows on theta_range"):
+            certify_pendulum(0.25, 0.5, 0.2, theta_range=(-1e300, 1e300),
+                             cross_term=cross_term)
 
 
 # ---------------------------------------------------------------------------
