@@ -29,7 +29,6 @@ from .disturbance import (
 from .issf import (
     EpsilonFunction,
     IssfFilter,
-    RootBracketError,
     set_inflation,
     solve_h_star,
 )
@@ -39,7 +38,6 @@ from .plants import (
     pendulum_barrier,
     pendulum_cbf_filter,
     pendulum_dynamics,
-    pendulum_issf_filter,
     pendulum_nominal,
     range_policy,
     range_policy_inverse,

@@ -6,9 +6,8 @@ projection onto that half-space has a closed form, so no QP solver is
 involved.  Without a robustness gain ``eps`` the tightening term is absent
 (the eps -> inf limit): that is the plain filter for undisturbed plants.
 ``filter_function`` builds the formula for one input and a linear alpha as
-a float closure, which the simulator applies at every RK4 stage;
-``CbfFilter`` applies it to numpy barrier evaluations, for any class-K alpha
-and any number of inputs.
+a float closure, the one copy of it: the simulator applies it at every RK4
+stage, and ``CbfFilter`` applies it to numpy barrier evaluations.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .core import BarrierEvaluation, ClassKappaE
+from .core import BarrierEvaluation, ClassKappaE, DimensionError
 
 if TYPE_CHECKING:
     from .issf import EpsilonFunction
@@ -84,7 +83,9 @@ class CbfFilter:
     :class:`safefilter.issf.EpsilonFunction`, the constraint is tightened by
     ``||lg_h||^2 / eps(h)``, which buys input-to-state safety under bounded
     input disturbance.  All of them are fixed for the filter's lifetime and
-    must be pure, which makes the filter safe to evaluate concurrently.
+    must be pure, which makes the filter safe to evaluate concurrently.  The
+    filter serves one input and applies :func:`filter_function` for the
+    linear ``alpha``.
     """
 
     barrier: Callable[[np.ndarray], BarrierEvaluation]
@@ -93,18 +94,13 @@ class CbfFilter:
     epsilon: Optional[EpsilonFunction] = None
 
     def filter(self, x) -> np.ndarray:
-        """Admissible input closest to the nominal one (2-norm); for one input
-        and a linear alpha, bit for bit the input of :func:`filter_function`."""
+        """Admissible input closest to the nominal one, as a 1-element array:
+        ``filter_function`` applied to the barrier evaluation at x.  A barrier
+        or nominal input of any other size is a :class:`DimensionError`."""
         be = self.barrier(x)
         u_nom = np.atleast_1d(np.asarray(self.nominal(x), dtype=float))
-        s = float(be.lg_h @ be.lg_h)
-        if s <= _LG_ZERO_TOL_SQ:
-            return u_nom
-        gain = -(be.lf_h + float(be.lg_h @ u_nom) + self.alpha(be.h)) / s
-        if self.epsilon is not None:
-            try:
-                eps = self.epsilon(be.h)
-            except OverflowError:
-                eps = math.inf
-            gain = gain + (1.0 / eps if eps > 0.0 else math.inf)
-        return u_nom + gain * be.lg_h if gain > 0.0 else u_nom
+        if be.lg_h.shape != (1,) or u_nom.shape != (1,):
+            raise DimensionError(f"the filter serves one input, got lg_h of shape "
+                                 f"{be.lg_h.shape} and a nominal input of shape {u_nom.shape}")
+        apply = filter_function(self.alpha.alpha_c, self.epsilon)
+        return np.array([apply(be.h, be.lf_h, float(be.lg_h[0]), float(u_nom[0]))])

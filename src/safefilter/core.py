@@ -1,5 +1,5 @@
-"""Shared control-affine abstractions: dynamics, class-K functions, barrier
-evaluations, and the error a closed-loop integration raises.
+"""Shared control-affine abstractions: dynamics, the linear class-K function,
+barrier evaluations, and the error a closed-loop integration raises.
 
 Everything here is immutable after construction and side-effect free, so filters
 and simulators can evaluate these objects from any number of callers.
@@ -75,30 +75,26 @@ class ControlAffineDynamics:
 
 @dataclass(frozen=True)
 class ClassKappaE:
-    """Strictly increasing function through the origin, with explicit inverse.
+    """The linear class-K function alpha(r) = alpha_c * r, alpha_c > 0 [1/s],
+    and its inverse s / alpha_c: the alpha of both case studies, which gives
+    the filter, h* and the pendulum certificate their closed forms."""
 
-    Only the linear instance ships as a constructor; any forward/inverse pair
-    may be injected (monotonicity is checked by sampling in the test suite,
-    differentiability of the inverse is the caller's responsibility).
-    """
+    alpha_c: float
 
-    forward: Callable[[float], float]
-    inverse: Callable[[float], float]
-    label: str = "custom"
+    def __post_init__(self):
+        if not self.alpha_c > 0:
+            raise ValueError(f"alpha_c must be positive, got {self.alpha_c}")
 
     def __call__(self, r: float) -> float:
-        return self.forward(r)
+        return self.alpha_c * r
+
+    def inverse(self, s: float) -> float:
+        return s / self.alpha_c
 
 
 def linear_class_kappa(alpha_c: float) -> ClassKappaE:
     """alpha(r) = alpha_c * r with alpha_c > 0 [1/s]."""
-    if not alpha_c > 0:
-        raise ValueError(f"alpha_c must be positive, got {alpha_c}")
-    return ClassKappaE(
-        forward=lambda r: alpha_c * r,
-        inverse=lambda s: s / alpha_c,
-        label=f"linear(alpha_c={alpha_c:g})",
-    )
+    return ClassKappaE(alpha_c)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ __all__ = [
     "pendulum_barrier",
     "pendulum_cbf_filter",
     "pendulum_dynamics",
-    "pendulum_issf_filter",
     "pendulum_nominal",
     "pendulum_record",
     "range_policy",
@@ -226,11 +225,9 @@ def pendulum_nominal(p: PendulumParams) -> Callable[[np.ndarray], np.ndarray]:
     return controller
 
 
-def pendulum_cbf_filter(p: PendulumParams) -> CbfFilter:
-    return CbfFilter(pendulum_barrier(p), linear_class_kappa(p.alpha_c), pendulum_nominal(p))
-
-
-def pendulum_issf_filter(p: PendulumParams, epsilon: EpsilonFunction) -> CbfFilter:
+def pendulum_cbf_filter(p: PendulumParams,
+                        epsilon: Optional[EpsilonFunction] = None) -> CbfFilter:
+    """The pendulum's safety filter, robust with a gain ``epsilon``."""
     return CbfFilter(pendulum_barrier(p), linear_class_kappa(p.alpha_c), pendulum_nominal(p),
                      epsilon)
 

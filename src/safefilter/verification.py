@@ -2,9 +2,10 @@
 
 On the set where lg_h = 0 no input can influence the barrier rate, so
 ``lf_h + alpha(h) > 0`` must hold there outright.  For the pendulum that set
-is a line and the margin has a closed form; for the truck it is checked on a
-grid with the worst-case leader acceleration (the margin is affine in a_L, so
-interval endpoints are exact).  The grid check is a falsification/confidence
+is a line and the margin a quadratic in the angle, so its minimum over the
+angle range is exact; for the truck it is checked on a grid with the
+worst-case leader acceleration (the margin is affine in a_L, so interval
+endpoints are exact).  The truck's grid check is a falsification/confidence
 tool, not a proof: reports say "passed on grid", never "certified globally".
 
 Also provides a finite-difference cross-check for hand-written barrier
@@ -31,28 +32,22 @@ __all__ = [
     "truck_margin_table",
 ]
 
-# Most cells one scan may evaluate: grid[0] * grid[1] truck grid points, or
-# pendulum samples.  A truck certify run (the scan, then its margin table and
-# CSV) peaks at about 100 bytes a cell, so the cap bounds one at about 0.4 GB;
-# the 500 x 500 grid of the benchmark's design workload is 1/16 of it.
+# Most cells one scan may evaluate: grid[0] * grid[1] truck grid points.  A
+# truck certify run (the scan, then its margin table and CSV) peaks at about
+# 100 bytes a cell, so the cap bounds one at about 0.4 GB; the 500 x 500 grid
+# of the benchmark's design workload is 1/16 of it.
 MAX_GRID_CELLS = 4_000_000
 
 
 def _finite_width(name: str, bounds) -> tuple[float, float]:
-    """The float ends of a scan range whose width hi - lo is a finite float:
-    np.linspace steps by (hi - lo) / (n - 1), so an overflowing width would
-    fill the scan with inf and nan."""
+    """The float ends of a range whose width hi - lo is a finite float: the
+    truck scan steps by (hi - lo) / (n - 1) with np.linspace, so an
+    overflowing width would fill it with inf and nan."""
     lo, hi = float(bounds[0]), float(bounds[1])
     if not math.isfinite(hi - lo):  # also false for an infinite or NaN end
         raise ValueError(f"{name} must have finite ends and a finite width hi - lo, "
                          f"got {bounds}")
     return lo, hi
-
-
-def _check_cells(cells: int, what: str) -> None:
-    if cells > MAX_GRID_CELLS:
-        raise ValueError(f"{what} gives {cells} cells, more than "
-                         f"MAX_GRID_CELLS = {MAX_GRID_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -78,43 +73,44 @@ def certify_pendulum(
     b: float,
     alpha_c: float,
     theta_range: tuple[float, float] = (-np.pi, np.pi),
-    samples: int = 2001,
     cross_term: bool = True,
 ) -> CertificationReport:
-    """Analytic margin along the pendulum's lg_h = 0 line.
+    """Exact margin along the pendulum's lg_h = 0 line.
 
     With the cross term, the line is thdot = -(b/2a) theta and the margin is
     alpha_c + (3/(4 a^2)) (b/a - alpha_c) theta^2: positive everywhere iff
     alpha_c <= b/a.  Without the cross term the line is thdot = 0 and the
     margin alpha_c (1 - theta^2/a^2) dies at |theta| = a, which is why that
     variant is not a valid barrier.
+
+    Either margin is a quadratic with its vertex at theta = 0, so its minimum
+    over theta_range is at the first of lo, clip(0, lo, hi) and hi that
+    attains it.  A margin that overflows at any of them is a ValueError.
     """
     if not (a > 0 and b > 0 and alpha_c > 0):
         raise ValueError("a, b and alpha_c must be positive")
     lo, hi = _finite_width("theta_range", theta_range)
     if not lo < hi:
         raise ValueError(f"theta_range must be a finite interval, got {theta_range}")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    _check_cells(samples, f"samples = {samples}")
 
-    theta = np.linspace(lo, hi, samples)
-    # a finite range can overflow theta^2: rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
-        if cross_term:
-            margin = alpha_c + (3.0 / (4.0 * a * a)) * (b / a - alpha_c) * theta**2
-            rate_condition = alpha_c <= b / a
-            line = "theta_dot = -(b/2a) theta"
-        else:
-            margin = alpha_c * (1.0 - theta**2 / (a * a))
-            rate_condition = False  # margin <= 0 at |theta| = a for any alpha
-            line = "theta_dot = 0"
-    if not np.all(np.isfinite(margin)):
+    # theta * theta: an overflow gives inf, not an error, as numpy's theta**2
+    if cross_term:
+        def margin(theta):
+            return alpha_c + (3.0 / (4.0 * a * a)) * (b / a - alpha_c) * (theta * theta)
+        rate_condition = alpha_c <= b / a
+        line = "theta_dot = -(b/2a) theta"
+    else:
+        def margin(theta):
+            return alpha_c * (1.0 - (theta * theta) / (a * a))
+        rate_condition = False  # margin <= 0 at |theta| = a for any alpha
+        line = "theta_dot = 0"
+    candidates = (lo, min(max(0.0, lo), hi), hi)
+    margins = [margin(theta) for theta in candidates]
+    if not all(map(math.isfinite, margins)):
         raise ValueError(f"the margin overflows on theta_range {theta_range}")
 
-    idx = int(np.argmin(margin))
-    min_margin = float(margin[idx])
-    theta_w = float(theta[idx])
+    min_margin = min(margins)
+    theta_w = candidates[margins.index(min_margin)]
     theta_dot_w = -(b / (2.0 * a)) * theta_w if cross_term else 0.0
     return CertificationReport(
         passed=bool(rate_condition and min_margin > 0.0),
@@ -124,7 +120,6 @@ def certify_pendulum(
             "kind": "pendulum-line",
             "line": line,
             "theta_range": [lo, hi],
-            "samples": samples,
             "cross_term": cross_term,
         },
     )
@@ -137,7 +132,9 @@ def _truck_margin_grid(p, alpha_c, d_range, vl_range, grid, a_l_bounds):
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 2 or ny < 2:
         raise ValueError(f"grid must have at least 2 points per axis, got {grid}")
-    _check_cells(nx * ny, f"grid {grid}")
+    if nx * ny > MAX_GRID_CELLS:
+        raise ValueError(f"grid {grid} gives {nx * ny} cells, more than "
+                         f"MAX_GRID_CELLS = {MAX_GRID_CELLS}")
     a_lo, a_hi = float(a_l_bounds[0]), float(a_l_bounds[1])
     if a_lo > a_hi:
         raise ValueError(f"a_l_bounds must be ordered, got {a_l_bounds}")

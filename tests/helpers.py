@@ -1,15 +1,18 @@
 """Independent oracles, a reference integrator and samplers shared across the test suite.
 
-The oracles may not call the closed-form filter formulas: the projection
+The oracles may not call the closed-form formulas they check: the projection
 oracle is derived from the geometry of a point-to-half-space projection, the
 grid oracle from brute-force enumeration, the switching oracle from the
-single-input min/max form and the admissibility oracle from the constraint
-itself, so all of them stay independent of the code paths they check.  The
-reference integrator is different in kind: it
-replays the closed loop on numpy arrays, built from the public ``plants``,
-``cbf`` and ``issf`` API rather than from the simulator's own maps, with every
-quantity evaluated on its own, so the simulator's float engine and its shared
-evaluations can be checked against it bit for bit.  Its time signals are
+single-input min/max form, the admissibility oracle from the constraint
+itself and the h* oracle bisects the fixed-point equation, so all of them
+stay independent of the code paths they check.  The reference integrator is
+different in kind: it replays the closed loop on numpy arrays, built from the
+public numpy barriers, nominal controllers and dynamics of ``plants`` rather
+than from the simulator's own maps, with every quantity evaluated on its own
+and filtered by ``reference_filter``, a numpy copy of the filter formula
+written apart from ``cbf.filter_function``.  So the simulator's float engine,
+its shared evaluations and its one filter formula can be checked against it
+bit for bit, for both plants.  Its time signals are
 sampled once per run, through their array evaluator, at its stage times.  The
 reference CSV writers format each cell on its own, the way the block writer's
 output must read byte for byte.
@@ -25,18 +28,15 @@ from safefilter import (
     SimulationError,
     TruckParams,
     pendulum_barrier,
-    pendulum_cbf_filter,
     pendulum_dynamics,
-    pendulum_issf_filter,
     pendulum_nominal,
+    set_inflation,
+    truck_barrier,
     truck_dynamics,
     truck_headway,
     truck_nominal,
-    truck_robust_filter,
-    truck_safe_filter,
 )
 from safefilter.cbf import LG_ZERO_TOL
-from safefilter.issf import set_inflation
 
 GRID_LO = -100.0
 GRID_HI = 100.0
@@ -168,6 +168,39 @@ def switching_filter(filt, x):
     return max(u_nom, u_safe) if lg > 0.0 else min(u_nom, u_safe)
 
 
+def bisect_h_star(alpha, epsilon, delta, lower=-1e6, tol=1e-8):
+    """The degraded safety level by bisection: the root of
+    h + set_inflation(h, delta) = 0 on [lower, 0], run to the floating-point
+    limit, with its residual verified against ``tol``.  It needs no closed
+    form, so it is the oracle ``issf.solve_h_star`` is checked against; the
+    root lies in [-set_inflation(0, delta), 0], which makes that a bracket."""
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if delta == 0.0:
+        return 0.0
+
+    def residual(h):
+        return h + set_inflation(alpha, epsilon, h, delta)
+
+    lo, hi = float(lower), 0.0
+    if residual(lo) >= 0.0:
+        raise ValueError(f"no sign change on [{lo:g}, 0]: residual({lo:g}) >= 0")
+    # residual(0) = set_inflation(0, delta) >= 0, so the root is bracketed.
+    for _ in range(2200):  # enough halvings to span the float range
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if residual(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    root = hi if abs(residual(hi)) <= abs(residual(lo)) else lo
+    if abs(residual(root)) > tol:
+        raise ValueError(f"bisection stalled: |residual({root:g})| = "
+                         f"{abs(residual(root)):g} > {tol:g}")
+    return root
+
+
 def in_inflated_set(alpha, epsilon, h_val, delta):
     """Membership in the inflated safe set: h + set_inflation(h, delta) >= 0."""
     return h_val + set_inflation(alpha, epsilon, h_val, delta) >= 0.0
@@ -274,40 +307,52 @@ def reference_rk4_step(dynamics, controller, disturbance, x, t, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def reference_filter(alpha_c, epsilon, be, u_nom):
+    """The closed-form filter on numpy arrays: the barrier evaluation ``be``
+    and the nominal input ``u_nom`` projected onto the half-space
+    lf_h + lg_h u + alpha_c h >= ||lg_h||^2 / eps(h), the tightening absent
+    without a robustness gain ``epsilon``.  For one input it is, bit for bit,
+    the input ``cbf.filter_function`` gives, with 1/eps(h) taking the same
+    limits where eps(h) overflows (0) or underflows to 0 (inf)."""
+    s = float(be.lg_h @ be.lg_h)
+    if s <= LG_ZERO_TOL * LG_ZERO_TOL:
+        return u_nom
+    gain = -(be.lf_h + float(be.lg_h @ u_nom) + alpha_c * be.h) / s
+    if epsilon is not None:
+        try:
+            eps = epsilon(be.h)
+        except OverflowError:
+            eps = math.inf
+        gain = gain + (1.0 / eps if eps > 0.0 else math.inf)
+    return u_nom + gain * be.lg_h if gain > 0.0 else u_nom
+
+
 def _reference_maps(scn, accel):
     """The closed loop of a scenario built from the public numpy API of
-    ``plants``, ``cbf`` and ``issf``: dynamics, nominal input, applied input
-    and barrier value, each returning what the simulator logs.  ``accel`` is
-    the truck leader's acceleration as a function of time."""
+    ``plants`` and ``reference_filter``: dynamics, nominal input, applied
+    input and barrier value, each returning what the simulator logs.
+    ``accel`` is the truck leader's acceleration as a function of time."""
     if scn.plant == "pendulum":
         p = scn.pendulum
-        nominal = pendulum_nominal(p)
-        barrier = pendulum_barrier(p)
-        if scn.controller == "nominal":
-            control = nominal
-        elif scn.controller == "cbf":
-            control = pendulum_cbf_filter(p).filter
-        else:
-            control = pendulum_issf_filter(p, scn.epsilon).filter
-        return (pendulum_dynamics(p), lambda x, t: nominal(x),
-                lambda x, t: control(x), lambda x, t: barrier(x).h)
-
-    p = scn.truck
-
-    def u_nominal(x, t):
-        return np.array([truck_nominal(p, x[0], x[1], x[2])])
-
+        nominal, pendulum = pendulum_nominal(p), pendulum_barrier(p)
+        dynamics, u_nominal, barrier, h_of = (
+            pendulum_dynamics(p), lambda x, t: nominal(x), lambda x, t: pendulum(x),
+            lambda x, t: pendulum(x).h)
+    else:
+        p = scn.truck
+        dynamics, u_nominal, barrier, h_of = (
+            truck_dynamics(p, accel),
+            lambda x, t: np.array([truck_nominal(p, x[0], x[1], x[2])]),
+            lambda x, t: truck_barrier(p, accel(t))(x),
+            lambda x, t: x[0] - truck_headway(p, x[1], x[2]))
     if scn.controller == "nominal":
         u_control = u_nominal
-    elif scn.controller == "cbf":
-        def u_control(x, t):
-            return np.array([truck_safe_filter(p, x[0], x[1], x[2], accel(t))])
     else:
+        epsilon = scn.epsilon if scn.controller == "issf" else None
+
         def u_control(x, t):
-            return np.array([truck_robust_filter(p, x[0], x[1], x[2], accel(t),
-                                                 scn.epsilon.eps0, scn.epsilon.lam)])
-    return (truck_dynamics(p, accel), u_nominal, u_control,
-            lambda x, t: x[0] - truck_headway(p, x[1], x[2]))
+            return reference_filter(p.alpha_c, epsilon, barrier(x, t), u_nominal(x, t))
+    return dynamics, u_nominal, u_control, h_of
 
 
 def _reference_clamp(x):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from safefilter import (
     BarrierEvaluation,
     CbfFilter,
+    DimensionError,
     EpsilonFunction,
     PendulumParams,
     TruckParams,
@@ -26,6 +27,7 @@ from helpers import (
     grid_search_scalar,
     in_admissible_set,
     project_halfspace,
+    reference_filter,
     switching_filter,
 )
 
@@ -148,7 +150,7 @@ def test_no_jump_across_activation_boundary():
 
 
 # ---------------------------------------------------------------------------
-# The float filter closure against the numpy filter
+# The float filter closure against the numpy filter and its reference copy
 # ---------------------------------------------------------------------------
 
 # None is the plain filter; eps0 = inf drops the tightening; lam = 1000 makes
@@ -203,5 +205,17 @@ def test_filter_function_matches_cbf_filter_bit_for_bit(case):
     plant, x, a_l, epsilon = case
     p, record = (P, pendulum_record(P)) if plant == "pendulum" else (T, truck_record(T))
     u = filter_function(p.alpha_c, epsilon)(*record.terms(x, a_l))
+    filt = _numpy_filter(plant, a_l, epsilon)
+    x = np.array(x)
+    reference = reference_filter(p.alpha_c, epsilon, filt.barrier(x),
+                                 np.atleast_1d(filt.nominal(x)))
     # float.hex tells -0.0 from 0.0 and compares inf and nan
-    assert u.hex() == float(_numpy_filter(plant, a_l, epsilon).filter(np.array(x))[0]).hex()
+    assert u.hex() == float(filt.filter(x)[0]).hex() == float(reference[0]).hex()
+
+
+@pytest.mark.parametrize("lg_h,u_nom", [([1.0, 2.0], [0.0]), ([1.0], [0.0, 0.0])])
+def test_cbf_filter_serves_one_input(lg_h, u_nom):
+    be = BarrierEvaluation(h=0.5, lf_h=-1.0, lg_h=lg_h)
+    filt = CbfFilter(lambda x: be, linear_class_kappa(0.5), lambda x: np.array(u_nom))
+    with pytest.raises(DimensionError, match="one input"):
+        filt.filter(np.zeros(2))

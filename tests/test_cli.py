@@ -39,7 +39,7 @@ _ROUNDTRIP_DOCS = {
         "disturbance": {"kind": "lag_residual"},
         "leader": {"kind": "constant", "v0": 16},
         "initial_state": [27.4, 16, 16.0], "horizon": 30, "dt": 0.02, "out_dir": "",
-        "certify": {"theta_range": [-1, 1], "samples": 11, "cross_term": False,
+        "certify": {"theta_range": [-1, 1], "cross_term": False,
                     "d_range": [1.0, 50.0], "vl_range": [0, 10], "grid": [3, 4],
                     "a_l_bounds": [-8.0, 2.0]},
         "sweep": {"eps0_grid": [0.5, 1], "lambda_grid": [0]},
@@ -115,8 +115,7 @@ def _schema_shaped_docs(junk):
             "dt": number,
             "out_dir": st.text(max_size=3) | junk,
             "certify": section(
-                theta_range=pair, samples=st.integers(-2, 3000) | junk,
-                cross_term=st.booleans() | junk, d_range=pair, vl_range=pair,
+                theta_range=pair, cross_term=st.booleans() | junk, d_range=pair, vl_range=pair,
                 grid=st.lists(st.integers(-1, 300), min_size=2, max_size=2) | junk,
                 a_l_bounds=pair,
             ),
@@ -254,11 +253,14 @@ def test_command_without_config_is_config_error(capsys):
     assert main(["simulate"]) == 2
 
 
-def test_certify_pendulum_exit_codes(tmp_path):
+def test_certify_pendulum_exit_codes(tmp_path, capsys):
     out = str(tmp_path)
     assert main(["certify", "--preset", "pendulum-default", "--out", out]) == 0
     report = json.loads((tmp_path / "pendulum-default_certify.json").read_text())
     assert report["passed"] is True
+    assert "samples" not in report["grid_spec"]
+    # the pendulum margin is minimised exactly, not on a grid
+    assert "certify pendulum-default: passed, min margin 0.2 " in capsys.readouterr().out
     assert main(["certify", "--preset", "pendulum-default", "--out", out,
                  "--no-cross-term"]) == 1
 
@@ -409,6 +411,23 @@ _ISSF = {"eps0": 0.5, "lam": 0.0, "delta": 1.0}
 _BRAKE = {"kind": "hard_brake", "t_brake": 1.0, "a_peak": -8.0, "duration": 2.0}
 
 
+@pytest.mark.parametrize("leader", [
+    {"kind": "constant", "v0": 10.0},
+    {**_BRAKE, "v0": 10.0},
+    {"kind": "csv", "path": "lead.csv", "v0": 10.0},
+])
+def test_leader_speed_contradicting_the_initial_state_exits_2(leader, tmp_path, capsys):
+    # the leader profile and the steady state start from leader.v0, the run
+    # from initial_state[2] (16 m/s by default): they must agree
+    config_path = tmp_path / "lead.json"
+    config_path.write_text(json.dumps({"plant": "truck", "leader": leader}))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+    assert "config error: $.leader.v0 must equal" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=r"\$\.leader\.v0 .* 12\.0, got 10\.0"):
+        parse_config({"plant": "truck", "leader": leader, "initial_state": [27.4, 16.0, 12.0]})
+    parse_config({"plant": "truck", "leader": leader, "initial_state": [27.4, 16.0, 10.0]})
+
+
 @pytest.mark.parametrize("command,doc", [
     ("simulate", {"plant": "pendulum", "dt": -1}),
     ("simulate", {"plant": "pendulum", "disturbance": [1]}),
@@ -423,7 +442,7 @@ _BRAKE = {"kind": "hard_brake", "t_brake": 1.0, "a_peak": -8.0, "duration": 2.0}
     ("certify", {"plant": "truck", "certify": {"a_l_bounds": [-10.0, "abc"]}}),
     ("certify", {"plant": "truck", "certify": {"grid": ["abc", 10]}}),
     ("certify", {"plant": "truck", "certify": {"grid": [1, 1]}}),
-    ("certify", {"plant": "pendulum", "certify": {"samples": 1}}),
+    ("certify", {"plant": "pendulum", "certify": {"cross_term": "yes"}}),
     ("certify", {"plant": "pendulum", "certify": {"theta_range": [1.0, 0.0]}}),
     ("sweep", {"plant": "pendulum", "issf": _ISSF,
                "sweep": {"eps0_grid": ["abc"], "lambda_grid": [0.0]}}),
@@ -433,7 +452,7 @@ _BRAKE = {"kind": "hard_brake", "t_brake": 1.0, "a_peak": -8.0, "duration": 2.0}
     ("simulate", {"plant": "pendulum", "horizon": 1e12, "dt": 1e-6}),  # > MAX_STEPS
     ("simulate", {"plant": "pendulum", "initial_state": [0.0, 1e155]}),  # h(x0) overflows
     ("certify", {"plant": "truck", "certify": {"grid": [100000, 100000]}}),  # > MAX_GRID_CELLS
-    ("certify", {"plant": "pendulum", "certify": {"samples": 10**9}}),  # > MAX_GRID_CELLS
+    ("certify", {"plant": "pendulum", "certify": {"theta_range": [-1e200, 1e200]}}),  # overflows
     ("certify", {"plant": "truck", "params": {"preset": ["paper-table-2"]}}),
     ("certify", {"plant": "truck", "params": {"preset": {}}}),
     ("simulate", {"plant": "pendulum", "disturbance": {"kind": [1]}}),
@@ -497,7 +516,8 @@ def test_malformed_value_rejected_with_path(doc, where):
 
 @pytest.mark.parametrize("doc,where", [
     ({"plant": "truck", "dt": 10**5000}, r"\$\.dt "),
-    ({"plant": "pendulum", "certify": {"samples": 10**5000}}, r"\$\.certify\.samples "),
+    ({"plant": "pendulum", "certify": {"theta_range": [10**5000, 1]}},
+     r"\$\.certify\.theta_range\[0\] "),
     ({"plant": "truck", "certify": {"grid": [10**5000, 2]}}, r"\$\.certify\.grid "),
     ({"plant": "truck", "name": 10**5000}, r"\$\.name "),
     ({"plant": "pendulum", "certify": {"cross_term": 10**5000}}, r"\$\.certify\.cross_term "),
@@ -511,7 +531,6 @@ def test_integers_too_long_to_print_are_rejected_with_path(doc, where):
 
 @pytest.mark.parametrize("plant,certify,where", [
     ("truck", {"grid": [100000, 100000]}, "grid"),
-    ("pendulum", {"samples": MAX_GRID_CELLS + 1}, "samples"),
 ])
 def test_certify_beyond_max_grid_cells_exits_2_without_allocating(
         plant, certify, where, tmp_path, capsys):
@@ -528,7 +547,7 @@ def test_certify_beyond_max_grid_cells_exits_2_without_allocating(
     assert peak < 1 << 20
     # the design workload's 500 x 500 truck grid fits well inside the cap
     assert 16 * 500 * 500 <= MAX_GRID_CELLS
-    parse_config({"plant": plant, "certify": {"grid": [2000, 2000], "samples": MAX_GRID_CELLS}})
+    parse_config({"plant": plant, "certify": {"grid": [2000, 2000]}})
 
 
 def test_overflowing_run_exits_3_with_partial_log(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from safefilter import (
     BarrierEvaluation,
+    ClassKappaE,
     DimensionError,
     PendulumParams,
     linear_class_kappa,
@@ -84,6 +85,8 @@ def test_linear_class_kappa_values():
 def test_linear_class_kappa_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         linear_class_kappa(bad)
+    with pytest.raises(ValueError):
+        ClassKappaE(bad)
 
 
 @given(
@@ -134,14 +137,3 @@ def test_state_vector_validation():
         state_vector([[1.0, 2.0]])
     with pytest.raises(ValueError):
         state_vector([1.0, np.inf])
-
-
-def test_injected_nonlinear_class_kappa_accepted():
-    # the abstraction takes any forward/inverse pair, e.g. a cubic
-    from safefilter import ClassKappaE
-
-    cubic = ClassKappaE(forward=lambda r: r**3, inverse=lambda s: np.cbrt(s), label="cubic")
-    r = np.linspace(-10, 10, 101)
-    values = [cubic(v) for v in r]
-    assert all(a < b for a, b in zip(values, values[1:]))
-    assert cubic.inverse(cubic(2.5)) == pytest.approx(2.5, abs=1e-10)

@@ -1,19 +1,19 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import lambertw
 
 from safefilter import (
     EpsilonFunction,
     PendulumParams,
-    RootBracketError,
     TruckParams,
     linear_class_kappa,
     pendulum_barrier,
     pendulum_cbf_filter,
-    pendulum_issf_filter,
     pendulum_nominal,
     set_inflation,
     solve_h_star,
@@ -21,7 +21,13 @@ from safefilter import (
 from safefilter.cbf import CbfFilter, filter_function
 from safefilter.issf import IssfFilter
 
-from helpers import correction_gain, in_admissible_set, in_inflated_set, switching_filter
+from helpers import (
+    bisect_h_star,
+    correction_gain,
+    in_admissible_set,
+    in_inflated_set,
+    switching_filter,
+)
 
 P = PendulumParams()
 ALPHA_P = linear_class_kappa(P.alpha_c)
@@ -42,23 +48,24 @@ def test_epsilon_validation():
         EpsilonFunction(-1.0, 0.0)
     with pytest.raises(ValueError):
         EpsilonFunction(1.0, -0.1)
+    with pytest.raises(ValueError):
+        EpsilonFunction(1.0, math.inf)
 
 
 def test_epsilon_kinds_and_values():
+    # lam = 0 is the constant gain, lam > 0 the exponential one
     const = EpsilonFunction(0.15)
-    assert const.kind == "constant"
-    assert const(3.7) == pytest.approx(0.15)
-    assert const.derivative(3.7) == 0.0
+    assert const(3.7) == const(-3.7) == pytest.approx(0.15)
     expo = EpsilonFunction(0.5, 12.0)
-    assert expo.kind == "exponential"
     assert expo(-0.1) == pytest.approx(0.5 * math.exp(-1.2))
 
 
-@given(eps0=st.floats(1e-3, 10.0), lam=st.floats(0.0, 5.0), r=st.floats(-10.0, 2.0))
-def test_epsilon_positive_and_nondecreasing(eps0, lam, r):
+@given(eps0=st.floats(1e-3, 10.0), lam=st.floats(0.0, 5.0), r=st.floats(-10.0, 2.0),
+       dr=st.floats(0.0, 1.0))
+def test_epsilon_positive_and_nondecreasing(eps0, lam, r, dr):
     eps = EpsilonFunction(eps0, lam)
     assert eps(r) > 0.0
-    assert eps.derivative(r) >= 0.0
+    assert eps(r + dr) >= eps(r)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +150,38 @@ def test_h_star_closed_form_for_constant_gain(eps0, delta, alpha_c):
     assert value == pytest.approx(-eps0 * delta * delta / (4.0 * alpha_c), abs=1e-10)
 
 
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda exponent: 10.0 ** exponent)
+
+
+@given(alpha_c=_log_uniform(-3.0, 2.0), eps0=_log_uniform(-3.0, 3.0),
+       lam=st.just(0.0) | _log_uniform(-6.0, 2.0), delta=_log_uniform(-3.0, 2.0))
+@settings(max_examples=300)
+@example(alpha_c=0.1, eps0=0.5, lam=0.4, delta=4.5)         # the truck's published pair
+@example(alpha_c=1.0, eps0=1.0, lam=1e-300, delta=1.0)      # z = lam c -> 0
+@example(alpha_c=1.0, eps0=4e-200, lam=1.0, delta=1.0)      # z = c = 1e-200
+@example(alpha_c=1.0, eps0=1.0, lam=1e-310, delta=1.0)      # z subnormal: h* = -c
+@example(alpha_c=1.0, eps0=1e-320, lam=1.0, delta=1e-10)    # c underflows to 0: h* = 0
+@example(alpha_c=0.25, eps0=1.7e308, lam=1.0, delta=1.0)    # z near the float maximum
+@example(alpha_c=0.25, eps0=1.7e308, lam=10.0, delta=1.0)   # z overflows, c does not
+@example(alpha_c=1.0, eps0=1e300, lam=1.0, delta=1e5)       # c overflows, h* is finite
+@example(alpha_c=1.0, eps0=1e300, lam=0.0, delta=1e5)       # c overflows: h* = -inf
+def test_h_star_closed_form_matches_bisection_and_lambertw(alpha_c, eps0, lam, delta):
+    alpha, eps = linear_class_kappa(alpha_c), EpsilonFunction(eps0, lam)
+    value = solve_h_star(alpha, eps, delta)
+    c = set_inflation(alpha, eps, 0.0, delta)
+    if lam == 0.0:
+        assert value == -c
+        return
+    # h* lies in [-c, 0]; the one example whose c overflows has h* near -704
+    lower = -c - 1.0 if math.isfinite(c) else -1e4
+    oracle = bisect_h_star(alpha, eps, delta, lower=lower, tol=math.inf)
+    assert value == pytest.approx(oracle, rel=1e-14, abs=0.0)
+    z = lam * c
+    if sys.float_info.min <= z < math.inf:  # scipy takes z itself, at full precision
+        assert value == pytest.approx(-lambertw(z).real / lam, rel=1e-14, abs=0.0)
+
+
 def test_h_star_monotone_in_delta_and_eps0():
     eps_grid = np.linspace(0.1, 5.0, 20)
     delta_grid = np.linspace(0.0, 5.0, 20)
@@ -155,9 +194,16 @@ def test_h_star_monotone_in_delta_and_eps0():
         assert np.all(np.diff(values, axis=0) <= 1e-12)  # nonincreasing in eps0
 
 
-def test_h_star_unbracketed_root_raises():
-    with pytest.raises(RootBracketError):
-        solve_h_star(linear_class_kappa(0.01), EpsilonFunction(1e7, 0.0), 5.0)
+def test_h_star_beyond_the_old_bisection_bracket_is_finite():
+    # a root below -1e6, outside the bracket the bisection searched, is the
+    # closed form's -c = -eps0 delta^2 / (4 alpha_c) like any other
+    assert solve_h_star(linear_class_kappa(0.01), EpsilonFunction(1e7, 0.0), 5.0) == -6.25e9
+    # the residual of a root near -1.5e9 resolves to its float spacing, 2.4e-7
+    alpha, eps = linear_class_kappa(0.01), EpsilonFunction(1e7, 1e-9)
+    value = solve_h_star(alpha, eps, 5.0)
+    assert value == pytest.approx(bisect_h_star(alpha, eps, 5.0, lower=-6.25e9, tol=1e-6),
+                                  rel=1e-14)
+    assert -6.25e9 < value < -1e6
 
 
 def test_inflated_set_membership():
@@ -195,12 +241,12 @@ def test_inflated_set_equals_h_star_sublevel(h, eps0, lam, delta):
 def test_robust_filter_is_the_cbf_filter_with_a_robustness_gain():
     eps = EpsilonFunction(0.15)
     assert IssfFilter is CbfFilter
-    assert pendulum_issf_filter(P, eps).epsilon is eps
+    assert pendulum_cbf_filter(P, eps).epsilon is eps
     assert pendulum_cbf_filter(P).epsilon is None
 
 
 def test_robust_gain_zero_on_lg_zero_line():
-    filt = pendulum_issf_filter(P, EpsilonFunction(0.15))
+    filt = pendulum_cbf_filter(P, EpsilonFunction(0.15))
     x = np.array([0.1, -0.1])
     assert correction_gain(filt, x) == 0.0
     assert filt.filter(x) == pytest.approx(pendulum_nominal(P)(x))
@@ -210,7 +256,7 @@ def test_robust_gain_zero_on_lg_zero_line():
 @settings(max_examples=100)
 def test_huge_epsilon_recovers_plain_filter_gain(x):
     plain = pendulum_cbf_filter(P)
-    robust = pendulum_issf_filter(P, EpsilonFunction(1e9, 0.0))
+    robust = pendulum_cbf_filter(P, EpsilonFunction(1e9, 0.0))
     assert abs(correction_gain(robust, x) - correction_gain(plain, x)) <= 1e-6
 
 
@@ -218,7 +264,7 @@ def test_huge_epsilon_recovers_plain_filter_gain(x):
 @settings(max_examples=100)
 def test_robust_gain_dominates_plain_gain(x):
     plain = pendulum_cbf_filter(P)
-    robust = pendulum_issf_filter(P, EpsilonFunction(0.15, 0.0))
+    robust = pendulum_cbf_filter(P, EpsilonFunction(0.15, 0.0))
     barrier = pendulum_barrier(P)
     if abs(barrier(x).lg_h[0]) > 1e-12:
         assert correction_gain(robust, x) >= correction_gain(plain, x)
@@ -227,14 +273,14 @@ def test_robust_gain_dominates_plain_gain(x):
 @given(x=pendulum_states)
 @settings(max_examples=200)
 def test_robust_filter_output_in_tightened_set(x):
-    filt = pendulum_issf_filter(P, EpsilonFunction(0.5, 12.0))
+    filt = pendulum_cbf_filter(P, EpsilonFunction(0.5, 12.0))
     assert in_admissible_set(filt, x, filt.filter(x))
 
 
 @given(x=pendulum_states)
 @settings(max_examples=100)
 def test_robust_filter_passes_through_admissible_nominal(x):
-    filt = pendulum_issf_filter(P, EpsilonFunction(0.15, 0.0))
+    filt = pendulum_cbf_filter(P, EpsilonFunction(0.15, 0.0))
     u_nom = pendulum_nominal(P)(x)
     if in_admissible_set(filt, x, u_nom, tol=0.0):
         assert np.array_equal(filt.filter(x), u_nom)
@@ -245,7 +291,7 @@ def test_robust_filter_passes_through_admissible_nominal(x):
 def test_infinite_epsilon_reduces_to_plain_filter(x):
     # eps0 = inf makes the 1/eps term exactly zero
     plain = pendulum_cbf_filter(P)
-    reduced = pendulum_issf_filter(P, EpsilonFunction(math.inf, 0.0))
+    reduced = pendulum_cbf_filter(P, EpsilonFunction(math.inf, 0.0))
     assert float(reduced.filter(x)[0]) == float(plain.filter(x)[0])
 
 
@@ -253,7 +299,7 @@ def test_infinite_epsilon_reduces_to_plain_filter(x):
 @settings(max_examples=200)
 def test_robust_switching_equals_closed_form(x):
     # rel term covers states with tiny eps(h) where both forms blow up together
-    filt = pendulum_issf_filter(P, EpsilonFunction(0.5, 12.0))
+    filt = pendulum_cbf_filter(P, EpsilonFunction(0.5, 12.0))
     assert switching_filter(filt, x) == pytest.approx(
         float(filt.filter(x)[0]), abs=1e-10, rel=1e-12
     )
@@ -276,7 +322,7 @@ def test_robust_gain_takes_the_limits_of_1_over_eps():
 
 
 def test_robust_pendulum_filter_gives_an_infinite_input_where_eps_vanishes():
-    filt = pendulum_issf_filter(P, EpsilonFunction(0.5, 12.0))
+    filt = pendulum_cbf_filter(P, EpsilonFunction(0.5, 12.0))
     x = np.array([0.1, 20.0])   # h about -1600: eps(h) underflows to 0
     assert filt.epsilon(pendulum_barrier(P)(x).h) == 0.0
     assert correction_gain(filt, x) == math.inf
@@ -286,13 +332,13 @@ def test_robust_pendulum_filter_gives_an_infinite_input_where_eps_vanishes():
 def test_robust_admissibility_takes_the_limits_of_1_over_eps():
     # where eps(h) underflows to 0 the tightening s/eps(h) is infinite, so no
     # finite input is admissible
-    filt = pendulum_issf_filter(P, EpsilonFunction(0.5, 12.0))
+    filt = pendulum_cbf_filter(P, EpsilonFunction(0.5, 12.0))
     x = np.array([0.1, 20.0])
     assert filt.epsilon(pendulum_barrier(P)(x).h) == 0.0
     for u in (-1e6, 0.0, 1e6):
         assert not in_admissible_set(filt, x, np.array([u]))
     # where eps(h) overflows the tightening vanishes: the plain constraint
-    robust = pendulum_issf_filter(P, EpsilonFunction(0.5, 1000.0))
+    robust = pendulum_cbf_filter(P, EpsilonFunction(0.5, 1000.0))
     plain = pendulum_cbf_filter(P)
     x = np.array([0.05, 0.0])   # h = 0.96, lg_h = -0.2
     with pytest.raises(OverflowError):

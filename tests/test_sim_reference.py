@@ -1,8 +1,10 @@
 """The simulator against the reference integrator: same logs, fewer calls.
 
 ``run_scenario`` integrates on tuples of floats; the reference loop in
-``helpers`` steps numpy arrays through the public plant and filter API.  The
-simulator also shares evaluations that the reference makes separately: one
+``helpers`` steps numpy arrays through the public plant API and filters with
+``helpers.reference_filter``, a copy of the filter formula written apart
+from ``cbf.filter_function``, so the one formula the simulator applies is
+checked against it for both plants.  The simulator also shares evaluations that the reference makes separately: one
 barrier and one nominal evaluation give the logged row and RK4 stage 1, and
 the disturbance is sampled once per distinct stage time.  Every logged value
 must stay bit-identical.

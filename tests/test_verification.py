@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safefilter import (
@@ -63,6 +63,32 @@ def test_pendulum_closed_form_margin_matches_plant(theta0):
     direct = be.lf_h + P.alpha_c * be.h
     closed = P.alpha_c + (3.0 / (4.0 * P.a * P.a)) * (P.b / P.a - P.alpha_c) * theta0**2
     assert direct == pytest.approx(closed, abs=1e-9)
+
+
+@given(lo=st.floats(-5.0, 5.0), width=st.floats(1e-3, 10.0), alpha_c=st.floats(0.01, 5.0),
+       cross_term=st.booleans())
+@settings(max_examples=200)
+@example(lo=-1.0, width=2.0, alpha_c=0.2, cross_term=True)    # 0 in range and on the grid
+@example(lo=-1.0, width=2.3, alpha_c=0.2, cross_term=True)    # 0 in range, off the grid
+@example(lo=0.5, width=1.0, alpha_c=0.2, cross_term=True)     # minimiser at lo
+@example(lo=-3.0, width=1.0, alpha_c=0.2, cross_term=True)    # minimiser at hi
+@example(lo=-1.0, width=2.0, alpha_c=4.0, cross_term=True)    # alpha_c > b/a: at an end
+@example(lo=-1.0, width=2.0, alpha_c=0.2, cross_term=False)   # no cross term: at an end
+def test_pendulum_exact_minimum_against_a_dense_scan(lo, width, alpha_c, cross_term):
+    # the exact minimum over the range is at most every sample of a dense
+    # scan, and equal to the scan's minimum where the scan holds the minimiser
+    hi = lo + width
+    report = certify_pendulum(P.a, P.b, alpha_c, theta_range=(lo, hi), cross_term=cross_term)
+    theta = np.linspace(lo, hi, 2001)
+    if cross_term:
+        margin = alpha_c + (3.0 / (4.0 * P.a * P.a)) * (P.b / P.a - alpha_c) * theta**2
+    else:
+        margin = alpha_c * (1.0 - theta**2 / (P.a * P.a))
+    assert report.min_margin <= margin.min()
+    on_grid = theta == report.witness["theta"]
+    if on_grid.any():
+        assert report.min_margin == margin.min() == margin[on_grid][0]
+    assert lo <= report.witness["theta"] <= hi
 
 
 def test_pendulum_certify_validates_arguments():
@@ -160,8 +186,6 @@ def test_scans_beyond_max_grid_cells_are_rejected_without_allocating():
     try:
         with pytest.raises(ValueError, match="MAX_GRID_CELLS"):
             certify_truck_grid(T, grid=(100000, 100000))
-        with pytest.raises(ValueError, match="MAX_GRID_CELLS"):
-            certify_pendulum(P.a, P.b, P.alpha_c, samples=MAX_GRID_CELLS + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
