@@ -56,12 +56,7 @@ from .sim import (
     truck_lag_disturbance,
     write_csv_table,
 )
-from .verification import (
-    MAX_GRID_CELLS,
-    certify_pendulum,
-    certify_truck_grid,
-    truck_margin_table,
-)
+from .verification import MAX_GRID_CELLS, certify_pendulum, certify_truck_grid
 
 __all__ = ["Config", "ConfigError", "main", "parse_config", "config_to_dict",
            "PARAM_PRESETS", "SCENARIO_PRESETS", "build_scenarios"]
@@ -134,8 +129,7 @@ SCENARIO_PRESETS = {
         "params": {"preset": "paper-table-2"},
         "controller": ["nominal", "cbf"],
         "disturbance": {"kind": "zero"},
-        "leader": {"kind": "hard_brake", "v0": 16.0, "t_brake": 15.0,
-                   "a_peak": -8.0, "duration": 2.0},
+        "leader": {"kind": "hard_brake", "t_brake": 15.0, "a_peak": -8.0, "duration": 2.0},
         "initial_state": list(_TRUCK_X0),
         "horizon": 60.0,
         "dt": 0.01,
@@ -147,8 +141,7 @@ SCENARIO_PRESETS = {
         "controller": ["nominal", "cbf", "issf"],
         "issf": {"eps0": 0.5, "lam": 0.4, "delta": 4.5},
         "disturbance": {"kind": "lag_residual", "tau": 0.6},
-        "leader": {"kind": "hard_brake", "v0": 16.0, "t_brake": 15.0,
-                   "a_peak": -8.0, "duration": 2.0},
+        "leader": {"kind": "hard_brake", "t_brake": 15.0, "a_peak": -8.0, "duration": 2.0},
         "initial_state": list(_TRUCK_X0),
         "horizon": 60.0,
         "dt": 0.01,
@@ -159,7 +152,7 @@ SCENARIO_PRESETS = {
         "params": {"preset": "paper-table-2"},
         "controller": ["nominal"],
         "disturbance": {"kind": "zero"},
-        "leader": {"kind": "constant", "v0": 16.0},
+        "leader": {"kind": "constant"},
         "initial_state": list(_TRUCK_X0),
         "horizon": 120.0,
         "dt": 0.01,
@@ -228,16 +221,15 @@ DisturbanceSpec = Union[ZeroDisturbanceSpec, PulseDisturbanceSpec, LagResidualSp
                         CsvDisturbanceSpec]
 
 
+# a leader starts at the initial leader speed initial_state[2]
 @dataclass(frozen=True)
 class ConstantLeaderSpec:
     kind: ClassVar[str] = "constant"
-    v0: float
 
 
 @dataclass(frozen=True)
 class HardBrakeLeaderSpec:
     kind: ClassVar[str] = "hard_brake"
-    v0: float
     t_brake: float
     a_peak: float
     duration: float
@@ -247,7 +239,6 @@ class HardBrakeLeaderSpec:
 class CsvLeaderSpec:
     kind: ClassVar[str] = "csv"
     path: str
-    v0: float
 
 
 LeaderSpec = Union[ConstantLeaderSpec, HardBrakeLeaderSpec, CsvLeaderSpec]
@@ -334,14 +325,14 @@ def _decode(spec: type, doc, path: str):
     hints, fields = _schema(spec)
     unknown = [key for key in doc if key not in hints]
     if unknown:
-        raise ConfigError(f"unknown key {path}.{min(unknown, key=str)}")
+        raise ConfigError(f"{path}.{min(unknown, key=str)}: unknown key")
     values = {}
     for f in fields:
         if f.name in doc:
             if doc[f.name] is not None or not f.metadata.get("nullable"):
                 values[f.name] = _convert(hints[f.name], doc[f.name], f"{path}.{f.name}")
         elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"missing key {path}.{f.name}")
+            raise ConfigError(f"{path}.{f.name}: missing key")
     return spec(**values)
 
 
@@ -448,12 +439,6 @@ def parse_config(doc: dict, path: str = "$") -> Config:
     n_states = 2 if plant == "pendulum" else 3
     if cfg.initial_state is not None and len(cfg.initial_state) != n_states:
         raise ConfigError(f"{path}.initial_state must be a {n_states}-element list")
-    if cfg.leader is not None:
-        # the leader profile and the summary's steady state start from v0
-        v_l0 = (cfg.initial_state or _TRUCK_X0)[2]
-        if cfg.leader.v0 != v_l0:
-            raise ConfigError(f"{path}.leader.v0 must equal the initial leader speed "
-                              f"initial_state[2] = {v_l0!r}, got {cfg.leader.v0!r}")
     _check_timing(plant, cfg.dt, cfg.horizon, f"{path}.dt", f"{path}.horizon")
     for name in ("theta_range", "d_range", "vl_range"):
         lo, hi = getattr(cfg.certify, name)
@@ -494,19 +479,20 @@ def build_params(cfg: Config):
             return PendulumParams(**cfg.params.overrides)
         return TruckParams(**cfg.params.overrides)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid {cfg.plant} parameters: {err}") from err
+        raise ConfigError(f"$.params.overrides: invalid {cfg.plant} parameters: {err}") from err
 
 
-def _build_leader(cfg: Config, p) -> DisturbanceSignal:
+def _build_leader(cfg: Config, p, v0: float) -> DisturbanceSignal:
+    """The leader acceleration of a truck config, for a leader starting at v0."""
     if cfg.leader is None:
         raise ConfigError("truck scenarios need a leader profile")
     spec = cfg.leader
     if spec.kind == "constant":
-        return constant_speed_profile(spec.v0, v_bar_l=p.v_bar_l)
+        return constant_speed_profile(v0, v_bar_l=p.v_bar_l)
     if spec.kind == "hard_brake":
-        return hard_brake_profile(spec.v0, spec.t_brake, spec.a_peak, spec.duration,
+        return hard_brake_profile(v0, spec.t_brake, spec.a_peak, spec.duration,
                                   v_bar_l=p.v_bar_l, a_under_l=p.a_under_l)
-    return leader_profile_from_csv(spec.path, spec.v0, v_bar_l=p.v_bar_l,
+    return leader_profile_from_csv(spec.path, v0, v_bar_l=p.v_bar_l,
                                    a_bounds=(-p.a_under_l, p.a_bar_l))
 
 
@@ -514,6 +500,18 @@ def build_scenarios(cfg: Config):
     """Concrete per-controller scenarios for a simulate config."""
     p = build_params(cfg)
     horizon = cfg.horizon if cfg.horizon is not None else _DEFAULT_HORIZON[cfg.plant]
+    # checked first: a lag_residual disturbance integrates a reference run
+    epsilon = None
+    delta = 0.0
+    if cfg.issf is not None:
+        try:
+            epsilon = EpsilonFunction(cfg.issf.eps0, cfg.issf.lam)
+            if cfg.issf.delta < 0:
+                raise ValueError(f"delta must be nonnegative, got {cfg.issf.delta}")
+        except ValueError as err:
+            raise ConfigError(f"$.issf: {err}") from err
+        delta = cfg.issf.delta
+
     if cfg.plant == "pendulum":
         x0 = cfg.initial_state or _PENDULUM_X0
         leader = None
@@ -526,7 +524,7 @@ def build_scenarios(cfg: Config):
     else:
         x0 = cfg.initial_state or _TRUCK_X0
         try:
-            leader = _build_leader(cfg, p)
+            leader = _build_leader(cfg, p, x0[2])
         except (OSError, ValueError) as err:
             raise ConfigError(f"$.leader: {err}") from err
         # as for the pendulum; the barrier is finite wherever h is, whatever
@@ -547,15 +545,6 @@ def build_scenarios(cfg: Config):
             dist = truck_lag_disturbance(p, leader, x0, horizon, tau=cfg.disturbance.tau)
     except (OSError, ValueError) as err:
         raise ConfigError(f"$.disturbance: {err}") from err
-
-    epsilon = None
-    delta = 0.0
-    if cfg.issf is not None:
-        try:
-            epsilon = EpsilonFunction(cfg.issf.eps0, cfg.issf.lam)
-        except ValueError as err:
-            raise ConfigError(f"$.issf: {err}") from err
-        delta = cfg.issf.delta
 
     scenarios = []
     for controller in cfg.controller:
@@ -603,12 +592,11 @@ def cmd_certify(cfg: Config, out_dir: Path, cross_term: Optional[bool] = None) -
         else:
             report = certify_truck_grid(p, d_range=spec.d_range, vl_range=spec.vl_range,
                                         grid=spec.grid, a_l_bounds=spec.a_l_bounds)
-            table = truck_margin_table(p, d_range=spec.d_range, vl_range=spec.vl_range,
-                                       grid=spec.grid, a_l_bounds=spec.a_l_bounds)
     except ValueError as err:
         raise ConfigError(f"$.certify: {err}") from err
     if cfg.plant == "truck":
-        write_csv_table(out_dir / f"{cfg.name}_margins.csv", "D,v_L,v,margin", table)
+        write_csv_table(out_dir / f"{cfg.name}_margins.csv", "D,v_L,v,margin",
+                        report.margin_rows)
     with open(out_dir / f"{cfg.name}_certify.json", "w") as handle:
         json.dump(report.to_dict(), handle, indent=2)
         handle.write("\n")
@@ -694,9 +682,10 @@ def cmd_simulate(cfg: Config, out_dir: Path) -> int:
         handle.write("scenario,controller,h_min,h_star,steady_state_shift,clamp_events\n")
         for result in results:
             shift = None
-            if cfg.plant == "truck" and cfg.leader is not None:
+            if cfg.plant == "truck":
+                # the leader starts at the initial leader speed
                 try:
-                    shift = steady_state_shift(result, p, cfg.leader.v0)
+                    shift = steady_state_shift(result, p, float(result.states[0, 2]))
                 except SteadyStateWindowError:
                     shift = None
             clamps = sum(result.clamp_counts.values())

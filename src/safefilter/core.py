@@ -64,13 +64,12 @@ def state_vector(values, dim: Optional[int] = None) -> np.ndarray:
 class ControlAffineDynamics:
     """Plant model  xdot = drift(x, t) + actuation(x, t) @ u.
 
-    ``drift`` and ``actuation`` must be pure functions of the state and time.
+    ``drift`` and ``actuation`` must be pure functions of the state and time;
+    the state and input dimensions are the shape of the actuation matrix.
     """
 
     drift: Callable[[np.ndarray, float], np.ndarray]
     actuation: Callable[[np.ndarray, float], np.ndarray]
-    state_dim: int
-    input_dim: int
 
 
 @dataclass(frozen=True)

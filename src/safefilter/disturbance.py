@@ -37,10 +37,10 @@ class DisturbanceSignal:
     disturbance d(t) and the truck leader's acceleration a_L(t).  ``_sample``, the one
     evaluator, maps a 1-d float array of times to a float array; out of domain
     it raises SignalDomainError for the first offending time.  A scalar call
-    evaluates a one-element array.
+    evaluates a one-element array.  A signal carries no kind tag: nothing
+    dispatches on how it was built.
     """
 
-    kind: str
     bound: float
     duration: float
     _sample: Callable[[np.ndarray], np.ndarray]
@@ -62,7 +62,7 @@ def _domain_check(times: np.ndarray, t0: float, t1: float) -> None:
 
 
 def zero_disturbance() -> DisturbanceSignal:
-    return DisturbanceSignal("zero", 0.0, math.inf, lambda times: np.zeros(times.shape))
+    return DisturbanceSignal(0.0, math.inf, lambda times: np.zeros(times.shape))
 
 
 def heaviside_pulse(m_amp: float) -> DisturbanceSignal:
@@ -81,7 +81,7 @@ def heaviside_pulse(m_amp: float) -> DisturbanceSignal:
     def sample(t):
         return m_amp * (1.0 - step(t - 5.0) - step(t - 10.0) + step(t - 15.0))
 
-    return DisturbanceSignal("heaviside_pulse", m_amp, math.inf, sample)
+    return DisturbanceSignal(m_amp, math.inf, sample)
 
 
 def _check_samples(t, d):
@@ -109,7 +109,7 @@ def sampled_disturbance(t, d) -> DisturbanceSignal:
         # side="right": a breakpoint starts its own piece
         return d[np.searchsorted(t, taus, side="right") - 1]
 
-    return DisturbanceSignal("sampled", float(np.max(np.abs(d))), t1, sample)
+    return DisturbanceSignal(float(np.max(np.abs(d))), t1, sample)
 
 
 def read_csv_samples(path, column: str) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +156,7 @@ def lag_residual(t, u, time_constant: float) -> DisturbanceSignal:
         _domain_check(taus, t0, t1)
         return np.interp(taus, t, d)
 
-    return DisturbanceSignal("lag_residual", float(np.max(np.abs(d))), t1, sample)
+    return DisturbanceSignal(float(np.max(np.abs(d))), t1, sample)
 
 
 def estimate_sup_norm(t_cmd, u_cmd, t_meas, a_meas) -> float:

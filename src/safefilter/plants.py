@@ -112,6 +112,13 @@ class PendulumParams:
         for name in ("mass", "length", "gravity", "a", "b", "alpha_c", "kp", "kd"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        # the barrier, the field and the certificate divide by these products,
+        # which can underflow to 0 or overflow for positive factors
+        for name, value in (("a*a", self.a * self.a), ("b*b", self.b * self.b),
+                            ("a*b", self.a * self.b),
+                            ("mass*length*length", self.mass * self.length * self.length)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         # alpha_c <= b/a is required for certification, not construction.
 
 
@@ -126,7 +133,7 @@ def pendulum_dynamics(p: PendulumParams) -> ControlAffineDynamics:
     def actuation(x, t=0.0):
         return g_col
 
-    return ControlAffineDynamics(drift, actuation, state_dim=2, input_dim=1)
+    return ControlAffineDynamics(drift, actuation)
 
 
 def pendulum_record(p: PendulumParams,
@@ -239,7 +246,13 @@ def pendulum_cbf_filter(p: PendulumParams,
 
 @dataclass(frozen=True)
 class TruckParams:
-    """Published truck controller-design parameter set (the defaults)."""
+    """Published truck controller-design parameter set (the defaults).
+
+    The free-flow distance ``d_go`` is derived, not set: the range policy
+    reaches the leader speed cap there.  The robust design (eps0, lam, delta)
+    is not a plant constant; it belongs to the ISSf filter, and a scenario
+    or config sets it beside the plant.
+    """
 
     c0: float = 2.0        # headway polynomial constant [m]
     c1: float = 1.1        # [s]
@@ -252,28 +265,24 @@ class TruckParams:
     gain_speed: float = 0.5   # speed error gain [1/s]
     kappa: float = 0.8        # 1/kappa is the desired time headway [1/s]
     d_st: float = 5.0         # stopping distance [m]
-    d_go: float = 30.0        # free-flow distance [m]
     v_bar_l: float = 20.0     # leader speed cap [m/s]
     a_bar_l: float = 5.0      # leader acceleration cap [m/s^2]
     a_under_l: float = 10.0   # leader deceleration cap, magnitude [m/s^2]
-    delta: float = 4.5        # input disturbance bound [m/s^2]
-    eps0: float = 0.5         # robustness gain scale [s^3/m]
-    lam: float = 0.4          # robustness gain shaping [1/m]
 
     def __post_init__(self):
         for name in (
-            "alpha_c", "gain_range", "gain_speed", "kappa", "d_st", "d_go",
-            "v_bar_l", "a_bar_l", "a_under_l", "eps0",
+            "alpha_c", "gain_range", "gain_speed", "kappa", "d_st",
+            "v_bar_l", "a_bar_l", "a_under_l",
         ):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.delta < 0 or self.lam < 0:
-            raise ValueError("delta and lam must be nonnegative")
-        if abs(self.d_go - (self.v_bar_l / self.kappa + self.d_st)) > 1e-9:
-            raise ValueError(
-                f"d_go must equal v_bar_l/kappa + d_st = "
-                f"{self.v_bar_l / self.kappa + self.d_st!r}, got {self.d_go!r}"
-            )
+        if not math.isfinite(self.d_go):
+            raise ValueError(f"d_go = v_bar_l/kappa + d_st must be finite, got {self.d_go!r}")
+
+    @property
+    def d_go(self) -> float:
+        """Free-flow distance v_bar_l/kappa + d_st [m]; 30 for the defaults."""
+        return self.v_bar_l / self.kappa + self.d_st
 
 
 def truck_headway(p: TruckParams, v: float, v_l: float) -> float:
@@ -305,7 +314,7 @@ def truck_dynamics(p: TruckParams, leader_accel: Callable[[float], float]) -> Co
     def actuation(x, t=0.0):
         return g_col
 
-    return ControlAffineDynamics(drift, actuation, state_dim=3, input_dim=1)
+    return ControlAffineDynamics(drift, actuation)
 
 
 def range_policy(p: TruckParams, d: float) -> float:
@@ -448,19 +457,9 @@ def truck_safe_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: float
     return _truck_filter(p, (d, v, v_l), a_l, None)
 
 
-def truck_robust_filter(
-    p: TruckParams,
-    d: float,
-    v: float,
-    v_l: float,
-    a_l: float,
-    eps0: float | None = None,
-    lam: float | None = None,
-) -> float:
+def truck_robust_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: float,
+                        eps0: float, lam: float) -> float:
     """The safe command robustified for bounded input disturbance,
     min{k_n, k_s + lg_h/eps(h)} in the driving domain, with eps(h) =
-    eps0 e^{lam h}: earlier and harder braking.  eps0 and lam default to the
-    parameter set's."""
-    eps0 = p.eps0 if eps0 is None else eps0
-    lam = p.lam if lam is None else lam
+    eps0 e^{lam h}: earlier and harder braking."""
     return _truck_filter(p, (d, v, v_l), a_l, EpsilonFunction(eps0, lam))

@@ -117,7 +117,7 @@ class SignalTooShortError(ValueError):
 def constant_speed_profile(v0: float, v_bar_l: float = 20.0) -> DisturbanceSignal:
     if not 0.0 <= v0 <= v_bar_l:
         raise ValueError(f"v0 must lie in [0, {v_bar_l}], got {v0}")
-    return DisturbanceSignal("constant", 0.0, math.inf, lambda times: np.zeros(times.shape))
+    return zero_disturbance()
 
 
 def hard_brake_profile(
@@ -164,7 +164,7 @@ def hard_brake_profile(
         held = ~off & ~(t < t1) & (t < t2)
         return np.piecewise(t, [off, up, held], [0.0, ramp_up, a_peak, ramp_down])
 
-    return DisturbanceSignal("hard_brake", abs(a_peak), math.inf, sample)
+    return DisturbanceSignal(abs(a_peak), math.inf, sample)
 
 
 def leader_profile_from_csv(
@@ -293,6 +293,8 @@ class Scenario:
             raise ValueError("truck scenario needs truck params and a leader profile")
         if self.controller == "issf" and self.epsilon is None:
             raise ValueError("issf controller needs an epsilon function")
+        if not self.delta >= 0:
+            raise ValueError(f"delta must be nonnegative, got {self.delta}")
         # checked before run_scenario allocates its n_steps + 1 log rows;
         # horizon/dt can overflow to inf, which n_steps cannot floor
         if self.horizon / self.dt > MAX_STEPS + 1 or self.n_steps > MAX_STEPS:
@@ -321,7 +323,6 @@ class ScenarioResult:
     name: str
     plant: str
     controller: str
-    dt: float
     state_labels: tuple
     time: np.ndarray
     states: np.ndarray
@@ -426,8 +427,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     def logged(k, h_star=None):
         # the result of the log up to row k
         return ScenarioResult(
-            name=scn.name, plant=scn.plant, controller=scn.controller,
-            dt=dt, state_labels=labels,
+            name=scn.name, plant=scn.plant, controller=scn.controller, state_labels=labels,
             time=time[: k + 1], states=states[: k + 1],
             u_nom=u_nom[: k + 1], u_filt=u_filt[: k + 1],
             d=d_log[: k + 1], h=h_log[: k + 1],

@@ -15,8 +15,8 @@ gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,9 +33,9 @@ __all__ = [
 ]
 
 # Most cells one scan may evaluate: grid[0] * grid[1] truck grid points.  A
-# truck certify run (the scan, then its margin table and CSV) peaks at about
-# 100 bytes a cell, so the cap bounds one at about 0.4 GB; the 500 x 500 grid
-# of the benchmark's design workload is 1/16 of it.
+# truck certify run (one scan into its table of rows, then the CSV) peaks at
+# about 50 bytes a cell, so the cap bounds one at about 0.2 GB; the 500 x 500
+# grid of the benchmark's design workload is 1/16 of it.
 MAX_GRID_CELLS = 4_000_000
 
 
@@ -52,12 +52,18 @@ def _finite_width(name: str, bounds) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of a worst-case margin scan over the lg_h = 0 set."""
+    """Outcome of a worst-case margin scan over the lg_h = 0 set.
+
+    ``margin_rows`` is the truck scan's table of rows (D, v_L, v, margin),
+    None for the pendulum; it is left out of comparisons, the repr and
+    ``to_dict``.
+    """
 
     passed: bool
     min_margin: float
     witness: dict            # state (and worst a_L) achieving the minimum
     grid_spec: dict
+    margin_rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -125,8 +131,22 @@ def certify_pendulum(
     )
 
 
-def _truck_margin_grid(p, alpha_c, d_range, vl_range, grid, a_l_bounds):
-    """Worst-case margin on the (D, v_L) grid; v is implied by lg_h = 0."""
+def truck_margin_table(
+    p: TruckParams,
+    alpha_c: float | None = None,
+    d_range: tuple[float, float] = (0.0, 100.0),
+    vl_range: tuple[float, float] = (0.0, 20.0),
+    grid: tuple[int, int] = (200, 200),
+    a_l_bounds: tuple[float, float] | None = None,
+) -> np.ndarray:
+    """Worst-case margin on the (D, v_L) grid as rows (D, v_L, v0, margin),
+    with v0 implied by lg_h = 0; alpha_c and a_l_bounds default to the
+    parameter set's."""
+    alpha_c = p.alpha_c if alpha_c is None else float(alpha_c)
+    if alpha_c < 0:
+        raise ValueError(f"alpha_c must be nonnegative, got {alpha_c}")
+    if a_l_bounds is None:
+        a_l_bounds = (-p.a_under_l, p.a_bar_l)
     if p.c3 == 0.0:
         raise ValueError("c3 = 0: lg_h = 0 cannot be solved for v")
     nx, ny = int(grid[0]), int(grid[1])
@@ -139,20 +159,22 @@ def _truck_margin_grid(p, alpha_c, d_range, vl_range, grid, a_l_bounds):
     if a_lo > a_hi:
         raise ValueError(f"a_l_bounds must be ordered, got {a_l_bounds}")
 
-    d_axis = np.linspace(*_finite_width("d_range", d_range), nx)
+    d_col = np.linspace(*_finite_width("d_range", d_range), nx)[:, None]
     vl_axis = np.linspace(*_finite_width("vl_range", vl_range), ny)
-    d_grid, vl_grid = np.meshgrid(d_axis, vl_axis, indexing="ij")
 
-    # a finite range can overflow the quadratic headway: rejected below
+    # v0 and the slope depend on v_L alone: one row each, broadcast over the D
+    # column.  A finite range can overflow the quadratic headway: rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        v0 = -(p.c1 + p.c4 * vl_grid) / (2.0 * p.c3)  # may be unphysical; scan anyway
-        base = vl_grid - v0 + alpha_c * (d_grid - truck_headway(p, v0, vl_grid))
-        slope = -(p.c2 + p.c4 * v0 + 2.0 * p.c5 * vl_grid)  # d margin / d a_L
+        v0 = -(p.c1 + p.c4 * vl_axis) / (2.0 * p.c3)  # may be unphysical; scan anyway
+        base = vl_axis - v0 + alpha_c * (d_col - truck_headway(p, v0, vl_axis))
+        slope = -(p.c2 + p.c4 * v0 + 2.0 * p.c5 * vl_axis)  # d margin / d a_L
         margin = np.minimum(base + slope * a_lo, base + slope * a_hi)
     if not np.all(np.isfinite(margin)):
         raise ValueError(f"the margin overflows on the grid of d_range {d_range}, "
                          f"vl_range {vl_range} and a_l_bounds {a_l_bounds}")
-    return d_grid, vl_grid, v0, slope, margin, (a_lo, a_hi)
+    rows = np.empty((nx, ny, 4))
+    rows[..., 0], rows[..., 1], rows[..., 2], rows[..., 3] = d_col, vl_axis, v0, margin
+    return rows.reshape(nx * ny, 4)
 
 
 def certify_truck_grid(
@@ -167,28 +189,25 @@ def certify_truck_grid(
 
     The margin v_L - v0 - a_L (c2 + c4 v0 + 2 c5 v_L) + alpha_c (D - rho) is
     affine in a_L, so only the bound endpoints are evaluated; the minimum over
-    the grid and both endpoints decides the report.
+    the grid and both endpoints decides the report.  The scan is
+    :func:`truck_margin_table`, whose rows the report carries.
     """
     alpha_c = p.alpha_c if alpha_c is None else float(alpha_c)
-    if alpha_c < 0:
-        raise ValueError(f"alpha_c must be nonnegative, got {alpha_c}")
     if a_l_bounds is None:
         a_l_bounds = (-p.a_under_l, p.a_bar_l)
-    d_grid, vl_grid, v0, slope, margin, (a_lo, a_hi) = _truck_margin_grid(
-        p, alpha_c, d_range, vl_range, grid, a_l_bounds
-    )
-
-    i, j = np.unravel_index(int(np.argmin(margin)), margin.shape)
-    worst_a_l = a_lo if slope[i, j] * a_lo <= slope[i, j] * a_hi else a_hi
-    min_margin = float(margin[i, j])
+    rows = truck_margin_table(p, alpha_c, d_range, vl_range, grid, a_l_bounds)
+    k = int(np.argmin(rows[:, 3]))
+    d_w, vl_w, v_w, min_margin = rows[k].tolist()
+    a_lo, a_hi = float(a_l_bounds[0]), float(a_l_bounds[1])
+    slope = -(p.c2 + p.c4 * v_w + 2.0 * p.c5 * vl_w)  # the table's d margin / d a_L there
     return CertificationReport(
         passed=bool(min_margin > 0.0),
         min_margin=min_margin,
         witness={
-            "D": float(d_grid[i, j]),
-            "v": float(v0[i, j]),
-            "v_L": float(vl_grid[i, j]),
-            "a_L": float(worst_a_l),
+            "D": d_w,
+            "v": v_w,
+            "v_L": vl_w,
+            "a_L": a_lo if slope * a_lo <= slope * a_hi else a_hi,
         },
         grid_spec={
             "kind": "truck-grid",
@@ -198,25 +217,8 @@ def certify_truck_grid(
             "a_l_bounds": [a_lo, a_hi],
             "alpha_c": alpha_c,
         },
+        margin_rows=rows,
     )
-
-
-def truck_margin_table(
-    p: TruckParams,
-    alpha_c: float | None = None,
-    d_range: tuple[float, float] = (0.0, 100.0),
-    vl_range: tuple[float, float] = (0.0, 20.0),
-    grid: tuple[int, int] = (200, 200),
-    a_l_bounds: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """Full worst-case margin grid as rows (D, v_L, v0, margin) for plotting."""
-    alpha_c = p.alpha_c if alpha_c is None else float(alpha_c)
-    if a_l_bounds is None:
-        a_l_bounds = (-p.a_under_l, p.a_bar_l)
-    d_grid, vl_grid, v0, _, margin, _ = _truck_margin_grid(
-        p, alpha_c, d_range, vl_range, grid, a_l_bounds
-    )
-    return np.column_stack([d_grid.ravel(), vl_grid.ravel(), v0.ravel(), margin.ravel()])
 
 
 def gradient_consistency(
@@ -246,6 +248,6 @@ def gradient_consistency(
 
     errs = [rel_err(be.lf_h, directional(dynamics.drift(x, t)))]
     g_mat = np.atleast_2d(np.asarray(dynamics.actuation(x, t), dtype=float))
-    for j in range(dynamics.input_dim):
+    for j in range(g_mat.shape[1]):
         errs.append(rel_err(float(be.lg_h[j]), directional(g_mat[:, j])))
     return max(errs)

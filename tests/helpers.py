@@ -47,6 +47,11 @@ GRID_STEP = 1e-3
 # quantities compared.
 ADMISSIBLE_SLACK = 1e-9
 
+# The truck's published robust design, as in the truck presets' issf
+# sections: the gain's (eps0, lam) pair and the disturbance bound delta.
+TRUCK_PAIR = (0.5, 0.4)
+TRUCK_DELTA = 4.5
+
 
 def project_halfspace(u_nom, normal, rhs):
     """Euclidean projection of u_nom onto {u : normal . u >= rhs}.

@@ -23,6 +23,7 @@ from safefilter.cbf import filter_function
 from safefilter.plants import pendulum_record, truck_record
 
 from helpers import (
+    TRUCK_PAIR,
     correction_gain,
     grid_search_scalar,
     in_admissible_set,
@@ -159,7 +160,7 @@ def test_no_jump_across_activation_boundary():
 # at h < -1870
 EPSILONS = (None, EpsilonFunction(0.15, 0.0), EpsilonFunction(math.inf, 0.0),
             EpsilonFunction(0.5, 12.0), EpsilonFunction(0.5, 1000.0),
-            EpsilonFunction(T.eps0, T.lam))
+            EpsilonFunction(*TRUCK_PAIR))
 
 
 @st.composite
@@ -199,8 +200,8 @@ def _numpy_filter(plant, a_l, epsilon):
 @example(case=("pendulum", (0.1, 0.2), None, EpsilonFunction(0.5, 1000.0)))   # eps overflows
 @example(case=("pendulum", (0.1, 20.0), None, EpsilonFunction(0.5, 12.0)))    # eps underflows
 @example(case=("pendulum", (0.1, -0.1), None, EpsilonFunction(0.5, 12.0)))    # lg_h = 0
-@example(case=("truck", (1e4, 10.0, 10.0), -2.0, EpsilonFunction(T.eps0, T.lam)))
-@example(case=("truck", (0.0, 400.0, 10.0), 3.0, EpsilonFunction(T.eps0, T.lam)))
+@example(case=("truck", (1e4, 10.0, 10.0), -2.0, EpsilonFunction(*TRUCK_PAIR)))
+@example(case=("truck", (0.0, 400.0, 10.0), 3.0, EpsilonFunction(*TRUCK_PAIR)))
 def test_filter_function_matches_cbf_filter_bit_for_bit(case):
     plant, x, a_l, epsilon = case
     p, record = (P, pendulum_record(P)) if plant == "pendulum" else (T, truck_record(T))

@@ -19,6 +19,7 @@ from safefilter.cli import (
     parse_config,
     resolve_preset,
 )
+from safefilter import verification
 from safefilter.verification import MAX_GRID_CELLS
 
 SIMULATABLE_PRESETS = [name for name, doc in SCENARIO_PRESETS.items() if "sweep" not in doc]
@@ -37,7 +38,7 @@ _ROUNDTRIP_DOCS = {
         "params": {"preset": "paper-table-2", "overrides": {"c1": 0.5, "alpha_c": 2}},
         "controller": "issf", "issf": {"eps0": 0.5, "lam": 0.4, "delta": 4.5},
         "disturbance": {"kind": "lag_residual"},
-        "leader": {"kind": "constant", "v0": 16},
+        "leader": {"kind": "constant"},
         "initial_state": [27.4, 16, 16.0], "horizon": 30, "dt": 0.02, "out_dir": "",
         "certify": {"theta_range": [-1, 1], "cross_term": False,
                     "d_range": [1.0, 50.0], "vl_range": [0, 10], "grid": [3, 4],
@@ -47,12 +48,11 @@ _ROUNDTRIP_DOCS = {
     "csv-disturbance-and-leader": {
         "plant": "truck", "controller": ["nominal", "cbf"],
         "disturbance": {"kind": "csv", "path": "d.csv"},
-        "leader": {"kind": "csv", "path": "lead.csv", "v0": 16.0},
+        "leader": {"kind": "csv", "path": "lead.csv"},
     },
     "lag-residual-tau": {
         "plant": "truck", "disturbance": {"kind": "lag_residual", "tau": 1.5},
-        "leader": {"kind": "hard_brake", "v0": 16.0, "t_brake": 1.0, "a_peak": -8.0,
-                   "duration": 2.0},
+        "leader": {"kind": "hard_brake", "t_brake": 1.0, "a_peak": -8.0, "duration": 2.0},
     },
     "pendulum-overrides": {
         "plant": "pendulum", "params": {"overrides": {"kp": 3.0}},
@@ -108,8 +108,8 @@ def _schema_shaped_docs(junk):
             "issf": section(eps0=number, lam=number, delta=number),
             "disturbance": tagged(["zero", "heaviside_pulse", "lag_residual", "csv"],
                                   amplitude=number, tau=number, path=st.just("d.csv") | junk),
-            "leader": tagged(["constant", "hard_brake", "csv"], v0=number, t_brake=number,
-                             a_peak=number, duration=number, path=st.just("l.csv") | junk),
+            "leader": tagged(["constant", "hard_brake", "csv"], t_brake=number, a_peak=number,
+                             duration=number, path=st.just("l.csv") | junk),
             "initial_state": st.lists(st.floats(-1.0, 30.0), min_size=2, max_size=3) | junk,
             "horizon": number,
             "dt": number,
@@ -170,9 +170,14 @@ def test_param_preset_plant_mismatch_rejected():
 
 
 def test_overrides_are_validated_against_plant_invariants():
-    doc = {"plant": "truck", "params": {"overrides": {"kappa": 0.4}}}
-    cfg = parse_config(doc)  # parse is fine, the physics check happens on build
-    with pytest.raises(ConfigError, match="d_go"):
+    # d_go = v_bar_l/kappa + d_st follows a kappa override
+    doc = {"plant": "truck", "params": {"overrides": {"kappa": 0.4}},
+           "leader": {"kind": "constant"}}
+    (scenario,) = build_scenarios(parse_config(doc))
+    assert scenario.truck.kappa == 0.4 and scenario.truck.d_go == 20.0 / 0.4 + 5.0 == 55.0
+    # parse is fine, the physics check happens on build
+    cfg = parse_config({**doc, "params": {"overrides": {"kappa": -0.4}}})
+    with pytest.raises(ConfigError, match="invalid truck parameters: kappa"):
         build_scenarios(cfg)
 
 
@@ -274,6 +279,22 @@ def test_certify_truck_writes_margin_table(tmp_path):
     assert min(float(r["margin"]) for r in rows) > 0.0
 
 
+def test_certify_scans_the_truck_margin_grid_once(tmp_path, monkeypatch):
+    # the report and the margin CSV come from one scan
+    calls = []
+    scan = verification.truck_margin_table
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "truck_margin_table", counted)
+    assert main(["certify", "--preset", "paper-table-2", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    report = json.loads((tmp_path / "paper-table-2_certify.json").read_text())
+    assert "margin_rows" not in report
+
+
 def test_hstar_command(tmp_path, capsys):
     out = str(tmp_path)
     assert main(["hstar", "--preset", "truck-hstar-sweep", "--out", out]) == 0
@@ -335,7 +356,7 @@ def test_simulate_with_csv_inputs(tmp_path):
         "name": "csvrun",
         "plant": "truck",
         "controller": "cbf",
-        "leader": {"kind": "csv", "path": str(lead_path), "v0": 16.0},
+        "leader": {"kind": "csv", "path": str(lead_path)},
         "disturbance": {"kind": "csv", "path": str(dist_path)},
         "initial_state": [27.4, 16.0, 16.0],
         "horizon": 5.0,
@@ -352,7 +373,7 @@ def test_simulate_beyond_leader_domain_is_rejected_before_the_run(tmp_path, caps
         "name": "short",
         "plant": "truck",
         "controller": "nominal",
-        "leader": {"kind": "csv", "path": str(lead_path), "v0": 16.0},
+        "leader": {"kind": "csv", "path": str(lead_path)},
         "initial_state": [27.4, 16.0, 16.0],
         "horizon": 5.0,
     }
@@ -412,20 +433,27 @@ _BRAKE = {"kind": "hard_brake", "t_brake": 1.0, "a_peak": -8.0, "duration": 2.0}
 
 
 @pytest.mark.parametrize("leader", [
-    {"kind": "constant", "v0": 10.0},
-    {**_BRAKE, "v0": 10.0},
-    {"kind": "csv", "path": "lead.csv", "v0": 10.0},
+    {"kind": "constant"},
+    _BRAKE,
+    {"kind": "csv", "path": "lead.csv"},
 ])
-def test_leader_speed_contradicting_the_initial_state_exits_2(leader, tmp_path, capsys):
-    # the leader profile and the steady state start from leader.v0, the run
-    # from initial_state[2] (16 m/s by default): they must agree
-    config_path = tmp_path / "lead.json"
-    config_path.write_text(json.dumps({"plant": "truck", "leader": leader}))
-    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 2
-    assert "config error: $.leader.v0 must equal" in capsys.readouterr().err
-    with pytest.raises(ConfigError, match=r"\$\.leader\.v0 .* 12\.0, got 10\.0"):
-        parse_config({"plant": "truck", "leader": leader, "initial_state": [27.4, 16.0, 12.0]})
-    parse_config({"plant": "truck", "leader": leader, "initial_state": [27.4, 16.0, 10.0]})
+def test_leader_starts_at_the_initial_leader_speed(leader, tmp_path, monkeypatch):
+    # the leader profile and the summary's steady state start from
+    # initial_state[2]; a leader has no speed of its own to contradict it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lead.csv").write_text("t,a_L\n0,0\n1,-4\n2,0\n100,0\n")
+    with pytest.raises(ConfigError, match=r"\$\.leader\.v0: unknown key"):
+        parse_config({"plant": "truck", "leader": {**leader, "v0": 10.0}})
+    doc = {"name": "lead", "plant": "truck", "controller": "nominal", "leader": leader,
+           "initial_state": [27.4, 10.0, 10.0], "horizon": 30.0}
+    (tmp_path / "lead.json").write_text(json.dumps(doc))
+    assert main(["simulate", "--config", "lead.json", "--out", str(tmp_path)]) == 0
+    log = np.loadtxt(tmp_path / "lead-nominal.csv", delimiter=",", skiprows=1)
+    v_l = log[:, 3]
+    assert v_l[0] == 10.0
+    # the hard brake stops from 10 m/s, the csv leader slows by 4 m/s
+    final = {"constant": 10.0, "hard_brake": 0.0, "csv": 6.0}[leader["kind"]]
+    assert v_l[-1] == pytest.approx(final, abs=1e-9)
 
 
 @pytest.mark.parametrize("command,doc", [
@@ -435,7 +463,8 @@ def test_leader_speed_contradicting_the_initial_state_exits_2(leader, tmp_path, 
     ("simulate", {"plant": "truck", "params": {"overrides": {"c1": "abc"}}}),
     ("simulate", {"plant": "pendulum", "initial_state": [-0.1, "abc"]}),
     ("simulate", {"plant": "pendulum", "initial_state": [10**400, 0.0]}),
-    ("simulate", {"plant": "truck", "leader": {**_BRAKE, "v0": 30.0}}),
+    ("simulate", {"plant": "truck", "leader": _BRAKE,  # a leader above v_bar_l
+                  "initial_state": [27.4, 16.0, 30.0]}),
     ("certify", {"plant": "pendulum", "certify": {"theta_range": ["abc", 1.0]}}),
     ("certify", {"plant": "truck", "certify": {"d_range": [0.0, None]}}),
     ("certify", {"plant": "truck", "certify": {"vl_range": [[0.0], 20.0]}}),
@@ -465,16 +494,33 @@ def test_leader_speed_contradicting_the_initial_state_exits_2(leader, tmp_path, 
     ("certify", {"plant": "truck", "certify": {"vl_range": [-1e308, 1e308]}}),
     ("simulate", {"plant": "truck", "initial_state": [0.0, 1e200, 16.0]}),  # h(x0) overflows
     # a leader CSV with a nan acceleration sample, written by the test
-    ("simulate", {"plant": "truck", "leader": {"kind": "csv", "path": "nan_leader.csv",
-                                               "v0": 16.0}}),
+    ("simulate", {"plant": "truck", "leader": {"kind": "csv", "path": "nan_leader.csv"}}),
     # disturbance and leader CSVs with a row of one field, written by the test
     ("simulate", {"plant": "pendulum", "disturbance": {"kind": "csv", "path": "short.csv"}}),
-    ("simulate", {"plant": "truck", "leader": {"kind": "csv", "path": "short_leader.csv",
-                                               "v0": 16.0}}),
+    ("simulate", {"plant": "truck", "leader": {"kind": "csv", "path": "short_leader.csv"}}),
     # finite pendulum ranges whose margin overflows in theta^2
     ("certify", {"plant": "pendulum", "certify": {"theta_range": [-1e200, 1e200]}}),
     ("certify", {"plant": "pendulum", "certify": {"theta_range": [-1e200, 1e200],
                                                   "cross_term": False}}),
+    # the robust design and the free-flow distance are no truck parameters
+    ("simulate", {"plant": "truck", "params": {"overrides": {"eps0": 50.0}}}),
+    ("simulate", {"plant": "truck", "params": {"overrides": {"lam": 3.0}}}),
+    ("simulate", {"plant": "truck", "params": {"overrides": {"delta": 0.1}}}),
+    ("simulate", {"plant": "truck", "params": {"overrides": {"d_go": 30.0}}}),
+    ("simulate", {"plant": "truck", "params": {"overrides": {"kappa": 1e-320}}}),
+    # a leader starts at initial_state[2] and has no v0 of its own
+    ("simulate", {"plant": "truck", "leader": {**_BRAKE, "v0": 16.0}}),
+    # a negative delta, rejected before any run (for the truck, before the
+    # lag reference run)
+    ("simulate", {"plant": "pendulum", "controller": "issf",
+                  "issf": {"eps0": 0.15, "lam": 0, "delta": -7}, "horizon": 1}),
+    ("simulate", {"plant": "truck", "controller": "issf", "leader": _BRAKE,
+                  "disturbance": {"kind": "lag_residual"},
+                  "issf": {"eps0": 0.5, "lam": 0.4, "delta": -7}, "horizon": 1}),
+    # pendulum parameters whose squares underflow
+    ("simulate", {"plant": "pendulum", "params": {"overrides": {"a": 1e-300}}}),
+    ("certify", {"plant": "pendulum", "params": {"overrides": {"a": 1e-300}}}),
+    ("simulate", {"plant": "pendulum", "params": {"overrides": {"b": 1e-300}}}),
 ])
 def test_malformed_config_exits_2_without_traceback(command, doc, tmp_path, capsys,
                                                     monkeypatch):

@@ -48,7 +48,7 @@ def test_scenario_log_matches_per_cell_writer(tmp_path):
     cols = _mixed_table(rows, 7, seed=1)
     cols[:len(SPECIAL), 3] = SPECIAL
     result = ScenarioResult(
-        name="mixed", plant="truck", controller="cbf", dt=0.01,
+        name="mixed", plant="truck", controller="cbf",
         state_labels=truck_record(TruckParams()).labels, time=np.arange(rows) * 0.01,
         states=cols[:, :3], u_nom=cols[:, 3], u_filt=cols[:, 4], d=cols[:, 5],
         h=cols[:, 6], h_min=0.0, h_star=None, clamp_counts={},

@@ -26,7 +26,7 @@ from safefilter import (
 )
 from safefilter.plants import truck_record
 
-from helpers import in_admissible_set, switching_filter
+from helpers import TRUCK_PAIR, in_admissible_set, switching_filter
 
 P = PendulumParams()
 T = TruckParams()
@@ -89,6 +89,13 @@ def test_pendulum_params_validated():
         PendulumParams(mass=-1.0)
     with pytest.raises(ValueError):
         PendulumParams(alpha_c=0.0)
+    # the barrier, the field and the certificate divide by these products,
+    # which underflow to 0 or overflow to inf
+    for overrides, product in (({"a": 1e-300}, r"a\*a"), ({"b": 1e-300}, r"b\*b"),
+                               ({"a": 1e200}, r"a\*a"),
+                               ({"mass": 1e-200, "length": 1e-100}, r"mass\*length\*length")):
+        with pytest.raises(ValueError, match=product + " must be positive and finite"):
+            PendulumParams(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +205,16 @@ def test_record_terms_match_the_barrier_evaluation_bit_for_bit(state):
 
 
 def test_truck_params_consistency_enforced():
-    with pytest.raises(ValueError):
+    # d_go = v_bar_l/kappa + d_st is derived, so a kappa override moves it
+    assert T.d_go == 30.0
+    assert TruckParams(kappa=0.5).d_go == 20.0 / 0.5 + 5.0 == 45.0
+    assert range_policy(TruckParams(kappa=0.5), 45.0) == 20.0
+    with pytest.raises(TypeError):
         TruckParams(d_go=29.0)
     with pytest.raises(ValueError):
         TruckParams(kappa=-0.8)
-    # consistent override passes
-    TruckParams(kappa=0.5, d_go=45.0)
+    with pytest.raises(ValueError, match="d_go"):
+        TruckParams(kappa=1e-320)  # v_bar_l/kappa overflows
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +244,8 @@ def test_safe_filter_matches_generic_switching(state):
 def test_robust_filter_matches_generic_switching(state):
     d, v, v_l, a_l = state
     x = np.array([d, v, v_l])
-    filt = _truck_filter(a_l, EpsilonFunction(T.eps0, T.lam))
-    assert truck_robust_filter(T, d, v, v_l, a_l) == pytest.approx(
+    filt = _truck_filter(a_l, EpsilonFunction(*TRUCK_PAIR))
+    assert truck_robust_filter(T, d, v, v_l, a_l, *TRUCK_PAIR) == pytest.approx(
         switching_filter(filt, x), abs=1e-12, rel=1e-12
     )
 
@@ -245,14 +256,14 @@ def test_truck_filters_satisfy_their_constraints(state):
     d, v, v_l, a_l = state
     x = np.array([d, v, v_l])
     assert in_admissible_set(_truck_filter(a_l), x, [truck_safe_filter(T, d, v, v_l, a_l)])
-    robust = _truck_filter(a_l, EpsilonFunction(T.eps0, T.lam))
-    assert in_admissible_set(robust, x, [truck_robust_filter(T, d, v, v_l, a_l)])
+    robust = _truck_filter(a_l, EpsilonFunction(*TRUCK_PAIR))
+    assert in_admissible_set(robust, x, [truck_robust_filter(T, d, v, v_l, a_l, *TRUCK_PAIR)])
 
 
 def test_robust_truck_filter_meets_its_constraint_where_eps_leaves_the_float_range():
     # with lam = 50, eps(h) overflows for h above about 14 and underflows to
     # 0 below about -15
-    eps = EpsilonFunction(T.eps0, 50.0)
+    eps = EpsilonFunction(TRUCK_PAIR[0], 50.0)
     robust, plain = _truck_filter(-8.0, eps), _truck_filter(-8.0)
     far = np.array([60.0, 2.0, 16.0])        # h about 55: the plain constraint
     with pytest.raises(OverflowError):
@@ -273,7 +284,8 @@ def test_robust_truck_filter_meets_its_constraint_where_eps_leaves_the_float_ran
 def test_robust_filter_never_exceeds_safe_filter(state):
     # the robustifying term only ever asks for more braking here (lg_h < 0)
     d, v, v_l, a_l = state
-    assert truck_robust_filter(T, d, v, v_l, a_l) <= truck_safe_filter(T, d, v, v_l, a_l) + 1e-12
+    assert truck_robust_filter(T, d, v, v_l, a_l, *TRUCK_PAIR) <= \
+        truck_safe_filter(T, d, v, v_l, a_l) + 1e-12
 
 
 def test_admissible_nominal_passes_through():
@@ -282,10 +294,14 @@ def test_admissible_nominal_passes_through():
     assert truck_safe_filter(T, 25.0, 16.0, 16.0, 0.0) == 0.0
 
 
-def test_robust_filter_uses_params_defaults():
+def test_robust_filter_takes_its_gain_as_arguments():
+    # the robust design (eps0, lam) belongs to the filter, not to the plant
     d, v, v_l, a_l = 27.4, 16.0, 16.0, -8.0
-    assert truck_robust_filter(T, d, v, v_l, a_l) == truck_robust_filter(
-        T, d, v, v_l, a_l, eps0=T.eps0, lam=T.lam
+    with pytest.raises(TypeError):
+        truck_robust_filter(T, d, v, v_l, a_l)
+    filt = _truck_filter(a_l, EpsilonFunction(*TRUCK_PAIR))
+    assert truck_robust_filter(T, d, v, v_l, a_l, eps0=0.5, lam=0.4) == pytest.approx(
+        switching_filter(filt, np.array([d, v, v_l])), abs=1e-12, rel=1e-12
     )
 
 
@@ -293,6 +309,6 @@ def test_robust_filter_takes_the_limits_of_its_tightening():
     # far behind the leader eps(h) overflows and the tightening lg_h/eps(h)
     # vanishes; deep inside the unsafe set eps(h) underflows to 0 and the
     # command diverges to full braking
-    assert truck_robust_filter(T, 5000.0, 16.0, 16.0, 0.0) == \
+    assert truck_robust_filter(T, 5000.0, 16.0, 16.0, 0.0, *TRUCK_PAIR) == \
         truck_safe_filter(T, 5000.0, 16.0, 16.0, 0.0)
-    assert truck_robust_filter(T, -5000.0, 16.0, 16.0, 0.0) == -math.inf
+    assert truck_robust_filter(T, -5000.0, 16.0, 16.0, 0.0, *TRUCK_PAIR) == -math.inf

@@ -272,6 +272,8 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(name="x", plant="truck", controller="cbf", x0=(1, 1, 1),
                  horizon=1.0, dt=0.01, disturbance=ZERO, truck=T)  # leader missing
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        _pendulum_scenario("issf", ZERO, eps=EpsilonFunction(0.15), delta=-7.0)
 
 
 def test_scenario_rejects_more_than_max_steps_without_allocating():
@@ -301,7 +303,7 @@ def test_scenario_rejects_signals_that_end_before_the_last_logged_time():
     with pytest.raises(SignalTooShortError, match="disturbance ends at t=0.995") as excinfo:
         _pendulum_scenario("cbf", too_short, horizon=1.0)
     assert excinfo.value.signal == "disturbance"
-    leader = DisturbanceSignal("sampled", 0.0, 0.995, lambda times: np.zeros(times.shape))
+    leader = DisturbanceSignal(0.0, 0.995, lambda times: np.zeros(times.shape))
     with pytest.raises(SignalTooShortError) as excinfo:
         Scenario(name="x", plant="truck", controller="cbf", x0=(27.4, 16.0, 16.0),
                  horizon=1.0, dt=0.01, disturbance=ZERO, truck=T, leader=leader)
@@ -350,7 +352,7 @@ def test_runs_are_bit_identical():
 def test_failed_run_attaches_partial_log():
     # the disturbance turns infinite at t = 0.5: the row at 0.5 is still
     # logged, the step from it fails on its stage-1 derivative
-    blowup = DisturbanceSignal("blowup", 0.0, math.inf,
+    blowup = DisturbanceSignal(0.0, math.inf,
                                lambda times: np.where(times >= 0.5, math.inf, 0.0))
     with pytest.raises(SimulationError) as excinfo, np.errstate(invalid="ignore"):
         run_scenario(_pendulum_scenario("cbf", blowup, horizon=2.0))

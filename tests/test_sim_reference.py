@@ -33,7 +33,7 @@ from safefilter import plants, sim
 from safefilter.cbf import filter_function
 from safefilter.cli import SCENARIO_PRESETS, build_scenarios, parse_config
 
-from helpers import reference_run
+from helpers import TRUCK_DELTA, TRUCK_PAIR, reference_run
 
 P = PendulumParams()
 T = TruckParams()
@@ -79,8 +79,8 @@ def _rollout(plant, controller, seed):
         t_min = v_lead / abs(a_peak)
         leader = hard_brake_profile(v_lead, float(rng.uniform(0.2, 1.0)), a_peak,
                                     float(rng.uniform(t_min, 2.0 * t_min)))
-        extra = dict(truck=T, leader=leader, epsilon=EpsilonFunction(T.eps0, T.lam),
-                     delta=T.delta)
+        extra = dict(truck=T, leader=leader, epsilon=EpsilonFunction(*TRUCK_PAIR),
+                     delta=TRUCK_DELTA)
     return Scenario(
         name=f"{plant}-{controller}-{seed}", plant=plant, controller=controller, x0=x0,
         horizon=ROLLOUT_HORIZON, dt=ROLLOUT_DT,
@@ -167,7 +167,7 @@ def test_four_controller_and_disturbance_calls_per_step(plant, controller, monke
         return signal.sample(times)
 
     scn = dataclasses.replace(scn, disturbance=DisturbanceSignal(
-        signal.kind, signal.bound, signal.duration, counted_sample))
+        signal.bound, signal.duration, counted_sample))
     result = _run_counting_calls(scn, calls)
 
     n_steps = result.time.size - 1

@@ -34,7 +34,7 @@ from safefilter import (
 from safefilter import plants
 from safefilter.cbf import filter_function
 
-from helpers import reference_run
+from helpers import TRUCK_PAIR, reference_run
 
 P = PendulumParams()
 T = TruckParams()
@@ -66,7 +66,7 @@ def _scenario(plant, controller, disturbance):
         x0 = (0.0, 0.2)
     else:
         extra = dict(truck=T, leader=constant_speed_profile(16.0),
-                     epsilon=EpsilonFunction(T.eps0, T.lam))
+                     epsilon=EpsilonFunction(*TRUCK_PAIR))
         x0 = (30.0, 16.0, 16.0)
     return Scenario(name=f"{plant}-{controller}", plant=plant, controller=controller,
                     x0=x0, horizon=HORIZON, dt=DT, disturbance=disturbance, **extra)
@@ -234,7 +234,7 @@ def _scenarios(draw):
         leader = draw(st.sampled_from([constant_speed_profile(v0),
                                        hard_brake_profile(v0, 0.0, -T.a_under_l,
                                                           v0 / T.a_under_l)]))
-        extra = dict(truck=T, leader=leader, epsilon=EpsilonFunction(T.eps0, T.lam))
+        extra = dict(truck=T, leader=leader, epsilon=EpsilonFunction(*TRUCK_PAIR))
     return Scenario(name="contract", plant=plant, controller=controller, x0=x0,
                     horizon=n_steps * dt, dt=dt,
                     disturbance=sampled_disturbance(knots, values), **extra)
