@@ -54,7 +54,6 @@ from .sim import (
     steady_state_shift,
     step_count,
     truck_lag_disturbance,
-    write_csv_table,
 )
 from .verification import MAX_GRID_CELLS, certify_pendulum, certify_truck_grid
 
@@ -580,6 +579,17 @@ def _fmt(value) -> str:
     return f"{value:.9g}"
 
 
+def write_margin_csv(path, d_axis, vl_axis, v_axis, margin) -> None:
+    """The rows (D[i], v_L[j], v[j], margin[i, j]), row-major, in sim.write_csv_table's bytes:
+    each D and "v_L,v," prefix is formatted once, and a grid row's margins in one %-format."""
+    tails = [f"{vl:.9g},{v:.9g},%.9g\n" for vl, v in zip(vl_axis.tolist(), v_axis.tolist())]
+    with open(path, "w", newline="") as handle:
+        handle.write("D,v_L,v,margin\n")
+        for d, margins in zip(d_axis.tolist(), margin):
+            lead = f"{d:.9g},"
+            handle.write((lead + lead.join(tails)) % tuple(margins.tolist()))
+
+
 def cmd_certify(cfg: Config, out_dir: Path, cross_term: Optional[bool] = None) -> int:
     p = build_params(cfg)
     spec = cfg.certify
@@ -595,8 +605,7 @@ def cmd_certify(cfg: Config, out_dir: Path, cross_term: Optional[bool] = None) -
     except ValueError as err:
         raise ConfigError(f"$.certify: {err}") from err
     if cfg.plant == "truck":
-        write_csv_table(out_dir / f"{cfg.name}_margins.csv", "D,v_L,v,margin",
-                        report.margin_rows)
+        write_margin_csv(out_dir / f"{cfg.name}_margins.csv", *report.margin_grid)
     with open(out_dir / f"{cfg.name}_certify.json", "w") as handle:
         json.dump(report.to_dict(), handle, indent=2)
         handle.write("\n")

@@ -32,10 +32,10 @@ __all__ = [
     "truck_margin_table",
 ]
 
-# Most cells one scan may evaluate: grid[0] * grid[1] truck grid points.  A
-# truck certify run (one scan into its table of rows, then the CSV) peaks at
-# about 50 bytes a cell, so the cap bounds one at about 0.2 GB; the 500 x 500
-# grid of the benchmark's design workload is 1/16 of it.
+# Most cells one scan may evaluate: grid[0] * grid[1] truck grid points.  A truck
+# certify run peaks at about 32 bytes a cell on a square grid (tracemalloc, 500 x
+# 500) and 110 on a 2-row one, whose per-column CSV text dominates: at most about
+# 0.45 GB at the cap.  The benchmark's design workload grid, 500 x 500, is 1/16 of it.
 MAX_GRID_CELLS = 4_000_000
 
 
@@ -54,16 +54,16 @@ def _finite_width(name: str, bounds) -> tuple[float, float]:
 class CertificationReport:
     """Outcome of a worst-case margin scan over the lg_h = 0 set.
 
-    ``margin_rows`` is the truck scan's table of rows (D, v_L, v, margin),
-    None for the pendulum; it is left out of comparisons, the repr and
-    ``to_dict``.
+    ``margin_grid`` is the truck scan in grid form, the (D axis, v_L axis,
+    v axis, margin matrix) of :func:`truck_margin_table`, None for the
+    pendulum; it is left out of comparisons, the repr and ``to_dict``.
     """
 
     passed: bool
     min_margin: float
     witness: dict            # state (and worst a_L) achieving the minimum
     grid_spec: dict
-    margin_rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    margin_grid: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -95,6 +95,8 @@ def certify_pendulum(
     """
     if not (a > 0 and b > 0 and alpha_c > 0):
         raise ValueError("a, b and alpha_c must be positive")
+    if not (0.0 < a * a < math.inf and 0.0 < b / a < math.inf):  # as PendulumParams checks
+        raise ValueError(f"a*a and b/a must be positive and finite, got {a * a!r}, {b / a!r}")
     lo, hi = _finite_width("theta_range", theta_range)
     if not lo < hi:
         raise ValueError(f"theta_range must be a finite interval, got {theta_range}")
@@ -138,10 +140,10 @@ def truck_margin_table(
     vl_range: tuple[float, float] = (0.0, 20.0),
     grid: tuple[int, int] = (200, 200),
     a_l_bounds: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """Worst-case margin on the (D, v_L) grid as rows (D, v_L, v0, margin),
-    with v0 implied by lg_h = 0; alpha_c and a_l_bounds default to the
-    parameter set's."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Worst-case margin on the (D, v_L) grid: the axes D (nx,), v_L (ny,) and
+    v (ny,), v implied by lg_h = 0, and the margin (nx, ny) at (D[i], v_L[j],
+    v[j]); alpha_c and a_l_bounds default to the parameter set's."""
     alpha_c = p.alpha_c if alpha_c is None else float(alpha_c)
     if alpha_c < 0:
         raise ValueError(f"alpha_c must be nonnegative, got {alpha_c}")
@@ -172,9 +174,7 @@ def truck_margin_table(
     if not np.all(np.isfinite(margin)):
         raise ValueError(f"the margin overflows on the grid of d_range {d_range}, "
                          f"vl_range {vl_range} and a_l_bounds {a_l_bounds}")
-    rows = np.empty((nx, ny, 4))
-    rows[..., 0], rows[..., 1], rows[..., 2], rows[..., 3] = d_col, vl_axis, v0, margin
-    return rows.reshape(nx * ny, 4)
+    return d_col[:, 0], vl_axis, v0, margin
 
 
 def certify_truck_grid(
@@ -190,16 +190,17 @@ def certify_truck_grid(
     The margin v_L - v0 - a_L (c2 + c4 v0 + 2 c5 v_L) + alpha_c (D - rho) is
     affine in a_L, so only the bound endpoints are evaluated; the minimum over
     the grid and both endpoints decides the report.  The scan is
-    :func:`truck_margin_table`, whose rows the report carries.
+    :func:`truck_margin_table`, whose grid the report carries.
     """
     alpha_c = p.alpha_c if alpha_c is None else float(alpha_c)
     if a_l_bounds is None:
         a_l_bounds = (-p.a_under_l, p.a_bar_l)
-    rows = truck_margin_table(p, alpha_c, d_range, vl_range, grid, a_l_bounds)
-    k = int(np.argmin(rows[:, 3]))
-    d_w, vl_w, v_w, min_margin = rows[k].tolist()
+    d_axis, vl_axis, v_axis, margin = scan = truck_margin_table(
+        p, alpha_c, d_range, vl_range, grid, a_l_bounds)
+    i, j = np.unravel_index(np.argmin(margin), margin.shape)  # the first minimum, row-major
+    d_w, vl_w, v_w, min_margin = map(float, (d_axis[i], vl_axis[j], v_axis[j], margin[i, j]))
     a_lo, a_hi = float(a_l_bounds[0]), float(a_l_bounds[1])
-    slope = -(p.c2 + p.c4 * v_w + 2.0 * p.c5 * vl_w)  # the table's d margin / d a_L there
+    slope = -(p.c2 + p.c4 * v_w + 2.0 * p.c5 * vl_w)  # the scan's d margin / d a_L there
     return CertificationReport(
         passed=bool(min_margin > 0.0),
         min_margin=min_margin,
@@ -217,7 +218,7 @@ def certify_truck_grid(
             "a_l_bounds": [a_lo, a_hi],
             "alpha_c": alpha_c,
         },
-        margin_rows=rows,
+        margin_grid=scan,
     )
 
 

@@ -292,7 +292,7 @@ def test_certify_scans_the_truck_margin_grid_once(tmp_path, monkeypatch):
     assert main(["certify", "--preset", "paper-table-2", "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
     report = json.loads((tmp_path / "paper-table-2_certify.json").read_text())
-    assert "margin_rows" not in report
+    assert "margin_grid" not in report
 
 
 def test_hstar_command(tmp_path, capsys):

@@ -1,15 +1,17 @@
-"""The block CSV writer writes the same bytes as the per-cell reference loop."""
+"""The block and margin-grid CSV writers write the same bytes as the per-cell
+reference loop."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from safefilter.cli import main
-from safefilter.plants import TruckParams, truck_record
+from safefilter.cli import main, write_margin_csv
+from safefilter.plants import TruckParams, truck_headway, truck_record
 from safefilter.sim import _CSV_BLOCK_ROWS, ScenarioResult, write_csv_table
-from safefilter.verification import truck_margin_table
+from safefilter.verification import certify_truck_grid, truck_margin_table
 
 from helpers import reference_result_csv, reference_write_csv
 
@@ -58,14 +60,72 @@ def test_scenario_log_matches_per_cell_writer(tmp_path):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
 
+# SHA-256 of the truck margin CSV of paper-table-2 on the preset's 200 x 200
+# grid and on the benchmark's 500 x 500 grid
+MARGIN_CSV_SHA256 = {
+    200: "0363c013d7139268f20e15b873d191e4e597eb1395bee4dc820375de7759d786",
+    500: "7189180a8173bb81830ae5551610076082f95d53a3ff707fda004635aa6fa9d1",
+}
+
+
+def _margin_rows_cell_by_cell(p, d_range, vl_range, grid):
+    """The margin CSV rows (D, v_L, v, margin) in row-major order, each cell on
+    floats from the scan's formula, with the parameter set's alpha_c and a_L
+    bounds."""
+    a_lo, a_hi = -p.a_under_l, p.a_bar_l
+    for d in np.linspace(*d_range, grid[0]).tolist():
+        for vl in np.linspace(*vl_range, grid[1]).tolist():
+            v = -(p.c1 + p.c4 * vl) / (2.0 * p.c3)
+            base = vl - v + p.alpha_c * (d - truck_headway(p, v, vl))
+            slope = -(p.c2 + p.c4 * v + 2.0 * p.c5 * vl)
+            yield d, vl, v, min(base + slope * a_lo, base + slope * a_hi)
+
+
+@pytest.mark.parametrize("d_range, vl_range, grid", [
+    ((0.0, 100.0), (0.0, 20.0), (2, 3)),       # non-square grids
+    ((0.0, 100.0), (0.0, 20.0), (7, 3)),
+    ((0.0, 100.0), (0.0, 20.0), (3, 500)),
+    ((100.0, 0.0), (0.0, 20.0), (4, 3)),       # a reversed range
+    ((50.0, 50.0), (10.0, 10.0), (3, 4)),      # every cell ties
+    ((1e-7, -0.0), (0.0, 1e-7), (3, 3)),       # exponent forms and -0
+])
+def test_margin_grid_matches_rows_built_cell_by_cell(d_range, vl_range, grid, tmp_path):
+    p = TruckParams()
+    d_axis, vl_axis, v_axis, margin = truck_margin_table(p, d_range=d_range,
+                                                         vl_range=vl_range, grid=grid)
+    assert (d_axis.shape, vl_axis.shape, v_axis.shape, margin.shape) == (
+        (grid[0],), (grid[1],), (grid[1],), grid)
+    write_margin_csv(tmp_path / "grid.csv", d_axis, vl_axis, v_axis, margin)
+    rows = list(_margin_rows_cell_by_cell(p, d_range, vl_range, grid))
+    reference_write_csv(tmp_path / "cell.csv", "D,v_L,v,margin", rows)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+    # the report's witness is the first minimum in the CSV's row order
+    report = certify_truck_grid(p, d_range=d_range, vl_range=vl_range, grid=grid)
+    d_w, vl_w, v_w, min_margin = min(rows, key=lambda row: row[3])
+    assert (report.witness["D"], report.witness["v_L"], report.witness["v"],
+            report.min_margin) == (d_w, vl_w, v_w, min_margin)
+    if d_range == (1e-7, -0.0):
+        cells = (tmp_path / "grid.csv").read_text().replace("\n", ",").split(",")
+        assert {"-0", "1e-07", "5e-08"} <= set(cells)
+
+
 def test_certify_margin_grid_matches_per_cell_writer(tmp_path):
     doc = {"name": "big", "plant": "truck", "params": {"preset": "paper-table-2"},
            "certify": {"grid": [500, 500]}}
     config_path = tmp_path / "big.json"
     config_path.write_text(json.dumps(doc))
     assert main(["certify", "--config", str(config_path), "--out", str(tmp_path)]) == 0
-    table = truck_margin_table(TruckParams(), grid=(500, 500))
-    reference_write_csv(tmp_path / "cell.csv", "D,v_L,v,margin", table)
+    d_axis, vl_axis, v_axis, margin = truck_margin_table(TruckParams(), grid=(500, 500))
+    rows = ((d, vl, v, m) for d, margins in zip(d_axis.tolist(), margin.tolist())
+            for vl, v, m in zip(vl_axis.tolist(), v_axis.tolist(), margins))
+    reference_write_csv(tmp_path / "cell.csv", "D,v_L,v,margin", rows)
     written = (tmp_path / "big_margins.csv").read_bytes()
     assert written.count(b"\n") == 500 * 500 + 1
     assert written == (tmp_path / "cell.csv").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == MARGIN_CSV_SHA256[500]
+
+
+def test_paper_table_2_margin_csv_golden(tmp_path):
+    assert main(["certify", "--preset", "paper-table-2", "--out", str(tmp_path)]) == 0
+    written = (tmp_path / "paper-table-2_margins.csv").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == MARGIN_CSV_SHA256[200]

@@ -98,6 +98,19 @@ def test_pendulum_certify_validates_arguments():
         certify_pendulum(-0.25, 0.5, 0.2)
 
 
+@pytest.mark.parametrize("a, b", [
+    (1e-300, 1.0),     # a*a underflows to 0
+    (1e200, 1.0),      # a*a overflows
+    (1e-100, 1e250),   # b/a overflows
+    (1e100, 1e-250),   # b/a underflows to 0
+])
+def test_pendulum_certify_rejects_divisors_that_underflow_or_overflow(a, b):
+    # positive a and b whose divisors are 0 or inf: a ValueError, not a
+    # ZeroDivisionError or an inf or nan certificate
+    with pytest.raises(ValueError, match="a\\*a and b/a must be positive and finite"):
+        certify_pendulum(a, b, 0.2)
+
+
 def test_certify_rejects_a_range_whose_width_overflows():
     # hi - lo = inf would make np.linspace fill the scan with inf and nan
     with pytest.raises(ValueError, match="theta_range must have finite ends and a finite width"):
