@@ -5,14 +5,17 @@ Minimally modifies a nominal controller so the barrier constraint
 projection onto that half-space has a closed form, so no QP solver is
 involved.  Without a robustness gain ``eps`` the tightening term is absent
 (the eps -> inf limit): that is the plain filter for undisturbed plants.
-``filter_function`` builds the formula for one input and a linear alpha as
-a float closure, the one copy of it: the simulator applies it at every RK4
-stage, and ``CbfFilter`` applies it to numpy barrier evaluations.
+The formula for one input and a linear alpha is written once, as source
+text (``filter_source``): the plant records inline it into every RK4 stage,
+``filter_function`` compiles it into a float closure, and ``CbfFilter``
+applies that closure to numpy barrier evaluations.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import textwrap
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -23,55 +26,71 @@ from .core import BarrierEvaluation, ClassKappaE, DimensionError
 if TYPE_CHECKING:
     from .issf import EpsilonFunction
 
-__all__ = ["LG_ZERO_TOL", "CbfFilter", "filter_function"]
+__all__ = ["LG_ZERO_TOL", "CbfFilter", "filter_bindings", "filter_function", "filter_source"]
 
 # ||lg_h|| at or below this is treated as exactly zero.  The filter is
 # continuous across the singularity, so the threshold only guards the
 # floating-point division; it is far below any reachable magnitude here.
 LG_ZERO_TOL = 1e-12
 
-_LG_ZERO_TOL_SQ = LG_ZERO_TOL * LG_ZERO_TOL
+# The filter formula: it binds the input u from the barrier terms h, lf_h,
+# lg_h and the nominal input u_nom, with the robust lines or without them.
+_FILTER_SOURCE = """\
+s = lg_h * lg_h
+if s <= lg_zero_sq:
+    u = u_nom
+else:
+    g = -(lf_h + lg_h * u_nom + alpha_c * h) / s
+{robust}    u = u_nom + g * lg_h if g > 0.0 else u_nom
+"""
+_ROBUST_SOURCE = """\
+    try:
+        eps = eps0 * exp(lam * h)
+    except OverflowError:
+        eps = inf  # 1/eps(h) -> 0, which leaves a nonzero g as it is
+    g = g + (1.0 / eps if eps > 0.0 else inf)
+"""
 
 
+def filter_source(robust: bool) -> str:
+    """The plain or the robust filter formula as source, unindented, reading
+    the names :func:`filter_bindings` binds."""
+    return _FILTER_SOURCE.format(robust=_ROBUST_SOURCE if robust else "")
+
+
+def filter_bindings(alpha_c: float, epsilon: Optional[EpsilonFunction] = None) -> dict:
+    """The constants :func:`filter_source` reads, for a gain ``epsilon`` or none."""
+    names = {"alpha_c": alpha_c, "lg_zero_sq": LG_ZERO_TOL * LG_ZERO_TOL}
+    if epsilon is not None:
+        names.update(eps0=epsilon.eps0, lam=epsilon.lam, exp=math.exp, inf=math.inf)
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def _apply_code(robust: bool):
+    body = textwrap.indent(filter_source(robust), "    ")
+    return compile(f"def apply(h, lf_h, lg_h, u_nom):\n{body}    return u\n", "<filter>", "exec")
+
+
+@functools.lru_cache(maxsize=64)
 def filter_function(alpha_c: float, epsilon: Optional[EpsilonFunction] = None
                     ) -> Callable[[float, float, float, float], float]:
     """The filter for one input and alpha(h) = alpha_c h as a float closure
-    ``apply(h, lf_h, lg_h, u_nom) -> u``: the one formula every float filter
-    applies, to the barrier terms a plant record's ``terms`` returns.
+    ``apply(h, lf_h, lg_h, u_nom) -> u``, compiled from :func:`filter_source`.
 
     The residual lf_h + lg_h u_nom + alpha_c h is the barrier constraint at
     the nominal input, and the gain of the correction along lg_h is
     -residual / lg_h^2; a robustness gain ``epsilon``, eps(h) = eps0
     exp(lam h) as in :class:`safefilter.issf.EpsilonFunction`, adds 1/eps(h).
     ``apply`` returns u_nom + gain lg_h where the gain is positive and u_nom
-    elsewhere, also on the lg_h = 0 set.
-
-    1/eps(h) takes its limits where eps(h) leaves the float range: 0 where it
+    elsewhere, also on the lg_h = 0 set.  1/eps(h) is 0 where eps(h)
     overflows, far inside the safe set, and inf where it underflows to 0, far
-    outside it.  An infinite gain gives an infinite input, which the
-    simulator rejects as a non-finite derivative.
-
-    The closure is built once per run, with alpha_c, eps0, lam and
-    ``math.exp`` bound, because the simulator applies it at every RK4 stage.
+    outside it; the simulator rejects the infinite input as a non-finite
+    derivative.
     """
-    robust = epsilon is not None
-    eps0, lam = (epsilon.eps0, epsilon.lam) if robust else (None, None)
-    exp, inf, lg_zero_sq = math.exp, math.inf, _LG_ZERO_TOL_SQ
-
-    def apply(h, lf_h, lg_h, u_nom):
-        s = lg_h * lg_h
-        if s <= lg_zero_sq:
-            return u_nom
-        g = -(lf_h + lg_h * u_nom + alpha_c * h) / s
-        if robust:
-            try:
-                eps = eps0 * exp(lam * h)
-            except OverflowError:
-                eps = inf  # 1/eps(h) -> 0, which leaves a nonzero g as it is
-            g = g + (1.0 / eps if eps > 0.0 else inf)
-        return u_nom + g * lg_h if g > 0.0 else u_nom
-
-    return apply
+    namespace = filter_bindings(alpha_c, epsilon)
+    exec(_apply_code(epsilon is not None), namespace)
+    return namespace["apply"]
 
 
 @dataclass(frozen=True)

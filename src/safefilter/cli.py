@@ -579,15 +579,24 @@ def _fmt(value) -> str:
     return f"{value:.9g}"
 
 
+# Grid columns per %-format of write_margin_csv: a 500-column row is one block.
+_MARGIN_BLOCK_COLUMNS = 4096
+
+
 def write_margin_csv(path, d_axis, vl_axis, v_axis, margin) -> None:
     """The rows (D[i], v_L[j], v[j], margin[i, j]), row-major, in sim.write_csv_table's bytes:
-    each D and "v_L,v," prefix is formatted once, and a grid row's margins in one %-format."""
-    tails = [f"{vl:.9g},{v:.9g},%.9g\n" for vl, v in zip(vl_axis.tolist(), v_axis.tolist())]
+    each "v_L,v,%.9g" tail and each D is formatted once, and a grid row's margins
+    in one %-format per block of ``_MARGIN_BLOCK_COLUMNS`` columns."""
+    step = _MARGIN_BLOCK_COLUMNS
+    blocks = [(j, [f"{vl:.9g},{v:.9g},%.9g\n" for vl, v in zip(
+        vl_axis[j:j + step].tolist(), v_axis[j:j + step].tolist())])
+        for j in range(0, len(vl_axis), step)]
     with open(path, "w", newline="") as handle:
         handle.write("D,v_L,v,margin\n")
         for d, margins in zip(d_axis.tolist(), margin):
             lead = f"{d:.9g},"
-            handle.write((lead + lead.join(tails)) % tuple(margins.tolist()))
+            for j, tails in blocks:
+                handle.write((lead + lead.join(tails)) % tuple(margins[j:j + step].tolist()))
 
 
 def cmd_certify(cfg: Config, out_dir: Path, cross_term: Optional[bool] = None) -> int:

@@ -7,18 +7,17 @@ Connected truck: car-following state (headway D, own speed v, leader speed
 v_L) with acceleration input, quadratic headway barrier h = D - rho(v, v_L),
 range/speed-policy cruise controller, and scalar safe / robust filters.
 
-Each plant is one :class:`PlantRecord` of float closures over a state tuple:
-its nominal input, its barrier terms, one fused RK4 step and its state
-clamp.  ``terms`` is the one barrier formula of its plant and computes the
-nominal input with it.  ``step`` writes the four RK4 stages out on the
-plant's own floats, with the field, the controller of each stage (the
-nominal input, or the filter closure ``apply`` from ``cbf.filter_function``
-on ``terms``) and every finiteness check, so a filtered stage costs two
-Python calls.  The numpy-facing barriers, nominal controllers and truck
-filters are thin wrappers over the record, and the truck filters apply the
-same ``cbf.filter_function``.  The numpy dynamics (``pendulum_dynamics`` /
-``truck_dynamics``) stay separate: they are the reference the fused field is
-checked against.
+Each plant's closed loop is written once, as a :class:`_PlantSource` table
+of source lines: its state names, nominal input, barrier terms and field.
+``_LOOP_TEMPLATE``, the one RK4 skeleton, writes a table's lines, with the
+nominal input or the filter formula ``cbf.filter_source`` at every stage,
+into the plant's ``nominal``, ``terms``, logged ``row`` and ``step``, so a
+step makes no Python call from inside a stage.  Each (plant, controller
+kind) is compiled once per process, on first use, and a record executes it
+with its parameters bound.  A new plant is another table; a new stage policy
+is another template over the tables.  The numpy barriers, nominal
+controllers and truck filters wrap a record; the numpy dynamics stay
+separate, as the reference the generated field is checked against.
 
 Barrier gradients are hand-differentiated (two plants, closed forms, zero
 dependency weight); a finite-difference cross-check lives in `verification`.
@@ -26,36 +25,27 @@ dependency weight); a finite-difference cross-check lives in `verification`.
 
 from __future__ import annotations
 
+import functools
 import math
+import textwrap
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .cbf import CbfFilter, filter_function
+from .cbf import CbfFilter, filter_bindings, filter_source
 from .core import BarrierEvaluation, ControlAffineDynamics, SimulationError, linear_class_kappa
 from .issf import EpsilonFunction
 
 __all__ = [
-    "PendulumParams",
-    "PlantRecord",
-    "TruckParams",
-    "pendulum_barrier",
-    "pendulum_cbf_filter",
-    "pendulum_dynamics",
-    "pendulum_nominal",
-    "pendulum_record",
-    "range_policy",
-    "range_policy_inverse",
-    "speed_policy",
-    "truck_barrier",
-    "truck_dynamics",
-    "truck_headway",
-    "truck_nominal",
-    "truck_record",
-    "truck_robust_filter",
-    "truck_safe_filter",
+    "CONTROLLERS", "PendulumParams", "PlantRecord", "TruckParams", "pendulum_barrier",
+    "pendulum_cbf_filter", "pendulum_dynamics", "pendulum_nominal", "pendulum_record",
+    "range_policy", "range_policy_inverse", "speed_policy", "truck_barrier", "truck_dynamics",
+    "truck_headway", "truck_nominal", "truck_record", "truck_robust_filter", "truck_safe_filter",
 ]
+
+# The controller kinds: the nominal input, the plain and the robust filter.
+CONTROLLERS = ("nominal", "cbf", "issf")
 
 # Speeds are clamped at zero (vehicles do not reverse in the braking
 # scenarios); only undershoots beyond this are counted as clamp events so the
@@ -64,32 +54,144 @@ _CLAMP_LOG_TOL = 1e-9
 
 
 class PlantRecord(NamedTuple):
-    """A plant's closed loop as float closures over a state tuple ``x``.
+    """A plant's closed loop under one controller kind, as float functions
+    over a state tuple ``x``; ``a`` is the leader acceleration at the
+    evaluation time, None for a plant without a leader.
 
-    ``a`` is the leader acceleration sampled at the evaluation time, or None
-    for a plant without a leader.
-
-    * ``nominal(x) -> u``: the hand-designed input;
-    * ``terms(x, a) -> (h, lf_h, lg_h, u_nom)``: the barrier value, its Lie
-      derivatives and the nominal input, everything a filter needs;
+    * ``nominal(x) -> u_nom`` and ``terms(x, a) -> (h, lf_h, lg_h, u_nom)``;
+      it raises BarrierEvaluation's ValueError where they are not finite;
+    * ``row(x, a) -> (u_nom, u, h)`` at a logged state, from one evaluation
+      of the terms;
     * ``step(x, t, dt, a, w, a_mid, d_mid, a_end, d_end) -> x_next``: one
-      classical RK4 step from (x, t) under the record's controller, the
-      nominal input or ``apply(*terms(x, a))`` for the filter closure
-      ``apply`` the record was built with.  ``w`` is the input channel u + d
-      at x, as logged, and ``a`` the leader acceleration there; ``a_mid`` /
-      ``d_mid`` are the time signals at t + dt/2, shared by stages 2 and 3,
-      and ``a_end`` / ``d_end`` just inside the step's end, for stage 4.  It
-      raises :class:`SimulationError` on a non-finite stage derivative or
-      new state;
+      classical RK4 step from the input channel w = u + d at x, with the
+      time signals at t + dt/2 (stages 2 and 3) and just inside the step's
+      end (stage 4).  It raises :class:`SimulationError` on a non-finite
+      stage derivative or new state, and the ValueError of ``terms``;
     * ``clamp(x, counts) -> x`` pins a stepped state to the plant's domain,
-      counting clamp events in ``counts`` by state label, or is None.
+      counting clamp events by state label, or is None.
     """
 
     labels: tuple
     nominal: Callable[[tuple], float]
     terms: Callable[[tuple, Optional[float]], tuple]
+    row: Callable[[tuple, Optional[float]], tuple]
     step: Callable[..., tuple]
     clamp: Optional[Callable[[tuple, dict], tuple]]
+
+
+# ---------------------------------------------------------------------------
+# The closed loop as source
+# ---------------------------------------------------------------------------
+
+
+class _PlantSource(NamedTuple):
+    """Source lines over a plant's state names, which are its log labels:
+    ``shared`` binds what the controller and the field share, ``nominal``
+    binds u_nom, ``barrier`` binds h, lf_h and lg_h, and ``field`` gives the
+    state derivative, one expression per state, in the input channel w."""
+
+    names: tuple
+    shared: str
+    nominal: str
+    barrier: str
+    field: tuple
+
+
+_BARRIER_CHECK = """\
+if not (isfinite(h) and isfinite(lf_h) and isfinite(lg_h)):
+    raise ValueError("barrier evaluation entries must be finite")
+"""
+
+# The one RK4 skeleton: {terms} is a table's barrier lines, their check and
+# its nominal lines, and {row_input} and {control} bind the input u.  The
+# stages keep the operation order, times, checks and errors of sim.rk4_step.
+_LOOP_TEMPLATE = """\
+def nominal(x):
+    {state} = x
+{shared}{nominal}    return u_nom
+
+
+def terms(x, a):
+    {state} = x
+{shared}{terms}    return h, lf_h, lg_h, u_nom
+
+
+def row(x, a):
+    {state} = x
+{shared}{terms}{row_input}    return u_nom, u, h
+
+
+def step(x, t, dt, a, w, a_mid, d_mid, a_end, d_end):
+    {state} = {base} = x
+{shared}    {k1} = {field}
+    if not ({k1_finite}):
+        raise non_finite("derivative", t, x)
+    half = 0.5 * dt
+{stages}    sixth = dt / 6.0
+    {state} = {weighted_sum}
+    # finite stages can still overflow in the weighted sum
+    if not ({state_finite}):
+        raise non_finite("state", t + dt, ({state},))
+    return {state}
+"""
+
+_STAGE_TEMPLATE = """\
+    {state} = {stage_state}
+    a = {a}
+{shared}{control}    w = u + {d}
+    {k} = {field}
+    if not ({k_finite}):
+        raise non_finite("derivative", {t}, ({state},))
+"""
+
+# Stages 2 to 4: the step fraction from the base state, time and samples.
+_STAGES = (("half", "t + half", "a_mid", "d_mid"), ("half", "t + half", "a_mid", "d_mid"),
+           ("dt", "t + dt - 1e-9 * dt", "a_end", "d_end"))
+
+
+def _loop_source(src: _PlantSource, controller: str) -> str:
+    """The source of a plant's nominal, terms, row and step under ``controller``."""
+    if controller not in CONTROLLERS:
+        raise ValueError(f"unknown controller {controller!r}")
+
+    def each(fmt, sep=", "):  # fmt for each state name n
+        return sep.join(fmt.format(n=n) for n in src.names)
+
+    def block(text):
+        return textwrap.indent(text, "    ")
+
+    terms = src.barrier + _BARRIER_CHECK + src.nominal
+    row_input = "u = u_nom\n" if controller == "nominal" else filter_source(controller == "issf")
+    control = (src.nominal if controller == "nominal" else terms) + row_input
+    common = dict(state=each("{n}"), shared=block(src.shared), field=", ".join(src.field))
+    stages = "".join(_STAGE_TEMPLATE.format(
+        stage_state=each(f"{{n}}0 + {h} * k{i - 1}_{{n}}"), a=a, control=block(control), d=d,
+        k=each(f"k{i}_{{n}}"), k_finite=each(f"isfinite(k{i}_{{n}})", " and "), t=t, **common)
+        for i, (h, t, a, d) in enumerate(_STAGES, start=2))
+    return _LOOP_TEMPLATE.format(
+        base=each("{n}0"), nominal=block(src.nominal), terms=block(terms),
+        row_input=block(row_input), k1=each("k1_{n}"), k1_finite=each("isfinite(k1_{n})", " and "),
+        stages=stages, state_finite=each("isfinite({n})", " and "),
+        weighted_sum=each("{n}0 + sixth * (k1_{n} + 2.0 * k2_{n} + 2.0 * k3_{n} + k4_{n})"),
+        **common)
+
+
+@functools.lru_cache(maxsize=None)
+def _loop_code(src: _PlantSource, controller: str):
+    return compile(_loop_source(src, controller),
+                   f"<safefilter.plants {'/'.join(src.names)} {controller}>", "exec")
+
+
+def _record(src: _PlantSource, bindings: dict, alpha_c: float, controller: str,
+            epsilon: Optional[EpsilonFunction], clamp) -> PlantRecord:
+    """A plant's compiled loop, run with its parameters and filter constants as globals."""
+    namespace = dict(bindings, isfinite=math.isfinite, non_finite=SimulationError.non_finite)
+    if controller != "nominal":
+        if controller == "issf" and epsilon is None:
+            raise ValueError("issf controller needs an epsilon function")
+        namespace.update(filter_bindings(alpha_c, epsilon if controller == "issf" else None))
+    exec(_loop_code(src, controller), namespace)
+    return PlantRecord(src.names, *map(namespace.get, ("nominal", "terms", "row", "step")), clamp)
 
 
 # ---------------------------------------------------------------------------
@@ -136,76 +238,31 @@ def pendulum_dynamics(p: PendulumParams) -> ControlAffineDynamics:
     return ControlAffineDynamics(drift, actuation)
 
 
-def pendulum_record(p: PendulumParams,
-                    apply: Optional[Callable[[float, float, float, float], float]] = None
-                    ) -> PlantRecord:
-    """The pendulum's closed loop on floats; see :class:`PlantRecord`.
+_PENDULUM_SOURCE = _PlantSource(  # sin(theta) is shared with the field
+    names=("theta", "theta_dot"),
+    shared="sin_theta = sin(theta)\n",
+    nominal="u_nom = ml2 * (-g_over_l * sin_theta - kp * theta - kd * theta_dot)\n",
+    barrier="""\
+h = 1.0 - theta * theta / aa - theta_dot * theta_dot / bb - theta * theta_dot / ab
+dh_dth = -2.0 * theta / aa - theta_dot / ab
+dh_dom = -2.0 * theta_dot / bb - theta / ab
+lf_h = dh_dth * theta_dot + dh_dom * g_over_l * sin_theta
+lg_h = dh_dom / ml2
+""",
+    # (omega, g/l sin(theta) + w / (m l^2)): pendulum_dynamics' drift and actuation
+    field=("theta_dot", "g_over_l * sin_theta + g_entry * w"),
+)
 
-    ``apply`` is a filter closure from ``cbf.filter_function``: ``step``
-    then applies it to ``terms`` at every stage, and without it the nominal
-    input.  ``terms`` raises the ValueError that BarrierEvaluation raises
-    where the barrier triple is not finite.  A stage evaluates sin(theta)
-    twice: once in ``terms`` or ``nominal`` and once in the field.
-    """
-    aa, bb, ab = p.a * p.a, p.b * p.b, p.a * p.b
-    g_over_l = p.gravity / p.length
+
+@functools.lru_cache(maxsize=64)
+def pendulum_record(p: PendulumParams, controller: str = "nominal",
+                    epsilon: Optional[EpsilonFunction] = None) -> PlantRecord:
+    """The pendulum's closed loop under one of :data:`CONTROLLERS`, "issf"
+    with the robustness gain ``epsilon``; see :class:`PlantRecord`."""
     ml2 = p.mass * p.length * p.length
-    g_entry = 1.0 / ml2  # pendulum_dynamics' actuation
-    kp, kd = p.kp, p.kd
-    sin, isfinite, non_finite = math.sin, math.isfinite, SimulationError.non_finite
-
-    def nominal(x):
-        th, om = x
-        return ml2 * (-g_over_l * sin(th) - kp * th - kd * om)
-
-    def terms(x, a):
-        th, om = x
-        sin_th = sin(th)
-        h = 1.0 - th * th / aa - om * om / bb - th * om / ab
-        dh_dth = -2.0 * th / aa - om / ab
-        dh_dom = -2.0 * om / bb - th / ab
-        lf_h = dh_dth * om + dh_dom * g_over_l * sin_th
-        lg_h = dh_dom / ml2
-        if not (isfinite(h) and isfinite(lf_h) and isfinite(lg_h)):
-            raise ValueError("barrier evaluation entries must be finite")
-        return h, lf_h, lg_h, ml2 * (-g_over_l * sin_th - kp * th - kd * om)
-
-    # the four stages written out: stage k's derivative is
-    # (omega, g/l sin(theta) + w / (m l^2)) at its stage state
-    def step(x, t, dt, a, w, a_mid, d_mid, a_end, d_end):
-        th, om = x
-        k1t, k1o = om, g_over_l * sin(th) + g_entry * w
-        if not (isfinite(k1t) and isfinite(k1o)):
-            raise non_finite("derivative", t, x)
-        half = 0.5 * dt
-
-        th2, om2 = th + half * k1t, om + half * k1o
-        u = nominal((th2, om2)) if apply is None else apply(*terms((th2, om2), a_mid))
-        k2t, k2o = om2, g_over_l * sin(th2) + g_entry * (u + d_mid)
-        if not (isfinite(k2t) and isfinite(k2o)):
-            raise non_finite("derivative", t + half, (th2, om2))
-
-        th3, om3 = th + half * k2t, om + half * k2o
-        u = nominal((th3, om3)) if apply is None else apply(*terms((th3, om3), a_mid))
-        k3t, k3o = om3, g_over_l * sin(th3) + g_entry * (u + d_mid)
-        if not (isfinite(k3t) and isfinite(k3o)):
-            raise non_finite("derivative", t + half, (th3, om3))
-
-        th4, om4 = th + dt * k3t, om + dt * k3o
-        u = nominal((th4, om4)) if apply is None else apply(*terms((th4, om4), a_end))
-        k4t, k4o = om4, g_over_l * sin(th4) + g_entry * (u + d_end)
-        if not (isfinite(k4t) and isfinite(k4o)):
-            raise non_finite("derivative", t + dt - 1e-9 * dt, (th4, om4))
-
-        sixth = dt / 6.0
-        x_next = (th + sixth * (k1t + 2.0 * k2t + 2.0 * k3t + k4t),
-                  om + sixth * (k1o + 2.0 * k2o + 2.0 * k3o + k4o))
-        # finite stages can still overflow in the weighted sum
-        if not (isfinite(x_next[0]) and isfinite(x_next[1])):
-            raise non_finite("state", t + dt, x_next)
-        return x_next
-
-    return PlantRecord(("theta", "theta_dot"), nominal, terms, step, None)
+    bindings = dict(aa=p.a * p.a, bb=p.b * p.b, ab=p.a * p.b, g_over_l=p.gravity / p.length,
+                    ml2=ml2, g_entry=1.0 / ml2, kp=p.kp, kd=p.kd, sin=math.sin)
+    return _record(_PENDULUM_SOURCE, bindings, p.alpha_c, controller, epsilon, None)
 
 
 def pendulum_barrier(p: PendulumParams) -> Callable[[np.ndarray], BarrierEvaluation]:
@@ -270,10 +327,8 @@ class TruckParams:
     a_under_l: float = 10.0   # leader deceleration cap, magnitude [m/s^2]
 
     def __post_init__(self):
-        for name in (
-            "alpha_c", "gain_range", "gain_speed", "kappa", "d_st",
-            "v_bar_l", "a_bar_l", "a_under_l",
-        ):
+        for name in ("alpha_c", "gain_range", "gain_speed", "kappa", "d_st", "v_bar_l",
+                     "a_bar_l", "a_under_l"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not math.isfinite(self.d_go):
@@ -340,112 +395,56 @@ def speed_policy(p: TruckParams, v_l: float) -> float:
     return v_l if v_l <= p.v_bar_l else p.v_bar_l
 
 
-def truck_record(p: TruckParams,
-                 apply: Optional[Callable[[float, float, float, float], float]] = None
-                 ) -> PlantRecord:
-    """The truck's closed loop on floats; see :class:`PlantRecord`.
+# Its table: range_policy, speed_policy and truck_headway written out.
+_TRUCK_SOURCE = _PlantSource(
+    names=("D", "v", "v_L"),
+    shared="",
+    nominal="""\
+if D < d_st:
+    v_range = 0.0
+elif D <= d_go:
+    v_range = kappa * (D - d_st)
+else:
+    v_range = v_bar_l
+v_speed = v_L if v_L <= v_bar_l else v_bar_l
+u_nom = gain_range * (v_range - v) + gain_speed * (v_speed - v)
+""",
+    barrier="""\
+h = D - (c0 + c1 * v + c2 * v_L + c3 * v * v + c4 * v * v_L + c5 * v_L * v_L)
+lf_h = v_L - v - a * (c2 + c4 * v + 2.0 * c5 * v_L)
+lg_h = -(c1 + 2.0 * c3 * v + c4 * v_L)
+""",
+    field=("v_L - v", "w", "a"),
+)
 
-    ``apply`` and the ValueError of ``terms`` are as in
-    :func:`pendulum_record`.  ``range_policy``, ``speed_policy`` and
-    ``truck_headway`` are written out inline, in their order of operations,
-    with the parameters bound once, because the simulator evaluates the
-    record at every RK4 stage.  The clamp pins both speeds at zero: the
-    vehicles do not reverse.
-    """
-    c0, c1, c2, c3, c4, c5 = p.c0, p.c1, p.c2, p.c3, p.c4, p.c5
-    gain_range, gain_speed, kappa = p.gain_range, p.gain_speed, p.kappa
-    d_st, d_go, v_bar_l = p.d_st, p.d_go, p.v_bar_l
-    isfinite, non_finite = math.isfinite, SimulationError.non_finite
 
-    def nominal(x):
-        d, v, v_l = x
-        if d < d_st:
-            v_range = 0.0
-        elif d <= d_go:
-            v_range = kappa * (d - d_st)
-        else:
-            v_range = v_bar_l
-        v_speed = v_l if v_l <= v_bar_l else v_bar_l
-        return gain_range * (v_range - v) + gain_speed * (v_speed - v)
+def _truck_clamp(x, counts):
+    """Both speeds pinned at zero, counting undershoots beyond _CLAMP_LOG_TOL."""
+    d, v, v_l = x
+    if v < 0.0:
+        if v < -_CLAMP_LOG_TOL:
+            counts["v"] += 1
+        v = 0.0
+    if v_l < 0.0:
+        if v_l < -_CLAMP_LOG_TOL:
+            counts["v_L"] += 1
+        v_l = 0.0
+    return (d, v, v_l)
 
-    def terms(x, a):
-        d, v, v_l = x
-        h = d - (c0 + c1 * v + c2 * v_l + c3 * v * v + c4 * v * v_l + c5 * v_l * v_l)
-        lf_h = v_l - v - a * (c2 + c4 * v + 2.0 * c5 * v_l)
-        lg_h = -(c1 + 2.0 * c3 * v + c4 * v_l)
-        if not (isfinite(h) and isfinite(lf_h) and isfinite(lg_h)):
-            raise ValueError("barrier evaluation entries must be finite")
-        # nominal(x), written out: terms runs at every filtered RK4 stage
-        if d < d_st:
-            v_range = 0.0
-        elif d <= d_go:
-            v_range = kappa * (d - d_st)
-        else:
-            v_range = v_bar_l
-        v_speed = v_l if v_l <= v_bar_l else v_bar_l
-        return h, lf_h, lg_h, gain_range * (v_range - v) + gain_speed * (v_speed - v)
 
-    # the four stages written out: stage k's derivative is (v_L - v, w, a_L)
-    # at its stage state
-    def step(x, t, dt, a, w, a_mid, d_mid, a_end, d_end):
-        d, v, v_l = x
-        k1d, k1v, k1l = v_l - v, w, a
-        if not (isfinite(k1d) and isfinite(k1v) and isfinite(k1l)):
-            raise non_finite("derivative", t, x)
-        half = 0.5 * dt
-
-        x2 = (d + half * k1d, v + half * k1v, v_l + half * k1l)
-        u = nominal(x2) if apply is None else apply(*terms(x2, a_mid))
-        k2d, k2v, k2l = x2[2] - x2[1], u + d_mid, a_mid
-        if not (isfinite(k2d) and isfinite(k2v) and isfinite(k2l)):
-            raise non_finite("derivative", t + half, x2)
-
-        x3 = (d + half * k2d, v + half * k2v, v_l + half * k2l)
-        u = nominal(x3) if apply is None else apply(*terms(x3, a_mid))
-        k3d, k3v, k3l = x3[2] - x3[1], u + d_mid, a_mid
-        if not (isfinite(k3d) and isfinite(k3v) and isfinite(k3l)):
-            raise non_finite("derivative", t + half, x3)
-
-        x4 = (d + dt * k3d, v + dt * k3v, v_l + dt * k3l)
-        u = nominal(x4) if apply is None else apply(*terms(x4, a_end))
-        k4d, k4v, k4l = x4[2] - x4[1], u + d_end, a_end
-        if not (isfinite(k4d) and isfinite(k4v) and isfinite(k4l)):
-            raise non_finite("derivative", t + dt - 1e-9 * dt, x4)
-
-        sixth = dt / 6.0
-        x_next = (d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d),
-                  v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-                  v_l + sixth * (k1l + 2.0 * k2l + 2.0 * k3l + k4l))
-        # finite stages can still overflow in the weighted sum
-        if not (isfinite(x_next[0]) and isfinite(x_next[1]) and isfinite(x_next[2])):
-            raise non_finite("state", t + dt, x_next)
-        return x_next
-
-    def clamp(x, counts):
-        # see _CLAMP_LOG_TOL for why tiny integrator undershoots are clamped
-        # silently
-        d, v, v_l = x
-        if v < 0.0:
-            if v < -_CLAMP_LOG_TOL:
-                counts["v"] += 1
-            v = 0.0
-        if v_l < 0.0:
-            if v_l < -_CLAMP_LOG_TOL:
-                counts["v_L"] += 1
-            v_l = 0.0
-        return (d, v, v_l)
-
-    return PlantRecord(("D", "v", "v_L"), nominal, terms, step, clamp)
+@functools.lru_cache(maxsize=64)
+def truck_record(p: TruckParams, controller: str = "nominal",
+                 epsilon: Optional[EpsilonFunction] = None) -> PlantRecord:
+    """The truck's closed loop, as :func:`pendulum_record`."""
+    bindings = dict(c0=p.c0, c1=p.c1, c2=p.c2, c3=p.c3, c4=p.c4, c5=p.c5,
+                    gain_range=p.gain_range, gain_speed=p.gain_speed, kappa=p.kappa,
+                    d_st=p.d_st, d_go=p.d_go, v_bar_l=p.v_bar_l)
+    return _record(_TRUCK_SOURCE, bindings, p.alpha_c, controller, epsilon, _truck_clamp)
 
 
 def truck_nominal(p: TruckParams, d: float, v: float, v_l: float) -> float:
     """Connected cruise controller: range-policy and relative-speed error terms."""
     return truck_record(p).nominal((d, v, v_l))
-
-
-def _truck_filter(p: TruckParams, x: tuple, a_l: float,
-                  epsilon: Optional[EpsilonFunction]) -> float:
-    return filter_function(p.alpha_c, epsilon)(*truck_record(p).terms(x, a_l))
 
 
 def truck_safe_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: float) -> float:
@@ -454,7 +453,7 @@ def truck_safe_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: float
     In the driving domain lg_h < 0, so the filter caps the nominal command:
     min{k_n, k_s} with k_s the acceleration that makes the constraint active.
     """
-    return _truck_filter(p, (d, v, v_l), a_l, None)
+    return truck_record(p, "cbf").row((d, v, v_l), a_l)[1]
 
 
 def truck_robust_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: float,
@@ -462,4 +461,4 @@ def truck_robust_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: flo
     """The safe command robustified for bounded input disturbance,
     min{k_n, k_s + lg_h/eps(h)} in the driving domain, with eps(h) =
     eps0 e^{lam h}: earlier and harder braking."""
-    return _truck_filter(p, (d, v, v_l), a_l, EpsilonFunction(eps0, lam))
+    return truck_record(p, "issf", EpsilonFunction(eps0, lam)).row((d, v, v_l), a_l)[1]

@@ -7,21 +7,18 @@ classical RK4 with the controller evaluated inside every sub-stage
 (continuous-time idealization) and time signals sampled at sub-stage times.
 Runs are deterministic: identical scenarios produce bit-identical logs.
 
-The engine runs on Python floats, since the plants have two or three states
-and one input, and numpy's per-call overhead on arrays that small costs more
-than the arithmetic.  A state is a tuple of floats.  ``run_scenario`` builds
-the controller's filter closure ``apply`` once per run
-(``cbf.filter_function``; none for the nominal controller), takes the
-plant's :class:`safefilter.plants.PlantRecord` built with it, and steps
-every plant and controller through one loop over it.  The logged row gives
-a state's nominal input, applied input and barrier value from one
-evaluation of the barrier terms, and its input channel u + d is RK4 stage
-1; the record's fused ``step`` writes out the four stages, and a nominal
-stage does not evaluate the barrier.  Both time signals are sampled through
-their one array evaluator, ``sample``, block by block at the stage times, so
-a step evaluates the controller once per stage and each signal once per
-distinct stage time.  ``rk4_step`` is the same RK4 step, generic over a
-field and a controller of (x, t) on tuples.
+The engine runs on Python floats: the plants have two or three states and
+one input, and numpy's per-call overhead on arrays that small costs more
+than the arithmetic.  A state is a tuple of floats.  ``run_scenario`` takes
+the plant's :class:`safefilter.plants.PlantRecord` for the scenario's
+controller, generated from the one RK4 template in ``plants`` with the
+barrier, nominal input and filter formula inlined, and steps every plant and
+controller through one loop: per step a ``row`` call (the logged inputs and
+barrier value; its input channel u + d is RK4 stage 1), a ``step`` call for
+the four stages, and the truck's ``clamp``.  Both time signals are sampled
+block by block through their array evaluator, ``sample``, once per distinct
+stage time.  ``rk4_step`` is the same RK4 step, generic over a field and a
+controller of (x, t) on tuples.
 
 Each float goes through the same IEEE operations in the same order as the
 numpy filters and dynamics, so the logs match a numpy reference integrator
@@ -39,7 +36,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cbf import filter_function
 from .core import SimulationError, linear_class_kappa, state_vector
 from .disturbance import (
     DisturbanceSignal,
@@ -50,6 +46,7 @@ from .disturbance import (
 )
 from .issf import EpsilonFunction, solve_h_star
 from .plants import (
+    CONTROLLERS,
     PendulumParams,
     TruckParams,
     pendulum_record,
@@ -74,8 +71,6 @@ __all__ = [
     "truck_lag_disturbance",
     "write_csv_table",
 ]
-
-CONTROLLERS = ("nominal", "cbf", "issf")
 
 # Most RK4 steps one run may take.  A truck run logs n_steps + 1 rows of 8
 # floats, so the cap bounds a log at about 0.64 GB; the presets take at most
@@ -214,9 +209,8 @@ def rk4_step(
     state.  ``u0``, if given, is the controller output k(x, t) already
     computed by the caller; stage 1 then uses it instead of evaluating the
     controller again.  Every stage derivative and the new state are checked
-    to be finite.  This is the generic tuple RK4 that each plant record's
-    fused ``step`` writes out on its own floats, with the same stage times,
-    checks and errors.
+    to be finite.  The plant records' generated ``step`` writes it out on
+    their own floats, with the same stage times, checks and errors.
 
     The end stage samples time signals just inside the step: piecewise
     signals with breakpoints on the step grid must resolve to the piece
@@ -366,18 +360,6 @@ def step_count(horizon: float, dt: float) -> int:
     return int(math.floor(horizon / dt + 1e-9))
 
 
-def _logged_row(terms, apply):
-    """``row(x, a) -> (u_nom, u, h)`` at a logged state x, with the leader
-    acceleration a (None without a leader): the nominal and applied inputs
-    and the barrier value, from one evaluation of the barrier terms."""
-
-    def row(x, a):
-        h, lf_h, lg_h, u_nom = terms(x, a)
-        return u_nom, (u_nom if apply is None else apply(h, lf_h, lg_h, u_nom)), h
-
-    return row
-
-
 def _stage_samples(scn: Scenario, t_rows: np.ndarray, last: bool) -> tuple:
     """The leader acceleration and the disturbance at the stage times of a
     block of logged times, as lists: (a, d) at each t_k, at t_k + dt/2 and
@@ -403,25 +385,15 @@ def _stage_samples(scn: Scenario, t_rows: np.ndarray, last: bool) -> tuple:
 def run_scenario(scn: Scenario) -> ScenarioResult:
     """Integrate a scenario and log (t, state, u_nom, u_filt, d, h) per step."""
     params = scn.pendulum if scn.plant == "pendulum" else scn.truck
-    apply = None
-    if scn.controller != "nominal":
-        # filter_function by its module-level name, so wrappers of it see every run
-        epsilon = scn.epsilon if scn.controller == "issf" else None
-        apply = filter_function(params.alpha_c, epsilon)
     record = pendulum_record if scn.plant == "pendulum" else truck_record
-    plant = record(params, apply)
-    row = _logged_row(plant.terms, apply)
-    labels, step, clamp = plant.labels, plant.step, plant.clamp
+    labels, _, _, row, step, clamp = record(params, scn.controller, scn.epsilon)
 
     x = tuple(state_vector(scn.x0, dim=len(labels)).tolist())
     dt = scn.dt
     n_steps = scn.n_steps
     time = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, len(labels)))
-    u_nom = np.empty(n_steps + 1)
-    u_filt = np.empty(n_steps + 1)
-    d_log = np.empty(n_steps + 1)
-    h_log = np.empty(n_steps + 1)
+    u_nom, u_filt, d_log, h_log = np.empty((4, n_steps + 1))
     clamp_counts = {label: 0 for label in labels[1:]} if clamp else {}
 
     def logged(k, h_star=None):

@@ -34,8 +34,8 @@ __all__ = [
 
 # Most cells one scan may evaluate: grid[0] * grid[1] truck grid points.  A truck
 # certify run peaks at about 32 bytes a cell on a square grid (tracemalloc, 500 x
-# 500) and 110 on a 2-row one, whose per-column CSV text dominates: at most about
-# 0.45 GB at the cap.  The benchmark's design workload grid, 500 x 500, is 1/16 of it.
+# 500) and 60 on a 2-row one (2 x 125,000), whose formatted column tails dominate:
+# at most about 0.24 GB at the cap.  The design workload's 500 x 500 is 1/16 of it.
 MAX_GRID_CELLS = 4_000_000
 
 
@@ -118,8 +118,8 @@ def certify_pendulum(
         raise ValueError(f"the margin overflows on theta_range {theta_range}")
 
     min_margin = min(margins)
-    theta_w = candidates[margins.index(min_margin)]
-    theta_dot_w = -(b / (2.0 * a)) * theta_w if cross_term else 0.0
+    theta_w = candidates[margins.index(min_margin)] + 0.0  # + 0.0 turns -0.0 into 0.0
+    theta_dot_w = -(b / (2.0 * a)) * theta_w + 0.0 if cross_term else 0.0
     return CertificationReport(
         passed=bool(rate_condition and min_margin > 0.0),
         min_margin=min_margin,

@@ -270,6 +270,14 @@ def test_certify_pendulum_exit_codes(tmp_path, capsys):
                  "--no-cross-term"]) == 1
 
 
+def test_certify_pendulum_witness_prints_no_negative_zero(tmp_path, capsys):
+    assert main(["certify", "--preset", "pendulum-default", "--out", str(tmp_path)]) == 0
+    assert "at {'theta': 0.0, 'theta_dot': 0.0}" in capsys.readouterr().out
+    report = json.loads((tmp_path / "pendulum-default_certify.json").read_text())
+    assert report["witness"] == {"theta": 0.0, "theta_dot": 0.0}
+    assert "-0.0" not in (tmp_path / "pendulum-default_certify.json").read_text()
+
+
 def test_certify_truck_writes_margin_table(tmp_path):
     out = str(tmp_path)
     assert main(["certify", "--preset", "paper-table-2", "--out", out]) == 0

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from safefilter.cli import main, write_margin_csv
+from safefilter.cli import _MARGIN_BLOCK_COLUMNS, main, write_margin_csv
 from safefilter.plants import TruckParams, truck_headway, truck_record
 from safefilter.sim import _CSV_BLOCK_ROWS, ScenarioResult, write_csv_table
 from safefilter.verification import certify_truck_grid, truck_margin_table
@@ -107,6 +107,18 @@ def test_margin_grid_matches_rows_built_cell_by_cell(d_range, vl_range, grid, tm
     if d_range == (1e-7, -0.0):
         cells = (tmp_path / "grid.csv").read_text().replace("\n", ",").split(",")
         assert {"-0", "1e-07", "5e-08"} <= set(cells)
+
+
+@pytest.mark.parametrize("columns", [_MARGIN_BLOCK_COLUMNS, _MARGIN_BLOCK_COLUMNS + 1, 20_000])
+def test_wide_margin_grid_matches_rows_built_cell_by_cell(columns, tmp_path):
+    # grid rows of one whole block, of a block and one column, and of four
+    # blocks and a partial fifth
+    p = TruckParams()
+    grid = (2, columns)
+    write_margin_csv(tmp_path / "grid.csv", *truck_margin_table(p, grid=grid))
+    rows = list(_margin_rows_cell_by_cell(p, (0.0, 100.0), (0.0, 20.0), grid))
+    reference_write_csv(tmp_path / "cell.csv", "D,v_L,v,margin", rows)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
 
 def test_certify_margin_grid_matches_per_cell_writer(tmp_path):

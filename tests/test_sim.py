@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from safefilter.sim import (
     SteadyStateWindowError,
     leader_profile_from_csv,
 )
+from safefilter.plants import _CLAMP_LOG_TOL, truck_record
 
 P = PendulumParams()
 T = TruckParams()
@@ -375,6 +377,24 @@ def test_initial_state_outside_safe_set_warns():
         run_scenario(scn)
 
 
+@pytest.mark.parametrize("theta_dot, sign", [
+    (math.nextafter(0.5, 0.0), 1),    # h just above 0
+    (0.5, 0),                         # h exactly 0: on the boundary, inside
+    (math.nextafter(0.5, 1.0), -1),   # h just below 0
+])
+def test_initial_state_warning_starts_just_below_h_zero(theta_dot, sign):
+    x0 = (0.0, theta_dot)
+    h = pendulum_barrier(P)(np.array(x0)).h
+    assert np.sign(h) == sign and abs(h) < 1e-15
+    scn = Scenario(name="boundary", plant="pendulum", controller="cbf", x0=x0,
+                   horizon=0.01, dt=0.01, disturbance=ZERO, pendulum=P)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_scenario(scn)
+    assert [str(w.message) for w in caught] == (
+        ["scenario 'boundary': initial state is outside the safe set"] if sign < 0 else [])
+
+
 def test_nominal_pendulum_leaves_safe_set_and_filter_does_not():
     nominal = run_scenario(_pendulum_scenario("nominal", ZERO))
     filtered = run_scenario(_pendulum_scenario("cbf", ZERO))
@@ -418,6 +438,35 @@ def test_truck_clamps_reverse_motion_and_counts_it():
     result = run_scenario(scn)
     assert result.clamp_counts["v"] > 0
     assert np.min(result.states[:, 1]) >= 0.0
+
+
+@pytest.mark.parametrize("speed", ["v", "v_L"])
+@pytest.mark.parametrize("rate", [0.9e-7, 1.1e-7])
+def test_clamp_counts_undershoots_beyond_the_log_tolerance(speed, rate):
+    # one step from standstill at D = 4, inside the safe set and short of the
+    # stopping distance, so the nominal input starts at 0: a constant rate
+    # (the input-channel disturbance for v, the leader's acceleration for
+    # v_L) pulls the speed to about -rate dt, just below or just above
+    # -_CLAMP_LOG_TOL
+    dt, x0 = 0.01, (4.0, 0.0, 0.0)
+    pull = sampled_disturbance([0.0, 1.0], [-rate, -rate])
+    if speed == "v":
+        signals = dict(disturbance=pull, leader=constant_speed_profile(0.0))
+        a, d = 0.0, -rate
+    else:
+        signals = dict(disturbance=ZERO, leader=pull)
+        a, d = -rate, 0.0
+    index = ("D", "v", "v_L").index(speed)
+    undershoot = truck_record(T).step(x0, 0.0, dt, a, d, a, d, a, d)[index]
+    counted = undershoot < -_CLAMP_LOG_TOL
+    assert -1.2 * _CLAMP_LOG_TOL < undershoot < -0.8 * _CLAMP_LOG_TOL
+    assert counted == (rate > 1e-7)
+
+    result = run_scenario(Scenario(name="undershoot", plant="truck", controller="nominal",
+                                   x0=x0, horizon=dt, dt=dt, truck=T, **signals))
+    assert result.clamp_counts == {"v": int(counted and speed == "v"),
+                                   "v_L": int(counted and speed == "v_L")}
+    assert result.states[-1, index] == 0.0
 
 
 def test_steady_state_shift_of_nominal_cruise_is_zero():

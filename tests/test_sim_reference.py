@@ -30,7 +30,6 @@ from safefilter import (
     truck_headway,
 )
 from safefilter import plants, sim
-from safefilter.cbf import filter_function
 from safefilter.cli import SCENARIO_PRESETS, build_scenarios, parse_config
 
 from helpers import TRUCK_DELTA, TRUCK_PAIR, reference_run
@@ -111,35 +110,34 @@ def test_stage_times_match_reference_at_a_finer_step(plant):
     _assert_same_log(run_scenario(scn), reference_run(scn))
 
 
-def _counted(calls, key, fn):
-    def wrapper(*args, **kwargs):
-        calls[key] += 1
-        return fn(*args, **kwargs)
+def _kernel_codes(scn):
+    """The code objects of the generated ``row`` and ``step`` of the
+    scenario's plant and controller kind, and of its clamp, by name.
 
-    return wrapper
-
-
-def _record_codes():
-    """The code objects of the plant records' closures, by closure name.
-
-    Every record a factory builds shares them, whatever its filter, so a
-    profile hook that matches them counts every call of ``nominal``,
-    ``terms`` and ``step``, also the calls that ``step`` makes through its
-    own closure cells, which no wrapper on the record could see.
-    """
-    codes = {}
-    for record in (plants.pendulum_record(P), plants.truck_record(T)):
-        for name in ("nominal", "terms", "step"):
-            codes[getattr(record, name).__code__] = name
+    Every record of one kind executes the same compiled code, so a profile
+    hook that matches these code objects sees every call of the run's own
+    row and step."""
+    factory = plants.pendulum_record if scn.plant == "pendulum" else plants.truck_record
+    record = factory(scn.pendulum or scn.truck, scn.controller, scn.epsilon)
+    codes = {record.row.__code__: "row", record.step.__code__: "step"}
+    if record.clamp is not None:
+        codes[record.clamp.__code__] = "clamp"
     return codes
 
 
 def _run_counting_calls(scn, calls):
-    codes = _record_codes()
+    """Run a scenario under a profile hook on every Python-level call:
+    ``calls`` counts the row, the step and the clamp by name, every other
+    callee by its code object, and under "inside" the calls made from a row
+    or a step."""
+    codes = _kernel_codes(scn)
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in codes:
-            calls[codes[frame.f_code]] += 1
+        if event != "call":
+            return
+        calls[codes.get(frame.f_code, frame.f_code)] += 1
+        if frame.f_back is not None and codes.get(frame.f_back.f_code) in ("row", "step"):
+            calls["inside"] += 1
 
     sys.setprofile(profile)
     try:
@@ -150,14 +148,8 @@ def _run_counting_calls(scn, calls):
 
 @pytest.mark.parametrize("plant", ["pendulum", "truck"])
 @pytest.mark.parametrize("controller", ["nominal", "cbf", "issf"])
-def test_four_controller_and_disturbance_calls_per_step(plant, controller, monkeypatch):
+def test_four_controller_and_disturbance_calls_per_step(plant, controller):
     calls = Counter()
-
-    def filter_factory(alpha_c, epsilon=None):
-        calls["filter closures"] += 1
-        return _counted(calls, "apply", filter_function(alpha_c, epsilon))
-
-    monkeypatch.setattr(sim, "filter_function", filter_factory)
     scn = _rollout(plant, controller, seed=5)
     signal = scn.disturbance
 
@@ -171,23 +163,20 @@ def test_four_controller_and_disturbance_calls_per_step(plant, controller, monke
     result = _run_counting_calls(scn, calls)
 
     n_steps = result.time.size - 1
+    assert n_steps == 300
+    # per step: the logged row, whose input channel is RK4 stage 1, and one
+    # step, which writes out the four stages with the controller and the
+    # filter inline, so no stage calls a Python function
+    assert calls["row"] == n_steps + 1
     assert calls["step"] == n_steps
-    # per step: the logged row, which is RK4 stage 1, and stages 2, 3 and 4;
-    # terms computes the nominal input inside it, so each controller
-    # evaluation evaluates the nominal input once
-    assert calls["terms"] + calls["nominal"] == 4 * n_steps + 1
+    assert calls["clamp"] == (n_steps if plant == "truck" else 0)
+    assert calls["inside"] == 0
+    # nothing else is called per step: the other calls are made per run or
+    # per block of stage-time samples
+    others = [count for key, count in calls.items() if not isinstance(key, str)]
+    assert max(others) < n_steps // 10
     # per step: t, t + dt/2 (shared by stages 2 and 3) and the step's end
     assert calls["d"] == 3 * n_steps + 1
-    if controller == "nominal":
-        # only the logged row evaluates the barrier
-        assert calls["terms"] == n_steps + 1
-        assert calls["filter closures"] == calls["apply"] == 0
-    else:
-        # the one filter formula, built once per run and applied once per
-        # filter evaluation, for both plants
-        assert calls["terms"] == 4 * n_steps + 1
-        assert calls["filter closures"] == 1
-        assert calls["apply"] == 4 * n_steps + 1
 
 
 @pytest.mark.parametrize("plant", ["pendulum", "truck"])

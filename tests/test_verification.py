@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -89,6 +90,17 @@ def test_pendulum_exact_minimum_against_a_dense_scan(lo, width, alpha_c, cross_t
     if on_grid.any():
         assert report.min_margin == margin.min() == margin[on_grid][0]
     assert lo <= report.witness["theta"] <= hi
+
+
+@pytest.mark.parametrize("theta_range", [(-np.pi, np.pi), (-0.0, 1.0), (-1.0, -0.0)])
+@pytest.mark.parametrize("cross_term", [True, False])
+def test_pendulum_witness_has_no_negative_zero(theta_range, cross_term):
+    # on the lg_h = 0 line theta_dot = -(b/2a) theta is -0.0 at theta = 0,
+    # and a range can start at -0.0
+    report = certify_pendulum(P.a, P.b, P.alpha_c, theta_range=theta_range,
+                              cross_term=cross_term)
+    for name, value in report.witness.items():
+        assert not (value == 0.0 and math.copysign(1.0, value) < 0.0), name
 
 
 def test_pendulum_certify_validates_arguments():
