@@ -84,8 +84,9 @@ def filter_function(alpha_c: float, epsilon: Optional[EpsilonFunction] = None
     exp(lam h) as in :class:`safefilter.issf.EpsilonFunction`, adds 1/eps(h).
     ``apply`` returns u_nom + gain lg_h where the gain is positive and u_nom
     elsewhere, also on the lg_h = 0 set.  1/eps(h) is 0 where eps(h)
-    overflows, far inside the safe set, and inf where it underflows to 0, far
-    outside it; the simulator rejects the infinite input as a non-finite
+    overflows, far inside the safe set, and inf far outside it, where eps(h)
+    is 0 or subnormal below 1/DBL_MAX (about 5.6e-309) and 1.0 / eps
+    overflows; the simulator rejects the infinite input as a non-finite
     derivative.
     """
     namespace = filter_bindings(alpha_c, epsilon)

@@ -8,16 +8,17 @@ v_L) with acceleration input, quadratic headway barrier h = D - rho(v, v_L),
 range/speed-policy cruise controller, and scalar safe / robust filters.
 
 Each plant's closed loop is written once, as a :class:`_PlantSource` table
-of source lines: its state names, nominal input, barrier terms and field.
-``_LOOP_TEMPLATE``, the one RK4 skeleton, writes a table's lines, with the
-nominal input or the filter formula ``cbf.filter_source`` at every stage,
-into the plant's ``nominal``, ``terms``, logged ``row`` and ``step``, so a
-step makes no Python call from inside a stage.  Each (plant, controller
-kind) is compiled once per process, on first use, and a record executes it
-with its parameters bound.  A new plant is another table; a new stage policy
-is another template over the tables.  The numpy barriers, nominal
-controllers and truck filters wrap a record; the numpy dynamics stay
-separate, as the reference the generated field is checked against.
+of source lines: its state names, nominal input, barrier terms, field and
+clamped states.  ``_LOOP_TEMPLATE``, the one RK4 skeleton, writes a table's
+lines, with the nominal input or the filter formula ``cbf.filter_source`` at
+every stage, into the plant's ``nominal``, ``barrier``, logged ``row`` and
+``run``, a loop over a block of rows and their steps that makes no Python
+call.  Each (plant, controller kind) is compiled once per process,
+on first use, and a record executes it with its parameters bound.  A new
+plant is another table; a new stage policy is another template over the
+tables.  The numpy barriers, nominal controllers and truck filters wrap a
+record; the numpy dynamics stay separate, as the reference the generated
+field is checked against.
 
 Barrier gradients are hand-differentiated (two plants, closed forms, zero
 dependency weight); a finite-difference cross-check lives in `verification`.
@@ -47,36 +48,29 @@ __all__ = [
 # The controller kinds: the nominal input, the plain and the robust filter.
 CONTROLLERS = ("nominal", "cbf", "issf")
 
-# Speeds are clamped at zero (vehicles do not reverse in the braking
-# scenarios); only undershoots beyond this are counted as clamp events so the
-# integrator's terminal-braking rounding does not show up in the log.
-_CLAMP_LOG_TOL = 1e-9
-
 
 class PlantRecord(NamedTuple):
     """A plant's closed loop under one controller kind, as float functions
     over a state tuple ``x``; ``a`` is the leader acceleration at the
     evaluation time, None for a plant without a leader.
 
-    * ``nominal(x) -> u_nom`` and ``terms(x, a) -> (h, lf_h, lg_h, u_nom)``;
-      it raises BarrierEvaluation's ValueError where they are not finite;
-    * ``row(x, a) -> (u_nom, u, h)`` at a logged state, from one evaluation
-      of the terms;
-    * ``step(x, t, dt, a, w, a_mid, d_mid, a_end, d_end) -> x_next``: one
-      classical RK4 step from the input channel w = u + d at x, with the
-      time signals at t + dt/2 (stages 2 and 3) and just inside the step's
-      end (stage 4).  It raises :class:`SimulationError` on a non-finite
-      stage derivative or new state, and the ValueError of ``terms``;
-    * ``clamp(x, counts) -> x`` pins a stepped state to the plant's domain,
-      counting clamp events by state label, or is None.
+    * ``nominal(x) -> u_nom`` and ``barrier(x, a) -> (h, lf_h, lg_h)``; the
+      latter raises BarrierEvaluation's ValueError where they are not finite;
+    * ``row(x, a) -> (u_nom, u, h)`` at a logged state;
+    * ``run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends,
+      n, last, log, counts) -> (rows, x, err)``, ``sim.run_scenario``'s
+      block loop: it logs n rows by index into the lists ``log``, steps from
+      each but the final one, at index ``last``, pins the ``clamped`` states
+      at zero, counting clamp events in ``counts``, and returns the rows
+      logged, the new state and the error that stopped it, or None.
     """
 
     labels: tuple
     nominal: Callable[[tuple], float]
-    terms: Callable[[tuple, Optional[float]], tuple]
+    barrier: Callable[[tuple, Optional[float]], tuple]
     row: Callable[[tuple, Optional[float]], tuple]
-    step: Callable[..., tuple]
-    clamp: Optional[Callable[[tuple, dict], tuple]]
+    run: Callable[..., tuple]
+    clamped: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +82,15 @@ class _PlantSource(NamedTuple):
     """Source lines over a plant's state names, which are its log labels:
     ``shared`` binds what the controller and the field share, ``nominal``
     binds u_nom, ``barrier`` binds h, lf_h and lg_h, and ``field`` gives the
-    state derivative, one expression per state, in the input channel w."""
+    state derivative, one expression per state, in the input channel w;
+    a step pins the states ``clamp`` names at zero."""
 
     names: tuple
     shared: str
     nominal: str
     barrier: str
     field: tuple
+    clamp: tuple = ()
 
 
 _BARRIER_CHECK = """\
@@ -102,78 +98,111 @@ if not (isfinite(h) and isfinite(lf_h) and isfinite(lg_h)):
     raise ValueError("barrier evaluation entries must be finite")
 """
 
-# The one RK4 skeleton: {terms} is a table's barrier lines, their check and
-# its nominal lines, and {row_input} and {control} bind the input u.  The
-# stages keep the operation order, times, checks and errors of sim.rk4_step.
+# The one RK4 skeleton: {row} binds a row's terms, checked, and input u.  A
+# row's ValueError stops ``run`` with the row unlogged, a step's error with it
+# logged.  The stages keep the operation order, times, checks and errors of
+# sim.rk4_step; stage 1 reuses the row's shared lines, at the same state.
 _LOOP_TEMPLATE = """\
 def nominal(x):
     {state} = x
 {shared}{nominal}    return u_nom
 
 
-def terms(x, a):
+def barrier(x, a):
     {state} = x
-{shared}{terms}    return h, lf_h, lg_h, u_nom
+{shared}{barrier}    return h, lf_h, lg_h
 
 
 def row(x, a):
     {state} = x
-{shared}{terms}{row_input}    return u_nom, u, h
+{row}    return u_nom, u, h
 
 
-def step(x, t, dt, a, w, a_mid, d_mid, a_end, d_end):
-    {state} = {base} = x
-{shared}    {k1} = {field}
-    if not ({k1_finite}):
-        raise non_finite("derivative", t, x)
-    half = 0.5 * dt
-{stages}    sixth = dt / 6.0
-    {state} = {weighted_sum}
-    # finite stages can still overflow in the weighted sum
-    if not ({state_finite}):
-        raise non_finite("state", t + dt, ({state},))
-    return {state}
+def run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends, n, last, log, counts):
+    {state} = x
+    {columns} = log
+    half, sixth = 0.5 * dt, dt / 6.0
+    for i, t, a, d, a_mid, d_mid, a_end, d_end in zip(
+            range(n), t_rows, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends):
+        try:
+{row_in_run}        except ValueError as err:
+            return i, None, err
+{store}        try:
+            if i == last:
+                # the last row starts no step, so no stage 1 checks its input
+                if not isfinite(u + d):
+                    raise non_finite("input", t, ({state},))
+                break
+            {base} = {state}
+            w = u + d
+            {k1} = {field}
+            if not ({k1_finite}):
+                raise non_finite("derivative", t, ({state},))
+{stages}            {state} = {weighted_sum}
+            # finite stages can still overflow in the weighted sum
+            if not ({state_finite}):
+                raise non_finite("state", t + dt, ({state},))
+        except (SimulationError, ValueError) as err:
+            return i + 1, None, err
+{clamp}    return n, ({state},), None
 """
 
 _STAGE_TEMPLATE = """\
-    {state} = {stage_state}
-    a = {a}
-{shared}{control}    w = u + {d}
-    {k} = {field}
-    if not ({k_finite}):
-        raise non_finite("derivative", {t}, ({state},))
+{state} = {stage_state}
+a = {a}
+{shared}{control}w = u + {d}
+{k} = {field}
+if not ({k_finite}):
+    raise non_finite("derivative", {t}, ({state},))
 """
 
 # Stages 2 to 4: the step fraction from the base state, time and samples.
 _STAGES = (("half", "t + half", "a_mid", "d_mid"), ("half", "t + half", "a_mid", "d_mid"),
            ("dt", "t + dt - 1e-9 * dt", "a_end", "d_end"))
 
+# Speeds are clamped at zero (vehicles do not reverse in the braking
+# scenarios); only undershoots beyond this are counted as clamp events so the
+# integrator's terminal-braking rounding does not show up in the log.
+_CLAMP_LOG_TOL = 1e-9
+_CLAMP_TEMPLATE = f"""\
+if {{n}} < 0.0:
+    if {{n}} < -{_CLAMP_LOG_TOL!r}:
+        counts["{{n}}"] += 1
+    {{n}} = 0.0
+"""
+
 
 def _loop_source(src: _PlantSource, controller: str) -> str:
-    """The source of a plant's nominal, terms, row and step under ``controller``."""
+    """The source of a plant's nominal, barrier, row and run under ``controller``."""
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}")
 
     def each(fmt, sep=", "):  # fmt for each state name n
         return sep.join(fmt.format(n=n) for n in src.names)
 
-    def block(text):
-        return textwrap.indent(text, "    ")
+    def block(text, depth=1):
+        return textwrap.indent(text, "    " * depth)
 
-    terms = src.barrier + _BARRIER_CHECK + src.nominal
+    barrier = src.barrier + _BARRIER_CHECK
+    terms = barrier + src.nominal
     row_input = "u = u_nom\n" if controller == "nominal" else filter_source(controller == "issf")
     control = (src.nominal if controller == "nominal" else terms) + row_input
-    common = dict(state=each("{n}"), shared=block(src.shared), field=", ".join(src.field))
+    state, field = each("{n}"), ", ".join(src.field)
     stages = "".join(_STAGE_TEMPLATE.format(
-        stage_state=each(f"{{n}}0 + {h} * k{i - 1}_{{n}}"), a=a, control=block(control), d=d,
-        k=each(f"k{i}_{{n}}"), k_finite=each(f"isfinite(k{i}_{{n}})", " and "), t=t, **common)
+        state=state, stage_state=each(f"{{n}}0 + {h} * k{i - 1}_{{n}}"), a=a, shared=src.shared,
+        control=control, d=d, k=each(f"k{i}_{{n}}"), field=field,
+        k_finite=each(f"isfinite(k{i}_{{n}})", " and "), t=t)
         for i, (h, t, a, d) in enumerate(_STAGES, start=2))
+    logged, row = (*src.names, "u_nom", "u", "h"), src.shared + terms + row_input
     return _LOOP_TEMPLATE.format(
-        base=each("{n}0"), nominal=block(src.nominal), terms=block(terms),
-        row_input=block(row_input), k1=each("k1_{n}"), k1_finite=each("isfinite(k1_{n})", " and "),
-        stages=stages, state_finite=each("isfinite({n})", " and "),
+        state=state, shared=block(src.shared), nominal=block(src.nominal), barrier=block(barrier),
+        row=block(row), row_in_run=block(row, 3),
+        columns=", ".join(f"log_{n}" for n in logged), base=each("{n}0"),
+        store=block("".join(f"log_{n}[i] = {n}\n" for n in logged), 2), k1=each("k1_{n}"),
+        field=field, k1_finite=each("isfinite(k1_{n})", " and "), stages=block(stages, 3),
         weighted_sum=each("{n}0 + sixth * (k1_{n} + 2.0 * k2_{n} + 2.0 * k3_{n} + k4_{n})"),
-        **common)
+        state_finite=each("isfinite({n})", " and "),
+        clamp=block("".join(_CLAMP_TEMPLATE.format(n=n) for n in src.clamp), 2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,15 +212,17 @@ def _loop_code(src: _PlantSource, controller: str):
 
 
 def _record(src: _PlantSource, bindings: dict, alpha_c: float, controller: str,
-            epsilon: Optional[EpsilonFunction], clamp) -> PlantRecord:
+            epsilon: Optional[EpsilonFunction]) -> PlantRecord:
     """A plant's compiled loop, run with its parameters and filter constants as globals."""
-    namespace = dict(bindings, isfinite=math.isfinite, non_finite=SimulationError.non_finite)
+    namespace = dict(bindings, isfinite=math.isfinite, non_finite=SimulationError.non_finite,
+                     SimulationError=SimulationError)
     if controller != "nominal":
         if controller == "issf" and epsilon is None:
             raise ValueError("issf controller needs an epsilon function")
         namespace.update(filter_bindings(alpha_c, epsilon if controller == "issf" else None))
     exec(_loop_code(src, controller), namespace)
-    return PlantRecord(src.names, *map(namespace.get, ("nominal", "terms", "row", "step")), clamp)
+    kernels = map(namespace.get, ("nominal", "barrier", "row", "run"))
+    return PlantRecord(src.names, *kernels, src.clamp)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +293,7 @@ def pendulum_record(p: PendulumParams, controller: str = "nominal",
     ml2 = p.mass * p.length * p.length
     bindings = dict(aa=p.a * p.a, bb=p.b * p.b, ab=p.a * p.b, g_over_l=p.gravity / p.length,
                     ml2=ml2, g_entry=1.0 / ml2, kp=p.kp, kd=p.kd, sin=math.sin)
-    return _record(_PENDULUM_SOURCE, bindings, p.alpha_c, controller, epsilon, None)
+    return _record(_PENDULUM_SOURCE, bindings, p.alpha_c, controller, epsilon)
 
 
 def pendulum_barrier(p: PendulumParams) -> Callable[[np.ndarray], BarrierEvaluation]:
@@ -271,10 +302,10 @@ def pendulum_barrier(p: PendulumParams) -> Callable[[np.ndarray], BarrierEvaluat
     The cross term matters: it keeps the barrier compatible with the drift on
     the lg_h = 0 line (thdot = -(b/2a) theta); without it certification fails.
     """
-    terms = pendulum_record(p).terms
+    evaluate = pendulum_record(p).barrier
 
     def barrier(x):
-        return BarrierEvaluation(*terms((float(x[0]), float(x[1])), None)[:3])
+        return BarrierEvaluation(*evaluate((float(x[0]), float(x[1])), None))
 
     return barrier
 
@@ -351,10 +382,10 @@ def truck_barrier(p: TruckParams, a_l: float) -> Callable[[np.ndarray], BarrierE
     a_l is the leader acceleration exogenous at the evaluation instant
     (received over V2V in deployment, read off the scenario profile here).
     """
-    terms = truck_record(p).terms
+    evaluate = truck_record(p).barrier
 
     def barrier(x):
-        return BarrierEvaluation(*terms((float(x[0]), float(x[1]), float(x[2])), a_l)[:3])
+        return BarrierEvaluation(*evaluate((float(x[0]), float(x[1]), float(x[2])), a_l))
 
     return barrier
 
@@ -415,21 +446,8 @@ lf_h = v_L - v - a * (c2 + c4 * v + 2.0 * c5 * v_L)
 lg_h = -(c1 + 2.0 * c3 * v + c4 * v_L)
 """,
     field=("v_L - v", "w", "a"),
+    clamp=("v", "v_L"),
 )
-
-
-def _truck_clamp(x, counts):
-    """Both speeds pinned at zero, counting undershoots beyond _CLAMP_LOG_TOL."""
-    d, v, v_l = x
-    if v < 0.0:
-        if v < -_CLAMP_LOG_TOL:
-            counts["v"] += 1
-        v = 0.0
-    if v_l < 0.0:
-        if v_l < -_CLAMP_LOG_TOL:
-            counts["v_L"] += 1
-        v_l = 0.0
-    return (d, v, v_l)
 
 
 @functools.lru_cache(maxsize=64)
@@ -439,7 +457,7 @@ def truck_record(p: TruckParams, controller: str = "nominal",
     bindings = dict(c0=p.c0, c1=p.c1, c2=p.c2, c3=p.c3, c4=p.c4, c5=p.c5,
                     gain_range=p.gain_range, gain_speed=p.gain_speed, kappa=p.kappa,
                     d_st=p.d_st, d_go=p.d_go, v_bar_l=p.v_bar_l)
-    return _record(_TRUCK_SOURCE, bindings, p.alpha_c, controller, epsilon, _truck_clamp)
+    return _record(_TRUCK_SOURCE, bindings, p.alpha_c, controller, epsilon)
 
 
 def truck_nominal(p: TruckParams, d: float, v: float, v_l: float) -> float:

@@ -12,19 +12,19 @@ one input, and numpy's per-call overhead on arrays that small costs more
 than the arithmetic.  A state is a tuple of floats.  ``run_scenario`` takes
 the plant's :class:`safefilter.plants.PlantRecord` for the scenario's
 controller, generated from the one RK4 template in ``plants`` with the
-barrier, nominal input and filter formula inlined, and steps every plant and
-controller through one loop: per step a ``row`` call (the logged inputs and
-barrier value; its input channel u + d is RK4 stage 1), a ``step`` call for
-the four stages, and the truck's ``clamp``.  Both time signals are sampled
-block by block through their array evaluator, ``sample``, once per distinct
-stage time.  ``rk4_step`` is the same RK4 step, generic over a field and a
-controller of (x, t) on tuples.
+barrier, nominal input and filter formula inlined, and runs every plant and
+controller in blocks of ``_SAMPLE_BLOCK_STEPS`` rows.  Per block both time
+signals are sampled through their array evaluator, ``sample``, once per
+distinct stage time, and one ``run`` call logs the rows (inputs and barrier
+value; a row's input channel u + d is RK4 stage 1) and takes each step's four
+stages and the truck's clamp.  ``rk4_step`` is the same RK4 step, generic
+over a field and a controller of (x, t) on tuples.
 
 Each float goes through the same IEEE operations in the same order as the
 numpy filters and dynamics, so the logs match a numpy reference integrator
 bit for bit; leaving out the matrix product's terms 0 * w can change only
 the sign of a zero.  Only the log columns are numpy arrays, preallocated and
-filled row by row.
+filled block by block from the lists ``run`` fills row by row.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ __all__ = [
 # 12,000 steps, and dt = 1e-5 over 100 s still fits.
 MAX_STEPS = 10_000_000
 
-# Steps per block of stage-time samples: run_scenario samples the disturbance
-# and the leader for this many steps at a time, so the samples take memory
-# bounded by the block rather than by n_steps.
+# Rows per block: run_scenario samples the time signals and makes one
+# generated ``run`` call per block, so the samples and the block's log lists
+# take memory bounded by the block rather than by n_steps.
 _SAMPLE_BLOCK_STEPS = 1024
 
 # Rows per %-format call in write_csv_table: enough to amortise the call, few
@@ -209,7 +209,7 @@ def rk4_step(
     state.  ``u0``, if given, is the controller output k(x, t) already
     computed by the caller; stage 1 then uses it instead of evaluating the
     controller again.  Every stage derivative and the new state are checked
-    to be finite.  The plant records' generated ``step`` writes it out on
+    to be finite.  The plant records' generated ``run`` writes it out on
     their own floats, with the same stage times, checks and errors.
 
     The end stage samples time signals just inside the step: piecewise
@@ -386,7 +386,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     """Integrate a scenario and log (t, state, u_nom, u_filt, d, h) per step."""
     params = scn.pendulum if scn.plant == "pendulum" else scn.truck
     record = pendulum_record if scn.plant == "pendulum" else truck_record
-    labels, _, _, row, step, clamp = record(params, scn.controller, scn.epsilon)
+    labels, *_, run, clamped = record(params, scn.controller, scn.epsilon)
 
     x = tuple(state_vector(scn.x0, dim=len(labels)).tolist())
     dt = scn.dt
@@ -394,7 +394,9 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     time = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, len(labels)))
     u_nom, u_filt, d_log, h_log = np.empty((4, n_steps + 1))
-    clamp_counts = {label: 0 for label in labels[1:]} if clamp else {}
+    clamp_counts = dict.fromkeys(clamped, 0)
+    block = _SAMPLE_BLOCK_STEPS  # rows per ``run``; ``log`` holds their states, u_nom, u and h
+    log = tuple([0.0] * min(block, n_steps + 1) for _ in range(len(labels) + 3))
 
     def logged(k, h_star=None):
         # the result of the log up to row k
@@ -408,48 +410,30 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         )
 
     def failed(err, k):
-        # the step from row k failed: attach the log up to that row, so
-        # callers can flush it
+        # the run failed after logging row k: attach the log up to that row,
+        # so callers can flush it
         t = float(time[k])
         wrapped = SimulationError(f"scenario {scn.name!r} failed at t={t:g}: {err}",
                                   t=t, state=states[k])
         wrapped.partial = logged(k)
         return wrapped
 
-    # a ValueError from a step is the plant's barrier terms overflowing at a
-    # state the step reached: the run fails there like on a non-finite
-    # derivative
-    for start in range(0, n_steps + 1, _SAMPLE_BLOCK_STEPS):
-        stop = min(start + _SAMPLE_BLOCK_STEPS, n_steps + 1)
-        t_rows = time[start:stop]
-        samples = _stage_samples(scn, t_rows, stop == n_steps + 1)
-        for k, t, a, d, a_mid, d_mid, a_end, d_end in zip(
-                range(start, stop), t_rows.tolist(), *samples):
-            try:
-                u_nom_k, u, h = row(x, a)
-            except ValueError as err:
-                if k == 0:
-                    raise
-                raise failed(err, k - 1) from err
-            states[k] = x
-            u_nom[k] = u_nom_k
-            u_filt[k] = u
-            d_log[k] = d
-            h_log[k] = h
-            if k == 0 and h < 0.0:
-                warnings.warn(f"scenario {scn.name!r}: initial state is outside the safe set")
-            if k == n_steps:
-                # the last row starts no step, so no stage 1 checks its input
-                if not math.isfinite(u + d):
-                    err = SimulationError.non_finite("input", t, x)
-                    raise failed(err, k) from err
-                break
-            try:
-                x = step(x, t, dt, a, u + d, a_mid, d_mid, a_end, d_end)
-            except (SimulationError, ValueError) as err:
-                raise failed(err, k) from err
-            if clamp is not None:
-                x = clamp(x, clamp_counts)
+    for start in range(0, n_steps + 1, block):
+        stop = min(start + block, n_steps + 1)
+        samples = _stage_samples(scn, time[start:stop], stop == n_steps + 1)
+        rows, x, err = run(x, time[start:stop].tolist(), dt, *samples, stop - start,
+                           n_steps - start, log, clamp_counts)
+        end = start + rows
+        for column, values in zip((*states.T, u_nom, u_filt, h_log, d_log), (*log, samples[1])):
+            column[start:end] = values[:rows]
+        if start == 0 and rows and h_log[0] < 0.0:
+            warnings.warn(f"scenario {scn.name!r}: initial state is outside the safe set")
+        if err is not None:
+            # a ValueError is the barrier terms overflowing at a state the run
+            # reached; at row 0, that is the caller's initial state
+            if end == 0:
+                raise err
+            raise failed(err, end - 1) from err
 
     h_star = None
     if scn.controller == "issf":

@@ -292,6 +292,12 @@ def default_truck():
 # ---------------------------------------------------------------------------
 
 
+def record_terms(record, x, a):
+    """A plant record's barrier terms and nominal input at the state tuple x,
+    (h, lf_h, lg_h, u_nom), as a row evaluates them."""
+    return (*record.barrier(x, a), record.nominal(x))
+
+
 def reference_rk4_step(dynamics, controller, disturbance, x, t, dt):
     """Classical RK4 with the controller and the disturbance evaluated afresh
     at each of the four stages, including both evaluations at t + dt/2."""

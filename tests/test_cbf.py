@@ -28,6 +28,7 @@ from helpers import (
     grid_search_scalar,
     in_admissible_set,
     project_halfspace,
+    record_terms,
     reference_filter,
     switching_filter,
 )
@@ -205,7 +206,7 @@ def _numpy_filter(plant, a_l, epsilon):
 def test_filter_function_matches_cbf_filter_bit_for_bit(case):
     plant, x, a_l, epsilon = case
     p, record = (P, pendulum_record(P)) if plant == "pendulum" else (T, truck_record(T))
-    u = filter_function(p.alpha_c, epsilon)(*record.terms(x, a_l))
+    u = filter_function(p.alpha_c, epsilon)(*record_terms(record, x, a_l))
     filt = _numpy_filter(plant, a_l, epsilon)
     x = np.array(x)
     reference = reference_filter(p.alpha_c, epsilon, filt.barrier(x),

@@ -13,14 +13,15 @@ the branch and every earlier stage's state off it: stage 1 is the logged row
 at the chosen state, and stages 2 to 4 are reached from a state off the
 branch by one scalar input of the step, the disturbance sample at t (stage
 2) or at t + dt/2 (stages 3 and 4), found by a scan and, for the lg_h = 0
-set, bisection.  The generated ``row`` and ``step`` must then give what
+set, bisection.  The generated ``run`` must then give what
 ``sim.rk4_step`` gives with ``cbf.filter_function`` on the record's
-``terms``, and what the numpy reference integrator gives, bit for bit, or
+barrier terms and nominal input, and what the numpy reference integrator gives, bit for bit, or
 fail with the same error.
 """
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,12 +33,14 @@ from safefilter import (
     SimulationError,
     TruckParams,
     rk4_step,
+    run_scenario,
+    truck_headway,
     zero_disturbance,
 )
 from safefilter.cbf import LG_ZERO_TOL, filter_function
 from safefilter.plants import pendulum_record, truck_record
 
-from helpers import _reference_maps, reference_rk4_step
+from helpers import _reference_maps, record_terms, reference_rk4_step
 
 DT = 0.01
 HALF = 0.5 * DT
@@ -63,12 +66,15 @@ class Case:
 # branch differs only where the constraint residual at u_nom is negative
 # there, that is where the barrier's certificate fails: for the pendulum
 # with alpha_c > b/a (on the line theta_dot = -theta, |theta| > 0.5), for
-# the truck outside the safe set under hard leader braking.
+# the truck under hard leader braking.  The truck's states, on the line
+# v_L = (c1 + 2 c3 v) / -c4 at v = 80 and just above it, where lg_h > 0 and
+# the filter raises the input, keep both stepped speeds positive, so the
+# speed clamp of ``run`` leaves the new state as rk4_step gives it.
 LG_ZERO = {
     "pendulum": Case("pendulum", PendulumParams(alpha_c=3.0), EpsilonFunction(0.15, 0.0),
                      None, (0.6, -0.6), (0.6, -0.3)),
     "truck": Case("truck", TruckParams(), EpsilonFunction(0.5, 0.4), -50.0,
-                  (-16.0, 0.0, 1.1 / 0.03), (-16.0, 0.0, 36.0)),
+                  (-16.0, 80.0, 5.9 / 0.03), (-16.0, 80.0, 198.0)),
 }
 # exp(lam h) overflows for lam h > 709.78: near the pendulum's origin with
 # lam = 1000, and 1775 m beyond the truck's headway with the published gain
@@ -98,17 +104,22 @@ def _samples(d):
 
 
 def _kernel(case, controller, x, d):
-    """The generated row and step from x at t = 0, as the simulator calls
-    them, with the disturbance samples d."""
+    """The generated ``run`` over one row at x and t = 0 and the step from
+    it, as the simulator calls it, with the disturbance samples d; the error
+    it returns is raised."""
     record = _record(case, controller)
     a = case.accel
-    u = record.row(x, a)[1]
-    return record.step(x, 0.0, DT, a, u + d[0], a, d[1], a, d[2])
+    log = tuple([None] for _ in range(len(x) + 3))
+    rows, x_next, err = record.run(x, [0.0], DT, [a], [d[0]], [a], [d[1]], [a], [d[2]], 1, 1,
+                                   log, dict.fromkeys(record.clamped, 0))
+    if err is not None:
+        raise err
+    return x_next
 
 
 def _generic(case, controller, x, d, visited=None):
     """The same step through ``sim.rk4_step``, with ``cbf.filter_function``
-    applied to the record's ``terms``; ``visited`` collects the stage states."""
+    applied to the record's terms; ``visited`` collects the stage states."""
     record = _record(case, controller)
     p = case.params
     apply = filter_function(p.alpha_c, case.epsilon if controller == "issf" else None)
@@ -124,7 +135,7 @@ def _generic(case, controller, x, d, visited=None):
     def control(xs, t):
         if visited is not None:
             visited.append(xs)
-        return apply(*record.terms(xs, case.accel))
+        return apply(*record_terms(record, xs, case.accel))
 
     return rk4_step(field, control, _samples(d), x, 0.0, DT)
 
@@ -150,7 +161,7 @@ def _stage_terms(case, controller, x, d):
     record, terms = _record(case, "nominal"), []
     for xs in visited:
         try:
-            terms.append(record.terms(xs, case.accel))
+            terms.append(record_terms(record, xs, case.accel))
         except ValueError:
             break
     return terms
@@ -289,3 +300,25 @@ def test_eps_underflow_fails_the_step_at_each_stage(plant, stage):
     err = _assert_same_step(case, "issf", x, d)
     assert isinstance(err, SimulationError)
     assert str(err).startswith(f"non-finite derivative at t={STAGE_TIMES[stage - 1]:g}")
+
+
+def test_robust_gain_is_infinite_where_eps_is_subnormal():
+    # the published truck pair at h = -1800, inside the window (-1861, -1771)
+    # where eps(h) = 0.5 e^(0.4 h) is subnormal but not 0: 1.0 / eps
+    # overflows, so the gain and the filtered input are already infinite
+    case = UNDERFLOW["truck"]
+    x = (-1800.0 + truck_headway(case.params, 16.0, 16.0), 16.0, 16.0)
+    h, lf_h, lg_h, u_nom = record_terms(_record(case, "nominal"), x, 0.0)
+    eps = case.epsilon(h)
+    assert h == pytest.approx(-1800.0) and 0.0 < eps < sys.float_info.min
+    assert 1.0 / eps == math.inf
+    assert filter_function(case.params.alpha_c, case.epsilon)(h, lf_h, lg_h, u_nom) == -math.inf
+
+    scn = Scenario(name="subnormal", plant="truck", controller="issf", x0=x, horizon=DT, dt=DT,
+                   disturbance=zero_disturbance(), truck=case.params, leader=zero_disturbance(),
+                   epsilon=case.epsilon)
+    with pytest.warns(UserWarning, match="outside the safe set"), \
+            pytest.raises(SimulationError, match=r"failed at t=0: non-finite derivative at t=0,") \
+            as excinfo:
+        run_scenario(scn)
+    assert excinfo.value.partial.u_filt.tolist() == [-math.inf]

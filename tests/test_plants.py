@@ -24,7 +24,7 @@ from safefilter import (
     truck_robust_filter,
     truck_safe_filter,
 )
-from safefilter.plants import truck_record
+from safefilter.plants import pendulum_record, truck_record
 
 from helpers import TRUCK_PAIR, in_admissible_set, switching_filter
 
@@ -192,7 +192,8 @@ def test_record_terms_match_the_barrier_evaluation_bit_for_bit(state):
     d, v, v_l, a_l = state
     x = np.array([d, v, v_l])
     be = truck_barrier(T, a_l)(x)
-    h, lf_h, lg_h, u_nom = truck_record(T).terms((d, v, v_l), a_l)
+    h, lf_h, lg_h = truck_record(T).barrier((d, v, v_l), a_l)
+    u_nom = truck_record(T).nominal((d, v, v_l))
     assert [h.hex(), lf_h.hex(), lg_h.hex()] == [be.h.hex(), be.lf_h.hex(), be.lg_h[0].hex()]
     assert h.hex() == (d - truck_headway(T, v, v_l)).hex()
     assert u_nom.hex() == _policy_nominal(d, v, v_l).hex()
@@ -312,3 +313,38 @@ def test_robust_filter_takes_the_limits_of_its_tightening():
     assert truck_robust_filter(T, 5000.0, 16.0, 16.0, 0.0, *TRUCK_PAIR) == \
         truck_safe_filter(T, 5000.0, 16.0, 16.0, 0.0)
     assert truck_robust_filter(T, -5000.0, 16.0, 16.0, 0.0, *TRUCK_PAIR) == -math.inf
+
+
+@pytest.mark.parametrize("eps0,lam", [(0.0, 0.4), (-0.5, 0.4), (math.nan, 0.4), (0.5, -0.1),
+                                      (0.5, math.inf), (0.5, math.nan)])
+def test_robust_filter_rejects_an_invalid_gain_on_every_call(eps0, lam):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            truck_robust_filter(T, 27.4, 16.0, 16.0, 0.0, eps0, lam)
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "truck"])
+@pytest.mark.parametrize("scale", [0.3, 30.0, 1e6])
+def test_numpy_barriers_match_the_logged_barrier(plant, scale):
+    # the numpy wrappers evaluate the generated barrier alone, without the
+    # nominal input: the same (h, lf_h, lg_h), and the h the row logs
+    rng = np.random.default_rng(11)
+    record = pendulum_record(P) if plant == "pendulum" else truck_record(T)
+    for x in rng.normal(0.0, scale, size=(100, len(record.labels))).tolist():
+        x = tuple(x)
+        a_l = None if plant == "pendulum" else float(rng.uniform(-10.0, 5.0))
+        be = (pendulum_barrier(P) if plant == "pendulum" else truck_barrier(T, a_l))(np.array(x))
+        expected = [v.hex() for v in record.barrier(x, a_l)]
+        assert [float(v).hex() for v in (be.h, be.lf_h, be.lg_h[0])] == expected
+        assert record.row(x, a_l)[2].hex() == expected[0]
+
+
+@pytest.mark.parametrize("plant,x", [("pendulum", (1e200, 0.0)), ("pendulum", (0.0, 1e160)),
+                                     ("truck", (0.0, 1e160, 0.0)), ("truck", (math.inf, 0.0, 0.0))])
+def test_numpy_barriers_raise_where_the_terms_overflow(plant, x):
+    barrier = pendulum_barrier(P) if plant == "pendulum" else truck_barrier(T, 0.0)
+    record = pendulum_record(P) if plant == "pendulum" else truck_record(T)
+    a_l = None if plant == "pendulum" else 0.0
+    for evaluate in (lambda: barrier(np.array(x)), lambda: record.row(x, a_l)):
+        with pytest.raises(ValueError, match="barrier evaluation entries must be finite"):
+            evaluate()

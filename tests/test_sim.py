@@ -457,10 +457,19 @@ def test_clamp_counts_undershoots_beyond_the_log_tolerance(speed, rate):
         signals = dict(disturbance=ZERO, leader=pull)
         a, d = -rate, 0.0
     index = ("D", "v", "v_L").index(speed)
-    undershoot = truck_record(T).step(x0, 0.0, dt, a, d, a, d, a, d)[index]
+    record = truck_record(T)
+    # the step before the clamp, through the generic integrator
+    undershoot = rk4_step(lambda x, t, w: (x[2] - x[1], w, a), lambda x, t: record.nominal(x),
+                          lambda t: d, x0, 0.0, dt)[index]
     counted = undershoot < -_CLAMP_LOG_TOL
     assert -1.2 * _CLAMP_LOG_TOL < undershoot < -0.8 * _CLAMP_LOG_TOL
     assert counted == (rate > 1e-7)
+
+    # the generated run over the row at x0 and its step, which clamps
+    counts = dict.fromkeys(record.clamped, 0)
+    log = tuple([None] for _ in range(6))
+    rows, x1, err = record.run(x0, [0.0], dt, [a], [d], [a], [d], [a], [d], 1, 1, log, counts)
+    assert (rows, err, x1[index], counts[speed]) == (1, None, 0.0, int(counted))
 
     result = run_scenario(Scenario(name="undershoot", plant="truck", controller="nominal",
                                    x0=x0, horizon=dt, dt=dt, truck=T, **signals))

@@ -11,6 +11,7 @@ must stay bit-identical.
 """
 
 import dataclasses
+import math
 import sys
 from collections import Counter
 
@@ -110,33 +111,28 @@ def test_stage_times_match_reference_at_a_finer_step(plant):
     _assert_same_log(run_scenario(scn), reference_run(scn))
 
 
-def _kernel_codes(scn):
-    """The code objects of the generated ``row`` and ``step`` of the
-    scenario's plant and controller kind, and of its clamp, by name.
+def _run_code(scn):
+    """The code object of the generated ``run`` of the scenario's plant and
+    controller kind.
 
     Every record of one kind executes the same compiled code, so a profile
-    hook that matches these code objects sees every call of the run's own
-    row and step."""
+    hook that matches this code object sees every call of the run's own
+    block loop."""
     factory = plants.pendulum_record if scn.plant == "pendulum" else plants.truck_record
-    record = factory(scn.pendulum or scn.truck, scn.controller, scn.epsilon)
-    codes = {record.row.__code__: "row", record.step.__code__: "step"}
-    if record.clamp is not None:
-        codes[record.clamp.__code__] = "clamp"
-    return codes
+    return factory(scn.pendulum or scn.truck, scn.controller, scn.epsilon).run.__code__
 
 
 def _run_counting_calls(scn, calls):
     """Run a scenario under a profile hook on every Python-level call:
-    ``calls`` counts the row, the step and the clamp by name, every other
-    callee by its code object, and under "inside" the calls made from a row
-    or a step."""
-    codes = _kernel_codes(scn)
+    ``calls`` counts the block loop as "run", every other callee by its code
+    object, and under "inside" the calls made from the block loop."""
+    run_code = _run_code(scn)
 
     def profile(frame, event, arg):
         if event != "call":
             return
-        calls[codes.get(frame.f_code, frame.f_code)] += 1
-        if frame.f_back is not None and codes.get(frame.f_back.f_code) in ("row", "step"):
+        calls["run" if frame.f_code is run_code else frame.f_code] += 1
+        if frame.f_back is not None and frame.f_back.f_code is run_code:
             calls["inside"] += 1
 
     sys.setprofile(profile)
@@ -164,15 +160,14 @@ def test_four_controller_and_disturbance_calls_per_step(plant, controller):
 
     n_steps = result.time.size - 1
     assert n_steps == 300
-    # per step: the logged row, whose input channel is RK4 stage 1, and one
-    # step, which writes out the four stages with the controller and the
-    # filter inline, so no stage calls a Python function
-    assert calls["row"] == n_steps + 1
-    assert calls["step"] == n_steps
-    assert calls["clamp"] == (n_steps if plant == "truck" else 0)
+    # one block loop call per block of logged rows: it evaluates each row,
+    # takes its step's four stages with the controller and the filter
+    # inline, and clamps the new state, so no row or stage calls a Python
+    # function
+    assert calls["run"] == math.ceil((n_steps + 1) / sim._SAMPLE_BLOCK_STEPS)
     assert calls["inside"] == 0
     # nothing else is called per step: the other calls are made per run or
-    # per block of stage-time samples
+    # per block
     others = [count for key, count in calls.items() if not isinstance(key, str)]
     assert max(others) < n_steps // 10
     # per step: t, t + dt/2 (shared by stages 2 and 3) and the step's end

@@ -1,15 +1,17 @@
 """The failure paths of the fused RK4 steps, and the run-level exception contract.
 
-Each plant record's ``step`` writes the four RK4 stages out with their own
+Each plant record's ``run`` writes the four RK4 stages out with their own
 finiteness checks.  Every check is pinned here: a disturbance spike timed to
 one stage makes the first non-finite value appear at stage 1, 2, 3 or 4, or
 in the weighted sum of the stages.  The error, its time and stage state, and
 the partial log must be those of the same step through the generic tuple
-integrator ``sim.rk4_step``.
+integrator ``sim.rk4_step``, and must not move with the size of the blocks
+``run`` logs and ``run_scenario`` flushes.
 """
 
 import dataclasses
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -31,10 +33,10 @@ from safefilter import (
     sampled_disturbance,
     truck_barrier,
 )
-from safefilter import plants
+from safefilter import plants, sim
 from safefilter.cbf import filter_function
 
-from helpers import TRUCK_PAIR, reference_run
+from helpers import TRUCK_PAIR, record_terms, reference_run
 
 P = PendulumParams()
 T = TruckParams()
@@ -101,9 +103,9 @@ def _generic_loop(scn):
     def controller(x, t):
         if scn.controller == "nominal":
             return record.nominal(x)
-        return apply(*record.terms(x, accel(t)))
+        return apply(*record_terms(record, x, accel(t)))
 
-    return field, controller, lambda x, t: record.terms(x, accel(t))
+    return field, controller, lambda x, t: record_terms(record, x, accel(t))
 
 
 def _generic_failure(scn, x, t, u0):
@@ -206,6 +208,60 @@ def test_non_finite_input_at_the_last_row_fails_the_run():
     assert partial.time.size == K + 1
     assert math.isinf(partial.u_filt[-1])
     assert excinfo.value.t == partial.time[-1]
+
+
+# (plant, controller, spike window, spike value, horizon): a failure at
+# row K, in the step from row K, and at row K's input as the last row
+BLOCK_FAILURES = {
+    "row": ("pendulum", "nominal", "end_prev", 1e200, HORIZON),
+    "stage": ("pendulum", "issf", "mid", 1e4, HORIZON),
+    "truck-stage": ("truck", "issf", "mid", 1e5, HORIZON),
+    "last-input": ("pendulum", "issf", "end_prev", 1e4, K * DT),
+}
+
+
+def _run_failure(scn):
+    with pytest.raises(SimulationError) as excinfo, np.errstate(all="ignore"):
+        run_scenario(scn)
+    return excinfo.value
+
+
+@pytest.mark.parametrize("block", [1, K, K + 1])
+@pytest.mark.parametrize("failure", sorted(BLOCK_FAILURES))
+def test_sample_blocks_do_not_change_a_failure(failure, block, monkeypatch):
+    # blocks that end just before row K, start at it, and end at it: the
+    # error and the partial log flushed from the block must not move
+    plant, controller, where, value, horizon = BLOCK_FAILURES[failure]
+    scn = dataclasses.replace(_scenario(plant, controller, _spike(where, value)), horizon=horizon)
+    expected = _run_failure(scn)
+    monkeypatch.setattr(sim, "_SAMPLE_BLOCK_STEPS", block)
+    err = _run_failure(scn)
+
+    assert (str(err), err.t) == (str(expected), expected.t)
+    assert np.array_equal(err.state, expected.state)
+    cause, expected_cause = err.__cause__, expected.__cause__
+    assert (type(cause), str(cause)) == (type(expected_cause), str(expected_cause))
+    assert getattr(cause, "t", None) == getattr(expected_cause, "t", None)
+    assert getattr(cause, "state", None) == getattr(expected_cause, "state", None)
+    for column in LOG_COLUMNS:
+        assert np.array_equal(getattr(err.partial, column), getattr(expected.partial, column))
+    assert err.partial.h_min == expected.partial.h_min
+    assert err.partial.clamp_counts == expected.partial.clamp_counts
+
+
+@pytest.mark.parametrize("block", [1, K, K + 1])
+@pytest.mark.parametrize("x0,failed_at", [((2.0, 0.0), 0.0), ((0.0, 0.51), T_K)])
+def test_initial_state_warning_comes_before_a_failure(x0, failed_at, block, monkeypatch):
+    # outside the safe set at row 0, with the step from row 0 failing (eps(h)
+    # underflows there) or the step from row K failing on a spike
+    scn = dataclasses.replace(_scenario("pendulum", "issf", _spike("mid", 1e4)), x0=x0)
+    monkeypatch.setattr(sim, "_SAMPLE_BLOCK_STEPS", block)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _run_failure(scn)
+    assert err.t == failed_at
+    assert [str(w.message) for w in caught] == [
+        f"scenario {scn.name!r}: initial state is outside the safe set"]
 
 
 # ---------------------------------------------------------------------------
