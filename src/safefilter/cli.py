@@ -586,15 +586,15 @@ _MARGIN_BLOCK_COLUMNS = 4096
 def write_margin_csv(path, d_axis, vl_axis, v_axis, margin) -> None:
     """The rows (D[i], v_L[j], v[j], margin[i, j]), row-major, in sim.write_csv_table's bytes:
     each "v_L,v,%.9g" tail and each D is formatted once, and a grid row's margins
-    in one %-format per block of ``_MARGIN_BLOCK_COLUMNS`` columns."""
+    in one bytes %-format per block of ``_MARGIN_BLOCK_COLUMNS`` columns."""
     step = _MARGIN_BLOCK_COLUMNS
-    blocks = [(j, [f"{vl:.9g},{v:.9g},%.9g\n" for vl, v in zip(
+    blocks = [(j, [b"%.9g,%.9g,%%.9g\n" % pair for pair in zip(
         vl_axis[j:j + step].tolist(), v_axis[j:j + step].tolist())])
         for j in range(0, len(vl_axis), step)]
-    with open(path, "w", newline="") as handle:
-        handle.write("D,v_L,v,margin\n")
+    with open(path, "wb") as handle:
+        handle.write(b"D,v_L,v,margin\n")
         for d, margins in zip(d_axis.tolist(), margin):
-            lead = f"{d:.9g},"
+            lead = b"%.9g," % d
             for j, tails in blocks:
                 handle.write((lead + lead.join(tails)) % tuple(margins[j:j + step].tolist()))
 

@@ -59,10 +59,19 @@ class PlantRecord(NamedTuple):
     * ``row(x, a) -> (u_nom, u, h)`` at a logged state;
     * ``run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends,
       n, last, log, counts) -> (rows, x, err)``, ``sim.run_scenario``'s
-      block loop: it logs n rows by index into the lists ``log``, steps from
+      block loop: it reads the row times and the samples at each row's stage
+      times from iterables of floats, logs n rows by index into the writable
+      float sequences ``log`` (state columns, u_nom, u and h), steps from
       each but the final one, at index ``last``, pins the ``clamped`` states
       at zero, counting clamp events in ``counts``, and returns the rows
       logged, the new state and the error that stopped it, or None.
+      ``run_scenario`` passes memoryviews of its numpy samples and log.
+
+    Each check of a group of terms (the barrier terms, a stage derivative,
+    the new state) is one ``isfinite`` call on their sum, which is finite
+    only if every term is; where it is not, a call per term decides, so
+    finite terms whose sum overflows pass and every error is the per-term
+    check's.
     """
 
     labels: tuple
@@ -93,8 +102,16 @@ class _PlantSource(NamedTuple):
     clamp: tuple = ()
 
 
-_BARRIER_CHECK = """\
-if not (isfinite(h) and isfinite(lf_h) and isfinite(lg_h)):
+def _all_finite(terms) -> str:
+    """An expression true where every one of ``terms`` is finite: one
+    ``isfinite`` call on their sum, and a call per term only where the sum is
+    not finite.  A float sum is finite only if every term is, and finite
+    terms whose sum overflows still pass the per-term calls."""
+    return f"isfinite({' + '.join(terms)}) or " + " and ".join(f"isfinite({t})" for t in terms)
+
+
+_BARRIER_CHECK = f"""\
+if not ({_all_finite(("h", "lf_h", "lg_h"))}):
     raise ValueError("barrier evaluation entries must be finite")
 """
 
@@ -119,6 +136,7 @@ def row(x, a):
 
 
 def run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends, n, last, log, counts):
+    {bound} = bound
     {state} = x
     {columns} = log
     half, sixth = 0.5 * dt, dt / 6.0
@@ -172,13 +190,17 @@ if {{n}} < 0.0:
 """
 
 
-def _loop_source(src: _PlantSource, controller: str) -> str:
-    """The source of a plant's nominal, barrier, row and run under ``controller``."""
+def _loop_source(src: _PlantSource, controller: str, bound: tuple) -> str:
+    """The source of a plant's nominal, barrier, row and run under
+    ``controller``; ``run`` binds the globals named in ``bound`` as locals."""
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}")
 
-    def each(fmt, sep=", "):  # fmt for each state name n
-        return sep.join(fmt.format(n=n) for n in src.names)
+    def each(fmt):  # fmt for each state name n
+        return ", ".join(fmt.format(n=n) for n in src.names)
+
+    def finite(fmt):  # true where fmt is finite for every state name n
+        return _all_finite([fmt.format(n=n) for n in src.names])
 
     def block(text, depth=1):
         return textwrap.indent(text, "    " * depth)
@@ -191,23 +213,24 @@ def _loop_source(src: _PlantSource, controller: str) -> str:
     stages = "".join(_STAGE_TEMPLATE.format(
         state=state, stage_state=each(f"{{n}}0 + {h} * k{i - 1}_{{n}}"), a=a, shared=src.shared,
         control=control, d=d, k=each(f"k{i}_{{n}}"), field=field,
-        k_finite=each(f"isfinite(k{i}_{{n}})", " and "), t=t)
+        k_finite=finite(f"k{i}_{{n}}"), t=t)
         for i, (h, t, a, d) in enumerate(_STAGES, start=2))
     logged, row = (*src.names, "u_nom", "u", "h"), src.shared + terms + row_input
     return _LOOP_TEMPLATE.format(
-        state=state, shared=block(src.shared), nominal=block(src.nominal), barrier=block(barrier),
-        row=block(row), row_in_run=block(row, 3),
+        bound=", ".join(bound), state=state, shared=block(src.shared),
+        nominal=block(src.nominal), barrier=block(barrier), row=block(row),
+        row_in_run=block(row, 3),
         columns=", ".join(f"log_{n}" for n in logged), base=each("{n}0"),
         store=block("".join(f"log_{n}[i] = {n}\n" for n in logged), 2), k1=each("k1_{n}"),
-        field=field, k1_finite=each("isfinite(k1_{n})", " and "), stages=block(stages, 3),
+        field=field, k1_finite=finite("k1_{n}"), stages=block(stages, 3),
         weighted_sum=each("{n}0 + sixth * (k1_{n} + 2.0 * k2_{n} + 2.0 * k3_{n} + k4_{n})"),
-        state_finite=each("isfinite({n})", " and "),
+        state_finite=finite("{n}"),
         clamp=block("".join(_CLAMP_TEMPLATE.format(n=n) for n in src.clamp), 2))
 
 
 @functools.lru_cache(maxsize=None)
-def _loop_code(src: _PlantSource, controller: str):
-    return compile(_loop_source(src, controller),
+def _loop_code(src: _PlantSource, controller: str, bound: tuple):
+    return compile(_loop_source(src, controller, bound),
                    f"<safefilter.plants {'/'.join(src.names)} {controller}>", "exec")
 
 
@@ -220,7 +243,11 @@ def _record(src: _PlantSource, bindings: dict, alpha_c: float, controller: str,
         if controller == "issf" and epsilon is None:
             raise ValueError("issf controller needs an epsilon function")
         namespace.update(filter_bindings(alpha_c, epsilon if controller == "issf" else None))
-    exec(_loop_code(src, controller), namespace)
+    # run unpacks these constants and helpers, fixed per (plant, controller),
+    # into locals at entry
+    code = _loop_code(src, controller, tuple(namespace))
+    namespace["bound"] = tuple(namespace.values())
+    exec(code, namespace)
     kernels = map(namespace.get, ("nominal", "barrier", "row", "run"))
     return PlantRecord(src.names, *kernels, src.clamp)
 
@@ -383,6 +410,7 @@ def truck_barrier(p: TruckParams, a_l: float) -> Callable[[np.ndarray], BarrierE
     (received over V2V in deployment, read off the scenario profile here).
     """
     evaluate = truck_record(p).barrier
+    a_l = float(a_l)  # the record runs on floats: a numpy sum that overflows warns
 
     def barrier(x):
         return BarrierEvaluation(*evaluate((float(x[0]), float(x[1]), float(x[2])), a_l))
@@ -471,7 +499,7 @@ def truck_safe_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: float
     In the driving domain lg_h < 0, so the filter caps the nominal command:
     min{k_n, k_s} with k_s the acceleration that makes the constraint active.
     """
-    return truck_record(p, "cbf").row((d, v, v_l), a_l)[1]
+    return truck_record(p, "cbf").row((float(d), float(v), float(v_l)), float(a_l))[1]
 
 
 def truck_robust_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: float,
@@ -479,4 +507,5 @@ def truck_robust_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: flo
     """The safe command robustified for bounded input disturbance,
     min{k_n, k_s + lg_h/eps(h)} in the driving domain, with eps(h) =
     eps0 e^{lam h}: earlier and harder braking."""
-    return truck_record(p, "issf", EpsilonFunction(eps0, lam)).row((d, v, v_l), a_l)[1]
+    return truck_record(p, "issf", EpsilonFunction(eps0, lam)).row(
+        (float(d), float(v), float(v_l)), float(a_l))[1]

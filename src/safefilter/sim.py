@@ -23,12 +23,16 @@ over a field and a controller of (x, t) on tuples.
 Each float goes through the same IEEE operations in the same order as the
 numpy filters and dynamics, so the logs match a numpy reference integrator
 bit for bit; leaving out the matrix product's terms 0 * w can change only
-the sign of a zero.  Only the log columns are numpy arrays, preallocated and
-filled block by block from the lists ``run`` fills row by row.
+the sign of a zero.  The samples and the log columns are numpy arrays, the
+log preallocated for the whole run.  ``run`` reads the block's times and
+samples and writes its rows in place through memoryviews of them, whose
+items are Python floats, so no float is copied through a list; the log's d
+column is the block's samples at t_k, copied array to array.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -78,8 +82,8 @@ __all__ = [
 MAX_STEPS = 10_000_000
 
 # Rows per block: run_scenario samples the time signals and makes one
-# generated ``run`` call per block, so the samples and the block's log lists
-# take memory bounded by the block rather than by n_steps.
+# generated ``run`` call per block, so the samples take memory bounded by the
+# block rather than by n_steps.
 _SAMPLE_BLOCK_STEPS = 1024
 
 # Rows per %-format call in write_csv_table: enough to amortise the call, few
@@ -339,13 +343,14 @@ class ScenarioResult:
 def write_csv_table(path, header: str, table: np.ndarray) -> None:
     """Write ``header`` and the rows of a 2-d float table as CSV, 9 significant digits.
 
-    Each block of ``_CSV_BLOCK_ROWS`` rows is one ``%``-format over its cells;
-    ``"%.9g" % x`` and ``f"{x:.9g}"`` share CPython's float formatter, so the
-    bytes match a per-cell loop, ``nan``, ``inf`` and ``-0`` included.
+    Each block of ``_CSV_BLOCK_ROWS`` rows is one bytes ``%``-format over its
+    cells, written to a binary file; ``b"%.9g" % x``, ``"%.9g" % x`` and
+    ``f"{x:.9g}"`` share CPython's float formatter, so the bytes match a
+    per-cell loop, ``nan``, ``inf`` and ``-0`` included.
     """
-    row_fmt = ",".join(["%.9g"] * table.shape[1]) + "\n"
-    with open(path, "w", newline="") as handle:
-        handle.write(header + "\n")
+    row_fmt = b",".join([b"%.9g"] * table.shape[1]) + b"\n"
+    with open(path, "wb") as handle:
+        handle.write(header.encode() + b"\n")
         for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
             block = table[start:start + _CSV_BLOCK_ROWS]
             handle.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
@@ -362,24 +367,25 @@ def step_count(horizon: float, dt: float) -> int:
 
 def _stage_samples(scn: Scenario, t_rows: np.ndarray, last: bool) -> tuple:
     """The leader acceleration and the disturbance at the stage times of a
-    block of logged times, as lists: (a, d) at each t_k, at t_k + dt/2 and
-    just inside the step's end.  ``last`` marks a block that ends with the
-    final row, which starts no step; its mid and end entries are None.
+    block of logged times, as (rows, 3) arrays: (a, d) at each t_k, at
+    t_k + dt/2 and just inside the step's end; a is None for a plant without
+    a leader.  ``last`` marks a block that ends with the final row, which
+    starts no step; its mid and end entries are nan and never read.
 
     The times are the floats ``rk4_step`` uses, and they are sampled in the
     order a step-by-step run would query them, so an out-of-domain signal
     reports the same first time.
     """
     dt = scn.dt
-    times = np.column_stack([t_rows, t_rows + 0.5 * dt, t_rows + dt - 1e-9 * dt]).ravel()
-    if last:
-        times = times[:-2]
-    a = [None] * times.size if scn.leader is None else scn.leader.sample(times).tolist()
-    d = scn.disturbance.sample(times).tolist()
-    if last:
-        a += [None, None]
-        d += [None, None]
-    return a[0::3], d[0::3], a[1::3], d[1::3], a[2::3], d[2::3]
+    times = np.column_stack([t_rows, t_rows + 0.5 * dt, t_rows + dt - 1e-9 * dt])
+    queried = times.ravel()[:-2] if last else times.ravel()
+
+    def sample(signal):
+        values = np.full(times.size, np.nan)
+        values[:queried.size] = signal.sample(queried)
+        return values.reshape(times.shape)
+
+    return None if scn.leader is None else sample(scn.leader), sample(scn.disturbance)
 
 
 def run_scenario(scn: Scenario) -> ScenarioResult:
@@ -395,8 +401,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     states = np.empty((n_steps + 1, len(labels)))
     u_nom, u_filt, d_log, h_log = np.empty((4, n_steps + 1))
     clamp_counts = dict.fromkeys(clamped, 0)
-    block = _SAMPLE_BLOCK_STEPS  # rows per ``run``; ``log`` holds their states, u_nom, u and h
-    log = tuple([0.0] * min(block, n_steps + 1) for _ in range(len(labels) + 3))
+    no_leader = (itertools.repeat(None),) * 3
 
     def logged(k, h_star=None):
         # the result of the log up to row k
@@ -418,14 +423,19 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         wrapped.partial = logged(k)
         return wrapped
 
-    for start in range(0, n_steps + 1, block):
-        stop = min(start + block, n_steps + 1)
-        samples = _stage_samples(scn, time[start:stop], stop == n_steps + 1)
-        rows, x, err = run(x, time[start:stop].tolist(), dt, *samples, stop - start,
-                           n_steps - start, log, clamp_counts)
+    for start in range(0, n_steps + 1, _SAMPLE_BLOCK_STEPS):
+        stop = min(start + _SAMPLE_BLOCK_STEPS, n_steps + 1)
+        a, d = _stage_samples(scn, time[start:stop], stop == n_steps + 1)
+        # run reads the samples and writes the log's rows in place, through
+        # memoryviews: a buffer's items are Python floats, with no list copy
+        a_rows, a_mids, a_ends = no_leader if a is None else map(memoryview, a.T)
+        d_rows, d_mids, d_ends = map(memoryview, d.T)
+        log = [memoryview(column[start:stop])
+               for column in (*states.T, u_nom, u_filt, h_log)]
+        rows, x, err = run(x, memoryview(time[start:stop]), dt, a_rows, d_rows, a_mids, d_mids,
+                           a_ends, d_ends, stop - start, n_steps - start, log, clamp_counts)
         end = start + rows
-        for column, values in zip((*states.T, u_nom, u_filt, h_log, d_log), (*log, samples[1])):
-            column[start:end] = values[:rows]
+        d_log[start:end] = d[:rows, 0]
         if start == 0 and rows and h_log[0] < 0.0:
             warnings.warn(f"scenario {scn.name!r}: initial state is outside the safe set")
         if err is not None:

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import tempfile
 import tracemalloc
 import warnings
 
@@ -545,6 +547,39 @@ def test_malformed_config_exits_2_without_traceback(command, doc, tmp_path, caps
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "config error: $." in err and "Traceback" not in err
+
+
+@st.composite
+def _preset_variants(draw):
+    """An embedded preset's document as it is, or with one top-level entry
+    removed or set to any JSON value: documents that reach the commands' work."""
+    doc = resolve_preset(draw(st.sampled_from(sorted(SCENARIO_PRESETS))))
+    key = draw(st.sampled_from(sorted(doc)))
+    change = draw(st.sampled_from(["keep", "drop", "junk"]))
+    if change == "drop":
+        del doc[key]
+    elif change == "junk":
+        doc[key] = draw(_JSON)
+    return doc
+
+
+# Each example's work is bounded: --horizon and --dt override the document's
+# timing to at most 100 steps (the document's own values are still checked),
+# and the certify grids these documents can name hold at most 300 x 300 cells.
+@settings(max_examples=100, deadline=None)
+@given(doc=_JSON | _schema_shaped_docs(_JSON) | _preset_variants(),
+       command=st.sampled_from(["certify", "hstar", "simulate", "sweep"]),
+       horizon=st.floats(0.0, 1.0), dt=st.sampled_from([0.01, 0.05, 0.5]))
+def test_any_document_exits_0_to_3_under_every_command(doc, command, horizon, dt):
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        # a run may warn (an initial state outside the safe set); it must not raise
+        warnings.simplefilter("ignore")
+        path = os.path.join(out, "doc.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        code = main([command, "--config", path, "--out", out,
+                     "--horizon", repr(horizon), "--dt", repr(dt)])
+    assert code in (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("doc,where", [
