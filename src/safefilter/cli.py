@@ -656,14 +656,17 @@ def cmd_sweep(cfg: Config, out_dir: Path) -> int:
     failures = 0
     with open(out_path, "w", newline="") as handle:
         handle.write("eps0,lambda,h_star,status\n")
+        # each axis value is formatted once: lambda per sweep, eps0 per grid row
+        lams = [(lam, f"{lam:.9g},") for lam in cfg.sweep.lambda_grid]
         for eps0 in cfg.sweep.eps0_grid:
-            for lam in cfg.sweep.lambda_grid:
+            lead = f"{eps0:.9g},"
+            for lam, lam_text in lams:
                 try:
                     h_star = solve_h_star(alpha, EpsilonFunction(eps0, lam), delta)
-                    handle.write(f"{eps0:.9g},{lam:.9g},{h_star:.9g},ok\n")
+                    handle.write(f"{lead}{lam_text}{h_star:.9g},ok\n")
                 except ValueError as err:
                     failures += 1
-                    handle.write(f"{eps0:.9g},{lam:.9g},nan,error: {err}\n")
+                    handle.write(f"{lead}{lam_text}nan,error: {err}\n")
     n_rows = len(cfg.sweep.eps0_grid) * len(cfg.sweep.lambda_grid)
     print(f"sweep {cfg.name}: {n_rows} rows -> {out_path}"
           + (f" ({failures} rows rejected)" if failures else ""))
@@ -755,7 +758,9 @@ def _load_config(args) -> Config:
     return cfg if args.out is None else dataclasses.replace(cfg, out_dir=args.out)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command line's parser, built once per process."""
     parser = _Parser(prog="safefilter",
                      description="safety-filter scenario toolkit")
     parser.add_argument("--dump-preset", metavar="NAME",
@@ -772,7 +777,11 @@ def main(argv=None) -> int:
             cp.add_argument("--no-cross-term", action="store_true",
                             help="pendulum: check the barrier variant without "
                                  "the angle-rate cross term")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.dump_preset:
         try:

@@ -296,10 +296,11 @@ def pendulum_dynamics(p: PendulumParams) -> ControlAffineDynamics:
     return ControlAffineDynamics(drift, actuation)
 
 
-_PENDULUM_SOURCE = _PlantSource(  # sin(theta) is shared with the field
+_PENDULUM_SOURCE = _PlantSource(  # sin(theta) and (g/l) sin(theta) are shared with the field
     names=("theta", "theta_dot"),
-    shared="sin_theta = sin(theta)\n",
-    nominal="u_nom = ml2 * (-g_over_l * sin_theta - kp * theta - kd * theta_dot)\n",
+    shared="sin_theta = sin(theta)\ng_sin = g_over_l * sin_theta\n",
+    # -g_sin is (-g_over_l) * sin_theta exactly: negation commutes with rounding
+    nominal="u_nom = ml2 * (-g_sin - kp * theta - kd * theta_dot)\n",
     barrier="""\
 h = 1.0 - theta * theta / aa - theta_dot * theta_dot / bb - theta * theta_dot / ab
 dh_dth = -2.0 * theta / aa - theta_dot / ab
@@ -308,7 +309,7 @@ lf_h = dh_dth * theta_dot + dh_dom * g_over_l * sin_theta
 lg_h = dh_dom / ml2
 """,
     # (omega, g/l sin(theta) + w / (m l^2)): pendulum_dynamics' drift and actuation
-    field=("theta_dot", "g_over_l * sin_theta + g_entry * w"),
+    field=("theta_dot", "g_sin + g_entry * w"),
 )
 
 
@@ -454,10 +455,13 @@ def speed_policy(p: TruckParams, v_l: float) -> float:
     return v_l if v_l <= p.v_bar_l else p.v_bar_l
 
 
-# Its table: range_policy, speed_policy and truck_headway written out.
+# Its table: range_policy, speed_policy and truck_headway written out.  The
+# gap v_L - v is shared by lf_h and the field, c4 * v by h and lf_h; two_c3
+# and two_c5 bind the first products of 2.0 * c3 * v and 2.0 * c5 * v_L, which
+# multiply left to right, so every term keeps its bits.
 _TRUCK_SOURCE = _PlantSource(
     names=("D", "v", "v_L"),
-    shared="",
+    shared="gap = v_L - v\n",
     nominal="""\
 if D < d_st:
     v_range = 0.0
@@ -469,11 +473,12 @@ v_speed = v_L if v_L <= v_bar_l else v_bar_l
 u_nom = gain_range * (v_range - v) + gain_speed * (v_speed - v)
 """,
     barrier="""\
-h = D - (c0 + c1 * v + c2 * v_L + c3 * v * v + c4 * v * v_L + c5 * v_L * v_L)
-lf_h = v_L - v - a * (c2 + c4 * v + 2.0 * c5 * v_L)
-lg_h = -(c1 + 2.0 * c3 * v + c4 * v_L)
+c4_v = c4 * v
+h = D - (c0 + c1 * v + c2 * v_L + c3 * v * v + c4_v * v_L + c5 * v_L * v_L)
+lf_h = gap - a * (c2 + c4_v + two_c5 * v_L)
+lg_h = -(c1 + two_c3 * v + c4 * v_L)
 """,
-    field=("v_L - v", "w", "a"),
+    field=("gap", "w", "a"),
     clamp=("v", "v_L"),
 )
 
@@ -483,6 +488,7 @@ def truck_record(p: TruckParams, controller: str = "nominal",
                  epsilon: Optional[EpsilonFunction] = None) -> PlantRecord:
     """The truck's closed loop, as :func:`pendulum_record`."""
     bindings = dict(c0=p.c0, c1=p.c1, c2=p.c2, c3=p.c3, c4=p.c4, c5=p.c5,
+                    two_c3=2.0 * p.c3, two_c5=2.0 * p.c5,
                     gain_range=p.gain_range, gain_speed=p.gain_speed, kappa=p.kappa,
                     d_st=p.d_st, d_go=p.d_go, v_bar_l=p.v_bar_l)
     return _record(_TRUCK_SOURCE, bindings, p.alpha_c, controller, epsilon)

@@ -32,11 +32,17 @@ __all__ = [
     "truck_margin_table",
 ]
 
-# Most cells one scan may evaluate: grid[0] * grid[1] truck grid points.  A truck
-# certify run peaks at about 32 bytes a cell on a square grid (tracemalloc, 500 x
-# 500) and 60 on a 2-row one (2 x 125,000), whose formatted column tails dominate:
-# at most about 0.24 GB at the cap.  The design workload's 500 x 500 is 1/16 of it.
+# Most cells one scan may evaluate: grid[0] * grid[1] truck grid points.  A whole
+# truck certify, scan and margin CSV, peaks (tracemalloc) at about 11 bytes a cell
+# on a 500 x 500 grid and 8.2 on 2000 x 2000, the 8-byte margin grid and one
+# block, and at 52 on a 2-row one (2 x 125,000), whose formatted column tails
+# dominate: at most about 0.21 GB at the cap.  The design workload's 500 x 500 is
+# 1/16 of it.
 MAX_GRID_CELLS = 4_000_000
+
+# Cells of the truck margin grid that one in-place pass of the scan fills: a
+# block of whole rows, at least one.
+_SCAN_CELLS = 32_768
 
 
 def _finite_width(name: str, bounds) -> tuple[float, float]:
@@ -161,20 +167,35 @@ def truck_margin_table(
     if a_lo > a_hi:
         raise ValueError(f"a_l_bounds must be ordered, got {a_l_bounds}")
 
-    d_col = np.linspace(*_finite_width("d_range", d_range), nx)[:, None]
+    d_axis = np.linspace(*_finite_width("d_range", d_range), nx)
     vl_axis = np.linspace(*_finite_width("vl_range", vl_range), ny)
 
-    # v0 and the slope depend on v_L alone: one row each, broadcast over the D
-    # column.  A finite range can overflow the quadratic headway: rejected below
+    # v0, rho, v_L - v0 and the slope depend on v_L alone: one row each.  The
+    # margin is filled in place a block of whole rows at a time, each cell by
+    # the operations of base = (v_L - v0) + alpha_c (D - rho) and
+    # min(base + slope a_lo, base + slope a_hi) in that order, so the low
+    # branch is the only temporary beside the grid.  A finite range can
+    # overflow the quadratic headway: rejected block by block
+    margin = np.empty((nx, ny))
+    rows = max(1, _SCAN_CELLS // ny)
     with np.errstate(over="ignore", invalid="ignore"):
         v0 = -(p.c1 + p.c4 * vl_axis) / (2.0 * p.c3)  # may be unphysical; scan anyway
-        base = vl_axis - v0 + alpha_c * (d_col - truck_headway(p, v0, vl_axis))
+        rho = truck_headway(p, v0, vl_axis)
+        gap = vl_axis - v0
         slope = -(p.c2 + p.c4 * v0 + 2.0 * p.c5 * vl_axis)  # d margin / d a_L
-        margin = np.minimum(base + slope * a_lo, base + slope * a_hi)
-    if not np.all(np.isfinite(margin)):
-        raise ValueError(f"the margin overflows on the grid of d_range {d_range}, "
-                         f"vl_range {vl_range} and a_l_bounds {a_l_bounds}")
-    return d_col[:, 0], vl_axis, v0, margin
+        rise_lo, rise_hi = slope * a_lo, slope * a_hi
+        for i in range(0, nx, rows):
+            block = margin[i:i + rows]
+            np.subtract(d_axis[i:i + rows, None], rho, out=block)
+            block *= alpha_c
+            np.add(gap, block, out=block)
+            low = block + rise_lo
+            block += rise_hi
+            np.minimum(low, block, out=block)
+            if not np.isfinite(block).all():
+                raise ValueError(f"the margin overflows on the grid of d_range {d_range}, "
+                                 f"vl_range {vl_range} and a_l_bounds {a_l_bounds}")
+    return d_axis, vl_axis, v0, margin
 
 
 def certify_truck_grid(

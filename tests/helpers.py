@@ -15,7 +15,9 @@ its shared evaluations and its one filter formula can be checked against it
 bit for bit, for both plants.  Its time signals are
 sampled once per run, through their array evaluator, at its stage times.  The
 reference CSV writers format each cell on its own, the way the block writer's
-output must read byte for byte.
+output must read byte for byte.  The reference truck margin scan is the
+one-shot broadcast expression that the in-place block scan must match bit for
+bit, and the reference lag recurrence runs on numpy scalars.
 """
 
 import math
@@ -428,3 +430,51 @@ def reference_result_csv(result, path):
     rows = ([result.time[k], *result.states[k], result.u_nom[k], result.u_filt[k],
              result.d[k], result.h[k]] for k in range(result.time.size))
     reference_write_csv(path, header, rows)
+
+
+# ---------------------------------------------------------------------------
+# Reference truck margin scan and lag recurrence
+# ---------------------------------------------------------------------------
+
+
+def reference_margin_table(p, d_range, vl_range, grid, alpha_c=None, a_l_bounds=None):
+    """verification.truck_margin_table's axes and margin as one broadcast
+    expression over the whole grid, with no validation; a margin that is not
+    finite everywhere is a ValueError."""
+    alpha_c = p.alpha_c if alpha_c is None else alpha_c
+    a_lo, a_hi = (-p.a_under_l, p.a_bar_l) if a_l_bounds is None else a_l_bounds
+    d_col = np.linspace(*d_range, grid[0])[:, None]
+    vl_axis = np.linspace(*vl_range, grid[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        v0 = -(p.c1 + p.c4 * vl_axis) / (2.0 * p.c3)
+        base = vl_axis - v0 + alpha_c * (d_col - truck_headway(p, v0, vl_axis))
+        slope = -(p.c2 + p.c4 * v0 + 2.0 * p.c5 * vl_axis)
+        margin = np.minimum(base + slope * a_lo, base + slope * a_hi)
+    if not np.all(np.isfinite(margin)):
+        raise ValueError("the margin overflows")
+    return d_col[:, 0], vl_axis, v0, margin
+
+
+def reference_margin_cells(p, d_range, vl_range, grid):
+    """The margin grid as nested lists, each cell on floats from the scan's formula."""
+    a_lo, a_hi = -p.a_under_l, p.a_bar_l
+    cells = []
+    for d in np.linspace(*d_range, grid[0]).tolist():
+        row = []
+        for vl in np.linspace(*vl_range, grid[1]).tolist():
+            v = -(p.c1 + p.c4 * vl) / (2.0 * p.c3)
+            base = vl - v + p.alpha_c * (d - truck_headway(p, v, vl))
+            slope = -(p.c2 + p.c4 * v + 2.0 * p.c5 * vl)
+            row.append(min(base + slope * a_lo, base + slope * a_hi))
+        cells.append(row)
+    return cells
+
+
+def reference_lag_samples(t, u, time_constant):
+    """The first-order lag state of disturbance.lag_residual, stepped on numpy scalars."""
+    lagged = np.empty_like(u)
+    lagged[0] = u[0]
+    for k in range(t.size - 1):
+        decay = math.exp(-(t[k + 1] - t[k]) / time_constant)
+        lagged[k + 1] = u[k] + (lagged[k] - u[k]) * decay
+    return lagged - u

@@ -15,13 +15,14 @@ from safefilter.cli import (
     SCENARIO_PRESETS,
     Config,
     ConfigError,
+    _parser,
     build_scenarios,
     config_to_dict,
     main,
     parse_config,
     resolve_preset,
 )
-from safefilter import verification
+from safefilter import EpsilonFunction, TruckParams, linear_class_kappa, solve_h_star, verification
 from safefilter.verification import MAX_GRID_CELLS
 
 SIMULATABLE_PRESETS = [name for name, doc in SCENARIO_PRESETS.items() if "sweep" not in doc]
@@ -256,6 +257,18 @@ def test_missing_command_is_usage_error(capsys):
     assert excinfo.value.code == 1
 
 
+def test_parser_is_built_once_and_survives_a_usage_error(tmp_path, capsys):
+    assert _parser() is _parser()
+    with pytest.raises(SystemExit) as excinfo:
+        main([])
+    assert excinfo.value.code == 1
+    assert main(["hstar", "--preset", "truck-hstar-sweep", "--out", str(tmp_path)]) == 0
+    assert "h_star = -4.38" in capsys.readouterr().out
+    assert main(["certify", "--preset", "pendulum-default", "--no-cross-term",
+                 "--out", str(tmp_path)]) == 1
+    assert _parser() is _parser()
+
+
 def test_command_without_config_is_config_error(capsys):
     assert main(["simulate"]) == 2
 
@@ -322,6 +335,32 @@ def test_sweep_reproduces_published_tables(tmp_path):
     assert rows[(0.8, 0.0)] == pytest.approx(-40.50, abs=0.01)
     assert rows[(0.5, 0.4)] == pytest.approx(-4.38, abs=0.01)
     assert rows[(1.0, 0.25)] == pytest.approx(-7.59, abs=0.01)
+
+
+def test_sweep_rows_match_the_per_row_format(tmp_path):
+    # each axis value is formatted once per sweep or grid row; the bytes are
+    # those of one f-string per row, error rows (a negative lambda) included
+    eps0_grid = [0.5, 1.0 / 3.0, 1e-7, 4.0]
+    lambda_grid = [-1.0, 0.0, 0.4, 1.0 / 3.0, -0.0, 2.5e-10]
+    doc = {"name": "grid", "plant": "truck", "params": {"preset": "paper-table-2"},
+           "issf": {"eps0": 0.5, "lam": 0.4, "delta": 4.5},
+           "sweep": {"eps0_grid": eps0_grid, "lambda_grid": lambda_grid}}
+    config_path = tmp_path / "grid.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+    alpha = linear_class_kappa(TruckParams().alpha_c)  # paper-table-2 is the defaults
+    want = "eps0,lambda,h_star,status\n"
+    for eps0 in eps0_grid:
+        for lam in lambda_grid:
+            try:
+                h_star = solve_h_star(alpha, EpsilonFunction(eps0, lam), 4.5)
+                want += f"{eps0:.9g},{lam:.9g},{h_star:.9g},ok\n"
+            except ValueError as err:
+                want += f"{eps0:.9g},{lam:.9g},nan,error: {err}\n"
+    written = (tmp_path / "grid.csv").read_text()
+    assert written == want
+    assert "0.5,-1,nan,error: lam must be nonnegative and finite, got -1.0\n" in written
+    assert "\n0.5,0.4,-4.38358096,ok\n" in written
 
 
 def test_simulate_writes_logs_and_summary(tmp_path):

@@ -16,7 +16,7 @@ from safefilter import (
 from safefilter.disturbance import disturbance_from_csv
 from safefilter.sim import constant_speed_profile, hard_brake_profile, leader_profile_from_csv
 
-from helpers import hard_brake_oracle, pulse_oracle
+from helpers import hard_brake_oracle, pulse_oracle, reference_lag_samples
 
 
 def test_pulse_piecewise_values():
@@ -147,6 +147,20 @@ def test_lag_residual_step_peak_and_decay():
     assert abs(d(1.0)) == pytest.approx(2.0, abs=1e-9)
     assert abs(d(1.0 + tau)) == pytest.approx(2.0 * math.exp(-1.0), rel=0.03)
     assert abs(d(5.99)) <= 2.0 * math.exp(-4.9 / tau) + 1e-9
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_lag_residual_samples_match_a_numpy_scalar_loop(stride):
+    # the float recurrence gives the numpy-scalar loop's samples bit for bit,
+    # on non-uniform times and on strided views of the arrays
+    rng = np.random.default_rng(17)
+    t = np.cumsum(rng.uniform(1e-4, 0.05, 4001)) - 0.7
+    u = np.sin(3.0 * t) + rng.standard_normal(t.size) * 10.0 ** rng.integers(-6, 3, t.size)
+    t, u = t[::stride], u[::stride]
+    signal = lag_residual(t, u, 0.6)
+    want = reference_lag_samples(t, u, 0.6)
+    assert [x.hex() for x in signal.sample(t).tolist()] == [x.hex() for x in want.tolist()]
+    assert signal.bound == float(np.max(np.abs(want)))
 
 
 def test_lag_residual_validation():

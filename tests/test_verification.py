@@ -19,7 +19,9 @@ from safefilter import (
     truck_dynamics,
     truck_headway,
 )
-from safefilter.verification import MAX_GRID_CELLS
+from safefilter.verification import _SCAN_CELLS, MAX_GRID_CELLS, truck_margin_table
+
+from helpers import reference_margin_cells, reference_margin_table
 
 P = PendulumParams()
 T = TruckParams()
@@ -215,6 +217,87 @@ def test_scans_beyond_max_grid_cells_are_rejected_without_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+_BLOCK_ROWS_500 = _SCAN_CELLS // 500  # grid rows of one block at 500 columns
+
+
+@pytest.mark.parametrize("grid", [
+    (_BLOCK_ROWS_500 - 1, 500),       # one row short of a block
+    (_BLOCK_ROWS_500, 500),           # one whole block
+    (_BLOCK_ROWS_500 + 1, 500),       # a block and one row
+    (2 * _BLOCK_ROWS_500 + 1, 500),   # two blocks and one row
+    (2, 20_000),                      # wide: a block is one row beyond the cell budget
+    (500, 500),
+])
+@pytest.mark.parametrize("d_range", [(0.0, 100.0), (100.0, 0.0)])
+def test_margin_blocks_match_the_one_shot_scan_bit_for_bit(grid, d_range):
+    # the in-place block scan gives the broadcast expression's four arrays,
+    # and the margin of each cell computed on floats
+    got = truck_margin_table(T, d_range=d_range, grid=grid)
+    want = reference_margin_table(T, d_range, (0.0, 20.0), grid)
+    for got_array, want_array in zip(got, want):
+        _assert_same_bits(got_array, want_array)
+    if grid[0] < 500:  # the float loop is slow on the square grid
+        _assert_same_bits(got[3], np.array(reference_margin_cells(T, d_range, (0.0, 20.0),
+                                                                  grid)))
+
+
+# every headway coefficient but c3 zero, c1 = -0.0: the margin is a signed zero
+# on a grid of signed zeros, and the two a_L branches tie with opposite signs
+_ZERO_TRUCK = TruckParams(c0=0.0, c1=-0.0, c2=0.0, c3=1.0, c4=0.0, c5=0.0)
+
+
+@pytest.mark.parametrize("alpha_c", [0.0, 0.1])
+@pytest.mark.parametrize("vl_range", [(-0.0, 0.0), (0.0, -0.0)])
+@pytest.mark.parametrize("d_range", [(-0.0, 0.0), (0.0, -0.0)])
+def test_margin_blocks_match_the_one_shot_scan_on_signed_zero_ties(alpha_c, vl_range, d_range):
+    # np.minimum keeps its argument order, so each tie of +0.0 and -0.0
+    # resolves as in the broadcast expression
+    grid = (3 * _BLOCK_ROWS_500 + 2, 500)
+    got = truck_margin_table(_ZERO_TRUCK, alpha_c, d_range, vl_range, grid, (-10.0, 5.0))
+    want = reference_margin_table(_ZERO_TRUCK, d_range, vl_range, grid, alpha_c, (-10.0, 5.0))
+    assert (want[3] == 0.0).all()
+    for got_array, want_array in zip(got, want):
+        _assert_same_bits(got_array, want_array)
+
+
+@pytest.mark.parametrize("alpha_c, d_range, vl_range, grid", [
+    # v_L^2 overflows in the headway beyond |v_L| ~ 1e154, in every block
+    (0.1, (0.0, 100.0), (-1e200, 1e200), (3, 3)),
+    (0.1, (0.0, 100.0), (-1e200, 1e200), (2 * _BLOCK_ROWS_500 + 1, 500)),
+    (0.1, (0.0, 100.0), (-1e200, 1e200), (2, 20_000)),
+    # alpha_c D overflows beyond D ~ 7.19e307: in the last row, the third block
+    (2.5, (0.0, 7.22e307), (0.0, 20.0), (2 * _BLOCK_ROWS_500 + 1, 500)),
+])
+def test_margin_block_scan_rejects_an_overflowing_grid_as_the_one_shot_scan(
+        alpha_c, d_range, vl_range, grid):
+    with pytest.raises(ValueError, match="the margin overflows"):
+        reference_margin_table(T, d_range, vl_range, grid, alpha_c)
+    message = (f"the margin overflows on the grid of d_range {d_range}, vl_range {vl_range} "
+               f"and a_l_bounds (-10.0, 5.0)")
+    with pytest.raises(ValueError) as excinfo:
+        truck_margin_table(T, alpha_c, d_range, vl_range, grid)
+    assert str(excinfo.value) == message
+
+
+def test_margin_scan_peaks_near_the_size_of_its_grid():
+    # the grid of 500 x 500 float64 is 2 MB; the block scan's other arrays are
+    # one block's low branch and finiteness mask, and rows of 500
+    grid_bytes = 500 * 500 * 8
+    tracemalloc.start()
+    try:
+        scan = truck_margin_table(T, grid=(500, 500))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan[3].nbytes == grid_bytes
+    assert peak < 1.5 * grid_bytes
 
 
 # ---------------------------------------------------------------------------
