@@ -55,7 +55,12 @@ from .sim import (
     step_count,
     truck_lag_disturbance,
 )
-from .verification import MAX_GRID_CELLS, certify_pendulum, certify_truck_grid
+from .verification import (
+    MAX_GRID_CELLS,
+    certify_pendulum,
+    certify_truck_grid,
+    truck_margin_table,
+)
 
 __all__ = ["Config", "ConfigError", "main", "parse_config", "config_to_dict",
            "PARAM_PRESETS", "SCENARIO_PRESETS", "build_scenarios"]
@@ -583,20 +588,23 @@ def _fmt(value) -> str:
 _MARGIN_BLOCK_COLUMNS = 4096
 
 
-def write_margin_csv(path, d_axis, vl_axis, v_axis, margin) -> None:
-    """The rows (D[i], v_L[j], v[j], margin[i, j]), row-major, in sim.write_csv_table's bytes:
-    each "v_L,v,%.9g" tail and each D is formatted once, and a grid row's margins
-    in one bytes %-format per block of ``_MARGIN_BLOCK_COLUMNS`` columns."""
+def write_margin_csv(path, d_axis, vl_axis, v_axis, blocks) -> None:
+    """The rows (D[i], v_L[j], v[j], margin[i, j]), row-major, in sim.write_csv_table's bytes,
+    from a scan of verification.truck_margin_table: ``blocks`` yields (i, margin rows
+    i, i + 1, ...) in order, and each block's rows are written as it comes.  Each
+    "v_L,v,%.9g" tail is formatted once, each D once, and a grid row's margins in one
+    bytes %-format per block of ``_MARGIN_BLOCK_COLUMNS`` columns."""
     step = _MARGIN_BLOCK_COLUMNS
-    blocks = [(j, [b"%.9g,%.9g,%%.9g\n" % pair for pair in zip(
+    columns = [(j, [b"%.9g,%.9g,%%.9g\n" % pair for pair in zip(
         vl_axis[j:j + step].tolist(), v_axis[j:j + step].tolist())])
         for j in range(0, len(vl_axis), step)]
     with open(path, "wb") as handle:
         handle.write(b"D,v_L,v,margin\n")
-        for d, margins in zip(d_axis.tolist(), margin):
-            lead = b"%.9g," % d
-            for j, tails in blocks:
-                handle.write((lead + lead.join(tails)) % tuple(margins[j:j + step].tolist()))
+        for i, block in blocks:
+            for d, margins in zip(d_axis[i:i + len(block)].tolist(), block):
+                lead = b"%.9g," % d
+                for j, tails in columns:
+                    handle.write((lead + lead.join(tails)) % tuple(margins[j:j + step].tolist()))
 
 
 def cmd_certify(cfg: Config, out_dir: Path, cross_term: Optional[bool] = None) -> int:
@@ -604,17 +612,20 @@ def cmd_certify(cfg: Config, out_dir: Path, cross_term: Optional[bool] = None) -
     spec = cfg.certify
     if cross_term is None:
         cross_term = spec.cross_term
+    scan = {"d_range": spec.d_range, "vl_range": spec.vl_range, "grid": spec.grid,
+            "a_l_bounds": spec.a_l_bounds}
     try:
         if cfg.plant == "pendulum":
             report = certify_pendulum(p.a, p.b, p.alpha_c, theta_range=spec.theta_range,
                                       cross_term=cross_term)
         else:
-            report = certify_truck_grid(p, d_range=spec.d_range, vl_range=spec.vl_range,
-                                        grid=spec.grid, a_l_bounds=spec.a_l_bounds)
+            report = certify_truck_grid(p, **scan)
     except ValueError as err:
         raise ConfigError(f"$.certify: {err}") from err
     if cfg.plant == "truck":
-        write_margin_csv(out_dir / f"{cfg.name}_margins.csv", *report.margin_grid)
+        # the report keeps no grid: the CSV comes from a second scan, which
+        # repeats the first one's operations and so its margins, bit for bit
+        write_margin_csv(out_dir / f"{cfg.name}_margins.csv", *truck_margin_table(p, **scan))
     with open(out_dir / f"{cfg.name}_certify.json", "w") as handle:
         json.dump(report.to_dict(), handle, indent=2)
         handle.write("\n")
@@ -684,9 +695,26 @@ def _flush_partial(err: SimulationError, out_dir: Path, name: str) -> None:
         handle.write(",".join([f"{err.t:.9g}"] + ["nan"] * (n_states + 4)) + "\n")
 
 
+def _summary_row(result, p, log_path: Path) -> tuple[str, str]:
+    """A run's summary CSV row and its printed line."""
+    shift = None
+    if result.plant == "truck":
+        # the leader starts at the initial leader speed
+        try:
+            shift = steady_state_shift(result, p, float(result.states[0, 2]))
+        except SteadyStateWindowError:
+            shift = None
+    clamps = sum(result.clamp_counts.values())
+    row = ",".join([result.name, result.controller, _fmt(result.h_min),
+                    _fmt(result.h_star), _fmt(shift), str(clamps)]) + "\n"
+    star = "" if result.h_star is None else f"  h*={result.h_star:.9g}"
+    return row, f"simulate {result.name}: h_min={result.h_min:.9g}{star}  -> {log_path}"
+
+
 def cmd_simulate(cfg: Config, out_dir: Path) -> int:
     scenarios = build_scenarios(cfg)
-    results = []
+    p = build_params(cfg)
+    summary = []
     for scn in scenarios:
         try:
             result = run_scenario(scn)
@@ -694,29 +722,17 @@ def cmd_simulate(cfg: Config, out_dir: Path) -> int:
             _flush_partial(err, out_dir, scn.name)
             print(f"simulate {scn.name}: FAILED ({err})", file=sys.stderr)
             return 3
-        result.to_csv(out_dir / f"{scn.name}.csv")
-        results.append(result)
+        path = out_dir / f"{scn.name}.csv"
+        result.to_csv(path)
+        summary.append(_summary_row(result, p, path))
+        del result  # one log alive at a time: the summary keeps its numbers
 
-    p = build_params(cfg)
     summary_path = out_dir / f"{cfg.name}_summary.csv"
     with open(summary_path, "w", newline="") as handle:
         handle.write("scenario,controller,h_min,h_star,steady_state_shift,clamp_events\n")
-        for result in results:
-            shift = None
-            if cfg.plant == "truck":
-                # the leader starts at the initial leader speed
-                try:
-                    shift = steady_state_shift(result, p, float(result.states[0, 2]))
-                except SteadyStateWindowError:
-                    shift = None
-            clamps = sum(result.clamp_counts.values())
-            handle.write(",".join([
-                result.name, result.controller, _fmt(result.h_min),
-                _fmt(result.h_star), _fmt(shift), str(clamps),
-            ]) + "\n")
-            star = "" if result.h_star is None else f"  h*={result.h_star:.9g}"
-            print(f"simulate {result.name}: h_min={result.h_min:.9g}{star}"
-                  f"  -> {out_dir / (result.name + '.csv')}")
+        for row, line in summary:
+            handle.write(row)
+            print(line)
     print(f"summary -> {summary_path}")
     return 0
 

@@ -335,24 +335,27 @@ class ScenarioResult:
     def to_csv(self, path) -> None:
         """Plot-ready log: t,<state columns>,u_nom,u_filt,d,h at 9 significant digits."""
         header = "t," + ",".join(self.state_labels) + ",u_nom,u_filt,d,h"
-        table = np.column_stack([self.time, self.states, self.u_nom,
-                                 self.u_filt, self.d, self.h])
-        write_csv_table(path, header, table)
+        write_csv_table(path, header, self.time, self.states, self.u_nom,
+                        self.u_filt, self.d, self.h)
 
 
-def write_csv_table(path, header: str, table: np.ndarray) -> None:
-    """Write ``header`` and the rows of a 2-d float table as CSV, 9 significant digits.
+def write_csv_table(path, header: str, *columns: np.ndarray) -> None:
+    """Write ``header`` and the rows of float columns side by side as CSV, 9
+    significant digits; each of ``columns`` is one column (1-d) or a block of
+    them (2-d), all with the same rows.
 
-    Each block of ``_CSV_BLOCK_ROWS`` rows is one bytes ``%``-format over its
-    cells, written to a binary file; ``b"%.9g" % x``, ``"%.9g" % x`` and
-    ``f"{x:.9g}"`` share CPython's float formatter, so the bytes match a
-    per-cell loop, ``nan``, ``inf`` and ``-0`` included.
+    Each block of ``_CSV_BLOCK_ROWS`` rows is stacked on its own, so no copy
+    of the whole table is made, and written as one bytes ``%``-format over its
+    cells to a binary file; ``b"%.9g" % x``, ``"%.9g" % x`` and ``f"{x:.9g}"``
+    share CPython's float formatter, so the bytes match a per-cell loop,
+    ``nan``, ``inf`` and ``-0`` included.
     """
-    row_fmt = b",".join([b"%.9g"] * table.shape[1]) + b"\n"
     with open(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
-        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS]
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack([column[start:start + _CSV_BLOCK_ROWS]
+                                     for column in columns])
+            row_fmt = b",".join([b"%.9g"] * block.shape[1]) + b"\n"
             handle.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 

@@ -15,8 +15,8 @@ gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -33,15 +33,17 @@ __all__ = [
 ]
 
 # Most cells one scan may evaluate: grid[0] * grid[1] truck grid points.  A whole
-# truck certify, scan and margin CSV, peaks (tracemalloc) at about 11 bytes a cell
-# on a 500 x 500 grid and 8.2 on 2000 x 2000, the 8-byte margin grid and one
-# block, and at 52 on a 2-row one (2 x 125,000), whose formatted column tails
-# dominate: at most about 0.21 GB at the cap.  The design workload's 500 x 500 is
-# 1/16 of it.
+# truck certify, both scans and the margin CSV, holds one block of the grid and
+# never the grid, so its peak (tracemalloc) grows with ny, not with nx * ny: under
+# 1 MB, plus 8 bytes a grid row for the D axis and about 95 bytes a grid column
+# for the v_L and v axes and the CSV's formatted column tails.  That is 0.66 MB
+# on 500 x 500, 0.84 MB on 2000 x 2000, 13 MB on 2 x 125,000, and at most about
+# 0.19 GB at the cap, on a 2-row grid.  The design workload's 500 x 500 is 1/16
+# of it.
 MAX_GRID_CELLS = 4_000_000
 
-# Cells of the truck margin grid that one in-place pass of the scan fills: a
-# block of whole rows, at least one.
+# Cells of the truck margin grid that one in-place pass of the scan fills and
+# hands out: a block of whole rows, at least one.
 _SCAN_CELLS = 32_768
 
 
@@ -60,16 +62,15 @@ def _finite_width(name: str, bounds) -> tuple[float, float]:
 class CertificationReport:
     """Outcome of a worst-case margin scan over the lg_h = 0 set.
 
-    ``margin_grid`` is the truck scan in grid form, the (D axis, v_L axis,
-    v axis, margin matrix) of :func:`truck_margin_table`, None for the
-    pendulum; it is left out of comparisons, the repr and ``to_dict``.
+    The report keeps the minimum and its witness, not the scan: the truck's
+    margin table is :func:`truck_margin_table`'s, which the certify command
+    runs a second time to write the margin CSV a block of rows at a time.
     """
 
     passed: bool
     min_margin: float
     witness: dict            # state (and worst a_L) achieving the minimum
     grid_spec: dict
-    margin_grid: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -146,10 +147,14 @@ def truck_margin_table(
     vl_range: tuple[float, float] = (0.0, 20.0),
     grid: tuple[int, int] = (200, 200),
     a_l_bounds: tuple[float, float] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray]]]:
     """Worst-case margin on the (D, v_L) grid: the axes D (nx,), v_L (ny,) and
     v (ny,), v implied by lg_h = 0, and the margin (nx, ny) at (D[i], v_L[j],
-    v[j]); alpha_c and a_l_bounds default to the parameter set's."""
+    v[j]) as an iterator over blocks of whole rows, in order: pairs (i, rows i,
+    i + 1, ... of the margin).  Each block is a view of one buffer that the
+    next block overwrites, so a consumer copies what it keeps.  alpha_c and
+    a_l_bounds default to the parameter set's.  The arguments are checked here;
+    a margin that overflows is a ValueError from the block that holds it."""
     alpha_c = p.alpha_c if alpha_c is None else float(alpha_c)
     if alpha_c < 0:
         raise ValueError(f"alpha_c must be nonnegative, got {alpha_c}")
@@ -169,33 +174,58 @@ def truck_margin_table(
 
     d_axis = np.linspace(*_finite_width("d_range", d_range), nx)
     vl_axis = np.linspace(*_finite_width("vl_range", vl_range), ny)
-
-    # v0, rho, v_L - v0 and the slope depend on v_L alone: one row each.  The
-    # margin is filled in place a block of whole rows at a time, each cell by
-    # the operations of base = (v_L - v0) + alpha_c (D - rho) and
-    # min(base + slope a_lo, base + slope a_hi) in that order, so the low
-    # branch is the only temporary beside the grid.  A finite range can
-    # overflow the quadratic headway: rejected block by block
-    margin = np.empty((nx, ny))
-    rows = max(1, _SCAN_CELLS // ny)
     with np.errstate(over="ignore", invalid="ignore"):
         v0 = -(p.c1 + p.c4 * vl_axis) / (2.0 * p.c3)  # may be unphysical; scan anyway
-        rho = truck_headway(p, v0, vl_axis)
-        gap = vl_axis - v0
-        slope = -(p.c2 + p.c4 * v0 + 2.0 * p.c5 * vl_axis)  # d margin / d a_L
-        rise_lo, rise_hi = slope * a_lo, slope * a_hi
-        for i in range(0, nx, rows):
-            block = margin[i:i + rows]
-            np.subtract(d_axis[i:i + rows, None], rho, out=block)
-            block *= alpha_c
-            np.add(gap, block, out=block)
-            low = block + rise_lo
-            block += rise_hi
-            np.minimum(low, block, out=block)
-            if not np.isfinite(block).all():
-                raise ValueError(f"the margin overflows on the grid of d_range {d_range}, "
-                                 f"vl_range {vl_range} and a_l_bounds {a_l_bounds}")
-    return d_axis, vl_axis, v0, margin
+    overflow = (f"the margin overflows on the grid of d_range {d_range}, "
+                f"vl_range {vl_range} and a_l_bounds {a_l_bounds}")
+    return d_axis, vl_axis, v0, _margin_blocks(p, alpha_c, d_axis, vl_axis, v0,
+                                               (a_lo, a_hi), overflow)
+
+
+def _margin_blocks(p, alpha_c, d_axis, vl_axis, v_axis, a_l_bounds, overflow):
+    """The blocks of :func:`truck_margin_table`, each filled in place in one
+    reused buffer of at most ``_SCAN_CELLS`` cells or one row.
+
+    Each cell takes the operations of base = (v_L - v0) + alpha_c (D - rho)
+    and min(base + slope a_lo, base + slope a_hi) in that order.  rho, v_L - v0
+    and slope a_L depend on v_L alone: they are computed for each chunk of at
+    most ``_SCAN_CELLS`` columns of each block and freed after it.  A finite
+    range can overflow the quadratic headway: rejected block by block.  The
+    errstate that lets the overflow through is left before each yield, so it
+    never reaches the consumer.
+    """
+    nx, ny = d_axis.size, vl_axis.size
+    rows = max(1, _SCAN_CELLS // ny)
+    buffer = np.empty((min(rows, nx), ny))
+    for i in range(0, nx, rows):
+        block = buffer[:nx - i]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(0, ny, _SCAN_CELLS):
+                columns = slice(j, j + _SCAN_CELLS)
+                _fill_margin(block[:, columns], d_axis[i:i + rows, None], alpha_c,
+                             *_column_terms(p, vl_axis[columns], v_axis[columns], *a_l_bounds))
+        if not np.isfinite(block).all():
+            raise ValueError(overflow)
+        yield i, block
+
+
+def _column_terms(p, vl, v0, a_lo, a_hi):
+    """rho, v_L - v0 and the margin's rise slope a_L at each bound, for the
+    columns (v_L, v0)."""
+    slope = -(p.c2 + p.c4 * v0 + 2.0 * p.c5 * vl)  # d margin / d a_L
+    return truck_headway(p, v0, vl), vl - v0, slope * a_lo, slope * a_hi
+
+
+def _fill_margin(out, d_col, alpha_c, rho, gap, rise_lo, rise_hi):
+    """The margin of the cells (d_col, columns) into ``out``, in place: the low
+    branch is the only temporary, and np.minimum keeps its argument order, so
+    ties of +0.0 and -0.0 resolve as in the one-shot expression."""
+    np.subtract(d_col, rho, out=out)
+    out *= alpha_c
+    np.add(gap, out, out=out)
+    low = out + rise_lo
+    out += rise_hi
+    np.minimum(low, out, out=out)
 
 
 def certify_truck_grid(
@@ -211,15 +241,21 @@ def certify_truck_grid(
     The margin v_L - v0 - a_L (c2 + c4 v0 + 2 c5 v_L) + alpha_c (D - rho) is
     affine in a_L, so only the bound endpoints are evaluated; the minimum over
     the grid and both endpoints decides the report.  The scan is
-    :func:`truck_margin_table`, whose grid the report carries.
+    :func:`truck_margin_table`, reduced block by block to its first minimum in
+    row-major order; no block is kept.
     """
     alpha_c = p.alpha_c if alpha_c is None else float(alpha_c)
     if a_l_bounds is None:
         a_l_bounds = (-p.a_under_l, p.a_bar_l)
-    d_axis, vl_axis, v_axis, margin = scan = truck_margin_table(
+    d_axis, vl_axis, v_axis, blocks = truck_margin_table(
         p, alpha_c, d_range, vl_range, grid, a_l_bounds)
-    i, j = np.unravel_index(np.argmin(margin), margin.shape)  # the first minimum, row-major
-    d_w, vl_w, v_w, min_margin = map(float, (d_axis[i], vl_axis[j], v_axis[j], margin[i, j]))
+    ny = vl_axis.size
+    min_margin = math.inf
+    for start, block in blocks:
+        k = int(block.argmin())  # the block's first minimum, row-major
+        if block.flat[k] < min_margin:  # strict: a tie keeps the earlier block's
+            min_margin, i, j = float(block.flat[k]), start + k // ny, k % ny
+    d_w, vl_w, v_w = map(float, (d_axis[i], vl_axis[j], v_axis[j]))
     a_lo, a_hi = float(a_l_bounds[0]), float(a_l_bounds[1])
     slope = -(p.c2 + p.c4 * v_w + 2.0 * p.c5 * vl_w)  # the scan's d margin / d a_L there
     return CertificationReport(
@@ -239,7 +275,6 @@ def certify_truck_grid(
             "a_l_bounds": [a_lo, a_hi],
             "alpha_c": alpha_c,
         },
-        margin_grid=scan,
     )
 
 

@@ -39,6 +39,7 @@ from safefilter import (
     truck_nominal,
 )
 from safefilter.cbf import LG_ZERO_TOL
+from safefilter.verification import _SCAN_CELLS
 
 GRID_LO = -100.0
 GRID_HI = 100.0
@@ -439,8 +440,8 @@ def reference_result_csv(result, path):
 
 def reference_margin_table(p, d_range, vl_range, grid, alpha_c=None, a_l_bounds=None):
     """verification.truck_margin_table's axes and margin as one broadcast
-    expression over the whole grid, with no validation; a margin that is not
-    finite everywhere is a ValueError."""
+    expression over the whole grid, the margin as one (nx, ny) matrix, with no
+    validation; a margin that is not finite everywhere is a ValueError."""
     alpha_c = p.alpha_c if alpha_c is None else alpha_c
     a_lo, a_hi = (-p.a_under_l, p.a_bar_l) if a_l_bounds is None else a_l_bounds
     d_col = np.linspace(*d_range, grid[0])[:, None]
@@ -453,6 +454,22 @@ def reference_margin_table(p, d_range, vl_range, grid, alpha_c=None, a_l_bounds=
     if not np.all(np.isfinite(margin)):
         raise ValueError("the margin overflows")
     return d_col[:, 0], vl_axis, v0, margin
+
+
+def margin_grid(scan):
+    """A verification.truck_margin_table scan with its blocks copied into one
+    (nx, ny) margin matrix, checking that they come in order, of whole rows,
+    each within the scan's cell budget or one row."""
+    d_axis, vl_axis, v_axis, blocks = scan
+    ny = vl_axis.size
+    parts, rows = [], 0
+    for i, block in blocks:
+        assert i == rows and block.shape[1] == ny
+        assert len(block) == min(max(1, _SCAN_CELLS // ny), d_axis.size - i)
+        parts.append(block.copy())
+        rows += len(block)
+    assert rows == d_axis.size
+    return d_axis, vl_axis, v_axis, np.concatenate(parts)
 
 
 def reference_margin_cells(p, d_range, vl_range, grid):

@@ -4,6 +4,7 @@ import os
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from safefilter.cli import (
     parse_config,
     resolve_preset,
 )
-from safefilter import EpsilonFunction, TruckParams, linear_class_kappa, solve_h_star, verification
+from safefilter import EpsilonFunction, TruckParams, cli, linear_class_kappa, solve_h_star, verification
 from safefilter.verification import MAX_GRID_CELLS
 
 SIMULATABLE_PRESETS = [name for name, doc in SCENARIO_PRESETS.items() if "sweep" not in doc]
@@ -302,8 +303,9 @@ def test_certify_truck_writes_margin_table(tmp_path):
     assert min(float(r["margin"]) for r in rows) > 0.0
 
 
-def test_certify_scans_the_truck_margin_grid_once(tmp_path, monkeypatch):
-    # the report and the margin CSV come from one scan
+def test_certify_scans_the_truck_margin_grid_twice_and_keeps_no_grid(tmp_path, monkeypatch):
+    # the report reduces one scan to its minimum and the margin CSV is written
+    # from a second one; neither keeps the grid
     calls = []
     scan = verification.truck_margin_table
 
@@ -312,10 +314,46 @@ def test_certify_scans_the_truck_margin_grid_once(tmp_path, monkeypatch):
         return scan(*args, **kwargs)
 
     monkeypatch.setattr(verification, "truck_margin_table", counted)
+    monkeypatch.setattr(cli, "truck_margin_table", counted)
     assert main(["certify", "--preset", "paper-table-2", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1
+    assert len(calls) == 2
     report = json.loads((tmp_path / "paper-table-2_certify.json").read_text())
     assert "margin_grid" not in report
+    assert not hasattr(verification.certify_truck_grid(TruckParams()), "margin_grid")
+    with open(tmp_path / "paper-table-2_margins.csv", newline="") as handle:
+        least = min(float(row["margin"]) for row in csv.DictReader(handle))
+    assert least == float(f"{report['min_margin']:.9g}")
+
+
+def _certify_peak(tmp_path, grid) -> int:
+    """Traced peak bytes of a whole truck certify, scans and margin CSV, on ``grid``."""
+    config_path = tmp_path / "grid.json"
+    config_path.write_text(json.dumps({"name": "grid", "plant": "truck",
+                                       "params": {"preset": "paper-table-2"},
+                                       "certify": {"grid": grid}}))
+    tracemalloc.start()
+    try:
+        code = main(["certify", "--config", str(config_path), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(tmp_path / "grid_margins.csv", "rb") as handle:
+        rows = sum(1 for _ in handle) - 1
+    assert code == 0 and rows == grid[0] * grid[1]
+    return peak
+
+
+def test_certify_holds_one_block_not_the_grid(tmp_path):
+    # the design workload's 500 x 500 grid is 2 MB, a block of 65 rows 254 KB:
+    # the whole certify, both scans and the margin CSV, peaks near 0.7 MB
+    assert _certify_peak(tmp_path, [500, 500]) < 1_500_000
+
+
+def test_wide_certify_holds_the_csv_tails_and_one_row(tmp_path):
+    # on 2 x 125,000 the margin CSV's formatted column tails (about 8 MB) set
+    # the peak; the scan adds one row and the column terms of one chunk, not
+    # its own rows of rho, v_L - v0 and both a_L rises over all columns
+    assert _certify_peak(tmp_path, [2, 125_000]) <= 13_100_000
 
 
 def test_hstar_command(tmp_path, capsys):
@@ -377,6 +415,25 @@ def test_simulate_writes_logs_and_summary(tmp_path):
     summary = (tmp_path / "pendulum-undisturbed_summary.csv").read_text().splitlines()
     assert summary[0] == "scenario,controller,h_min,h_star,steady_state_shift,clamp_events"
     assert len(summary) == 3
+
+
+def test_simulate_lets_each_log_go_before_the_next_run(tmp_path, monkeypatch):
+    # each run's summary numbers are taken as its CSV is written, so when the
+    # next run starts no earlier log is alive
+    logs = []
+    run = cli.run_scenario
+
+    def tracked(scenario):
+        assert [log() for log in logs] == [None] * len(logs)
+        result = run(scenario)
+        logs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli, "run_scenario", tracked)
+    assert main(["simulate", "--preset", "truck-braking-disturbed", "--out", str(tmp_path)]) == 0
+    assert len(logs) == 3
+    summary = (tmp_path / "truck-braking-disturbed_summary.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in summary[1:]] == ["nominal", "cbf", "issf"]
 
 
 def test_simulate_config_file_with_overrides(tmp_path):
@@ -611,8 +668,13 @@ def _preset_variants(draw):
        horizon=st.floats(0.0, 1.0), dt=st.sampled_from([0.01, 0.05, 0.5]))
 def test_any_document_exits_0_to_3_under_every_command(doc, command, horizon, dt):
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
-        # a run may warn (an initial state outside the safe set); it must not raise
-        warnings.simplefilter("ignore")
+        # a run may give the simulator's documented warnings (an initial state
+        # outside the safe set, a leader speed it clamps); a leaked numpy
+        # warning is an error
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "scenario .*: initial state is outside the safe set",
+                                UserWarning)
+        warnings.filterwarnings("ignore", "induced leader speed leaves", UserWarning)
         path = os.path.join(out, "doc.json")
         with open(path, "w") as handle:
             json.dump(doc, handle)

@@ -4,6 +4,7 @@ reference loop."""
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ import pytest
 from safefilter.cli import _MARGIN_BLOCK_COLUMNS, main, write_margin_csv
 from safefilter.plants import TruckParams, truck_headway, truck_record
 from safefilter.sim import _CSV_BLOCK_ROWS, ScenarioResult, write_csv_table
-from safefilter.verification import certify_truck_grid, truck_margin_table
+from safefilter.verification import _SCAN_CELLS, certify_truck_grid, truck_margin_table
 
-from helpers import reference_result_csv, reference_write_csv
+from helpers import margin_grid, reference_result_csv, reference_write_csv
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
            -1.7976931348623157e308, 1e-9, 123456789.5, 0.1, 1.0 / 3.0]
@@ -60,6 +61,42 @@ def test_scenario_log_matches_per_cell_writer(tmp_path):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
 
+def test_columns_are_written_as_their_stacked_table(tmp_path):
+    # 1-d columns and 2-d blocks of columns side by side, stacked a block of
+    # rows at a time
+    table = _mixed_table(2 * _CSV_BLOCK_ROWS + 7, 6, seed=2)
+    write_csv_table(tmp_path / "columns.csv", "a,b,c,d,e,f", table[:, 0], table[:, 1:4],
+                    table[:, 4], table[:, 5:])
+    reference_write_csv(tmp_path / "cell.csv", "a,b,c,d,e,f", table)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+
+def _to_csv_peak(tmp_path, rows) -> int:
+    """Traced peak bytes of writing a mixed log of ``rows`` rows."""
+    cols = _mixed_table(rows, 7, seed=3)
+    result = ScenarioResult(
+        name="long", plant="truck", controller="cbf",
+        state_labels=truck_record(TruckParams()).labels, time=np.arange(rows) * 0.01,
+        states=cols[:, :3], u_nom=cols[:, 3], u_filt=cols[:, 4], d=cols[:, 5],
+        h=cols[:, 6], h_min=0.0, h_star=None, clamp_counts={},
+    )
+    tracemalloc.start()
+    try:
+        result.to_csv(tmp_path / "long.csv")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scenario_log_is_stacked_a_block_at_a_time(tmp_path):
+    # the writer's peak is one block's (about 0.5 MB of stacked rows, floats
+    # and text) however long the log: a stacked copy of the whole 12-block log
+    # would add 640 KB
+    short = _to_csv_peak(tmp_path, 2 * _CSV_BLOCK_ROWS)
+    long = _to_csv_peak(tmp_path, 12 * _CSV_BLOCK_ROWS)
+    assert long < short + _CSV_BLOCK_ROWS * 8 * 8
+
+
 # SHA-256 of the truck margin CSV of paper-table-2 on the preset's 200 x 200
 # grid and on the benchmark's 500 x 500 grid
 MARGIN_CSV_SHA256 = {
@@ -91,11 +128,12 @@ def _margin_rows_cell_by_cell(p, d_range, vl_range, grid):
 ])
 def test_margin_grid_matches_rows_built_cell_by_cell(d_range, vl_range, grid, tmp_path):
     p = TruckParams()
-    d_axis, vl_axis, v_axis, margin = truck_margin_table(p, d_range=d_range,
-                                                         vl_range=vl_range, grid=grid)
+    d_axis, vl_axis, v_axis, margin = margin_grid(truck_margin_table(
+        p, d_range=d_range, vl_range=vl_range, grid=grid))
     assert (d_axis.shape, vl_axis.shape, v_axis.shape, margin.shape) == (
         (grid[0],), (grid[1],), (grid[1],), grid)
-    write_margin_csv(tmp_path / "grid.csv", d_axis, vl_axis, v_axis, margin)
+    write_margin_csv(tmp_path / "grid.csv",
+                     *truck_margin_table(p, d_range=d_range, vl_range=vl_range, grid=grid))
     rows = list(_margin_rows_cell_by_cell(p, d_range, vl_range, grid))
     reference_write_csv(tmp_path / "cell.csv", "D,v_L,v,margin", rows)
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
@@ -109,10 +147,11 @@ def test_margin_grid_matches_rows_built_cell_by_cell(d_range, vl_range, grid, tm
         assert {"-0", "1e-07", "5e-08"} <= set(cells)
 
 
-@pytest.mark.parametrize("columns", [_MARGIN_BLOCK_COLUMNS, _MARGIN_BLOCK_COLUMNS + 1, 20_000])
+@pytest.mark.parametrize("columns", [_MARGIN_BLOCK_COLUMNS, _MARGIN_BLOCK_COLUMNS + 1, 20_000,
+                                     _SCAN_CELLS + 1])
 def test_wide_margin_grid_matches_rows_built_cell_by_cell(columns, tmp_path):
-    # grid rows of one whole block, of a block and one column, and of four
-    # blocks and a partial fifth
+    # grid rows of one whole block, of a block and one column, of four blocks
+    # and a partial fifth, and scanned in two column chunks
     p = TruckParams()
     grid = (2, columns)
     write_margin_csv(tmp_path / "grid.csv", *truck_margin_table(p, grid=grid))
@@ -127,7 +166,8 @@ def test_certify_margin_grid_matches_per_cell_writer(tmp_path):
     config_path = tmp_path / "big.json"
     config_path.write_text(json.dumps(doc))
     assert main(["certify", "--config", str(config_path), "--out", str(tmp_path)]) == 0
-    d_axis, vl_axis, v_axis, margin = truck_margin_table(TruckParams(), grid=(500, 500))
+    d_axis, vl_axis, v_axis, margin = margin_grid(truck_margin_table(TruckParams(),
+                                                                     grid=(500, 500)))
     rows = ((d, vl, v, m) for d, margins in zip(d_axis.tolist(), margin.tolist())
             for vl, v, m in zip(vl_axis.tolist(), v_axis.tolist(), margins))
     reference_write_csv(tmp_path / "cell.csv", "D,v_L,v,margin", rows)

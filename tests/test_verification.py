@@ -21,7 +21,7 @@ from safefilter import (
 )
 from safefilter.verification import _SCAN_CELLS, MAX_GRID_CELLS, truck_margin_table
 
-from helpers import reference_margin_cells, reference_margin_table
+from helpers import margin_grid, reference_margin_cells, reference_margin_table
 
 P = PendulumParams()
 T = TruckParams()
@@ -234,16 +234,18 @@ _BLOCK_ROWS_500 = _SCAN_CELLS // 500  # grid rows of one block at 500 columns
     (2 * _BLOCK_ROWS_500 + 1, 500),   # two blocks and one row
     (2, 20_000),                      # wide: a block is one row beyond the cell budget
     (500, 500),
+    (2, _SCAN_CELLS + 1),             # a row of two column chunks, the second of one column
+    (3, 2 * _SCAN_CELLS + 5),         # rows of three column chunks
 ])
 @pytest.mark.parametrize("d_range", [(0.0, 100.0), (100.0, 0.0)])
 def test_margin_blocks_match_the_one_shot_scan_bit_for_bit(grid, d_range):
     # the in-place block scan gives the broadcast expression's four arrays,
     # and the margin of each cell computed on floats
-    got = truck_margin_table(T, d_range=d_range, grid=grid)
+    got = margin_grid(truck_margin_table(T, d_range=d_range, grid=grid))
     want = reference_margin_table(T, d_range, (0.0, 20.0), grid)
     for got_array, want_array in zip(got, want):
         _assert_same_bits(got_array, want_array)
-    if grid[0] < 500:  # the float loop is slow on the square grid
+    if grid[0] < 500 and grid[1] < _SCAN_CELLS:  # the float loop is slow on larger grids
         _assert_same_bits(got[3], np.array(reference_margin_cells(T, d_range, (0.0, 20.0),
                                                                   grid)))
 
@@ -260,11 +262,43 @@ def test_margin_blocks_match_the_one_shot_scan_on_signed_zero_ties(alpha_c, vl_r
     # np.minimum keeps its argument order, so each tie of +0.0 and -0.0
     # resolves as in the broadcast expression
     grid = (3 * _BLOCK_ROWS_500 + 2, 500)
-    got = truck_margin_table(_ZERO_TRUCK, alpha_c, d_range, vl_range, grid, (-10.0, 5.0))
+    got = margin_grid(truck_margin_table(_ZERO_TRUCK, alpha_c, d_range, vl_range, grid,
+                                         (-10.0, 5.0)))
     want = reference_margin_table(_ZERO_TRUCK, d_range, vl_range, grid, alpha_c, (-10.0, 5.0))
     assert (want[3] == 0.0).all()
     for got_array, want_array in zip(got, want):
         _assert_same_bits(got_array, want_array)
+
+
+def _reference_witness(p, d_range, vl_range, grid, alpha_c=None):
+    """(D, v_L, v, margin) at the broadcast expression's first minimum, row-major."""
+    d_axis, vl_axis, v_axis, margin = reference_margin_table(p, d_range, vl_range, grid, alpha_c)
+    i, j = np.unravel_index(np.argmin(margin), margin.shape)
+    return float(d_axis[i]), float(vl_axis[j]), float(v_axis[j]), float(margin[i, j])
+
+
+@pytest.mark.parametrize("alpha_c, d_range, vl_range, grid, where", [
+    # D falls along the rows: the minimum is in the last row, in the third block
+    (None, (100.0, 0.0), (0.0, 20.0), (2 * _BLOCK_ROWS_500 + 1, 500), (2 * _BLOCK_ROWS_500, 0)),
+    # and v_L along the columns: in the last column
+    (None, (100.0, 0.0), (20.0, 0.0), (2 * _BLOCK_ROWS_500 + 1, 500),
+     (2 * _BLOCK_ROWS_500, 499)),
+    # in the last row and the last column chunk of a wide grid
+    (None, (100.0, 0.0), (20.0, 0.0), (3, _SCAN_CELLS + 7), (2, _SCAN_CELLS + 6)),
+    # alpha_c = 0: every row is equal, so every block ties and row 0 is the witness
+    (0.0, (0.0, 100.0), (0.0, 20.0), (2 * _BLOCK_ROWS_500 + 1, 500), (0, 0)),
+    (0.0, (100.0, 0.0), (0.0, 20.0), (2 * _BLOCK_ROWS_500 + 1, 500), (0, 0)),
+])
+def test_truck_witness_is_the_first_minimum_across_blocks(alpha_c, d_range, vl_range, grid,
+                                                          where):
+    report = certify_truck_grid(T, alpha_c=alpha_c, d_range=d_range, vl_range=vl_range,
+                                grid=grid)
+    d_w, vl_w, v_w, min_margin = _reference_witness(T, d_range, vl_range, grid, alpha_c)
+    d_axis = np.linspace(*d_range, grid[0])
+    vl_axis = np.linspace(*vl_range, grid[1])
+    assert (d_w, vl_w) == (d_axis[where[0]], vl_axis[where[1]])
+    assert (report.witness["D"], report.witness["v_L"], report.witness["v"],
+            report.min_margin) == (d_w, vl_w, v_w, min_margin)
 
 
 @pytest.mark.parametrize("alpha_c, d_range, vl_range, grid", [
@@ -281,23 +315,78 @@ def test_margin_block_scan_rejects_an_overflowing_grid_as_the_one_shot_scan(
         reference_margin_table(T, d_range, vl_range, grid, alpha_c)
     message = (f"the margin overflows on the grid of d_range {d_range}, vl_range {vl_range} "
                f"and a_l_bounds (-10.0, 5.0)")
+    blocks = truck_margin_table(T, alpha_c, d_range, vl_range, grid)[3]
     with pytest.raises(ValueError) as excinfo:
-        truck_margin_table(T, alpha_c, d_range, vl_range, grid)
+        for _ in blocks:
+            pass
+    assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:
+        certify_truck_grid(T, alpha_c, d_range, vl_range, grid)
     assert str(excinfo.value) == message
 
 
-def test_margin_scan_peaks_near_the_size_of_its_grid():
-    # the grid of 500 x 500 float64 is 2 MB; the block scan's other arrays are
-    # one block's low branch and finiteness mask, and rows of 500
-    grid_bytes = 500 * 500 * 8
+def test_margin_scan_hands_out_the_blocks_before_an_overflowing_one():
+    # alpha_c D overflows in the last row only, so the first two blocks come
+    # out whole and finite before the third raises
+    grid = (2 * _BLOCK_ROWS_500 + 1, 500)
+    blocks = truck_margin_table(T, 2.5, (0.0, 7.22e307), (0.0, 20.0), grid)[3]
+    starts = []
+    with pytest.raises(ValueError, match="the margin overflows"):
+        for i, block in blocks:
+            assert block.shape == (_BLOCK_ROWS_500, 500) and np.isfinite(block).all()
+            starts.append(i)
+    assert starts == [0, _BLOCK_ROWS_500]
+
+
+def test_margin_scan_leaves_the_error_state_before_each_block():
+    # the scan lets overflow through inside each block only: the consumer sees
+    # its own np.errstate before the first block, between blocks and after the
+    # last, so the CSV writer's own overflow still warns
+    grid = (2 * _BLOCK_ROWS_500 + 1, 500)
+    for settings in ({"all": "warn"}, {"all": "raise"}, {"over": "raise", "invalid": "print"}):
+        with np.errstate(**settings):
+            outside = np.geterr()
+            d_axis, vl_axis, v_axis, blocks = truck_margin_table(T, grid=grid)
+            assert np.geterr() == outside
+            seen = []
+            for i, _ in blocks:
+                assert np.geterr() == outside
+                seen.append(i)
+            assert np.geterr() == outside
+            assert seen == [0, _BLOCK_ROWS_500, 2 * _BLOCK_ROWS_500]
+    with np.errstate(over="warn"), pytest.warns(RuntimeWarning, match="overflow"):
+        for _ in truck_margin_table(T, grid=grid)[3]:
+            np.float64(1e308) * 10.0
+
+
+def test_margin_scan_peaks_near_the_size_of_one_block():
+    # a 500 x 500 scan reduced as it comes holds one block of 65 x 500 float64
+    # (254 KB), its low branch and finiteness mask, and rows of 500: about 2.4
+    # blocks, where the grid would be 7.7
+    block_bytes = _BLOCK_ROWS_500 * 500 * 8
     tracemalloc.start()
     try:
-        scan = truck_margin_table(T, grid=(500, 500))
+        d_axis, vl_axis, v_axis, blocks = truck_margin_table(T, grid=(500, 500))
+        low = min(block.min() for _, block in blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert scan[3].nbytes == grid_bytes
-    assert peak < 1.5 * grid_bytes
+    assert low == reference_margin_table(T, (0.0, 100.0), (0.0, 20.0), (500, 500))[3].min()
+    assert peak < 3 * block_bytes
+
+
+def test_truck_certify_at_the_grid_cap_keeps_no_grid():
+    # 2000 x 2000 is MAX_GRID_CELLS: its grid would be 32 MB, a block of 16
+    # rows 256 KB; reduced as they come, the blocks peak near 0.7 MB
+    assert 2000 * 2000 == MAX_GRID_CELLS
+    tracemalloc.start()
+    try:
+        report = certify_truck_grid(T, grid=(2000, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.witness["D"] == 0.0
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------
