@@ -80,9 +80,20 @@ PARAM_PRESETS = {
     "pendulum-default": "pendulum",
 }
 
-_PENDULUM_X0 = (-0.1, 0.5)
-_TRUCK_X0 = (27.4, 16.0, 16.0)
-_DEFAULT_HORIZON = {"pendulum": 40.0, "truck": 60.0}  # [s], when a config gives none
+
+@dataclass(frozen=True)
+class _Plant:
+    """A plant as a config names it: its parameter class, and the defaults of
+    what a config may leave out, the initial state, whose length is the
+    plant's number of states, and the horizon [s]."""
+
+    params: type
+    x0: tuple
+    horizon: float
+
+
+_PLANTS = {"pendulum": _Plant(PendulumParams, (-0.1, 0.5), 40.0),
+           "truck": _Plant(TruckParams, (27.4, 16.0, 16.0), 60.0)}
 
 SCENARIO_PRESETS = {
     "pendulum-undisturbed": {
@@ -91,7 +102,7 @@ SCENARIO_PRESETS = {
         "params": {"preset": "pendulum-default"},
         "controller": ["nominal", "cbf"],
         "disturbance": {"kind": "zero"},
-        "initial_state": list(_PENDULUM_X0),
+        "initial_state": list(_PLANTS["pendulum"].x0),
         "horizon": 40.0,
         "dt": 0.01,
     },
@@ -101,7 +112,7 @@ SCENARIO_PRESETS = {
         "params": {"preset": "pendulum-default"},
         "controller": ["cbf"],
         "disturbance": {"kind": "heaviside_pulse", "amplitude": 0.75},
-        "initial_state": list(_PENDULUM_X0),
+        "initial_state": list(_PLANTS["pendulum"].x0),
         "horizon": 40.0,
         "dt": 0.01,
     },
@@ -112,7 +123,7 @@ SCENARIO_PRESETS = {
         "controller": ["issf"],
         "issf": {"eps0": 0.15, "lam": 0.0, "delta": 0.75},
         "disturbance": {"kind": "heaviside_pulse", "amplitude": 0.75},
-        "initial_state": list(_PENDULUM_X0),
+        "initial_state": list(_PLANTS["pendulum"].x0),
         "horizon": 40.0,
         "dt": 0.01,
     },
@@ -123,7 +134,7 @@ SCENARIO_PRESETS = {
         "controller": ["issf"],
         "issf": {"eps0": 0.5, "lam": 12.0, "delta": 0.75},
         "disturbance": {"kind": "heaviside_pulse", "amplitude": 0.75},
-        "initial_state": list(_PENDULUM_X0),
+        "initial_state": list(_PLANTS["pendulum"].x0),
         "horizon": 40.0,
         "dt": 0.01,
     },
@@ -134,7 +145,7 @@ SCENARIO_PRESETS = {
         "controller": ["nominal", "cbf"],
         "disturbance": {"kind": "zero"},
         "leader": {"kind": "hard_brake", "t_brake": 15.0, "a_peak": -8.0, "duration": 2.0},
-        "initial_state": list(_TRUCK_X0),
+        "initial_state": list(_PLANTS["truck"].x0),
         "horizon": 60.0,
         "dt": 0.01,
     },
@@ -146,7 +157,7 @@ SCENARIO_PRESETS = {
         "issf": {"eps0": 0.5, "lam": 0.4, "delta": 4.5},
         "disturbance": {"kind": "lag_residual", "tau": 0.6},
         "leader": {"kind": "hard_brake", "t_brake": 15.0, "a_peak": -8.0, "duration": 2.0},
-        "initial_state": list(_TRUCK_X0),
+        "initial_state": list(_PLANTS["truck"].x0),
         "horizon": 60.0,
         "dt": 0.01,
     },
@@ -157,7 +168,7 @@ SCENARIO_PRESETS = {
         "controller": ["nominal"],
         "disturbance": {"kind": "zero"},
         "leader": {"kind": "constant"},
-        "initial_state": list(_TRUCK_X0),
+        "initial_state": list(_PLANTS["truck"].x0),
         "horizon": 120.0,
         "dt": 0.01,
     },
@@ -186,7 +197,7 @@ SCENARIO_PRESETS = {
 
 @dataclass(frozen=True)
 class ParamsSpec:
-    # a null preset has always meant none
+    # a null preset means none
     preset: Optional[str] = field(default=None, metadata={"nullable": True})
     overrides: dict[str, float] = field(default_factory=dict)
 
@@ -298,14 +309,16 @@ def _shown(value) -> str:
         return f"a {type(value).__name__} holding an integer too long to show"
 
 
-def _check_timing(plant: str, dt: float, horizon: Optional[float],
-                  dt_path: str, horizon_path: str) -> None:
-    """dt > 0 and dt <= horizon, both finite, and at most MAX_STEPS steps;
-    horizon None means the plant default."""
+def _horizon(cfg: Config) -> float:
+    """The config's horizon, or its plant's default where it gives none."""
+    return _PLANTS[cfg.plant].horizon if cfg.horizon is None else cfg.horizon
+
+
+def _check_timing(cfg: Config, dt_path: str, horizon_path: str) -> None:
+    """dt > 0 and dt <= horizon, both finite, and at most MAX_STEPS steps."""
+    dt, horizon = cfg.dt, _horizon(cfg)
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigError(f"{dt_path} must be a positive finite number, got {dt!r}")
-    if horizon is None:
-        horizon = _DEFAULT_HORIZON[plant]
     if not (math.isfinite(horizon) and horizon >= dt):
         raise ConfigError(f"{horizon_path} must be finite and >= dt = {dt!r}, got {horizon!r}")
     # horizon / dt can overflow to inf, which step_count cannot floor
@@ -440,10 +453,10 @@ def parse_config(doc: dict, path: str = "$") -> Config:
             )
         if cfg.leader is not None:
             raise ConfigError(f"{path}.leader only applies to the truck plant")
-    n_states = 2 if plant == "pendulum" else 3
+    n_states = len(_PLANTS[plant].x0)
     if cfg.initial_state is not None and len(cfg.initial_state) != n_states:
         raise ConfigError(f"{path}.initial_state must be a {n_states}-element list")
-    _check_timing(plant, cfg.dt, cfg.horizon, f"{path}.dt", f"{path}.horizon")
+    _check_timing(cfg, f"{path}.dt", f"{path}.horizon")
     for name in ("theta_range", "d_range", "vl_range"):
         lo, hi = getattr(cfg.certify, name)
         # the certifiers scan with np.linspace, which overflows on hi - lo
@@ -479,9 +492,7 @@ def resolve_preset(name: str) -> dict:
 
 def build_params(cfg: Config):
     try:
-        if cfg.plant == "pendulum":
-            return PendulumParams(**cfg.params.overrides)
-        return TruckParams(**cfg.params.overrides)
+        return _PLANTS[cfg.plant].params(**cfg.params.overrides)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"$.params.overrides: invalid {cfg.plant} parameters: {err}") from err
 
@@ -500,43 +511,40 @@ def _build_leader(cfg: Config, p, v0: float) -> DisturbanceSignal:
                                    a_bounds=(-p.a_under_l, p.a_bar_l))
 
 
+def _issf_design(cfg: Config) -> tuple[Optional[EpsilonFunction], float]:
+    """The robust design (eps, delta) of a config's issf section, checked;
+    (None, 0.0) without one."""
+    if cfg.issf is None:
+        return None, 0.0
+    try:
+        epsilon = EpsilonFunction(cfg.issf.eps0, cfg.issf.lam)
+        if cfg.issf.delta < 0:
+            raise ValueError(f"delta must be nonnegative, got {cfg.issf.delta}")
+    except ValueError as err:
+        raise ConfigError(f"$.issf: {err}") from err
+    return epsilon, cfg.issf.delta
+
+
 def build_scenarios(cfg: Config):
     """Concrete per-controller scenarios for a simulate config."""
     p = build_params(cfg)
-    horizon = cfg.horizon if cfg.horizon is not None else _DEFAULT_HORIZON[cfg.plant]
     # checked first: a lag_residual disturbance integrates a reference run
-    epsilon = None
-    delta = 0.0
-    if cfg.issf is not None:
-        try:
-            epsilon = EpsilonFunction(cfg.issf.eps0, cfg.issf.lam)
-            if cfg.issf.delta < 0:
-                raise ValueError(f"delta must be nonnegative, got {cfg.issf.delta}")
-        except ValueError as err:
-            raise ConfigError(f"$.issf: {err}") from err
-        delta = cfg.issf.delta
-
-    if cfg.plant == "pendulum":
-        x0 = cfg.initial_state or _PENDULUM_X0
-        leader = None
-        # the run checks h(x0) >= 0 first; a barrier that overflows there
-        # rejects the state, not the run
-        try:
-            pendulum_barrier(p)(x0)
-        except ValueError as err:
-            raise ConfigError(f"$.initial_state: {err}") from err
-    else:
-        x0 = cfg.initial_state or _TRUCK_X0
+    epsilon, delta = _issf_design(cfg)
+    x0 = cfg.initial_state or _PLANTS[cfg.plant].x0
+    leader = None
+    if cfg.plant == "truck":
         try:
             leader = _build_leader(cfg, p, x0[2])
         except (OSError, ValueError) as err:
             raise ConfigError(f"$.leader: {err}") from err
-        # as for the pendulum; the barrier is finite wherever h is, whatever
-        # the bounded leader acceleration, so a_L = 0 decides it
-        try:
-            truck_barrier(p, 0.0)(x0)
-        except ValueError as err:
-            raise ConfigError(f"$.initial_state: {err}") from err
+    # the run checks h(x0) >= 0 first; a barrier that overflows there rejects
+    # the state, not the run.  The truck's barrier is finite wherever h is,
+    # whatever the bounded leader acceleration, so a_L = 0 decides it
+    try:
+        barrier = pendulum_barrier(p) if cfg.plant == "pendulum" else truck_barrier(p, 0.0)
+        barrier(x0)
+    except ValueError as err:
+        raise ConfigError(f"$.initial_state: {err}") from err
 
     try:
         if cfg.disturbance.kind == "zero":
@@ -546,31 +554,26 @@ def build_scenarios(cfg: Config):
         elif cfg.disturbance.kind == "csv":
             dist = disturbance_from_csv(cfg.disturbance.path)
         else:  # lag_residual: one shared trace for every controller in the config
-            dist = truck_lag_disturbance(p, leader, x0, horizon, tau=cfg.disturbance.tau)
+            dist = truck_lag_disturbance(p, leader, x0, _horizon(cfg), tau=cfg.disturbance.tau)
     except (OSError, ValueError) as err:
         raise ConfigError(f"$.disturbance: {err}") from err
 
-    scenarios = []
-    for controller in cfg.controller:
-        try:
-            scenario = Scenario(
-                name=f"{cfg.name}-{controller}",
-                plant=cfg.plant,
-                controller=controller,
-                x0=tuple(x0),
-                horizon=horizon,
-                dt=cfg.dt,
-                disturbance=dist,
-                pendulum=p if cfg.plant == "pendulum" else None,
-                truck=p if cfg.plant == "truck" else None,
-                leader=leader,
-                epsilon=epsilon,
-                delta=delta,
-            )
-        except SignalTooShortError as err:
-            raise ConfigError(f"$.{err.signal}: {err}") from err
-        scenarios.append(scenario)
-    return scenarios
+    try:
+        return [Scenario(
+            name=f"{cfg.name}-{controller}",
+            plant=cfg.plant,
+            controller=controller,
+            x0=tuple(x0),
+            horizon=_horizon(cfg),
+            dt=cfg.dt,
+            disturbance=dist,
+            leader=leader,
+            epsilon=epsilon,
+            delta=delta,
+            **{cfg.plant: p},  # the pendulum or truck params
+        ) for controller in cfg.controller]
+    except SignalTooShortError as err:
+        raise ConfigError(f"$.{err.signal}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +582,7 @@ def build_scenarios(cfg: Config):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.9g}"
+    return "" if value is None else f"{value:.9g}"
 
 
 # Grid columns per %-format of write_margin_csv: a 500-column row is one block.
@@ -610,14 +611,12 @@ def write_margin_csv(path, d_axis, vl_axis, v_axis, blocks) -> None:
 def cmd_certify(cfg: Config, out_dir: Path, cross_term: Optional[bool] = None) -> int:
     p = build_params(cfg)
     spec = cfg.certify
-    if cross_term is None:
-        cross_term = spec.cross_term
     scan = {"d_range": spec.d_range, "vl_range": spec.vl_range, "grid": spec.grid,
             "a_l_bounds": spec.a_l_bounds}
     try:
         if cfg.plant == "pendulum":
-            report = certify_pendulum(p.a, p.b, p.alpha_c, theta_range=spec.theta_range,
-                                      cross_term=cross_term)
+            report = certify_pendulum(p.a, p.b, p.alpha_c, spec.theta_range,
+                                      spec.cross_term if cross_term is None else cross_term)
         else:
             report = certify_truck_grid(p, **scan)
     except ValueError as err:
@@ -640,18 +639,14 @@ def cmd_hstar(cfg: Config, out_dir: Path) -> int:
     if cfg.issf is None:
         raise ConfigError("hstar needs an 'issf' section (eps0, lam, delta)")
     p = build_params(cfg)
-    try:
-        epsilon = EpsilonFunction(cfg.issf.eps0, cfg.issf.lam)
-        h_star = solve_h_star(linear_class_kappa(p.alpha_c), epsilon, cfg.issf.delta)
-    except ValueError as err:
-        raise ConfigError(f"$.issf: {err}") from err
-    print(f"h_star = {h_star:.9g}  (eps0={cfg.issf.eps0:g}, lam={cfg.issf.lam:g}, "
-          f"delta={cfg.issf.delta:g}, alpha_c={p.alpha_c:g})")
+    epsilon, delta = _issf_design(cfg)
+    h_star = solve_h_star(linear_class_kappa(p.alpha_c), epsilon, delta)
+    print(f"h_star = {h_star:.9g}  (eps0={epsilon.eps0:g}, lam={epsilon.lam:g}, "
+          f"delta={delta:g}, alpha_c={p.alpha_c:g})")
     with open(out_dir / f"{cfg.name}_hstar.csv", "w", newline="") as handle:
         handle.write("eps0,lambda,delta,alpha_c,h_star\n")
-        handle.write(",".join(_fmt(v) for v in
-                              (cfg.issf.eps0, cfg.issf.lam, cfg.issf.delta,
-                               p.alpha_c, h_star)) + "\n")
+        handle.write(",".join(map(_fmt, (epsilon.eps0, epsilon.lam, delta, p.alpha_c, h_star)))
+                     + "\n")
     return 0
 
 
@@ -713,7 +708,6 @@ def _summary_row(result, p, log_path: Path) -> tuple[str, str]:
 
 def cmd_simulate(cfg: Config, out_dir: Path) -> int:
     scenarios = build_scenarios(cfg)
-    p = build_params(cfg)
     summary = []
     for scn in scenarios:
         try:
@@ -724,7 +718,7 @@ def cmd_simulate(cfg: Config, out_dir: Path) -> int:
             return 3
         path = out_dir / f"{scn.name}.csv"
         result.to_csv(path)
-        summary.append(_summary_row(result, p, path))
+        summary.append(_summary_row(result, scn.truck, path))
         del result  # one log alive at a time: the summary keeps its numbers
 
     summary_path = out_dir / f"{cfg.name}_summary.csv"
@@ -769,7 +763,7 @@ def _load_config(args) -> Config:
         cfg = dataclasses.replace(
             cfg, dt=cfg.dt if args.dt is None else args.dt,
             horizon=cfg.horizon if args.horizon is None else args.horizon)
-        _check_timing(cfg.plant, cfg.dt, cfg.horizon, "$.dt" if args.dt is None else "--dt",
+        _check_timing(cfg, "$.dt" if args.dt is None else "--dt",
                       "$.horizon" if args.horizon is None else "--horizon")
     return cfg if args.out is None else dataclasses.replace(cfg, out_dir=args.out)
 
@@ -815,8 +809,7 @@ def main(argv=None) -> int:
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "certify":
-            cross = False if getattr(args, "no_cross_term", False) else None
-            return cmd_certify(cfg, out_dir, cross_term=cross)
+            return cmd_certify(cfg, out_dir, cross_term=False if args.no_cross_term else None)
         if args.command == "hstar":
             return cmd_hstar(cfg, out_dir)
         if args.command == "simulate":

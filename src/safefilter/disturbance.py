@@ -53,14 +53,6 @@ class DisturbanceSignal:
         return self._sample(times)
 
 
-def _domain_check(times: np.ndarray, t0: float, t1: float) -> None:
-    """The domain error of a recorded signal, for the first time outside [t0, t1]."""
-    outside = (times < t0) | (times > t1)
-    if outside.any():
-        tau = float(times[int(np.argmax(outside))])
-        raise SignalDomainError(f"t={tau:g} outside sampled domain [{t0:g}, {t1:g}]")
-
-
 def zero_disturbance() -> DisturbanceSignal:
     return DisturbanceSignal(0.0, math.inf, lambda times: np.zeros(times.shape))
 
@@ -96,20 +88,30 @@ def _check_samples(t, d):
     return t, d
 
 
+def _recorded(t, values, lookup) -> DisturbanceSignal:
+    """The signal of the samples ``values`` at the checked times ``t``, with
+    bound max|values| on [t[0], t[-1]]: ``lookup(taus)`` evaluates it at times
+    inside that domain, and the first time outside it is a SignalDomainError."""
+    t0, t1 = float(t[0]), float(t[-1])
+
+    def sample(taus):
+        outside = (taus < t0) | (taus > t1)
+        if outside.any():
+            tau = float(taus[int(np.argmax(outside))])
+            raise SignalDomainError(f"t={tau:g} outside sampled domain [{t0:g}, {t1:g}]")
+        return lookup(taus)
+
+    return DisturbanceSignal(float(np.max(np.abs(values))), t1, sample)
+
+
 def sampled_disturbance(t, d) -> DisturbanceSignal:
     """Zero-order hold of recorded samples; right-continuous at sample times.
 
     The hold keeps the declared bound max|d| exact between samples.
     """
     t, d = _check_samples(t, d)
-    t0, t1 = float(t[0]), float(t[-1])
-
-    def sample(taus):
-        _domain_check(taus, t0, t1)
-        # side="right": a breakpoint starts its own piece
-        return d[np.searchsorted(t, taus, side="right") - 1]
-
-    return DisturbanceSignal(float(np.max(np.abs(d))), t1, sample)
+    # side="right": a breakpoint starts its own piece
+    return _recorded(t, d, lambda taus: d[np.searchsorted(t, taus, side="right") - 1])
 
 
 def read_csv_samples(path, column: str) -> tuple[np.ndarray, np.ndarray]:
@@ -145,21 +147,15 @@ def lag_residual(t, u, time_constant: float) -> DisturbanceSignal:
         raise ValueError(f"time_constant must be positive, got {time_constant}")
     t, u = _check_samples(t, u)
     # the recurrence steps on Python floats, read from and written to the
-    # arrays through memoryviews: numpy scalars cost about 3x as much, a list
-    # of floats about 4x the memory
+    # arrays through memoryviews: numpy scalars cost more per operation, and a
+    # list of floats more memory
     lagged = np.empty_like(u)
     out, times = memoryview(lagged), memoryview(t)
     x = out[0] = float(u[0])
     for k, (t0, t1, u0) in enumerate(zip(times, times[1:], memoryview(u)), start=1):
         x = out[k] = u0 + (x - u0) * math.exp(-(t1 - t0) / time_constant)
     d = lagged - u
-    t0, t1 = float(t[0]), float(t[-1])
-
-    def sample(taus):
-        _domain_check(taus, t0, t1)
-        return np.interp(taus, t, d)
-
-    return DisturbanceSignal(float(np.max(np.abs(d))), t1, sample)
+    return _recorded(t, d, lambda taus: np.interp(taus, t, d))
 
 
 def estimate_sup_norm(t_cmd, u_cmd, t_meas, a_meas) -> float:

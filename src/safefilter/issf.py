@@ -71,8 +71,6 @@ def solve_h_star(alpha: ClassKappaE, epsilon: EpsilonFunction, delta: float) -> 
     h* is -c e^{-w}, which equals -w / lam but keeps full precision where
     z = lam c is subnormal, and is -c where z underflows to 0.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
     if delta == 0.0:
         return 0.0
     c = set_inflation(alpha, epsilon, 0.0, delta)

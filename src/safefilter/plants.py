@@ -121,23 +121,23 @@ if not ({_all_finite(("h", "lf_h", "lg_h"))}):
 # sim.rk4_step; stage 1 reuses the row's shared lines, at the same state.
 _LOOP_TEMPLATE = """\
 def nominal(x):
-    {state} = x
+    {state}, = x
 {shared}{nominal}    return u_nom
 
 
 def barrier(x, a):
-    {state} = x
+    {state}, = x
 {shared}{barrier}    return h, lf_h, lg_h
 
 
 def row(x, a):
-    {state} = x
+    {state}, = x
 {row}    return u_nom, u, h
 
 
 def run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends, n, last, log, counts):
     {bound} = bound
-    {state} = x
+    {state}, = x
     {columns} = log
     half, sixth = 0.5 * dt, dt / 6.0
     for i, t, a, d, a_mid, d_mid, a_end, d_end in zip(
@@ -164,6 +164,24 @@ def run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends, n, last, 
             return i + 1, None, err
 {clamp}    return n, ({state},), None
 """
+
+# Every name the generated code binds or reads besides a table's own:
+# ``run``'s parameters and loop locals, the filter's names, the globals and
+# builtins it reads and the functions it defines.  A state or binding that
+# took one would be silently overwritten or shadowed, so _record rejects it,
+# as it rejects one that takes a per-state name of another state.  The state
+# tuple ``x`` is not among them: each function unpacks it first and never
+# reads it again, so a state may take its name.
+_RESERVED = (
+    "t_rows", "dt", "a_rows", "d_rows", "a_mids", "d_mids", "a_ends", "d_ends", "n",
+    "last", "log", "counts", "half", "sixth", "i", "t", "a", "d", "a_mid", "d_mid", "a_end",
+    "d_end", "w", "err", "u_nom", "u", "h", "lf_h", "lg_h", "log_u_nom", "log_u", "log_h",
+    "s", "g", "eps", "alpha_c", "lg_zero_sq", "eps0", "lam", "exp", "inf", "bound",
+    "isfinite", "non_finite", "SimulationError", "ValueError", "OverflowError", "range", "zip",
+    "nominal", "barrier", "row", "run")
+# The per-state names: the step's base state, the four stage derivatives and
+# the log column.
+_PER_STATE = ("{n}0", "k1_{n}", "k2_{n}", "k3_{n}", "k4_{n}", "log_{n}")
 
 _STAGE_TEMPLATE = """\
 {state} = {stage_state}
@@ -236,7 +254,13 @@ def _loop_code(src: _PlantSource, controller: str, bound: tuple):
 
 def _record(src: _PlantSource, bindings: dict, alpha_c: float, controller: str,
             epsilon: Optional[EpsilonFunction]) -> PlantRecord:
-    """A plant's compiled loop, run with its parameters and filter constants as globals."""
+    """A plant's compiled loop, run with its parameters and filter constants as
+    globals.  A state or binding named as the generated code names its own
+    is a ValueError."""
+    taken = {*_RESERVED, *(fmt.format(n=n) for n in src.names for fmt in _PER_STATE)}
+    clash = [name for name in (*src.names, *bindings) if name in taken]
+    if clash:
+        raise ValueError(f"plant table names {clash} are taken by the generated loop")
     namespace = dict(bindings, isfinite=math.isfinite, non_finite=SimulationError.non_finite,
                      SimulationError=SimulationError)
     if controller != "nominal":

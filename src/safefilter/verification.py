@@ -14,6 +14,7 @@ gradients.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -34,12 +35,8 @@ __all__ = [
 
 # Most cells one scan may evaluate: grid[0] * grid[1] truck grid points.  A whole
 # truck certify, both scans and the margin CSV, holds one block of the grid and
-# never the grid, so its peak (tracemalloc) grows with ny, not with nx * ny: under
-# 1 MB, plus 8 bytes a grid row for the D axis and about 95 bytes a grid column
-# for the v_L and v axes and the CSV's formatted column tails.  That is 0.66 MB
-# on 500 x 500, 0.84 MB on 2000 x 2000, 13 MB on 2 x 125,000, and at most about
-# 0.19 GB at the cap, on a 2-row grid.  The design workload's 500 x 500 is 1/16
-# of it.
+# never the grid, so its memory grows with the grid's axes and the CSV's column
+# tails, not with its cells; the cap bounds a scan's time and the CSV's size.
 MAX_GRID_CELLS = 4_000_000
 
 # Cells of the truck margin grid that one in-place pass of the scan fills and
@@ -73,12 +70,7 @@ class CertificationReport:
     grid_spec: dict
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "min_margin": self.min_margin,
-            "witness": self.witness,
-            "grid_spec": self.grid_spec,
-        }
+        return dataclasses.asdict(self)
 
 
 def certify_pendulum(
@@ -219,7 +211,7 @@ def _column_terms(p, vl, v0, a_lo, a_hi):
 def _fill_margin(out, d_col, alpha_c, rho, gap, rise_lo, rise_hi):
     """The margin of the cells (d_col, columns) into ``out``, in place: the low
     branch is the only temporary, and np.minimum keeps its argument order, so
-    ties of +0.0 and -0.0 resolve as in the one-shot expression."""
+    ties of +0.0 and -0.0 resolve as in min(base + rise_lo, base + rise_hi)."""
     np.subtract(d_col, rho, out=out)
     out *= alpha_c
     np.add(gap, out, out=out)
@@ -257,7 +249,8 @@ def certify_truck_grid(
             min_margin, i, j = float(block.flat[k]), start + k // ny, k % ny
     d_w, vl_w, v_w = map(float, (d_axis[i], vl_axis[j], v_axis[j]))
     a_lo, a_hi = float(a_l_bounds[0]), float(a_l_bounds[1])
-    slope = -(p.c2 + p.c4 * v_w + 2.0 * p.c5 * vl_w)  # the scan's d margin / d a_L there
+    # the scan's a_L rises at the witness, on floats: an overflow gives inf, no warning
+    *_, rise_lo, rise_hi = _column_terms(p, vl_w, v_w, a_lo, a_hi)
     return CertificationReport(
         passed=bool(min_margin > 0.0),
         min_margin=min_margin,
@@ -265,7 +258,7 @@ def certify_truck_grid(
             "D": d_w,
             "v": v_w,
             "v_L": vl_w,
-            "a_L": a_lo if slope * a_lo <= slope * a_hi else a_hi,
+            "a_L": a_lo if rise_lo <= rise_hi else a_hi,
         },
         grid_spec={
             "kind": "truck-grid",

@@ -72,7 +72,8 @@ def digests(root: Path) -> dict:
 
 
 def format_pins(pinned: dict) -> str:
-    header = "# SHA-256 of each CLI output (tests/test_golden.py); rewrite: scripts/pin_outputs.py\n"
+    header = ("# SHA-256 of each CLI output (tests/test_golden.py); "
+              "rewrite: scripts/pin_outputs.py\n")
     return header + "".join(f"{digest}  {name}\n" for name, digest in sorted(pinned.items()))
 
 
