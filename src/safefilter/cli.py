@@ -22,6 +22,7 @@ Exit codes: 0 success/pass, 1 usage error or failed certification,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -42,17 +43,16 @@ from .disturbance import (
 from .issf import EpsilonFunction, solve_h_star
 from .plants import PendulumParams, TruckParams, pendulum_barrier, truck_barrier
 from .sim import (
-    MAX_STEPS,
     Scenario,
     SignalTooShortError,
     SimulationError,
     SteadyStateWindowError,
+    check_timing,
     constant_speed_profile,
     hard_brake_profile,
     leader_profile_from_csv,
     run_scenario,
     steady_state_shift,
-    step_count,
     truck_lag_disturbance,
 )
 from .verification import (
@@ -68,6 +68,16 @@ __all__ = ["Config", "ConfigError", "main", "parse_config", "config_to_dict",
 
 class ConfigError(ValueError):
     """Configuration document failed validation; message carries the key path."""
+
+
+@contextlib.contextmanager
+def _at(path: str, errors: tuple = (OSError, ValueError)):
+    """A library error of ``errors`` raised while a config section is built,
+    as the ConfigError "<path>: <error>" raised from it."""
+    try:
+        yield
+    except errors as err:
+        raise ConfigError(f"{path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +325,8 @@ def _horizon(cfg: Config) -> float:
 
 
 def _check_timing(cfg: Config, dt_path: str, horizon_path: str) -> None:
-    """dt > 0 and dt <= horizon, both finite, and at most MAX_STEPS steps."""
-    dt, horizon = cfg.dt, _horizon(cfg)
-    if not (math.isfinite(dt) and dt > 0):
-        raise ConfigError(f"{dt_path} must be a positive finite number, got {dt!r}")
-    if not (math.isfinite(horizon) and horizon >= dt):
-        raise ConfigError(f"{horizon_path} must be finite and >= dt = {dt!r}, got {horizon!r}")
-    # horizon / dt can overflow to inf, which step_count cannot floor
-    if horizon / dt > MAX_STEPS + 1 or step_count(horizon, dt) > MAX_STEPS:
-        raise ConfigError(f"{horizon_path} must be at most MAX_STEPS = {MAX_STEPS} steps "
-                          f"of dt = {dt!r}, got {horizon!r}")
+    """sim.check_timing of the config's dt and horizon, named by their paths."""
+    check_timing(cfg.dt, _horizon(cfg), dt_path, horizon_path, ConfigError)
 
 
 @functools.cache
@@ -491,10 +493,8 @@ def resolve_preset(name: str) -> dict:
 
 
 def build_params(cfg: Config):
-    try:
+    with _at(f"$.params.overrides: invalid {cfg.plant} parameters", (TypeError, ValueError)):
         return _PLANTS[cfg.plant].params(**cfg.params.overrides)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"$.params.overrides: invalid {cfg.plant} parameters: {err}") from err
 
 
 def _build_leader(cfg: Config, p, v0: float) -> DisturbanceSignal:
@@ -516,12 +516,10 @@ def _issf_design(cfg: Config) -> tuple[Optional[EpsilonFunction], float]:
     (None, 0.0) without one."""
     if cfg.issf is None:
         return None, 0.0
-    try:
+    with _at("$.issf"):
         epsilon = EpsilonFunction(cfg.issf.eps0, cfg.issf.lam)
         if cfg.issf.delta < 0:
             raise ValueError(f"delta must be nonnegative, got {cfg.issf.delta}")
-    except ValueError as err:
-        raise ConfigError(f"$.issf: {err}") from err
     return epsilon, cfg.issf.delta
 
 
@@ -533,20 +531,16 @@ def build_scenarios(cfg: Config):
     x0 = cfg.initial_state or _PLANTS[cfg.plant].x0
     leader = None
     if cfg.plant == "truck":
-        try:
+        with _at("$.leader"):
             leader = _build_leader(cfg, p, x0[2])
-        except (OSError, ValueError) as err:
-            raise ConfigError(f"$.leader: {err}") from err
     # the run checks h(x0) >= 0 first; a barrier that overflows there rejects
     # the state, not the run.  The truck's barrier is finite wherever h is,
     # whatever the bounded leader acceleration, so a_L = 0 decides it
-    try:
+    with _at("$.initial_state"):
         barrier = pendulum_barrier(p) if cfg.plant == "pendulum" else truck_barrier(p, 0.0)
         barrier(x0)
-    except ValueError as err:
-        raise ConfigError(f"$.initial_state: {err}") from err
 
-    try:
+    with _at("$.disturbance"):
         if cfg.disturbance.kind == "zero":
             dist = zero_disturbance()
         elif cfg.disturbance.kind == "heaviside_pulse":
@@ -555,8 +549,6 @@ def build_scenarios(cfg: Config):
             dist = disturbance_from_csv(cfg.disturbance.path)
         else:  # lag_residual: one shared trace for every controller in the config
             dist = truck_lag_disturbance(p, leader, x0, _horizon(cfg), tau=cfg.disturbance.tau)
-    except (OSError, ValueError) as err:
-        raise ConfigError(f"$.disturbance: {err}") from err
 
     try:
         return [Scenario(
@@ -613,14 +605,12 @@ def cmd_certify(cfg: Config, out_dir: Path, cross_term: Optional[bool] = None) -
     spec = cfg.certify
     scan = {"d_range": spec.d_range, "vl_range": spec.vl_range, "grid": spec.grid,
             "a_l_bounds": spec.a_l_bounds}
-    try:
+    with _at("$.certify"):
         if cfg.plant == "pendulum":
             report = certify_pendulum(p.a, p.b, p.alpha_c, spec.theta_range,
                                       spec.cross_term if cross_term is None else cross_term)
         else:
             report = certify_truck_grid(p, **scan)
-    except ValueError as err:
-        raise ConfigError(f"$.certify: {err}") from err
     if cfg.plant == "truck":
         # the report keeps no grid: the CSV comes from a second scan, which
         # repeats the first one's operations and so its margins, bit for bit
@@ -747,13 +737,10 @@ def _load_config(args) -> Config:
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
     if args.config:
-        try:
-            with open(args.config) as handle:
-                doc = json.load(handle)
-        except OSError as err:
-            raise ConfigError(f"cannot read config: {err}") from err
-        except ValueError as err:  # JSONDecodeError, a bad encoding, a too-long integer
-            raise ConfigError(f"config is not valid JSON: {err}") from err
+        # a ValueError is a JSONDecodeError, a bad encoding or a too-long integer
+        with _at("cannot read config", OSError), _at("config is not valid JSON", ValueError), \
+                open(args.config) as handle:
+            doc = json.load(handle)
     elif args.preset:
         doc = resolve_preset(args.preset)
     else:

@@ -65,6 +65,7 @@ __all__ = [
     "SignalTooShortError",
     "SimulationError",
     "SteadyStateWindowError",
+    "check_timing",
     "constant_speed_profile",
     "hard_brake_profile",
     "leader_profile_from_csv",
@@ -113,9 +114,14 @@ class SignalTooShortError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def constant_speed_profile(v0: float, v_bar_l: float = 20.0) -> DisturbanceSignal:
+def _check_leader_v0(v0: float, v_bar_l: float) -> None:
+    """A constant or recorded leader may start anywhere in [0, v_bar_l]."""
     if not 0.0 <= v0 <= v_bar_l:
         raise ValueError(f"v0 must lie in [0, {v_bar_l}], got {v0}")
+
+
+def constant_speed_profile(v0: float, v_bar_l: float = 20.0) -> DisturbanceSignal:
+    _check_leader_v0(v0, v_bar_l)
     return zero_disturbance()
 
 
@@ -182,8 +188,7 @@ def leader_profile_from_csv(
     signal = sampled_disturbance(t, a)
     if not np.all((a >= a_bounds[0]) & (a <= a_bounds[1])):
         raise ValueError(f"{path}: acceleration samples must lie within {a_bounds}")
-    if not 0.0 <= v0 <= v_bar_l:
-        raise ValueError(f"v0 must lie in [0, {v_bar_l}], got {v0}")
+    _check_leader_v0(v0, v_bar_l)
 
     # induced speed is piecewise linear under the hold
     v_knots = v0 + np.concatenate(([0.0], np.cumsum(a[:-1] * np.diff(t))))
@@ -281,10 +286,8 @@ class Scenario:
             raise ValueError(f"unknown plant {self.plant!r}")
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (math.isfinite(self.horizon) and self.horizon >= self.dt):
-            raise ValueError(f"horizon must be finite and >= dt, got {self.horizon}")
+        # checked before run_scenario allocates its n_steps + 1 log rows
+        check_timing(self.dt, self.horizon)
         if self.plant == "pendulum" and self.pendulum is None:
             raise ValueError("pendulum scenario needs pendulum params")
         if self.plant == "truck" and (self.truck is None or self.leader is None):
@@ -293,11 +296,6 @@ class Scenario:
             raise ValueError("issf controller needs an epsilon function")
         if not self.delta >= 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
-        # checked before run_scenario allocates its n_steps + 1 log rows;
-        # horizon/dt can overflow to inf, which n_steps cannot floor
-        if self.horizon / self.dt > MAX_STEPS + 1 or self.n_steps > MAX_STEPS:
-            raise ValueError(f"horizon/dt = {self.horizon / self.dt:.9g} gives more than "
-                             f"MAX_STEPS = {MAX_STEPS} steps")
         t_last = self.n_steps * self.dt
         for name, signal in (("disturbance", self.disturbance), ("leader", self.leader)):
             if signal is not None and signal.duration < t_last:
@@ -366,6 +364,21 @@ def step_count(horizon: float, dt: float) -> int:
     last step to rounding in horizon / dt.
     """
     return int(math.floor(horizon / dt + 1e-9))
+
+
+def check_timing(dt: float, horizon: float, dt_name: str = "dt", horizon_name: str = "horizon",
+                 error: type = ValueError) -> None:
+    """The timing rule of a run: dt > 0 and horizon >= dt, both finite, and at
+    most ``MAX_STEPS`` steps.  A violation is an ``error`` that calls the two
+    values by ``dt_name`` and ``horizon_name``."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise error(f"{dt_name} must be a positive finite number, got {dt!r}")
+    if not (math.isfinite(horizon) and horizon >= dt):
+        raise error(f"{horizon_name} must be finite and >= dt = {dt!r}, got {horizon!r}")
+    # horizon / dt can overflow to inf, which step_count cannot floor
+    if horizon / dt > MAX_STEPS + 1 or step_count(horizon, dt) > MAX_STEPS:
+        raise error(f"{horizon_name} must be at most MAX_STEPS = {MAX_STEPS} steps "
+                    f"of dt = {dt!r}, got {horizon!r}")
 
 
 def _stage_samples(scn: Scenario, t_rows: np.ndarray, last: bool) -> tuple:

@@ -55,6 +55,12 @@ def _finite_width(name: str, bounds) -> tuple[float, float]:
     return lo, hi
 
 
+def _scan_defaults(p: TruckParams, alpha_c, a_l_bounds) -> tuple:
+    """alpha_c as a float and a_l_bounds, each the parameter set's where it is None."""
+    return (p.alpha_c if alpha_c is None else float(alpha_c),
+            (-p.a_under_l, p.a_bar_l) if a_l_bounds is None else a_l_bounds)
+
+
 @dataclass(frozen=True)
 class CertificationReport:
     """Outcome of a worst-case margin scan over the lg_h = 0 set.
@@ -147,11 +153,9 @@ def truck_margin_table(
     next block overwrites, so a consumer copies what it keeps.  alpha_c and
     a_l_bounds default to the parameter set's.  The arguments are checked here;
     a margin that overflows is a ValueError from the block that holds it."""
-    alpha_c = p.alpha_c if alpha_c is None else float(alpha_c)
+    alpha_c, a_l_bounds = _scan_defaults(p, alpha_c, a_l_bounds)
     if alpha_c < 0:
         raise ValueError(f"alpha_c must be nonnegative, got {alpha_c}")
-    if a_l_bounds is None:
-        a_l_bounds = (-p.a_under_l, p.a_bar_l)
     if p.c3 == 0.0:
         raise ValueError("c3 = 0: lg_h = 0 cannot be solved for v")
     nx, ny = int(grid[0]), int(grid[1])
@@ -236,9 +240,7 @@ def certify_truck_grid(
     :func:`truck_margin_table`, reduced block by block to its first minimum in
     row-major order; no block is kept.
     """
-    alpha_c = p.alpha_c if alpha_c is None else float(alpha_c)
-    if a_l_bounds is None:
-        a_l_bounds = (-p.a_under_l, p.a_bar_l)
+    alpha_c, a_l_bounds = _scan_defaults(p, alpha_c, a_l_bounds)
     d_axis, vl_axis, v_axis, blocks = truck_margin_table(
         p, alpha_c, d_range, vl_range, grid, a_l_bounds)
     ny = vl_axis.size
