@@ -647,7 +647,7 @@ def cmd_sweep(cfg: Config, out_dir: Path) -> int:
         raise ConfigError("sweep needs an 'issf' section for delta")
     p = build_params(cfg)
     alpha = linear_class_kappa(p.alpha_c)
-    delta = cfg.issf.delta
+    _, delta = _issf_design(cfg)
     out_path = out_dir / f"{cfg.name}.csv"
     failures = 0
     with open(out_path, "w", newline="") as handle:

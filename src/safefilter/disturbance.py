@@ -31,19 +31,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DisturbanceSignal:
-    """Scalar signal of time on [0, duration] with declared bound sup|s| <= bound.
+    """Scalar signal of time on [start, duration] with declared bound sup|s| <= bound.
 
     It is the type of both exogenous signals of the simulator: the input
     disturbance d(t) and the truck leader's acceleration a_L(t).  ``_sample``, the one
     evaluator, maps a 1-d float array of times to a float array; out of domain
     it raises SignalDomainError for the first offending time.  A scalar call
     evaluates a one-element array.  A signal carries no kind tag: nothing
-    dispatches on how it was built.
+    dispatches on how it was built.  A recorded signal starts at its first
+    sample time; the other kinds start at 0.
     """
 
     bound: float
     duration: float
     _sample: Callable[[np.ndarray], np.ndarray]
+    start: float = 0.0
 
     def __call__(self, t: float) -> float:
         return float(self._sample(np.array([t], dtype=float))[0])
@@ -101,7 +103,7 @@ def _recorded(t, values, lookup) -> DisturbanceSignal:
             raise SignalDomainError(f"t={tau:g} outside sampled domain [{t0:g}, {t1:g}]")
         return lookup(taus)
 
-    return DisturbanceSignal(float(np.max(np.abs(values))), t1, sample)
+    return DisturbanceSignal(float(np.max(np.abs(values))), t1, sample, t0)
 
 
 def sampled_disturbance(t, d) -> DisturbanceSignal:

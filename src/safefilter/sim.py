@@ -101,11 +101,13 @@ class SteadyStateWindowError(ValueError):
 
 
 class SignalTooShortError(ValueError):
-    """A scenario's disturbance or leader ends before its last logged time."""
+    """A scenario's disturbance or leader does not cover its logged times: it
+    starts after t = 0, or it ends before the last logged time."""
 
-    def __init__(self, signal: str, duration: float, t_last: float):
-        super().__init__(f"{signal} ends at t={duration:g}, before the last logged "
-                         f"time t={t_last:g}")
+    def __init__(self, signal: str, duration: float, t_last: float, start: float = 0.0):
+        super().__init__(f"{signal} starts at t={start:g}, after the first logged time t=0"
+                         if start > 0.0 else f"{signal} ends at t={duration:g}, before the "
+                         f"last logged time t={t_last:g}")
         self.signal = signal
 
 
@@ -298,8 +300,8 @@ class Scenario:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
         t_last = self.n_steps * self.dt
         for name, signal in (("disturbance", self.disturbance), ("leader", self.leader)):
-            if signal is not None and signal.duration < t_last:
-                raise SignalTooShortError(name, signal.duration, t_last)
+            if signal is not None and (signal.start > 0.0 or signal.duration < t_last):
+                raise SignalTooShortError(name, signal.duration, t_last, signal.start)
 
     @property
     def n_steps(self) -> int:

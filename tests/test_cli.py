@@ -401,6 +401,23 @@ def test_sweep_rows_match_the_per_row_format(tmp_path):
     assert "\n0.5,0.4,-4.38358096,ok\n" in written
 
 
+@pytest.mark.parametrize("issf,message", [
+    ({"eps0": 0.5, "lam": 0.4, "delta": -1}, "delta must be nonnegative, got -1.0"),
+    ({"eps0": 0.5, "lam": -1, "delta": 4.5}, "lam must be nonnegative and finite, got -1.0"),
+    ({"eps0": 0, "lam": 0.4, "delta": 4.5}, "eps0 must be positive, got 0.0"),
+])
+def test_sweep_rejects_its_issf_section_as_hstar_does(issf, message, tmp_path, capsys):
+    # the sweep used to exit 0 with an error row per cell for a negative delta
+    doc = {"plant": "truck", "params": {"preset": "paper-table-2"}, "issf": issf,
+           "sweep": {"eps0_grid": [0.5], "lambda_grid": [0.4]}}
+    config_path = tmp_path / "doc.json"
+    config_path.write_text(json.dumps(doc))
+    for command in ("sweep", "hstar"):
+        assert main([command, "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"safefilter: config error: $.issf: {message}\n"
+    assert not (tmp_path / "scenario.csv").exists()
+
+
 def test_simulate_writes_logs_and_summary(tmp_path):
     out = str(tmp_path)
     code = main(["simulate", "--preset", "pendulum-undisturbed", "--out", out,
@@ -504,6 +521,28 @@ def test_simulate_beyond_disturbance_domain_is_rejected_before_the_run(tmp_path,
     assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 2
     assert "config error: $.disturbance: disturbance ends at t=5" in capsys.readouterr().err
     assert not (tmp_path / "short-cbf.csv").exists()
+
+
+@pytest.mark.parametrize("plant,section,samples,start", [
+    ("pendulum", "disturbance", "t,d\n1.0,0.1\n100,0.1\n", "1"),
+    ("truck", "leader", "t,a_L\n2,0\n100,0\n", "2"),
+], ids=["disturbance", "leader"])
+def test_simulate_signal_that_starts_after_zero_is_rejected_before_the_run(
+        plant, section, samples, start, tmp_path, capsys):
+    # the run used to fail at t = 0 with exit 3: "t=0 outside sampled domain [1, 100]"
+    (tmp_path / "late.csv").write_text(samples)
+    doc = {"name": "late", "plant": plant, "controller": "nominal", "horizon": 5.0,
+           section: {"kind": "csv", "path": str(tmp_path / "late.csv")}}
+    if plant == "truck":
+        doc["initial_state"] = [27.4, 16.0, 16.0]
+    config_path = tmp_path / "late.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"safefilter: config error: $.{section}: {section} starts at t={start}, after the "
+        f"first logged time t=0\n")
+    assert not (tmp_path / "late-nominal.csv").exists()
+    assert not (tmp_path / "late_summary.csv").exists()
 
 
 def test_robust_truck_filter_far_behind_the_leader(tmp_path):

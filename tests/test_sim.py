@@ -312,6 +312,38 @@ def test_scenario_rejects_signals_that_end_before_the_last_logged_time():
     assert excinfo.value.signal == "leader"
 
 
+def test_scenario_rejects_signals_that_start_after_zero():
+    # a recorded signal starts at its first sample time, the other kinds at 0
+    assert ZERO.start == 0.0 and sampled_disturbance([-1.0, 2.0], [0.1, 0.1]).start == -1.0
+    for starts_at in ([0.0, 1.0], [-1.0, 1.0]):
+        signal = sampled_disturbance(starts_at, [0.1, 0.1])
+        assert run_scenario(_pendulum_scenario("cbf", signal, horizon=1.0)).time[0] == 0.0
+    late = sampled_disturbance([1e-9, 1.0], [0.1, 0.1])
+    with pytest.raises(SignalTooShortError, match=r"^disturbance starts at t=1e-09, after "
+                                                  r"the first logged time t=0$") as excinfo:
+        _pendulum_scenario("cbf", late, horizon=1.0)
+    assert excinfo.value.signal == "disturbance"
+    leader = DisturbanceSignal(0.0, math.inf, lambda times: np.zeros(times.shape), 2.0)
+    with pytest.raises(SignalTooShortError, match="^leader starts at t=2,") as excinfo:
+        Scenario(name="x", plant="truck", controller="cbf", x0=(27.4, 16.0, 16.0),
+                 horizon=1.0, dt=0.01, disturbance=ZERO, truck=T, leader=leader)
+    assert excinfo.value.signal == "leader"
+
+
+def test_scenario_timing_messages_are_the_cli_rule():
+    with pytest.raises(ValueError, match=r"^dt must be a positive finite number, got 0\.0$"):
+        _pendulum_scenario("cbf", ZERO, dt=0.0)
+    with pytest.raises(ValueError, match=r"^horizon must be finite and >= dt = 0\.01, "
+                                         r"got 0\.001$"):
+        _pendulum_scenario("cbf", ZERO, horizon=0.001)
+    with pytest.raises(ValueError, match=r"^horizon must be at most MAX_STEPS = 10000000 "
+                                         r"steps of dt = 1e-06, got 1000000000000\.0$"):
+        _pendulum_scenario("cbf", ZERO, dt=1e-6, horizon=1e12)
+    # the step cap is checked with the timing, before the controller's needs
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        _pendulum_scenario("issf", ZERO, dt=1e-6, horizon=1e12)
+
+
 def test_run_logs_have_expected_length_and_recomputable_h():
     result = run_scenario(_pendulum_scenario("cbf", ZERO, horizon=2.0))
     assert result.time.size == 201
