@@ -105,9 +105,9 @@ class SignalTooShortError(ValueError):
     starts after t = 0, or it ends before the last logged time."""
 
     def __init__(self, signal: str, duration: float, t_last: float, start: float = 0.0):
-        super().__init__(f"{signal} starts at t={start:g}, after the first logged time t=0"
-                         if start > 0.0 else f"{signal} ends at t={duration:g}, before the "
-                         f"last logged time t={t_last:g}")
+        super().__init__(
+            f"{signal} starts at t={start:g}, after the first logged time t=0" if start > 0.0
+            else f"{signal} ends at t={duration:g}, before the last logged time t={t_last:g}")
         self.signal = signal
 
 

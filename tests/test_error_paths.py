@@ -24,8 +24,16 @@ from safefilter import (
     steady_state_shift,
     zero_disturbance,
 )
-from safefilter.cli import ConfigError, _load_config, _parser, build_params, build_scenarios
-from safefilter.cli import cmd_certify, main, parse_config
+from safefilter.cli import (
+    ConfigError,
+    _load_config,
+    _parser,
+    build_params,
+    build_scenarios,
+    cmd_certify,
+    main,
+    parse_config,
+)
 from safefilter.plants import pendulum_record
 from safefilter.sim import leader_profile_from_csv
 from safefilter.verification import truck_margin_table
@@ -97,7 +105,7 @@ def test_cli_rejects_with_the_whole_message(command, doc, message, tmp_path, cap
      "got 1000000000000.0"),
     # an override of dt alone checks the document's horizon by its path
     (["--dt", "50"], "$.horizon must be finite and >= dt = 50.0, got 40.0"),
-    (["--horizon", "0.5"] + ["--dt", "1"],
+    (["--horizon", "0.5", "--dt", "1"],
      "--horizon must be finite and >= dt = 1.0, got 0.5"),
 ])
 def test_timing_overrides_are_rejected_with_their_flag(flags, message, tmp_path, capsys):
@@ -152,15 +160,6 @@ def test_a_list_holding_a_too_long_integer_is_shown_by_its_type():
 # ---------------------------------------------------------------------------
 
 
-def _build(doc):
-    cfg = parse_config(doc)
-    return build_scenarios(cfg)
-
-
-def _certify(doc, tmp_path):
-    return cmd_certify(parse_config(doc), tmp_path)
-
-
 @pytest.mark.parametrize("doc,message,cause", [
     ({"plant": "truck", "params": {"overrides": {"alpha_c": -1}}},
      "$.params.overrides: invalid truck parameters: alpha_c must be positive, got -1.0",
@@ -191,7 +190,7 @@ def test_each_section_maps_its_library_error_to_its_path(doc, message, cause, tm
                                                          monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(ConfigError) as excinfo:
-        _build(doc)
+        build_scenarios(parse_config(doc))
     assert str(excinfo.value) == message
     assert type(excinfo.value.__cause__) is cause and excinfo.value.__suppress_context__
 
@@ -214,7 +213,7 @@ def test_an_unknown_override_is_a_type_error_at_the_overrides_path():
 ])
 def test_certify_maps_its_library_error_to_its_path(doc, message, tmp_path, capsys):
     with pytest.raises(ConfigError) as excinfo:
-        _certify(doc, tmp_path)
+        cmd_certify(parse_config(doc), tmp_path)
     assert str(excinfo.value) == message
     assert type(excinfo.value.__cause__) is ValueError and excinfo.value.__suppress_context__
     assert list(tmp_path.iterdir()) == []  # rejected before any file is written
