@@ -50,7 +50,7 @@ def set_inflation(alpha: ClassKappaE, epsilon: EpsilonFunction, h_val: float, de
     Nonnegative, zero iff delta = 0.  For linear alpha this reduces to
     eps(h) * delta^2 / (4 * alpha_c).
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     return -alpha.inverse(-epsilon(h_val) * delta * delta / 4.0)
 

@@ -28,6 +28,12 @@ log preallocated for the whole run.  ``run`` reads the block's times and
 samples and writes its rows in place through memoryviews of them, whose
 items are Python floats, so no float is copied through a list; the log's d
 column is the block's samples at t_k, copied array to array.
+
+``write_csv_table`` writes a log as ``%.9g`` text a block of rows at a time.
+numpy formats a block's cells at once, and CPython's ``b"%.9g" % x`` the few
+whose digits it cannot certify: those near a rounding tie, and the nonzero
+ones outside about 2e-99 to 1e98 in magnitude, nan and inf included.  The
+bytes equal a per-cell loop's.
 """
 
 from __future__ import annotations
@@ -87,8 +93,8 @@ MAX_STEPS = 10_000_000
 # block rather than by n_steps.
 _SAMPLE_BLOCK_STEPS = 1024
 
-# Rows per %-format call in write_csv_table: enough to amortise the call, few
-# enough that one block's text stays small next to the table itself.
+# Rows per block of write_csv_table: enough to amortise its numpy calls, few
+# enough that one block's slots and text stay small next to the table itself.
 _CSV_BLOCK_ROWS = 1024
 
 # Step of the reference run behind truck_lag_disturbance: fixed, so the
@@ -345,18 +351,214 @@ def write_csv_table(path, header: str, *columns: np.ndarray) -> None:
     them (2-d), all with the same rows.
 
     Each block of ``_CSV_BLOCK_ROWS`` rows is stacked on its own, so no copy
-    of the whole table is made, and written as one bytes ``%``-format over its
-    cells to a binary file; ``b"%.9g" % x``, ``"%.9g" % x`` and ``f"{x:.9g}"``
-    share CPython's float formatter, so the bytes match a per-cell loop,
-    ``nan``, ``inf`` and ``-0`` included.
+    of the whole table is made, formatted by ``_csv_text`` and written to a
+    binary file.  Every cell's bytes are ``b"%.9g" % x``, CPython's correctly
+    rounded formatter (the one ``"%.9g" % x`` and ``f"{x:.9g}"`` use), so the
+    file matches a per-cell loop, ``nan``, ``inf`` and ``-0`` included.
     """
     with open(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             block = np.column_stack([column[start:start + _CSV_BLOCK_ROWS]
                                      for column in columns])
-            row_fmt = b",".join([b"%.9g"] * block.shape[1]) + b"\n"
-            handle.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            handle.write(_csv_text(block.astype(np.float64, copy=False)))
+
+
+# ---------------------------------------------------------------------------
+# CSV numbers: b"%.9g" % x for a block of float64 cells at once
+# ---------------------------------------------------------------------------
+#
+# numpy formats zero and every cell with |x| between about 2e-99 and 1e98.
+# Its decimal exponent e comes from its binary exponent and one comparison
+# with a correctly rounded 10**(e + 1), and its nine significant digits are
+# N = rint(|x| * fl(10**(8 - e))).  The product carries two roundings, so it
+# lies within 2.3e-7 of the exact |x| * 10**(8 - e) below 1e9: N is the
+# correctly rounded digit string unless the product lies within _CSV_MARGIN
+# of a rounding tie.  Such a cell, one whose product leaves [1e8, 1e9] by
+# more than the margin (an e that the table got wrong), and every nonzero
+# cell outside that range (subnormal, tiny, huge, inf, nan) gets
+# b"%.9g" % x instead.  A product that rounds to 1e9 carries into e + 1, so
+# a value within the margin of a power of ten gets the same text whichever
+# of the two exponents next to it the comparison gave.
+#
+# The vector text is laid out in a 16-byte slot, two little-endian uint64
+# words: byte 0 the sign, bytes 1-14 the body, byte 15 the separator, NUL
+# elsewhere.  The body is the mantissa (the kept digits of N, with the point
+# after one of them) shifted up past the prefix "0.", "0.0", "0.00" or
+# "0.000", with an exponent "e+XX" at bytes 11-14.  bytes.translate drops
+# the NULs.
+
+_CSV_MARGIN = 1e-6
+# Exponents the vector path writes, after a carry: two-digit ones, so the
+# longest text, "-1.23456789e-99", fits the slot.
+_CSV_E_LOW, _CSV_E_HIGH = -99, 99
+# Layouts per sign: 9 digit counts for each fixed-point exponent -4..8, 9 for
+# the exponent form, then zero; the negative ones follow at +128.
+_CSV_ZERO, _CSV_NEGATIVE = 126, 128
+_U8, _U16, _U24, _U48, _U52, _U56, _U64 = (np.uint64(k) for k in (8, 16, 24, 48, 52, 56, 64))
+
+
+def _slot_word(text: bytes, at: int = 0) -> int:
+    """``text`` as the bytes of a slot from byte ``at``, as a 128-bit int."""
+    return int.from_bytes(text, "little") << (8 * at)
+
+
+def _csv_layouts() -> tuple:
+    """Per layout, as 128-bit ints split into (low, high) uint64 words: the
+    mask of the mantissa's head (its digits up to the point), the mask of its
+    tail (the kept digits after the point, moved up a byte to make room for
+    it), the shift past the sign and prefix in bits, and the constant bytes
+    (sign, prefix, point, or the zero's "0")."""
+    columns = [[0] * (2 * _CSV_NEGATIVE) for _ in range(7)]
+
+    def put(layout, kept, point=None, prefix=b"", zero=b""):
+        head = kept if point is None else point + 1
+        head_mask = _slot_word(b"\xff" * head)
+        tail_mask = _slot_word(b"\xff" * (kept - head), head)
+        front = _slot_word(prefix + (b"" if point is None else b"\0" * head + b".") + zero, 1)
+        for column, value in zip(columns, (head_mask, head_mask >> 64, tail_mask, tail_mask >> 64,
+                                           8 + 8 * len(prefix), front, front >> 64)):
+            column[layout] = column[layout + _CSV_NEGATIVE] = value & 0xFFFFFFFFFFFFFFFF
+        columns[5][layout + _CSV_NEGATIVE] |= ord("-")
+
+    for e in range(-4, 9):
+        for digits in range(1, 10):
+            if e >= 0:
+                put((e + 4) * 9 + digits - 1, max(digits, e + 1),
+                    e if digits > e + 1 else None)
+            else:
+                put((e + 4) * 9 + digits - 1, digits, prefix=b"0." + b"0" * (-e - 1))
+    for digits in range(1, 10):
+        put(117 + digits - 1, digits, 0 if digits > 1 else None)
+    put(_CSV_ZERO, 0, zero=b"0")
+    return tuple(np.array(column, np.uint64) for column in columns)
+
+
+def _csv_tables() -> tuple:
+    """The formatter's lookup tables, per binary exponent, per decimal
+    exponent, per three digits and per layout.  Built in Python: numpy code
+    run at import only would add its pages to every process's memory."""
+    exponents = range(_CSV_E_LOW, _CSV_E_HIGH + 1)
+    # 10**k, correctly rounded, for k from _CSV_E_LOW on
+    powers = [float(f"1e{k}") for k in range(_CSV_E_LOW, 9 - _CSV_E_LOW)]
+    # per biased binary exponent b = 1023 + q: the lower of the two decimal
+    # exponents that 2**q .. 2**(q + 1) spans, floor(q log10 2), and 10 to
+    # the upper one, for the q whose exponents stay in range after a carry
+    log2 = math.log10(2.0)
+    q_low, q_high = math.ceil(_CSV_E_LOW / log2), math.ceil((_CSV_E_HIGH - 1) / log2) - 1
+    e_low = [math.floor(q * log2) for q in range(q_low, q_high + 1)]
+    below, above = 1023 + q_low, 1024 - q_high
+    vector = [False] * below + [True] * len(e_low) + [False] * above
+    outside = 8 - _CSV_E_LOW  # e = 8, 10**0 = 1: a harmless scale
+    e_index = [outside] * below + [e - _CSV_E_LOW for e in e_low] + [outside] * above
+    ten_above = ([math.inf] * below + [powers[e + 1 - _CSV_E_LOW] for e in e_low]
+                 + [math.inf] * above)
+    # per decimal exponent: the scale to nine digits, the exponent text at
+    # bytes 11-14 (the high word's bytes 3-6), the base of its layouts
+    scale = [powers[8 - e - _CSV_E_LOW] for e in exponents]
+    suffix = [0 if -4 <= e <= 8 else _slot_word(b"e%+03d" % e, 11) >> 64 for e in exponents]
+    base = [(e + 4) * 9 + 8 if -4 <= e <= 8 else 125 for e in exponents]
+    # per three digits v: their characters at bytes 0-2, and their trailing
+    # zeros (3 for v = 0)
+    digits3 = np.frombuffer(b"".join([b"%03d\0\0\0\0\0" % v for v in range(1000)]), "<u8")
+    zeros3 = [3] + [(v % 10 == 0) + (v % 100 == 0) for v in range(1, 1000)]
+    return (np.array(vector), np.array(e_index, np.uint16), np.array(ten_above),
+            np.array(scale), np.array(suffix, np.uint64), np.array(base, np.uint16),
+            digits3.astype(np.uint64), np.array(zeros3, np.uint8), _csv_layouts())
+
+
+(_CSV_VECTOR, _CSV_E_INDEX, _CSV_TEN_ABOVE, _CSV_SCALE, _CSV_SUFFIX, _CSV_BASE,
+ _CSV_DIGITS3, _CSV_ZEROS3, _CSV_LAYOUT) = _csv_tables()
+
+
+def _csv_round(x: np.ndarray) -> tuple:
+    """Each cell's decimal exponent (an index into the per-exponent tables),
+    its nine digits N as int32, and whether it goes to b"%.9g" % x (zeros
+    included, as they are outside the vector range)."""
+    a = np.abs(x)
+    b = (a.view(np.uint64) >> _U52).astype(np.uint16)
+    vector = _CSV_VECTOR.take(b)
+    a[~vector] = 2e8  # any value whose digits are harmless
+    e = _CSV_E_INDEX.take(b)
+    e += a >= _CSV_TEN_ABOVE.take(b)
+    a *= _CSV_SCALE.take(e)
+    n = np.rint(a)
+    fall = np.abs(a - n) > 0.5 - _CSV_MARGIN
+    fall |= a < 1e8 - _CSV_MARGIN
+    fall |= a > 1e9 + _CSV_MARGIN
+    fall |= ~vector
+    carry = n == 1e9
+    e += carry
+    n[carry | fall] = 1e8
+    return e, n.astype(np.int32), fall
+
+
+def _csv_mantissa(n: np.ndarray) -> tuple:
+    """The nine digit characters of each N at bytes 0-8 of a slot, as (low,
+    high) words, and N's trailing zeros; ``n`` is overwritten."""
+    high = n // 1000000
+    n -= high * 1000000
+    mid = n // 1000
+    n -= mid * 1000
+    zeros = np.where(n != 0, _CSV_ZEROS3.take(n),
+                     np.where(mid != 0, _CSV_ZEROS3.take(mid) + 3, _CSV_ZEROS3.take(high) + 6))
+    lo = _CSV_DIGITS3.take(mid) << _U24
+    lo |= _CSV_DIGITS3.take(high)
+    hi = _CSV_DIGITS3.take(n)
+    lo |= hi << _U48
+    hi >>= _U16
+    return lo, hi, zeros
+
+
+def _csv_slots(x: np.ndarray, zero: np.ndarray, e: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The 16-byte slots of the cells, separators not yet written."""
+    lo, hi, zeros = _csv_mantissa(n)
+    layout = _CSV_BASE.take(e) - zeros
+    layout[zero] = _CSV_ZERO
+    layout |= np.signbit(x).view(np.uint8) << 7
+    head_lo, head_hi, tail_lo, tail_hi, shift, front_lo, front_hi = _CSV_LAYOUT
+    # the head stays, the tail moves up a byte past the point
+    tail = lo & tail_lo.take(layout)
+    lo &= head_lo.take(layout)
+    lo |= tail << _U8
+    tail >>= _U56
+    tail |= (hi & tail_hi.take(layout)) << _U8
+    hi &= head_hi.take(layout)
+    hi |= tail
+    del tail
+    # the mantissa moves up past the sign and prefix, under the constant bytes
+    shift = shift.take(layout)
+    hi <<= shift
+    hi |= lo >> (_U64 - shift)
+    hi |= front_hi.take(layout)
+    hi |= _CSV_SUFFIX.take(e)
+    lo <<= shift
+    lo |= front_lo.take(layout)
+    slots = np.empty((x.size, 2), "<u8")  # little-endian whatever the machine
+    slots[:, 0], slots[:, 1] = lo, hi
+    return slots
+
+
+def _csv_text(block: np.ndarray) -> bytes:
+    """The rows of a float64 block as CSV text: each cell ``b"%.9g" % x``."""
+    rows, cols = block.shape
+    x = block.ravel()
+    zero = x == 0
+    e, n, fall = _csv_round(x)
+    slots = _csv_slots(x, zero, e, n)
+    fallback = np.flatnonzero(fall & ~zero)
+    slots[fallback] = 0
+    cells = slots.view(np.uint8).reshape(rows, cols, 16)
+    cells[:, :-1, 15] = ord(",")
+    cells[:, -1, 15] = ord("\n")
+    data = cells.tobytes()
+    # a fallback cell's slot holds only its separator: its text goes in front
+    pieces, start = [], 0
+    for i, value in zip(fallback.tolist(), x[fallback].tolist()):
+        pieces += (data[start:16 * i].translate(None, b"\0"), b"%.9g" % value)
+        start = 16 * i
+    pieces.append(data[start:].translate(None, b"\0"))
+    return b"".join(pieces)
 
 
 def step_count(horizon: float, dt: float) -> int:

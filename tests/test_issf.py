@@ -94,6 +94,16 @@ def test_inflation_rejects_negative_delta():
         set_inflation(ALPHA_P, EpsilonFunction(1.0), 0.0, -0.1)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.4])
+def test_nan_delta_is_rejected_as_scenario_rejects_it(lam):
+    # delta < 0 let nan through: h* and the inflation were nan
+    message = "delta must be nonnegative, got nan"
+    with pytest.raises(ValueError, match=message):
+        solve_h_star(linear_class_kappa(0.1), EpsilonFunction(0.5, lam), math.nan)
+    with pytest.raises(ValueError, match=message):
+        set_inflation(linear_class_kappa(0.1), EpsilonFunction(0.5, lam), 0.0, math.nan)
+
+
 @given(
     h=st.floats(-5.0, 5.0),
     d1=st.floats(0.0, 3.0),
