@@ -35,8 +35,8 @@ from safefilter.cli import (
     parse_config,
 )
 from safefilter.plants import pendulum_record
-from safefilter.sim import leader_profile_from_csv
-from safefilter.verification import truck_margin_table
+from safefilter.sim import SignalTooShortError, leader_profile_from_csv
+from safefilter.verification import certify_pendulum, truck_margin_table
 
 
 def _exit_and_stderr(command, doc, tmp_path, capsys):
@@ -126,6 +126,37 @@ def test_timing_errors_are_raised_as_config_errors_with_no_cause():
     assert excinfo.value.__cause__ is None and excinfo.value.__context__ is None
 
 
+# The certify box: each range's width, with the document's form of the range,
+# and the grid's cell cap
+@pytest.mark.parametrize("plant,name", [
+    ("pendulum", "theta_range"), ("truck", "d_range"), ("truck", "vl_range"),
+])
+def test_a_range_whose_width_overflows_exits_2_with_the_whole_message(plant, name, tmp_path,
+                                                                      capsys):
+    code, err = _exit_and_stderr("certify", {"plant": plant, "certify": {name: [-1e308, 1e308]}},
+                                 tmp_path, capsys)
+    assert (code, err) == (2, f"safefilter: config error: $.certify.{name} must have a finite "
+                              f"width hi - lo, got [-1e+308, 1e+308]\n")
+
+
+def test_a_grid_beyond_the_cell_cap_exits_2_with_the_whole_message(tmp_path, capsys):
+    code, err = _exit_and_stderr("certify", {"plant": "truck",
+                                             "certify": {"grid": [100000, 100000]}},
+                                 tmp_path, capsys)
+    assert (code, err) == (2, "safefilter: config error: $.certify.grid must have at most "
+                              "MAX_GRID_CELLS = 4000000 cells, got 10000000000\n")
+
+
+def test_a_cell_count_too_long_to_print_is_shown_by_its_digits():
+    # a JSON document cannot carry this integer (the decoder limits
+    # int-to-str conversion), so only a caller of parse_config can
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config({"plant": "truck", "certify": {"grid": [10**4999, 2]}})
+    assert str(excinfo.value) == ("$.certify.grid must have at most MAX_GRID_CELLS = 4000000 "
+                                  "cells, got an integer of 5000 digits")
+    assert excinfo.value.__cause__ is None and excinfo.value.__context__ is None
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["simulate", "--config", str(missing)]) == 2
@@ -195,6 +226,26 @@ def test_each_section_maps_its_library_error_to_its_path(doc, message, cause, tm
     assert type(excinfo.value.__cause__) is cause and excinfo.value.__suppress_context__
 
 
+@pytest.mark.parametrize("disturbance", ["zero", "lag_residual"])
+@pytest.mark.parametrize("samples,message", [
+    ("2,0\n100,0\n", "leader starts at t=2, after the first logged time t=0"),
+    ("0,0\n2,0\n", "leader ends at t=2, before the last logged time t=5"),
+], ids=["starts-late", "ends-early"])
+def test_a_leader_that_does_not_cover_the_run_is_reported_under_the_leader(
+        disturbance, samples, message, tmp_path, capsys, monkeypatch):
+    # a lag_residual disturbance meets the leader first, in its reference run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lead.csv").write_text("t,a_L\n" + samples)
+    doc = {"plant": "truck", "leader": {"kind": "csv", "path": "lead.csv"},
+           "disturbance": {"kind": disturbance}, "horizon": 5}
+    with pytest.raises(ConfigError) as excinfo:
+        build_scenarios(parse_config(doc))
+    assert str(excinfo.value) == f"$.leader: {message}"
+    assert type(excinfo.value.__cause__) is SignalTooShortError
+    code, err = _exit_and_stderr("simulate", doc, tmp_path, capsys)
+    assert (code, err) == (2, f"safefilter: config error: $.leader: {message}\n")
+
+
 def test_an_unknown_override_is_a_type_error_at_the_overrides_path():
     cfg = parse_config({"plant": "truck", "params": {"overrides": {"c9": 1.0}}})
     with pytest.raises(ConfigError, match=r"^\$\.params\.overrides: invalid truck "
@@ -246,6 +297,31 @@ def test_a_scenario_rejects_an_unknown_controller_and_missing_params():
         _scenario(controller="bogus")
     with pytest.raises(ValueError, match=r"^pendulum scenario needs pendulum params$"):
         _scenario(pendulum=None)
+
+
+def test_a_scenario_checks_the_controller_and_its_epsilon_before_the_timing():
+    # invalid in two ways: the controller rule, which includes issf's epsilon,
+    # is checked where the controller is, before dt
+    with pytest.raises(ValueError, match=r"^issf controller needs an epsilon function$"):
+        _scenario(controller="issf", dt=0.0)
+
+
+def test_the_margin_table_shows_a_cell_count_too_long_to_print_by_its_digits():
+    with pytest.raises(ValueError, match=r"^grid must have at most MAX_GRID_CELLS = 4000000 "
+                                         r"cells, got an integer of 5001 digits$"):
+        truck_margin_table(TruckParams(), grid=(10**5000, 2))
+
+
+@pytest.mark.parametrize("name", ["theta_range", "d_range", "vl_range"])
+def test_a_range_end_beyond_the_float_range_has_no_finite_width(name):
+    # float(10**400) overflows; the width rule rejects the range instead
+    bounds = (0, 10**400)
+    with pytest.raises(ValueError) as excinfo:
+        if name == "theta_range":
+            certify_pendulum(0.25, 0.5, 0.2, theta_range=bounds)
+        else:
+            truck_margin_table(TruckParams(), **{name: bounds})
+    assert str(excinfo.value) == f"{name} must have a finite width hi - lo, got {bounds}"
 
 
 def test_the_margin_table_rejects_a_negative_alpha_c():

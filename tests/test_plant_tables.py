@@ -41,14 +41,14 @@ def _disturbance(t):
     return 0.3 * math.sin(3.0 * t)
 
 
-def _run(controller, epsilon):
-    record = plants._record(_ONE_STATE, _BINDINGS, ALPHA_C, controller, epsilon)
+def _run(controller, epsilon, table=_ONE_STATE, y0=0.2):
+    record = plants._record(table, _BINDINGS, ALPHA_C, controller, epsilon)
     times = [k * DT for k in range(ROWS)]
     samples = [[_disturbance(t + offset) for t in times]
                for offset in (0.0, 0.5 * DT, DT - 1e-9 * DT)]
     leader = [None] * ROWS
     log = tuple([None] * ROWS for _ in range(4))
-    rows, x, err = record.run((0.2,), times, DT, leader, samples[0], leader, samples[1],
+    rows, x, err = record.run((y0,), times, DT, leader, samples[0], leader, samples[1],
                               leader, samples[2], ROWS, ROWS - 1, log, {})
     return rows, [list(column) for column in log], x, err
 
@@ -90,6 +90,21 @@ def test_one_state_table_runs_as_rk4_step(controller, epsilon):
     _, (_, u_nom, u, _), _, _ = got
     active = sum(a != b for a, b in zip(u_nom, u))
     assert (active == 0) if controller == "nominal" else (0 < active < ROWS)
+
+
+def test_an_expression_that_overflows_stops_the_run_as_its_non_finite_value_does():
+    # y**2 raises OverflowError where y * y gives inf.  In a row's barrier the
+    # run stops with the barrier's ValueError, the row unlogged
+    power = _ONE_STATE._replace(barrier=_ONE_STATE.barrier.replace("y * y", "y**2"))
+    assert repr(_run("nominal", None, power, 1e200)) == repr(_run("nominal", None, y0=1e200))
+    # in a step's field, with a non-finite derivative after the row is logged;
+    # the stage's own time is not tracked, so the error gives the step's:
+    # the product overflows at stage 4 of the step from t = 0.85
+    got, want = (_run("nominal", None, _ONE_STATE._replace(field=(field,)), 1.0)
+                 for field in ("y**2 + w", "y * y + w"))
+    assert repr(got[:3]) == repr(want[:3]) and got[0] == 18
+    assert (type(got[3]), got[3].state) == (SimulationError, want[3].state)
+    assert str(got[3]) == str(want[3]).replace("t=0.9,", "t=0.85,")
 
 
 _PER_STATE_TAKEN = ["y0", "k1_y", "k2_y", "k3_y", "k4_y", "log_y"]
