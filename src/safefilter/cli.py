@@ -26,22 +26,21 @@ import contextlib
 import dataclasses
 import functools
 import json
-import math
 import sys
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 from types import UnionType
 from typing import ClassVar, Literal, Optional, Union, get_args, get_origin, get_type_hints
 
-from .core import SignalDomainError, linear_class_kappa
+from .core import SignalDomainError, linear_class_kappa, shown
 from .disturbance import (
     DisturbanceSignal,
     disturbance_from_csv,
     heaviside_pulse,
     zero_disturbance,
 )
-from .issf import EpsilonFunction, solve_h_star
-from .plants import PendulumParams, TruckParams, pendulum_barrier, truck_barrier
+from .issf import EpsilonFunction, check_delta, solve_h_star
+from .plants import CONTROLLERS, PendulumParams, TruckParams, pendulum_barrier, truck_barrier
 from .sim import (
     Scenario,
     SignalTooShortError,
@@ -56,9 +55,10 @@ from .sim import (
     truck_lag_disturbance,
 )
 from .verification import (
-    MAX_GRID_CELLS,
     certify_pendulum,
     certify_truck_grid,
+    check_grid,
+    check_range,
     truck_margin_table,
 )
 
@@ -73,11 +73,14 @@ class ConfigError(ValueError):
 @contextlib.contextmanager
 def _at(path: str, errors: tuple = (OSError, ValueError)):
     """A library error of ``errors`` raised while a config section is built,
-    as the ConfigError "<path>: <error>" raised from it."""
+    as the ConfigError "<path>: <error>" raised from it.  A signal that does
+    not cover the run is its own section's error, whichever section met it:
+    a lag_residual disturbance meets the leader in its reference run."""
     try:
         yield
     except errors as err:
-        raise ConfigError(f"{path}: {err}") from err
+        at = f"$.{err.signal}" if isinstance(err, SignalTooShortError) else path
+        raise ConfigError(f"{at}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +293,7 @@ class Config:
     plant: Literal["pendulum", "truck"]
     name: str = "scenario"
     params: ParamsSpec = field(default_factory=ParamsSpec)
-    controller: tuple[Literal["nominal", "cbf", "issf"], ...] = ("cbf",)
+    controller: tuple[Literal[CONTROLLERS], ...] = ("cbf",)
     issf: Optional[IssfSpec] = None
     disturbance: DisturbanceSpec = ZeroDisturbanceSpec()
     leader: Optional[LeaderSpec] = None
@@ -302,31 +305,9 @@ class Config:
     sweep: Optional[SweepSpec] = None
 
 
-def _shown(value) -> str:
-    """A config value as an error message shows it: its repr, except that an
-    integer too long for repr (Python limits int-to-str conversion to about
-    4300 digits) is shown by its number of digits."""
-    try:
-        return repr(value)
-    except ValueError:
-        if isinstance(value, int):
-            n = abs(value)
-            # a lower bound on floor(log10 n) from the bit length, then exact
-            digits = max(int((n.bit_length() - 1) * 0.30102999566398120) - 1, 0)
-            while 10 ** (digits + 1) <= n:
-                digits += 1
-            return f"an integer of {digits + 1} digits"
-        return f"a {type(value).__name__} holding an integer too long to show"
-
-
 def _horizon(cfg: Config) -> float:
     """The config's horizon, or its plant's default where it gives none."""
     return _PLANTS[cfg.plant].horizon if cfg.horizon is None else cfg.horizon
-
-
-def _check_timing(cfg: Config, dt_path: str, horizon_path: str) -> None:
-    """sim.check_timing of the config's dt and horizon, named by their paths."""
-    check_timing(cfg.dt, _horizon(cfg), dt_path, horizon_path, ConfigError)
 
 
 @functools.cache
@@ -340,7 +321,7 @@ def _decode(spec: type, doc, path: str):
     """A spec instance from a JSON object: unknown keys and missing required
     fields are rejected, each given value is converted to its annotation."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object, got {_shown(doc)}")
+        raise ConfigError(f"{path} must be an object, got {shown(doc)}")
     hints, fields = _schema(spec)
     unknown = [key for key in doc if key not in hints]
     if unknown:
@@ -365,12 +346,12 @@ def _convert(annotation, value, path: str):
         # integers too large for a float without raising OverflowError
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
                 or not -sys.float_info.max <= value <= sys.float_info.max:
-            raise ConfigError(f"{path} must be a finite number, got {_shown(value)}")
+            raise ConfigError(f"{path} must be a finite number, got {shown(value)}")
         return float(value)
     if annotation in (int, bool, str):
         # bool is an int in Python but not in the schema
         if not isinstance(value, annotation) or (annotation is int and isinstance(value, bool)):
-            raise ConfigError(f"{path} must be {_TYPE_NAMES[annotation]}, got {_shown(value)}")
+            raise ConfigError(f"{path} must be {_TYPE_NAMES[annotation]}, got {shown(value)}")
         return value
     if dataclasses.is_dataclass(annotation):
         return _decode(annotation, value, path)
@@ -378,7 +359,7 @@ def _convert(annotation, value, path: str):
     if origin is Literal:
         if value not in args:  # compared, not hashed, so a list is no TypeError
             raise ConfigError(f"{path} must be one of {', '.join(map(repr, args))}, "
-                              f"got {_shown(value)}")
+                              f"got {shown(value)}")
         return value
     if origin is tuple:
         # tuple[X, ...] is a non-empty list, tuple[X, Y] one of two entries
@@ -386,13 +367,13 @@ def _convert(annotation, value, path: str):
         if not isinstance(value, (list, tuple)) or not value \
                 or not (variadic or len(value) == len(args)):
             size = "non-empty" if variadic else f"{len(args)}-element"
-            raise ConfigError(f"{path} must be a {size} list, got {_shown(value)}")
+            raise ConfigError(f"{path} must be a {size} list, got {shown(value)}")
         item_types = args[:1] * len(value) if variadic else args
         return tuple(_convert(item_type, item, f"{path}[{i}]")
                      for i, (item_type, item) in enumerate(zip(item_types, value)))
     if origin is dict:
         if not isinstance(value, dict):
-            raise ConfigError(f"{path} must be an object, got {_shown(value)}")
+            raise ConfigError(f"{path} must be an object, got {shown(value)}")
         key_type, value_type = args
         return {_convert(key_type, key, f"{path}.{key}"):
                 _convert(value_type, item, f"{path}.{key}") for key, item in value.items()}
@@ -402,12 +383,12 @@ def _convert(annotation, value, path: str):
         if len(specs) == 1:
             return _convert(specs[0], value, path)
         if not isinstance(value, dict):
-            raise ConfigError(f"{path} must be an object, got {_shown(value)}")
+            raise ConfigError(f"{path} must be an object, got {shown(value)}")
         kind = value.get("kind")
         for spec in specs:
             if spec.kind == kind:
                 return _decode(spec, value, path)
-        raise ConfigError(f"{path}.kind: unknown kind {_shown(kind)}")
+        raise ConfigError(f"{path}.kind: unknown kind {shown(kind)}")
     raise TypeError(f"no config conversion for {annotation!r}")
 
 
@@ -458,18 +439,10 @@ def parse_config(doc: dict, path: str = "$") -> Config:
     n_states = len(_PLANTS[plant].x0)
     if cfg.initial_state is not None and len(cfg.initial_state) != n_states:
         raise ConfigError(f"{path}.initial_state must be a {n_states}-element list")
-    _check_timing(cfg, f"{path}.dt", f"{path}.horizon")
-    for name in ("theta_range", "d_range", "vl_range"):
-        lo, hi = getattr(cfg.certify, name)
-        # the certifiers scan with np.linspace, which overflows on hi - lo
-        if not math.isfinite(hi - lo):
-            raise ConfigError(f"{path}.certify.{name} must have a finite width hi - lo, "
-                              f"got {_shown([lo, hi])}")
-    grid = cfg.certify.grid
-    # checked before certification allocates its arrays of grid[0] * grid[1] cells
-    if min(grid) > 0 and grid[0] * grid[1] > MAX_GRID_CELLS:
-        raise ConfigError(f"{path}.certify.grid must have at most MAX_GRID_CELLS = "
-                          f"{MAX_GRID_CELLS} cells, got {_shown(grid[0] * grid[1])}")
+    check_timing(cfg.dt, _horizon(cfg), f"{path}.dt", f"{path}.horizon", ConfigError)
+    for name in ("theta_range", "d_range", "vl_range"):  # shown as the document's lists
+        check_range(list(getattr(cfg.certify, name)), f"{path}.certify.{name}", ConfigError)
+    check_grid(cfg.certify.grid, f"{path}.certify.grid", ConfigError)
     return cfg
 
 
@@ -518,8 +491,7 @@ def _issf_design(cfg: Config) -> tuple[Optional[EpsilonFunction], float]:
         return None, 0.0
     with _at("$.issf"):
         epsilon = EpsilonFunction(cfg.issf.eps0, cfg.issf.lam)
-        if cfg.issf.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {cfg.issf.delta}")
+        check_delta(cfg.issf.delta)
     return epsilon, cfg.issf.delta
 
 
@@ -550,7 +522,8 @@ def build_scenarios(cfg: Config):
         else:  # lag_residual: one shared trace for every controller in the config
             dist = truck_lag_disturbance(p, leader, x0, _horizon(cfg), tau=cfg.disturbance.tau)
 
-    try:
+    # a disturbance or leader that does not cover the run, at its own section
+    with _at("$", (SignalTooShortError,)):
         return [Scenario(
             name=f"{cfg.name}-{controller}",
             plant=cfg.plant,
@@ -564,8 +537,6 @@ def build_scenarios(cfg: Config):
             delta=delta,
             **{cfg.plant: p},  # the pendulum or truck params
         ) for controller in cfg.controller]
-    except SignalTooShortError as err:
-        raise ConfigError(f"$.{err.signal}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -600,15 +571,14 @@ def write_margin_csv(path, d_axis, vl_axis, v_axis, blocks) -> None:
                     handle.write((lead + lead.join(tails)) % tuple(margins[j:j + step].tolist()))
 
 
-def cmd_certify(cfg: Config, out_dir: Path, cross_term: Optional[bool] = None) -> int:
+def cmd_certify(cfg: Config, out_dir: Path) -> int:
     p = build_params(cfg)
     spec = cfg.certify
     scan = {"d_range": spec.d_range, "vl_range": spec.vl_range, "grid": spec.grid,
             "a_l_bounds": spec.a_l_bounds}
     with _at("$.certify"):
         if cfg.plant == "pendulum":
-            report = certify_pendulum(p.a, p.b, p.alpha_c, spec.theta_range,
-                                      spec.cross_term if cross_term is None else cross_term)
+            report = certify_pendulum(p.a, p.b, p.alpha_c, spec.theta_range, spec.cross_term)
         else:
             report = certify_truck_grid(p, **scan)
     if cfg.plant == "truck":
@@ -750,8 +720,10 @@ def _load_config(args) -> Config:
         cfg = dataclasses.replace(
             cfg, dt=cfg.dt if args.dt is None else args.dt,
             horizon=cfg.horizon if args.horizon is None else args.horizon)
-        _check_timing(cfg, "$.dt" if args.dt is None else "--dt",
-                      "$.horizon" if args.horizon is None else "--horizon")
+        check_timing(cfg.dt, _horizon(cfg), "$.dt" if args.dt is None else "--dt",
+                     "$.horizon" if args.horizon is None else "--horizon", ConfigError)
+    if getattr(args, "no_cross_term", False):  # a certify flag
+        cfg = dataclasses.replace(cfg, certify=dataclasses.replace(cfg.certify, cross_term=False))
     return cfg if args.out is None else dataclasses.replace(cfg, out_dir=args.out)
 
 
@@ -795,13 +767,9 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "certify":
-            return cmd_certify(cfg, out_dir, cross_term=False if args.no_cross_term else None)
-        if args.command == "hstar":
-            return cmd_hstar(cfg, out_dir)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        return cmd_sweep(cfg, out_dir)
+        command = {"certify": cmd_certify, "hstar": cmd_hstar, "simulate": cmd_simulate,
+                   "sweep": cmd_sweep}[args.command]
+        return command(cfg, out_dir)
     except ConfigError as err:
         print(f"safefilter: config error: {err}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ __all__ = [
     "SignalDomainError",
     "SimulationError",
     "linear_class_kappa",
+    "shown",
     "state_vector",
 ]
 
@@ -46,6 +47,23 @@ class SimulationError(RuntimeError):
         """The error for a non-finite ``what`` (derivative or state) at time
         ``t``, where ``x`` is the RK4 stage state it was evaluated at."""
         return cls(f"non-finite {what} at t={t:g}, state={x!r}", t=t, state=x)
+
+
+def shown(value) -> str:
+    """A value as an error message shows it: its repr, except that an integer
+    too long for repr (Python limits int-to-str conversion to about 4300
+    digits) is shown by its number of digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            n = abs(value)
+            # a lower bound on floor(log10 n) from the bit length, then exact
+            digits = max(int((n.bit_length() - 1) * 0.30102999566398120) - 1, 0)
+            while 10 ** (digits + 1) <= n:
+                digits += 1
+            return f"an integer of {digits + 1} digits"
+        return f"a {type(value).__name__} holding an integer too long to show"
 
 
 def state_vector(values, dim: Optional[int] = None) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .cbf import CbfFilter
 from .core import ClassKappaE
 
-__all__ = ["EpsilonFunction", "IssfFilter", "set_inflation", "solve_h_star"]
+__all__ = ["EpsilonFunction", "IssfFilter", "check_delta", "set_inflation", "solve_h_star"]
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,19 @@ class EpsilonFunction:
         return self.eps0 * math.exp(self.lam * r)
 
 
+def check_delta(delta: float) -> None:
+    """The disturbance bound's rule: delta >= 0, which NaN fails."""
+    if not delta >= 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+
+
 def set_inflation(alpha: ClassKappaE, epsilon: EpsilonFunction, h_val: float, delta: float) -> float:
     """How far (in units of h) the invariant set grows under disturbance bound delta.
 
     Nonnegative, zero iff delta = 0.  For linear alpha this reduces to
     eps(h) * delta^2 / (4 * alpha_c).
     """
-    if not delta >= 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    check_delta(delta)
     return -alpha.inverse(-epsilon(h_val) * delta * delta / 4.0)
 
 

@@ -39,14 +39,24 @@ from .core import BarrierEvaluation, ControlAffineDynamics, SimulationError, lin
 from .issf import EpsilonFunction
 
 __all__ = [
-    "CONTROLLERS", "PendulumParams", "PlantRecord", "TruckParams", "pendulum_barrier",
-    "pendulum_cbf_filter", "pendulum_dynamics", "pendulum_nominal", "pendulum_record",
-    "range_policy", "range_policy_inverse", "speed_policy", "truck_barrier", "truck_dynamics",
-    "truck_headway", "truck_nominal", "truck_record", "truck_robust_filter", "truck_safe_filter",
+    "CONTROLLERS", "PendulumParams", "PlantRecord", "TruckParams", "check_controller",
+    "pendulum_barrier", "pendulum_cbf_filter", "pendulum_dynamics", "pendulum_nominal",
+    "pendulum_record", "range_policy", "range_policy_inverse", "speed_policy", "truck_barrier",
+    "truck_dynamics", "truck_headway", "truck_nominal", "truck_record", "truck_robust_filter",
+    "truck_safe_filter",
 ]
 
 # The controller kinds: the nominal input, the plain and the robust filter.
 CONTROLLERS = ("nominal", "cbf", "issf")
+
+
+def check_controller(controller: str, epsilon: Optional[EpsilonFunction]) -> None:
+    """The controller rule: a kind of :data:`CONTROLLERS`, and "issf" with
+    its robustness gain ``epsilon``."""
+    if controller not in CONTROLLERS:
+        raise ValueError(f"unknown controller {controller!r}")
+    if controller == "issf" and epsilon is None:
+        raise ValueError("issf controller needs an epsilon function")
 
 
 class PlantRecord(NamedTuple):
@@ -110,15 +120,21 @@ def _all_finite(terms) -> str:
     return f"isfinite({' + '.join(terms)}) or " + " and ".join(f"isfinite({t})" for t in terms)
 
 
+_BARRIER_ERROR = "barrier evaluation entries must be finite"
 _BARRIER_CHECK = f"""\
 if not ({_all_finite(("h", "lf_h", "lg_h"))}):
-    raise ValueError("barrier evaluation entries must be finite")
+    raise ValueError({_BARRIER_ERROR!r})
 """
 
 # The one RK4 skeleton: {row} binds a row's terms, checked, and input u.  A
 # row's ValueError stops ``run`` with the row unlogged, a step's error with it
 # logged.  The stages keep the operation order, times, checks and errors of
-# sim.rk4_step; stage 1 reuses the row's shared lines, at the same state.
+# sim.rk4_step; stage 1 reuses the row's shared lines, at the same state.  A
+# table's **, exp or division raises an ArithmeticError where a product gives
+# inf or nan; it is the error of a non-finite value there: in a row the
+# barrier's ValueError (as is a math function's domain error), and in a step
+# a non-finite derivative at the stage state, stamped with the step's time t,
+# as the stage's own time is not kept on the path without an error.
 _LOOP_TEMPLATE = """\
 def nominal(x):
     {state}, = x
@@ -143,8 +159,8 @@ def run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends, n, last, 
     for i, t, a, d, a_mid, d_mid, a_end, d_end in zip(
             range(n), t_rows, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends):
         try:
-{row_in_run}        except ValueError as err:
-            return i, None, err
+{row_in_run}        except (ValueError, ArithmeticError):
+            return i, None, ValueError({barrier_error})
 {store}        try:
             if i == last:
                 # the last row starts no step, so no stage 1 checks its input
@@ -162,6 +178,8 @@ def run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends, n, last, 
                 raise non_finite("state", t + dt, ({state},))
         except (SimulationError, ValueError) as err:
             return i + 1, None, err
+        except ArithmeticError:
+            return i + 1, None, non_finite("derivative", t, ({state},))
 {clamp}    return n, ({state},), None
 """
 
@@ -177,8 +195,8 @@ _RESERVED = (
     "last", "log", "counts", "half", "sixth", "i", "t", "a", "d", "a_mid", "d_mid", "a_end",
     "d_end", "w", "err", "u_nom", "u", "h", "lf_h", "lg_h", "log_u_nom", "log_u", "log_h",
     "s", "g", "eps", "alpha_c", "lg_zero_sq", "eps0", "lam", "exp", "inf", "bound",
-    "isfinite", "non_finite", "SimulationError", "ValueError", "OverflowError", "range", "zip",
-    "nominal", "barrier", "row", "run")
+    "isfinite", "non_finite", "SimulationError", "ValueError", "OverflowError", "ArithmeticError",
+    "range", "zip", "nominal", "barrier", "row", "run")
 # The per-state names: the step's base state, the four stage derivatives and
 # the log column.
 _PER_STATE = ("{n}0", "k1_{n}", "k2_{n}", "k3_{n}", "k4_{n}", "log_{n}")
@@ -210,9 +228,8 @@ if {{n}} < 0.0:
 
 def _loop_source(src: _PlantSource, controller: str, bound: tuple) -> str:
     """The source of a plant's nominal, barrier, row and run under
-    ``controller``; ``run`` binds the globals named in ``bound`` as locals."""
-    if controller not in CONTROLLERS:
-        raise ValueError(f"unknown controller {controller!r}")
+    ``controller``, one of :data:`CONTROLLERS`; ``run`` binds the globals
+    named in ``bound`` as locals."""
 
     def each(fmt):  # fmt for each state name n
         return ", ".join(fmt.format(n=n) for n in src.names)
@@ -235,9 +252,9 @@ def _loop_source(src: _PlantSource, controller: str, bound: tuple) -> str:
         for i, (h, t, a, d) in enumerate(_STAGES, start=2))
     logged, row = (*src.names, "u_nom", "u", "h"), src.shared + terms + row_input
     return _LOOP_TEMPLATE.format(
-        bound=", ".join(bound), state=state, shared=block(src.shared),
-        nominal=block(src.nominal), barrier=block(barrier), row=block(row),
-        row_in_run=block(row, 3),
+        bound=", ".join(bound), state=state, barrier_error=repr(_BARRIER_ERROR),
+        shared=block(src.shared), nominal=block(src.nominal), barrier=block(barrier),
+        row=block(row), row_in_run=block(row, 3),
         columns=", ".join(f"log_{n}" for n in logged), base=each("{n}0"),
         store=block("".join(f"log_{n}[i] = {n}\n" for n in logged), 2), k1=each("k1_{n}"),
         field=field, k1_finite=finite("k1_{n}"), stages=block(stages, 3),
@@ -255,8 +272,9 @@ def _loop_code(src: _PlantSource, controller: str, bound: tuple):
 def _record(src: _PlantSource, bindings: dict, alpha_c: float, controller: str,
             epsilon: Optional[EpsilonFunction]) -> PlantRecord:
     """A plant's compiled loop, run with its parameters and filter constants as
-    globals.  A state or binding named as the generated code names its own
-    is a ValueError."""
+    globals.  A controller that breaks :func:`check_controller`, or a state
+    or binding named as the generated code names its own, is a ValueError."""
+    check_controller(controller, epsilon)
     taken = {*_RESERVED, *(fmt.format(n=n) for n in src.names for fmt in _PER_STATE)}
     clash = [name for name in (*src.names, *bindings) if name in taken]
     if clash:
@@ -264,8 +282,6 @@ def _record(src: _PlantSource, bindings: dict, alpha_c: float, controller: str,
     namespace = dict(bindings, isfinite=math.isfinite, non_finite=SimulationError.non_finite,
                      SimulationError=SimulationError)
     if controller != "nominal":
-        if controller == "issf" and epsilon is None:
-            raise ValueError("issf controller needs an epsilon function")
         namespace.update(filter_bindings(alpha_c, epsilon if controller == "issf" else None))
     # run unpacks these constants and helpers, fixed per (plant, controller),
     # into locals at entry

@@ -54,11 +54,11 @@ from .disturbance import (
     sampled_disturbance,
     zero_disturbance,
 )
-from .issf import EpsilonFunction, solve_h_star
+from .issf import EpsilonFunction, check_delta, solve_h_star
 from .plants import (
-    CONTROLLERS,
     PendulumParams,
     TruckParams,
+    check_controller,
     pendulum_record,
     range_policy_inverse,
     truck_record,
@@ -292,18 +292,14 @@ class Scenario:
     def __post_init__(self):
         if self.plant not in ("pendulum", "truck"):
             raise ValueError(f"unknown plant {self.plant!r}")
-        if self.controller not in CONTROLLERS:
-            raise ValueError(f"unknown controller {self.controller!r}")
+        check_controller(self.controller, self.epsilon)
         # checked before run_scenario allocates its n_steps + 1 log rows
         check_timing(self.dt, self.horizon)
         if self.plant == "pendulum" and self.pendulum is None:
             raise ValueError("pendulum scenario needs pendulum params")
         if self.plant == "truck" and (self.truck is None or self.leader is None):
             raise ValueError("truck scenario needs truck params and a leader profile")
-        if self.controller == "issf" and self.epsilon is None:
-            raise ValueError("issf controller needs an epsilon function")
-        if not self.delta >= 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        check_delta(self.delta)
         t_last = self.n_steps * self.dt
         for name, signal in (("disturbance", self.disturbance), ("leader", self.leader)):
             if signal is not None and (signal.start > 0.0 or signal.duration < t_last):

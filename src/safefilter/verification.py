@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import BarrierEvaluation, ControlAffineDynamics
+from .core import BarrierEvaluation, ControlAffineDynamics, shown
 from .plants import TruckParams, truck_headway
 
 __all__ = [
@@ -29,6 +29,8 @@ __all__ = [
     "CertificationReport",
     "certify_pendulum",
     "certify_truck_grid",
+    "check_grid",
+    "check_range",
     "gradient_consistency",
     "truck_margin_table",
 ]
@@ -44,15 +46,29 @@ MAX_GRID_CELLS = 4_000_000
 _SCAN_CELLS = 32_768
 
 
-def _finite_width(name: str, bounds) -> tuple[float, float]:
-    """The float ends of a range whose width hi - lo is a finite float: the
-    truck scan steps by (hi - lo) / (n - 1) with np.linspace, so an
-    overflowing width would fill it with inf and nan."""
-    lo, hi = float(bounds[0]), float(bounds[1])
+def check_range(bounds, name: str, error: type = ValueError) -> tuple[float, float]:
+    """The float ends of a certify range whose width hi - lo is a finite
+    float: the truck scan steps by (hi - lo) / (n - 1) with np.linspace, so
+    an overflowing width would fill it with inf and nan.  A violation, an end
+    too large for a float among them, is an ``error`` that calls the range
+    ``name``."""
+    try:
+        lo, hi = float(bounds[0]), float(bounds[1])
+    except OverflowError:
+        lo = hi = math.inf
     if not math.isfinite(hi - lo):  # also false for an infinite or NaN end
-        raise ValueError(f"{name} must have finite ends and a finite width hi - lo, "
-                         f"got {bounds}")
+        raise error(f"{name} must have a finite width hi - lo, got {shown(bounds)}")
     return lo, hi
+
+
+def check_grid(grid, name: str = "grid", error: type = ValueError) -> None:
+    """The cell cap of a certify grid, checked before a scan allocates
+    anything: at most ``MAX_GRID_CELLS`` cells.  A violation is an ``error``
+    that calls the grid ``name``; an axis below 1 point is left to the
+    scan's own check."""
+    if min(grid) > 0 and grid[0] * grid[1] > MAX_GRID_CELLS:
+        raise error(f"{name} must have at most MAX_GRID_CELLS = {MAX_GRID_CELLS} cells, "
+                    f"got {shown(grid[0] * grid[1])}")
 
 
 def _scan_defaults(p: TruckParams, alpha_c, a_l_bounds) -> tuple:
@@ -102,7 +118,7 @@ def certify_pendulum(
         raise ValueError("a, b and alpha_c must be positive")
     if not (0.0 < a * a < math.inf and 0.0 < b / a < math.inf):  # as PendulumParams checks
         raise ValueError(f"a*a and b/a must be positive and finite, got {a * a!r}, {b / a!r}")
-    lo, hi = _finite_width("theta_range", theta_range)
+    lo, hi = check_range(theta_range, "theta_range")
     if not lo < hi:
         raise ValueError(f"theta_range must be a finite interval, got {theta_range}")
 
@@ -160,16 +176,14 @@ def truck_margin_table(
         raise ValueError("c3 = 0: lg_h = 0 cannot be solved for v")
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 2 or ny < 2:
-        raise ValueError(f"grid must have at least 2 points per axis, got {grid}")
-    if nx * ny > MAX_GRID_CELLS:
-        raise ValueError(f"grid {grid} gives {nx * ny} cells, more than "
-                         f"MAX_GRID_CELLS = {MAX_GRID_CELLS}")
+        raise ValueError(f"grid must have at least 2 points per axis, got {shown(grid)}")
+    check_grid((nx, ny))
     a_lo, a_hi = float(a_l_bounds[0]), float(a_l_bounds[1])
     if a_lo > a_hi:
         raise ValueError(f"a_l_bounds must be ordered, got {a_l_bounds}")
 
-    d_axis = np.linspace(*_finite_width("d_range", d_range), nx)
-    vl_axis = np.linspace(*_finite_width("vl_range", vl_range), ny)
+    d_axis = np.linspace(*check_range(d_range, "d_range"), nx)
+    vl_axis = np.linspace(*check_range(vl_range, "vl_range"), ny)
     with np.errstate(over="ignore", invalid="ignore"):
         v0 = -(p.c1 + p.c4 * vl_axis) / (2.0 * p.c3)  # may be unphysical; scan anyway
     overflow = (f"the margin overflows on the grid of d_range {d_range}, "

@@ -339,8 +339,8 @@ def test_scenario_timing_messages_are_the_cli_rule():
     with pytest.raises(ValueError, match=r"^horizon must be at most MAX_STEPS = 10000000 "
                                          r"steps of dt = 1e-06, got 1000000000000\.0$"):
         _pendulum_scenario("cbf", ZERO, dt=1e-6, horizon=1e12)
-    # the step cap is checked with the timing, before the controller's needs
-    with pytest.raises(ValueError, match="MAX_STEPS"):
+    # the controller rule, issf's epsilon included, is checked before the timing
+    with pytest.raises(ValueError, match=r"^issf controller needs an epsilon function$"):
         _pendulum_scenario("issf", ZERO, dt=1e-6, horizon=1e12)
 
 
