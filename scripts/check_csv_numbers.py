@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the CSV writer's numbers against CPython's per-cell formatting.
+"""Check the CSV writers' numbers against CPython's per-cell formatting.
 
     PYTHONPATH=src python scripts/check_csv_numbers.py --cells 2000000 --seed 1
 
@@ -8,9 +8,12 @@ and compares each with ``b"%.9g" % x``.  The cells are an equal share of each
 kind in ``KINDS`` (random bit patterns, random ones of the magnitudes the
 vector path formats, log-uniform magnitudes of both signs, rounding ties and
 their neighbours, powers of ten and the 1e9 rounding boundary, each a few ulps
-either side) and the special values.  On the first mismatch it prints that
-cell's ``float.hex()`` and exits 1; it exits 0 when every cell matches.
-Needs numpy and the standard library only.
+either side) and the special values.  The same cells are then the margin
+column of ``safefilter.cli.write_margin_csv``'s rows, on grids of seeded axes
+of both signs and every exponent form, each row compared with
+``b"%.9g,%.9g,%.9g,%.9g\n"``.  On the first mismatch it prints the cells'
+``float.hex()`` and exits 1; it exits 0 when every cell matches.  Needs numpy
+and the standard library only.
 """
 
 import argparse
@@ -20,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from safefilter.cli import _MARGIN_BLOCK_COLUMNS, write_margin_csv
 from safefilter.sim import write_csv_table
 
 COLUMNS = 8
@@ -115,12 +119,46 @@ def first_mismatch(values: np.ndarray, path: Path):
     return None
 
 
+def axis(rng, n):
+    """Grid axis values: log-uniform magnitudes or uniform in [-100, 100],
+    half each, so both signs and the fixed and exponent forms mix."""
+    return np.where(rng.random(n) < 0.5, log_uniform(rng, n), rng.uniform(-100.0, 100.0, n))
+
+
+def first_margin_mismatch(values: np.ndarray, rng, path: Path):
+    """The first row (D, v_L, v, margin) whose text differs from
+    ``b"%.9g,%.9g,%.9g,%.9g"`` in the file write_margin_csv writes with
+    ``values`` as the margins, row-major, of a grid of seeded axes (the last
+    grid row padded with zeros), or None.  The grid's column count and the
+    scan block's rows are seeded too: rows of several pieces or pieces of
+    several rows."""
+    ny = int(rng.integers(2, 3 * _MARGIN_BLOCK_COLUMNS))
+    nx = -(-values.size // ny)
+    margin = np.zeros(nx * ny)
+    margin[:values.size] = values
+    margin = margin.reshape(nx, ny)
+    d_axis, vl_axis, v_axis = axis(rng, nx), axis(rng, ny), axis(rng, ny)
+    rows = int(rng.integers(1, nx + 1))
+    write_margin_csv(path, d_axis, vl_axis, v_axis,
+                     ((i, margin[i:i + rows]) for i in range(0, nx, rows)))
+    lines = path.read_bytes().split(b"\n")
+    if lines[0] != b"D,v_L,v,margin" or len(lines) != margin.size + 2 or lines[-1] != b"":
+        return d_axis[0], vl_axis[0], v_axis[0], margin[0, 0]
+    texts = iter(lines[1:-1])
+    for d, margins in zip(d_axis.tolist(), margin.tolist()):
+        for row in zip(vl_axis.tolist(), v_axis.tolist(), margins):
+            if next(texts) != b"%.9g,%.9g,%.9g,%.9g" % (d, *row):
+                return (d, *row)
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cells", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     values = cells(args.cells, args.seed)
+    grids = np.random.default_rng([args.seed, 1])
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "cells.csv"
         for start in range(0, values.size, CHUNK):
@@ -128,7 +166,12 @@ def main(argv=None) -> int:
             if bad is not None:
                 print(f"mismatch: {bad.hex()} is {b'%.9g' % bad!r} per cell")
                 return 1
-    print(f"{values.size} cells match b'%.9g' % x")
+            row = first_margin_mismatch(values[start:start + CHUNK], grids, path)
+            if row is not None:
+                print(f"margin CSV mismatch: row {[x.hex() for x in row]} is "
+                      f"{b'%.9g,%.9g,%.9g,%.9g' % row!r} per cell")
+                return 1
+    print(f"{values.size} cells match b'%.9g' % x in both writers")
     return 0
 
 

@@ -66,7 +66,7 @@ def heaviside_pulse(m_amp: float) -> DisturbanceSignal:
     right-continuous (s(0) = 1), so values at the edges belong to the piece
     that starts there.
     """
-    if m_amp < 0:
+    if not m_amp >= 0:
         raise ValueError(f"amplitude must be nonnegative, got {m_amp}")
 
     def step(tau):

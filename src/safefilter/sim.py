@@ -33,7 +33,8 @@ column is the block's samples at t_k, copied array to array.
 numpy formats a block's cells at once, and CPython's ``b"%.9g" % x`` the few
 whose digits it cannot certify: those near a rounding tie, and the nonzero
 ones outside about 2e-99 to 1e98 in magnitude, nan and inf included.  The
-bytes equal a per-cell loop's.
+bytes equal a per-cell loop's.  The certify margin CSV takes the same path,
+its D, v_L and v texts going in front of each row as a prefix.
 """
 
 from __future__ import annotations
@@ -535,8 +536,11 @@ def _csv_slots(x: np.ndarray, zero: np.ndarray, e: np.ndarray, n: np.ndarray) ->
     return slots
 
 
-def _csv_text(block: np.ndarray) -> bytes:
-    """The rows of a float64 block as CSV text: each cell ``b"%.9g" % x``."""
+def _csv_text(block: np.ndarray, prefix: np.ndarray | None = None) -> bytes:
+    """The rows of a float64 block as CSV text: each cell ``b"%.9g" % x``.
+
+    ``prefix``, an (rows, w) uint8 array of NUL-padded text, goes in front of
+    each row's cells, so a row reads prefix + cells + "\\n"."""
     rows, cols = block.shape
     x = block.ravel()
     zero = x == 0
@@ -547,12 +551,20 @@ def _csv_text(block: np.ndarray) -> bytes:
     cells = slots.view(np.uint8).reshape(rows, cols, 16)
     cells[:, :-1, 15] = ord(",")
     cells[:, -1, 15] = ord("\n")
+    width = 0 if prefix is None else prefix.shape[1]
+    if width:
+        canvas = np.empty((rows, width + 16 * cols), np.uint8)
+        canvas[:, :width] = prefix
+        canvas[:, width:] = cells.reshape(rows, 16 * cols)
+        cells = canvas
     data = cells.tobytes()
+    del slots, cells
     # a fallback cell's slot holds only its separator: its text goes in front
-    pieces, start = [], 0
+    pieces, start, stride = [], 0, width + 16 * cols
     for i, value in zip(fallback.tolist(), x[fallback].tolist()):
-        pieces += (data[start:16 * i].translate(None, b"\0"), b"%.9g" % value)
-        start = 16 * i
+        at = i // cols * stride + width + i % cols * 16
+        pieces += (data[start:at].translate(None, b"\0"), b"%.9g" % value)
+        start = at
     pieces.append(data[start:].translate(None, b"\0"))
     return b"".join(pieces)
 

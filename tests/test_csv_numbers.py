@@ -1,6 +1,6 @@
-"""write_csv_table's numbers are b"%.9g" % x, cell for cell: its vector
-formatter against CPython's per-cell formatting on each kind of cell that
-scripts/check_csv_numbers.py samples, and on the preset logs."""
+"""write_csv_table's and write_margin_csv's numbers are b"%.9g" % x, cell for
+cell: their vector formatter against CPython's per-cell formatting on each kind
+of cell that scripts/check_csv_numbers.py samples, and on the preset logs."""
 
 import importlib.util
 from pathlib import Path
@@ -42,6 +42,15 @@ def test_special_values_match_per_cell_formatting(tmp_path):
     _assert_per_cell(check.SPECIAL, tmp_path)
 
 
+@pytest.mark.parametrize("seed, kind", enumerate(check.KINDS))
+def test_each_kind_of_margin_matches_per_cell_formatting(seed, kind, tmp_path):
+    # the same cells as the margins of write_margin_csv's rows
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([check.SPECIAL, check.KINDS[kind](rng, 20_000)])
+    row = check.first_margin_mismatch(values, rng, tmp_path / "grid.csv")
+    assert row is None, f"{[x.hex() for x in row]}: per cell {b'%.9g,%.9g,%.9g,%.9g' % row!r}"
+
+
 def test_exact_ties_round_half_to_even(tmp_path):
     # N + 0.5 is a tie at nine digits: CPython rounds it to the even N
     _assert_per_cell([123456788.5, 123456789.5, -100000000.5, 999999999.5, 1234567.875,
@@ -76,7 +85,7 @@ def test_a_wrong_exponent_table_costs_speed_not_exactness(shift, monkeypatch, tm
 
 
 def test_the_seeded_sample_of_every_kind_matches(tmp_path):
-    # the sample CI checks at 2,000,000 cells on every Python
+    # the sample CI checks at 2,000,000 cells on every Python, through both writers
     assert check.main(["--cells", "50000", "--seed", "3"]) == 0
 
 

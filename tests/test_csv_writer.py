@@ -147,17 +147,67 @@ def test_margin_grid_matches_rows_built_cell_by_cell(d_range, vl_range, grid, tm
         assert {"-0", "1e-07", "5e-08"} <= set(cells)
 
 
-@pytest.mark.parametrize("columns", [_MARGIN_BLOCK_COLUMNS, _MARGIN_BLOCK_COLUMNS + 1, 20_000,
-                                     _SCAN_CELLS + 1])
+@pytest.mark.parametrize("columns", [_MARGIN_BLOCK_COLUMNS, _MARGIN_BLOCK_COLUMNS + 1,
+                                     2 * _MARGIN_BLOCK_COLUMNS, 2 * _MARGIN_BLOCK_COLUMNS + 1,
+                                     20_000, _SCAN_CELLS + 1])
 def test_wide_margin_grid_matches_rows_built_cell_by_cell(columns, tmp_path):
-    # grid rows of one whole block, of a block and one column, of four blocks
-    # and a partial fifth, and scanned in two column chunks
+    # grid rows of one whole piece, of a piece and one column, of two whole
+    # pieces, of two and one column, of several and a partial last, and
+    # scanned in two column chunks
     p = TruckParams()
     grid = (2, columns)
     write_margin_csv(tmp_path / "grid.csv", *truck_margin_table(p, grid=grid))
     rows = list(_margin_rows_cell_by_cell(p, (0.0, 100.0), (0.0, 20.0), grid))
     reference_write_csv(tmp_path / "cell.csv", "D,v_L,v,margin", rows)
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+
+# cells the margin writer's vector path leaves to b"%.9g" % x
+FALLBACK = [123456789.5, 5e-324, math.nan, math.inf, -math.inf]
+# the widest "%.9g," texts: 16 bytes with a two-digit exponent, 17 with three
+WIDEST = [-1.23456789e-99, -1.23456789e-100]
+
+
+def _axis(n, seed, narrow):
+    """Axis values of mixed exponent forms and signs, the widest forms first,
+    or small integers, whose texts make short leads and tails."""
+    if narrow:
+        return np.arange(n, dtype=float) % 10
+    axis = _mixed_table(1, n, seed).ravel() * 10.0 ** np.random.default_rng(seed).integers(
+        -100, 100, n)
+    axis[:2] = WIDEST
+    return axis
+
+
+@pytest.mark.parametrize("grid, block_rows", [
+    ((9, 500), 3),                           # pieces of whole rows, cut by blocks
+    ((9, 500), 5),
+    ((3, _MARGIN_BLOCK_COLUMNS + 5), 2),     # a row in two pieces
+    ((_MARGIN_BLOCK_COLUMNS + 1, 2), 2000),  # pieces of many two-column rows
+])
+@pytest.mark.parametrize("narrow", [False, True])
+def test_margin_writer_splices_fallback_cells_at_piece_edges(grid, block_rows, narrow, tmp_path):
+    # synthetic axes and blocks: fallback cells at every grid row's first and
+    # last cell and either side of a column piece's edge, so each piece starts
+    # and ends with one; -0 and mixed magnitudes elsewhere
+    nx, ny = grid
+    d_axis, vl_axis, v_axis = (_axis(n, seed, narrow) for n, seed in ((nx, 1), (ny, 2), (ny, 3)))
+    margin = _mixed_table(nx, ny, seed=4)
+    margin[:, 1] = -0.0
+    edges = [0, ny - 1] + [j for j in (_MARGIN_BLOCK_COLUMNS - 1, _MARGIN_BLOCK_COLUMNS)
+                           if j < ny]
+    for k, j in enumerate(edges):
+        margin[:, j] = np.roll(FALLBACK, k)[np.arange(nx) % len(FALLBACK)]
+    blocks = ((i, margin[i:i + block_rows]) for i in range(0, nx, block_rows))
+    write_margin_csv(tmp_path / "grid.csv", d_axis, vl_axis, v_axis, blocks)
+    rows = ((d, vl, v, m) for d, margins in zip(d_axis.tolist(), margin.tolist())
+            for vl, v, m in zip(vl_axis.tolist(), v_axis.tolist(), margins))
+    reference_write_csv(tmp_path / "cell.csv", "D,v_L,v,margin", rows)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+    if not narrow:
+        lines = (tmp_path / "grid.csv").read_bytes().split(b"\n")
+        assert lines[1].startswith(b"-1.23456789e-99,-1.23456789e-99,-1.23456789e-99,")
+        assert lines[2].startswith(b"-1.23456789e-99,-1.23456789e-100,-1.23456789e-100,")
 
 
 def test_certify_margin_grid_matches_per_cell_writer(tmp_path):

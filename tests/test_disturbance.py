@@ -42,6 +42,12 @@ def test_pulse_rejects_negative_amplitude():
         heaviside_pulse(-0.1)
 
 
+def test_pulse_rejects_a_nan_amplitude():
+    # a nan amplitude would give a signal whose sup-norm bound is nan
+    with pytest.raises(ValueError, match=r"^amplitude must be nonnegative, got nan$"):
+        heaviside_pulse(math.nan)
+
+
 def test_pulse_sup_norm_estimate_recovers_amplitude():
     t = np.linspace(0.0, 20.0, 4001)
     measured = np.array([heaviside_pulse(0.75)(ti) for ti in t])
