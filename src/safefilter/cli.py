@@ -87,7 +87,7 @@ def _at(path: str, errors: tuple = (OSError, ValueError)):
 
 
 # ---------------------------------------------------------------------------
-# Presets
+# Plants and their parameter presets
 # ---------------------------------------------------------------------------
 
 # Parameter-set presets by plant, loadable in a config as {"params": {"preset": <name>}}.
@@ -110,101 +110,6 @@ class _Plant:
 
 _PLANTS = {"pendulum": _Plant(PendulumParams, (-0.1, 0.5), 40.0),
            "truck": _Plant(TruckParams, (27.4, 16.0, 16.0), 60.0)}
-
-SCENARIO_PRESETS = {
-    "pendulum-undisturbed": {
-        "name": "pendulum-undisturbed",
-        "plant": "pendulum",
-        "params": {"preset": "pendulum-default"},
-        "controller": ["nominal", "cbf"],
-        "disturbance": {"kind": "zero"},
-        "initial_state": list(_PLANTS["pendulum"].x0),
-        "horizon": 40.0,
-        "dt": 0.01,
-    },
-    "pendulum-pulse-cbf": {
-        "name": "pendulum-pulse-cbf",
-        "plant": "pendulum",
-        "params": {"preset": "pendulum-default"},
-        "controller": ["cbf"],
-        "disturbance": {"kind": "heaviside_pulse", "amplitude": 0.75},
-        "initial_state": list(_PLANTS["pendulum"].x0),
-        "horizon": 40.0,
-        "dt": 0.01,
-    },
-    "pendulum-pulse-issf-const": {
-        "name": "pendulum-pulse-issf-const",
-        "plant": "pendulum",
-        "params": {"preset": "pendulum-default"},
-        "controller": ["issf"],
-        "issf": {"eps0": 0.15, "lam": 0.0, "delta": 0.75},
-        "disturbance": {"kind": "heaviside_pulse", "amplitude": 0.75},
-        "initial_state": list(_PLANTS["pendulum"].x0),
-        "horizon": 40.0,
-        "dt": 0.01,
-    },
-    "pendulum-pulse-issf-exp": {
-        "name": "pendulum-pulse-issf-exp",
-        "plant": "pendulum",
-        "params": {"preset": "pendulum-default"},
-        "controller": ["issf"],
-        "issf": {"eps0": 0.5, "lam": 12.0, "delta": 0.75},
-        "disturbance": {"kind": "heaviside_pulse", "amplitude": 0.75},
-        "initial_state": list(_PLANTS["pendulum"].x0),
-        "horizon": 40.0,
-        "dt": 0.01,
-    },
-    "truck-braking": {
-        "name": "truck-braking",
-        "plant": "truck",
-        "params": {"preset": "paper-table-2"},
-        "controller": ["nominal", "cbf"],
-        "disturbance": {"kind": "zero"},
-        "leader": {"kind": "hard_brake", "t_brake": 15.0, "a_peak": -8.0, "duration": 2.0},
-        "initial_state": list(_PLANTS["truck"].x0),
-        "horizon": 60.0,
-        "dt": 0.01,
-    },
-    "truck-braking-disturbed": {
-        "name": "truck-braking-disturbed",
-        "plant": "truck",
-        "params": {"preset": "paper-table-2"},
-        "controller": ["nominal", "cbf", "issf"],
-        "issf": {"eps0": 0.5, "lam": 0.4, "delta": 4.5},
-        "disturbance": {"kind": "lag_residual", "tau": 0.6},
-        "leader": {"kind": "hard_brake", "t_brake": 15.0, "a_peak": -8.0, "duration": 2.0},
-        "initial_state": list(_PLANTS["truck"].x0),
-        "horizon": 60.0,
-        "dt": 0.01,
-    },
-    "truck-cruise": {
-        "name": "truck-cruise",
-        "plant": "truck",
-        "params": {"preset": "paper-table-2"},
-        "controller": ["nominal"],
-        "disturbance": {"kind": "zero"},
-        "leader": {"kind": "constant"},
-        "initial_state": list(_PLANTS["truck"].x0),
-        "horizon": 120.0,
-        "dt": 0.01,
-    },
-    "pendulum-hstar-sweep": {
-        "name": "pendulum-hstar-sweep",
-        "plant": "pendulum",
-        "params": {"preset": "pendulum-default"},
-        "issf": {"eps0": 0.15, "lam": 0.0, "delta": 0.75},
-        "sweep": {"eps0_grid": [0.15, 0.5, 4.0], "lambda_grid": [0.0, 3.0, 12.0]},
-    },
-    "truck-hstar-sweep": {
-        "name": "truck-hstar-sweep",
-        "plant": "truck",
-        "params": {"preset": "paper-table-2"},
-        "issf": {"eps0": 0.5, "lam": 0.4, "delta": 4.5},
-        "sweep": {"eps0_grid": [0.5, 0.8, 1.0, 3.0, 4.0, 5.0],
-                  "lambda_grid": [0.0, 0.25, 0.35, 0.4, 0.5]},
-    },
-}
-
 
 # ---------------------------------------------------------------------------
 # Config schema
@@ -454,6 +359,54 @@ def config_to_dict(cfg: Config) -> dict:
     return _encode(cfg)
 
 
+# ---------------------------------------------------------------------------
+# Presets
+# ---------------------------------------------------------------------------
+
+
+def _preset(name: str, plant: str, horizon: Optional[float] = None, **sets) -> dict:
+    """A preset document: its plant's parameter preset, then the keys it sets,
+    in order; one that names its controllers runs, and gets the plant's
+    initial state, the plant's horizon unless it gives its own, and the
+    default step.  Each call builds new lists and objects, so no two presets
+    share one."""
+    params = next(key for key, owner in PARAM_PRESETS.items() if owner == plant)
+    doc = {"name": name, "plant": plant, "params": {"preset": params}, **sets}
+    if "controller" in sets:
+        doc.update(initial_state=list(_PLANTS[plant].x0),
+                   horizon=_PLANTS[plant].horizon if horizon is None else horizon,
+                   dt=Config.dt)
+    return doc
+
+
+SCENARIO_PRESETS = {doc["name"]: doc for doc in (
+    _preset("pendulum-undisturbed", "pendulum", controller=["nominal", "cbf"],
+            disturbance={"kind": "zero"}),
+    _preset("pendulum-pulse-cbf", "pendulum", controller=["cbf"],
+            disturbance={"kind": "heaviside_pulse", "amplitude": 0.75}),
+    _preset("pendulum-pulse-issf-const", "pendulum", controller=["issf"],
+            issf={"eps0": 0.15, "lam": 0.0, "delta": 0.75},
+            disturbance={"kind": "heaviside_pulse", "amplitude": 0.75}),
+    _preset("pendulum-pulse-issf-exp", "pendulum", controller=["issf"],
+            issf={"eps0": 0.5, "lam": 12.0, "delta": 0.75},
+            disturbance={"kind": "heaviside_pulse", "amplitude": 0.75}),
+    _preset("truck-braking", "truck", controller=["nominal", "cbf"],
+            disturbance={"kind": "zero"},
+            leader={"kind": "hard_brake", "t_brake": 15.0, "a_peak": -8.0, "duration": 2.0}),
+    _preset("truck-braking-disturbed", "truck", controller=["nominal", "cbf", "issf"],
+            issf={"eps0": 0.5, "lam": 0.4, "delta": 4.5},
+            disturbance={"kind": "lag_residual", "tau": 0.6},
+            leader={"kind": "hard_brake", "t_brake": 15.0, "a_peak": -8.0, "duration": 2.0}),
+    _preset("truck-cruise", "truck", 120.0, controller=["nominal"],
+            disturbance={"kind": "zero"}, leader={"kind": "constant"}),
+    _preset("pendulum-hstar-sweep", "pendulum", issf={"eps0": 0.15, "lam": 0.0, "delta": 0.75},
+            sweep={"eps0_grid": [0.15, 0.5, 4.0], "lambda_grid": [0.0, 3.0, 12.0]}),
+    _preset("truck-hstar-sweep", "truck", issf={"eps0": 0.5, "lam": 0.4, "delta": 4.5},
+            sweep={"eps0_grid": [0.5, 0.8, 1.0, 3.0, 4.0, 5.0],
+                   "lambda_grid": [0.0, 0.25, 0.35, 0.4, 0.5]}),
+)}
+
+
 def resolve_preset(name: str) -> dict:
     if name in SCENARIO_PRESETS:
         return json.loads(json.dumps(SCENARIO_PRESETS[name]))
@@ -553,8 +506,6 @@ def _fmt(value) -> str:
 
 # Grid columns per piece of write_margin_csv: a piece is whole grid rows of at
 # most this many cells (four 500-column rows), or this many columns of one row.
-# A piece's canvas is then about 100 KB: 4096-cell pieces (about 200 KB) wrote
-# the 500 x 500 CSV about 12 % slower on a 2-CPU Xeon.
 _MARGIN_BLOCK_COLUMNS = 2048
 
 
@@ -605,7 +556,7 @@ def cmd_certify(cfg: Config, out_dir: Path) -> int:
         # repeats the first one's operations and so its margins, bit for bit
         write_margin_csv(out_dir / f"{cfg.name}_margins.csv", *truck_margin_table(p, **scan))
     with open(out_dir / f"{cfg.name}_certify.json", "w") as handle:
-        json.dump(report.to_dict(), handle, indent=2)
+        json.dump(dataclasses.asdict(report), handle, indent=2)
         handle.write("\n")
     status = "passed" if report.passed else "FAILED"
     where = " on grid" if cfg.plant == "truck" else ""  # the pendulum margin is exact

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -66,12 +66,12 @@ def shown(value) -> str:
         return f"a {type(value).__name__} holding an integer too long to show"
 
 
-def state_vector(values, dim: Optional[int] = None) -> np.ndarray:
-    """Validate a plant state: 1-d, finite, optionally of a fixed dimension."""
+def state_vector(values, dim: int) -> np.ndarray:
+    """Validate a plant state: 1-d, finite, of dimension ``dim``."""
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise DimensionError(f"state must be a 1-d vector, got shape {x.shape}")
-    if dim is not None and x.shape[0] != dim:
+    if x.shape[0] != dim:
         raise DimensionError(f"state must have dimension {dim}, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"state entries must be finite, got {x!r}")
@@ -92,9 +92,9 @@ class ControlAffineDynamics:
 
 @dataclass(frozen=True)
 class ClassKappaE:
-    """The linear class-K function alpha(r) = alpha_c * r, alpha_c > 0 [1/s],
-    and its inverse s / alpha_c: the alpha of both case studies, which gives
-    the filter, h* and the pendulum certificate their closed forms."""
+    """The linear class-K function alpha(r) = alpha_c * r, alpha_c > 0 [1/s]:
+    the alpha of both case studies, which gives the filter, h* and the
+    pendulum certificate their closed forms."""
 
     alpha_c: float
 
@@ -104,9 +104,6 @@ class ClassKappaE:
 
     def __call__(self, r: float) -> float:
         return self.alpha_c * r
-
-    def inverse(self, s: float) -> float:
-        return s / self.alpha_c
 
 
 def linear_class_kappa(alpha_c: float) -> ClassKappaE:

@@ -34,7 +34,7 @@ class DisturbanceSignal:
     """Scalar signal of time on [start, duration] with declared bound sup|s| <= bound.
 
     It is the type of both exogenous signals of the simulator: the input
-    disturbance d(t) and the truck leader's acceleration a_L(t).  ``_sample``, the one
+    disturbance d(t) and the truck leader's acceleration a_L(t).  ``sample``, the one
     evaluator, maps a 1-d float array of times to a float array; out of domain
     it raises SignalDomainError for the first offending time.  A scalar call
     evaluates a one-element array.  A signal carries no kind tag: nothing
@@ -44,15 +44,11 @@ class DisturbanceSignal:
 
     bound: float
     duration: float
-    _sample: Callable[[np.ndarray], np.ndarray]
+    sample: Callable[[np.ndarray], np.ndarray]
     start: float = 0.0
 
     def __call__(self, t: float) -> float:
-        return float(self._sample(np.array([t], dtype=float))[0])
-
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        """The signal at each entry of the 1-d float array ``times``, as a float array."""
-        return self._sample(times)
+        return float(self.sample(np.array([t], dtype=float))[0])
 
 
 def zero_disturbance() -> DisturbanceSignal:
@@ -66,8 +62,8 @@ def heaviside_pulse(m_amp: float) -> DisturbanceSignal:
     right-continuous (s(0) = 1), so values at the edges belong to the piece
     that starts there.
     """
-    if not m_amp >= 0:
-        raise ValueError(f"amplitude must be nonnegative, got {m_amp}")
+    if not 0 <= m_amp < math.inf:  # which nan fails
+        raise ValueError(f"amplitude must be nonnegative and finite, got {m_amp}")
 
     def step(tau):
         return np.where(tau >= 0.0, 1.0, 0.0)

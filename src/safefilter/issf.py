@@ -53,11 +53,11 @@ def check_delta(delta: float) -> None:
 def set_inflation(alpha: ClassKappaE, epsilon: EpsilonFunction, h_val: float, delta: float) -> float:
     """How far (in units of h) the invariant set grows under disturbance bound delta.
 
-    Nonnegative, zero iff delta = 0.  For linear alpha this reduces to
-    eps(h) * delta^2 / (4 * alpha_c).
+    Nonnegative, zero iff delta = 0: eps(h) * delta^2 / (4 * alpha_c) for
+    alpha(r) = alpha_c * r.
     """
     check_delta(delta)
-    return -alpha.inverse(-epsilon(h_val) * delta * delta / 4.0)
+    return epsilon(h_val) * delta * delta / 4.0 / alpha.alpha_c
 
 
 def solve_h_star(alpha: ClassKappaE, epsilon: EpsilonFunction, delta: float) -> float:

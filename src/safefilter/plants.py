@@ -133,8 +133,8 @@ if not ({_all_finite(("h", "lf_h", "lg_h"))}):
 # table's **, exp or division raises an ArithmeticError where a product gives
 # inf or nan; it is the error of a non-finite value there: in a row the
 # barrier's ValueError (as is a math function's domain error), and in a step
-# a non-finite derivative at the stage state, stamped with the step's time t,
-# as the stage's own time is not kept on the path without an error.
+# a non-finite derivative at the stage's state and time.  Each stage sets the
+# marker ``stage``, which picks the stage's time only when that error comes.
 _LOOP_TEMPLATE = """\
 def nominal(x):
     {state}, = x
@@ -168,6 +168,7 @@ def run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends, n, last, 
                     raise non_finite("input", t, ({state},))
                 break
             {base} = {state}
+            stage = 0
             w = u + d
             {k1} = {field}
             if not ({k1_finite}):
@@ -179,7 +180,7 @@ def run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends, n, last, 
         except (SimulationError, ValueError) as err:
             return i + 1, None, err
         except ArithmeticError:
-            return i + 1, None, non_finite("derivative", t, ({state},))
+            return i + 1, None, non_finite("derivative", ({stage_times})[stage], ({state},))
 {clamp}    return n, ({state},), None
 """
 
@@ -193,7 +194,7 @@ def run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends, n, last, 
 _RESERVED = (
     "t_rows", "dt", "a_rows", "d_rows", "a_mids", "d_mids", "a_ends", "d_ends", "n",
     "last", "log", "counts", "half", "sixth", "i", "t", "a", "d", "a_mid", "d_mid", "a_end",
-    "d_end", "w", "err", "u_nom", "u", "h", "lf_h", "lg_h", "log_u_nom", "log_u", "log_h",
+    "d_end", "w", "stage", "err", "u_nom", "u", "h", "lf_h", "lg_h", "log_u_nom", "log_u", "log_h",
     "s", "g", "eps", "alpha_c", "lg_zero_sq", "eps0", "lam", "exp", "inf", "bound",
     "isfinite", "non_finite", "SimulationError", "ValueError", "OverflowError", "ArithmeticError",
     "range", "zip", "nominal", "barrier", "row", "run")
@@ -203,6 +204,7 @@ _PER_STATE = ("{n}0", "k1_{n}", "k2_{n}", "k3_{n}", "k4_{n}", "log_{n}")
 
 _STAGE_TEMPLATE = """\
 {state} = {stage_state}
+stage = {stage}
 a = {a}
 {shared}{control}w = u + {d}
 {k} = {field}
@@ -246,8 +248,8 @@ def _loop_source(src: _PlantSource, controller: str, bound: tuple) -> str:
     control = (src.nominal if controller == "nominal" else terms) + row_input
     state, field = each("{n}"), ", ".join(src.field)
     stages = "".join(_STAGE_TEMPLATE.format(
-        state=state, stage_state=each(f"{{n}}0 + {h} * k{i - 1}_{{n}}"), a=a, shared=src.shared,
-        control=control, d=d, k=each(f"k{i}_{{n}}"), field=field,
+        state=state, stage_state=each(f"{{n}}0 + {h} * k{i - 1}_{{n}}"), stage=i - 1, a=a,
+        shared=src.shared, control=control, d=d, k=each(f"k{i}_{{n}}"), field=field,
         k_finite=finite(f"k{i}_{{n}}"), t=t)
         for i, (h, t, a, d) in enumerate(_STAGES, start=2))
     logged, row = (*src.names, "u_nom", "u", "h"), src.shared + terms + row_input
@@ -259,7 +261,7 @@ def _loop_source(src: _PlantSource, controller: str, bound: tuple) -> str:
         store=block("".join(f"log_{n}[i] = {n}\n" for n in logged), 2), k1=each("k1_{n}"),
         field=field, k1_finite=finite("k1_{n}"), stages=block(stages, 3),
         weighted_sum=each("{n}0 + sixth * (k1_{n} + 2.0 * k2_{n} + 2.0 * k3_{n} + k4_{n})"),
-        state_finite=finite("{n}"),
+        state_finite=finite("{n}"), stage_times=", ".join(["t", *(t for _, t, _, _ in _STAGES)]),
         clamp=block("".join(_CLAMP_TEMPLATE.format(n=n) for n in src.clamp), 2))
 
 

@@ -84,9 +84,7 @@ __all__ = [
     "write_csv_table",
 ]
 
-# Most RK4 steps one run may take.  A truck run logs n_steps + 1 rows of 8
-# floats, so the cap bounds a log at about 0.64 GB; the presets take at most
-# 12,000 steps, and dt = 1e-5 over 100 s still fits.
+# Most RK4 steps one run may take: the cap bounds a run's log.
 MAX_STEPS = 10_000_000
 
 # Rows per block: run_scenario samples the time signals and makes one
@@ -227,8 +225,10 @@ def rk4_step(
     state.  ``u0``, if given, is the controller output k(x, t) already
     computed by the caller; stage 1 then uses it instead of evaluating the
     controller again.  Every stage derivative and the new state are checked
-    to be finite.  The plant records' generated ``run`` writes it out on
-    their own floats, with the same stage times, checks and errors.
+    to be finite; an ArithmeticError in a stage, a ``**`` or ``exp`` that
+    overflows, say, is a non-finite derivative at the stage's time and state.
+    The plant records' generated ``run`` writes it out on their own floats,
+    with the same stage times, checks and errors.
 
     The end stage samples time signals just inside the step: piecewise
     signals with breakpoints on the step grid must resolve to the piece
@@ -244,21 +244,23 @@ def rk4_step(
             raise SimulationError.non_finite("derivative", ts, xs)
         return k
 
-    if u0 is None:
-        u0 = controller(x, t)
     half = 0.5 * dt
     t_mid, t_end = t + half, t + dt - 1e-9 * dt
-    k1 = derivative(x, t, u0 + disturbance(t))
-    x2 = tuple([xi + half * ki for xi, ki in zip(x, k1)])
-    u = controller(x2, t_mid)
-    # stages 2 and 3 share one sample, taken after stage 2's controller call,
-    # so an error from the controller at t + dt/2 surfaces first
-    d_mid = disturbance(t_mid)
-    k2 = derivative(x2, t_mid, u + d_mid)
-    x3 = tuple([xi + half * ki for xi, ki in zip(x, k2)])
-    k3 = derivative(x3, t_mid, controller(x3, t_mid) + d_mid)
-    x4 = tuple([xi + dt * ki for xi, ki in zip(x, k3)])
-    k4 = derivative(x4, t_end, controller(x4, t_end) + disturbance(t_end))
+    ts, xs = t, x  # the stage being evaluated
+    try:
+        k1 = derivative(x, t, (controller(x, t) if u0 is None else u0) + disturbance(t))
+        ts, xs = t_mid, tuple([xi + half * ki for xi, ki in zip(x, k1)])
+        u = controller(xs, t_mid)
+        # stages 2 and 3 share one sample, taken after stage 2's controller
+        # call, so an error from the controller at t + dt/2 surfaces first
+        d_mid = disturbance(t_mid)
+        k2 = derivative(xs, t_mid, u + d_mid)
+        xs = tuple([xi + half * ki for xi, ki in zip(x, k2)])
+        k3 = derivative(xs, t_mid, controller(xs, t_mid) + d_mid)
+        ts, xs = t_end, tuple([xi + dt * ki for xi, ki in zip(x, k3)])
+        k4 = derivative(xs, t_end, controller(xs, t_end) + disturbance(t_end))
+    except ArithmeticError as err:
+        raise SimulationError.non_finite("derivative", ts, xs) from err
     sixth = dt / 6.0
     x_next = tuple([xi + sixth * (a + 2.0 * b + 2.0 * c + d)
                     for xi, a, b, c, d in zip(x, k1, k2, k3, k4)])

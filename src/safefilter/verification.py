@@ -14,7 +14,6 @@ gradients.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -35,10 +34,8 @@ __all__ = [
     "truck_margin_table",
 ]
 
-# Most cells one scan may evaluate: grid[0] * grid[1] truck grid points.  A whole
-# truck certify, both scans and the margin CSV, holds one block of the grid and
-# never the grid, so its memory grows with the grid's axes and the CSV's column
-# tails, not with its cells; the cap bounds a scan's time and the CSV's size.
+# Most cells one scan may evaluate: grid[0] * grid[1] truck grid points.  The
+# cap bounds a scan's time and the CSV's size.
 MAX_GRID_CELLS = 4_000_000
 
 # Cells of the truck margin grid that one in-place pass of the scan fills and
@@ -90,9 +87,6 @@ class CertificationReport:
     min_margin: float
     witness: dict            # state (and worst a_L) achieving the minimum
     grid_spec: dict
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def certify_pendulum(

@@ -72,6 +72,18 @@ def test_preset_configs_roundtrip(name):
     assert parse_config(config_to_dict(cfg)) == cfg
 
 
+def test_no_two_presets_share_a_list_or_object():
+    # a caller that edits one preset's document in place edits no other
+    def containers(value):
+        if isinstance(value, (dict, list)):
+            yield value
+            for item in value.values() if isinstance(value, dict) else value:
+                yield from containers(item)
+
+    found = [id(c) for doc in SCENARIO_PRESETS.values() for c in containers(doc)]
+    assert len(found) == len(set(found))
+
+
 # any JSON value: null, booleans, integers too large for a float, NaN and the
 # infinities, strings, lists and objects
 _JSON = st.recursive(

@@ -78,7 +78,6 @@ def test_linear_class_kappa_values():
     alpha = linear_class_kappa(0.2)
     assert alpha(1.0) == pytest.approx(0.2)
     assert alpha(0.0) == 0.0
-    assert linear_class_kappa(0.1).inverse(-2.025) == pytest.approx(-20.25, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5])
@@ -87,15 +86,6 @@ def test_linear_class_kappa_rejects_nonpositive(bad):
         linear_class_kappa(bad)
     with pytest.raises(ValueError):
         ClassKappaE(bad)
-
-
-@given(
-    alpha_c=st.floats(1e-3, 1e3),
-    r=st.floats(-1e3, 1e3),
-)
-def test_linear_class_kappa_inverse_roundtrip(alpha_c, r):
-    alpha = linear_class_kappa(alpha_c)
-    assert abs(alpha.inverse(alpha(r)) - r) <= 1e-10
 
 
 @given(
@@ -134,6 +124,6 @@ def test_state_vector_validation():
     with pytest.raises(DimensionError):
         state_vector([1.0, 2.0], dim=3)
     with pytest.raises(DimensionError):
-        state_vector([[1.0, 2.0]])
+        state_vector([[1.0, 2.0]], dim=2)
     with pytest.raises(ValueError):
-        state_vector([1.0, np.inf])
+        state_vector([1.0, np.inf], dim=2)

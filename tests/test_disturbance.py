@@ -44,8 +44,14 @@ def test_pulse_rejects_negative_amplitude():
 
 def test_pulse_rejects_a_nan_amplitude():
     # a nan amplitude would give a signal whose sup-norm bound is nan
-    with pytest.raises(ValueError, match=r"^amplitude must be nonnegative, got nan$"):
+    with pytest.raises(ValueError, match=r"^amplitude must be nonnegative and finite, got nan$"):
         heaviside_pulse(math.nan)
+
+
+def test_pulse_rejects_an_infinite_amplitude():
+    # its samples would be inf * 0 = nan off the lobes, with a RuntimeWarning
+    with pytest.raises(ValueError, match=r"^amplitude must be nonnegative and finite, got inf$"):
+        heaviside_pulse(math.inf)
 
 
 def test_pulse_sup_norm_estimate_recovers_amplitude():

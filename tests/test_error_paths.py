@@ -210,7 +210,7 @@ def test_a_list_holding_a_too_long_integer_is_shown_by_its_type():
     ({"plant": "pendulum", "initial_state": [0.0, 1e155]},
      "$.initial_state: barrier evaluation entries must be finite", ValueError),
     ({"plant": "pendulum", "disturbance": {"kind": "heaviside_pulse", "amplitude": -1}},
-     "$.disturbance: amplitude must be nonnegative, got -1.0", ValueError),
+     "$.disturbance: amplitude must be nonnegative and finite, got -1.0", ValueError),
     ({"plant": "pendulum", "disturbance": {"kind": "csv", "path": "nofile.csv"}},
      "$.disturbance: [Errno 2] No such file or directory: 'nofile.csv'", FileNotFoundError),
     ({"plant": "truck", "leader": {"kind": "constant"},

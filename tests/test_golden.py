@@ -11,6 +11,8 @@ The cases are every simulate preset, both sweep presets under ``sweep`` and
 ``hstar``, both certify parameter presets (the pendulum with and without the
 cross term) and the truck's two-block margin grid, plus one document per
 plant that leaves the initial state and the horizon to the plant defaults.
+The ``--dump-preset`` text of every preset name is pinned too: a dump case
+runs without ``--out`` and writes no file.
 """
 
 import contextlib
@@ -27,6 +29,7 @@ _SIMULATE_PRESETS = ("pendulum-undisturbed", "pendulum-pulse-cbf", "pendulum-pul
                      "pendulum-pulse-issf-exp", "truck-braking", "truck-braking-disturbed",
                      "truck-cruise")
 _SWEEP_PRESETS = ("truck-hstar-sweep", "pendulum-hstar-sweep")
+_PARAM_PRESETS = ("paper-table-2", "pendulum-default")
 
 # (case, command line without --out, config document or None)
 CASES = (
@@ -45,6 +48,8 @@ CASES = (
                                                   "plant": "pendulum"}),
     ("simulate-truck-defaults", ["simulate"], {"name": "truck-defaults", "plant": "truck",
                                                "leader": {"kind": "constant"}}),
+    *((f"dump-{name}", ["--dump-preset", name], None)
+      for name in (*_SIMULATE_PRESETS, *_SWEEP_PRESETS, *_PARAM_PRESETS)),
 )
 
 
@@ -56,6 +61,7 @@ def digests(root: Path) -> dict:
     """Run every case under ``root`` and digest what it wrote and printed."""
     pinned = {}
     for case, argv, doc in CASES:
+        dump = argv[0] == "--dump-preset"
         out = root / case
         if doc is not None:
             config = root / f"{case}.json"
@@ -63,10 +69,10 @@ def digests(root: Path) -> dict:
             argv = [*argv, "--config", str(config)]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = main([*argv, "--out", str(out)])
+            code = main(argv if dump else [*argv, "--out", str(out)])
         text = stdout.getvalue().replace(str(out), "<out>")
         pinned[f"{case}/exit-{code}.stdout"] = _sha256(text.encode())
-        for path in sorted(out.iterdir()):
+        for path in [] if dump else sorted(out.iterdir()):
             pinned[f"{case}/{path.name}"] = _sha256(path.read_bytes())
     return pinned
 

@@ -2,7 +2,8 @@
 
 A one-state table runs, and its generated ``run`` gives what the same loop
 gives through ``sim.rk4_step``, bit for bit; so does every random polynomial
-table of one to four states, with its lf_h and lg_h derived by sympy.  A
+table of one to four states, with its lf_h and lg_h derived by sympy and its
+powers written as ``**`` or as products, and so does its error.  A
 state or binding named as the generated code names its own is rejected where
 the record is built, and the reserved names cover every name the shipped
 records' ``run`` uses besides its table's own.
@@ -97,14 +98,33 @@ def test_an_expression_that_overflows_stops_the_run_as_its_non_finite_value_does
     # run stops with the barrier's ValueError, the row unlogged
     power = _ONE_STATE._replace(barrier=_ONE_STATE.barrier.replace("y * y", "y**2"))
     assert repr(_run("nominal", None, power, 1e200)) == repr(_run("nominal", None, y0=1e200))
-    # in a step's field, with a non-finite derivative after the row is logged;
-    # the stage's own time is not tracked, so the error gives the step's:
-    # the product overflows at stage 4 of the step from t = 0.85
+    # in a step's field, with a non-finite derivative after the row is logged,
+    # at the stage's own time and state: stage 4 of the step from t = 0.85
     got, want = (_run("nominal", None, _ONE_STATE._replace(field=(field,)), 1.0)
                  for field in ("y**2 + w", "y * y + w"))
     assert repr(got[:3]) == repr(want[:3]) and got[0] == 18
-    assert (type(got[3]), got[3].state) == (SimulationError, want[3].state)
-    assert str(got[3]) == str(want[3]).replace("t=0.9,", "t=0.85,")
+    assert (type(got[3]), got[3].t, got[3].state) == (SimulationError, want[3].t, want[3].state)
+    assert str(got[3]) == str(want[3])
+
+
+@pytest.mark.parametrize("where", ["field", "controller"])
+def test_rk4_step_meets_an_overflow_as_its_non_finite_value(where):
+    # from y = 1e150 the square is finite at stage 1 and overflows at stage 2,
+    # where y**2 raises OverflowError and y * y gives inf
+    errors = []
+    for square in (lambda y: y**2, lambda y: y * y):
+        def field(xs, t, w):
+            return ((square(xs[0]) if where == "field" else 0.0) + w,)
+
+        def controller(xs, t):
+            return square(xs[0]) if where == "controller" else 0.0
+
+        with pytest.raises(SimulationError) as excinfo:
+            rk4_step(field, controller, lambda t: 0.0, (1e150,), 0.0, DT)
+        errors.append(excinfo.value)
+    got, want = errors
+    assert (str(got), got.t, got.state) == (str(want), want.t, want.state)
+    assert want.t == 0.5 * DT and want.state != (1e150,)
 
 
 _PER_STATE_TAKEN = ["y0", "k1_y", "k2_y", "k3_y", "k4_y", "log_y"]
@@ -150,8 +170,8 @@ _RANDOM_NAMES = ("x", "y", "z", "v")
 @functools.cache
 def _product_printer():
     """A sympy printer that writes an integer power x**k as (x*x*...*x): x**k
-    raises OverflowError where a product gives inf, and the generated loop,
-    like the shipped tables, meets an overflow as a non-finite value."""
+    raises OverflowError where a product gives inf, which the generated loop
+    and rk4_step meet as the non-finite value the product gives."""
     sympy = pytest.importorskip("sympy")
 
     class ProductPrinter(sympy.printing.str.StrPrinter):
@@ -169,7 +189,8 @@ def _random_tables(draw):
     """A _PlantSource whose field, barrier and nominal input are polynomials of
     degree at most two with coefficients in quarters, its lf_h and lg_h the
     gradient of h along the field at w = 0 and along its w coefficient, by
-    sympy; and an initial state."""
+    sympy, and its powers written as x**k or as products; and an initial
+    state."""
     sympy = pytest.importorskip("sympy")
     names = tuple(draw(st.permutations(_RANDOM_NAMES))[:draw(st.integers(1, 4))])
     states = sympy.symbols(names, real=True)
@@ -187,7 +208,7 @@ def _random_tables(draw):
     gradient = [sympy.diff(h, s) for s in states]
     lf_h = sympy.expand(sum(dh * f for dh, f in zip(gradient, drift)))
     lg_h = sympy.expand(sum(dh * g for dh, g in zip(gradient, gain)))
-    text = _product_printer().doprint
+    text = sympy.sstr if draw(st.booleans()) else _product_printer().doprint
     source = plants._PlantSource(
         names=names,
         shared="",
@@ -200,16 +221,20 @@ def _random_tables(draw):
 
 
 def _table_functions(source):
-    """The table's field(x, t, w) and its terms(x) = (u_nom, h, lf_h, lg_h),
-    from the same text the generator inlines."""
+    """The table's field(x, t, w), barrier(x) = (h, lf_h, lg_h) and
+    nominal(x) = u_nom, from the same text the generator inlines."""
     state = ", ".join(source.names)
-    text = (f"def field(x, t, w):\n    {state}, = x\n    return ({', '.join(source.field)},)\n"
-            f"def terms(x):\n    {state}, = x\n"
-            + "".join(f"    {line}\n" for line in (source.nominal + source.barrier).splitlines())
-            + "    return u_nom, h, lf_h, lg_h\n")
+
+    def function(head, lines, result):
+        body = "".join(f"    {line}\n" for line in lines.splitlines())
+        return f"def {head}:\n    {state}, = x\n{body}    return {result}\n"
+
+    text = (function("field(x, t, w)", "", f"({', '.join(source.field)},)")
+            + function("barrier(x)", source.barrier, "h, lf_h, lg_h")
+            + function("nominal(x)", source.nominal, "u_nom"))
     namespace = {}
     exec(text, namespace)
-    return namespace["field"], namespace["terms"]
+    return namespace["field"], namespace["barrier"], namespace["nominal"]
 
 
 def _random_table_runs(source, x0, controller, epsilon):
@@ -225,25 +250,28 @@ def _random_table_runs(source, x0, controller, epsilon):
                               leader, samples[2], ROWS, ROWS - 1, log, {})
     got = rows, [list(column[:rows]) for column in log], x, repr(err)
 
-    field, terms = _table_functions(source)
+    field, barrier, nominal = _table_functions(source)
     apply = filter_function(ALPHA_C, epsilon)
 
     def control(xs):
-        u_nom, h, lf_h, lg_h = terms(xs)
+        # in the generated loop's order: the barrier, its check, the nominal input
+        h, lf_h, lg_h = barrier(xs)
         if not all(map(math.isfinite, (h, lf_h, lg_h))):
             raise ValueError("barrier evaluation entries must be finite")
+        u_nom = nominal(xs)
         return u_nom if controller == "nominal" else apply(h, lf_h, lg_h, u_nom), u_nom, h
 
     def stage_control(xs, t):
-        return terms(xs)[0] if controller == "nominal" else control(xs)[0]
+        return nominal(xs) if controller == "nominal" else control(xs)[0]
 
     reference = [[] for _ in range(len(x0) + 3)]
     x, err = x0, None
     for k in range(ROWS):
         try:
             u, u_nom, h = control(x)
-        except ValueError as error:
-            rows, x, err = k, None, error
+        except (ValueError, ArithmeticError):
+            # a row's overflow, like its non-finite terms, is the barrier's error
+            rows, x, err = k, None, ValueError("barrier evaluation entries must be finite")
             break
         for column, value in zip(reference, (*x, u_nom, u, h)):
             column.append(value)

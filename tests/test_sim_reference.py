@@ -11,6 +11,7 @@ must stay bit-identical.
 """
 
 import dataclasses
+import gc
 import math
 import sys
 from collections import Counter
@@ -122,10 +123,15 @@ def _run_code(scn):
     return factory(scn.pendulum or scn.truck, scn.controller, scn.epsilon).run.__code__
 
 
-def _run_counting_calls(scn, calls):
+def _run_counting_calls(scn, calls, inside):
     """Run a scenario under a profile hook on every Python-level call:
     ``calls`` counts the block loop as "run", every other callee by its code
-    object, and under "inside" the calls made from the block loop."""
+    object, and under "inside" the calls made from the block loop, whose
+    callees go to the list ``inside``.
+
+    The garbage collector is off while the hook is on: a collection can run
+    a finalizer from any frame, the block loop's too, and the hook would
+    count it as the loop's call."""
     run_code = _run_code(scn)
 
     def profile(frame, event, arg):
@@ -134,12 +140,17 @@ def _run_counting_calls(scn, calls):
         calls["run" if frame.f_code is run_code else frame.f_code] += 1
         if frame.f_back is not None and frame.f_back.f_code is run_code:
             calls["inside"] += 1
+            inside.append(frame.f_code)
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         return run_scenario(scn)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
 
 
 @pytest.mark.parametrize("plant", ["pendulum", "truck"])
@@ -156,7 +167,8 @@ def test_four_controller_and_disturbance_calls_per_step(plant, controller):
 
     scn = dataclasses.replace(scn, disturbance=DisturbanceSignal(
         signal.bound, signal.duration, counted_sample))
-    result = _run_counting_calls(scn, calls)
+    inside = []
+    result = _run_counting_calls(scn, calls, inside)
 
     n_steps = result.time.size - 1
     assert n_steps == 300
@@ -165,7 +177,7 @@ def test_four_controller_and_disturbance_calls_per_step(plant, controller):
     # inline, and clamps the new state, so no row or stage calls a Python
     # function
     assert calls["run"] == math.ceil((n_steps + 1) / sim._SAMPLE_BLOCK_STEPS)
-    assert calls["inside"] == 0
+    assert calls["inside"] == 0, f"callees of the block loop: {inside}"
     # nothing else is called per step: the other calls are made per run or
     # per block
     others = [count for key, count in calls.items() if not isinstance(key, str)]
