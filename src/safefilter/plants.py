@@ -131,10 +131,12 @@ if not ({_all_finite(("h", "lf_h", "lg_h"))}):
 # logged.  The stages keep the operation order, times, checks and errors of
 # sim.rk4_step; stage 1 reuses the row's shared lines, at the same state.  A
 # table's **, exp or division raises an ArithmeticError where a product gives
-# inf or nan; it is the error of a non-finite value there: in a row the
-# barrier's ValueError (as is a math function's domain error), and in a step
-# a non-finite derivative at the stage's state and time.  Each stage sets the
-# marker ``stage``, which picks the stage's time only when that error comes.
+# inf or nan, and a math function a ValueError outside its domain.  Whatever
+# ValueError or ArithmeticError a row raises, its barrier check's among them,
+# is the barrier's ValueError; whatever a step's stage raises is a non-finite
+# derivative at the stage's state and time, so a table's spelling of its terms
+# does not change its error.  Each stage sets the marker ``stage``, which
+# picks the stage's time only when that error comes.
 _LOOP_TEMPLATE = """\
 def nominal(x):
     {state}, = x
@@ -177,9 +179,9 @@ def run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends, n, last, 
             # finite stages can still overflow in the weighted sum
             if not ({state_finite}):
                 raise non_finite("state", t + dt, ({state},))
-        except (SimulationError, ValueError) as err:
+        except SimulationError as err:
             return i + 1, None, err
-        except ArithmeticError:
+        except (ValueError, ArithmeticError):
             return i + 1, None, non_finite("derivative", ({stage_times})[stage], ({state},))
 {clamp}    return n, ({state},), None
 """
@@ -555,5 +557,11 @@ def truck_robust_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: flo
     """The safe command robustified for bounded input disturbance,
     min{k_n, k_s + lg_h/eps(h)} in the driving domain, with eps(h) =
     eps0 e^{lam h}: earlier and harder braking."""
-    return truck_record(p, "issf", EpsilonFunction(eps0, lam)).row(
-        (float(d), float(v), float(v_l)), float(a_l))[1]
+    return _truck_robust_row(p, eps0, lam)((float(d), float(v), float(v_l)), float(a_l))[1]
+
+
+@functools.lru_cache(maxsize=64)
+def _truck_robust_row(p: TruckParams, eps0: float, lam: float) -> Callable:
+    # one gain's record, looked up without building and hashing its
+    # EpsilonFunction on every call; an invalid gain raises, and is not cached
+    return truck_record(p, "issf", EpsilonFunction(eps0, lam)).row

@@ -127,7 +127,7 @@ def _check_leader_v0(v0: float, v_bar_l: float) -> None:
         raise ValueError(f"v0 must lie in [0, {v_bar_l}], got {v0}")
 
 
-def constant_speed_profile(v0: float, v_bar_l: float = 20.0) -> DisturbanceSignal:
+def constant_speed_profile(v0: float, v_bar_l: float = TruckParams.v_bar_l) -> DisturbanceSignal:
     _check_leader_v0(v0, v_bar_l)
     return zero_disturbance()
 
@@ -137,8 +137,8 @@ def hard_brake_profile(
     t_brake: float,
     a_peak: float,
     duration: float,
-    v_bar_l: float = 20.0,
-    a_under_l: float = 10.0,
+    v_bar_l: float = TruckParams.v_bar_l,
+    a_under_l: float = TruckParams.a_under_l,
 ) -> DisturbanceSignal:
     """Constant speed v0 until t_brake, trapezoidal deceleration to standstill.
 
@@ -182,8 +182,8 @@ def hard_brake_profile(
 def leader_profile_from_csv(
     path,
     v0: float,
-    v_bar_l: float = 20.0,
-    a_bounds: tuple[float, float] = (-10.0, 5.0),
+    v_bar_l: float = TruckParams.v_bar_l,
+    a_bounds: tuple[float, float] = (-TruckParams.a_under_l, TruckParams.a_bar_l),
 ) -> DisturbanceSignal:
     """Zero-order-hold leader acceleration from a CSV with header ``t,a_L``.
 
@@ -225,8 +225,9 @@ def rk4_step(
     state.  ``u0``, if given, is the controller output k(x, t) already
     computed by the caller; stage 1 then uses it instead of evaluating the
     controller again.  Every stage derivative and the new state are checked
-    to be finite; an ArithmeticError in a stage, a ``**`` or ``exp`` that
-    overflows, say, is a non-finite derivative at the stage's time and state.
+    to be finite; a ValueError or ArithmeticError in a stage, a ``**`` or
+    ``exp`` that overflows or a controller's barrier check, say, is a
+    non-finite derivative at the stage's time and state.
     The plant records' generated ``run`` writes it out on their own floats,
     with the same stage times, checks and errors.
 
@@ -259,7 +260,7 @@ def rk4_step(
         k3 = derivative(xs, t_mid, controller(xs, t_mid) + d_mid)
         ts, xs = t_end, tuple([xi + dt * ki for xi, ki in zip(x, k3)])
         k4 = derivative(xs, t_end, controller(xs, t_end) + disturbance(t_end))
-    except ArithmeticError as err:
+    except (ValueError, ArithmeticError) as err:
         raise SimulationError.non_finite("derivative", ts, xs) from err
     sixth = dt / 6.0
     x_next = tuple([xi + sixth * (a + 2.0 * b + 2.0 * c + d)

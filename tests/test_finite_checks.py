@@ -88,7 +88,7 @@ def _reference(x0, terms, dx, dy):
             return 2, log, x, None
         try:
             x = rk4_step(field, control, lambda t: 0.0, x, k * DT, DT, u0=0.0)
-        except (SimulationError, ValueError) as err:
+        except SimulationError as err:
             return 1, log, None, err
 
 

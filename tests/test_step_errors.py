@@ -126,10 +126,11 @@ def _generic_failure(scn, x, t, u0):
     try:
         x_next = rk4_step(counted_field, counted_controller, scn.disturbance, x, t, DT, u0=u0)
     except SimulationError as err:
-        return err, ("sum" if str(err).startswith("non-finite state") else calls["field"])
-    except ValueError as err:
-        # raised by the controller of stage 2, 3 or 4
-        return err, calls["controller"] + 1
+        if str(err).startswith("non-finite state"):
+            return err, "sum"
+        # stage k calls the controller (from stage 2 on), then the field; an
+        # error from either is the stage's non-finite derivative
+        return err, max(calls["field"], calls["controller"] + 1)
     try:
         row_terms(x_next, t + DT)
     except ValueError as err:
