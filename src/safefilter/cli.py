@@ -42,7 +42,7 @@ from .disturbance import (
     zero_disturbance,
 )
 from .issf import EpsilonFunction, check_delta, solve_h_star
-from .plants import CONTROLLERS, PendulumParams, TruckParams, pendulum_barrier, truck_barrier
+from .plants import CONTROLLERS, PendulumParams, TruckParams, pendulum_record, truck_record
 from .sim import (
     Scenario,
     SignalTooShortError,
@@ -462,11 +462,12 @@ def build_scenarios(cfg: Config):
         with _at("$.leader"):
             leader = _build_leader(cfg, p, x0[2])
     # the run checks h(x0) >= 0 first; a barrier that overflows there rejects
-    # the state, not the run.  The truck's barrier is finite wherever h is,
-    # whatever the bounded leader acceleration, so a_L = 0 decides it
+    # the state, not the run.  The truck's lf_h is affine in a_L, so the
+    # leader's bound at both signs covers every acceleration the leader takes
     with _at("$.initial_state"):
-        barrier = pendulum_barrier(p) if cfg.plant == "pendulum" else truck_barrier(p, 0.0)
-        barrier(x0)
+        record = pendulum_record(p) if leader is None else truck_record(p)
+        for a in (None,) if leader is None else (-leader.bound, leader.bound):
+            record.barrier(x0, a)
 
     with _at("$.disturbance"):
         if cfg.disturbance.kind == "zero":
@@ -610,9 +611,7 @@ def cmd_sweep(cfg: Config, out_dir: Path) -> int:
 
 
 def _flush_partial(err: SimulationError, out_dir: Path, name: str) -> None:
-    partial = getattr(err, "partial", None)
-    if partial is None:
-        return
+    partial = err.partial
     path = out_dir / f"{name}.csv"
     partial.to_csv(path)
     with open(path, "a", newline="") as handle:

@@ -80,14 +80,14 @@ def state_vector(values, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControlAffineDynamics:
-    """Plant model  xdot = drift(x, t) + actuation(x, t) @ u.
+    """Plant model  xdot = drift(x, t) + actuation @ u.
 
-    ``drift`` and ``actuation`` must be pure functions of the state and time;
-    the state and input dimensions are the shape of the actuation matrix.
+    ``drift`` must be a pure function of the state and time; ``actuation`` is
+    the constant input matrix, whose shape is the state and input dimensions.
     """
 
     drift: Callable[[np.ndarray, float], np.ndarray]
-    actuation: Callable[[np.ndarray, float], np.ndarray]
+    actuation: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -334,10 +334,7 @@ def pendulum_dynamics(p: PendulumParams) -> ControlAffineDynamics:
     def drift(x, t=0.0):
         return np.array([x[1], g_over_l * math.sin(x[0])])
 
-    def actuation(x, t=0.0):
-        return g_col
-
-    return ControlAffineDynamics(drift, actuation)
+    return ControlAffineDynamics(drift, g_col)
 
 
 _PENDULUM_SOURCE = _PlantSource(  # sin(theta) and (g/l) sin(theta) are shared with the field
@@ -470,10 +467,7 @@ def truck_dynamics(p: TruckParams, leader_accel: Callable[[float], float]) -> Co
     def drift(x, t=0.0):
         return np.array([x[2] - x[1], 0.0, leader_accel(t)])
 
-    def actuation(x, t=0.0):
-        return g_col
-
-    return ControlAffineDynamics(drift, actuation)
+    return ControlAffineDynamics(drift, g_col)
 
 
 def range_policy(p: TruckParams, d: float) -> float:

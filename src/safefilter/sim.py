@@ -148,6 +148,8 @@ def hard_brake_profile(
     """
     if not 0.0 < v0 <= v_bar_l:
         raise ValueError(f"v0 must lie in (0, {v_bar_l}], got {v0}")
+    if not 0.0 <= t_brake < math.inf:  # which nan fails
+        raise ValueError(f"t_brake must be nonnegative and finite, got {t_brake}")
     if not a_peak < 0.0:
         raise ValueError(f"a_peak must be negative (braking), got {a_peak}")
     if abs(a_peak) > a_under_l:
@@ -187,9 +189,10 @@ def leader_profile_from_csv(
 ) -> DisturbanceSignal:
     """Zero-order-hold leader acceleration from a CSV with header ``t,a_L``.
 
-    Non-finite samples and acceleration samples outside ``a_bounds`` are
-    rejected at load; an induced speed outside [0, v_bar_l] only warns (the
-    simulator clamps the state).
+    Non-finite samples, acceleration samples outside ``a_bounds`` and an
+    induced speed above ``v_bar_l`` anywhere in the file are rejected at
+    load; an induced speed below 0 only warns (the simulator clamps the
+    leader's speed at 0).
     """
     t, a = read_csv_samples(path, "a_L")
     signal = sampled_disturbance(t, a)
@@ -199,8 +202,10 @@ def leader_profile_from_csv(
 
     # induced speed is piecewise linear under the hold
     v_knots = v0 + np.concatenate(([0.0], np.cumsum(a[:-1] * np.diff(t))))
-    if np.any(v_knots < -1e-9) or np.any(v_knots > v_bar_l + 1e-9):
-        warnings.warn("induced leader speed leaves [0, v_bar_l]; the simulator will clamp")
+    if np.any(v_knots > v_bar_l + 1e-9):
+        raise ValueError(f"{path}: induced leader speed must stay at most v_bar_l = {v_bar_l}")
+    if np.any(v_knots < -1e-9):
+        warnings.warn("induced leader speed falls below 0; the simulator clamps it at 0")
     return signal
 
 

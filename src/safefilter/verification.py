@@ -285,18 +285,15 @@ def gradient_consistency(
     dynamics: ControlAffineDynamics,
     barrier: Callable[[np.ndarray], BarrierEvaluation],
     x,
-    step: float = 1e-6,
-    t: float = 0.0,
 ) -> float:
     """Max relative error of analytic (lf_h, lg_h) against central differences.
 
-    Differences are taken along the frozen drift vector and each actuation
-    column; relative error uses an absolute floor of 1 so a constant barrier
-    reports exactly 0.  Intended as a test utility: threshold 1e-5 at the
-    default step.
+    Differences of step 1e-6 are taken along the drift at t = 0 and each
+    column of the input matrix; relative error uses an absolute floor of 1 so
+    a constant barrier reports exactly 0.  Intended as a test utility:
+    threshold 1e-5.
     """
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
+    step = 1e-6
     x = np.asarray(x, dtype=float)
     be = barrier(x)
 
@@ -306,8 +303,7 @@ def gradient_consistency(
     def rel_err(analytic, fd):
         return abs(analytic - fd) / max(1.0, abs(analytic))
 
-    errs = [rel_err(be.lf_h, directional(dynamics.drift(x, t)))]
-    g_mat = np.atleast_2d(np.asarray(dynamics.actuation(x, t), dtype=float))
-    for j in range(g_mat.shape[1]):
-        errs.append(rel_err(float(be.lg_h[j]), directional(g_mat[:, j])))
+    errs = [rel_err(be.lf_h, directional(dynamics.drift(x, 0.0)))]
+    for j, column in enumerate(dynamics.actuation.T):
+        errs.append(rel_err(float(be.lg_h[j]), directional(column)))
     return max(errs)

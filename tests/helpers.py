@@ -26,9 +26,7 @@ import numpy as np
 
 from safefilter import (
     DimensionError,
-    PendulumParams,
     SimulationError,
-    TruckParams,
     pendulum_barrier,
     pendulum_dynamics,
     pendulum_nominal,
@@ -282,14 +280,6 @@ def sample_truck_states(rng, count):
     return np.column_stack([d, v, v_l, a_l])
 
 
-def default_pendulum():
-    return PendulumParams()
-
-
-def default_truck():
-    return TruckParams()
-
-
 # ---------------------------------------------------------------------------
 # Reference integrator
 # ---------------------------------------------------------------------------
@@ -307,7 +297,7 @@ def reference_rk4_step(dynamics, controller, disturbance, x, t, dt):
 
     def deriv(xs, ts):
         du = controller(xs, ts) + disturbance(ts)
-        dx = dynamics.drift(xs, ts) + dynamics.actuation(xs, ts) @ du
+        dx = dynamics.drift(xs, ts) + dynamics.actuation @ du
         if not np.isfinite(dx).all():
             raise SimulationError(f"non-finite derivative at t={ts:g}", t=ts, state=xs)
         return dx

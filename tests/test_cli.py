@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import tempfile
@@ -23,7 +24,15 @@ from safefilter.cli import (
     parse_config,
     resolve_preset,
 )
-from safefilter import EpsilonFunction, TruckParams, cli, linear_class_kappa, solve_h_star, verification
+from safefilter import (
+    EpsilonFunction,
+    PendulumParams,
+    TruckParams,
+    cli,
+    linear_class_kappa,
+    solve_h_star,
+    verification,
+)
 from safefilter.verification import MAX_GRID_CELLS
 
 SIMULATABLE_PRESETS = [name for name, doc in SCENARIO_PRESETS.items() if "sweep" not in doc]
@@ -94,6 +103,8 @@ _JSON = st.recursive(
     max_leaves=4,
 )
 _CONTROLLER = st.sampled_from(["nominal", "cbf", "issf"])
+_PARAM_FIELDS = sorted({f.name for cls in (PendulumParams, TruckParams)
+                        for f in dataclasses.fields(cls)})
 
 
 def _schema_shaped_docs(junk):
@@ -117,7 +128,7 @@ def _schema_shaped_docs(junk):
             "name": st.text(max_size=3) | junk,
             "params": section(
                 preset=st.sampled_from(sorted(PARAM_PRESETS)) | junk,
-                overrides=st.dictionaries(st.sampled_from(["alpha_c", "kp", "c1"]), number,
+                overrides=st.dictionaries(st.sampled_from(_PARAM_FIELDS), number,
                                           max_size=2) | junk,
             ),
             "controller": _CONTROLLER | st.lists(_CONTROLLER, max_size=3) | junk,
@@ -727,7 +738,7 @@ def test_any_document_exits_0_to_3_under_every_command(doc, command, horizon, dt
         warnings.simplefilter("error", RuntimeWarning)
         warnings.filterwarnings("ignore", "scenario .*: initial state is outside the safe set",
                                 UserWarning)
-        warnings.filterwarnings("ignore", "induced leader speed leaves", UserWarning)
+        warnings.filterwarnings("ignore", "induced leader speed falls below 0", UserWarning)
         path = os.path.join(out, "doc.json")
         with open(path, "w") as handle:
             json.dump(doc, handle)

@@ -86,13 +86,56 @@ _ISSF = {"eps0": 0.5, "lam": 0.4, "delta": 4.5}
     # a plant's default horizon is checked against the document's dt
     ("simulate", {"plant": "truck", "dt": 100.0},
      "$.horizon must be finite and >= dt = 100.0, got 60.0"),
+    # a brake that would start before the run, and a recorded leader that
+    # passes v_bar_l = 20 from v_L = 16 at t = 2
+    ("simulate", {"plant": "truck", "leader": {"kind": "hard_brake", "t_brake": -1.0,
+                                               "a_peak": -8.0, "duration": 2.0}},
+     "$.leader: t_brake must be nonnegative and finite, got -1.0"),
+    ("simulate", {"plant": "truck", "leader": {"kind": "csv", "path": "rising.csv"}},
+     "$.leader: rising.csv: induced leader speed must stay at most v_bar_l = 20.0"),
 ])
 def test_cli_rejects_with_the_whole_message(command, doc, message, tmp_path, capsys,
                                             monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "lead.csv").write_text("t,a_L\n0,0\n100,0\n")
+    (tmp_path / "rising.csv").write_text("t,a_L\n0,2\n100,2\n")
     code, err = _exit_and_stderr(command, doc, tmp_path, capsys)
     assert (code, err) == (2, f"safefilter: config error: {message}\n")
+
+
+def test_an_initial_state_whose_barrier_overflows_within_the_leader_bound_exits_2(
+        tmp_path, capsys, monkeypatch):
+    # c2 = 1e308 leaves h finite at v_L = 0, but lf_h overflows at the
+    # leader's first sample, -8 m/s^2; under a constant leader (bound 0) it
+    # runs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "brake.csv").write_text("t,a_L\n0,-8\n100,0\n")
+    doc = {"plant": "truck", "params": {"overrides": {"c2": 1e308}}, "controller": "cbf",
+           "initial_state": [30, 0, 0], "horizon": 1}
+    with pytest.warns(UserWarning, match="induced leader speed falls below 0"):
+        code, err = _exit_and_stderr(
+            "simulate", {**doc, "leader": {"kind": "csv", "path": "brake.csv"}}, tmp_path, capsys)
+    assert (code, err) == (2, "safefilter: config error: $.initial_state: "
+                              "barrier evaluation entries must be finite\n")
+    code, err = _exit_and_stderr("simulate", {**doc, "leader": {"kind": "constant"}},
+                                 tmp_path, capsys)
+    assert (code, err) == (0, "")
+
+
+def test_a_failing_lag_reference_run_exits_3_and_writes_no_file(tmp_path, capsys):
+    # the lag_residual disturbance integrates a reference run before any
+    # scenario; a range gain of 1e308 makes its first derivative infinite
+    doc = {"plant": "truck", "params": {"overrides": {"gain_range": 1e308}},
+           "controller": "cbf", "disturbance": {"kind": "lag_residual"},
+           "leader": {"kind": "constant"}, "horizon": 1}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "safefilter: runtime failure: scenario 'lag-reference' failed at t=0: non-finite "
+        "derivative at t=0, state=(27.4, 16.0, 16.0)\n")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -353,13 +396,20 @@ def test_both_leader_profiles_check_v0_alike(v0, tmp_path):
 
 
 def test_a_leader_csv_whose_induced_speed_leaves_the_range_warns(tmp_path):
-    # from v0 = 16, 5 m/s^2 held for 2 s reaches 26 > v_bar_l = 20
+    # from v0 = 16, 5 m/s^2 held for 2 s reaches 26 > v_bar_l = 20, which
+    # neither the simulator nor the speed policy allows
     path = tmp_path / "lead.csv"
     path.write_text("t,a_L\n0,5\n2,0\n100,0\n")
-    with pytest.warns(UserWarning, match=r"^induced leader speed leaves \[0, v_bar_l\]; "
-                                         r"the simulator will clamp$"):
+    with pytest.raises(ValueError, match=r"lead\.csv: induced leader speed must stay at most "
+                                         r"v_bar_l = 20\.0$"):
         leader_profile_from_csv(path, 16.0)
     # the same file from a standstill stays within range
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         leader_profile_from_csv(path, 0.0)
+    # from v0 = 4, -5 m/s^2 held for 2 s falls to -6 < 0, which the
+    # simulator clamps at 0
+    path.write_text("t,a_L\n0,-5\n2,0\n100,0\n")
+    with pytest.warns(UserWarning, match=r"^induced leader speed falls below 0; "
+                                         r"the simulator clamps it at 0$"):
+        leader_profile_from_csv(path, 4.0)

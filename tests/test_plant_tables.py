@@ -6,9 +6,11 @@ table of one to four states, with its lf_h and lg_h derived by sympy and its
 powers written as ``**`` or as products, and so does its error.  A
 state or binding named as the generated code names its own is rejected where
 the record is built, and the reserved names cover every name the shipped
-records' ``run`` uses besides its table's own.
+records' ``run`` uses, and every name the generated source binds or reads,
+besides its table's own.
 """
 
+import ast
 import functools
 import itertools
 import math
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from safefilter import (EpsilonFunction, PendulumParams, SimulationError, TruckParams, plants,
                         rk4_step)
-from safefilter.cbf import filter_function
+from safefilter.cbf import filter_bindings, filter_function
 
 ALPHA_C = 1.0
 DT = 0.05
@@ -170,6 +172,27 @@ def test_reserved_names_cover_every_name_of_the_shipped_runs(src, record, contro
     code = record(params, controller, epsilon).run.__code__
     # x, the state tuple, is unpacked first and never read again
     untabled = {*code.co_varnames, *code.co_names} - _table_names(src) - {"x"}
+    assert untabled <= set(plants._RESERVED), untabled - set(plants._RESERVED)
+
+
+@pytest.mark.parametrize("controller", plants.CONTROLLERS)
+def test_reserved_names_cover_every_name_the_generator_binds_or_reads(controller):
+    # every name in the generated source, not only run's: the functions it
+    # defines, their parameters and the names each of them binds or reads
+    bound = (*_BINDINGS, "isfinite", "non_finite", "SimulationError")
+    if controller != "nominal":
+        bound += tuple(filter_bindings(ALPHA_C, EpsilonFunction(0.5, 0.4)
+                                       if controller == "issf" else None))
+    tree = ast.parse(plants._loop_source(_ONE_STATE, controller, bound))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+    untabled = names - _table_names(_ONE_STATE) - {"x"}
     assert untabled <= set(plants._RESERVED), untabled - set(plants._RESERVED)
 
 

@@ -48,7 +48,7 @@ def test_pendulum_drift_values():
     dyn = pendulum_dynamics(P)
     assert np.allclose(dyn.drift(np.array([0.0, 0.0]), 0.0), [0.0, 0.0])
     assert np.allclose(dyn.drift(np.array([math.pi / 2, 0.0]), 0.0), [0.0, 10.0])
-    assert np.allclose(dyn.actuation(np.array([0.0, 0.0]), 0.0), [[0.0], [0.5]])
+    assert np.allclose(dyn.actuation, [[0.0], [0.5]])
 
 
 def test_pendulum_barrier_values():
@@ -79,7 +79,7 @@ def test_pendulum_nominal_linearizes_closed_loop(theta, theta_dot):
     dyn = pendulum_dynamics(P)
     nominal = pendulum_nominal(P)
     x = np.array([theta, theta_dot])
-    closed = dyn.drift(x, 0.0) + dyn.actuation(x, 0.0) @ nominal(x)
+    closed = dyn.drift(x, 0.0) + dyn.actuation @ nominal(x)
     expected = np.array([theta_dot, -P.kp * theta - P.kd * theta_dot])
     assert np.max(np.abs(closed - expected)) <= 1e-12
 
@@ -202,7 +202,7 @@ def test_record_terms_match_the_barrier_evaluation_bit_for_bit(state):
                      -(T.c2 + T.c4 * v + 2.0 * T.c5 * v_l)])
     dyn = truck_dynamics(T, lambda t: a_l)
     assert lf_h == pytest.approx(float(grad @ dyn.drift(x, 0.0)), rel=1e-12, abs=1e-12)
-    assert lg_h == pytest.approx(float((grad @ dyn.actuation(x, 0.0))[0]), rel=1e-12, abs=1e-12)
+    assert lg_h == pytest.approx(float((grad @ dyn.actuation)[0]), rel=1e-12, abs=1e-12)
 
 
 def test_truck_params_consistency_enforced():

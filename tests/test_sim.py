@@ -49,9 +49,9 @@ def _zero_controller(x, t):
 
 
 def _field(dyn):
-    """The scalar-input field f(x,t) + g(x,t) w of a numpy dynamics model."""
+    """The scalar-input field f(x,t) + g w of a numpy dynamics model."""
     def field(x, t, w):
-        return tuple((dyn.drift(x, t) + dyn.actuation(x, t) @ np.array([w])).tolist())
+        return tuple((dyn.drift(x, t) + dyn.actuation @ np.array([w])).tolist())
 
     return field
 
@@ -209,6 +209,9 @@ def test_hard_brake_validation():
         hard_brake_profile(16.0, 15.0, -8.0, 5.0)   # would undershoot zero
     with pytest.raises(ValueError):
         hard_brake_profile(25.0, 15.0, -8.0, 4.0)   # v0 beyond the cap
+    for t_brake in (-1.0, math.nan, math.inf):      # before the run, or never
+        with pytest.raises(ValueError, match="t_brake must be nonnegative and finite"):
+            hard_brake_profile(20.0, t_brake, -8.0, 3.0)
 
 
 def test_brake_after_horizon_behaves_like_constant_speed():

@@ -412,8 +412,3 @@ def test_gradient_consistency_constant_barrier_is_exact():
 
     err = gradient_consistency(pendulum_dynamics(P), flat_barrier, [0.1, 0.2])
     assert err == 0.0
-
-
-def test_gradient_consistency_rejects_bad_step():
-    with pytest.raises(ValueError):
-        gradient_consistency(pendulum_dynamics(P), pendulum_barrier(P), [0.0, 0.0], step=0.0)
