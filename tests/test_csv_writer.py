@@ -223,3 +223,71 @@ def test_certify_margin_grid_matches_per_cell_writer(tmp_path):
     assert written.count(b"\n") == 500 * 500 + 1
     assert written == (tmp_path / "cell.csv").read_bytes()
     assert hashlib.sha256(written).hexdigest() == MARGIN_CSV_SHA256
+
+
+def _per_cell_bytes(d_axis, vl_axis, v_axis, margin) -> bytes:
+    """The margin CSV with each row formatted on its own, b"%.9g,%.9g,%.9g,%.9g\\n"."""
+    return b"D,v_L,v,margin\n" + b"".join(
+        b"%.9g,%.9g,%.9g,%.9g\n" % (d, vl, v, m)
+        for d, margins in zip(d_axis.tolist(), margin.tolist())
+        for vl, v, m in zip(vl_axis.tolist(), v_axis.tolist(), margins))
+
+
+def _piece_edges(nx, ny, block_rows):
+    """The (row, column) of the first and last cell of each piece the margin
+    writer formats: whole grid rows of at most _MARGIN_BLOCK_COLUMNS cells
+    within each block of ``block_rows`` rows, or that many columns of one row."""
+    step = _MARGIN_BLOCK_COLUMNS
+    rows, edges = max(1, step // ny), set()
+    for i in range(0, nx, block_rows):
+        end = min(i + block_rows, nx)
+        for r in range(i, end, rows):
+            last = min(r + rows, end) - 1
+            for j in range(0, ny, step):
+                edges |= {(r, j), (last, min(j + step, ny) - 1)}
+    return sorted(edges)
+
+
+# margins for piece edges: an exact rounding tie and one that carries into the
+# next exponent, both zeros, a subnormal, the largest float, the two 16-byte
+# texts of a negative nine-digit value with a three-digit exponent, nan and -inf
+EDGE_MARGINS = [123456789.5, 999999999.5, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                -1.23456789e+100, -1.23456789e-100, math.nan, -math.inf]
+
+
+@pytest.mark.parametrize("grid, block_rows", [
+    ((9, 500), 3),                                 # a piece a block
+    ((70, 500), 65),                               # partial pieces, a partial last block
+    ((2, _MARGIN_BLOCK_COLUMNS), 1),               # one whole piece a row
+    ((3, 2 * _MARGIN_BLOCK_COLUMNS + 5), 2),       # a row in three pieces, the last partial
+    ((5, 3 * _MARGIN_BLOCK_COLUMNS - 1), 5),
+    ((_MARGIN_BLOCK_COLUMNS + 1, 2), 1000),        # pieces of many two-column rows
+])
+def test_margin_writer_formats_fallback_cells_at_each_piece_edge(grid, block_rows, tmp_path):
+    # synthetic axes whose leads change width from block to block, and edge
+    # margins at the first and last cell of every piece, so a piece starts and
+    # ends with a cell that b"%.9g" formats, a zero or a 16-byte text
+    nx, ny = grid
+    d_axis, vl_axis, v_axis = (_axis(n, seed, False) for n, seed in ((nx, 5), (ny, 6), (ny, 7)))
+    margin = _mixed_table(nx, ny, seed=8)
+    for k, cell in enumerate(_piece_edges(nx, ny, block_rows)):
+        margin[cell] = EDGE_MARGINS[k % len(EDGE_MARGINS)]
+    blocks = ((i, margin[i:i + block_rows]) for i in range(0, nx, block_rows))
+    write_margin_csv(tmp_path / "grid.csv", d_axis, vl_axis, v_axis, blocks)
+    assert (tmp_path / "grid.csv").read_bytes() == _per_cell_bytes(d_axis, vl_axis, v_axis,
+                                                                   margin)
+
+
+@pytest.mark.parametrize("d_range", [(-3e4, 5e4), (5e4, -3e4), (1e-7, 10.0)])
+def test_margin_csv_meets_a_lead_width_change_between_scan_blocks(d_range, tmp_path):
+    # a truck scan of three blocks whose "D," leads are not all of one width:
+    # negative D in some blocks only, or the leading zeros of D < 0.1 in the first
+    p, grid = TruckParams(), (700, 120)
+    rows = _SCAN_CELLS // grid[1]
+    d_axis = np.linspace(*d_range, grid[0])
+    widths = {max(len(b"%.9g," % d) for d in d_axis[i:i + rows].tolist())
+              for i in range(0, grid[0], rows)}
+    assert len(widths) > 1 and -(-grid[0] // rows) == 3
+    write_margin_csv(tmp_path / "grid.csv", *truck_margin_table(p, d_range=d_range, grid=grid))
+    want = _per_cell_bytes(*margin_grid(truck_margin_table(p, d_range=d_range, grid=grid)))
+    assert (tmp_path / "grid.csv").read_bytes() == want
