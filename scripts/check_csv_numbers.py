@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from safefilter.sim import _MARGIN_BLOCK_COLUMNS, write_csv_table, write_margin_csv
+from safefilter.sim import _MARGIN_PIECE_CELLS, write_csv_table, write_margin_csv
 
 COLUMNS = 8
 # Cells per file written: bounds the memory of a long check.
@@ -128,16 +128,17 @@ def first_margin_mismatch(values: np.ndarray, rng, path: Path):
     """The first row (D, v_L, v, margin) whose text differs from
     ``b"%.9g,%.9g,%.9g,%.9g"`` in the file write_margin_csv writes with
     ``values`` as the margins, row-major, of a grid of seeded axes (the last
-    grid row padded with zeros), or None.  The grid's column count and the
-    scan block's rows are seeded too: rows of several pieces or pieces of
-    several rows."""
-    ny = int(rng.integers(2, 3 * _MARGIN_BLOCK_COLUMNS))
+    grid row padded with zeros), or None.  The grid's column count, up to
+    three pieces wide, and the scan block's rows, at most half the grid's, are
+    seeded too: rows of several pieces or pieces of several rows, and blocks
+    whose leads may differ in width."""
+    ny = int(rng.integers(2, 3 * _MARGIN_PIECE_CELLS + 1))
     nx = -(-values.size // ny)
     margin = np.zeros(nx * ny)
     margin[:values.size] = values
     margin = margin.reshape(nx, ny)
     d_axis, vl_axis, v_axis = axis(rng, nx), axis(rng, ny), axis(rng, ny)
-    rows = int(rng.integers(1, nx + 1))
+    rows = int(rng.integers(1, max(1, nx // 2) + 1))
     write_margin_csv(path, d_axis, vl_axis, v_axis,
                      ((i, margin[i:i + rows]) for i in range(0, nx, rows)))
     lines = path.read_bytes().split(b"\n")

@@ -63,7 +63,6 @@ from .verification import (
     certify_truck_grid,
     check_grid,
     check_range,
-    truck_margin_table,
 )
 
 __all__ = ["Config", "ConfigError", "main", "parse_config", "config_to_dict",
@@ -505,6 +504,11 @@ def build_scenarios(cfg: Config):
 # ---------------------------------------------------------------------------
 
 
+def _writing(path: Path):
+    """An output file's OSError as the ConfigError "cannot write <path>: <error>"."""
+    return _at(f"cannot write {path}", (OSError,))
+
+
 def _fmt(value) -> str:
     return "" if value is None else f"{value:.9g}"
 
@@ -512,19 +516,21 @@ def _fmt(value) -> str:
 def cmd_certify(cfg: Config, out_dir: Path) -> int:
     p = build_params(cfg)
     spec = cfg.certify
-    scan = {"d_range": spec.d_range, "vl_range": spec.vl_range, "grid": spec.grid,
-            "a_l_bounds": spec.a_l_bounds}
-    with _at("$.certify"):
-        if cfg.plant == "pendulum":
+    if cfg.plant == "pendulum":
+        with _at("$.certify"):
             report = certify_pendulum(p.a, p.b, p.alpha_c, spec.theta_range, spec.cross_term)
-        else:
-            report = certify_truck_grid(p, **scan)
-    if cfg.plant == "truck":
-        # the report keeps no grid: the CSV comes from a second scan, which
-        # repeats the first one's operations and so its margins, bit for bit
-        write_margin_csv(out_dir / f"{cfg.name}_margins.csv", *truck_margin_table(p, **scan))
-    (out_dir / f"{cfg.name}_certify.json").write_text(
-        json.dumps(dataclasses.asdict(report), indent=2) + "\n")
+    else:
+        # the report keeps no grid: its one scan writes the margin CSV block
+        # by block as it is reduced; the scan raises only ValueErrors, so an
+        # OSError is the CSV's
+        margins = out_dir / f"{cfg.name}_margins.csv"
+        with _writing(margins), _at("$.certify", (ValueError,)):
+            report = certify_truck_grid(
+                p, d_range=spec.d_range, vl_range=spec.vl_range, grid=spec.grid,
+                a_l_bounds=spec.a_l_bounds, sink=functools.partial(write_margin_csv, margins))
+    path = out_dir / f"{cfg.name}_certify.json"
+    with _writing(path):
+        path.write_text(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
     status = "passed" if report.passed else "FAILED"
     where = " on grid" if cfg.plant == "truck" else ""  # the pendulum margin is exact
     print(f"certify {cfg.name}: {status}{where}, min margin {report.min_margin:.9g} "
@@ -540,8 +546,10 @@ def cmd_hstar(cfg: Config, out_dir: Path) -> int:
     h_star = solve_h_star(linear_class_kappa(p.alpha_c), epsilon, delta)
     print(f"h_star = {h_star:.9g}  (eps0={epsilon.eps0:g}, lam={epsilon.lam:g}, "
           f"delta={delta:g}, alpha_c={p.alpha_c:g})")
-    write_csv_table(out_dir / f"{cfg.name}_hstar.csv", "eps0,lambda,delta,alpha_c,h_star",
-                    [[epsilon.eps0, epsilon.lam, delta, p.alpha_c, h_star]])
+    path = out_dir / f"{cfg.name}_hstar.csv"
+    with _writing(path):
+        write_csv_table(path, "eps0,lambda,delta,alpha_c,h_star",
+                        [[epsilon.eps0, epsilon.lam, delta, p.alpha_c, h_star]])
     return 0
 
 
@@ -561,7 +569,7 @@ def cmd_sweep(cfg: Config, out_dir: Path) -> int:
     _, delta = _issf_design(cfg)
     out_path = out_dir / f"{cfg.name}.csv"
     failures = 0
-    with open(out_path, "w", newline="") as handle:
+    with _writing(out_path), open(out_path, "w", newline="") as handle:
         handle.write("eps0,lambda,h_star,status\n")
         # each axis value is formatted once: lambda per sweep, eps0 per grid row
         lams = [(lam, f"{lam:.9g},") for lam in cfg.sweep.lambda_grid]
@@ -598,19 +606,21 @@ def cmd_simulate(cfg: Config, out_dir: Path) -> int:
     scenarios = build_scenarios(cfg)
     summary = []
     for scn in scenarios:
+        path = out_dir / f"{scn.name}.csv"
         try:
             result = run_scenario(scn)
         except SimulationError as err:
-            write_failed_log(out_dir / f"{scn.name}.csv", err)
+            with _writing(path):
+                write_failed_log(path, err)
             print(f"simulate {scn.name}: FAILED ({err})", file=sys.stderr)
             return 3
-        path = out_dir / f"{scn.name}.csv"
-        result.to_csv(path)
+        with _writing(path):
+            result.to_csv(path)
         summary.append(_summary_row(result, scn.truck, path))
         del result  # one log alive at a time: the summary keeps its numbers
 
     summary_path = out_dir / f"{cfg.name}_summary.csv"
-    with open(summary_path, "w", newline="") as handle:
+    with _writing(summary_path), open(summary_path, "w", newline="") as handle:
         handle.write("scenario,controller,h_min,h_star,steady_state_shift,clamp_events\n")
         for row, line in summary:
             handle.write(row)

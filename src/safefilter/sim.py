@@ -36,15 +36,16 @@ whose digits it cannot certify: those near a rounding tie, and the nonzero
 ones outside about 2e-99 to 1e98 in magnitude, nan and inf included.  The
 bytes equal a per-cell loop's.  ``write_failed_log`` writes a failed run's
 partial log and its closing (t, nan, ...) row in the same bytes.
-``write_margin_csv`` writes the certify margin table on the same path, its
-D, v_L and v texts going in front of each row as a NUL-padded prefix that
-only ``_csv_text`` reads.
+``write_margin_csv`` writes the certify margin table on the same number
+path, its D, v_L and v texts and its margins' slots laid out a cell a row in
+a text canvas that persists across pieces of the grid.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -383,41 +384,91 @@ def write_csv_table(path, header: str, *columns: np.ndarray) -> None:
             handle.write(_csv_text(block.astype(np.float64, copy=False)))
 
 
-# Grid columns per piece of write_margin_csv: a piece is whole grid rows of at
-# most this many cells (four 500-column rows), or this many columns of one row.
-_MARGIN_BLOCK_COLUMNS = 2048
+# Grid cells per piece of write_margin_csv: a piece is whole grid rows of at
+# most this many cells, or this many columns of one row.
+_MARGIN_PIECE_CELLS = 4096
 
 
 def write_margin_csv(path, d_axis, vl_axis, v_axis, blocks) -> None:
     """The rows (D[i], v_L[j], v[j], margin[i, j]), row-major, in write_csv_table's bytes,
     from a scan of verification.truck_margin_table: ``blocks`` yields (i, margin rows
-    i, i + 1, ...) in order, and each block's rows are written as it comes.  Each
-    "v_L,v," tail is formatted once, each "D," once per block, both with b"%.9g"
-    into NUL-padded byte arrays, and they go in front of the margins of each piece of
-    at most ``_MARGIN_BLOCK_COLUMNS`` cells as _csv_text's row prefix."""
-    step, ny = _MARGIN_BLOCK_COLUMNS, len(vl_axis)
-    tails, width = np.empty(ny, "S34"), 0  # "-1.23456789e-100," twice is 34 bytes
-    for j in range(0, ny, step):
-        texts = [b"%.9g,%.9g," % pair for pair in zip(vl_axis[j:j + step].tolist(),
-                                                      v_axis[j:j + step].tolist())]
-        tails[j:j + step] = texts
-        width = max(width, max(map(len, texts)))
-    tails = tails.view(np.uint8).reshape(ny, 34)[:, :width]
-    rows = max(1, step // ny)
+    i, i + 1, ...) in order, and each block's rows are written as it comes.  A failure
+    partway, a block's overflow among them, leaves no file.
+
+    Each "v_L,v," tail is formatted once, each "D," lead once per block, both with
+    b"%.9g", and each piece of at most ``_MARGIN_PIECE_CELLS`` cells, whole grid
+    rows or that many columns of one row, goes through a ``_MarginCanvas``.  The
+    canvas is made anew when a block's leads change width, and a chunk of tails
+    is copied in when the piece's columns change: once per canvas for a grid of
+    rows up to a piece wide."""
+    step, ny = _MARGIN_PIECE_CELLS, len(vl_axis)
+    # each chunk's tails as wide as its longest text
+    tails = [np.array([b"%.9g,%.9g," % pair for pair in zip(vl_axis[j:j + step].tolist(),
+                                                            v_axis[j:j + step].tolist())])
+             for j in range(0, ny, step)]
+    width = max(tail.itemsize for tail in tails)
+    rows, cols, canvas = max(1, step // ny), min(ny, step), None
     with open(path, "wb") as handle:
-        handle.write(b"D,v_L,v,margin\n")
-        for i, block in blocks:
-            leads = np.array([b"%.9g," % d for d in d_axis[i:i + len(block)].tolist()])
-            leads = leads.view(np.uint8).reshape(len(block), -1)
-            lead = leads.shape[1]
-            for r in range(0, len(block), rows):
-                for j in range(0, ny, step):
-                    margins = block[r:r + rows, j:j + step]
-                    prefix = np.empty(margins.shape + (lead + width,), np.uint8)
-                    prefix[:, :, :lead] = leads[r:r + rows, None]
-                    prefix[:, :, lead:] = tails[j:j + step]
-                    handle.write(_csv_text(margins.reshape(-1, 1),
-                                           prefix.reshape(margins.size, -1)))
+        try:
+            handle.write(b"D,v_L,v,margin\n")
+            for i, block in blocks:
+                leads = np.array([b"%.9g," % d for d in d_axis[i:i + len(block)].tolist()])
+                if canvas is None or canvas.lead != leads.itemsize:
+                    canvas = _MarginCanvas(rows, cols, leads.itemsize, width)
+                leads = leads.view(f"V{leads.itemsize}")[:, None, None]
+                for r in range(0, len(block), rows):
+                    for j in range(0, ny, step):
+                        canvas.put_tails(j, tails[j // step])
+                        handle.write(canvas.text(leads[r:r + rows],
+                                                 block[r:r + rows, j:j + step]))
+        except BaseException:
+            handle.close()
+            os.remove(path)
+            raise
+
+
+class _MarginCanvas:
+    """The text of a piece of the margin CSV, laid out a grid cell a row in one
+    bytearray kept across pieces: the "D," lead, the "v_L,v," tail, the
+    margin's 16-byte slot and "\\n", each NUL-padded.  A piece writes its
+    leads and slots, a fallback cell's b"%.9g" text, at most 16 bytes, into
+    its slot, and the canvas less its NULs is the piece's text."""
+
+    def __init__(self, rows: int, cols: int, lead: int, width: int):
+        self.buffer = bytearray(rows * cols * (lead + width + 17))
+        cells = np.frombuffer(self.buffer, np.uint8).reshape(rows, cols, -1)
+        cells[:, :, -1] = ord("\n")
+        self.lead, self.stride, self.chunk = lead, cells.shape[2], None
+        # whole leads and slots as void items, each copied at once
+        self.leads = cells[:, :, :lead].view(f"V{lead}")
+        self.tails = cells[:, :, lead:-17]
+        self.slots = cells[:, :, -17:-1].view("V16")
+
+    def put_tails(self, chunk: int, tails: np.ndarray) -> None:
+        """The tails of the columns from ``chunk`` on, unless they are in place."""
+        if chunk != self.chunk:
+            n, w = len(tails), tails.itemsize
+            self.tails[:, :n, :w] = tails.view(np.uint8).reshape(n, w)
+            self.tails[:, :n, w:] = 0
+            self.chunk = chunk
+
+    def text(self, leads: np.ndarray, margins: np.ndarray) -> bytearray:
+        """The CSV text of ``margins`` (rows, cols), each row behind its lead of
+        ``leads`` (rows, 1, 1); its cells are a prefix of the canvas, whole
+        canvas rows or the first cells of one."""
+        rows, cols = margins.shape
+        x = margins.ravel()
+        zero = x == 0
+        e, n, fall = _csv_round(x)
+        self.leads[:rows, :cols] = leads
+        self.slots[:rows, :cols] = _csv_slots(x, zero, e, n).view("V16").reshape(rows, cols, 1)
+        fallback = np.flatnonzero(fall & ~zero)
+        for k, value in zip(fallback.tolist(), x[fallback].tolist()):
+            at = (k + 1) * self.stride - 17
+            self.buffer[at:at + 16] = (b"%.9g" % value).ljust(16, b"\0")
+        size = rows * cols * self.stride
+        text = self.buffer if size == len(self.buffer) else self.buffer[:size]
+        return text.translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +646,8 @@ def _csv_slots(x: np.ndarray, zero: np.ndarray, e: np.ndarray, n: np.ndarray) ->
     return slots
 
 
-def _csv_text(block: np.ndarray, prefix: np.ndarray | None = None) -> bytes:
-    """The rows of a float64 block as CSV text: each cell ``b"%.9g" % x``.
-
-    ``prefix``, an (rows, w) uint8 array of NUL-padded text, goes in front of
-    each row's cells, so a row reads prefix + cells + "\\n"."""
+def _csv_text(block: np.ndarray) -> bytes:
+    """The rows of a float64 block as CSV text: each cell ``b"%.9g" % x``."""
     rows, cols = block.shape
     x = block.ravel()
     zero = x == 0
@@ -610,20 +658,13 @@ def _csv_text(block: np.ndarray, prefix: np.ndarray | None = None) -> bytes:
     cells = slots.view(np.uint8).reshape(rows, cols, 16)
     cells[:, :-1, 15] = ord(",")
     cells[:, -1, 15] = ord("\n")
-    width = 0 if prefix is None else prefix.shape[1]
-    if width:
-        canvas = np.empty((rows, width + 16 * cols), np.uint8)
-        canvas[:, :width] = prefix
-        canvas[:, width:] = cells.reshape(rows, 16 * cols)
-        cells = canvas
     data = cells.tobytes()
     del slots, cells
     # a fallback cell's slot holds only its separator: its text goes in front
-    pieces, start, stride = [], 0, width + 16 * cols
+    pieces, start = [], 0
     for i, value in zip(fallback.tolist(), x[fallback].tolist()):
-        at = i // cols * stride + width + i % cols * 16
-        pieces += (data[start:at].translate(None, b"\0"), b"%.9g" % value)
-        start = at
+        pieces += (data[start:16 * i].translate(None, b"\0"), b"%.9g" % value)
+        start = 16 * i
     pieces.append(data[start:].translate(None, b"\0"))
     return b"".join(pieces)
 

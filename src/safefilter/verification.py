@@ -79,8 +79,8 @@ class CertificationReport:
     """Outcome of a worst-case margin scan over the lg_h = 0 set.
 
     The report keeps the minimum and its witness, not the scan: the truck's
-    margin table is :func:`truck_margin_table`'s, which the certify command
-    runs a second time to write the margin CSV a block of rows at a time.
+    margin table is :func:`truck_margin_table`'s, whose blocks the certify
+    command writes to the margin CSV as the report's scan reduces them.
     """
 
     passed: bool
@@ -239,6 +239,7 @@ def certify_truck_grid(
     vl_range: tuple[float, float] = (0.0, 20.0),
     grid: tuple[int, int] = (200, 200),
     a_l_bounds: tuple[float, float] | None = None,
+    sink: Callable | None = None,
 ) -> CertificationReport:
     """Grid check of the headway barrier over the driving envelope.
 
@@ -246,17 +247,30 @@ def certify_truck_grid(
     affine in a_L, so only the bound endpoints are evaluated; the minimum over
     the grid and both endpoints decides the report.  The scan is
     :func:`truck_margin_table`, reduced block by block to its first minimum in
-    row-major order; no block is kept.
+    row-major order; no block is kept.  ``sink``, if given, is called with the
+    scan's axes and blocks as truck_margin_table returns them, each block
+    reduced before the sink sees it, and the blocks it leaves are reduced after
+    it returns: the certify command writes the margin CSV from the same scan.
     """
     alpha_c, a_l_bounds = _scan_defaults(p, alpha_c, a_l_bounds)
     d_axis, vl_axis, v_axis, blocks = truck_margin_table(
         p, alpha_c, d_range, vl_range, grid, a_l_bounds)
     ny = vl_axis.size
-    min_margin = math.inf
-    for start, block in blocks:
-        k = int(block.argmin())  # the block's first minimum, row-major
-        if block.flat[k] < min_margin:  # strict: a tie keeps the earlier block's
-            min_margin, i, j = float(block.flat[k]), start + k // ny, k % ny
+    least = [math.inf, 0]  # the first minimum so far and its row-major cell
+
+    def reduced():
+        for start, block in blocks:
+            k = int(block.argmin())  # the block's first minimum, row-major
+            if block.flat[k] < least[0]:  # strict: a tie keeps the earlier block's
+                least[:] = float(block.flat[k]), start * ny + k
+            yield start, block
+
+    scan = reduced()
+    if sink is not None:
+        sink(d_axis, vl_axis, v_axis, scan)
+    for _ in scan:
+        pass
+    min_margin, (i, j) = least[0], divmod(least[1], ny)
     d_w, vl_w, v_w = map(float, (d_axis[i], vl_axis[j], v_axis[j]))
     a_lo, a_hi = float(a_l_bounds[0]), float(a_l_bounds[1])
     # the scan's a_L rises at the witness, on floats: an overflow gives inf, no warning

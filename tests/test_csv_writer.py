@@ -11,7 +11,7 @@ import pytest
 
 from safefilter.cli import main
 from safefilter.plants import TruckParams, truck_headway, truck_record
-from safefilter.sim import (_CSV_BLOCK_ROWS, _MARGIN_BLOCK_COLUMNS, ScenarioResult,
+from safefilter.sim import (_CSV_BLOCK_ROWS, _MARGIN_PIECE_CELLS, ScenarioResult,
                             write_csv_table, write_margin_csv)
 from safefilter.verification import _SCAN_CELLS, certify_truck_grid, truck_margin_table
 
@@ -145,8 +145,8 @@ def test_margin_grid_matches_rows_built_cell_by_cell(d_range, vl_range, grid, tm
         assert {"-0", "1e-07", "5e-08"} <= set(cells)
 
 
-@pytest.mark.parametrize("columns", [_MARGIN_BLOCK_COLUMNS, _MARGIN_BLOCK_COLUMNS + 1,
-                                     2 * _MARGIN_BLOCK_COLUMNS, 2 * _MARGIN_BLOCK_COLUMNS + 1,
+@pytest.mark.parametrize("columns", [_MARGIN_PIECE_CELLS, _MARGIN_PIECE_CELLS + 1,
+                                     2 * _MARGIN_PIECE_CELLS, 2 * _MARGIN_PIECE_CELLS + 1,
                                      20_000, _SCAN_CELLS + 1])
 def test_wide_margin_grid_matches_rows_built_cell_by_cell(columns, tmp_path):
     # grid rows of one whole piece, of a piece and one column, of two whole
@@ -180,8 +180,8 @@ def _axis(n, seed, narrow):
 @pytest.mark.parametrize("grid, block_rows", [
     ((9, 500), 3),                           # pieces of whole rows, cut by blocks
     ((9, 500), 5),
-    ((3, _MARGIN_BLOCK_COLUMNS + 5), 2),     # a row in two pieces
-    ((_MARGIN_BLOCK_COLUMNS + 1, 2), 2000),  # pieces of many two-column rows
+    ((3, _MARGIN_PIECE_CELLS + 5), 2),     # a row in two pieces
+    ((_MARGIN_PIECE_CELLS + 1, 2), 2000),  # pieces of many two-column rows
 ])
 @pytest.mark.parametrize("narrow", [False, True])
 def test_margin_writer_splices_fallback_cells_at_piece_edges(grid, block_rows, narrow, tmp_path):
@@ -192,7 +192,7 @@ def test_margin_writer_splices_fallback_cells_at_piece_edges(grid, block_rows, n
     d_axis, vl_axis, v_axis = (_axis(n, seed, narrow) for n, seed in ((nx, 1), (ny, 2), (ny, 3)))
     margin = _mixed_table(nx, ny, seed=4)
     margin[:, 1] = -0.0
-    edges = [0, ny - 1] + [j for j in (_MARGIN_BLOCK_COLUMNS - 1, _MARGIN_BLOCK_COLUMNS)
+    edges = [0, ny - 1] + [j for j in (_MARGIN_PIECE_CELLS - 1, _MARGIN_PIECE_CELLS)
                            if j < ny]
     for k, j in enumerate(edges):
         margin[:, j] = np.roll(FALLBACK, k)[np.arange(nx) % len(FALLBACK)]
@@ -235,9 +235,9 @@ def _per_cell_bytes(d_axis, vl_axis, v_axis, margin) -> bytes:
 
 def _piece_edges(nx, ny, block_rows):
     """The (row, column) of the first and last cell of each piece the margin
-    writer formats: whole grid rows of at most _MARGIN_BLOCK_COLUMNS cells
+    writer formats: whole grid rows of at most _MARGIN_PIECE_CELLS cells
     within each block of ``block_rows`` rows, or that many columns of one row."""
-    step = _MARGIN_BLOCK_COLUMNS
+    step = _MARGIN_PIECE_CELLS
     rows, edges = max(1, step // ny), set()
     for i in range(0, nx, block_rows):
         end = min(i + block_rows, nx)
@@ -258,10 +258,10 @@ EDGE_MARGINS = [123456789.5, 999999999.5, -0.0, 0.0, 5e-324, 1.7976931348623157e
 @pytest.mark.parametrize("grid, block_rows", [
     ((9, 500), 3),                                 # a piece a block
     ((70, 500), 65),                               # partial pieces, a partial last block
-    ((2, _MARGIN_BLOCK_COLUMNS), 1),               # one whole piece a row
-    ((3, 2 * _MARGIN_BLOCK_COLUMNS + 5), 2),       # a row in three pieces, the last partial
-    ((5, 3 * _MARGIN_BLOCK_COLUMNS - 1), 5),
-    ((_MARGIN_BLOCK_COLUMNS + 1, 2), 1000),        # pieces of many two-column rows
+    ((2, _MARGIN_PIECE_CELLS), 1),               # one whole piece a row
+    ((3, 2 * _MARGIN_PIECE_CELLS + 5), 2),       # a row in three pieces, the last partial
+    ((5, 3 * _MARGIN_PIECE_CELLS - 1), 5),
+    ((_MARGIN_PIECE_CELLS + 1, 2), 1000),        # pieces of many two-column rows
 ])
 def test_margin_writer_formats_fallback_cells_at_each_piece_edge(grid, block_rows, tmp_path):
     # synthetic axes whose leads change width from block to block, and edge

@@ -198,6 +198,53 @@ def test_an_output_directory_that_cannot_be_made_exits_2(below, flag, tmp_path, 
     assert sorted(entry.name for entry in tmp_path.iterdir()) == ["doc.json", "file"]
 
 
+_SIMULATE = ["simulate", "--preset", "pendulum-undisturbed", "--horizon", "1"]
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["certify", "--preset", "pendulum-default"], "pendulum-default_certify.json"),
+    (["certify", "--preset", "paper-table-2"], "paper-table-2_margins.csv"),
+    (["certify", "--preset", "paper-table-2"], "paper-table-2_certify.json"),
+    (["hstar", "--preset", "truck-hstar-sweep"], "truck-hstar-sweep_hstar.csv"),
+    (["sweep", "--preset", "truck-hstar-sweep"], "truck-hstar-sweep.csv"),
+    (_SIMULATE, "pendulum-undisturbed-cbf.csv"),
+    (_SIMULATE, "pendulum-undisturbed_summary.csv"),
+])
+def test_an_output_file_that_a_directory_takes_exits_2_naming_it(argv, name, tmp_path, capsys):
+    taken = tmp_path / name
+    taken.mkdir()
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"safefilter: config error: cannot write {taken}: "
+                                       f"[Errno 21] Is a directory: {str(taken)!r}\n")
+
+
+def test_a_failed_runs_log_that_a_directory_takes_exits_2_naming_it(tmp_path, capsys):
+    # the run fails (exit 3 with its partial log) but its log cannot be written
+    dist_path = tmp_path / "huge.csv"
+    dist_path.write_text("t,d\n0,1e308\n50,1e308\n")
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"name": "huge", "plant": "pendulum", "controller": "nominal",
+                                "disturbance": {"kind": "csv", "path": str(dist_path)}}))
+    taken = tmp_path / "huge-nominal.csv"
+    taken.mkdir()
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"safefilter: config error: cannot write {taken}: "
+                                       f"[Errno 21] Is a directory: {str(taken)!r}\n")
+
+
+def test_a_margin_scan_that_overflows_in_a_later_block_leaves_no_margin_csv(tmp_path, capsys):
+    # alpha_c (D - rho) overflows from D = 0.9e308, past the first block of
+    # 163 rows: the rows written before it are removed with the file
+    doc = {"name": "wide", "plant": "truck",
+           "params": {"preset": "paper-table-2", "overrides": {"alpha_c": 2.0}},
+           "certify": {"d_range": [0.0, 1.7e308], "grid": [600, 200]}}
+    code, err = _exit_and_stderr("certify", doc, tmp_path, capsys)
+    assert (code, err) == (2, "safefilter: config error: $.certify: the margin overflows on the "
+                              "grid of d_range (0.0, 1.7e+308), vl_range (0.0, 20.0) and "
+                              "a_l_bounds (-10.0, 5.0)\n")
+    assert [entry.name for entry in tmp_path.iterdir()] == ["doc.json"]
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--dt", "-1"], "--dt must be a positive finite number, got -1.0"),
     (["--dt", "nan"], "--dt must be a positive finite number, got nan"),
