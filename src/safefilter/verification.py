@@ -256,21 +256,22 @@ def certify_truck_grid(
     d_axis, vl_axis, v_axis, blocks = truck_margin_table(
         p, alpha_c, d_range, vl_range, grid, a_l_bounds)
     ny = vl_axis.size
-    least = [math.inf, 0]  # the first minimum so far and its row-major cell
+    min_margin, cell = math.inf, 0  # the first minimum so far, row-major
 
     def reduced():
+        nonlocal min_margin, cell
         for start, block in blocks:
             k = int(block.argmin())  # the block's first minimum, row-major
-            if block.flat[k] < least[0]:  # strict: a tie keeps the earlier block's
-                least[:] = float(block.flat[k]), start * ny + k
+            if block.flat[k] < min_margin:  # strict: a tie keeps the earlier block's
+                min_margin, cell = float(block.flat[k]), start * ny + k
             yield start, block
 
     scan = reduced()
     if sink is not None:
         sink(d_axis, vl_axis, v_axis, scan)
-    for _ in scan:
+    for _ in scan:  # the blocks the sink left, or all of them
         pass
-    min_margin, (i, j) = least[0], divmod(least[1], ny)
+    i, j = divmod(cell, ny)
     d_w, vl_w, v_w = map(float, (d_axis[i], vl_axis[j], v_axis[j]))
     a_lo, a_hi = float(a_l_bounds[0]), float(a_l_bounds[1])
     # the scan's a_L rises at the witness, on floats: an overflow gives inf, no warning
