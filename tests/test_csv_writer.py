@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from safefilter.cli import main
-from safefilter.plants import TruckParams, truck_headway, truck_record
+from safefilter.core import SimulationError
+from safefilter.plants import (PendulumParams, TruckParams, pendulum_record, truck_headway,
+                               truck_record)
 from safefilter.sim import (_CSV_BLOCK_ROWS, _MARGIN_PIECE_CELLS, ScenarioResult,
-                            write_csv_table, write_margin_csv)
+                            write_csv_table, write_failed_log, write_margin_csv)
 from safefilter.verification import _SCAN_CELLS, certify_truck_grid, truck_margin_table
 
 from helpers import margin_grid, reference_result_csv, reference_write_csv
@@ -70,6 +72,61 @@ def test_columns_are_written_as_their_stacked_table(tmp_path):
                     table[:, 4], table[:, 5:])
     reference_write_csv(tmp_path / "cell.csv", "a,b,c,d,e,f", table)
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+
+# the widest texts b"%.9g" gives, 16 bytes, both left to it by the vector path
+WIDE_FALLBACK = [-1.7976931348623157e308, -2.2250738585072014e-308]
+
+
+@pytest.mark.parametrize("cols", [1, 2, 5])
+def test_sixteen_byte_fallback_texts_at_block_edges_match_per_cell_writer(cols, tmp_path):
+    # 16-byte texts in the first and the last column (the one before "\n") on
+    # the first and the last row of each block, and a partial last block
+    rows = 2 * _CSV_BLOCK_ROWS + 7
+    table = _mixed_table(rows, cols, seed=cols)
+    edges = [0, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS - 1,
+             2 * _CSV_BLOCK_ROWS, rows - 1]
+    for k, row in enumerate(edges):
+        table[row, 0] = WIDE_FALLBACK[k % 2]
+        table[row, -1] = WIDE_FALLBACK[(k + 1) % 2]
+    header = ",".join("abcde"[:cols])
+    _assert_same_bytes(tmp_path, header, table)
+    lines = (tmp_path / "block.csv").read_bytes().split(b"\n")
+    assert all(len(lines[1 + row].split(b",")[-1]) == 16 for row in edges)
+
+
+@pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 7])
+def test_one_column_table_matches_per_cell_writer(rows, tmp_path):
+    table = _mixed_table(rows, 1, seed=rows)
+    table[::97, 0] = np.resize(SPECIAL + WIDE_FALLBACK, table[::97, 0].size)
+    _assert_same_bytes(tmp_path, "x", table)
+
+
+@pytest.mark.parametrize("plant, labels", [
+    ("pendulum", pendulum_record(PendulumParams()).labels),
+    ("truck", truck_record(TruckParams()).labels),
+])
+@pytest.mark.parametrize("t", [0.25, WIDE_FALLBACK[0]])
+def test_failed_log_closing_row_matches_per_cell_writer(plant, labels, t, tmp_path):
+    # the partial log, then (t, nan, ...) at the plant's width: the states,
+    # u_nom, u_filt, d and h
+    rows = _CSV_BLOCK_ROWS + 3
+    cols = _mixed_table(rows, len(labels) + 4, seed=len(labels))
+    partial = ScenarioResult(
+        name="failed", plant=plant, controller="cbf", state_labels=labels,
+        time=np.arange(rows) * 0.01, states=cols[:, :len(labels)], u_nom=cols[:, -4],
+        u_filt=cols[:, -3], d=cols[:, -2], h=cols[:, -1], h_min=0.0, h_star=None,
+        clamp_counts={},
+    )
+    err = SimulationError("failed", t=t, state=cols[-1, :len(labels)])
+    err.partial = partial
+    write_failed_log(tmp_path / "block.csv", err)
+    reference_result_csv(partial, tmp_path / "cell.csv")
+    with open(tmp_path / "cell.csv", "a", newline="") as handle:
+        handle.write(",".join(f"{c:.9g}" for c in [t] + [math.nan] * (len(labels) + 4)) + "\n")
+    written = (tmp_path / "block.csv").read_bytes()
+    assert written == (tmp_path / "cell.csv").read_bytes()
+    assert written.endswith(b"%.9g" % t + b",nan" * (len(labels) + 4) + b"\n")
 
 
 def _to_csv_peak(tmp_path, rows) -> int:
