@@ -29,16 +29,18 @@ samples and writes its rows in place through memoryviews of them, whose
 items are Python floats, so no float is copied through a list; the log's d
 column is the block's samples at t_k, copied array to array.
 
-This module turns arrays into CSV bytes; callers hand it arrays.
-``write_csv_table`` writes a log as ``%.9g`` text a block of rows at a time.
-numpy formats a block's cells at once, and CPython's ``b"%.9g" % x`` the few
-whose digits it cannot certify: those near a rounding tie, and the nonzero
-ones outside about 2e-99 to 1e98 in magnitude, nan and inf included.  The
-bytes equal a per-cell loop's.  ``write_failed_log`` writes a failed run's
-partial log and its closing (t, nan, ...) row in the same bytes.
-``write_margin_csv`` writes the certify margin table on the same number
-path, its D, v_L and v texts and its margins' slots laid out a cell a row in
-a text canvas that persists across pieces of the grid.
+This module turns arrays into CSV bytes; callers hand it arrays.  Each
+table's text is laid out in one ``_Canvas``, a bytearray of rows, each a
+NUL-padded prefix then cells of a 16-byte slot and a separator.  numpy
+formats a block's cells at once into their slots as ``%.9g`` text, and
+CPython's ``b"%.9g" % x`` the few whose digits it cannot certify: those
+near a rounding tie, and the nonzero ones outside about 2e-99 to 1e98 in
+magnitude, nan and inf included; their text goes into the slot too.  The
+canvas less its NULs is the block's text, and the bytes equal a per-cell
+loop's.  ``write_csv_table`` writes a log a block of rows at a time,
+``write_failed_log`` a failed run's partial log and its closing
+(t, nan, ...) row, and ``write_margin_csv`` the certify margin table, a
+grid cell a canvas row behind its D, v_L and v texts as the row's prefix.
 """
 
 from __future__ import annotations
@@ -361,8 +363,9 @@ def write_failed_log(path, err: SimulationError) -> None:
     """The log of the run that raised ``err``: the rows of ``err.partial``,
     then the row (err.t, nan, ...) at the time of its last good row."""
     err.partial.to_csv(path)
-    with open(path, "ab") as handle:  # t, then nan for the states, u_nom, u_filt, d and h
-        handle.write(_csv_text(np.array([[err.t] + [math.nan] * (len(err.state) + 4)])))
+    row = [err.t] + [math.nan] * (len(err.state) + 4)  # t, the states, u_nom, u_filt, d and h
+    with open(path, "ab") as handle:
+        handle.write(_Canvas(1, len(row)).text(np.array([row])))
 
 
 def write_csv_table(path, header: str, *columns: np.ndarray) -> None:
@@ -371,17 +374,21 @@ def write_csv_table(path, header: str, *columns: np.ndarray) -> None:
     them (2-d), as an array or a nested list, all with the same rows.
 
     Each block of ``_CSV_BLOCK_ROWS`` rows is stacked on its own, so no copy
-    of the whole table is made, formatted by ``_csv_text`` and written to a
-    binary file.  Every cell's bytes are ``b"%.9g" % x``, CPython's correctly
-    rounded formatter (the one ``"%.9g" % x`` and ``f"{x:.9g}"`` use), so the
-    file matches a per-cell loop, ``nan``, ``inf`` and ``-0`` included.
+    of the whole table is made, formatted through one ``_Canvas`` kept for
+    the file and written to a binary file.  Every cell's bytes are
+    ``b"%.9g" % x``, CPython's correctly rounded formatter (the one
+    ``"%.9g" % x`` and ``f"{x:.9g}"`` use), so the file matches a per-cell
+    loop, ``nan``, ``inf`` and ``-0`` included.
     """
+    n, canvas = len(columns[0]), None
     with open(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        for start in range(0, n, _CSV_BLOCK_ROWS):
             block = np.column_stack([column[start:start + _CSV_BLOCK_ROWS]
                                      for column in columns])
-            handle.write(_csv_text(block.astype(np.float64, copy=False)))
+            if canvas is None:
+                canvas = _Canvas(min(_CSV_BLOCK_ROWS, n), block.shape[1])
+            handle.write(canvas.text(block.astype(np.float64, copy=False)))
 
 
 # Grid cells per piece of write_margin_csv: a piece is whole grid rows of at
@@ -397,76 +404,77 @@ def write_margin_csv(path, d_axis, vl_axis, v_axis, blocks) -> None:
 
     Each "v_L,v," tail is formatted once, each "D," lead once per block, both with
     b"%.9g", and each piece of at most ``_MARGIN_PIECE_CELLS`` cells, whole grid
-    rows or that many columns of one row, goes through a ``_MarginCanvas``.  The
-    canvas is made anew when a block's leads change width, and a chunk of tails
-    is copied in when the piece's columns change: once per canvas for a grid of
-    rows up to a piece wide."""
+    rows or that many columns of one row, goes through a ``_Canvas`` of one-cell
+    rows whose prefix is the lead and the tail.  The canvas is made anew when a
+    block's leads change width, and a chunk of tails is copied in when the
+    piece's columns change: once per canvas for a grid of rows up to a piece
+    wide."""
     step, ny = _MARGIN_PIECE_CELLS, len(vl_axis)
     # each chunk's tails as wide as its longest text
     tails = [np.array([b"%.9g,%.9g," % pair for pair in zip(vl_axis[j:j + step].tolist(),
                                                             v_axis[j:j + step].tolist())])
              for j in range(0, ny, step)]
     width = max(tail.itemsize for tail in tails)
-    rows, cols, canvas = max(1, step // ny), min(ny, step), None
+    rows, cols, lead = max(1, step // ny), min(ny, step), None
     with open(path, "wb") as handle:
         try:
             handle.write(b"D,v_L,v,margin\n")
             for i, block in blocks:
                 leads = np.array([b"%.9g," % d for d in d_axis[i:i + len(block)].tolist()])
-                if canvas is None or canvas.lead != leads.itemsize:
-                    canvas = _MarginCanvas(rows, cols, leads.itemsize, width)
-                leads = leads.view(f"V{leads.itemsize}")[:, None, None]
+                if leads.itemsize != lead:
+                    lead, chunk = leads.itemsize, None
+                    canvas = _Canvas(rows * cols, 1, lead + width)
+                    prefix = canvas.prefix.reshape(rows, cols, -1)
+                    lead_text = prefix[:, :, :lead].view(f"V{lead}")
+                    tail_text = prefix[:, :, lead:]
+                leads = leads.view(f"V{lead}")[:, None, None]
                 for r in range(0, len(block), rows):
                     for j in range(0, ny, step):
-                        canvas.put_tails(j, tails[j // step])
-                        handle.write(canvas.text(leads[r:r + rows],
-                                                 block[r:r + rows, j:j + step]))
+                        if j != chunk:
+                            tail, chunk = tails[j // step], j
+                            n, w = len(tail), tail.itemsize
+                            tail_text[:, :n, :w] = tail.view(np.uint8).reshape(n, w)
+                            tail_text[:, :n, w:] = 0
+                        piece = block[r:r + rows, j:j + step]
+                        lead_text[:len(piece), :piece.shape[1]] = leads[r:r + rows]
+                        handle.write(canvas.text(piece.reshape(-1, 1)))
         except BaseException:
             handle.close()
             os.remove(path)
             raise
 
 
-class _MarginCanvas:
-    """The text of a piece of the margin CSV, laid out a grid cell a row in one
-    bytearray kept across pieces: the "D," lead, the "v_L,v," tail, the
-    margin's 16-byte slot and "\\n", each NUL-padded.  A piece writes its
-    leads and slots, a fallback cell's b"%.9g" text, at most 16 bytes, into
-    its slot, and the canvas less its NULs is the piece's text."""
+class _Canvas:
+    """The CSV text of a block of float64 rows, laid out in one bytearray kept
+    across blocks.  Each of its ``rows`` rows is a NUL-padded prefix of
+    ``width`` bytes, which the caller writes through ``prefix``, then ``cols``
+    cells: a 16-byte slot and its separator, "," or, after the last cell,
+    "\\n", written once here.  ``text`` writes a block's slots, a fallback
+    cell's b"%.9g" text, at most 16 bytes, into its slot, and returns the
+    block's rows less their NULs."""
 
-    def __init__(self, rows: int, cols: int, lead: int, width: int):
-        self.buffer = bytearray(rows * cols * (lead + width + 17))
-        cells = np.frombuffer(self.buffer, np.uint8).reshape(rows, cols, -1)
-        cells[:, :, -1] = ord("\n")
-        self.lead, self.stride, self.chunk = lead, cells.shape[2], None
-        # whole leads and slots as void items, each copied at once
-        self.leads = cells[:, :, :lead].view(f"V{lead}")
-        self.tails = cells[:, :, lead:-17]
-        self.slots = cells[:, :, -17:-1].view("V16")
+    def __init__(self, rows: int, cols: int, width: int = 0):
+        self.buffer = bytearray(rows * (width + 17 * cols))
+        lines = np.frombuffer(self.buffer, np.uint8).reshape(rows, -1)
+        cells = lines[:, width:].reshape(rows, cols, 17)
+        cells[:, :, 16] = ord(",")
+        cells[:, -1, 16] = ord("\n")
+        self.prefix, self.width, self.stride = lines[:, :width], width, lines.shape[1]
+        self.slots = cells[:, :, :16].view("V16")  # whole slots, each copied at once
 
-    def put_tails(self, chunk: int, tails: np.ndarray) -> None:
-        """The tails of the columns from ``chunk`` on, unless they are in place."""
-        if chunk != self.chunk:
-            n, w = len(tails), tails.itemsize
-            self.tails[:, :n, :w] = tails.view(np.uint8).reshape(n, w)
-            self.tails[:, :n, w:] = 0
-            self.chunk = chunk
-
-    def text(self, leads: np.ndarray, margins: np.ndarray) -> bytearray:
-        """The CSV text of ``margins`` (rows, cols), each row behind its lead of
-        ``leads`` (rows, 1, 1); its cells are a prefix of the canvas, whole
-        canvas rows or the first cells of one."""
-        rows, cols = margins.shape
-        x = margins.ravel()
+    def text(self, x: np.ndarray) -> bytearray:
+        """The rows of ``x`` (rows, cols) behind their prefixes, each cell
+        ``b"%.9g" % x``; at most the canvas's rows, all of its columns."""
+        rows, cols = x.shape
+        x = x.ravel()
         zero = x == 0
         e, n, fall = _csv_round(x)
-        self.leads[:rows, :cols] = leads
-        self.slots[:rows, :cols] = _csv_slots(x, zero, e, n).view("V16").reshape(rows, cols, 1)
+        self.slots[:rows] = _csv_slots(x, zero, e, n).view("V16").reshape(rows, cols, 1)
         fallback = np.flatnonzero(fall & ~zero)
         for k, value in zip(fallback.tolist(), x[fallback].tolist()):
-            at = (k + 1) * self.stride - 17
+            at = k // cols * self.stride + self.width + k % cols * 17
             self.buffer[at:at + 16] = (b"%.9g" % value).ljust(16, b"\0")
-        size = rows * cols * self.stride
+        size = rows * self.stride
         text = self.buffer if size == len(self.buffer) else self.buffer[:size]
         return text.translate(None, b"\0")
 
@@ -489,11 +497,11 @@ class _MarginCanvas:
 # of the two exponents next to it the comparison gave.
 #
 # The vector text is laid out in a 16-byte slot, two little-endian uint64
-# words: byte 0 the sign, bytes 1-14 the body, byte 15 the separator, NUL
-# elsewhere.  The body is the mantissa (the kept digits of N, with the point
-# after one of them) shifted up past the prefix "0.", "0.0", "0.00" or
-# "0.000", with an exponent "e+XX" at bytes 11-14.  bytes.translate drops
-# the NULs.
+# words: byte 0 the sign, bytes 1-14 the body, NUL elsewhere.  The body is
+# the mantissa (the kept digits of N, with the point after one of them)
+# shifted up past the prefix "0.", "0.0", "0.00" or "0.000", with an
+# exponent "e+XX" at bytes 11-14.  A _Canvas writes the separator in the
+# byte after each slot, and bytearray.translate drops the NULs.
 
 _CSV_MARGIN = 1e-6
 # Exponents the vector path writes, after a carry: two-digit ones, so the
@@ -618,7 +626,7 @@ def _csv_mantissa(n: np.ndarray) -> tuple:
 
 
 def _csv_slots(x: np.ndarray, zero: np.ndarray, e: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The 16-byte slots of the cells, separators not yet written."""
+    """The 16-byte slots of the cells."""
     lo, hi, zeros = _csv_mantissa(n)
     layout = _CSV_BASE.take(e) - zeros
     layout[zero] = _CSV_ZERO
@@ -644,29 +652,6 @@ def _csv_slots(x: np.ndarray, zero: np.ndarray, e: np.ndarray, n: np.ndarray) ->
     slots = np.empty((x.size, 2), "<u8")  # little-endian whatever the machine
     slots[:, 0], slots[:, 1] = lo, hi
     return slots
-
-
-def _csv_text(block: np.ndarray) -> bytes:
-    """The rows of a float64 block as CSV text: each cell ``b"%.9g" % x``."""
-    rows, cols = block.shape
-    x = block.ravel()
-    zero = x == 0
-    e, n, fall = _csv_round(x)
-    slots = _csv_slots(x, zero, e, n)
-    fallback = np.flatnonzero(fall & ~zero)
-    slots[fallback] = 0
-    cells = slots.view(np.uint8).reshape(rows, cols, 16)
-    cells[:, :-1, 15] = ord(",")
-    cells[:, -1, 15] = ord("\n")
-    data = cells.tobytes()
-    del slots, cells
-    # a fallback cell's slot holds only its separator: its text goes in front
-    pieces, start = [], 0
-    for i, value in zip(fallback.tolist(), x[fallback].tolist()):
-        pieces += (data[start:16 * i].translate(None, b"\0"), b"%.9g" % value)
-        start = 16 * i
-    pieces.append(data[start:].translate(None, b"\0"))
-    return b"".join(pieces)
 
 
 def step_count(horizon: float, dt: float) -> int:

@@ -147,9 +147,9 @@ def _to_csv_peak(tmp_path, rows) -> int:
 
 
 def test_scenario_log_is_stacked_a_block_at_a_time(tmp_path):
-    # the writer's peak is one block's (about 0.5 MB of stacked rows, floats
-    # and text) however long the log: a stacked copy of the whole 12-block log
-    # would add 640 KB
+    # the writer's peak is one block's (about 0.63 MB of stacked rows, floats,
+    # slots, the file's canvas and text) however long the log: a stacked copy
+    # of the whole 12-block log would add 640 KB
     short = _to_csv_peak(tmp_path, 2 * _CSV_BLOCK_ROWS)
     long = _to_csv_peak(tmp_path, 12 * _CSV_BLOCK_ROWS)
     assert long < short + _CSV_BLOCK_ROWS * 8 * 8
