@@ -337,6 +337,9 @@ def parse_config(doc: dict, path: str = "$") -> Config:
         if PARAM_PRESETS[preset] != plant:
             raise ConfigError(f"{path}.params.preset: {preset!r} is a "
                               f"{PARAM_PRESETS[preset]} preset")
+    for i, kind in enumerate(cfg.controller):  # each kind runs once, to one log
+        if kind in cfg.controller[:i]:
+            raise ConfigError(f"{path}.controller[{i}]: repeats {kind!r}")
     if "issf" in cfg.controller and cfg.issf is None:
         raise ConfigError(f"{path}.issf is required when the issf controller is selected")
     if plant != "truck":

@@ -62,6 +62,11 @@ _ISSF = {"eps0": 0.5, "lam": 0.4, "delta": 4.5}
     ("sweep", {"plant": "truck", "sweep": _SWEEP},
      "sweep needs an 'issf' section for delta"),
     ("hstar", {"plant": "truck"}, "hstar needs an 'issf' section (eps0, lam, delta)"),
+    # a kind named twice would run, and write its log and summary row, twice
+    ("simulate", {"plant": "pendulum", "controller": ["cbf", "cbf"], "horizon": 0.05},
+     "$.controller[1]: repeats 'cbf'"),
+    ("simulate", {"plant": "truck", "controller": ["nominal", "issf", "nominal"],
+                  "issf": _ISSF}, "$.controller[2]: repeats 'nominal'"),
     ("simulate", {"plant": "truck"}, "$.leader: truck scenarios need a leader profile"),
     # the leader starts at initial_state[2], above the truck's v_bar_l = 20
     ("simulate", {"plant": "truck", "leader": {"kind": "constant"},
