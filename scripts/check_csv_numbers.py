@@ -4,7 +4,10 @@
     PYTHONPATH=src python scripts/check_csv_numbers.py --cells 2000000 --seed 1
 
 writes ``--cells`` seeded float64 cells through ``safefilter.sim.write_csv_table``
-and compares each with ``b"%.9g" % x``.  The cells are an equal share of each
+and compares each with ``b"%.9g" % x``.  Each file of ``CHUNK`` cells is a
+table of 1 to ``MAX_COLUMNS`` columns, every count once in each run of
+``MAX_COLUMNS`` files, in seeded order, so one-column tables and cells in the
+last column, before the newline, are checked too.  The cells are an equal share of each
 kind in ``KINDS`` (random bit patterns, random ones of the magnitudes the
 vector path formats, log-uniform magnitudes of both signs, rounding ties and
 their neighbours, powers of ten and the 1e9 rounding boundary, each a few ulps
@@ -25,7 +28,7 @@ import numpy as np
 
 from safefilter.sim import _MARGIN_PIECE_CELLS, write_csv_table, write_margin_csv
 
-COLUMNS = 8
+MAX_COLUMNS = 12
 # Cells per file written: bounds the memory of a long check.
 CHUNK = 1 << 16
 
@@ -98,13 +101,20 @@ def cells(n: int, seed: int) -> np.ndarray:
     return values[:n]
 
 
-def first_mismatch(values: np.ndarray, path: Path):
+def column_counts(rng):
+    """Column counts of the files, without end: each count from 1 to
+    ``MAX_COLUMNS`` once in every ``MAX_COLUMNS`` files, in seeded order."""
+    while True:
+        yield from (rng.permutation(MAX_COLUMNS) + 1).tolist()
+
+
+def first_mismatch(values: np.ndarray, path: Path, columns: int):
     """The first of ``values`` whose text differs from ``b"%.9g" % x`` in the
-    file write_csv_table writes of them, ``COLUMNS`` to a row (the last row
+    file write_csv_table writes of them, ``columns`` to a row (the last row
     padded with zeros), or None."""
-    table = np.zeros(-(-values.size // COLUMNS) * COLUMNS)
+    table = np.zeros(-(-values.size // columns) * columns)
     table[:values.size] = values
-    table = table.reshape(-1, COLUMNS)
+    table = table.reshape(-1, columns)
     write_csv_table(path, "x", table)
     lines = path.read_bytes().split(b"\n")
     if lines[0] != b"x" or len(lines) != len(table) + 2 or lines[-1] != b"":
@@ -159,12 +169,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     values = cells(args.cells, args.seed)
     grids = np.random.default_rng([args.seed, 1])
+    widths = column_counts(np.random.default_rng([args.seed, 2]))
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "cells.csv"
-        for start in range(0, values.size, CHUNK):
-            bad = first_mismatch(values[start:start + CHUNK], path)
+        for start, columns in zip(range(0, values.size, CHUNK), widths):
+            bad = first_mismatch(values[start:start + CHUNK], path, columns)
             if bad is not None:
-                print(f"mismatch: {bad.hex()} is {b'%.9g' % bad!r} per cell")
+                print(f"mismatch in a {columns}-column table: {bad.hex()} is "
+                      f"{b'%.9g' % bad!r} per cell")
                 return 1
             row = first_margin_mismatch(values[start:start + CHUNK], grids, path)
             if row is not None:

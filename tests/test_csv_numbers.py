@@ -3,6 +3,7 @@ cell: their vector formatter against CPython's per-cell formatting on each kind
 of cell that scripts/check_csv_numbers.py samples, and on the preset logs."""
 
 import importlib.util
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -28,27 +29,28 @@ def _load_check():
 check = _load_check()
 
 
-def _assert_per_cell(values, tmp_path):
-    bad = check.first_mismatch(np.asarray(values, dtype=np.float64), tmp_path / "cells.csv")
+def _assert_per_cell(values, tmp_path, columns=8):
+    bad = check.first_mismatch(np.asarray(values, dtype=np.float64), tmp_path / "cells.csv",
+                               columns)
     assert bad is None, f"{bad.hex()}: per cell {b'%.9g' % bad!r}"
 
 
+@pytest.mark.parametrize("columns", [1, 8, check.MAX_COLUMNS])
 @pytest.mark.parametrize("seed, kind", enumerate(check.KINDS))
-def test_each_kind_of_cell_matches_per_cell_formatting(seed, kind, tmp_path):
-    _assert_per_cell(check.KINDS[kind](np.random.default_rng(seed), 20_000), tmp_path)
+def test_each_kind_of_cell_matches_per_cell_formatting(seed, kind, columns, tmp_path):
+    _assert_per_cell(check.KINDS[kind](np.random.default_rng(seed), 20_000), tmp_path, columns)
 
 
-def test_special_values_match_per_cell_formatting(tmp_path):
-    _assert_per_cell(check.SPECIAL, tmp_path)
+@pytest.mark.parametrize("columns", [1, 3, check.MAX_COLUMNS])
+def test_special_values_match_per_cell_formatting(columns, tmp_path):
+    _assert_per_cell(check.SPECIAL, tmp_path, columns)
 
 
-@pytest.mark.parametrize("seed, kind", enumerate(check.KINDS))
-def test_each_kind_of_margin_matches_per_cell_formatting(seed, kind, tmp_path):
-    # the same cells as the margins of write_margin_csv's rows
-    rng = np.random.default_rng(seed)
-    values = np.concatenate([check.SPECIAL, check.KINDS[kind](rng, 20_000)])
-    row = check.first_margin_mismatch(values, rng, tmp_path / "grid.csv")
-    assert row is None, f"{[x.hex() for x in row]}: per cell {b'%.9g,%.9g,%.9g,%.9g' % row!r}"
+def test_the_check_writes_tables_of_every_width():
+    # each column count from 1 to MAX_COLUMNS once in every MAX_COLUMNS files
+    counts, every = check.column_counts(np.random.default_rng(0)), check.MAX_COLUMNS
+    for _ in range(2):
+        assert sorted(itertools.islice(counts, every)) == list(range(1, every + 1))
 
 
 def test_exact_ties_round_half_to_even(tmp_path):
