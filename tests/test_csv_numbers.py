@@ -46,6 +46,15 @@ def test_special_values_match_per_cell_formatting(columns, tmp_path):
     _assert_per_cell(check.SPECIAL, tmp_path, columns)
 
 
+@pytest.mark.parametrize("seed, kind", enumerate(check.KINDS))
+def test_each_kind_of_margin_matches_per_cell_formatting(seed, kind, tmp_path):
+    # the same cells as the margins of write_margin_csv's rows
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([check.SPECIAL, check.KINDS[kind](rng, 20_000)])
+    row = check.first_margin_mismatch(values, rng, tmp_path / "grid.csv")
+    assert row is None, f"{[x.hex() for x in row]}: per cell {b'%.9g,%.9g,%.9g,%.9g' % row!r}"
+
+
 def test_the_check_writes_tables_of_every_width():
     # each column count from 1 to MAX_COLUMNS once in every MAX_COLUMNS files
     counts, every = check.column_counts(np.random.default_rng(0)), check.MAX_COLUMNS

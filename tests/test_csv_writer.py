@@ -241,7 +241,7 @@ def _axis(n, seed, narrow):
     ((_MARGIN_PIECE_CELLS + 1, 2), 2000),  # pieces of many two-column rows
 ])
 @pytest.mark.parametrize("narrow", [False, True])
-def test_margin_writer_splices_fallback_cells_at_piece_edges(grid, block_rows, narrow, tmp_path):
+def test_margin_writer_writes_fallback_cells_at_piece_edges(grid, block_rows, narrow, tmp_path):
     # synthetic axes and blocks: fallback cells at every grid row's first and
     # last cell and either side of a column piece's edge, so each piece starts
     # and ends with one; -0 and mixed magnitudes elsewhere
