@@ -75,8 +75,10 @@ def heaviside_pulse(m_amp: float) -> DisturbanceSignal:
 
 
 def _check_samples(t, d):
-    t = np.asarray(t, dtype=float)
-    d = np.asarray(d, dtype=float)
+    # copies: a signal keeps its own samples, never the caller's arrays or
+    # the table they may be views of
+    t = np.array(t, dtype=float)
+    d = np.array(d, dtype=float)
     if t.ndim != 1 or t.shape != d.shape or t.size < 2:
         raise ValueError("need matching 1-d time/value arrays with at least 2 samples")
     if not np.all(np.diff(t) > 0):

@@ -13,7 +13,7 @@ than the arithmetic.  A state is a tuple of floats.  ``run_scenario`` takes
 the plant's :class:`safefilter.plants.PlantRecord` for the scenario's
 controller, generated from the one RK4 template in ``plants`` with the
 barrier, nominal input and filter formula inlined, and runs every plant and
-controller in blocks of ``_SAMPLE_BLOCK_STEPS`` rows.  Per block both time
+controller in blocks of ``_BLOCK_ROWS`` rows.  Per block both time
 signals are sampled through their array evaluator, ``sample``, once per
 distinct stage time, and one ``run`` call logs the rows (inputs and barrier
 value; a row's input channel u + d is RK4 stage 1) and takes each step's four
@@ -23,11 +23,13 @@ over a field and a controller of (x, t) on tuples.
 Each float goes through the same IEEE operations in the same order as the
 numpy filters and dynamics, so the logs match a numpy reference integrator
 bit for bit; leaving out the matrix product's terms 0 * w can change only
-the sign of a zero.  The samples and the log columns are numpy arrays, the
-log preallocated for the whole run.  ``run`` reads the block's times and
-samples and writes its rows in place through memoryviews of them, whose
-items are Python floats, so no float is copied through a list; the log's d
-column is the block's samples at t_k, copied array to array.
+the sign of a zero.  The samples are numpy arrays, and the log is one
+float64 table preallocated for the whole run, a row per logged time in the
+CSV's column order: t, the states, u_nom, u_filt, d and h.  ``run`` reads
+the block's times and samples and writes its rows in place through
+memoryviews of them and of the table's columns, whose items are Python
+floats, so no float is copied through a list; the log's d column is the
+block's samples at t_k, copied array to array.
 
 This module turns arrays into CSV bytes; callers hand it arrays.  Each
 table's text is laid out in one ``_Canvas``, a bytearray of rows, each a
@@ -37,10 +39,11 @@ CPython's ``b"%.9g" % x`` the few whose digits it cannot certify: those
 near a rounding tie, and the nonzero ones outside about 2e-99 to 1e98 in
 magnitude, nan and inf included; their text goes into the slot too.  The
 canvas less its NULs is the block's text, and the bytes equal a per-cell
-loop's.  ``write_csv_table`` writes a log a block of rows at a time,
-``write_failed_log`` a failed run's partial log and its closing
-(t, nan, ...) row, and ``write_margin_csv`` the certify margin table, a
-grid cell a canvas row behind its D, v_L and v texts as the row's prefix.
+loop's.  ``write_csv_table`` writes a table, a run's log as it is, a block
+of rows at a time, ``write_failed_log`` a failed run's partial log and its
+closing (t, nan, ...) row, and ``write_margin_csv`` the certify margin
+table, a grid cell a canvas row behind its D, v_L and v texts as the row's
+prefix.
 """
 
 from __future__ import annotations
@@ -96,14 +99,11 @@ __all__ = [
 # Most RK4 steps one run may take: the cap bounds a run's log.
 MAX_STEPS = 10_000_000
 
-# Rows per block: run_scenario samples the time signals and makes one
-# generated ``run`` call per block, so the samples take memory bounded by the
-# block rather than by n_steps.
-_SAMPLE_BLOCK_STEPS = 1024
-
-# Rows per block of write_csv_table: enough to amortise its numpy calls, few
-# enough that one block's slots and text stay small next to the table itself.
-_CSV_BLOCK_ROWS = 1024
+# Log rows handled at once: run_scenario samples the time signals and makes
+# one generated ``run`` call per block, and write_csv_table formats a block of
+# rows per numpy pass, so the samples, slots and text take memory bounded by
+# the block rather than by the table, and each block amortises its numpy calls.
+_BLOCK_ROWS = 1024
 
 # Step of the reference run behind truck_lag_disturbance: fixed, so the
 # synthesized signal does not change with the consuming scenario's dt.
@@ -333,62 +333,67 @@ class Scenario:
 class ScenarioResult:
     """Time-indexed closed-loop log plus summary metrics.
 
-    The h column is the barrier value the filter computed at each logged
-    state; it equals h(x), so it can always be recomputed from the state log
-    alone.
+    ``log`` is the run's one table, a row per logged time in the CSV's column
+    order: t, the states, u_nom, u_filt, d and h.  ``time``, ``states``,
+    ``u_nom``, ``u_filt``, ``d`` and ``h`` are read-only views of its columns,
+    and ``h_min`` is the least h.  The h column is the barrier value the
+    filter computed at each logged state; it equals h(x), so it can always be
+    recomputed from the state log alone.
     """
 
     name: str
     plant: str
     controller: str
     state_labels: tuple
-    time: np.ndarray
-    states: np.ndarray
-    u_nom: np.ndarray
-    u_filt: np.ndarray
-    d: np.ndarray
-    h: np.ndarray
-    h_min: float
+    log: np.ndarray
     h_star: Optional[float]
     clamp_counts: dict
+
+    time = property(lambda self: self.log[:, 0])
+    states = property(lambda self: self.log[:, 1:-4])
+    u_nom = property(lambda self: self.log[:, -4])
+    u_filt = property(lambda self: self.log[:, -3])
+    d = property(lambda self: self.log[:, -2])
+    h = property(lambda self: self.log[:, -1])
+    h_min = property(lambda self: float(np.min(self.h)))
+
+    def __post_init__(self):
+        # a read-only view, so its column views are read-only too
+        self.log = self.log.view()
+        self.log.flags.writeable = False
 
     def to_csv(self, path) -> None:
         """Plot-ready log: t,<state columns>,u_nom,u_filt,d,h at 9 significant digits."""
         header = "t," + ",".join(self.state_labels) + ",u_nom,u_filt,d,h"
-        write_csv_table(path, header, self.time, self.states, self.u_nom,
-                        self.u_filt, self.d, self.h)
+        write_csv_table(path, header, self.log)
 
 
 def write_failed_log(path, err: SimulationError) -> None:
     """The log of the run that raised ``err``: the rows of ``err.partial``,
     then the row (err.t, nan, ...) at the time of its last good row."""
     err.partial.to_csv(path)
-    row = [err.t] + [math.nan] * (len(err.state) + 4)  # t, the states, u_nom, u_filt, d and h
+    row = [err.t] + [math.nan] * (err.partial.log.shape[1] - 1)
     with open(path, "ab") as handle:
         handle.write(_Canvas(1, len(row)).text(np.array([row])))
 
 
-def write_csv_table(path, header: str, *columns: np.ndarray) -> None:
-    """Write ``header`` and the rows of float columns side by side as CSV, 9
-    significant digits; each of ``columns`` is one column (1-d) or a block of
-    them (2-d), as an array or a nested list, all with the same rows.
+def write_csv_table(path, header: str, table) -> None:
+    """Write ``header`` and the rows of a 2-d float table, an array or a
+    nested list, as CSV, 9 significant digits.
 
-    Each block of ``_CSV_BLOCK_ROWS`` rows is stacked on its own, so no copy
-    of the whole table is made, formatted through one ``_Canvas`` kept for
-    the file and written to a binary file.  Every cell's bytes are
+    Each block of ``_BLOCK_ROWS`` rows is formatted straight from the table,
+    so no copy of the whole table is made, through one ``_Canvas`` kept for
+    the file, and written to a binary file.  Every cell's bytes are
     ``b"%.9g" % x``, CPython's correctly rounded formatter (the one
     ``"%.9g" % x`` and ``f"{x:.9g}"`` use), so the file matches a per-cell
     loop, ``nan``, ``inf`` and ``-0`` included.
     """
-    n, canvas = len(columns[0]), None
+    table = np.asarray(table, np.float64)
+    canvas = _Canvas(min(_BLOCK_ROWS, len(table)), table.shape[1])
     with open(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
-        for start in range(0, n, _CSV_BLOCK_ROWS):
-            block = np.column_stack([column[start:start + _CSV_BLOCK_ROWS]
-                                     for column in columns])
-            if canvas is None:
-                canvas = _Canvas(min(_CSV_BLOCK_ROWS, n), block.shape[1])
-            handle.write(canvas.text(block.astype(np.float64, copy=False)))
+        for start in range(0, len(table), _BLOCK_ROWS):
+            handle.write(canvas.text(table[start:start + _BLOCK_ROWS]))
 
 
 # Grid cells per piece of write_margin_csv: a piece is whole grid rows of at
@@ -455,7 +460,7 @@ class _Canvas:
 
     def __init__(self, rows: int, cols: int, width: int = 0):
         self.buffer = bytearray(rows * (width + 17 * cols))
-        lines = np.frombuffer(self.buffer, np.uint8).reshape(rows, -1)
+        lines = np.frombuffer(self.buffer, np.uint8).reshape(rows, width + 17 * cols)
         cells = lines[:, width:].reshape(rows, cols, 17)
         cells[:, :, 16] = ord(",")
         cells[:, -1, 16] = ord("\n")
@@ -710,37 +715,32 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     x = tuple(state_vector(scn.x0, dim=len(labels)).tolist())
     dt = scn.dt
     n_steps = scn.n_steps
-    time = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, len(labels)))
-    u_nom, u_filt, d_log, h_log = np.empty((4, n_steps + 1))
+    # the log, one row per logged time: t, the states, u_nom, u_filt, d and h
+    log = np.empty((n_steps + 1, len(labels) + 5))
+    time = np.multiply(np.arange(n_steps + 1), dt, out=log[:, 0])
     clamp_counts = dict.fromkeys(clamped, 0)
     no_leader = (itertools.repeat(None),) * 3
 
     def logged(k, h_star=None):
         # the result of the log up to row k
-        return ScenarioResult(
-            name=scn.name, plant=scn.plant, controller=scn.controller, state_labels=labels,
-            time=time[: k + 1], states=states[: k + 1],
-            u_nom=u_nom[: k + 1], u_filt=u_filt[: k + 1],
-            d=d_log[: k + 1], h=h_log[: k + 1],
-            h_min=float(np.min(h_log[: k + 1])), h_star=h_star,
-            clamp_counts=clamp_counts,
-        )
+        return ScenarioResult(name=scn.name, plant=scn.plant, controller=scn.controller,
+                              state_labels=labels, log=log[: k + 1], h_star=h_star,
+                              clamp_counts=clamp_counts)
 
-    for start in range(0, n_steps + 1, _SAMPLE_BLOCK_STEPS):
-        stop = min(start + _SAMPLE_BLOCK_STEPS, n_steps + 1)
+    for start in range(0, n_steps + 1, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n_steps + 1)
         a, d = _stage_samples(scn, time[start:stop], stop == n_steps + 1)
-        # run reads the samples and writes the log's rows in place, through
-        # memoryviews: a buffer's items are Python floats, with no list copy
+        # run reads the samples and writes the log's state, u_nom, u_filt and
+        # h columns in place, through memoryviews of strided columns: a
+        # buffer's items are Python floats, with no list copy
         a_rows, a_mids, a_ends = no_leader if a is None else map(memoryview, a.T)
         d_rows, d_mids, d_ends = map(memoryview, d.T)
-        log = [memoryview(column[start:stop])
-               for column in (*states.T, u_nom, u_filt, h_log)]
+        columns = [memoryview(log[start:stop, j]) for j in (*range(1, len(labels) + 3), -1)]
         rows, x, err = run(x, memoryview(time[start:stop]), dt, a_rows, d_rows, a_mids, d_mids,
-                           a_ends, d_ends, stop - start, n_steps - start, log, clamp_counts)
+                           a_ends, d_ends, stop - start, n_steps - start, columns, clamp_counts)
         end = start + rows
-        d_log[start:end] = d[:rows, 0]
-        if start == 0 and rows and h_log[0] < 0.0:
+        log[start:end, -2] = d[:rows, 0]
+        if start == 0 and rows and log[0, -1] < 0.0:
             warnings.warn(f"scenario {scn.name!r}: initial state is outside the safe set")
         if err is not None:
             # a ValueError is the barrier terms overflowing at a state the run
@@ -751,7 +751,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
             # that row, which write_failed_log writes
             t = float(time[end - 1])
             failed = SimulationError(f"scenario {scn.name!r} failed at t={t:g}: {err}",
-                                     t=t, state=states[end - 1])
+                                     t=t, state=log[end - 1, 1:len(labels) + 1])
             failed.partial = logged(end - 1)
             raise failed from err
 

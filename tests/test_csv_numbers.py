@@ -11,7 +11,7 @@ import pytest
 
 from safefilter import sim
 from safefilter.cli import build_scenarios, parse_config, resolve_preset
-from safefilter.sim import _CSV_BLOCK_ROWS, _csv_round, run_scenario
+from safefilter.sim import _BLOCK_ROWS, _csv_round, run_scenario
 
 CHECK = Path(__file__).resolve().parent.parent / "scripts" / "check_csv_numbers.py"
 SIMULATE_PRESETS = ("pendulum-undisturbed", "pendulum-pulse-cbf", "pendulum-pulse-issf-const",
@@ -72,7 +72,7 @@ def test_a_block_of_fallback_cells_only(tmp_path):
     # nan, inf, subnormal, below 1e-99 or above 1e98, and rounding ties: no
     # cell of the block is formatted by numpy
     rng = np.random.default_rng(7)
-    n = _CSV_BLOCK_ROWS * 8
+    n = _BLOCK_ROWS * 8
     values = np.concatenate([
         [np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308],
         rng.uniform(1.0, 9.0, n // 4) * 10.0 ** rng.integers(100, 300, n // 4),
@@ -105,7 +105,7 @@ def test_few_preset_log_cells_go_to_cpython():
     for name in SIMULATE_PRESETS:
         for scenario in build_scenarios(parse_config(resolve_preset(name))):
             r = run_scenario(scenario)
-            x = np.column_stack([r.time, r.states, r.u_nom, r.u_filt, r.d, r.h]).ravel()
+            x = r.log.ravel()
             cells += x.size
             fallen += np.count_nonzero(_csv_round(x)[2] & (x != 0))
     assert 0 < fallen < 0.001 * cells

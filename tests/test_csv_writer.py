@@ -13,7 +13,7 @@ from safefilter.cli import main
 from safefilter.core import SimulationError
 from safefilter.plants import (PendulumParams, TruckParams, pendulum_record, truck_headway,
                                truck_record)
-from safefilter.sim import (_CSV_BLOCK_ROWS, _MARGIN_PIECE_CELLS, ScenarioResult,
+from safefilter.sim import (_BLOCK_ROWS, _MARGIN_PIECE_CELLS, ScenarioResult,
                             write_csv_table, write_failed_log, write_margin_csv)
 from safefilter.verification import _SCAN_CELLS, certify_truck_grid, truck_margin_table
 
@@ -35,8 +35,7 @@ def _assert_same_bytes(tmp_path, header, table):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
 
-@pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
-                                  _CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
 def test_block_edges_match_per_cell_writer(rows, tmp_path):
     _assert_same_bytes(tmp_path, "a,b,c", _mixed_table(rows, 3, seed=rows))
 
@@ -50,28 +49,34 @@ def test_special_values_match_per_cell_writer(tmp_path):
 
 
 def test_scenario_log_matches_per_cell_writer(tmp_path):
-    rows = 2 * _CSV_BLOCK_ROWS + 7
+    rows = 2 * _BLOCK_ROWS + 7
     cols = _mixed_table(rows, 7, seed=1)
     cols[:len(SPECIAL), 3] = SPECIAL
     result = ScenarioResult(
         name="mixed", plant="truck", controller="cbf",
-        state_labels=truck_record(TruckParams()).labels, time=np.arange(rows) * 0.01,
-        states=cols[:, :3], u_nom=cols[:, 3], u_filt=cols[:, 4], d=cols[:, 5],
-        h=cols[:, 6], h_min=0.0, h_star=None, clamp_counts={},
+        state_labels=truck_record(TruckParams()).labels,
+        log=np.column_stack([np.arange(rows) * 0.01, cols]), h_star=None, clamp_counts={},
     )
     result.to_csv(tmp_path / "block.csv")
     reference_result_csv(result, tmp_path / "cell.csv")
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
 
-def test_columns_are_written_as_their_stacked_table(tmp_path):
-    # 1-d columns and 2-d blocks of columns side by side, stacked a block of
-    # rows at a time
-    table = _mixed_table(2 * _CSV_BLOCK_ROWS + 7, 6, seed=2)
-    write_csv_table(tmp_path / "columns.csv", "a,b,c,d,e,f", table[:, 0], table[:, 1:4],
-                    table[:, 4], table[:, 5:])
-    reference_write_csv(tmp_path / "cell.csv", "a,b,c,d,e,f", table)
-    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+def test_a_nested_list_is_written_as_its_table(tmp_path):
+    # a table of Python floats, as the CLI hands over its one-row h* table
+    table = _mixed_table(3, 5, seed=2)
+    table[:, 1] = SPECIAL[:3]
+    write_csv_table(tmp_path / "list.csv", "a,b,c,d,e", table.tolist())
+    reference_write_csv(tmp_path / "cell.csv", "a,b,c,d,e", table)
+    assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+
+def test_a_strided_column_slice_is_written_as_its_table(tmp_path):
+    # a non-contiguous 2-d view, every other column of a wider table, over
+    # several blocks of rows
+    table = _mixed_table(2 * _BLOCK_ROWS + 7, 9, seed=2)[:, 1:8:2]
+    assert not table.flags.c_contiguous
+    _assert_same_bytes(tmp_path, "a,b,c,d", table)
 
 
 # the widest texts b"%.9g" gives, 16 bytes, both left to it by the vector path
@@ -82,10 +87,9 @@ WIDE_FALLBACK = [-1.7976931348623157e308, -2.2250738585072014e-308]
 def test_sixteen_byte_fallback_texts_at_block_edges_match_per_cell_writer(cols, tmp_path):
     # 16-byte texts in the first and the last column (the one before "\n") on
     # the first and the last row of each block, and a partial last block
-    rows = 2 * _CSV_BLOCK_ROWS + 7
+    rows = 2 * _BLOCK_ROWS + 7
     table = _mixed_table(rows, cols, seed=cols)
-    edges = [0, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS - 1,
-             2 * _CSV_BLOCK_ROWS, rows - 1]
+    edges = [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS, rows - 1]
     for k, row in enumerate(edges):
         table[row, 0] = WIDE_FALLBACK[k % 2]
         table[row, -1] = WIDE_FALLBACK[(k + 1) % 2]
@@ -95,7 +99,7 @@ def test_sixteen_byte_fallback_texts_at_block_edges_match_per_cell_writer(cols, 
     assert all(len(lines[1 + row].split(b",")[-1]) == 16 for row in edges)
 
 
-@pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 7])
+@pytest.mark.parametrize("rows", [1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 7])
 def test_one_column_table_matches_per_cell_writer(rows, tmp_path):
     table = _mixed_table(rows, 1, seed=rows)
     table[::97, 0] = np.resize(SPECIAL + WIDE_FALLBACK, table[::97, 0].size)
@@ -110,13 +114,11 @@ def test_one_column_table_matches_per_cell_writer(rows, tmp_path):
 def test_failed_log_closing_row_matches_per_cell_writer(plant, labels, t, tmp_path):
     # the partial log, then (t, nan, ...) at the plant's width: the states,
     # u_nom, u_filt, d and h
-    rows = _CSV_BLOCK_ROWS + 3
+    rows = _BLOCK_ROWS + 3
     cols = _mixed_table(rows, len(labels) + 4, seed=len(labels))
     partial = ScenarioResult(
         name="failed", plant=plant, controller="cbf", state_labels=labels,
-        time=np.arange(rows) * 0.01, states=cols[:, :len(labels)], u_nom=cols[:, -4],
-        u_filt=cols[:, -3], d=cols[:, -2], h=cols[:, -1], h_min=0.0, h_star=None,
-        clamp_counts={},
+        log=np.column_stack([np.arange(rows) * 0.01, cols]), h_star=None, clamp_counts={},
     )
     err = SimulationError("failed", t=t, state=cols[-1, :len(labels)])
     err.partial = partial
@@ -134,9 +136,8 @@ def _to_csv_peak(tmp_path, rows) -> int:
     cols = _mixed_table(rows, 7, seed=3)
     result = ScenarioResult(
         name="long", plant="truck", controller="cbf",
-        state_labels=truck_record(TruckParams()).labels, time=np.arange(rows) * 0.01,
-        states=cols[:, :3], u_nom=cols[:, 3], u_filt=cols[:, 4], d=cols[:, 5],
-        h=cols[:, 6], h_min=0.0, h_star=None, clamp_counts={},
+        state_labels=truck_record(TruckParams()).labels,
+        log=np.column_stack([np.arange(rows) * 0.01, cols]), h_star=None, clamp_counts={},
     )
     tracemalloc.start()
     try:
@@ -147,12 +148,13 @@ def _to_csv_peak(tmp_path, rows) -> int:
 
 
 def test_scenario_log_is_stacked_a_block_at_a_time(tmp_path):
-    # the writer's peak is one block's (about 0.63 MB of stacked rows, floats,
-    # slots, the file's canvas and text) however long the log: a stacked copy
-    # of the whole 12-block log would add 640 KB
-    short = _to_csv_peak(tmp_path, 2 * _CSV_BLOCK_ROWS)
-    long = _to_csv_peak(tmp_path, 12 * _CSV_BLOCK_ROWS)
-    assert long < short + _CSV_BLOCK_ROWS * 8 * 8
+    # the writer's peak is one block's (about 0.57 MB of the block's floats,
+    # slot words, the file's canvas and text, formatted straight from the
+    # log's rows) however long the log: a copy of the whole 12-block log
+    # would add 640 KB
+    short = _to_csv_peak(tmp_path, 2 * _BLOCK_ROWS)
+    long = _to_csv_peak(tmp_path, 12 * _BLOCK_ROWS)
+    assert long < short + _BLOCK_ROWS * 8 * 8
 
 
 # SHA-256 of the truck margin CSV of paper-table-2 on the benchmark's 500 x 500

@@ -378,6 +378,18 @@ def test_overflowing_step_fails_with_partial_log():
     assert np.array_equal(err.partial.states[0], [-0.1, 0.5])
 
 
+def test_run_columns_are_views_of_its_one_log_table():
+    result = run_scenario(_pendulum_scenario("cbf", heaviside_pulse(0.75), horizon=5.0))
+    log = result.log
+    assert log.shape == (501, 7)
+    columns = [result.time, result.states, result.u_nom, result.u_filt, result.d, result.h]
+    assert all(np.shares_memory(column, log) for column in columns)
+    assert not any(column.flags.writeable for column in columns)
+    # in the CSV's column order: t, the states, u_nom, u_filt, d and h
+    assert np.array_equal(np.column_stack(columns), log)
+    assert result.h_min == min(row[-1] for row in log.tolist())
+
+
 def test_runs_are_bit_identical():
     first = run_scenario(_pendulum_scenario("cbf", heaviside_pulse(0.75), horizon=5.0))
     second = run_scenario(_pendulum_scenario("cbf", heaviside_pulse(0.75), horizon=5.0))
@@ -401,6 +413,9 @@ def test_failed_run_attaches_partial_log():
     assert partial.d[-1] == math.inf
     assert np.array_equal(partial.states[-1], err.state)
     assert np.isfinite(partial.h).all()
+    # the least h over the partial log's own rows, the last good one included
+    assert partial.log.shape == (51, 7)
+    assert partial.h_min == min(row[-1] for row in partial.log.tolist())
 
 
 def test_initial_state_outside_safe_set_warns():
@@ -541,6 +556,28 @@ def test_lag_disturbance_is_independent_of_consumer_step():
     assert first.bound == second.bound
     sample = np.linspace(0.0, 30.0, 500)
     assert np.array_equal([first(t) for t in sample], [second(t) for t in sample])
+
+
+def _closure_arrays(fn) -> list:
+    """The numpy arrays that ``fn``'s closure holds, through nested closures."""
+    arrays, todo = [], [fn]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif callable(value):
+                todo.append(value)
+    return arrays
+
+
+def test_lag_signal_holds_only_its_own_samples():
+    # the signal keeps its t and d as arrays of their own, not views of the
+    # reference run's log table, which would keep the whole table alive
+    lead = hard_brake_profile(16.0, 15.0, -8.0, 2.0)
+    signal = truck_lag_disturbance(T, lead, (27.4, 16.0, 16.0), 30.0, tau=0.6)
+    arrays = _closure_arrays(signal.sample)
+    assert [(a.shape, a.base is None) for a in arrays] == [((3001,), True)] * 2
 
 
 def test_synthetic_residual_magnitude_motivates_bound():

@@ -176,7 +176,7 @@ def test_four_controller_and_disturbance_calls_per_step(plant, controller):
     # takes its step's four stages with the controller and the filter
     # inline, and clamps the new state, so no row or stage calls a Python
     # function
-    assert calls["run"] == math.ceil((n_steps + 1) / sim._SAMPLE_BLOCK_STEPS)
+    assert calls["run"] == math.ceil((n_steps + 1) / sim._BLOCK_ROWS)
     assert calls["inside"] == 0, f"callees of the block loop: {inside}"
     # nothing else is called per step: the other calls are made per run or
     # per block
@@ -194,5 +194,5 @@ def test_sample_blocks_do_not_change_the_log(plant, block, monkeypatch):
     scn = _rollout(plant, "issf", seed=3)
     assert scn.n_steps == 300
     expected = run_scenario(scn)
-    monkeypatch.setattr(sim, "_SAMPLE_BLOCK_STEPS", block)
+    monkeypatch.setattr(sim, "_BLOCK_ROWS", block)
     _assert_same_log(run_scenario(scn), {c: getattr(expected, c) for c in LOG_COLUMNS})

@@ -235,7 +235,7 @@ def test_sample_blocks_do_not_change_a_failure(failure, block, monkeypatch):
     plant, controller, where, value, horizon = BLOCK_FAILURES[failure]
     scn = dataclasses.replace(_scenario(plant, controller, _spike(where, value)), horizon=horizon)
     expected = _run_failure(scn)
-    monkeypatch.setattr(sim, "_SAMPLE_BLOCK_STEPS", block)
+    monkeypatch.setattr(sim, "_BLOCK_ROWS", block)
     err = _run_failure(scn)
 
     assert (str(err), err.t) == (str(expected), expected.t)
@@ -256,7 +256,7 @@ def test_initial_state_warning_comes_before_a_failure(x0, failed_at, block, monk
     # outside the safe set at row 0, with the step from row 0 failing (eps(h)
     # underflows there) or the step from row K failing on a spike
     scn = dataclasses.replace(_scenario("pendulum", "issf", _spike("mid", 1e4)), x0=x0)
-    monkeypatch.setattr(sim, "_SAMPLE_BLOCK_STEPS", block)
+    monkeypatch.setattr(sim, "_BLOCK_ROWS", block)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         err = _run_failure(scn)
