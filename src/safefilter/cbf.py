@@ -6,9 +6,11 @@ projection onto that half-space has a closed form, so no QP solver is
 involved.  Without a robustness gain ``eps`` the tightening term is absent
 (the eps -> inf limit): that is the plain filter for undisturbed plants.
 The formula for one input and a linear alpha is written once, as source
-text (``filter_source``): the plant records inline it into every RK4 stage,
-``filter_function`` compiles it into a float closure, and ``CbfFilter``
-applies that closure to numpy barrier evaluations.
+text (``filter_source``): the plant records inline it into every row and
+RK4 stage of their loop, and ``filter_function`` compiles it into a float
+closure, the one route to a filtered input outside the loop.  ``CbfFilter``
+applies that closure to numpy barrier evaluations, and the truck filters to
+the truck record's barrier terms and nominal input.
 """
 
 from __future__ import annotations

@@ -53,6 +53,7 @@ from .sim import (
     leader_profile_from_csv,
     run_scenario,
     steady_state_shift,
+    step_count,
     truck_lag_disturbance,
     write_csv_table,
     write_failed_log,
@@ -482,8 +483,9 @@ def build_scenarios(cfg: Config):
             dist = heaviside_pulse(cfg.disturbance.amplitude)
         elif cfg.disturbance.kind == "csv":
             dist = disturbance_from_csv(cfg.disturbance.path)
-        else:  # lag_residual: one shared trace for every controller in the config
-            dist = truck_lag_disturbance(p, leader, x0, _horizon(cfg), tau=cfg.disturbance.tau)
+        else:  # lag_residual: one shared trace for every controller, to the last logged time
+            last = step_count(_horizon(cfg), cfg.dt) * cfg.dt
+            dist = truck_lag_disturbance(p, leader, x0, last, tau=cfg.disturbance.tau)
 
     # a disturbance or leader that does not cover the run, at its own section
     with _at("$", (SignalTooShortError,)):
@@ -650,7 +652,7 @@ def _load_config(args) -> Config:
     if args.config:
         # a ValueError is a JSONDecodeError, a bad encoding or a too-long integer
         with _at("cannot read config", OSError), _at("config is not valid JSON", ValueError), \
-                open(args.config) as handle:
+                open(args.config, encoding="utf-8-sig") as handle:
             doc = json.load(handle)
     elif args.preset:
         doc = resolve_preset(args.preset)

@@ -115,9 +115,10 @@ def sampled_disturbance(t, d) -> DisturbanceSignal:
 
 
 def read_csv_samples(path, column: str) -> tuple[np.ndarray, np.ndarray]:
-    """The time and value columns of a two-column CSV with header ``t,<column>``."""
+    """The time and value columns of a two-column CSV with header ``t,<column>``,
+    read as UTF-8 with or without a byte order mark."""
     t, values = [], []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["t", column]:

@@ -10,15 +10,17 @@ range/speed-policy cruise controller, and scalar safe / robust filters.
 Each plant's closed loop is written once, as a :class:`_PlantSource` table
 of source lines: its state names, nominal input, barrier terms, field and
 clamped states.  ``_LOOP_TEMPLATE``, the one RK4 skeleton, writes a table's
-lines, with the nominal input or the filter formula ``cbf.filter_source`` at
-every stage, into the plant's ``nominal``, ``barrier``, logged ``row`` and
-``run``, a loop over a block of rows and their steps that makes no Python
-call.  Each (plant, controller kind) is compiled once per process,
-on first use, and a record executes it with its parameters bound.  A new
-plant is another table; a new stage policy is another template over the
-tables.  The numpy barriers, nominal controllers and truck filters wrap a
-record; the numpy dynamics stay separate, as the reference the generated
-field is checked against.
+lines into three functions: the plant's ``nominal``, its ``barrier`` and
+``run``, a loop over a block of rows and their steps, with the nominal input
+or the filter formula ``cbf.filter_source`` at every row and stage, that
+makes no Python call.  Each (plant, controller kind) is compiled once per
+process, on first use, and a record executes it with its parameters bound.
+A new plant is another table; a new stage policy is another template over
+the tables.  The numpy barriers and nominal controllers wrap a record's
+``barrier`` and ``nominal``, and the truck filters apply
+``cbf.filter_function`` to them, as ``CbfFilter`` does; each hands the
+record floats.  The numpy dynamics stay separate, as the reference the
+generated field is checked against.
 
 Barrier gradients are hand-differentiated (two plants, closed forms, zero
 dependency weight); a finite-difference cross-check lives in `verification`.
@@ -34,7 +36,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .cbf import CbfFilter, filter_bindings, filter_source
+from .cbf import CbfFilter, filter_bindings, filter_function, filter_source
 from .core import BarrierEvaluation, ControlAffineDynamics, SimulationError, linear_class_kappa
 from .issf import EpsilonFunction
 
@@ -60,13 +62,14 @@ def check_controller(controller: str, epsilon: Optional[EpsilonFunction]) -> Non
 
 
 class PlantRecord(NamedTuple):
-    """A plant's closed loop under one controller kind, as float functions
-    over a state tuple ``x``; ``a`` is the leader acceleration at the
-    evaluation time, None for a plant without a leader.
+    """A plant's closed loop under one controller kind, as the three
+    generated float functions over a state tuple ``x``; ``a`` is the leader
+    acceleration at the evaluation time, None for a plant without a leader.
+    A filtered input outside the loop is ``cbf.filter_function`` applied to
+    ``barrier`` and ``nominal``.
 
     * ``nominal(x) -> u_nom`` and ``barrier(x, a) -> (h, lf_h, lg_h)``; the
       latter raises BarrierEvaluation's ValueError where they are not finite;
-    * ``row(x, a) -> (u_nom, u, h)`` at a logged state;
     * ``run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends,
       n, last, log, counts) -> (rows, x, err)``, ``sim.run_scenario``'s
       block loop: it reads the row times and the samples at each row's stage
@@ -87,7 +90,6 @@ class PlantRecord(NamedTuple):
     labels: tuple
     nominal: Callable[[tuple], float]
     barrier: Callable[[tuple, Optional[float]], tuple]
-    row: Callable[[tuple, Optional[float]], tuple]
     run: Callable[..., tuple]
     clamped: tuple
 
@@ -148,11 +150,6 @@ def barrier(x, a):
 {shared}{barrier}    return h, lf_h, lg_h
 
 
-def row(x, a):
-    {state}, = x
-{row}    return u_nom, u, h
-
-
 def run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends, n, last, log, counts):
     {bound} = bound
     {state}, = x
@@ -161,7 +158,7 @@ def run(x, t_rows, dt, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends, n, last, 
     for i, t, a, d, a_mid, d_mid, a_end, d_end in zip(
             range(n), t_rows, a_rows, d_rows, a_mids, d_mids, a_ends, d_ends):
         try:
-{row_in_run}        except (ValueError, ArithmeticError):
+{row}        except (ValueError, ArithmeticError):
             return i, None, ValueError({barrier_error})
 {store}        try:
             if i == last:
@@ -199,7 +196,7 @@ _RESERVED = (
     "d_end", "w", "stage", "err", "u_nom", "u", "h", "lf_h", "lg_h", "log_u_nom", "log_u", "log_h",
     "s", "g", "eps", "alpha_c", "lg_zero_sq", "eps0", "lam", "exp", "inf", "bound",
     "isfinite", "non_finite", "SimulationError", "ValueError", "OverflowError", "ArithmeticError",
-    "range", "zip", "nominal", "barrier", "row", "run")
+    "range", "zip", "nominal", "barrier", "run")
 # The per-state names: the step's base state, the four stage derivatives and
 # the log column.
 _PER_STATE = ("{n}0", "k1_{n}", "k2_{n}", "k3_{n}", "k4_{n}", "log_{n}")
@@ -231,7 +228,7 @@ if {{n}} < 0.0:
 
 
 def _loop_source(src: _PlantSource, controller: str, bound: tuple) -> str:
-    """The source of a plant's nominal, barrier, row and run under
+    """The source of a plant's nominal, barrier and run under
     ``controller``, one of :data:`CONTROLLERS`; ``run`` binds the globals
     named in ``bound`` as locals."""
 
@@ -258,7 +255,7 @@ def _loop_source(src: _PlantSource, controller: str, bound: tuple) -> str:
     return _LOOP_TEMPLATE.format(
         bound=", ".join(bound), state=state, barrier_error=repr(_BARRIER_ERROR),
         shared=block(src.shared), nominal=block(src.nominal), barrier=block(barrier),
-        row=block(row), row_in_run=block(row, 3),
+        row=block(row, 3),
         columns=", ".join(f"log_{n}" for n in logged), base=each("{n}0"),
         store=block("".join(f"log_{n}[i] = {n}\n" for n in logged), 2), k1=each("k1_{n}"),
         field=field, k1_finite=finite("k1_{n}"), stages=block(stages, 3),
@@ -292,7 +289,7 @@ def _record(src: _PlantSource, bindings: dict, alpha_c: float, controller: str,
     code = _loop_code(src, controller, tuple(namespace))
     namespace["bound"] = tuple(namespace.values())
     exec(code, namespace)
-    kernels = map(namespace.get, ("nominal", "barrier", "row", "run"))
+    kernels = map(namespace.get, ("nominal", "barrier", "run"))
     return PlantRecord(src.names, *kernels, src.clamp)
 
 
@@ -384,7 +381,7 @@ def pendulum_nominal(p: PendulumParams) -> Callable[[np.ndarray], np.ndarray]:
     nominal = pendulum_record(p).nominal
 
     def controller(x):
-        return np.array([nominal((x[0], x[1]))])
+        return np.array([nominal((float(x[0]), float(x[1])))])
 
     return controller
 
@@ -534,7 +531,14 @@ def truck_record(p: TruckParams, controller: str = "nominal",
 
 def truck_nominal(p: TruckParams, d: float, v: float, v_l: float) -> float:
     """Connected cruise controller: range-policy and relative-speed error terms."""
-    return truck_record(p).nominal((d, v, v_l))
+    return truck_record(p).nominal((float(d), float(v), float(v_l)))
+
+
+def _truck_filter(p: TruckParams, epsilon: Optional[EpsilonFunction], d, v, v_l, a_l) -> float:
+    """``cbf.filter_function`` over the record's barrier and nominal input at
+    (D, v, v_L, a_L), the terms in the order a logged row evaluates them."""
+    record, x = truck_record(p), (float(d), float(v), float(v_l))
+    return filter_function(p.alpha_c, epsilon)(*record.barrier(x, float(a_l)), record.nominal(x))
 
 
 def truck_safe_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: float) -> float:
@@ -543,7 +547,7 @@ def truck_safe_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: float
     In the driving domain lg_h < 0, so the filter caps the nominal command:
     min{k_n, k_s} with k_s the acceleration that makes the constraint active.
     """
-    return truck_record(p, "cbf").row((float(d), float(v), float(v_l)), float(a_l))[1]
+    return _truck_filter(p, None, d, v, v_l, a_l)
 
 
 def truck_robust_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: float,
@@ -551,5 +555,4 @@ def truck_robust_filter(p: TruckParams, d: float, v: float, v_l: float, a_l: flo
     """The safe command robustified for bounded input disturbance,
     min{k_n, k_s + lg_h/eps(h)} in the driving domain, with eps(h) =
     eps0 e^{lam h}: earlier and harder braking."""
-    row = truck_record(p, "issf", EpsilonFunction(eps0, lam)).row
-    return row((float(d), float(v), float(v_l)), float(a_l))[1]
+    return _truck_filter(p, EpsilonFunction(eps0, lam), d, v, v_l, a_l)

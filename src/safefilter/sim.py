@@ -201,7 +201,8 @@ def leader_profile_from_csv(
     Non-finite samples, acceleration samples outside ``a_bounds`` and an
     induced speed above ``v_bar_l`` anywhere in the file are rejected at
     load; an induced speed below 0 only warns (the simulator clamps the
-    leader's speed at 0).
+    leader's speed at 0).  The induced speed is the simulated leader's: it
+    starts from ``v0`` at t = 0, so samples before 0 do not move it.
     """
     t, a = read_csv_samples(path, "a_L")
     signal = sampled_disturbance(t, a)
@@ -209,8 +210,8 @@ def leader_profile_from_csv(
         raise ValueError(f"{path}: acceleration samples must lie within {a_bounds}")
     _check_leader_v0(v0, v_bar_l)
 
-    # induced speed is piecewise linear under the hold
-    v_knots = v0 + np.concatenate(([0.0], np.cumsum(a[:-1] * np.diff(t))))
+    # induced speed is piecewise linear under the hold, from v0 at t = 0
+    v_knots = v0 + np.concatenate(([0.0], np.cumsum(a[:-1] * np.diff(np.maximum(t, 0.0)))))
     if np.any(v_knots > v_bar_l + 1e-9):
         raise ValueError(f"{path}: induced leader speed must stay at most v_bar_l = {v_bar_l}")
     if np.any(v_knots < -1e-9):
@@ -804,15 +805,21 @@ def truck_lag_disturbance(
 
     Runs the safety-filtered braking scenario without disturbance, records the
     commanded acceleration, and returns the first-order-lag residual of that
-    command, from a reference run at ``_LAG_REFERENCE_DT``.
+    command, from a reference run at ``_LAG_REFERENCE_DT``.  ``horizon`` is
+    the consuming run's last logged time: the reference runs to the first
+    point of its grid at or after it, so the residual covers that run.  The
+    run is causal, so its samples at earlier times do not depend on where it
+    ends; a CSV leader must reach that grid point.
     """
+    steps = step_count(horizon, _LAG_REFERENCE_DT)
+    steps += steps * _LAG_REFERENCE_DT < horizon
     reference = run_scenario(
         Scenario(
             name="lag-reference",
             plant="truck",
             controller="cbf",
             x0=tuple(x0),
-            horizon=horizon,
+            horizon=steps * _LAG_REFERENCE_DT,
             dt=_LAG_REFERENCE_DT,
             disturbance=zero_disturbance(),
             truck=p,

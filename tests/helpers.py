@@ -328,7 +328,10 @@ def reference_filter(alpha_c, epsilon, be, u_nom):
         except OverflowError:
             eps = math.inf
         gain = gain + (1.0 / eps if eps > 0.0 else math.inf)
-    return u_nom + gain * be.lg_h if gain > 0.0 else u_nom
+    # a finite gain past DBL_MAX / |lg_h| overflows to inf as a float product
+    # does; numpy warns there, and float arithmetic is the reference here
+    with np.errstate(over="ignore"):
+        return u_nom + gain * be.lg_h if gain > 0.0 else u_nom
 
 
 def _reference_maps(scn, accel):

@@ -203,6 +203,7 @@ def _numpy_filter(plant, a_l, epsilon):
 @example(case=("pendulum", (0.1, -0.1), None, EpsilonFunction(0.5, 12.0)))    # lg_h = 0
 @example(case=("truck", (1e4, 10.0, 10.0), -2.0, EpsilonFunction(*TRUCK_PAIR)))
 @example(case=("truck", (0.0, 400.0, 10.0), 3.0, EpsilonFunction(*TRUCK_PAIR)))
+@example(case=("truck", (0.0, 227.0, 4.0), 0.0, EpsilonFunction(*TRUCK_PAIR)))  # gain lg_h overflows
 def test_filter_function_matches_cbf_filter_bit_for_bit(case):
     plant, x, a_l, epsilon = case
     p, record = (P, pendulum_record(P)) if plant == "pendulum" else (T, truck_record(T))

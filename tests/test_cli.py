@@ -484,6 +484,14 @@ def test_simulate_lets_each_log_go_before_the_next_run(tmp_path, monkeypatch):
     assert [row.split(",")[1] for row in summary[1:]] == ["nominal", "cbf", "issf"]
 
 
+@pytest.mark.parametrize("horizon,dt", [("20.005", "0.005"), ("33.3", "0.1")])
+def test_a_lag_residual_covers_the_last_logged_time_of_its_run(horizon, dt, tmp_path):
+    # the last logged times, 20.005 and 333 * 0.1, which rounds above 33.3,
+    # fall past the last point of a 0.01 s grid up to the horizon
+    assert main(["simulate", "--preset", "truck-braking-disturbed", "--horizon", horizon,
+                 "--dt", dt, "--out", str(tmp_path)]) == 0
+
+
 def test_simulate_config_file_with_overrides(tmp_path):
     doc = {
         "name": "custom",
@@ -518,6 +526,27 @@ def test_simulate_with_csv_inputs(tmp_path):
     config_path = tmp_path / "csvrun.json"
     config_path.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("bom", ["config", "leader", "disturbance"])
+def test_inputs_saved_with_a_utf8_bom_are_read(bom, tmp_path):
+    # Windows editors and spreadsheet "CSV UTF-8" exports start a file with
+    # a byte order mark
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8-sig" if path.stem == bom else "utf-8")
+        return str(path)
+
+    doc = {
+        "name": "bom",
+        "plant": "truck",
+        "controller": "cbf",
+        "leader": {"kind": "csv", "path": write("leader.csv", "t,a_L\n0,0\n30,0\n")},
+        "disturbance": {"kind": "csv", "path": write("disturbance.csv", "t,d\n0,0.5\n30,0.5\n")},
+        "horizon": 5.0,
+    }
+    assert main(["simulate", "--config", write("config.json", json.dumps(doc)),
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_simulate_beyond_leader_domain_is_rejected_before_the_run(tmp_path, capsys):

@@ -525,3 +525,23 @@ def test_a_leader_csv_whose_induced_speed_leaves_the_range_warns(tmp_path):
     with pytest.warns(UserWarning, match=r"^induced leader speed falls below 0; "
                                          r"the simulator clamps it at 0$"):
         leader_profile_from_csv(path, 4.0)
+
+
+def test_a_leader_csv_speed_past_the_cap_from_t_0_is_rejected(tmp_path):
+    # the run starts the leader at v0 = 15 at t = 0: 0.1 m/s^2 held for
+    # 100 s reaches 25 > 20, whatever the sample before 0 would have taken
+    path = tmp_path / "lead.csv"
+    path.write_text("t,a_L\n-10,-0.5\n0,0.1\n100,0\n")
+    with pytest.raises(ValueError, match=r"induced leader speed must stay at most v_bar_l"):
+        leader_profile_from_csv(path, 15.0, v_bar_l=20.0)
+
+
+def test_a_leader_csv_sample_before_t_0_moves_no_speed(tmp_path):
+    # the leader holds v0 = 15 from t = 0; 1 m/s^2 before 0 would have
+    # reached 25, and -2 m/s^2 before 0 would have fallen below 0
+    path = tmp_path / "lead.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for first in (1.0, -2.0):
+            path.write_text(f"t,a_L\n-10,{first}\n0,0\n100,0\n")
+            leader_profile_from_csv(path, 15.0, v_bar_l=20.0)

@@ -16,8 +16,10 @@ import warnings
 import numpy as np
 import pytest
 
-from safefilter import SimulationError, TruckParams, plants, rk4_step
-from safefilter.plants import truck_barrier, truck_record, truck_robust_filter, truck_safe_filter
+from safefilter import PendulumParams, SimulationError, TruckParams, plants, rk4_step
+from safefilter.cbf import filter_function
+from safefilter.plants import (pendulum_nominal, pendulum_record, truck_barrier, truck_nominal,
+                               truck_record, truck_robust_filter, truck_safe_filter)
 
 DT = 0.5
 HALF = 0.5 * DT
@@ -154,10 +156,11 @@ def test_barrier_terms_that_overflow_only_in_the_sum_pass():
     got = _run(x0, terms, {}, {})
     assert got[0] == 2 and got[3] is None
     _assert_same(got, _reference(x0, terms, {}, {}))
-    # the record's other functions run the same check
+    # the record's barrier runs the same check, and the filter over it and
+    # the nominal input leaves u_nom as the row does
     record = plants._record(_PROBE, dict(terms=terms, dx={}, dy={}), 1.0, "cbf", None)
     assert record.barrier(x0, None) == (BIG, BIG, 0.0)
-    assert record.row(x0, None) == (0.0, 0.0, BIG)
+    assert filter_function(1.0)(*record.barrier(x0, None), record.nominal(x0)) == 0.0
 
 
 @pytest.mark.parametrize("stage", ["stage 1", "stage 4"])
@@ -199,6 +202,18 @@ def test_truck_wrappers_sum_floats_where_given_numpy_scalars():
         u = truck_safe_filter(p, *state, a_l)
         u_robust = truck_robust_filter(p, *state, a_l, 0.5, 0.4)
     assert (be.h, be.lf_h, float(be.lg_h[0])) == expected
-    assert u == truck_record(p, "cbf").row(x, float(a_l))[1] == 8.0
+    assert u == filter_function(p.alpha_c)(*expected, truck_record(p).nominal(x)) == 8.0
     assert u_robust == 8.0
 
+
+def test_nominal_wrappers_hand_the_records_floats():
+    # -kp * theta and gain_range * (v_range - v) overflow to inf, where
+    # numpy scalars would warn
+    truck, pendulum = TruckParams(gain_range=1e308), PendulumParams(kp=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u_truck = truck_nominal(truck, *map(np.float64, (3.0, -10.0, 0.0)))
+        u_pendulum = pendulum_nominal(pendulum)(np.array([-10.0, 0.0]))
+    assert type(u_truck) is float
+    assert u_truck == truck_record(truck).nominal((3.0, -10.0, 0.0)) == math.inf
+    assert u_pendulum.tolist() == [pendulum_record(pendulum).nominal((-10.0, 0.0))] == [math.inf]

@@ -12,15 +12,21 @@ The cases are every simulate preset, both sweep presets under ``sweep`` and
 cross term) and the truck's two-block margin grid, plus one document per
 plant that leaves the initial state and the horizon to the plant defaults.
 The ``--dump-preset`` text of every preset name is pinned too: a dump case
-runs without ``--out`` and writes no file.
+runs without ``--out`` and writes no file.  So is the text of the generated
+block loop ``run`` of each plant record under each controller kind, as
+``loop-<plant>-<controller>/run``, generated over the bindings the record
+binds: a change to the loop template or a plant table that moves a ``run``
+moves its pin.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
 from pathlib import Path
 
+from safefilter import EpsilonFunction, PendulumParams, TruckParams, plants
 from safefilter.cli import main
 
 PINS = Path(__file__).resolve().parent / "golden" / "outputs.sha256"
@@ -57,8 +63,26 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _loop_digests() -> dict:
+    """The digest of each record's ``run`` text, regenerated from its table
+    over the names the record binds, in the order ``run`` unpacks them."""
+    pinned = {}
+    for plant, table, record, params in (
+            ("pendulum", plants._PENDULUM_SOURCE, plants.pendulum_record, PendulumParams()),
+            ("truck", plants._TRUCK_SOURCE, plants.truck_record, TruckParams())):
+        for controller in plants.CONTROLLERS:
+            epsilon = EpsilonFunction(0.5, 0.4) if controller == "issf" else None
+            built = tuple(record(params, controller, epsilon).run.__globals__)
+            source = plants._loop_source(table, controller, built[:built.index("bound")])
+            run = next(node for node in ast.parse(source).body if node.name == "run")
+            text = ast.get_source_segment(source, run)
+            pinned[f"loop-{plant}-{controller}/run"] = _sha256(text.encode())
+    return pinned
+
+
 def digests(root: Path) -> dict:
-    """Run every case under ``root`` and digest what it wrote and printed."""
+    """Run every case under ``root`` and digest what it wrote and printed,
+    and the text of each generated ``run``."""
     pinned = {}
     for case, argv, doc in CASES:
         dump = argv[0] == "--dump-preset"
@@ -74,7 +98,7 @@ def digests(root: Path) -> dict:
         pinned[f"{case}/exit-{code}.stdout"] = _sha256(text.encode())
         for path in [] if dump else sorted(out.iterdir()):
             pinned[f"{case}/{path.name}"] = _sha256(path.read_bytes())
-    return pinned
+    return {**pinned, **_loop_digests()}
 
 
 def format_pins(pinned: dict) -> str:

@@ -323,11 +323,21 @@ def test_robust_filter_rejects_an_invalid_gain_on_every_call(eps0, lam):
             truck_robust_filter(T, 27.4, 16.0, 16.0, 0.0, eps0, lam)
 
 
+def _one_row(record, x, a_l):
+    """A one-row ``run`` at x and t = 0: its log of (state, u_nom, u, h)
+    and the error it returns."""
+    log = tuple([None] for _ in range(len(x) + 3))
+    a, d = [a_l], [0.0]
+    rows, _, err = record.run(x, [0.0], 0.1, a, d, a, d, a, d, 1, 0, log,
+                              dict.fromkeys(record.clamped, 0))
+    return [column[0] for column in log] if rows else [], err
+
+
 @pytest.mark.parametrize("plant", ["pendulum", "truck"])
 @pytest.mark.parametrize("scale", [0.3, 30.0, 1e6])
 def test_numpy_barriers_match_the_logged_barrier(plant, scale):
     # the numpy wrappers evaluate the generated barrier alone, without the
-    # nominal input: the same (h, lf_h, lg_h), and the h the row logs
+    # nominal input: the same (h, lf_h, lg_h), and the h a logged row holds
     rng = np.random.default_rng(11)
     record = pendulum_record(P) if plant == "pendulum" else truck_record(T)
     for x in rng.normal(0.0, scale, size=(100, len(record.labels))).tolist():
@@ -336,7 +346,8 @@ def test_numpy_barriers_match_the_logged_barrier(plant, scale):
         be = (pendulum_barrier(P) if plant == "pendulum" else truck_barrier(T, a_l))(np.array(x))
         expected = [v.hex() for v in record.barrier(x, a_l)]
         assert [float(v).hex() for v in (be.h, be.lf_h, be.lg_h[0])] == expected
-        assert record.row(x, a_l)[2].hex() == expected[0]
+        row, err = _one_row(record, x, a_l)
+        assert err is None and row[-1].hex() == expected[0]
 
 
 @pytest.mark.parametrize("plant,x", [("pendulum", (1e200, 0.0)), ("pendulum", (0.0, 1e160)),
@@ -345,6 +356,9 @@ def test_numpy_barriers_raise_where_the_terms_overflow(plant, x):
     barrier = pendulum_barrier(P) if plant == "pendulum" else truck_barrier(T, 0.0)
     record = pendulum_record(P) if plant == "pendulum" else truck_record(T)
     a_l = None if plant == "pendulum" else 0.0
-    for evaluate in (lambda: barrier(np.array(x)), lambda: record.row(x, a_l)):
-        with pytest.raises(ValueError, match="barrier evaluation entries must be finite"):
-            evaluate()
+    with pytest.raises(ValueError, match="barrier evaluation entries must be finite"):
+        barrier(np.array(x))
+    # the loop stops at row 0, unlogged, with the same error
+    row, err = _one_row(record, x, a_l)
+    assert row == [] and isinstance(err, ValueError)
+    assert str(err) == "barrier evaluation entries must be finite"
