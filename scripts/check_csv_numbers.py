@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the CSV writers' numbers against CPython's per-cell formatting.
+"""Check the CSV writers' numbers against CPython's per-cell formatting, and the sweep's h*.
 
     PYTHONPATH=src python scripts/check_csv_numbers.py --cells 2000000 --seed 1
 
@@ -17,6 +17,17 @@ of both signs and every exponent form, each row compared with
 ``b"%.9g,%.9g,%.9g,%.9g\n"``.  On the first mismatch it prints the cells'
 ``float.hex()`` and exits 1; it exits 0 when every cell matches.  Needs numpy
 and the standard library only.
+
+A tenth as many seeded (eps0, lambda) cells then go through
+``safefilter.issf.solve_h_star_cells``, the sweep table's kernel, in blocks of
+``SWEEP_CHUNK`` that share a seeded alpha_c and delta, and each is compared
+with ``solve_h_star(alpha, EpsilonFunction(eps0, lambda), delta)``, bits and
+rejections alike; the first mismatch is printed in ``float.hex()`` and exits
+1.  The kernel's exactness rests on calling this Python's
+``math`` functions per element, so the check runs on each Python and libm.
+The cells mix log-uniform magnitudes from subnormal to the float maximum,
+values that EpsilonFunction rejects, and lambda near e / c, where z = lambda c
+crosses e.
 """
 
 import argparse
@@ -26,11 +37,15 @@ from pathlib import Path
 
 import numpy as np
 
+from safefilter.core import linear_class_kappa
+from safefilter.issf import EpsilonFunction, solve_h_star, solve_h_star_cells
 from safefilter.sim import _MARGIN_PIECE_CELLS, write_csv_table, write_margin_csv
 
 MAX_COLUMNS = 12
 # Cells per file written: bounds the memory of a long check.
 CHUNK = 1 << 16
+# Sweep cells per kernel call, each block with its own alpha_c and delta.
+SWEEP_CHUNK = 4096
 
 SPECIAL = [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, -5e-324,
            2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -162,6 +177,45 @@ def first_margin_mismatch(values: np.ndarray, rng, path: Path):
     return None
 
 
+SWEEP_SPECIAL = [0.0, -0.0, 5e-324, 1e-323, float("inf"), float("-inf"), float("nan"), -1.0,
+                 1e-300, 1e300, 1.7976931348623157e308]
+
+
+def sweep_block(rng, n):
+    """(alpha_c, delta, eps0, lam) of ``n`` seeded sweep cells: magnitudes
+    10**U(-324, 308.25), a tenth of each axis special values, and a quarter
+    of the lambdas e / c within a few ulps, with c = eps0 delta^2 / 4 / alpha_c."""
+    alpha_c = float(10.0 ** rng.uniform(-5.0, 5.0))
+    delta = float(rng.choice([0.0, 5e-324, 1.0, 1e150, float("inf")])) if rng.random() < 0.2 \
+        else float(10.0 ** rng.uniform(-160.0, 160.0))
+    eps0, lam = (10.0 ** rng.uniform(-324.0, 308.25, n) for _ in range(2))
+    for axis in (eps0, lam):
+        special = rng.random(n) < 0.1
+        axis[special] = rng.choice(SWEEP_SPECIAL, int(special.sum()))
+    near = rng.random(n) < 0.25
+    with np.errstate(all="ignore"):
+        c = eps0[near] * delta * delta / 4.0 / alpha_c
+        lam[near] = np.e / c * (1.0 + rng.integers(-4, 5, int(near.sum())) * 2.0**-52)
+    return alpha_c, delta, eps0, lam
+
+
+def first_sweep_mismatch(alpha_c, delta, eps0, lam):
+    """The first cell (eps0, lam) whose h* from solve_h_star_cells differs from
+    the scalar solve_h_star's in its bits, or is rejected where the scalar
+    path does not raise or the other way round, or None."""
+    alpha = linear_class_kappa(alpha_c)
+    h, rejected = solve_h_star_cells(alpha, eps0, lam, delta)
+    for e, l, value, reject in zip(eps0.tolist(), lam.tolist(), h.tolist(), rejected.tolist()):
+        try:
+            want = solve_h_star(alpha, EpsilonFunction(e, l), delta)
+        except ValueError:
+            want = None
+        if (want is None) != reject or not (reject or np.float64(want).tobytes()
+                                            == np.float64(value).tobytes()):
+            return e, l
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cells", type=int, required=True)
@@ -184,6 +238,15 @@ def main(argv=None) -> int:
                       f"{b'%.9g,%.9g,%.9g,%.9g' % row!r} per cell")
                 return 1
     print(f"{values.size} cells match b'%.9g' % x in both writers")
+    rng, sweep_cells = np.random.default_rng([args.seed, 3]), args.cells // 10
+    for start in range(0, sweep_cells, SWEEP_CHUNK):
+        alpha_c, delta, eps0, lam = sweep_block(rng, min(SWEEP_CHUNK, sweep_cells - start))
+        cell = first_sweep_mismatch(alpha_c, delta, eps0, lam)
+        if cell is not None:
+            print(f"sweep mismatch: eps0 {cell[0].hex()}, lambda {cell[1].hex()}, "
+                  f"delta {delta.hex()}, alpha_c {alpha_c.hex()}")
+            return 1
+    print(f"{sweep_cells} sweep cells match solve_h_star bit for bit")
     return 0
 
 

@@ -33,20 +33,24 @@ from pathlib import Path
 from types import UnionType
 from typing import ClassVar, Literal, Optional, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .core import SignalDomainError, linear_class_kappa, shown
 from .disturbance import (
     DisturbanceSignal,
     disturbance_from_csv,
     heaviside_pulse,
+    open_utf8,
     zero_disturbance,
 )
-from .issf import EpsilonFunction, check_delta, solve_h_star
+from .issf import EpsilonFunction, check_delta, solve_h_star, solve_h_star_cells
 from .plants import CONTROLLERS, PendulumParams, TruckParams, pendulum_record, truck_record
 from .sim import (
     Scenario,
     SignalTooShortError,
     SimulationError,
     SteadyStateWindowError,
+    _Canvas,
     check_timing,
     constant_speed_profile,
     hard_brake_profile,
@@ -564,6 +568,11 @@ def _csv_field(text: str) -> str:
     return '"%s"' % text.replace('"', '""') if re.search(r'[,"\r\n]', text) else text
 
 
+# Grid cells per block of a sweep: the kernel's arrays and the canvas hold one
+# block, whatever the grid's size.
+_SWEEP_CELLS = 4096
+
+
 def cmd_sweep(cfg: Config, out_dir: Path) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep needs a 'sweep' section (eps0_grid, lambda_grid)")
@@ -573,21 +582,35 @@ def cmd_sweep(cfg: Config, out_dir: Path) -> int:
     alpha = linear_class_kappa(p.alpha_c)
     _, delta = _issf_design(cfg)
     out_path = out_dir / f"{cfg.name}.csv"
+    eps0_axis = np.array(cfg.sweep.eps0_grid, np.float64)
+    lam_axis = np.array(cfg.sweep.lambda_grid, np.float64)
+    n_rows = len(eps0_axis) * len(lam_axis)
+    canvas = _Canvas(min(_SWEEP_CELLS, n_rows), 3)
     failures = 0
-    with _writing(out_path), open(out_path, "w", newline="") as handle:
-        handle.write("eps0,lambda,h_star,status\n")
-        # each axis value is formatted once: lambda per sweep, eps0 per grid row
-        lams = [(lam, f"{lam:.9g},") for lam in cfg.sweep.lambda_grid]
-        for eps0 in cfg.sweep.eps0_grid:
-            lead = f"{eps0:.9g},"
-            for lam, lam_text in lams:
+    with _writing(out_path), open(out_path, "wb") as handle:
+        handle.write(b"eps0,lambda,h_star,status\n")
+        for start in range(0, n_rows, _SWEEP_CELLS):
+            # a block of cells (eps0, lambda, h*), row-major over the grid
+            i, j = np.divmod(np.arange(start, min(start + _SWEEP_CELLS, n_rows)), len(lam_axis))
+            cells = np.empty((len(i), 3))
+            cells[:, 0], cells[:, 1] = eps0_axis[i], lam_axis[j]
+            cells[:, 2], rejected = solve_h_star_cells(alpha, cells[:, 0], cells[:, 1], delta)
+            done = 0
+            for row in np.flatnonzero(rejected).tolist() + [len(cells)]:
+                if row > done:
+                    handle.write(canvas.text(cells[done:row]).replace(b"\n", b",ok\n"))
+                if row == len(cells):
+                    break
+                # a rejected cell takes the scalar path, whose error is its status
+                eps0, lam = cells[row, :2].tolist()
                 try:
                     h_star = solve_h_star(alpha, EpsilonFunction(eps0, lam), delta)
-                    handle.write(f"{lead}{lam_text}{h_star:.9g},ok\n")
+                    handle.write(b"%.9g,%.9g,%.9g,ok\n" % (eps0, lam, h_star))
                 except ValueError as err:
                     failures += 1
-                    handle.write(f"{lead}{lam_text}nan,{_csv_field(f'error: {err}')}\n")
-    n_rows = len(cfg.sweep.eps0_grid) * len(cfg.sweep.lambda_grid)
+                    handle.write(b"%.9g,%.9g,nan,%s\n"
+                                 % (eps0, lam, _csv_field(f"error: {err}").encode()))
+                done = row + 1
     print(f"sweep {cfg.name}: {n_rows} rows -> {out_path}"
           + (f" ({failures} rows rejected)" if failures else ""))
     return 0
@@ -652,7 +675,7 @@ def _load_config(args) -> Config:
     if args.config:
         # a ValueError is a JSONDecodeError, a bad encoding or a too-long integer
         with _at("cannot read config", OSError), _at("config is not valid JSON", ValueError), \
-                open(args.config, encoding="utf-8-sig") as handle:
+                open_utf8(args.config) as handle:
             doc = json.load(handle)
     elif args.preset:
         doc = resolve_preset(args.preset)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,6 +24,7 @@ __all__ = [
     "estimate_sup_norm",
     "heaviside_pulse",
     "lag_residual",
+    "open_utf8",
     "read_csv_samples",
     "sampled_disturbance",
     "zero_disturbance",
@@ -114,11 +116,24 @@ def sampled_disturbance(t, d) -> DisturbanceSignal:
     return _recorded(t, d, lambda taus: d[np.searchsorted(t, taus, side="right") - 1])
 
 
+def open_utf8(path, newline=None):
+    """``path`` opened to read as UTF-8 with or without a byte order mark.  A
+    name that the file-system encoding cannot represent, a non-ASCII name
+    under an ASCII locale, is the OSError "cannot open '<path>': the
+    file-system encoding '<encoding>' cannot represent its name", not the
+    codec's own message."""
+    try:
+        return open(path, encoding="utf-8-sig", newline=newline)
+    except UnicodeEncodeError as err:
+        raise OSError(f"cannot open '{path}': the file-system encoding "
+                      f"'{sys.getfilesystemencoding()}' cannot represent its name") from err
+
+
 def read_csv_samples(path, column: str) -> tuple[np.ndarray, np.ndarray]:
     """The time and value columns of a two-column CSV with header ``t,<column>``,
     read as UTF-8 with or without a byte order mark."""
     t, values = [], []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
+    with open_utf8(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["t", column]:

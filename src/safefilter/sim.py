@@ -116,12 +116,17 @@ class SteadyStateWindowError(ValueError):
 
 class SignalTooShortError(ValueError):
     """A scenario's disturbance or leader does not cover its logged times: it
-    starts after t = 0, or it ends before the last logged time."""
+    starts after t = 0, or it ends before the last logged time.  The two end
+    times are printed in full where their ``:g`` texts are the same, say 0.3
+    and 3 * 0.1 = 0.30000000000000004."""
 
     def __init__(self, signal: str, duration: float, t_last: float, start: float = 0.0):
+        ends, last = f"{duration:g}", f"{t_last:g}"
+        if ends == last:
+            ends, last = repr(float(duration)), repr(float(t_last))
         super().__init__(
             f"{signal} starts at t={start:g}, after the first logged time t=0" if start > 0.0
-            else f"{signal} ends at t={duration:g}, before the last logged time t={t_last:g}")
+            else f"{signal} ends at t={ends}, before the last logged time t={last}")
         self.signal = signal
 
 

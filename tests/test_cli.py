@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
 import tracemalloc
@@ -404,32 +405,103 @@ def test_sweep_reproduces_published_tables(tmp_path):
     assert rows[(1.0, 0.25)] == pytest.approx(-7.59, abs=0.01)
 
 
-def test_sweep_rows_match_the_per_row_format(tmp_path):
-    # each axis value is formatted once per sweep or grid row; the bytes are
-    # those of one f-string per row, error rows (a negative lambda) included,
-    # whose status holds a comma and is quoted (RFC 4180)
-    eps0_grid = [0.5, 1.0 / 3.0, 1e-7, 4.0]
-    lambda_grid = [-1.0, 0.0, 0.4, 1.0 / 3.0, -0.0, 2.5e-10]
-    doc = {"name": "grid", "plant": "truck", "params": {"preset": "paper-table-2"},
-           "issf": {"eps0": 0.5, "lam": 0.4, "delta": 4.5},
-           "sweep": {"eps0_grid": eps0_grid, "lambda_grid": lambda_grid}}
-    config_path = tmp_path / "grid.json"
-    config_path.write_text(json.dumps(doc))
-    assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+def _per_row_sweep(eps0_grid, lambda_grid, delta: float) -> str:
+    """The sweep CSV of one f-string per row and one scalar solve per cell,
+    the truck's paper-table-2 alpha_c."""
     alpha = linear_class_kappa(TruckParams().alpha_c)  # paper-table-2 is the defaults
     want = "eps0,lambda,h_star,status\n"
     for eps0 in eps0_grid:
         for lam in lambda_grid:
             try:
-                h_star = solve_h_star(alpha, EpsilonFunction(eps0, lam), 4.5)
+                h_star = solve_h_star(alpha, EpsilonFunction(eps0, lam), delta)
                 want += f"{eps0:.9g},{lam:.9g},{h_star:.9g},ok\n"
             except ValueError as err:
-                want += f'{eps0:.9g},{lam:.9g},nan,"error: {err}"\n'
+                status = f"error: {err}"
+                if "," in status or '"' in status:
+                    status = '"%s"' % status.replace('"', '""')
+                want += f"{eps0:.9g},{lam:.9g},nan,{status}\n"
+    return want
+
+
+# extreme cells: subnormal, tiny and huge eps0 and lambda, c and z = lambda c
+# overflowing, a cell whose log form is out of math.log's domain, and the
+# lambda around e / c at eps0 = 0.5 and delta = 1, where z crosses e
+_C_AT_E = 0.5 * 1.0 * 1.0 / 4.0 / TruckParams().alpha_c
+_LAMBDA_AT_E = [math.nextafter(math.e / _C_AT_E, 0.0), math.e / _C_AT_E,
+                math.nextafter(math.e / _C_AT_E, math.inf)]
+_EXTREME_EPS0 = [0.5, 1.0 / 3.0, 1e-7, 4.0, 5e-324, 1e-300, 1e300, 1.7e308]
+_EXTREME_LAMBDA = [-1.0, 0.0, 0.4, 1.0 / 3.0, -0.0, 2.5e-10, 5e-324, 1e-323, 1e300,
+                   *_LAMBDA_AT_E]
+
+
+@pytest.mark.parametrize("delta", [4.5, 0.0, 5e-324, 1.0, 1e150])
+def test_sweep_rows_match_the_per_row_format(delta, tmp_path):
+    # the rows are those of one f-string per row and one scalar solve per
+    # cell, error rows (a negative lambda, an eps0 of 0, a cell the log form
+    # cannot take) included, whose status holds a comma and is quoted (RFC 4180)
+    eps0_grid = _EXTREME_EPS0 + [0.0]
+    doc = {"name": "grid", "plant": "truck", "params": {"preset": "paper-table-2"},
+           "issf": {"eps0": 0.5, "lam": 0.4, "delta": delta},
+           "sweep": {"eps0_grid": eps0_grid, "lambda_grid": _EXTREME_LAMBDA}}
+    config_path = tmp_path / "grid.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path)]) == 0
     written = (tmp_path / "grid.csv").read_text()
-    assert written == want
-    assert '0.5,-1,nan,"error: lam must be nonnegative and finite, got -1.0"\n' in written
+    assert written == _per_row_sweep(eps0_grid, _EXTREME_LAMBDA, delta)
     assert {len(row) for row in csv.reader(io.StringIO(written))} == {4}
-    assert "\n0.5,0.4,-4.38358096,ok\n" in written
+    assert '0.5,-1,nan,"error: lam must be nonnegative and finite, got -1.0"\n' in written
+    if delta == 4.5:
+        assert "\n0.5,0.4,-4.38358096,ok\n" in written
+    if delta == 1.0:  # both sides of z = e
+        assert {lam * _C_AT_E < math.e for lam in _LAMBDA_AT_E} == {True, False}
+    if delta == 1e150:
+        assert "\n1e+300,4.94065646e-324,nan,error: math domain error\n" in written
+
+
+def test_sweep_rows_of_nan_and_inf_lambda_and_a_grid_wider_than_a_block(tmp_path, capsys):
+    # a config cannot hold nan or inf, a Config built in code can: their rows
+    # are EpsilonFunction's errors in row order; a grid row wider than one
+    # block of cells spans blocks
+    lambda_grid = ([math.nan, math.inf, -math.inf] + _EXTREME_LAMBDA
+                   + np.linspace(0.0, 0.6, cli._SWEEP_CELLS + 7).tolist())
+    eps0_grid = [0.5, math.inf, 1e300]
+    cfg = parse_config({"name": "wide", "plant": "truck", "params": {"preset": "paper-table-2"},
+                        "issf": {"eps0": 0.5, "lam": 0.4, "delta": 4.5},
+                        "sweep": {"eps0_grid": [0.5], "lambda_grid": [0.4]}})
+    cfg = dataclasses.replace(cfg, sweep=cli.SweepSpec(tuple(eps0_grid), tuple(lambda_grid)))
+    assert cli.cmd_sweep(cfg, tmp_path) == 0
+    written = (tmp_path / "wide.csv").read_text()
+    assert written == _per_row_sweep(eps0_grid, lambda_grid, 4.5)
+    assert '\n0.5,nan,nan,"error: lam must be nonnegative and finite, got nan"\n' in written
+    assert '\n0.5,inf,nan,"error: lam must be nonnegative and finite, got inf"\n' in written
+    assert "\ninf,0.4,-inf,ok\n" in written
+    # nan, inf, -inf and -1 in each grid row, and eps0 = inf at the two lambda
+    # whose quarter underflows to 0, where the log form takes math.log(0.0)
+    assert '\ninf,4.94065646e-324,nan,error: math domain error\n' in written
+    rows = len(eps0_grid) * len(lambda_grid)
+    assert capsys.readouterr().out == (f"sweep wide: {rows} rows -> {tmp_path / 'wide.csv'}"
+                                       " (14 rows rejected)\n")
+
+
+def test_sweep_holds_one_block_of_cells_not_the_grid(tmp_path):
+    # on 2 x 200,000 the lambda axis as an array (1.6 MB) and one block of
+    # 4,096 cells (the kernel's arrays, its per-element lists and the canvas)
+    # peak near 2.67 MB.  Formatting each lambda once for the sweep, as a
+    # per-cell loop did, held a (lambda, text) pair per column and peaked at
+    # 25.06 MB; the grid's cells as three float64 columns alone are 9.6 MB.
+    cfg = parse_config({"name": "wide", "plant": "truck",
+                        "issf": {"eps0": 0.5, "lam": 0.4, "delta": 4.5},
+                        "sweep": {"eps0_grid": [0.5, 1.0],
+                                  "lambda_grid": np.linspace(0.0, 0.6, 200_000).tolist()}})
+    tracemalloc.start()
+    try:
+        assert cli.cmd_sweep(cfg, tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(tmp_path / "wide.csv", "rb") as handle:
+        assert sum(1 for _ in handle) == 1 + 400_000
+    assert peak <= 3_500_000
 
 
 @pytest.mark.parametrize("issf,message", [

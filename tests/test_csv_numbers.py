@@ -1,6 +1,7 @@
 """write_csv_table's and write_margin_csv's numbers are b"%.9g" % x, cell for
 cell: their vector formatter against CPython's per-cell formatting on each kind
-of cell that scripts/check_csv_numbers.py samples, and on the preset logs."""
+of cell that scripts/check_csv_numbers.py samples, and on the preset logs.  The
+sweep kernel's h* is the scalar solve's on the cells the script samples."""
 
 import importlib.util
 import itertools
@@ -53,6 +54,14 @@ def test_each_kind_of_margin_matches_per_cell_formatting(seed, kind, tmp_path):
     values = np.concatenate([check.SPECIAL, check.KINDS[kind](rng, 20_000)])
     row = check.first_margin_mismatch(values, rng, tmp_path / "grid.csv")
     assert row is None, f"{[x.hex() for x in row]}: per cell {b'%.9g,%.9g,%.9g,%.9g' % row!r}"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_seeded_sweep_cells_match_the_scalar_solve(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        alpha_c, delta, eps0, lam = check.sweep_block(rng, check.SWEEP_CHUNK)
+        assert check.first_sweep_mismatch(alpha_c, delta, eps0, lam) is None, (alpha_c, delta)
 
 
 def test_the_check_writes_tables_of_every_width():

@@ -8,10 +8,15 @@ JSON path.  The library cases pin the checks that only a direct caller meets.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import safefilter
 from safefilter import (
     EpsilonFunction,
     PendulumParams,
@@ -399,6 +404,56 @@ def test_a_leader_that_does_not_cover_the_run_is_reported_under_the_leader(
     assert type(excinfo.value.__cause__) is SignalTooShortError
     code, err = _exit_and_stderr("simulate", doc, tmp_path, capsys)
     assert (code, err) == (2, f"safefilter: config error: $.leader: {message}\n")
+
+
+def test_a_signal_that_ends_at_the_horizon_but_not_at_the_last_logged_time(
+        tmp_path, capsys, monkeypatch):
+    # the last logged time of horizon 0.3 at dt 0.1 is 3 * 0.1 =
+    # 0.30000000000000004, which :g prints as 0.3 like the file's end: both
+    # are printed in full where their :g texts are the same
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("t,d\n0,0.1\n0.3,0.1\n")
+    doc = {"plant": "pendulum", "disturbance": {"kind": "csv", "path": "d.csv"},
+           "horizon": 0.3, "dt": 0.1}
+    code, err = _exit_and_stderr("simulate", doc, tmp_path, capsys)
+    assert (code, err) == (2, "safefilter: config error: $.disturbance: disturbance ends at "
+                              "t=0.3, before the last logged time t=0.30000000000000004\n")
+    assert str(SignalTooShortError("leader", 2.0, 5.0)) == (
+        "leader ends at t=2, before the last logged time t=5")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the C locale's file-system encoding "
+                                                    "is ASCII on Linux")
+@pytest.mark.parametrize("section", ["disturbance", "leader", "config"])
+def test_a_path_the_file_system_encoding_cannot_represent_exits_2_and_says_so(
+        section, tmp_path):
+    # under an ASCII locale, opening a non-ASCII name raised the codec's own
+    # "'ascii' codec can't encode character '\\xf6' ..."
+    name = "st\u00f6rung"
+    column = "a_L" if section == "leader" else "d"
+    (tmp_path / f"{name}.csv").write_text(f"t,{column}\n0,0\n30,0\n", encoding="utf-8")
+    doc = {"plant": "truck", "horizon": 1.0,
+           "leader": {"kind": "csv", "path": f"{name}.csv"} if section == "leader"
+           else {"kind": "constant"}}
+    if section == "disturbance":
+        doc["disturbance"] = {"kind": "csv", "path": f"{name}.csv"}
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    config = "doc.json" if section != "config" else f"{name}.json"
+    # the config's name is in the script as an escape: argv bytes that the
+    # encoding cannot decode become surrogates, which open() takes
+    script = ("import sys; from safefilter.cli import main; "
+              f"sys.exit(main(['simulate', '--config', {config!a}, '--out', 'out']))")
+    package_root = str(Path(safefilter.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                        os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, timeout=120)
+    where = "cannot read config" if section == "config" else f"$.{section}"
+    shown_name = f"st\\xf6rung.{'json' if section == 'config' else 'csv'}"
+    assert (run.returncode, run.stderr.decode("ascii")) == (
+        2, f"safefilter: config error: {where}: cannot open '{shown_name}': "
+           "the file-system encoding 'ascii' cannot represent its name\n")
 
 
 def test_an_unknown_override_is_a_type_error_at_the_overrides_path():

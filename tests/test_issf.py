@@ -19,7 +19,7 @@ from safefilter import (
     solve_h_star,
 )
 from safefilter.cbf import CbfFilter, filter_function
-from safefilter.issf import IssfFilter
+from safefilter.issf import IssfFilter, solve_h_star_cells
 
 from helpers import (
     bisect_h_star,
@@ -190,6 +190,73 @@ def test_h_star_closed_form_matches_bisection_and_lambertw(alpha_c, eps0, lam, d
     z = lam * c
     if sys.float_info.min <= z < math.inf:  # scipy takes z itself, at full precision
         assert value == pytest.approx(-lambertw(z).real / lam, rel=1e-14, abs=0.0)
+
+
+def _scalar_h_star(alpha, eps0, lam, delta):
+    """solve_h_star of one cell, or None where it or EpsilonFunction raises."""
+    try:
+        return solve_h_star(alpha, EpsilonFunction(eps0, lam), delta)
+    except ValueError:
+        return None
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+# z = lam c = eps0 at alpha_c = 0.25, delta = 1, lam = 1: eps0 / 4 / 0.25 is exact
+_Z_AT_E = [math.nextafter(math.e, 0.0), math.e, math.nextafter(math.e, math.inf)]
+_EXTREMES = [(eps0, lam) for eps0 in (5e-324, 1e-300, 1e300, 1.7e308)
+             for lam in (0.0, -0.0, 5e-324, 1e300)]
+
+
+@given(alpha_c=st.floats(0.0, exclude_min=True, allow_infinity=True),
+       delta=st.floats(0.0, allow_infinity=True) | st.sampled_from([0.0, 5e-324, 1e150]),
+       cells=st.lists(st.tuples(_ANY_FLOAT | _log_uniform(-320.0, 308.0),
+                                _ANY_FLOAT | st.just(0.0) | _log_uniform(-320.0, 308.0)),
+                      min_size=1, max_size=40))
+@settings(max_examples=300)
+@example(alpha_c=0.1, delta=0.0, cells=_EXTREMES)
+@example(alpha_c=0.1, delta=5e-324, cells=_EXTREMES)
+@example(alpha_c=0.1, delta=1e150, cells=_EXTREMES)         # c and z overflow
+@example(alpha_c=0.25, delta=1.0, cells=[(z, 1.0) for z in _Z_AT_E])  # z around e
+@example(alpha_c=0.25, delta=1.0, cells=[(1e300, 1e300)])   # z = inf, finite ln z
+@example(alpha_c=0.25, delta=1.0, cells=[(math.inf, 1.0)])  # ln z = inf: h* = -inf
+@example(alpha_c=1.0, delta=math.inf, cells=[(1.0, 1.0), (1.0, 0.0)])
+@example(alpha_c=1.0, delta=1e150, cells=[(1e300, 5e-324)])  # ln(lam / 4) = ln 0 raises
+@example(alpha_c=1e300, delta=1e10, cells=[(1e300, 1e-300)])  # ln ln z of ln z < 0 raises
+@example(alpha_c=1.0, delta=1.0, cells=[(math.nan, 1.0), (1.0, math.nan), (0.0, 1.0),
+                                        (1.0, -1.0), (1.0, math.inf), (-math.inf, 0.0)])
+def test_h_star_cells_equal_the_scalar_solve_bit_for_bit(alpha_c, delta, cells):
+    # every cell's h* has the scalar's bits, the sign of a zero and a nan's
+    # included, and a cell is rejected exactly where the scalar path raises
+    _assert_cells_match_the_scalar(alpha_c, delta, cells)
+
+
+@given(alpha_c=_log_uniform(-2.0, 1.0), delta=_log_uniform(-2.0, 2.0),
+       cells=st.lists(st.tuples(_log_uniform(-3.0, 2.0), st.floats(0.0, 50.0)),
+                      min_size=1, max_size=40))
+@settings(max_examples=300)
+def test_h_star_cells_equal_the_scalar_solve_on_design_scales(alpha_c, delta, cells):
+    # z = lam c of every size a design meets, where exp and log take
+    # arguments at which numpy's own functions and libm's differ
+    _assert_cells_match_the_scalar(alpha_c, delta, cells)
+
+
+def _assert_cells_match_the_scalar(alpha_c, delta, cells):
+    alpha = linear_class_kappa(alpha_c)
+    eps0, lam = (np.array(axis, np.float64) for axis in zip(*cells))
+    h, rejected = solve_h_star_cells(alpha, eps0, lam, delta)
+    for k, (e, l) in enumerate(cells):
+        want = _scalar_h_star(alpha, e, l, delta)
+        if want is None:
+            assert rejected[k] and math.isnan(h[k]), (e, l)
+        else:
+            assert not rejected[k], (e, l)
+            assert np.float64(want).view(np.uint64) == h[k].view(np.uint64), (e, l, want, h[k])
+
+
+def test_h_star_cells_reject_a_delta_as_the_scalar_solve_does():
+    for delta in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="delta must be nonnegative"):
+            solve_h_star_cells(ALPHA_T, np.array([0.5]), np.array([0.4]), delta)
 
 
 def test_h_star_monotone_in_delta_and_eps0():
