@@ -40,7 +40,9 @@ from .disturbance import (
     DisturbanceSignal,
     disturbance_from_csv,
     heaviside_pulse,
+    open_file,
     open_utf8,
+    unrepresentable_name,
     zero_disturbance,
 )
 from .issf import EpsilonFunction, check_delta, solve_h_star, solve_h_star_cells
@@ -50,7 +52,6 @@ from .sim import (
     SignalTooShortError,
     SimulationError,
     SteadyStateWindowError,
-    _Canvas,
     check_timing,
     constant_speed_profile,
     hard_brake_profile,
@@ -62,6 +63,7 @@ from .sim import (
     write_csv_table,
     write_failed_log,
     write_margin_csv,
+    write_sweep_csv,
 )
 from .verification import (
     certify_pendulum,
@@ -362,6 +364,9 @@ def parse_config(doc: dict, path: str = "$") -> Config:
     for name in ("theta_range", "d_range", "vl_range"):  # shown as the document's lists
         check_range(list(getattr(cfg.certify, name)), f"{path}.certify.{name}", ConfigError)
     check_grid(cfg.certify.grid, f"{path}.certify.grid", ConfigError)
+    if cfg.sweep is not None:  # checked before a sweep allocates its first block
+        check_grid((len(cfg.sweep.eps0_grid), len(cfg.sweep.lambda_grid)), f"{path}.sweep",
+                   ConfigError)
     return cfg
 
 
@@ -538,8 +543,8 @@ def cmd_certify(cfg: Config, out_dir: Path) -> int:
                 p, d_range=spec.d_range, vl_range=spec.vl_range, grid=spec.grid,
                 a_l_bounds=spec.a_l_bounds, sink=functools.partial(write_margin_csv, margins))
     path = out_dir / f"{cfg.name}_certify.json"
-    with _writing(path):
-        path.write_text(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
+    with _writing(path), open_file(path, "w") as handle:
+        handle.write(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
     status = "passed" if report.passed else "FAILED"
     where = " on grid" if cfg.plant == "truck" else ""  # the pendulum margin is exact
     print(f"certify {cfg.name}: {status}{where}, min margin {report.min_margin:.9g} "
@@ -562,14 +567,8 @@ def cmd_hstar(cfg: Config, out_dir: Path) -> int:
     return 0
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as one CSV field: in double quotes, each quote doubled (RFC
-    4180), when it holds a comma, a quote or a line break."""
-    return '"%s"' % text.replace('"', '""') if re.search(r'[,"\r\n]', text) else text
-
-
-# Grid cells per block of a sweep: the kernel's arrays and the canvas hold one
-# block, whatever the grid's size.
+# Grid cells per block of a sweep: the kernel's arrays and the writer's canvas
+# hold one block, whatever the grid's size.
 _SWEEP_CELLS = 4096
 
 
@@ -585,32 +584,30 @@ def cmd_sweep(cfg: Config, out_dir: Path) -> int:
     eps0_axis = np.array(cfg.sweep.eps0_grid, np.float64)
     lam_axis = np.array(cfg.sweep.lambda_grid, np.float64)
     n_rows = len(eps0_axis) * len(lam_axis)
-    canvas = _Canvas(min(_SWEEP_CELLS, n_rows), 3)
     failures = 0
-    with _writing(out_path), open(out_path, "wb") as handle:
-        handle.write(b"eps0,lambda,h_star,status\n")
+
+    def blocks():
+        nonlocal failures
         for start in range(0, n_rows, _SWEEP_CELLS):
             # a block of cells (eps0, lambda, h*), row-major over the grid
             i, j = np.divmod(np.arange(start, min(start + _SWEEP_CELLS, n_rows)), len(lam_axis))
             cells = np.empty((len(i), 3))
             cells[:, 0], cells[:, 1] = eps0_axis[i], lam_axis[j]
             cells[:, 2], rejected = solve_h_star_cells(alpha, cells[:, 0], cells[:, 1], delta)
-            done = 0
-            for row in np.flatnonzero(rejected).tolist() + [len(cells)]:
-                if row > done:
-                    handle.write(canvas.text(cells[done:row]).replace(b"\n", b",ok\n"))
-                if row == len(cells):
-                    break
+            statuses = {}
+            for row in np.flatnonzero(rejected).tolist():
                 # a rejected cell takes the scalar path, whose error is its status
                 eps0, lam = cells[row, :2].tolist()
                 try:
-                    h_star = solve_h_star(alpha, EpsilonFunction(eps0, lam), delta)
-                    handle.write(b"%.9g,%.9g,%.9g,ok\n" % (eps0, lam, h_star))
+                    cells[row, 2] = solve_h_star(alpha, EpsilonFunction(eps0, lam), delta)
                 except ValueError as err:
-                    failures += 1
-                    handle.write(b"%.9g,%.9g,nan,%s\n"
-                                 % (eps0, lam, _csv_field(f"error: {err}").encode()))
-                done = row + 1
+                    cells[row, 2] = np.nan
+                    statuses[row] = f"error: {err}"
+            failures += len(statuses)
+            yield cells, statuses
+
+    with _writing(out_path):
+        write_sweep_csv(out_path, blocks())
     print(f"sweep {cfg.name}: {n_rows} rows -> {out_path}"
           + (f" ({failures} rows rejected)" if failures else ""))
     return 0
@@ -648,7 +645,7 @@ def cmd_simulate(cfg: Config, out_dir: Path) -> int:
         del result  # one log alive at a time: the summary keeps its numbers
 
     summary_path = out_dir / f"{cfg.name}_summary.csv"
-    with _writing(summary_path), open(summary_path, "w", newline="") as handle:
+    with _writing(summary_path), open_file(summary_path, "w", newline="") as handle:
         handle.write("scenario,controller,h_min,h_star,steady_state_shift,clamp_events\n")
         for row, line in summary:
             handle.write(row)
@@ -733,7 +730,10 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         out_dir = Path(cfg.out_dir)
         with _at("$.out_dir" if args.out is None else "--out"):
-            out_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except UnicodeEncodeError as err:
+                raise unrepresentable_name(out_dir, "create") from err
         command = {"certify": cmd_certify, "hstar": cmd_hstar, "simulate": cmd_simulate,
                    "sweep": cmd_sweep}[args.command]
         return command(cfg, out_dir)

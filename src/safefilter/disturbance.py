@@ -24,9 +24,11 @@ __all__ = [
     "estimate_sup_norm",
     "heaviside_pulse",
     "lag_residual",
+    "open_file",
     "open_utf8",
     "read_csv_samples",
     "sampled_disturbance",
+    "unrepresentable_name",
     "zero_disturbance",
 ]
 
@@ -116,17 +118,28 @@ def sampled_disturbance(t, d) -> DisturbanceSignal:
     return _recorded(t, d, lambda taus: d[np.searchsorted(t, taus, side="right") - 1])
 
 
-def open_utf8(path, newline=None):
-    """``path`` opened to read as UTF-8 with or without a byte order mark.  A
-    name that the file-system encoding cannot represent, a non-ASCII name
-    under an ASCII locale, is the OSError "cannot open '<path>': the
-    file-system encoding '<encoding>' cannot represent its name", not the
-    codec's own message."""
+def unrepresentable_name(path, action: str) -> OSError:
+    """The OSError "cannot <action> '<path>': the file-system encoding
+    '<encoding>' cannot represent its name", for the UnicodeEncodeError of a
+    name that the encoding cannot represent, a non-ASCII name under an ASCII
+    locale, in place of the codec's own message."""
+    return OSError(f"cannot {action} '{path}': the file-system encoding "
+                   f"'{sys.getfilesystemencoding()}' cannot represent its name")
+
+
+def open_file(path, mode: str = "r", **kwargs):
+    """``open(path, mode, **kwargs)``, with a name that the file-system
+    encoding cannot represent as ``unrepresentable_name(path, "open")``."""
     try:
-        return open(path, encoding="utf-8-sig", newline=newline)
+        return open(path, mode, **kwargs)
     except UnicodeEncodeError as err:
-        raise OSError(f"cannot open '{path}': the file-system encoding "
-                      f"'{sys.getfilesystemencoding()}' cannot represent its name") from err
+        raise unrepresentable_name(path, "open") from err
+
+
+def open_utf8(path, newline=None):
+    """``path`` opened to read as UTF-8 with or without a byte order mark,
+    through ``open_file``."""
+    return open_file(path, encoding="utf-8-sig", newline=newline)
 
 
 def read_csv_samples(path, column: str) -> tuple[np.ndarray, np.ndarray]:

@@ -31,19 +31,21 @@ memoryviews of them and of the table's columns, whose items are Python
 floats, so no float is copied through a list; the log's d column is the
 block's samples at t_k, copied array to array.
 
-This module turns arrays into CSV bytes; callers hand it arrays.  Each
-table's text is laid out in one ``_Canvas``, a bytearray of rows, each a
-NUL-padded prefix then cells of a 16-byte slot and a separator.  numpy
-formats a block's cells at once into their slots as ``%.9g`` text, and
-CPython's ``b"%.9g" % x`` the few whose digits it cannot certify: those
-near a rounding tie, and the nonzero ones outside about 2e-99 to 1e98 in
-magnitude, nan and inf included; their text goes into the slot too.  The
-canvas less its NULs is the block's text, and the bytes equal a per-cell
-loop's.  ``write_csv_table`` writes a table, a run's log as it is, a block
-of rows at a time, ``write_failed_log`` a failed run's partial log and its
-closing (t, nan, ...) row, and ``write_margin_csv`` the certify margin
-table, a grid cell a canvas row behind its D, v_L and v texts as the row's
-prefix.
+This module turns arrays into CSV bytes; callers hand it arrays.  A block's
+text is made in two steps.  ``_csv_cells`` formats: numpy turns a 2-d block of
+cells at once into ``%.9g`` text, a 16-byte NUL-padded slot per cell, shaped
+like the block, and CPython's ``b"%.9g" % x`` fills the slots of the few whose
+digits numpy cannot certify: those near a rounding tie, and the nonzero ones
+outside about 2e-99 to 1e98 in magnitude, nan and inf included.  A
+``_Canvas`` lays out: a bytearray of rows, each a NUL-padded prefix then cells
+of a slot and a separator, takes the slots behind their prefixes, and the
+canvas less its NULs is the block's text; the bytes equal a per-cell loop's.
+``write_csv_table`` writes a table, a run's log as it is, a block of rows at a
+time, ``write_failed_log`` a failed run's partial log and its closing (t,
+nan, ...) row, ``write_sweep_csv`` the h* sweep table with a status per row,
+and ``write_margin_csv`` the certify margin table, a grid cell a canvas row
+behind its D, v_L and v texts as the row's prefix, formatted in chunks of up
+to 8,192 cells and laid out in pieces of up to 4,096.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -61,6 +64,7 @@ from .core import SimulationError, linear_class_kappa, state_vector
 from .disturbance import (
     DisturbanceSignal,
     lag_residual,
+    open_file,
     read_csv_samples,
     sampled_disturbance,
     zero_disturbance,
@@ -94,6 +98,7 @@ __all__ = [
     "write_csv_table",
     "write_failed_log",
     "write_margin_csv",
+    "write_sweep_csv",
 ]
 
 # Most RK4 steps one run may take: the cap bounds a run's log.
@@ -379,8 +384,8 @@ def write_failed_log(path, err: SimulationError) -> None:
     then the row (err.t, nan, ...) at the time of its last good row."""
     err.partial.to_csv(path)
     row = [err.t] + [math.nan] * (err.partial.log.shape[1] - 1)
-    with open(path, "ab") as handle:
-        handle.write(_Canvas(1, len(row)).text(np.array([row])))
+    with open_file(path, "ab") as handle:
+        handle.write(_Canvas(1, len(row)).text(_csv_cells(np.array([row]))))
 
 
 def write_csv_table(path, header: str, table) -> None:
@@ -388,23 +393,60 @@ def write_csv_table(path, header: str, table) -> None:
     nested list, as CSV, 9 significant digits.
 
     Each block of ``_BLOCK_ROWS`` rows is formatted straight from the table,
-    so no copy of the whole table is made, through one ``_Canvas`` kept for
-    the file, and written to a binary file.  Every cell's bytes are
+    so no copy of the whole table is made, laid out in one ``_Canvas`` kept
+    for the file, and written to a binary file.  Every cell's bytes are
     ``b"%.9g" % x``, CPython's correctly rounded formatter (the one
     ``"%.9g" % x`` and ``f"{x:.9g}"`` use), so the file matches a per-cell
     loop, ``nan``, ``inf`` and ``-0`` included.
     """
     table = np.asarray(table, np.float64)
     canvas = _Canvas(min(_BLOCK_ROWS, len(table)), table.shape[1])
-    with open(path, "wb") as handle:
+    with open_file(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
         for start in range(0, len(table), _BLOCK_ROWS):
-            handle.write(canvas.text(table[start:start + _BLOCK_ROWS]))
+            handle.write(canvas.text(_csv_cells(table[start:start + _BLOCK_ROWS])))
 
 
-# Grid cells per piece of write_margin_csv: a piece is whole grid rows of at
-# most this many cells, or this many columns of one row.
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: in double quotes, each quote doubled (RFC
+    4180), when it holds a comma, a quote or a line break."""
+    return '"%s"' % text.replace('"', '""') if re.search(r'[,"\r\n]', text) else text
+
+
+def write_sweep_csv(path, blocks) -> None:
+    """The h* sweep table "eps0,lambda,h_star,status", in write_csv_table's
+    bytes and a status per row.  ``blocks`` yields (cells, statuses): a
+    (rows, 3) float block of (eps0, lambda, h*) rows, none longer than the
+    first block's, and a dict of the status texts of its rows, by row, for
+    the rows whose status is not "ok"; a status goes out as one CSV field."""
+    canvas = None
+    with open_file(path, "wb") as handle:
+        handle.write(b"eps0,lambda,h_star,status\n")
+        for cells, statuses in blocks:
+            canvas = canvas or _Canvas(len(cells), 3)
+            text = canvas.text(_csv_cells(cells)).replace(b"\n", b",ok\n")
+            if statuses:
+                lines = text.splitlines(keepends=True)
+                for row, status in statuses.items():
+                    lines[row] = lines[row][:-3] + _csv_field(status).encode() + b"\n"
+                text = b"".join(lines)
+            handle.write(text)
+
+
+# Grid cells per piece of write_margin_csv's layout: a piece is whole grid
+# rows of at most this many cells, or this many columns of one row.
 _MARGIN_PIECE_CELLS = 4096
+# Grid cells per formatter pass of write_margin_csv, whole pieces of rows or
+# this many columns of one row: twice a piece halves numpy's calls per cell,
+# and one pass's arrays stay small beside the scan's block.
+_MARGIN_CHUNK_CELLS = 2 * _MARGIN_PIECE_CELLS
+
+
+def _tiles(block: np.ndarray, rows: int, cols: int):
+    """(r, j, block[r:r + rows, j:j + cols]) over a 2-d ``block``, row-major."""
+    for r in range(0, len(block), rows):
+        for j in range(0, block.shape[1], cols):
+            yield r, j, block[r:r + rows, j:j + cols]
 
 
 def write_margin_csv(path, d_axis, vl_axis, v_axis, blocks) -> None:
@@ -414,39 +456,42 @@ def write_margin_csv(path, d_axis, vl_axis, v_axis, blocks) -> None:
     partway, a block's overflow among them, leaves no file.
 
     Each "v_L,v," tail is formatted once, each "D," lead once per block, both with
-    b"%.9g", and each piece of at most ``_MARGIN_PIECE_CELLS`` cells, whole grid
-    rows or that many columns of one row, goes through a ``_Canvas`` of one-cell
-    rows whose prefix is the lead and the tail.  The canvas is made anew when a
-    block's leads change width, and a chunk of tails is copied in when the
-    piece's columns change: once per canvas for a grid of rows up to a piece
-    wide."""
+    b"%.9g".  The margins are formatted in chunks of at most ``_MARGIN_CHUNK_CELLS``
+    cells, whole pieces of grid rows or that many columns of one row, and each piece
+    of at most ``_MARGIN_PIECE_CELLS`` cells, whole grid rows or that many columns of
+    one row, is laid out in a ``_Canvas`` of one-cell rows whose prefix is the lead and
+    the tail.  The canvas is made anew when a block's leads change width, and the
+    tails of a piece's columns are copied in when they change: once per canvas for a
+    grid of rows up to a piece wide."""
     step, ny = _MARGIN_PIECE_CELLS, len(vl_axis)
-    # each chunk's tails as wide as its longest text
+    # each piece's tails as wide as its longest text
     tails = [np.array([b"%.9g,%.9g," % pair for pair in zip(vl_axis[j:j + step].tolist(),
                                                             v_axis[j:j + step].tolist())])
              for j in range(0, ny, step)]
     width = max(tail.itemsize for tail in tails)
     rows, cols, lead = max(1, step // ny), min(ny, step), None
-    with open(path, "wb") as handle:
+    chunk_rows = rows * max(1, _MARGIN_CHUNK_CELLS // (rows * ny))
+    chunk_cols = min(ny, _MARGIN_CHUNK_CELLS)
+    with open_file(path, "wb") as handle:
         try:
             handle.write(b"D,v_L,v,margin\n")
             for i, block in blocks:
                 leads = np.array([b"%.9g," % d for d in d_axis[i:i + len(block)].tolist()])
                 if leads.itemsize != lead:
-                    lead, chunk = leads.itemsize, None
+                    lead, shown = leads.itemsize, None
                     canvas = _Canvas(rows * cols, 1, lead + width)
                     prefix = canvas.prefix.reshape(rows, cols, -1)
                     lead_text = prefix[:, :, :lead].view(f"V{lead}")
                     tail_text = prefix[:, :, lead:]
                 leads = leads.view(f"V{lead}")[:, None, None]
-                for r in range(0, len(block), rows):
-                    for j in range(0, ny, step):
-                        if j != chunk:
-                            tail, chunk = tails[j // step], j
+                for r0, j0, chunk in _tiles(block, chunk_rows, chunk_cols):
+                    for r, j, piece in _tiles(_csv_cells(chunk), rows, cols):
+                        r, j = r0 + r, j0 + j
+                        if j != shown:
+                            tail, shown = tails[j // step], j
                             n, w = len(tail), tail.itemsize
                             tail_text[:, :n, :w] = tail.view(np.uint8).reshape(n, w)
                             tail_text[:, :n, w:] = 0
-                        piece = block[r:r + rows, j:j + step]
                         lead_text[:len(piece), :piece.shape[1]] = leads[r:r + rows]
                         handle.write(canvas.text(piece.reshape(-1, 1)))
         except BaseException:
@@ -456,13 +501,13 @@ def write_margin_csv(path, d_axis, vl_axis, v_axis, blocks) -> None:
 
 
 class _Canvas:
-    """The CSV text of a block of float64 rows, laid out in one bytearray kept
-    across blocks.  Each of its ``rows`` rows is a NUL-padded prefix of
-    ``width`` bytes, which the caller writes through ``prefix``, then ``cols``
-    cells: a 16-byte slot and its separator, "," or, after the last cell,
-    "\\n", written once here.  ``text`` writes a block's slots, a fallback
-    cell's b"%.9g" text, at most 16 bytes, into its slot, and returns the
-    block's rows less their NULs."""
+    """The layout of a block's CSV text, in one bytearray kept across blocks.
+    Each of its ``rows`` rows is a NUL-padded prefix of ``width`` bytes,
+    which the caller writes through ``prefix``, then ``cols`` cells: a
+    16-byte slot and its separator, "," or, after the last cell, "\\n",
+    written once here.  ``text`` copies a block's finished ``_csv_cells``
+    slots in behind the prefixes and returns the block's rows less their
+    NULs."""
 
     def __init__(self, rows: int, cols: int, width: int = 0):
         self.buffer = bytearray(rows * (width + 17 * cols))
@@ -470,21 +515,15 @@ class _Canvas:
         cells = lines[:, width:].reshape(rows, cols, 17)
         cells[:, :, 16] = ord(",")
         cells[:, -1, 16] = ord("\n")
-        self.prefix, self.width, self.stride = lines[:, :width], width, lines.shape[1]
-        self.slots = cells[:, :, :16].view("V16")  # whole slots, each copied at once
+        self.prefix, self.stride = lines[:, :width], lines.shape[1]
+        self.slots = cells[:, :, :16].view("V16")[:, :, 0]  # whole slots, each copied at once
 
-    def text(self, x: np.ndarray) -> bytearray:
-        """The rows of ``x`` (rows, cols) behind their prefixes, each cell
-        ``b"%.9g" % x``; at most the canvas's rows, all of its columns."""
-        rows, cols = x.shape
-        x = x.ravel()
-        zero = x == 0
-        e, n, fall = _csv_round(x)
-        self.slots[:rows] = _csv_slots(x, zero, e, n).view("V16").reshape(rows, cols, 1)
-        fallback = np.flatnonzero(fall & ~zero)
-        for k, value in zip(fallback.tolist(), x[fallback].tolist()):
-            at = k // cols * self.stride + self.width + k % cols * 17
-            self.buffer[at:at + 16] = (b"%.9g" % value).ljust(16, b"\0")
+    def text(self, cells: np.ndarray) -> bytearray:
+        """The rows of ``cells``, a (rows, cols) block of ``_csv_cells``
+        slots, behind their prefixes; at most the canvas's rows, all of its
+        columns."""
+        rows = len(cells)
+        self.slots[:rows] = cells
         size = rows * self.stride
         text = self.buffer if size == len(self.buffer) else self.buffer[:size]
         return text.translate(None, b"\0")
@@ -663,6 +702,20 @@ def _csv_slots(x: np.ndarray, zero: np.ndarray, e: np.ndarray, n: np.ndarray) ->
     slots = np.empty((x.size, 2), "<u8")  # little-endian whatever the machine
     slots[:, 0], slots[:, 1] = lo, hi
     return slots
+
+
+def _csv_cells(x: np.ndarray) -> np.ndarray:
+    """The ``b"%.9g" % x`` text of each cell of a 2-d float64 block, NUL-padded
+    in a 16-byte slot, as a "V16" array shaped like the block: numpy's text,
+    or CPython's for each cell that numpy cannot certify."""
+    flat = x.ravel()
+    zero = flat == 0
+    e, n, fall = _csv_round(flat)
+    slots = _csv_slots(flat, zero, e, n)
+    fallback = np.flatnonzero(fall & ~zero)
+    if fallback.size:
+        slots.view("S16")[fallback, 0] = [b"%.9g" % value for value in flat[fallback].tolist()]
+    return slots.view("V16").reshape(x.shape)
 
 
 def step_count(horizon: float, dt: float) -> int:

@@ -34,8 +34,8 @@ __all__ = [
     "truck_margin_table",
 ]
 
-# Most cells one scan may evaluate: grid[0] * grid[1] truck grid points.  The
-# cap bounds a scan's time and the CSV's size.
+# Most cells one scan or h* sweep may evaluate: grid[0] * grid[1] grid points.
+# The cap bounds a scan's or a sweep's time and its CSV's size.
 MAX_GRID_CELLS = 4_000_000
 
 # Cells of the truck margin grid that one in-place pass of the scan fills and
@@ -59,10 +59,10 @@ def check_range(bounds, name: str, error: type = ValueError) -> tuple[float, flo
 
 
 def check_grid(grid, name: str = "grid", error: type = ValueError) -> None:
-    """The cell cap of a certify grid, checked before a scan allocates
-    anything: at most ``MAX_GRID_CELLS`` cells.  A violation is an ``error``
-    that calls the grid ``name``; an axis below 1 point is left to the
-    scan's own check."""
+    """The cell cap of a certify or sweep grid, checked before a scan or a
+    sweep allocates anything: at most ``MAX_GRID_CELLS`` cells.  A violation
+    is an ``error`` that calls the grid ``name``; an axis below 1 point is
+    left to the scan's own check."""
     if min(grid) > 0 and grid[0] * grid[1] > MAX_GRID_CELLS:
         raise error(f"{name} must have at most MAX_GRID_CELLS = {MAX_GRID_CELLS} cells, "
                     f"got {shown(grid[0] * grid[1])}")

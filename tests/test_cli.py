@@ -370,8 +370,9 @@ def _certify_peak(tmp_path, grid) -> int:
 
 def test_certify_holds_one_block_not_the_grid(tmp_path):
     # the design workload's 500 x 500 grid is 2 MB, a block of 65 rows 254 KB:
-    # the whole certify, its one scan and the margin CSV's canvas of 4,096
-    # cells, peaks near 1.08 MB
+    # the whole certify, its one scan, the margin CSV's format chunk of 8,192
+    # cells and its canvas of 4,096, peaks near 1.06 MB, or 1.30 MB when the
+    # call also builds the command-line parser
     assert _certify_peak(tmp_path, [500, 500]) < 1_500_000
 
 
@@ -909,6 +910,32 @@ def test_certify_beyond_max_grid_cells_exits_2_without_allocating(
     # the design workload's 500 x 500 truck grid fits well inside the cap
     assert 16 * 500 * 500 <= MAX_GRID_CELLS
     parse_config({"plant": plant, "certify": {"grid": [2000, 2000]}})
+
+
+def test_sweep_beyond_max_grid_cells_exits_2_without_allocating(tmp_path, capsys):
+    # a 2,001 x 2,000 grid, 4,002,000 cells: rejected in parse_config, before
+    # the first block of the kernel and the writer's canvas (a 64 x 64 sweep,
+    # one block, peaks near 1.03 MB), and no CSV is opened; the document's
+    # 4,001 floats and the parser peak near 0.42 MB
+    config_path = tmp_path / "big.json"
+    config_path.write_text(json.dumps({
+        "name": "big", "plant": "truck", "issf": {"eps0": 0.5, "lam": 0.4, "delta": 4.5},
+        "sweep": {"eps0_grid": [0.5] * 2001, "lambda_grid": [0.4] * 2000}}))
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--config", str(config_path), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "safefilter: config error: $.sweep must have at most MAX_GRID_CELLS = "
+        f"{MAX_GRID_CELLS} cells, got 4002000\n")
+    assert peak < 1 << 19
+    assert not (tmp_path / "big.csv").exists()
+    # a grid of exactly the cap is accepted
+    parse_config({"plant": "truck", "sweep": {"eps0_grid": [0.5] * 2000,
+                                              "lambda_grid": [0.4] * 2000}})
 
 
 def test_overflowing_run_exits_3_with_partial_log(tmp_path):

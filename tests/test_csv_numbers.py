@@ -1,6 +1,7 @@
 """write_csv_table's and write_margin_csv's numbers are b"%.9g" % x, cell for
-cell: their vector formatter against CPython's per-cell formatting on each kind
-of cell that scripts/check_csv_numbers.py samples, and on the preset logs.  The
+cell: their vector formatter, and each slot of _csv_cells, against CPython's
+per-cell formatting on each kind of cell that scripts/check_csv_numbers.py
+samples, and on the preset logs.  The
 sweep kernel's h* is the scalar solve's on the cells the script samples."""
 
 import importlib.util
@@ -9,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safefilter import sim
 from safefilter.cli import build_scenarios, parse_config, resolve_preset
-from safefilter.sim import _BLOCK_ROWS, _csv_round, run_scenario
+from safefilter.sim import _BLOCK_ROWS, _csv_cells, _csv_round, run_scenario
 
 CHECK = Path(__file__).resolve().parent.parent / "scripts" / "check_csv_numbers.py"
 SIMULATE_PRESETS = ("pendulum-undisturbed", "pendulum-pulse-cbf", "pendulum-pulse-issf-const",
@@ -45,6 +48,23 @@ def test_each_kind_of_cell_matches_per_cell_formatting(seed, kind, columns, tmp_
 @pytest.mark.parametrize("columns", [1, 3, check.MAX_COLUMNS])
 def test_special_values_match_per_cell_formatting(columns, tmp_path):
     _assert_per_cell(check.SPECIAL, tmp_path, columns)
+
+
+@given(kind=st.sampled_from(sorted(check.KINDS)), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(1, 40), cols=st.integers(1, 2 * check.MAX_COLUMNS),
+       strided=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_each_csv_cells_slot_less_its_nuls_is_the_cells_text(kind, seed, rows, cols, strided):
+    # a block of one kind with the special values first, or every other
+    # column of a block twice as wide: the slots come in the block's shape
+    rng = np.random.default_rng(seed)
+    width = 2 * cols if strided else cols
+    values = np.concatenate([check.SPECIAL, check.KINDS[kind](rng, rows * width)])
+    x = values[:rows * width].reshape(rows, width)[:, ::2 if strided else 1]
+    slots = _csv_cells(x)
+    assert (slots.shape, slots.dtype) == (x.shape, np.dtype("V16"))
+    for value, slot in zip(x.ravel().tolist(), slots.ravel().tolist()):
+        assert slot.replace(b"\0", b"") == b"%.9g" % value, value.hex()
 
 
 @pytest.mark.parametrize("seed, kind", enumerate(check.KINDS))

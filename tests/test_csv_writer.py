@@ -13,8 +13,9 @@ from safefilter.cli import main
 from safefilter.core import SimulationError
 from safefilter.plants import (PendulumParams, TruckParams, pendulum_record, truck_headway,
                                truck_record)
-from safefilter.sim import (_BLOCK_ROWS, _MARGIN_PIECE_CELLS, ScenarioResult,
-                            write_csv_table, write_failed_log, write_margin_csv)
+from safefilter.sim import (_BLOCK_ROWS, _MARGIN_CHUNK_CELLS, _MARGIN_PIECE_CELLS,
+                            ScenarioResult, _csv_round, write_csv_table, write_failed_log,
+                            write_margin_csv)
 from safefilter.verification import _SCAN_CELLS, certify_truck_grid, truck_margin_table
 
 from helpers import margin_grid, reference_result_csv, reference_write_csv
@@ -292,19 +293,35 @@ def _per_cell_bytes(d_axis, vl_axis, v_axis, margin) -> bytes:
         for vl, v, m in zip(vl_axis.tolist(), v_axis.tolist(), margins))
 
 
-def _piece_edges(nx, ny, block_rows):
-    """The (row, column) of the first and last cell of each piece the margin
-    writer formats: whole grid rows of at most _MARGIN_PIECE_CELLS cells
-    within each block of ``block_rows`` rows, or that many columns of one row."""
-    step = _MARGIN_PIECE_CELLS
-    rows, edges = max(1, step // ny), set()
+def _tile_edges(nx, ny, block_rows, rows, cols):
+    """The (row, column) of the first and last cell of each tile of at most
+    ``rows`` grid rows and ``cols`` columns within each block of
+    ``block_rows`` rows, row-major."""
+    edges = set()
     for i in range(0, nx, block_rows):
         end = min(i + block_rows, nx)
         for r in range(i, end, rows):
             last = min(r + rows, end) - 1
-            for j in range(0, ny, step):
-                edges |= {(r, j), (last, min(j + step, ny) - 1)}
+            for j in range(0, ny, cols):
+                edges |= {(r, j), (last, min(j + cols, ny) - 1)}
     return sorted(edges)
+
+
+def _piece_edges(nx, ny, block_rows):
+    """The first and last cell of each piece the margin writer lays out:
+    whole grid rows of at most _MARGIN_PIECE_CELLS cells within each block of
+    ``block_rows`` rows, or that many columns of one row."""
+    step = _MARGIN_PIECE_CELLS
+    return _tile_edges(nx, ny, block_rows, max(1, step // ny), step)
+
+
+def _chunk_edges(nx, ny, block_rows):
+    """The first and last cell of each chunk the margin writer formats: as
+    many whole pieces of grid rows as fit in _MARGIN_CHUNK_CELLS cells within
+    each block of ``block_rows`` rows, or that many columns of one row."""
+    rows = max(1, _MARGIN_PIECE_CELLS // ny)
+    rows *= max(1, _MARGIN_CHUNK_CELLS // (rows * ny))
+    return _tile_edges(nx, ny, block_rows, rows, _MARGIN_CHUNK_CELLS)
 
 
 # margins for piece edges: an exact rounding tie and one that carries into the
@@ -350,3 +367,45 @@ def test_margin_csv_meets_a_lead_width_change_between_scan_blocks(d_range, tmp_p
     write_margin_csv(tmp_path / "grid.csv", *truck_margin_table(p, d_range=d_range, grid=grid))
     want = _per_cell_bytes(*margin_grid(truck_margin_table(p, d_range=d_range, grid=grid)))
     assert (tmp_path / "grid.csv").read_bytes() == want
+
+
+# margins the vector path leaves to b"%.9g" % x: exact rounding ties, one that
+# carries into the next exponent, subnormals and 1e+-300
+CHUNK_EDGE_MARGINS = [123456788.5, -123456789.5, 999999999.5, 5e-324, -2.5e-310, 1e300,
+                      -1e300, 1e-300, -1e-300]
+
+
+def _assert_chunk_edges_match_per_cell_rows(grid, block_rows, tmp_path):
+    # synthetic axes, and a fallback margin at the first and last cell of
+    # every chunk, so a formatter pass starts and ends with a cell that
+    # b"%.9g" formats
+    assert _csv_round(np.array(CHUNK_EDGE_MARGINS))[2].all()
+    nx, ny = grid
+    d_axis, vl_axis, v_axis = (_axis(n, seed, False) for n, seed in ((nx, 9), (ny, 10), (ny, 11)))
+    margin = _mixed_table(nx, ny, seed=12)
+    for k, cell in enumerate(_chunk_edges(nx, ny, block_rows)):
+        margin[cell] = CHUNK_EDGE_MARGINS[k % len(CHUNK_EDGE_MARGINS)]
+    blocks = ((i, margin[i:i + block_rows]) for i in range(0, nx, block_rows))
+    write_margin_csv(tmp_path / "grid.csv", d_axis, vl_axis, v_axis, blocks)
+    assert (tmp_path / "grid.csv").read_bytes() == _per_cell_bytes(d_axis, vl_axis, v_axis,
+                                                                   margin)
+
+
+@pytest.mark.parametrize("ny", [_MARGIN_PIECE_CELLS - 1, _MARGIN_PIECE_CELLS,
+                                _MARGIN_PIECE_CELLS + 1, _MARGIN_CHUNK_CELLS - 1,
+                                _MARGIN_CHUNK_CELLS, _MARGIN_CHUNK_CELLS + 1,
+                                3 * _MARGIN_PIECE_CELLS + 1])
+def test_margin_rows_either_side_of_piece_and_chunk_widths_match_per_cell_rows(ny, tmp_path):
+    # a row of one piece, of a piece and a column, of one chunk of two pieces,
+    # of a chunk and a column, and of a chunk and a piece and a column
+    _assert_chunk_edges_match_per_cell_rows((3, ny), 2, tmp_path)
+
+
+@pytest.mark.parametrize("grid", [
+    (131, 500),   # chunks of 16 rows in scan blocks of 65, 65 and 1 rows
+    (70, 3000),   # chunks of two one-row pieces, the last of a block one row
+    (140, 61),    # pieces of 67 rows and chunks of 134, each cut by the blocks
+])
+def test_margin_rows_across_65_row_scan_blocks_match_per_cell_rows(grid, tmp_path):
+    # 65 rows is the scan's block on the 500-wide grid of the design workload
+    _assert_chunk_edges_match_per_cell_rows(grid, 65, tmp_path)

@@ -422,6 +422,17 @@ def test_a_signal_that_ends_at_the_horizon_but_not_at_the_last_logged_time(
         "leader ends at t=2, before the last logged time t=5")
 
 
+def _run_under_the_c_locale(script: str, cwd: Path) -> subprocess.CompletedProcess:
+    """``script`` run by this Python in ``cwd`` under the C locale, whose
+    file-system encoding is ASCII on Linux, with this safefilter importable."""
+    package_root = str(Path(safefilter.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                        os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="the C locale's file-system encoding "
                                                     "is ASCII on Linux")
 @pytest.mark.parametrize("section", ["disturbance", "leader", "config"])
@@ -441,19 +452,43 @@ def test_a_path_the_file_system_encoding_cannot_represent_exits_2_and_says_so(
     config = "doc.json" if section != "config" else f"{name}.json"
     # the config's name is in the script as an escape: argv bytes that the
     # encoding cannot decode become surrogates, which open() takes
-    script = ("import sys; from safefilter.cli import main; "
-              f"sys.exit(main(['simulate', '--config', {config!a}, '--out', 'out']))")
-    package_root = str(Path(safefilter.__file__).resolve().parents[1])
-    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
-               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
-                                                        os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                         capture_output=True, timeout=120)
+    run = _run_under_the_c_locale(
+        "import sys; from safefilter.cli import main; "
+        f"sys.exit(main(['simulate', '--config', {config!a}, '--out', 'out']))", tmp_path)
     where = "cannot read config" if section == "config" else f"$.{section}"
     shown_name = f"st\\xf6rung.{'json' if section == 'config' else 'csv'}"
     assert (run.returncode, run.stderr.decode("ascii")) == (
         2, f"safefilter: config error: {where}: cannot open '{shown_name}': "
            "the file-system encoding 'ascii' cannot represent its name\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the C locale's file-system encoding "
+                                                    "is ASCII on Linux")
+def test_an_output_path_the_file_system_encoding_cannot_represent_says_so(tmp_path):
+    # under an ASCII locale, making a non-ASCII out_dir raised the codec's own
+    # "'ascii' codec can't encode character '\\xf6' ...", and so did opening
+    # a non-ASCII output file in each CSV writer
+    (tmp_path / "doc.json").write_text(json.dumps({"plant": "truck", "out_dir": "\u00f6ut"}))
+    run = _run_under_the_c_locale("import sys; from safefilter.cli import main; "
+                                  "sys.exit(main(['simulate', '--config', 'doc.json']))",
+                                  tmp_path)
+    assert (run.returncode, run.stderr.decode("ascii")) == (
+        2, "safefilter: config error: $.out_dir: cannot create '\\xf6ut': "
+           "the file-system encoding 'ascii' cannot represent its name\n")
+    run = _run_under_the_c_locale(
+        "import numpy as np\n"
+        "from safefilter import sim\n"
+        "for write in (lambda path: sim.write_csv_table(path, 'x', [[1.0]]),\n"
+        "              lambda path: sim.write_sweep_csv(path, [(np.ones((1, 3)), {})]),\n"
+        "              lambda path: sim.write_margin_csv(path, *np.zeros((3, 1)), [])):\n"
+        "    try:\n"
+        "        write('\\xf6ut.csv')\n"
+        "    except OSError as err:\n"
+        "        print(ascii(str(err)))\n", tmp_path)
+    assert run.stdout.decode("ascii").splitlines() == 3 * [
+        "\"cannot open '\\xf6ut.csv': the file-system encoding 'ascii' cannot represent "
+        "its name\""]
+    assert list(tmp_path.iterdir()) == [tmp_path / "doc.json"]
 
 
 def test_an_unknown_override_is_a_type_error_at_the_overrides_path():
