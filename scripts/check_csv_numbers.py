@@ -39,7 +39,7 @@ import numpy as np
 
 from safefilter.core import linear_class_kappa
 from safefilter.issf import EpsilonFunction, solve_h_star, solve_h_star_cells
-from safefilter.sim import _MARGIN_CHUNK_CELLS, write_csv_table, write_margin_csv
+from safefilter.sim import _MARGIN_PIECE_CELLS, write_csv_table, write_margin_csv
 
 MAX_COLUMNS = 12
 # Cells per file written: bounds the memory of a long check.
@@ -154,11 +154,10 @@ def first_margin_mismatch(values: np.ndarray, rng, path: Path):
     ``b"%.9g,%.9g,%.9g,%.9g"`` in the file write_margin_csv writes with
     ``values`` as the margins, row-major, of a grid of seeded axes (the last
     grid row padded with zeros), or None.  The grid's column count, up to
-    three of the writer's format chunks wide (six of its layout pieces), and
-    the scan block's rows, at most half the grid's, are seeded too: rows of
-    several chunks or pieces, chunks and pieces of several rows, and blocks
-    whose leads may differ in width."""
-    ny = int(rng.integers(2, 3 * _MARGIN_CHUNK_CELLS + 1))
+    three of the writer's tiles wide, and the scan block's rows, at most half
+    the grid's, are seeded too: rows of several tiles, tiles of several rows,
+    and blocks whose leads may differ in width."""
+    ny = int(rng.integers(2, 3 * _MARGIN_PIECE_CELLS + 1))
     nx = -(-values.size // ny)
     margin = np.zeros(nx * ny)
     margin[:values.size] = values

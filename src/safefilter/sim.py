@@ -31,21 +31,21 @@ memoryviews of them and of the table's columns, whose items are Python
 floats, so no float is copied through a list; the log's d column is the
 block's samples at t_k, copied array to array.
 
-This module turns arrays into CSV bytes; callers hand it arrays.  A block's
-text is made in two steps.  ``_csv_cells`` formats: numpy turns a 2-d block of
-cells at once into ``%.9g`` text, a 16-byte NUL-padded slot per cell, shaped
-like the block, and CPython's ``b"%.9g" % x`` fills the slots of the few whose
-digits numpy cannot certify: those near a rounding tie, and the nonzero ones
-outside about 2e-99 to 1e98 in magnitude, nan and inf included.  A
-``_Canvas`` lays out: a bytearray of rows, each a NUL-padded prefix then cells
-of a slot and a separator, takes the slots behind their prefixes, and the
-canvas less its NULs is the block's text; the bytes equal a per-cell loop's.
-``write_csv_table`` writes a table, a run's log as it is, a block of rows at a
-time, ``write_failed_log`` a failed run's partial log and its closing (t,
-nan, ...) row, ``write_sweep_csv`` the h* sweep table with a status per row,
-and ``write_margin_csv`` the certify margin table, a grid cell a canvas row
-behind its D, v_L and v texts as the row's prefix, formatted in chunks of up
-to 8,192 cells and laid out in pieces of up to 4,096.
+This module turns arrays into CSV bytes; callers hand it arrays.  A writer
+hands each float64 block to a ``_Canvas``, a bytearray of rows, each a
+NUL-padded prefix then cells of a 16-byte slot and a separator, and the
+canvas formats the block itself.  ``_csv_cells`` turns the block's cells at
+once into ``%.9g`` text, a NUL-padded slot per cell, and CPython's
+``b"%.9g" % x`` fills the slots of the few whose digits numpy cannot certify:
+those near a rounding tie, and the nonzero ones outside about 2e-99 to 1e98
+in magnitude, nan and inf included.  The canvas takes the slots behind their
+prefixes, and the canvas less its NULs is the block's text; the bytes equal a
+per-cell loop's.  ``write_csv_table`` writes a table, a run's log as it is, a
+block of rows at a time, ``write_failed_log`` a failed run's partial log and
+its closing (t, nan, ...) row, ``write_sweep_csv`` the h* sweep table with a
+status per row, and ``write_margin_csv`` the certify margin table, a grid cell
+a canvas row behind its D, v_L and v texts as the row's prefix, formatted and
+laid out in tiles of up to 6,144 cells.
 """
 
 from __future__ import annotations
@@ -385,7 +385,7 @@ def write_failed_log(path, err: SimulationError) -> None:
     err.partial.to_csv(path)
     row = [err.t] + [math.nan] * (err.partial.log.shape[1] - 1)
     with open_file(path, "ab") as handle:
-        handle.write(_Canvas(1, len(row)).text(_csv_cells(np.array([row]))))
+        handle.write(_Canvas(1, len(row)).text(np.array([row])))
 
 
 def write_csv_table(path, header: str, table) -> None:
@@ -404,7 +404,7 @@ def write_csv_table(path, header: str, table) -> None:
     with open_file(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
         for start in range(0, len(table), _BLOCK_ROWS):
-            handle.write(canvas.text(_csv_cells(table[start:start + _BLOCK_ROWS])))
+            handle.write(canvas.text(table[start:start + _BLOCK_ROWS]))
 
 
 def _csv_field(text: str) -> str:
@@ -424,7 +424,7 @@ def write_sweep_csv(path, blocks) -> None:
         handle.write(b"eps0,lambda,h_star,status\n")
         for cells, statuses in blocks:
             canvas = canvas or _Canvas(len(cells), 3)
-            text = canvas.text(_csv_cells(cells)).replace(b"\n", b",ok\n")
+            text = canvas.text(cells).replace(b"\n", b",ok\n")
             if statuses:
                 lines = text.splitlines(keepends=True)
                 for row, status in statuses.items():
@@ -433,20 +433,13 @@ def write_sweep_csv(path, blocks) -> None:
             handle.write(text)
 
 
-# Grid cells per piece of write_margin_csv's layout: a piece is whole grid
-# rows of at most this many cells, or this many columns of one row.
-_MARGIN_PIECE_CELLS = 4096
-# Grid cells per formatter pass of write_margin_csv, whole pieces of rows or
-# this many columns of one row: twice a piece halves numpy's calls per cell,
-# and one pass's arrays stay small beside the scan's block.
-_MARGIN_CHUNK_CELLS = 2 * _MARGIN_PIECE_CELLS
-
-
-def _tiles(block: np.ndarray, rows: int, cols: int):
-    """(r, j, block[r:r + rows, j:j + cols]) over a 2-d ``block``, row-major."""
-    for r in range(0, len(block), rows):
-        for j in range(0, block.shape[1], cols):
-            yield r, j, block[r:r + rows, j:j + cols]
+# Grid cells per tile of write_margin_csv: whole grid rows of at most this
+# many cells, or this many columns of one row, formatted and laid out at once.
+# The tile's canvas, about 47 bytes a cell on a wide grid, stays alive
+# through the scan's next block: this is the largest multiple of 512 that
+# keeps a 2 x 125,000 certify's traced peak under 7.6 MB also when the same
+# call builds the command-line parser, about 80 KB more.
+_MARGIN_PIECE_CELLS = 6144
 
 
 def write_margin_csv(path, d_axis, vl_axis, v_axis, blocks) -> None:
@@ -456,22 +449,18 @@ def write_margin_csv(path, d_axis, vl_axis, v_axis, blocks) -> None:
     partway, a block's overflow among them, leaves no file.
 
     Each "v_L,v," tail is formatted once, each "D," lead once per block, both with
-    b"%.9g".  The margins are formatted in chunks of at most ``_MARGIN_CHUNK_CELLS``
-    cells, whole pieces of grid rows or that many columns of one row, and each piece
-    of at most ``_MARGIN_PIECE_CELLS`` cells, whole grid rows or that many columns of
-    one row, is laid out in a ``_Canvas`` of one-cell rows whose prefix is the lead and
-    the tail.  The canvas is made anew when a block's leads change width, and the
-    tails of a piece's columns are copied in when they change: once per canvas for a
-    grid of rows up to a piece wide."""
+    b"%.9g".  Each tile of a block, whole grid rows of at most ``_MARGIN_PIECE_CELLS``
+    cells or that many columns of one row, is formatted and laid out in one
+    ``_Canvas`` of one-cell rows whose prefix is the lead and the tail.  The canvas is
+    made anew when a block's leads change width, and the tails of a tile's columns are
+    copied in when they change: once per canvas for a grid of rows up to a tile wide."""
     step, ny = _MARGIN_PIECE_CELLS, len(vl_axis)
-    # each piece's tails as wide as its longest text
+    # each tile's tails as wide as its longest text
     tails = [np.array([b"%.9g,%.9g," % pair for pair in zip(vl_axis[j:j + step].tolist(),
                                                             v_axis[j:j + step].tolist())])
              for j in range(0, ny, step)]
     width = max(tail.itemsize for tail in tails)
     rows, cols, lead = max(1, step // ny), min(ny, step), None
-    chunk_rows = rows * max(1, _MARGIN_CHUNK_CELLS // (rows * ny))
-    chunk_cols = min(ny, _MARGIN_CHUNK_CELLS)
     with open_file(path, "wb") as handle:
         try:
             handle.write(b"D,v_L,v,margin\n")
@@ -484,16 +473,16 @@ def write_margin_csv(path, d_axis, vl_axis, v_axis, blocks) -> None:
                     lead_text = prefix[:, :, :lead].view(f"V{lead}")
                     tail_text = prefix[:, :, lead:]
                 leads = leads.view(f"V{lead}")[:, None, None]
-                for r0, j0, chunk in _tiles(block, chunk_rows, chunk_cols):
-                    for r, j, piece in _tiles(_csv_cells(chunk), rows, cols):
-                        r, j = r0 + r, j0 + j
+                for r in range(0, len(block), rows):
+                    for j in range(0, ny, cols):
+                        tile = block[r:r + rows, j:j + cols]
                         if j != shown:
                             tail, shown = tails[j // step], j
                             n, w = len(tail), tail.itemsize
                             tail_text[:, :n, :w] = tail.view(np.uint8).reshape(n, w)
                             tail_text[:, :n, w:] = 0
-                        lead_text[:len(piece), :piece.shape[1]] = leads[r:r + rows]
-                        handle.write(canvas.text(piece.reshape(-1, 1)))
+                        lead_text[:len(tile), :tile.shape[1]] = leads[r:r + rows]
+                        handle.write(canvas.text(tile.reshape(-1, 1)))
         except BaseException:
             handle.close()
             os.remove(path)
@@ -505,9 +494,9 @@ class _Canvas:
     Each of its ``rows`` rows is a NUL-padded prefix of ``width`` bytes,
     which the caller writes through ``prefix``, then ``cols`` cells: a
     16-byte slot and its separator, "," or, after the last cell, "\\n",
-    written once here.  ``text`` copies a block's finished ``_csv_cells``
-    slots in behind the prefixes and returns the block's rows less their
-    NULs."""
+    written once here.  ``text`` formats a float64 block with ``_csv_cells``,
+    copies its slots in behind the prefixes and returns the block's rows less
+    their NULs."""
 
     def __init__(self, rows: int, cols: int, width: int = 0):
         self.buffer = bytearray(rows * (width + 17 * cols))
@@ -518,12 +507,13 @@ class _Canvas:
         self.prefix, self.stride = lines[:, :width], lines.shape[1]
         self.slots = cells[:, :, :16].view("V16")[:, :, 0]  # whole slots, each copied at once
 
-    def text(self, cells: np.ndarray) -> bytearray:
-        """The rows of ``cells``, a (rows, cols) block of ``_csv_cells``
-        slots, behind their prefixes; at most the canvas's rows, all of its
-        columns."""
-        rows = len(cells)
-        self.slots[:rows] = cells
+    def text(self, block: np.ndarray) -> bytearray:
+        """The rows of ``block``, a (rows, cols) float64 array, at 9
+        significant digits behind their prefixes; at most the canvas's rows,
+        all of its columns.  The block's own slots are freed before the NULs
+        are taken out."""
+        rows = len(block)
+        self.slots[:rows] = _csv_cells(block)
         size = rows * self.stride
         text = self.buffer if size == len(self.buffer) else self.buffer[:size]
         return text.translate(None, b"\0")

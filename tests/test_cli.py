@@ -370,20 +370,23 @@ def _certify_peak(tmp_path, grid) -> int:
 
 def test_certify_holds_one_block_not_the_grid(tmp_path):
     # the design workload's 500 x 500 grid is 2 MB, a block of 65 rows 254 KB:
-    # the whole certify, its one scan, the margin CSV's format chunk of 8,192
-    # cells and its canvas of 4,096, peaks near 1.06 MB, or 1.30 MB when the
-    # call also builds the command-line parser
+    # the whole certify, its one scan and the margin CSV's tile of 12 grid
+    # rows peaks near 1.10 MB, or 1.18 MB when the call also builds the
+    # command-line parser, at the canvas's translate: the tile's canvas
+    # (about 54 bytes a cell) and its text both held, its slots already freed
     assert _certify_peak(tmp_path, [500, 500]) < 1_500_000
 
 
 def test_wide_certify_holds_the_csv_tails_and_one_row(tmp_path):
     # on 2 x 125,000 the margin CSV's column tails, an array entry each as
-    # wide as the longest text of its chunk of 4,096 columns (23 to 26 bytes,
-    # 2.89 MB), and the axes set the peak of about 7.41 MB; the scan adds one
-    # row and the column terms of one chunk, not its own rows of rho, v_L - v0
-    # and both a_L rises over all columns.  Tails in 34-byte entries peak at
-    # 8.58 MB, and as one bytes object a column (about 95 bytes each) at
-    # 12.94 MB: both fail.
+    # wide as the longest text of its tile of 6,144 columns (23 to 26 bytes,
+    # 2.89 MB), the axes and the tile's canvas (47 bytes a cell, 0.29 MB) set
+    # the peak of about 7.51 MB, or 7.59 MB when the call also builds the
+    # command-line parser, reached as the scan fills the second row; it adds
+    # one row and the column terms of one chunk, not its own rows of rho,
+    # v_L - v0 and both a_L rises over all columns.  Tails in 34-byte entries
+    # peak at 8.91 MB, and as one bytes object a column (about 95 bytes each)
+    # at 12.72 MB: both fail.
     assert _certify_peak(tmp_path, [2, 125_000]) <= 7_600_000
 
 

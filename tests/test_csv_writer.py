@@ -13,9 +13,8 @@ from safefilter.cli import main
 from safefilter.core import SimulationError
 from safefilter.plants import (PendulumParams, TruckParams, pendulum_record, truck_headway,
                                truck_record)
-from safefilter.sim import (_BLOCK_ROWS, _MARGIN_CHUNK_CELLS, _MARGIN_PIECE_CELLS,
-                            ScenarioResult, _csv_round, write_csv_table, write_failed_log,
-                            write_margin_csv)
+from safefilter.sim import (_BLOCK_ROWS, _MARGIN_PIECE_CELLS, ScenarioResult, _csv_round,
+                            write_csv_table, write_failed_log, write_margin_csv)
 from safefilter.verification import _SCAN_CELLS, certify_truck_grid, truck_margin_table
 
 from helpers import margin_grid, reference_result_csv, reference_write_csv
@@ -209,8 +208,8 @@ def test_margin_grid_matches_rows_built_cell_by_cell(d_range, vl_range, grid, tm
                                      2 * _MARGIN_PIECE_CELLS, 2 * _MARGIN_PIECE_CELLS + 1,
                                      20_000, _SCAN_CELLS + 1])
 def test_wide_margin_grid_matches_rows_built_cell_by_cell(columns, tmp_path):
-    # grid rows of one whole piece, of a piece and one column, of two whole
-    # pieces, of two and one column, of several and a partial last, and
+    # grid rows of one whole tile, of a tile and one column, of two whole
+    # tiles, of two and one column, of several and a partial last, and
     # scanned in two column chunks
     p = TruckParams()
     grid = (2, columns)
@@ -238,15 +237,15 @@ def _axis(n, seed, narrow):
 
 
 @pytest.mark.parametrize("grid, block_rows", [
-    ((9, 500), 3),                           # pieces of whole rows, cut by blocks
+    ((9, 500), 3),                           # tiles of whole rows, cut by blocks
     ((9, 500), 5),
-    ((3, _MARGIN_PIECE_CELLS + 5), 2),     # a row in two pieces
-    ((_MARGIN_PIECE_CELLS + 1, 2), 2000),  # pieces of many two-column rows
+    ((3, _MARGIN_PIECE_CELLS + 5), 2),     # a row in two tiles
+    ((_MARGIN_PIECE_CELLS + 1, 2), 2000),  # tiles of many two-column rows
 ])
 @pytest.mark.parametrize("narrow", [False, True])
-def test_margin_writer_writes_fallback_cells_at_piece_edges(grid, block_rows, narrow, tmp_path):
+def test_margin_writer_writes_fallback_cells_at_tile_edges(grid, block_rows, narrow, tmp_path):
     # synthetic axes and blocks: fallback cells at every grid row's first and
-    # last cell and either side of a column piece's edge, so each piece starts
+    # last cell and either side of a column tile's edge, so each tile starts
     # and ends with one; -0 and mixed magnitudes elsewhere
     nx, ny = grid
     d_axis, vl_axis, v_axis = (_axis(n, seed, narrow) for n, seed in ((nx, 1), (ny, 2), (ny, 3)))
@@ -293,10 +292,12 @@ def _per_cell_bytes(d_axis, vl_axis, v_axis, margin) -> bytes:
         for vl, v, m in zip(vl_axis.tolist(), v_axis.tolist(), margins))
 
 
-def _tile_edges(nx, ny, block_rows, rows, cols):
-    """The (row, column) of the first and last cell of each tile of at most
-    ``rows`` grid rows and ``cols`` columns within each block of
-    ``block_rows`` rows, row-major."""
+def _tile_edges(nx, ny, block_rows):
+    """The (row, column) of the first and last cell of each tile the margin
+    writer formats and lays out, row-major: whole grid rows of at most
+    _MARGIN_PIECE_CELLS cells within each block of ``block_rows`` rows, or
+    that many columns of one row."""
+    rows, cols = max(1, _MARGIN_PIECE_CELLS // ny), _MARGIN_PIECE_CELLS
     edges = set()
     for i in range(0, nx, block_rows):
         end = min(i + block_rows, nx)
@@ -307,51 +308,53 @@ def _tile_edges(nx, ny, block_rows, rows, cols):
     return sorted(edges)
 
 
-def _piece_edges(nx, ny, block_rows):
-    """The first and last cell of each piece the margin writer lays out:
-    whole grid rows of at most _MARGIN_PIECE_CELLS cells within each block of
-    ``block_rows`` rows, or that many columns of one row."""
-    step = _MARGIN_PIECE_CELLS
-    return _tile_edges(nx, ny, block_rows, max(1, step // ny), step)
-
-
-def _chunk_edges(nx, ny, block_rows):
-    """The first and last cell of each chunk the margin writer formats: as
-    many whole pieces of grid rows as fit in _MARGIN_CHUNK_CELLS cells within
-    each block of ``block_rows`` rows, or that many columns of one row."""
-    rows = max(1, _MARGIN_PIECE_CELLS // ny)
-    rows *= max(1, _MARGIN_CHUNK_CELLS // (rows * ny))
-    return _tile_edges(nx, ny, block_rows, rows, _MARGIN_CHUNK_CELLS)
-
-
-# margins for piece edges: an exact rounding tie and one that carries into the
+# margins for tile edges: an exact rounding tie and one that carries into the
 # next exponent, both zeros, a subnormal, the largest float, the two 16-byte
 # texts of a negative nine-digit value with a three-digit exponent, nan and -inf
 EDGE_MARGINS = [123456789.5, 999999999.5, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
                 -1.23456789e+100, -1.23456789e-100, math.nan, -math.inf]
-
-
-@pytest.mark.parametrize("grid, block_rows", [
-    ((9, 500), 3),                                 # a piece a block
-    ((70, 500), 65),                               # partial pieces, a partial last block
-    ((2, _MARGIN_PIECE_CELLS), 1),               # one whole piece a row
-    ((3, 2 * _MARGIN_PIECE_CELLS + 5), 2),       # a row in three pieces, the last partial
-    ((5, 3 * _MARGIN_PIECE_CELLS - 1), 5),
-    ((_MARGIN_PIECE_CELLS + 1, 2), 1000),        # pieces of many two-column rows
+# margins the vector path leaves to b"%.9g" % x: exact rounding ties, one that
+# carries into the next exponent, subnormals and 1e+-300
+CHUNK_EDGE_MARGINS = [123456788.5, -123456789.5, 999999999.5, 5e-324, -2.5e-310, 1e300,
+                      -1e300, 1e-300, -1e-300]
+# each kind of edge margins with the seed of its synthetic axes and margins
+EDGE_KINDS = pytest.mark.parametrize("margins, seed", [
+    pytest.param(EDGE_MARGINS, 5, id="EDGE_MARGINS"),
+    pytest.param(CHUNK_EDGE_MARGINS, 9, id="CHUNK_EDGE_MARGINS"),
 ])
-def test_margin_writer_formats_fallback_cells_at_each_piece_edge(grid, block_rows, tmp_path):
-    # synthetic axes whose leads change width from block to block, and edge
-    # margins at the first and last cell of every piece, so a piece starts and
-    # ends with a cell that b"%.9g" formats, a zero or a 16-byte text
+
+
+def test_chunk_edge_margins_all_go_to_the_fallback():
+    assert _csv_round(np.array(CHUNK_EDGE_MARGINS))[2].all()
+
+
+def _assert_tile_edges_match_per_cell_rows(grid, block_rows, margins, seed, tmp_path):
+    # synthetic axes whose leads change width from block to block, and the
+    # edge margins in turn at the first and last cell of every tile, so a
+    # tile starts and ends with a cell that b"%.9g" formats, a zero or a
+    # 16-byte text
     nx, ny = grid
-    d_axis, vl_axis, v_axis = (_axis(n, seed, False) for n, seed in ((nx, 5), (ny, 6), (ny, 7)))
-    margin = _mixed_table(nx, ny, seed=8)
-    for k, cell in enumerate(_piece_edges(nx, ny, block_rows)):
-        margin[cell] = EDGE_MARGINS[k % len(EDGE_MARGINS)]
+    d_axis, vl_axis, v_axis = (_axis(n, seed + k, False) for k, n in enumerate((nx, ny, ny)))
+    margin = _mixed_table(nx, ny, seed=seed + 3)
+    for k, cell in enumerate(_tile_edges(nx, ny, block_rows)):
+        margin[cell] = margins[k % len(margins)]
     blocks = ((i, margin[i:i + block_rows]) for i in range(0, nx, block_rows))
     write_margin_csv(tmp_path / "grid.csv", d_axis, vl_axis, v_axis, blocks)
     assert (tmp_path / "grid.csv").read_bytes() == _per_cell_bytes(d_axis, vl_axis, v_axis,
                                                                    margin)
+
+
+@pytest.mark.parametrize("grid, block_rows", [
+    ((9, 500), 3),                                 # a tile a block
+    ((2, _MARGIN_PIECE_CELLS), 1),               # one whole tile a row
+    ((3, 2 * _MARGIN_PIECE_CELLS + 5), 2),       # a row in three tiles, the last partial
+    ((5, 3 * _MARGIN_PIECE_CELLS - 1), 5),
+    ((_MARGIN_PIECE_CELLS + 1, 2), 1000),        # tiles of many two-column rows
+])
+@EDGE_KINDS
+def test_margin_writer_formats_fallback_cells_at_each_tile_edge(grid, block_rows, margins, seed,
+                                                                tmp_path):
+    _assert_tile_edges_match_per_cell_rows(grid, block_rows, margins, seed, tmp_path)
 
 
 @pytest.mark.parametrize("d_range", [(-3e4, 5e4), (5e4, -3e4), (1e-7, 10.0)])
@@ -369,43 +372,27 @@ def test_margin_csv_meets_a_lead_width_change_between_scan_blocks(d_range, tmp_p
     assert (tmp_path / "grid.csv").read_bytes() == want
 
 
-# margins the vector path leaves to b"%.9g" % x: exact rounding ties, one that
-# carries into the next exponent, subnormals and 1e+-300
-CHUNK_EDGE_MARGINS = [123456788.5, -123456789.5, 999999999.5, 5e-324, -2.5e-310, 1e300,
-                      -1e300, 1e-300, -1e-300]
-
-
-def _assert_chunk_edges_match_per_cell_rows(grid, block_rows, tmp_path):
-    # synthetic axes, and a fallback margin at the first and last cell of
-    # every chunk, so a formatter pass starts and ends with a cell that
-    # b"%.9g" formats
-    assert _csv_round(np.array(CHUNK_EDGE_MARGINS))[2].all()
-    nx, ny = grid
-    d_axis, vl_axis, v_axis = (_axis(n, seed, False) for n, seed in ((nx, 9), (ny, 10), (ny, 11)))
-    margin = _mixed_table(nx, ny, seed=12)
-    for k, cell in enumerate(_chunk_edges(nx, ny, block_rows)):
-        margin[cell] = CHUNK_EDGE_MARGINS[k % len(CHUNK_EDGE_MARGINS)]
-    blocks = ((i, margin[i:i + block_rows]) for i in range(0, nx, block_rows))
-    write_margin_csv(tmp_path / "grid.csv", d_axis, vl_axis, v_axis, blocks)
-    assert (tmp_path / "grid.csv").read_bytes() == _per_cell_bytes(d_axis, vl_axis, v_axis,
-                                                                   margin)
-
-
 @pytest.mark.parametrize("ny", [_MARGIN_PIECE_CELLS - 1, _MARGIN_PIECE_CELLS,
-                                _MARGIN_PIECE_CELLS + 1, _MARGIN_CHUNK_CELLS - 1,
-                                _MARGIN_CHUNK_CELLS, _MARGIN_CHUNK_CELLS + 1,
+                                _MARGIN_PIECE_CELLS + 1, 2 * _MARGIN_PIECE_CELLS - 1,
+                                2 * _MARGIN_PIECE_CELLS, 2 * _MARGIN_PIECE_CELLS + 1,
                                 3 * _MARGIN_PIECE_CELLS + 1])
-def test_margin_rows_either_side_of_piece_and_chunk_widths_match_per_cell_rows(ny, tmp_path):
-    # a row of one piece, of a piece and a column, of one chunk of two pieces,
-    # of a chunk and a column, and of a chunk and a piece and a column
-    _assert_chunk_edges_match_per_cell_rows((3, ny), 2, tmp_path)
+@EDGE_KINDS
+def test_margin_rows_either_side_of_tile_widths_match_per_cell_rows(ny, margins, seed, tmp_path):
+    # rows a column short of one tile, of one tile, of a tile and a column,
+    # a column short of two tiles, of two, of two and a column, and of three
+    # and a column
+    _assert_tile_edges_match_per_cell_rows((3, ny), 2, margins, seed, tmp_path)
 
 
 @pytest.mark.parametrize("grid", [
-    (131, 500),   # chunks of 16 rows in scan blocks of 65, 65 and 1 rows
-    (70, 3000),   # chunks of two one-row pieces, the last of a block one row
-    (140, 61),    # pieces of 67 rows and chunks of 134, each cut by the blocks
+    (9, 500),     # one partial tile of 9 rows
+    (70, 500),    # tiles of 12 rows, the last of a block 5, and a block of 5
+    (131, 500),   # scan blocks of 65, 65 and 1 rows
+    (70, 2500),   # tiles of two rows, the last of a block one row
+    (140, 61),    # tiles of 100 rows, cut to the blocks' 65, 65 and 10
 ])
-def test_margin_rows_across_65_row_scan_blocks_match_per_cell_rows(grid, tmp_path):
+@EDGE_KINDS
+def test_margin_rows_across_65_row_scan_blocks_match_per_cell_rows(grid, margins, seed,
+                                                                   tmp_path):
     # 65 rows is the scan's block on the 500-wide grid of the design workload
-    _assert_chunk_edges_match_per_cell_rows(grid, 65, tmp_path)
+    _assert_tile_edges_match_per_cell_rows(grid, 65, margins, seed, tmp_path)
